@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for two join-ordering choices (ARCHITECTURE.md,
+//! "Planning & statistics"):
 //!
 //! 1. **Semi-naive delta reordering** (delta atom first + greedy
 //!    selectivity order) vs. evaluating delta passes in the rule's

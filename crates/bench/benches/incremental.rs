@@ -58,35 +58,47 @@ fn main() {
 
     // Maintained: a 10-remove commit, then a commit restoring the same
     // 10 edges (steady state). Each iteration rotates to fresh ring
-    // positions so retraction never sees an already-deleted row.
-    let store = Store::with_options(single_threaded());
-    store.load_turtle(&src).unwrap();
-    let mut epoch = 0usize;
-    b.bench("commit_remove10_restore", || {
-        let base = (epoch * 10) % (N - 10);
-        epoch += 1;
-        let mut w = store.writer();
-        for k in 0..10 {
-            let i = base + k;
-            w.remove(
-                ex(&format!("p{i}")),
-                ex("knows"),
-                ex(&format!("p{}", i + 1)),
-            );
+    // positions so retraction never sees an already-deleted row. Run on
+    // a store nobody has queried (the floor: no statistics to carry) and
+    // on one that has served a query — the case a served store is in.
+    for (name, queried) in [
+        ("commit_remove10_restore", false),
+        ("commit_remove10_restore_after_query", true),
+    ] {
+        let store = Store::with_options(single_threaded());
+        store.load_turtle(&src).unwrap();
+        if queried {
+            store
+                .execute("PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:p0 ex:knows ?b }")
+                .unwrap();
         }
-        let removed = w.commit().unwrap().removed;
-        let mut w = store.writer();
-        for k in 0..10 {
-            let i = base + k;
-            w.insert(
-                ex(&format!("p{i}")),
-                ex("knows"),
-                ex(&format!("p{}", i + 1)),
-            );
-        }
-        w.commit().unwrap();
-        removed
-    });
+        let mut epoch = 0usize;
+        b.bench(name, || {
+            let base = (epoch * 10) % (N - 10);
+            epoch += 1;
+            let mut w = store.writer();
+            for k in 0..10 {
+                let i = base + k;
+                w.remove(
+                    ex(&format!("p{i}")),
+                    ex("knows"),
+                    ex(&format!("p{}", i + 1)),
+                );
+            }
+            let removed = w.commit().unwrap().removed;
+            let mut w = store.writer();
+            for k in 0..10 {
+                let i = base + k;
+                w.insert(
+                    ex(&format!("p{i}")),
+                    ex("knows"),
+                    ex(&format!("p{}", i + 1)),
+                );
+            }
+            w.commit().unwrap();
+            removed
+        });
+    }
 
     // Standing-query delivery, end to end: commit a triple that changes
     // the subscribed result, then block until the delta arrives.

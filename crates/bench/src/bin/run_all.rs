@@ -1,4 +1,4 @@
-//! Runs every experiment in paper order (the data behind EXPERIMENTS.md).
+//! Runs every experiment in paper order.
 use sparqlog_bench::harness::{scale_from_env, timeout_from_env};
 use sparqlog_bench::tables;
 use sparqlog_benchdata::gmark::Scenario;

@@ -241,8 +241,8 @@ pub fn timeout_from_env() -> Duration {
     Duration::from_millis(ms)
 }
 
-/// Dataset scale factor: `SPARQLOG_SCALE` env var (1.0 = the defaults
-/// documented in DESIGN.md).
+/// Dataset scale factor: `SPARQLOG_SCALE` env var (1.0 = the
+/// generators' laptop-scale defaults in `sparqlog-benchdata`).
 pub fn scale_from_env() -> f64 {
     std::env::var("SPARQLOG_SCALE")
         .ok()

@@ -37,7 +37,7 @@ pub struct GmarkConfig {
 }
 
 impl GmarkConfig {
-    /// The laptop-scale defaults (see DESIGN.md "Substitutions").
+    /// The laptop-scale defaults.
     pub fn default_for(scenario: Scenario) -> Self {
         match scenario {
             // ~8 triples per person.

@@ -18,7 +18,7 @@
 //!
 //! All generators take an explicit seed and scale so results are
 //! reproducible; the defaults are laptop-scale versions of the paper's
-//! configurations (DESIGN.md, "Substitutions").
+//! configurations.
 
 pub mod analysis;
 pub mod beseppi;

@@ -15,7 +15,12 @@
 use std::sync::Arc;
 
 use sparqlog_datalog::AbortReason;
-use sparqlog_obs::{Counter, CounterVec, Histogram, MetricsRegistry};
+use sparqlog_obs::{Counter, CounterVec, Gauge, Histogram, MetricsRegistry};
+
+/// The four phases of a commit, in execution order — the `phase` label
+/// values of `sparqlog_commit_phase_duration_us` and the index into
+/// [`CoreMetrics::commit_phase_us`].
+pub(crate) const COMMIT_PHASES: [&str; 4] = ["stage", "maintain", "refreeze", "notify"];
 
 /// Cached handles for every metric family the core crate records.
 ///
@@ -49,6 +54,13 @@ pub(crate) struct CoreMetrics {
     pub(crate) commits: Arc<Counter>,
     /// Commit latency (thaw → re-freeze), µs.
     pub(crate) commit_duration_us: Arc<Histogram>,
+    /// Commit latency by phase ([`COMMIT_PHASES`] order), µs.
+    pub(crate) commit_phase_us: [Arc<Histogram>; 4],
+    /// Relations re-scanned for planner statistics by commits (a carried
+    /// relation costs none).
+    pub(crate) stats_rescans: Arc<Counter>,
+    /// Size of the `(pred, mask)` index-need set commits build eagerly.
+    pub(crate) index_needs: Arc<Gauge>,
     /// Triples actually added by commits.
     pub(crate) rows_added: Arc<Counter>,
     /// Triples actually removed by commits.
@@ -71,6 +83,12 @@ impl CoreMetrics {
     /// `registry` and caches the handles.
     pub(crate) fn new(registry: Arc<MetricsRegistry>) -> Self {
         let r = &registry;
+        let phases = r.histogram_vec(
+            "sparqlog_commit_phase_duration_us",
+            "Commit latency by phase (stage, maintain, refreeze, notify) in microseconds.",
+            &["phase"],
+            22,
+        );
         CoreMetrics {
             translations: r.counter(
                 "sparqlog_translations_total",
@@ -115,6 +133,15 @@ impl CoreMetrics {
                 "sparqlog_store_commit_duration_us",
                 "Commit latency (thaw, apply, re-materialise, re-freeze) in microseconds.",
                 22,
+            ),
+            commit_phase_us: COMMIT_PHASES.map(|phase| phases.with(&[phase])),
+            stats_rescans: r.counter(
+                "sparqlog_store_stats_rescans_total",
+                "Relations re-scanned for planner statistics by commits.",
+            ),
+            index_needs: r.gauge(
+                "sparqlog_store_index_needs",
+                "Tracked (predicate, mask) index needs of planned queries on stored relations.",
             ),
             rows_added: r.counter(
                 "sparqlog_store_rows_added_total",

@@ -10,7 +10,7 @@
 //! operators) the ID is forced to the constant `[]`, collapsing
 //! duplicates.
 //!
-//! Deviations from the appendix, documented in DESIGN.md:
+//! Deviations from the appendix:
 //!
 //! * `subjectOrObject` carries the graph as a second argument so
 //!   zero-length paths are computed per graph;

@@ -60,9 +60,10 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use sparqlog_datalog::{
     demand_prunes, demand_subprogram, evaluate_frozen, evaluate_frozen_with_plan,
-    fxhash::FxHashMap, magic_sets_rewrite_analyzed, plan_program, run_scoped_caught, Budget,
-    CancelToken, DbStats, EvalError, EvalOptions, EvalStats, FrozenDb, Mask, Program, ProgramPlan,
-    QueryProfile, StatsFingerprint, Sym, SymbolTable,
+    fxhash::{FxHashMap, FxHashSet},
+    magic_sets_rewrite_analyzed, plan_program, run_scoped_caught, Budget, CancelToken, DbStats,
+    EvalError, EvalOptions, EvalStats, FrozenDb, Mask, Program, ProgramPlan, QueryProfile,
+    StatsFingerprint, Sym, SymbolTable,
 };
 use sparqlog_obs::MetricsRegistry;
 use sparqlog_sparql::{parse_query, update_keyword, Query};
@@ -112,9 +113,11 @@ pub const MAX_CACHED_TRANSLATIONS: usize = 4096;
 /// translations are data-independent (they reference interned symbols,
 /// never facts), so the [`Store`](crate::Store) commit path threads one
 /// cache through every snapshot it installs — hot query shapes stay warm
-/// across commits instead of re-translating after every write. The
-/// metrics registry rides along for the same reason: counters must
-/// survive commits, and per-store ownership keeps tests isolated.
+/// across commits instead of re-translating after every write. A commit
+/// never iterates the cache: all it reads from it is the small
+/// index-need set kept beside the map. The metrics registry rides along
+/// for the same reason: counters must survive commits, and per-store
+/// ownership keeps tests isolated.
 pub(crate) struct TranslationCache {
     /// Query text → parsed + translated program. Bounded by
     /// [`MAX_CACHED_TRANSLATIONS`] (first-come retention).
@@ -124,6 +127,14 @@ pub(crate) struct TranslationCache {
     /// program's predicates (`f1_ans0`, `f2_ans0`, ...) so programs of
     /// different queries can never collide in an overlay.
     pub(crate) metrics: CoreMetrics,
+    /// The `(pred, mask)` hash indexes that plans computed through this
+    /// cache probe on *stored* relations — what the commit path builds
+    /// eagerly on every snapshot it installs. Grown where plans are born
+    /// ([`FrozenDatabase::plan_entry`]) and never walked back out of the
+    /// cached plans: a plan's needs on its own query-private `f<n>_…`
+    /// predicates never enter, so the set is bounded by stored predicates
+    /// × masks (a few dozen entries) however many texts are cached.
+    index_needs: Mutex<FxHashSet<(Sym, Mask)>>,
 }
 
 impl TranslationCache {
@@ -131,25 +142,27 @@ impl TranslationCache {
         TranslationCache {
             map: RwLock::new(FxHashMap::default()),
             metrics: CoreMetrics::new(Arc::new(MetricsRegistry::new())),
+            index_needs: Mutex::new(FxHashSet::default()),
         }
     }
 
-    /// The distinct `(pred, mask)` hash indexes named by the plans of
-    /// currently cached queries — what the store's commit path asks the
-    /// re-frozen snapshot to build eagerly, so hot query shapes never
-    /// fall back to lazy index construction after a commit.
-    pub(crate) fn live_index_needs(&self) -> Vec<(Sym, Mask)> {
-        let mut out: Vec<(Sym, Mask)> = Vec::new();
-        for cached in self.map.read().unwrap().values() {
-            if let Some(entry) = cached.plan.read().unwrap().as_ref() {
-                for need in entry.plan.index_needs() {
-                    if !out.contains(&need) {
-                        out.push(need);
-                    }
-                }
-            }
+    /// Records the index needs of a freshly computed `plan` on relations
+    /// present in `base`.
+    fn track_index_needs(&self, plan: &ProgramPlan, base: &FrozenDb) {
+        let mut needs = plan.index_needs();
+        needs.retain(|&(pred, _)| base.relation(pred).is_some());
+        if needs.is_empty() {
+            return;
         }
-        out
+        let mut tracked = self.index_needs.lock().unwrap();
+        tracked.extend(needs);
+        self.metrics.index_needs.set(tracked.len() as i64);
+    }
+
+    /// The tracked index-need set, for
+    /// [`Database::freeze_with_needs`](sparqlog_datalog::Database::freeze_with_needs).
+    pub(crate) fn index_needs(&self) -> Vec<(Sym, Mask)> {
+        self.index_needs.lock().unwrap().iter().copied().collect()
     }
 }
 
@@ -443,6 +456,18 @@ impl FrozenDatabase {
         self.run(&cached, &self.options)
     }
 
+    /// [`Self::execute_query`] through the translation cache, keyed by
+    /// the query's canonical rendering (which re-parses to the same AST,
+    /// so the key is as good as a text) — the store's `DELETE/INSERT …
+    /// WHERE` path, where the same pattern recurs request after request.
+    pub(crate) fn execute_query_cached(
+        &self,
+        query: &Query,
+    ) -> Result<QueryResults, SparqLogError> {
+        let cached = self.memoised(&query.to_string(), || Ok(query.clone()))?;
+        self.run(&cached, &self.options)
+    }
+
     /// Executes a batch of queries across the scoped worker pool,
     /// returning one result per query **in input order**.
     ///
@@ -581,33 +606,42 @@ impl FrozenDatabase {
     }
 
     /// The memoised translation for `text`, parsing and translating on
-    /// the first sighting. On a cache race the first inserted entry wins
-    /// and is what later executions reuse; the loser's translation is
-    /// used once and dropped (both are correct — prefixes only namespace
-    /// predicates). Once [`MAX_CACHED_TRANSLATIONS`] distinct texts are
-    /// memoised, further texts translate per execution without
-    /// inserting, bounding the cache's memory.
+    /// the first sighting ([`Self::memoised`]).
     fn translation(&self, text: &str) -> Result<Arc<CachedQuery>, SparqLogError> {
         panic_marker_hook(text);
-        if let Some(hit) = self.cache.map.read().unwrap().get(text) {
+        self.memoised(text, || {
+            parse_query(text).map_err(|e| match update_keyword(text) {
+                // An update string would otherwise surface as a baffling
+                // "expected SELECT or ASK" parse error — recognise it and
+                // say what is actually wrong with *this entry point*.
+                Some(kw) => SparqLogError::ReadOnly(kw),
+                None => e.into(),
+            })
+        })
+    }
+
+    /// The translation memoised under `key`, obtaining the query from
+    /// `parse` and translating it on the first sighting. On a cache race
+    /// the first inserted entry wins and is what later executions reuse;
+    /// the loser's translation is used once and dropped (both are correct
+    /// — prefixes only namespace predicates). Once
+    /// [`MAX_CACHED_TRANSLATIONS`] distinct keys are memoised, further
+    /// ones translate per execution without inserting, bounding the
+    /// cache's memory.
+    fn memoised(
+        &self,
+        key: &str,
+        parse: impl FnOnce() -> Result<Query, SparqLogError>,
+    ) -> Result<Arc<CachedQuery>, SparqLogError> {
+        if let Some(hit) = self.cache.map.read().unwrap().get(key) {
             return Ok(hit.clone());
         }
-        let query = match parse_query(text) {
-            Ok(q) => q,
-            // An update string would otherwise surface as a baffling
-            // "expected SELECT or ASK" parse error — recognise it and
-            // say what is actually wrong with *this entry point*.
-            Err(e) => match update_keyword(text) {
-                Some(kw) => return Err(SparqLogError::ReadOnly(kw)),
-                None => return Err(e.into()),
-            },
-        };
-        let entry = self.translate_entry(query)?;
+        let entry = self.translate_entry(parse()?)?;
         let mut cache = self.cache.map.write().unwrap();
-        if cache.len() >= MAX_CACHED_TRANSLATIONS && !cache.contains_key(text) {
+        if cache.len() >= MAX_CACHED_TRANSLATIONS && !cache.contains_key(key) {
             return Ok(entry);
         }
-        Ok(cache.entry(text.to_string()).or_insert(entry).clone())
+        Ok(cache.entry(key.to_string()).or_insert(entry).clone())
     }
 
     /// Translates a parsed query under a fresh predicate namespace.
@@ -767,6 +801,7 @@ impl FrozenDatabase {
             }
         }
         let entry = self.compute_plan(cached, options, &stats)?;
+        self.cache.track_index_needs(&entry.plan, &self.base);
         *cached.plan.write().unwrap() = Some(entry.clone());
         self.cache.metrics.plans_computed.inc();
         Some(entry)
@@ -866,6 +901,25 @@ impl FrozenDatabase {
             }
             None => Ok("(no physical plan: planning disabled or program not plannable)".into()),
         }
+    }
+}
+
+#[cfg(test)]
+impl FrozenDatabase {
+    /// Every `(pred, mask)` the currently cached plans probe on a
+    /// relation of this snapshot, by walking the cache — the oracle the
+    /// commit-cost test holds the tracked need set against.
+    pub(crate) fn cached_plan_needs_on_base(&self) -> Vec<(Sym, Mask)> {
+        let mut out = Vec::new();
+        for cached in self.cache.map.read().unwrap().values() {
+            if let Some(entry) = cached.plan.read().unwrap().as_ref() {
+                out.extend(entry.plan.index_needs());
+            }
+        }
+        out.retain(|&(pred, _)| self.base.relation(pred).is_some());
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 

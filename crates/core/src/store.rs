@@ -96,13 +96,13 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
 use sparqlog_datalog::fxhash::{FxHashMap, FxHashSet};
 use sparqlog_datalog::{
-    evaluate, retract, stage_deletion, Budget, ColumnBatch, Const, Database, EvalOptions, FrozenDb,
-    MaintainError, Mask, Program, Relation, Rule, Sym, SymbolTable, TermId,
+    evaluate, retract, stage_deletion, Budget, ColumnBatch, Const, Database, DbStats, EvalOptions,
+    FrozenDb, MaintainError, Mask, Program, Relation, Rule, Sym, SymbolTable, TermId,
 };
 use sparqlog_rdf::{Dataset, Graph, Term};
 use sparqlog_sparql::{
@@ -111,9 +111,10 @@ use sparqlog_sparql::{
 
 use crate::data_translation::{base_program, default_graph_const, preds, term_to_const};
 use crate::engine::SparqLogError;
+use crate::metrics::COMMIT_PHASES;
 use crate::ontology::Ontology;
 use crate::query_translation::update_where_query;
-use crate::serving::{FrozenDatabase, PreparedQuery};
+use crate::serving::{FrozenDatabase, PreparedQuery, TranslationCache};
 use crate::solution::QueryResults;
 use crate::subscribe::{prefilter, Registry, Subscription, DEFAULT_MAILBOX_CAPACITY};
 
@@ -425,7 +426,7 @@ impl Store {
         pattern: sparqlog_sparql::GraphPattern,
     ) -> Result<CommitStats, SparqLogError> {
         let query = update_where_query(pattern);
-        let result = self.snapshot().execute_query(&query)?;
+        let result = self.current().execute_query_cached(&query)?;
         let Some(solutions) = result.solutions() else {
             return Ok(CommitStats::default());
         };
@@ -560,11 +561,14 @@ impl Store {
         self.apply_locked(adds, removes, clears)
     }
 
-    /// Applies a staged delta: thaw the current snapshot, mutate,
-    /// re-materialise the auxiliary predicates, re-freeze incrementally.
-    /// Caller holds the commit lock (which serialises writers); the
-    /// state lock is only held across the heavy phase on the zero-copy
-    /// path (see below).
+    /// Applies a staged delta in four phases — [`Store::stage`] →
+    /// [`Commit::maintain`] → [`Store::refreeze`] → [`Store::notify`] —
+    /// each timed into `sparqlog_commit_phase_duration_us`. Caller holds
+    /// the commit lock (which serialises writers). Every phase costs
+    /// O(delta) on the zero-copy path: none of them iterates the
+    /// translation cache or a whole relation (a full fixpoint under an
+    /// ontology, the re-derivation fallback and a hit `CLEAR` excepted —
+    /// their deltas are not small).
     fn apply_locked(
         &self,
         adds: &[GroundQuad],
@@ -572,6 +576,63 @@ impl Store {
         clears: &[ClearTarget],
     ) -> Result<CommitStats, SparqLogError> {
         let commit_start = Instant::now();
+        // Phase durations in `COMMIT_PHASES` order, back to back: each
+        // ends where the next begins.
+        let mut phase_us = [0u64; COMMIT_PHASES.len()];
+        let mut phases = phase_us.iter_mut();
+        let mut phase_start = commit_start;
+        let mut end_phase = || {
+            let now = Instant::now();
+            *phases.next().expect("four phases") =
+                now.duration_since(phase_start).as_micros() as u64;
+            phase_start = now;
+        };
+
+        let mut commit = self.stage(adds, removes, clears);
+        end_phase();
+        // On failure the mutated copy is dropped with `commit`: the copy
+        // path still has the pre-commit snapshot installed and keeps
+        // serving it; the zero-copy path has nothing to fall back to —
+        // the store is poisoned (`frozen` stays `None`).
+        let outcome = commit.maintain(adds)?;
+        end_phase();
+        let (snapshot, stats_rescans) = self.refreeze(commit);
+        end_phase();
+        self.notify(&snapshot, &outcome);
+        end_phase();
+
+        let m = snapshot.core_metrics();
+        if m.registry.armed() {
+            m.commits.inc();
+            m.commit_duration_us
+                .observe(commit_start.elapsed().as_micros() as u64);
+            for (histogram, us) in m.commit_phase_us.iter().zip(phase_us) {
+                histogram.observe(us);
+            }
+            m.stats_rescans.add(stats_rescans as u64);
+            m.rows_added.add(outcome.stats.added as u64);
+            m.rows_removed.add(outcome.stats.removed as u64);
+            if outcome.stats.removed > 0 {
+                if outcome.maintained {
+                    m.removals_maintained.inc();
+                } else {
+                    m.removals_fallback.inc();
+                }
+            }
+            m.snapshot_refreshes.inc();
+        }
+        Ok(outcome.stats)
+    }
+
+    /// Commit phase 1: reclaim the serving snapshot into a mutable
+    /// database, encode the staged quads and resolve the staged removals
+    /// and clears to the asserted rows they actually hit.
+    fn stage(
+        &self,
+        adds: &[GroundQuad],
+        removes: &[GroundQuad],
+        clears: &[ClearTarget],
+    ) -> Commit<'_> {
         let mut state = self.state.write().unwrap();
         let options = state.options.clone();
         let ontology_rules: Vec<Rule> = state.ontology.rules.clone();
@@ -580,13 +641,15 @@ impl Store {
         // Reclaim the snapshot. When no snapshot handle is alive the
         // wrapper and then the FrozenDb unwrap uniquely and the
         // relations are *moved* into the mutable database, indexes and
-        // all — zero copy, but the state lock stays held for the whole
-        // commit (readers arriving mid-commit block; none existed at
-        // commit start). When live snapshots force the copy path, the
+        // all — zero copy, but the state lock stays held until the new
+        // snapshot is installed (readers arriving mid-commit block; none
+        // existed at commit start), which is why no phase may cost more
+        // than the delta. When live snapshots force the copy path, the
         // old snapshot is put straight back and the state lock released:
         // readers keep being served the pre-commit version while the
-        // commit works on the copy, and a failed commit leaves the store
-        // untouched instead of poisoned.
+        // commit works on a deep copy (O(store), see `FrozenDb::thaw`),
+        // and a failed commit leaves the store untouched instead of
+        // poisoned.
         let (base, cache, asserted, held_state) = match Arc::try_unwrap(current) {
             Ok(fd) => {
                 let (base, _options, cache) = fd.into_base();
@@ -608,39 +671,24 @@ impl Store {
         // untouched).
         let mut asserted: Option<Relation> =
             asserted.map(|a| Arc::try_unwrap(a).unwrap_or_else(|shared| shared.clone_for_write()));
-        // Carry the outgoing snapshot's statistics (if any query
-        // collected them) across the commit: the re-frozen snapshot
-        // re-scans only the relations whose row counts changed.
+        // The outgoing snapshot's statistics (if any query collected
+        // them) are carried across the commit by `refreeze`.
         let prev_stats = base.stats_if_ready();
-        let mut db = FrozenDb::thaw(base);
+        let db = FrozenDb::thaw(base);
         let symbols = db.symbols().clone();
         let dict = db.dict().clone();
-
-        let triple_p = symbols.intern(preds::TRIPLE);
-        let iri_p = symbols.intern(preds::IRI);
-        let literal_p = symbols.intern(preds::LITERAL);
-        let bnode_p = symbols.intern(preds::BNODE);
-        let named_p = symbols.intern(preds::NAMED);
-        let term_p = symbols.intern(preds::TERM);
-        let comp_p = symbols.intern(preds::COMP);
-        let soo_p = symbols.intern(preds::SUBJECT_OR_OBJECT);
-        let null_p = symbols.intern(preds::NULL);
-
-        let default_graph = dict.encode(&default_graph_const(&symbols));
-        let graph_const = |g: &Option<Arc<str>>| match g {
-            None => default_graph_const(&symbols),
-            Some(name) => Const::Iri(symbols.intern(name)),
+        let vocab = Vocab {
+            triple: symbols.intern(preds::TRIPLE),
+            iri: symbols.intern(preds::IRI),
+            literal: symbols.intern(preds::LITERAL),
+            bnode: symbols.intern(preds::BNODE),
+            named: symbols.intern(preds::NAMED),
+            term: symbols.intern(preds::TERM),
+            comp: symbols.intern(preds::COMP),
+            soo: symbols.intern(preds::SUBJECT_OR_OBJECT),
+            null: symbols.intern(preds::NULL),
+            default_graph: dict.encode(&default_graph_const(&symbols)),
         };
-        let encode_quad = |q: &GroundQuad| -> [TermId; 4] {
-            [
-                dict.encode(&term_to_const(&q.subject, &symbols)),
-                dict.encode(&term_to_const(&q.predicate, &symbols)),
-                dict.encode(&term_to_const(&q.object, &symbols)),
-                dict.encode(&graph_const(&q.graph)),
-            ]
-        };
-
-        let mut stats = CommitStats::default();
 
         let mut program = base_program(&symbols);
         let has_ontology = !ontology_rules.is_empty();
@@ -654,13 +702,26 @@ impl Store {
         // whose already-entailed rows become part of the baseline; see
         // the module docs.)
         if has_ontology && asserted.is_none() {
-            asserted = Some(match db.relation(triple_p) {
+            asserted = Some(match db.relation(vocab.triple) {
                 Some(rel) => rel.clone_for_write(),
                 None => Relation::new(),
             });
         }
 
-        // ------------------------------------------------ removals
+        let encode_quad = |q: &GroundQuad| -> [TermId; 4] {
+            let graph = match &q.graph {
+                None => vocab.default_graph,
+                Some(name) => dict.encode(&Const::Iri(symbols.intern(name))),
+            };
+            [
+                dict.encode(&term_to_const(&q.subject, &symbols)),
+                dict.encode(&term_to_const(&q.predicate, &symbols)),
+                dict.encode(&term_to_const(&q.object, &symbols)),
+                graph,
+            ]
+        };
+        let add_rows: Vec<[TermId; 4]> = adds.iter().map(encode_quad).collect();
+
         // Collect the asserted rows a staged removal actually hits: a
         // DELETE DATA of absent quads or a CLEAR of an empty graph
         // leaves this empty and is routed to the (much cheaper)
@@ -668,7 +729,7 @@ impl Store {
         // entailment-bearing `triple` relation — is the removal target,
         // so deleting a merely-entailed triple is a no-op.
         let mut removed_rows: Vec<[TermId; 4]> = Vec::new();
-        if (!removes.is_empty() || !clears.is_empty()) && db.relation(triple_p).is_some() {
+        if (!removes.is_empty() || !clears.is_empty()) && db.relation(vocab.triple).is_some() {
             let remove_rows: HashSet<[TermId; 4]> = removes.iter().map(encode_quad).collect();
             let mut clear_default = false;
             let mut clear_named = false;
@@ -686,9 +747,10 @@ impl Store {
                     }
                 }
             }
+            let default_graph = vocab.default_graph;
             let view: &Relation = match asserted.as_ref() {
                 Some(ledger) => ledger,
-                None => db.relation(triple_p).expect("checked above"),
+                None => db.relation(vocab.triple).expect("checked above"),
             };
             // Probe the graph-column index for clear targets first: only
             // a CLEAR that hits anything pays the scan below.
@@ -713,334 +775,74 @@ impl Store {
                 removed_rows.extend(remove_rows.iter().filter(|r| view.contains(*r)));
             }
         }
-        let has_removals = !removed_rows.is_empty();
-        stats.removed = removed_rows.len();
 
-        // Subscription prefilter bookkeeping: the predicate ids of every
-        // `triple` row this commit adds or (net) removes. Stays `exact`
-        // only on the paths that never run a full fixpoint — whenever
-        // `evaluate` is involved the entailed consequences are unknown
-        // and every subscriber is re-checked.
-        let mut changed_preds: FxHashSet<TermId> = FxHashSet::default();
-        let mut exact_delta = true;
-
-        // `true` once the DRed maintainer has brought every derived
-        // predicate (and the entailed triples) up to date for the
-        // removals; `false` routes to the full re-derivation fallback.
-        let mut maintained = false;
-        if has_removals {
-            let removed_set: FxHashSet<[TermId; 4]> = removed_rows.iter().copied().collect();
-            let removed_vecs: FxHashSet<Vec<TermId>> =
-                removed_rows.iter().map(|r| r.to_vec()).collect();
-            // Drop the assertions from the ledger first: the external-
-            // support probe below must see the *post*-deletion asserted
-            // set, so a deleted assertion no longer supports itself.
-            // Targeted removal — the ledger never pays a full rebuild.
-            if let Some(ledger) = asserted.as_mut() {
-                ledger.remove_rows(&removed_vecs);
-            }
-
-            // Stage the deletion seeds: the removed quads themselves,
-            // plus the load-time class and named-graph facts of terms
-            // whose last asserted occurrence just disappeared (class
-            // facts come from asserted data only, so survival is probed
-            // against the asserted view — O(occurrences), not O(store)).
-            let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-            for row in &removed_rows {
-                stage_deletion(&mut deleted, triple_p, row);
-            }
-            let mut term_cands: FxHashSet<TermId> = FxHashSet::default();
-            let mut graph_cands: FxHashSet<TermId> = FxHashSet::default();
-            for row in &removed_rows {
-                term_cands.extend(row[..3].iter().copied());
-                if row[3] != default_graph {
-                    graph_cands.insert(row[3]);
-                }
-            }
-            {
-                // Post-removal asserted view: the retained ledger, or —
-                // without an ontology — the still-uncompacted `triple`
-                // relation minus the removed set.
-                let view: &Relation = match asserted.as_ref() {
-                    Some(ledger) => ledger,
-                    None => db.relation(triple_p).expect("seeds exist"),
-                };
-                let survives = |mask: Mask, key: &[TermId]| {
-                    view.lookup(mask, key).iter().any(|&i| {
-                        let row4: [TermId; 4] =
-                            view.row(i).try_into().expect("triple/4 rows are quads");
-                        !removed_set.contains(&row4)
-                    })
-                };
-                for &t in &term_cands {
-                    if [0b0001, 0b0010, 0b0100].iter().any(|&m| survives(m, &[t])) {
-                        continue;
-                    }
-                    for class in [iri_p, literal_p, bnode_p] {
-                        if db.relation(class).is_some_and(|r| r.contains(&[t])) {
-                            stage_deletion(&mut deleted, class, &[t]);
-                            break;
-                        }
-                    }
-                }
-                for &g in &graph_cands {
-                    if !survives(0b1000, &[g])
-                        && db.relation(named_p).is_some_and(|r| r.contains(&[g]))
-                    {
-                        stage_deletion(&mut deleted, named_p, &[g]);
-                    }
-                }
-            }
-
-            // Delete/re-derive. A triple row keeps external support
-            // while it remains in the asserted ledger (it may *also* be
-            // entailed); everything else lives and dies by the rules.
-            let empty = Relation::new();
-            let (track, ledger): (bool, &Relation) = match asserted.as_ref() {
-                Some(ledger) => (true, ledger),
-                None => (false, &empty),
-            };
-            let support =
-                |pred: Sym, row: &[TermId]| track && pred == triple_p && ledger.contains(row);
-            match retract(&program, &mut db, &deleted, &support) {
-                Ok(retraction) => {
-                    maintained = true;
-                    if let Some(rows) = retraction.removed.get(&triple_p) {
-                        changed_preds.extend(rows.iter().map(|r| r[1]));
-                    }
-                }
-                Err(MaintainError::Unsupported(_)) => {
-                    exact_delta = false;
-                    // The program has a shape the maintainer does not
-                    // handle: fall back to rebuilding `triple` from the
-                    // assertions and re-deriving everything below.
-                    match asserted.as_ref() {
-                        Some(ledger) => {
-                            adopt(&mut db, triple_p, ledger.clone_for_write());
-                        }
-                        None => {
-                            db.relation_mut(triple_p).remove_rows(&removed_vecs);
-                        }
-                    }
-                    // Refilter the load-time class and named-graph facts
-                    // against the surviving assertions (membership in
-                    // the old class relation is the classifier, so a
-                    // term without a class fact can never gain one).
-                    let mut new_iri = Relation::new();
-                    let mut new_literal = Relation::new();
-                    let mut new_bnode = Relation::new();
-                    let mut new_named = Relation::new();
-                    if let Some(rel) = db.relation(triple_p) {
-                        let old_iri = db.relation(iri_p);
-                        let old_bnode = db.relation(bnode_p);
-                        let old_literal = db.relation(literal_p);
-                        let in_class =
-                            |r: Option<&Relation>, id: TermId| r.is_some_and(|r| r.contains(&[id]));
-                        for row in rel.iter() {
-                            for &id in &row[..3] {
-                                if in_class(old_iri, id) {
-                                    new_iri.insert(&[id]);
-                                } else if in_class(old_bnode, id) {
-                                    new_bnode.insert(&[id]);
-                                } else if in_class(old_literal, id) {
-                                    new_literal.insert(&[id]);
-                                }
-                            }
-                            if row[3] != default_graph {
-                                new_named.insert(&[row[3]]);
-                            }
-                        }
-                    }
-                    for (pred, fresh) in [
-                        (iri_p, new_iri),
-                        (literal_p, new_literal),
-                        (bnode_p, new_bnode),
-                        (named_p, new_named),
-                    ] {
-                        adopt(&mut db, pred, fresh);
-                    }
-                }
-            }
+        Commit {
+            held_state,
+            db,
+            asserted,
+            cache,
+            prev_stats,
+            options,
+            program,
+            has_ontology,
+            vocab,
+            add_rows,
+            removed_rows,
         }
+    }
 
-        // ------------------------------------------------ additions
-        // Track freshly appearing terms for the fast auxiliary path.
-        // Under an ontology, "fresh" means new to the *ledger*: a triple
-        // that was only entailed so far becomes asserted (and its terms
-        // gain class facts), even though it is already visible.
-        let mut fresh_terms: Vec<(TermId, Sym)> = Vec::new();
-        let mut fresh_triples: Vec<[TermId; 4]> = Vec::new();
-        for q in adds {
-            let row = encode_quad(q);
-            let fresh = match asserted.as_mut() {
-                Some(ledger) => {
-                    let fresh = ledger.insert(&row);
-                    db.relation_mut(triple_p).insert(&row);
-                    fresh
-                }
-                None => db.relation_mut(triple_p).insert(&row),
-            };
-            if !fresh {
-                continue;
-            }
-            stats.added += 1;
-            fresh_triples.push(row);
-            for (term, id) in [
-                (&q.subject, row[0]),
-                (&q.predicate, row[1]),
-                (&q.object, row[2]),
-            ] {
-                let class = match term {
-                    Term::Iri(_) => iri_p,
-                    Term::BlankNode(_) => bnode_p,
-                    Term::Literal(_) => literal_p,
-                };
-                if db.relation_mut(class).insert(&[id]) {
-                    fresh_terms.push((id, class));
-                }
-            }
-            if q.graph.is_some() {
-                db.relation_mut(named_p).insert(&[row[3]]);
-            }
-        }
-
-        for row in &fresh_triples {
-            changed_preds.insert(row[1]);
-        }
-
-        // ------------------------------------ auxiliary predicates
-        let evaluated = if has_removals && !maintained {
-            // Fallback exact re-derivation: take the derived relations
-            // out, re-run the rules from the surviving facts, and swap
-            // the old relation back in wherever the content is unchanged
-            // so its indexes survive.
-            let mut derived: Vec<Sym> = program
-                .rules
-                .iter()
-                .map(|r| r.head.pred)
-                .chain(program.facts.iter().map(|(p, _)| *p))
-                .filter(|&p| p != triple_p)
-                .collect();
-            derived.sort_unstable();
-            derived.dedup();
-            let olds: Vec<(Sym, Relation)> = derived
-                .iter()
-                .filter_map(|&p| db.take_relation(p).map(|r| (p, r)))
-                .collect();
-            let result = evaluate(&program, &mut db, &options);
-            for (pred, old) in olds {
-                if db.relation(pred).is_some_and(|new| old.content_eq(new)) {
-                    db.set_relation(pred, old);
-                }
-            }
-            result
-        } else if !has_ontology {
-            // Additions without ontology rules (removals, if any, are
-            // already maintained): the auxiliary rules are non-recursive
-            // over their sources, so their consequences are computed
-            // directly from the delta — O(|delta|), no fixpoint pass
-            // over the full store.
-            let null_id = dict.encode(&Const::Null);
-            db.relation_mut(null_p).insert(&[null_id]);
-            db.relation_mut(comp_p).insert(&[null_id, null_id, null_id]);
-            for &(id, _class) in &fresh_terms {
-                if db.relation_mut(term_p).insert(&[id]) {
-                    let comp = db.relation_mut(comp_p);
-                    comp.insert(&[id, id, id]);
-                    comp.insert(&[id, null_id, id]);
-                    comp.insert(&[null_id, id, id]);
-                }
-            }
-            for row in &fresh_triples {
-                let soo = db.relation_mut(soo_p);
-                soo.insert(&[row[0], row[3]]);
-                soo.insert(&[row[2], row[3]]);
-            }
-            Ok(Default::default())
-        } else if maintained && adds.is_empty() {
-            // Maintained removals with nothing added: the DRed pass left
-            // the store exactly fresh-reload-equivalent — no fixpoint.
-            Ok(Default::default())
-        } else {
-            // Additions with ontology rules (or a fresh ontology
-            // install): materialisation is monotone, so re-running it
-            // only adds the new consequences (existing rows dedup away,
-            // indexes stay maintained).
-            exact_delta = false;
-            evaluate(&program, &mut db, &options)
+    /// Commit phase 3: re-freeze the maintained database and install it
+    /// as the serving snapshot. Returns the installed snapshot and the
+    /// number of relations re-scanned for statistics.
+    ///
+    /// Freezing is profile-guided: besides promoting the indexes the
+    /// snapshot already carries (eager on untouched relations, lazily
+    /// probed ones on the rest), the masks in the translation cache's
+    /// index-need set — every probe a computed plan makes on a stored
+    /// relation — are eager, so hot query shapes never fall back to lazy
+    /// index construction after a commit. The set is read as it stands;
+    /// the cache itself (threaded through to the new snapshot:
+    /// translations and, until statistics drift, their plans are
+    /// data-independent) is never walked. Statistics are carried by
+    /// patching row counts ([`FrozenDb::warm_stats_from`]).
+    fn refreeze(&self, commit: Commit<'_>) -> (Arc<FrozenDatabase>, usize) {
+        let snapshot = commit.db.freeze_with_needs(&commit.cache.index_needs());
+        let stats_rescans = commit
+            .prev_stats
+            .as_deref()
+            .map_or(0, |prev| snapshot.warm_stats_from(prev));
+        let new_frozen = Arc::new(FrozenDatabase::with_cache(
+            snapshot,
+            commit.options,
+            commit.cache,
+        ));
+        let new_asserted = commit.asserted.map(Arc::new);
+        let mut state = match commit.held_state {
+            Some(state) => state,
+            None => self.state.write().unwrap(),
         };
-        if let Err(e) = evaluated {
-            // Derived predicates may be half-updated: drop the mutated
-            // copy. On the copy path the pre-commit snapshot is still
-            // installed and the store keeps serving it; on the zero-copy
-            // path there is nothing to fall back to — the store is
-            // poisoned (`frozen` stays `None`).
-            return Err(e.into());
-        }
+        state.frozen = Some(new_frozen.clone());
+        state.asserted = new_asserted;
+        (new_frozen, stats_rescans)
+    }
 
-        // ------------------------------------------------ re-freeze
-        // Freezing is profile-guided: besides promoting the indexes the
-        // snapshot already carries (eager on untouched relations, lazily
-        // probed ones on the rest), the masks named by the plans of
-        // currently cached queries are built eagerly, so hot query
-        // shapes never fall back to lazy index construction after a
-        // commit. The translation cache is threaded through:
-        // translations (and their cached plans, until statistics drift)
-        // are data-independent, so hot query shapes stay warm.
-        let needs = cache.live_index_needs();
-        let snapshot = db.freeze_with_needs(&needs);
-        if let Some(prev) = &prev_stats {
-            snapshot.warm_stats_from(prev);
-        }
-        let new_frozen = Arc::new(FrozenDatabase::with_cache(snapshot, options, cache));
-        let notify_snapshot = new_frozen.clone();
-        let new_asserted = asserted.map(Arc::new);
-        match held_state {
-            Some(mut state) => {
-                state.frozen = Some(new_frozen);
-                state.asserted = new_asserted;
-            }
-            None => {
-                let mut state = self.state.write().unwrap();
-                state.frozen = Some(new_frozen);
-                state.asserted = new_asserted;
-            }
-        }
-
-        // ------------------------------------------- subscriptions
-        // The snapshot is installed; fan the commit out to standing
-        // queries (still under the commit lock, so deltas are stamped
-        // and delivered in commit order). A provably empty delta —
-        // exact bookkeeping, no triple or ledger change — skips the
-        // whole pass.
+    /// Commit phase 4: the snapshot is installed; fan the commit out to
+    /// standing queries (still under the commit lock, so deltas are
+    /// stamped and delivered in commit order). A provably empty delta —
+    /// exact bookkeeping, no triple or ledger change — skips the whole
+    /// pass.
+    fn notify(&self, snapshot: &Arc<FrozenDatabase>, outcome: &Outcome) {
         let commit_seq = self.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let provably_empty =
-            exact_delta && changed_preds.is_empty() && stats.added == 0 && stats.removed == 0;
+        let provably_empty = outcome.exact_delta
+            && outcome.changed_preds.is_empty()
+            && outcome.stats == CommitStats::default();
         if !provably_empty {
             self.subs.notify(
-                &notify_snapshot,
-                exact_delta.then_some(&changed_preds),
+                snapshot,
+                outcome.exact_delta.then_some(&outcome.changed_preds),
                 commit_seq,
             );
         }
-
-        let m = notify_snapshot.core_metrics();
-        if m.registry.armed() {
-            m.commits.inc();
-            m.commit_duration_us
-                .observe(commit_start.elapsed().as_micros() as u64);
-            m.rows_added.add(stats.added as u64);
-            m.rows_removed.add(stats.removed as u64);
-            if has_removals {
-                if maintained {
-                    m.removals_maintained.inc();
-                } else {
-                    m.removals_fallback.inc();
-                }
-            }
-            m.snapshot_refreshes.inc();
-        }
-        Ok(stats)
     }
 
     /// The store's metrics registry: one per store, shared by every
@@ -1059,6 +861,336 @@ impl std::fmt::Debug for Store {
         f.debug_struct("Store")
             .field("facts", &self.fact_count())
             .finish()
+    }
+}
+
+/// The T_D vocabulary a commit touches, interned once per commit.
+struct Vocab {
+    triple: Sym,
+    iri: Sym,
+    literal: Sym,
+    bnode: Sym,
+    named: Sym,
+    term: Sym,
+    comp: Sym,
+    soo: Sym,
+    null: Sym,
+    /// The default graph's identifier in `triple`'s graph column.
+    default_graph: TermId,
+}
+
+/// A commit in flight: what [`Store::stage`] reclaims and resolves,
+/// [`Commit::maintain`] mutates and [`Store::refreeze`] consumes.
+struct Commit<'s> {
+    /// The state lock, held from `stage` to `refreeze` on the zero-copy
+    /// path (`None` on the copy path). Dropping a commit that still
+    /// holds it leaves the store poisoned.
+    held_state: Option<RwLockWriteGuard<'s, StoreState>>,
+    /// The thawed snapshot.
+    db: Database,
+    /// The asserted ledger (see [`StoreState::asserted`]).
+    asserted: Option<Relation>,
+    cache: Arc<TranslationCache>,
+    /// The outgoing snapshot's statistics, if collected.
+    prev_stats: Option<Arc<DbStats>>,
+    options: EvalOptions,
+    /// T_D auxiliary rules plus the ontology's.
+    program: Program,
+    has_ontology: bool,
+    vocab: Vocab,
+    /// The staged additions, encoded (parallel to the staged quads).
+    add_rows: Vec<[TermId; 4]>,
+    /// The asserted rows the staged removals and clears actually hit.
+    removed_rows: Vec<[TermId; 4]>,
+}
+
+/// What [`Commit::maintain`] did, for [`Store::notify`] and the metrics.
+struct Outcome {
+    stats: CommitStats,
+    /// Subscription prefilter bookkeeping: the predicate ids of every
+    /// `triple` row this commit added or (net) removed.
+    changed_preds: FxHashSet<TermId>,
+    /// `changed_preds` is exact — true only on the paths that never run
+    /// a full fixpoint; whenever `evaluate` is involved the entailed
+    /// consequences are unknown and every subscriber is re-checked.
+    exact_delta: bool,
+    /// The DRed maintainer handled the removals (as opposed to the full
+    /// re-derivation fallback). Meaningful when `stats.removed > 0`.
+    maintained: bool,
+}
+
+impl Commit<'_> {
+    /// Commit phase 2: bring the database up to date with the staged
+    /// delta — DRed for the removals, the additions, then the T_D
+    /// auxiliary predicates (and ontology entailments). `adds` are the
+    /// staged quads `add_rows` encodes.
+    fn maintain(&mut self, adds: &[GroundQuad]) -> Result<Outcome, SparqLogError> {
+        let mut outcome = Outcome {
+            stats: CommitStats {
+                added: 0,
+                removed: self.removed_rows.len(),
+            },
+            changed_preds: FxHashSet::default(),
+            exact_delta: true,
+            maintained: false,
+        };
+        let has_removals = !self.removed_rows.is_empty();
+        if has_removals {
+            self.maintain_removals(&mut outcome);
+        }
+        let Commit {
+            db,
+            asserted,
+            vocab,
+            ..
+        } = self;
+
+        // ------------------------------------------------ additions
+        // Track freshly appearing terms for the fast auxiliary path.
+        // Under an ontology, "fresh" means new to the *ledger*: a triple
+        // that was only entailed so far becomes asserted (and its terms
+        // gain class facts), even though it is already visible.
+        let mut fresh_terms: Vec<TermId> = Vec::new();
+        let mut fresh_triples: Vec<[TermId; 4]> = Vec::new();
+        for (q, &row) in adds.iter().zip(&self.add_rows) {
+            let fresh = match asserted.as_mut() {
+                Some(ledger) => {
+                    let fresh = ledger.insert(&row);
+                    db.relation_mut(vocab.triple).insert(&row);
+                    fresh
+                }
+                None => db.relation_mut(vocab.triple).insert(&row),
+            };
+            if !fresh {
+                continue;
+            }
+            outcome.stats.added += 1;
+            outcome.changed_preds.insert(row[1]);
+            fresh_triples.push(row);
+            for (term, id) in [
+                (&q.subject, row[0]),
+                (&q.predicate, row[1]),
+                (&q.object, row[2]),
+            ] {
+                let class = match term {
+                    Term::Iri(_) => vocab.iri,
+                    Term::BlankNode(_) => vocab.bnode,
+                    Term::Literal(_) => vocab.literal,
+                };
+                if db.relation_mut(class).insert(&[id]) {
+                    fresh_terms.push(id);
+                }
+            }
+            if q.graph.is_some() {
+                db.relation_mut(vocab.named).insert(&[row[3]]);
+            }
+        }
+
+        // ------------------------------------ auxiliary predicates
+        if has_removals && !outcome.maintained {
+            // Fallback exact re-derivation: take the derived relations
+            // out, re-run the rules from the surviving facts, and swap
+            // the old relation back in wherever the content is unchanged
+            // so its indexes survive.
+            let mut derived: Vec<Sym> = self
+                .program
+                .rules
+                .iter()
+                .map(|r| r.head.pred)
+                .chain(self.program.facts.iter().map(|(p, _)| *p))
+                .filter(|&p| p != vocab.triple)
+                .collect();
+            derived.sort_unstable();
+            derived.dedup();
+            let olds: Vec<(Sym, Relation)> = derived
+                .iter()
+                .filter_map(|&p| db.take_relation(p).map(|r| (p, r)))
+                .collect();
+            let result = evaluate(&self.program, db, &self.options);
+            for (pred, old) in olds {
+                if db.relation(pred).is_some_and(|new| old.content_eq(new)) {
+                    db.set_relation(pred, old);
+                }
+            }
+            result?;
+        } else if !self.has_ontology {
+            // Additions without ontology rules (removals, if any, are
+            // already maintained): the auxiliary rules are non-recursive
+            // over their sources, so their consequences are computed
+            // directly from the delta — O(|delta|), no fixpoint pass
+            // over the full store.
+            let null_id = db.dict().encode(&Const::Null);
+            db.relation_mut(vocab.null).insert(&[null_id]);
+            db.relation_mut(vocab.comp)
+                .insert(&[null_id, null_id, null_id]);
+            for &id in &fresh_terms {
+                if db.relation_mut(vocab.term).insert(&[id]) {
+                    let comp = db.relation_mut(vocab.comp);
+                    comp.insert(&[id, id, id]);
+                    comp.insert(&[id, null_id, id]);
+                    comp.insert(&[null_id, id, id]);
+                }
+            }
+            for row in &fresh_triples {
+                let soo = db.relation_mut(vocab.soo);
+                soo.insert(&[row[0], row[3]]);
+                soo.insert(&[row[2], row[3]]);
+            }
+        } else if !(outcome.maintained && adds.is_empty()) {
+            // Additions with ontology rules (or a fresh ontology
+            // install): materialisation is monotone, so re-running it
+            // only adds the new consequences (existing rows dedup away,
+            // indexes stay maintained). Maintained removals with nothing
+            // added skip it: the DRed pass left the store exactly
+            // fresh-reload-equivalent.
+            outcome.exact_delta = false;
+            evaluate(&self.program, db, &self.options)?;
+        }
+        Ok(outcome)
+    }
+
+    /// The removal half of [`Commit::maintain`]: retracts `removed_rows`
+    /// and everything that lived by them through the DRed maintainer
+    /// (`outcome.maintained`), or — for a program shape it does not
+    /// handle — rebuilds `triple` and the load-time class facts from the
+    /// surviving assertions and leaves the derived predicates to the
+    /// re-derivation fallback.
+    fn maintain_removals(&mut self, outcome: &mut Outcome) {
+        let Commit {
+            db,
+            asserted,
+            vocab,
+            removed_rows,
+            program,
+            ..
+        } = self;
+        let removed_set: FxHashSet<[TermId; 4]> = removed_rows.iter().copied().collect();
+        let removed_vecs: FxHashSet<Vec<TermId>> =
+            removed_rows.iter().map(|r| r.to_vec()).collect();
+        // Drop the assertions from the ledger first: the external-
+        // support probe below must see the *post*-deletion asserted
+        // set, so a deleted assertion no longer supports itself.
+        // Targeted removal — the ledger never pays a full rebuild.
+        if let Some(ledger) = asserted.as_mut() {
+            ledger.remove_rows(&removed_vecs);
+        }
+
+        // Stage the deletion seeds: the removed quads themselves,
+        // plus the load-time class and named-graph facts of terms
+        // whose last asserted occurrence just disappeared (class
+        // facts come from asserted data only, so survival is probed
+        // against the asserted view — O(occurrences), not O(store)).
+        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut term_cands: FxHashSet<TermId> = FxHashSet::default();
+        let mut graph_cands: FxHashSet<TermId> = FxHashSet::default();
+        for row in removed_rows.iter() {
+            stage_deletion(&mut deleted, vocab.triple, row);
+            term_cands.extend(row[..3].iter().copied());
+            if row[3] != vocab.default_graph {
+                graph_cands.insert(row[3]);
+            }
+        }
+        {
+            // Post-removal asserted view: the retained ledger, or —
+            // without an ontology — the still-uncompacted `triple`
+            // relation minus the removed set.
+            let view: &Relation = match asserted.as_ref() {
+                Some(ledger) => ledger,
+                None => db.relation(vocab.triple).expect("seeds exist"),
+            };
+            let survives = |mask: Mask, key: &[TermId]| {
+                view.lookup(mask, key).iter().any(|&i| {
+                    let row4: [TermId; 4] =
+                        view.row(i).try_into().expect("triple/4 rows are quads");
+                    !removed_set.contains(&row4)
+                })
+            };
+            for &t in &term_cands {
+                if [0b0001, 0b0010, 0b0100].iter().any(|&m| survives(m, &[t])) {
+                    continue;
+                }
+                for class in [vocab.iri, vocab.literal, vocab.bnode] {
+                    if db.relation(class).is_some_and(|r| r.contains(&[t])) {
+                        stage_deletion(&mut deleted, class, &[t]);
+                        break;
+                    }
+                }
+            }
+            for &g in &graph_cands {
+                if !survives(0b1000, &[g])
+                    && db.relation(vocab.named).is_some_and(|r| r.contains(&[g]))
+                {
+                    stage_deletion(&mut deleted, vocab.named, &[g]);
+                }
+            }
+        }
+
+        // Delete/re-derive. A triple row keeps external support
+        // while it remains in the asserted ledger (it may *also* be
+        // entailed); everything else lives and dies by the rules.
+        let triple_p = vocab.triple;
+        let support = |pred: Sym, row: &[TermId]| {
+            pred == triple_p && asserted.as_ref().is_some_and(|l| l.contains(row))
+        };
+        match retract(program, db, &deleted, &support) {
+            Ok(retraction) => {
+                outcome.maintained = true;
+                if let Some(rows) = retraction.removed.get(&vocab.triple) {
+                    outcome.changed_preds.extend(rows.iter().map(|r| r[1]));
+                }
+            }
+            Err(MaintainError::Unsupported(_)) => {
+                outcome.exact_delta = false;
+                // The program has a shape the maintainer does not
+                // handle: fall back to rebuilding `triple` from the
+                // assertions and re-deriving everything in `maintain`.
+                match asserted.as_ref() {
+                    Some(ledger) => {
+                        adopt(db, vocab.triple, ledger.clone_for_write());
+                    }
+                    None => {
+                        db.relation_mut(vocab.triple).remove_rows(&removed_vecs);
+                    }
+                }
+                // Refilter the load-time class and named-graph facts
+                // against the surviving assertions (membership in
+                // the old class relation is the classifier, so a
+                // term without a class fact can never gain one).
+                let mut new_iri = Relation::new();
+                let mut new_literal = Relation::new();
+                let mut new_bnode = Relation::new();
+                let mut new_named = Relation::new();
+                if let Some(rel) = db.relation(vocab.triple) {
+                    let old_iri = db.relation(vocab.iri);
+                    let old_bnode = db.relation(vocab.bnode);
+                    let old_literal = db.relation(vocab.literal);
+                    let in_class =
+                        |r: Option<&Relation>, id: TermId| r.is_some_and(|r| r.contains(&[id]));
+                    for row in rel.iter() {
+                        for &id in &row[..3] {
+                            if in_class(old_iri, id) {
+                                new_iri.insert(&[id]);
+                            } else if in_class(old_bnode, id) {
+                                new_bnode.insert(&[id]);
+                            } else if in_class(old_literal, id) {
+                                new_literal.insert(&[id]);
+                            }
+                        }
+                        if row[3] != vocab.default_graph {
+                            new_named.insert(&[row[3]]);
+                        }
+                    }
+                }
+                for (pred, fresh) in [
+                    (vocab.iri, new_iri),
+                    (vocab.literal, new_literal),
+                    (vocab.bnode, new_bnode),
+                    (vocab.named, new_named),
+                ] {
+                    adopt(db, pred, fresh);
+                }
+            }
+        }
     }
 }
 
@@ -2000,5 +2132,124 @@ mod tests {
 
         // The unprofiled paths still work and return identical results.
         assert_eq!(snapshot.execute(q).unwrap(), results);
+    }
+    #[test]
+    fn repeated_update_where_shape_translates_and_plans_once() {
+        let store = borders_store();
+        let reg = store.metrics();
+        let read = |name: &str| reg.counter_value(name).unwrap();
+        let (translations, plans) = (
+            read("sparqlog_translations_total"),
+            read("sparqlog_plans_computed_total"),
+        );
+        for round in 0..100 {
+            let stats = store
+                .update(
+                    "PREFIX ex: <http://ex.org/>
+                     DELETE { ?a ex:borders ex:france } INSERT { ?a ex:borders ex:france }
+                     WHERE { ?a ex:borders ex:france }",
+                )
+                .unwrap();
+            assert_eq!(stats.removed, 1, "round {round}: spain borders france");
+        }
+        assert_eq!(read("sparqlog_translations_total"), translations + 1);
+        assert_eq!(read("sparqlog_plans_computed_total"), plans + 1);
+        assert_eq!(read("sparqlog_plan_cache_hits_total"), 99);
+    }
+
+    /// The commit path is O(delta) by construction, proved by counts:
+    /// behind 2 000 cached texts a ten-triple commit re-scans as few
+    /// relations (none) and hands the freeze as many index needs as
+    /// behind one.
+    #[test]
+    fn commit_cost_is_flat_in_cached_texts() {
+        let store = Store::new();
+        {
+            let mut w = store.writer();
+            for i in 0..20_000 {
+                w.insert(
+                    iri(&format!("s{}", i / 4)),
+                    iri(&format!("p{}", i % 4)),
+                    iri(&format!("o{}", i % 997)),
+                );
+            }
+            w.commit().unwrap();
+        }
+        let reg = store.metrics();
+        let rescans = || {
+            reg.counter_value("sparqlog_store_stats_rescans_total")
+                .unwrap()
+        };
+        // One template, made a never-seen text by its LIMIT.
+        let text = |n: usize| {
+            format!(
+                "PREFIX ex: <http://ex.org/>
+                 SELECT ?o WHERE {{ ex:s7 ?p ?o }} LIMIT {}",
+                1_000_000 + n
+            )
+        };
+        let churn = |store: &Store| {
+            for round in 0..20 {
+                let fresh: Vec<[Term; 3]> = (0..10)
+                    .map(|k| {
+                        [
+                            iri(&format!("n{round}_{k}")),
+                            iri("p9"),
+                            iri(&format!("v{k}")),
+                        ]
+                    })
+                    .collect();
+                let mut w = store.writer();
+                for [s, p, o] in fresh.iter().cloned() {
+                    w.insert(s, p, o);
+                }
+                assert_eq!(w.commit().unwrap().added, 10);
+                let mut w = store.writer();
+                for [s, p, o] in fresh.iter().cloned() {
+                    w.remove(s, p, o);
+                }
+                assert_eq!(w.commit().unwrap().removed, 10);
+            }
+        };
+        let need_set = |store: &Store| {
+            let mut needs = store.current().cache_handle().index_needs();
+            needs.sort_unstable();
+            needs
+        };
+
+        assert_eq!(store.execute(&text(0)).unwrap().len(), 4);
+        let before = rescans();
+        churn(&store);
+        assert_eq!(rescans(), before, "behind one cached text");
+        let needs_behind_one = need_set(&store);
+        assert!(!needs_behind_one.is_empty());
+
+        for n in 1..=2_000 {
+            store.execute(&text(n)).unwrap();
+        }
+        assert_eq!(store.current().cached_translations(), 2_001);
+        let before = rescans();
+        churn(&store);
+        assert_eq!(rescans(), before, "behind 2 000 cached texts");
+        assert_eq!(need_set(&store), needs_behind_one);
+        assert_eq!(
+            reg.gauge("sparqlog_store_index_needs", "").get(),
+            needs_behind_one.len() as i64
+        );
+
+        // The tracked set covers what a walk of the cache would find,
+        // and the post-commit snapshot has all of it eager.
+        let snapshot = store.current();
+        let walked = snapshot.cached_plan_needs_on_base();
+        assert!(!walked.is_empty());
+        for (pred, mask) in walked {
+            assert!(needs_behind_one.contains(&(pred, mask)));
+            let rel = snapshot.database().relation(pred).unwrap();
+            assert!(
+                rel.index_masks().contains(&mask),
+                "{} mask {mask:#b} not eager",
+                snapshot.symbols().resolve(pred)
+            );
+        }
     }
 }

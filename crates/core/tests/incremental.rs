@@ -7,10 +7,17 @@
 //! across evaluator widths 1/2/4, and under pinned live snapshots
 //! (which force the copy commit path). Plus the subscription contract:
 //! every delivered [`ResultDelta`](sparqlog::ResultDelta) equals the
-//! multiset difference of full re-executions around the commit.
+//! multiset difference of full re-executions around the commit. And the
+//! carried-state contract: the planner statistics a commit patches
+//! forward agree with a from-scratch collection on every row count and,
+//! within the churn since their collection, on every distinct estimate.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use sparqlog::{Axiom, Ontology, SparqLog, Store, SubscriptionEvent};
-use sparqlog_datalog::EvalOptions;
+use sparqlog_datalog::stats::RECOLLECT_DIVISOR;
+use sparqlog_datalog::{DbStats, EvalOptions, FrozenDb, TermId};
 use sparqlog_rdf::{Dataset, Term, Triple};
 
 const EX: &str = "http://ex.org/";
@@ -336,4 +343,205 @@ fn subscription_deltas_equal_rerun_diffs() {
             );
         }
     }
+}
+
+/// [`universe`] widened to 40 subjects (280 quads), so that relations are
+/// large enough to be carried across a small commit instead of being
+/// re-collected on every change.
+fn wide_universe() -> Vec<Quad> {
+    let iri = |l: &str| Term::iri(format!("{EX}{l}"));
+    let mut out = Vec::new();
+    for si in 0..40 {
+        for step in [1, 7, 13] {
+            out.push(Quad {
+                s: iri(&format!("s{si}")),
+                p: iri("knows"),
+                o: iri(&format!("s{}", (si + step) % 40)),
+                g: None,
+            });
+        }
+        for (p, o, g) in [
+            (Term::iri(RDF_TYPE), iri("Student"), None),
+            (iri("name"), Term::literal(format!("node {si}")), None),
+            (iri("age"), Term::literal(format!("{}", 20 + si % 9)), None),
+            (iri("source"), iri("census"), Some("http://meta")),
+        ] {
+            out.push(Quad {
+                s: iri(&format!("s{si}")),
+                p,
+                o,
+                g,
+            });
+        }
+    }
+    out
+}
+
+/// A from-scratch freeze of `fresh`'s content with exactly the eager
+/// indexes `committed` carries.
+fn refrozen_with_indexes_of(fresh: &Store, committed: &FrozenDb) -> Arc<FrozenDb> {
+    let db = FrozenDb::thaw(fresh.snapshot().database().clone());
+    let needs: Vec<_> = committed
+        .relations()
+        .flat_map(|(pred, rel)| {
+            let here = db.symbols().intern(&committed.symbols().resolve(pred));
+            rel.index_masks().into_iter().map(move |mask| (here, mask))
+        })
+        .collect();
+    db.freeze_with_needs(&needs)
+}
+
+#[test]
+fn carried_statistics_match_a_fresh_collection() {
+    let pool = wide_universe();
+    let store = Store::new();
+    let mut model: Vec<Quad> = pool.iter().step_by(2).cloned().collect();
+    store
+        .load_dataset(&dataset_of(&model))
+        .expect("initial load");
+    let rescans = || {
+        store
+            .metrics()
+            .counter_value("sparqlog_store_stats_rescans_total")
+            .expect("registered")
+    };
+    // What the commit path must have re-scanned to get from `before` to
+    // the relations of `after`: the new ones and those past the tolerance.
+    let expected_rescans = |before: &DbStats, after: &FrozenDb| {
+        after
+            .relations()
+            .filter(|(pred, rel)| match before.relation(*pred) {
+                Some(s) => {
+                    rel.len().abs_diff(s.collected_rows) * RECOLLECT_DIVISOR > s.collected_rows
+                }
+                None => true,
+            })
+            .count()
+    };
+
+    // Per relation: the `collected_rows` its carried estimates had at the
+    // previous step, its rows then, and the rows changed since those
+    // estimates were collected.
+    let mut tracked: HashMap<String, (usize, HashSet<Vec<TermId>>, usize)> = HashMap::new();
+    // Nobody has planned yet: the first `stats()` is a full collection,
+    // every later snapshot gets its statistics from the commit.
+    let mut carried = store.snapshot().stats();
+    let mut with_ontology = false;
+    let mut carried_changed_relations = 0;
+    let mut rng = Rng::new(0x57A7_5EED);
+    for step in 0..60 {
+        let before_rescans = rescans();
+        // Every seventh commit runs beside a live snapshot (copy path).
+        let pin = (step % 7 == 3).then(|| store.snapshot());
+        let ops = match step {
+            30 => {
+                store.add_ontology(&ontology()).expect("ontology installs");
+                with_ontology = true;
+                "ontology".to_string()
+            }
+            15 | 45 => {
+                store.update("CLEAR GRAPH <http://meta>").expect("clear");
+                model.retain(|q| q.g.is_none());
+                "clear".to_string()
+            }
+            _ => random_commit(&mut rng, &store, &mut model, &pool),
+        };
+        drop(pin);
+        let ctx = format!("step={step} ops={ops}");
+        let snapshot = store.snapshot();
+        let db = snapshot.database();
+        assert_eq!(
+            rescans() - before_rescans,
+            expected_rescans(&carried, db) as u64,
+            "{ctx}: relations re-scanned"
+        );
+        carried = db.stats_if_ready().expect("the commit carried statistics");
+        let fresh = DbStats::collect(db.relations());
+        assert_eq!(carried.len(), fresh.len(), "{ctx}");
+        let mut seen = HashSet::new();
+        for (pred, rel) in db.relations() {
+            let name = db.symbols().resolve(pred).to_string();
+            let (c, f) = (
+                carried.relation(pred).expect("carried"),
+                fresh.relation(pred).expect("collected"),
+            );
+            assert_eq!(c.rows, f.rows, "{ctx}: {name} row count");
+            assert!(
+                c.rows.abs_diff(c.collected_rows) * RECOLLECT_DIVISOR <= c.collected_rows,
+                "{ctx}: {name} carried past the tolerance: {c:?}"
+            );
+            let rows: HashSet<Vec<TermId>> = rel.iter().map(<[TermId]>::to_vec).collect();
+            let churn = match tracked.get(&name) {
+                Some((collected, old, churn)) if *collected == c.collected_rows => {
+                    churn + old.symmetric_difference(&rows).count()
+                }
+                // New or re-collected (a re-collection always moves
+                // `collected_rows`, by more than the tolerance).
+                _ => 0,
+            };
+            for (col, (&cd, &fd)) in c.distinct.iter().zip(&f.distinct).enumerate() {
+                assert!(
+                    cd.abs_diff(fd) <= churn,
+                    "{ctx}: {name} column {col}: carried {cd}, fresh {fd}, churn {churn}"
+                );
+            }
+            carried_changed_relations += usize::from(churn > 0);
+            tracked.insert(name.clone(), (c.collected_rows, rows, churn));
+            seen.insert(name);
+        }
+        tracked.retain(|name, _| seen.contains(name));
+
+        // The committed snapshot is a from-scratch load of the surviving
+        // assertions frozen with the same index needs.
+        let reloaded = Store::new();
+        reloaded.load_dataset(&dataset_of(&model)).expect("reload");
+        if with_ontology {
+            reloaded.add_ontology(&ontology()).expect("ontology");
+        }
+        assert_eq!(
+            db.content_signature(),
+            refrozen_with_indexes_of(&reloaded, db).content_signature(),
+            "{ctx}"
+        );
+    }
+
+    assert!(
+        carried_changed_relations > 100,
+        "the sequence mostly carries: {carried_changed_relations}"
+    );
+
+    // A bulk insert that crosses the tolerance re-collects each grown
+    // relation exactly once; the commit after it carries them all again.
+    let before = rescans();
+    let mut w = store.writer();
+    for i in 0..400 {
+        w.insert(
+            Term::iri(format!("{EX}bulk{i}")),
+            Term::iri(format!("{EX}knows")),
+            Term::iri(format!("{EX}s{}", i % 40)),
+        );
+    }
+    w.commit().expect("bulk insert");
+    let snapshot = store.snapshot();
+    let grown = expected_rescans(&carried, snapshot.database());
+    let triple = snapshot.symbols().get("triple").expect("interned");
+    assert!(
+        carried.relation(triple).expect("carried").rows * 2
+            < snapshot.stats().relation(triple).expect("carried").rows,
+        "the bulk insert at least doubles `triple`"
+    );
+    assert!(
+        grown >= 4,
+        "triple, iri, term, comp, subjectOrObject: {grown}"
+    );
+    assert_eq!(rescans() - before, grown as u64);
+    drop(snapshot);
+    store
+        .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:bulk0 ex:knows ex:bulk1 }")
+        .expect("small commit");
+    assert_eq!(
+        rescans() - before,
+        grown as u64,
+        "nothing re-collected twice"
+    );
 }

@@ -7,8 +7,8 @@
 //! promotes the lazily auto-built indexes that probes on the previous
 //! snapshot actually demanded, plus the masks named by the caller's live
 //! physical plans ([`Database::freeze_with_needs`] — the serving layer
-//! passes the union of its plan cache's index needs). Everything else is
-//! built on demand through the thread-safe per-mask `OnceLock` path
+//! passes the index-need set it grows as plans are computed). Everything
+//! else is built on demand through the thread-safe per-mask `OnceLock` path
 //! ([`Relation::lookup`] and the evaluator's shared-index fallback) and
 //! promoted to a lock-free eager index at the *next* freeze. The snapshot
 //! never mutates otherwise, so every accessor takes `&self` and it is
@@ -16,8 +16,8 @@
 //!
 //! A snapshot also memoises its relation statistics ([`FrozenDb::stats`])
 //! — the input of the cost-based planner ([`crate::plan`]) — collected
-//! once on first use and warmed incrementally across the thaw/re-freeze
-//! commit path ([`FrozenDb::warm_stats_from`]).
+//! once on first use and carried across the thaw/re-freeze commit path
+//! by patching row counts ([`FrozenDb::warm_stats_from`]).
 //!
 //! Queries evaluate against a snapshot through an *overlay*
 //! ([`Database::overlay`]): a fresh, initially empty database sharing the
@@ -109,7 +109,7 @@ impl FrozenDb {
     /// distinct estimates) — the cost-based planner's input. Collected
     /// once on first use behind a `OnceLock` (cheap: one strided pass
     /// per relation) and shared from then on; the store's commit path
-    /// pre-warms it incrementally via [`FrozenDb::warm_stats_from`].
+    /// carries it forward via [`FrozenDb::warm_stats_from`].
     pub fn stats(&self) -> Arc<DbStats> {
         self.stats
             .get_or_init(|| Arc::new(DbStats::collect(self.relations())))
@@ -123,14 +123,17 @@ impl FrozenDb {
         self.stats.get().cloned()
     }
 
-    /// Seeds this snapshot's statistics incrementally from a
-    /// predecessor's: relations whose row counts are unchanged reuse the
-    /// old entries, the rest are re-scanned ([`DbStats::refresh`]). A
-    /// no-op if statistics were already collected.
-    pub fn warm_stats_from(&self, prev: &DbStats) {
-        let _ = self
-            .stats
-            .set(Arc::new(DbStats::refresh(self.relations(), prev)));
+    /// Seeds this snapshot's statistics from a predecessor's
+    /// ([`DbStats::refresh`]: exact row counts, distinct estimates
+    /// carried within the tolerance) and returns the number of relations
+    /// that had to be re-scanned. Leaves already collected statistics in
+    /// place (and returns 0).
+    pub fn warm_stats_from(&self, prev: &DbStats) -> usize {
+        let (stats, rescans) = DbStats::refresh(self.relations(), prev);
+        match self.stats.set(Arc::new(stats)) {
+            Ok(()) => rescans,
+            Err(_) => 0,
+        }
     }
 
     /// Melts a snapshot back into a mutable [`Database`] — the write
@@ -236,9 +239,9 @@ impl Database {
 
     /// [`Database::freeze`], additionally building the named `(predicate,
     /// bound-position mask)` hash indexes eagerly — the serving layer
-    /// passes the union of its cached physical plans' index needs, so
-    /// every planned probe on the new snapshot is a lock-free eager-index
-    /// hit from the first query on. Masks that do not fit the relation's
+    /// passes the index needs of the plans it has computed, so every
+    /// planned probe on the new snapshot is a lock-free eager-index hit
+    /// from the first query on. Masks that do not fit the relation's
     /// arity (or name absent predicates) are ignored.
     pub fn freeze_with_needs(mut self, needs: &[(Sym, Mask)]) -> Arc<FrozenDb> {
         // Flatten an overlay: pull in base relations not shadowed locally.

@@ -3,7 +3,8 @@
 //! The Datalog fixpoint hashes tuples of constants billions of times on the
 //! larger workloads; SipHash (std's default) is measurably slower there.
 //! Implementing the ~30-line algorithm in-tree avoids a dependency on
-//! `rustc-hash` (see DESIGN.md, "Additional dependencies").
+//! `rustc-hash` (the workspace has zero external dependencies, see
+//! ARCHITECTURE.md's opening paragraph).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

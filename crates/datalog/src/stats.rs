@@ -6,10 +6,12 @@
 //! over each relation's flat `Copy` rows (strided sampling above
 //! [`SAMPLE_LIMIT`] rows), performed once per frozen snapshot —
 //! [`FrozenDb::stats`](crate::frozen::FrozenDb::stats) memoises the
-//! result behind a `OnceLock` — and maintained incrementally across the
-//! store's thaw/re-freeze commit path: [`DbStats::refresh`] reuses the
-//! entries of relations whose row counts did not change, so a commit
-//! touching one predicate re-scans only that predicate.
+//! result behind a `OnceLock` — and carried across the store's
+//! thaw/re-freeze commit path by patching: [`DbStats::refresh`] updates
+//! each relation's exact row count and keeps its distinct estimates, and
+//! re-scans a relation only once its count has moved more than
+//! 1/[`RECOLLECT_DIVISOR`] away from the count those estimates were
+//! collected at — amortised O(1) per changed row.
 //!
 //! The planner ([`crate::plan`]) turns these into selectivity estimates:
 //! probing relation `R` with bound-position mask `m` is estimated to
@@ -50,13 +52,24 @@ pub const UNKNOWN_DISTINCT: f64 = 32.0;
 /// absolute slack of this many rows so small stores don't thrash.
 pub const DRIFT_SLACK_ROWS: usize = 64;
 
+/// Carry tolerance of [`DbStats::refresh`]: a relation keeps its distinct
+/// estimates across commits while its row count stays within
+/// `collected_rows / RECOLLECT_DIVISOR` of the count they were collected
+/// at (±1/8), and is re-scanned past that. A re-scan therefore follows at
+/// least `rows / 8` changed rows.
+pub const RECOLLECT_DIVISOR: usize = 8;
+
 /// Row count and per-column distinct-count estimates of one relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelStats {
-    /// Number of tuples.
+    /// Number of tuples (always exact).
     pub rows: usize,
-    /// Estimated distinct values per column (length = arity).
+    /// Estimated distinct values per column (length = arity), as of the
+    /// last full collection.
     pub distinct: Vec<usize>,
+    /// Row count at the last full collection — what `distinct` describes.
+    /// Equals `rows` until [`DbStats::refresh`] patches the count.
+    pub collected_rows: usize,
 }
 
 impl RelStats {
@@ -98,7 +111,18 @@ impl RelStats {
                 }
             })
             .collect();
-        RelStats { rows, distinct }
+        RelStats {
+            rows,
+            distinct,
+            collected_rows: rows,
+        }
+    }
+
+    /// True while a relation of `rows` tuples and `arity` columns may
+    /// keep these distinct estimates (see [`RECOLLECT_DIVISOR`]).
+    fn carries_to(&self, rows: usize, arity: usize) -> bool {
+        self.distinct.len() == arity
+            && rows.abs_diff(self.collected_rows) * RECOLLECT_DIVISOR <= self.collected_rows
     }
 
     /// Estimated number of tuples a probe with bound-position mask `mask`
@@ -142,20 +166,31 @@ impl DbStats {
         }
     }
 
-    /// Incremental refresh across a thaw/re-freeze cycle: reuses `prev`'s
-    /// entry for every relation whose row count (and arity) is unchanged
-    /// and re-scans only the rest. A removal+insertion pair that leaves
-    /// the row count identical keeps the old distinct estimates — they
-    /// are estimates, and the next drifting commit recollects them.
-    pub fn refresh<'a>(rels: impl Iterator<Item = (Sym, &'a Relation)>, prev: &DbStats) -> DbStats {
-        DbStats {
-            rels: rels
-                .map(|(p, r)| match prev.rels.get(&p) {
-                    Some(s) if s.rows == r.len() && s.distinct.len() == r.arity() => (p, s.clone()),
-                    _ => (p, RelStats::collect(r)),
-                })
-                .collect(),
-        }
+    /// Carries `prev` across a thaw/re-freeze cycle by patching: every
+    /// relation gets its exact current row count; its distinct estimates
+    /// are kept while that count is within the [`RECOLLECT_DIVISOR`]
+    /// tolerance of the count they were collected at, and re-collected
+    /// past it (or when the relation is new). Touches no rows of a
+    /// relation it carries. Also returns how many relations it re-scanned.
+    pub fn refresh<'a>(
+        rels: impl Iterator<Item = (Sym, &'a Relation)>,
+        prev: &DbStats,
+    ) -> (DbStats, usize) {
+        let mut rescans = 0;
+        let rels = rels
+            .map(|(p, r)| match prev.rels.get(&p) {
+                Some(s) if s.carries_to(r.len(), r.arity()) => {
+                    let mut s = s.clone();
+                    s.rows = r.len();
+                    (p, s)
+                }
+                _ => {
+                    rescans += 1;
+                    (p, RelStats::collect(r))
+                }
+            })
+            .collect();
+        (DbStats { rels }, rescans)
     }
 
     /// The statistics of `pred`'s relation, if present in the snapshot.
@@ -266,16 +301,41 @@ mod tests {
     }
 
     #[test]
-    fn refresh_reuses_unchanged_and_rescans_grown() {
-        let (mut db, p) = db_with(&[(1, 10), (2, 20)]);
+    fn refresh_patches_counts_and_rescans_past_the_tolerance() {
+        let rows: Vec<(i64, i64)> = (0..80).map(|i| (i % 4, i)).collect();
+        let (mut db, p) = db_with(&rows);
         let q = db.symbols().intern("q");
         db.add_fact(q, vec![Const::Int(7)]);
         let before = DbStats::collect(db.relations());
-        // Grow q only; p's entry must be reused, q's recollected.
-        db.add_fact(q, vec![Const::Int(8)]);
-        let after = DbStats::refresh(db.relations(), &before);
-        assert_eq!(after.relation(p), before.relation(p));
-        assert_eq!(after.relation(q).unwrap().rows, 2);
+
+        // Ten more rows on an 80-row relation (exactly 1/8): the count is
+        // patched, the estimates are carried, nothing is scanned.
+        for i in 80..90 {
+            db.add_fact(p, vec![Const::Int(99), Const::Int(i)]);
+        }
+        let (carried, rescans) = DbStats::refresh(db.relations(), &before);
+        assert_eq!(rescans, 0);
+        let s = carried.relation(p).unwrap();
+        assert_eq!((s.rows, s.collected_rows), (90, 80));
+        assert_eq!(s.distinct, before.relation(p).unwrap().distinct);
+        assert_eq!(carried.relation(q), before.relation(q));
+
+        // One row more crosses it: `p` alone is re-collected, and the
+        // tolerance is measured from the last collection, not the last
+        // commit, so slow growth cannot dodge it.
+        db.add_fact(p, vec![Const::Int(99), Const::Int(90)]);
+        let (fresh, rescans) = DbStats::refresh(db.relations(), &carried);
+        assert_eq!(rescans, 1);
+        let s = fresh.relation(p).unwrap();
+        assert_eq!((s.rows, s.collected_rows), (91, 91));
+        assert_eq!(s.distinct, vec![5, 91]);
+
+        // A relation `prev` never saw is collected.
+        let r = db.symbols().intern("r");
+        db.add_fact(r, vec![Const::Int(1)]);
+        let (with_r, rescans) = DbStats::refresh(db.relations(), &fresh);
+        assert_eq!(rescans, 1);
+        assert_eq!(with_r.relation(r).unwrap().rows, 1);
     }
 
     #[test]

@@ -500,12 +500,26 @@ fn abort_is_408_with_structured_json_body() {
 
 /// Tentpole: `GET /metrics` serves valid Prometheus text exposition
 /// covering both the engine's and the HTTP layer's families — and the
-/// scrape does not count itself in the exposition it returns.
+/// scrape does not count itself in the exposition it returns. A commit
+/// shows up as its four phases, which account for its duration.
 #[test]
 fn metrics_endpoint_serves_valid_exposition() {
     let server = fixture_server();
     let r = get_query(server.addr, SELECT_NAMES, None);
     assert_eq!(r.status, 200);
+    let mut insert = String::from("PREFIX ex: <http://ex.org/> INSERT DATA {\n");
+    for i in 0..1_000 {
+        insert.push_str(&format!("ex:m{i} ex:reading {i} .\n"));
+    }
+    insert.push('}');
+    let r = request(
+        server.addr,
+        "POST",
+        "/update",
+        &[("Content-Type", "application/sparql-update")],
+        Some(insert.as_bytes()),
+    );
+    assert_eq!(r.status, 204, "{}", r.text());
 
     let r = request(server.addr, "GET", "/metrics", &[], None);
     assert_eq!(r.status, 200);
@@ -536,6 +550,31 @@ fn metrics_endpoint_serves_valid_exposition() {
     assert!(samples
         .iter()
         .any(|(n, _, _)| n == "sparqlog_http_request_duration_us_bucket"));
+
+    // Commit-side: every commit observed each of the four phases, and
+    // the phases are the commit — their time sums to no more than the
+    // commit's and to at least nine tenths of it.
+    let commits = sample("sparqlog_store_commits_total", "").expect("commits counted");
+    let mut phases_us = 0.0;
+    for phase in ["stage", "maintain", "refreeze", "notify"] {
+        let labels = format!("phase=\"{phase}\"");
+        assert_eq!(
+            sample("sparqlog_commit_phase_duration_us_count", &labels),
+            Some(commits),
+            "{phase}"
+        );
+        phases_us += sample("sparqlog_commit_phase_duration_us_sum", &labels).expect("sum");
+    }
+    let commit_us = sample("sparqlog_store_commit_duration_us_sum", "").expect("sum");
+    assert!(
+        phases_us <= commit_us && phases_us >= 0.9 * commit_us,
+        "phases {phases_us} µs of commit {commit_us} µs"
+    );
+    // One query has planned, so its probes on stored relations are
+    // tracked; the insert grew the small fixture far past the carry
+    // tolerance, so the statistics that query collected were re-scanned.
+    assert!(sample("sparqlog_store_index_needs", "").expect("gauge") >= 1.0);
+    assert!(sample("sparqlog_store_stats_rescans_total", "").expect("counter") >= 1.0);
 
     // /metrics speaks GET only.
     let r = request(server.addr, "POST", "/metrics", &[], None);

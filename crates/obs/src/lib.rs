@@ -15,6 +15,7 @@
 //! * [`CounterVec`] — a labelled counter family (`{method="GET",
 //!   status="200"}`); label lookup takes a read lock, so callers on hot
 //!   paths should cache the returned [`Counter`] handle.
+//! * [`HistogramVec`] — the same for histograms (`{phase="refreeze"}`).
 //! * [`MetricsRegistry`] — names and renders the above in the Prometheus
 //!   text exposition format (version 0.0.4), the format scraped by
 //!   `GET /metrics`.
@@ -183,6 +184,73 @@ impl Histogram {
     }
 }
 
+/// Label-keyed children of one labelled family ([`CounterVec`],
+/// [`HistogramVec`]).
+#[derive(Debug)]
+struct Labelled<T> {
+    label_names: Vec<&'static str>,
+    children: RwLock<Vec<(Vec<String>, Arc<T>)>>,
+}
+
+impl<T> Labelled<T> {
+    fn new(label_names: &[&'static str]) -> Self {
+        Self {
+            label_names: label_names.to_vec(),
+            children: RwLock::new(Vec::new()),
+        }
+    }
+
+    /// The child for one combination of label values, made on first use.
+    /// A read lock on a hit, a write lock the first time a combination
+    /// is seen.
+    fn with(&self, values: &[&str], make: impl FnOnce() -> T) -> Arc<T> {
+        assert_eq!(
+            values.len(),
+            self.label_names.len(),
+            "label value count mismatch for labelled metric family"
+        );
+        if let Some(child) = self.get(values) {
+            return child;
+        }
+        let mut children = self.children.write().unwrap();
+        if let Some((_, c)) = children.iter().find(|(vs, _)| vs == values) {
+            return Arc::clone(c);
+        }
+        let child = Arc::new(make());
+        children.push((
+            values.iter().map(|v| v.to_string()).collect(),
+            Arc::clone(&child),
+        ));
+        child
+    }
+
+    fn get(&self, values: &[&str]) -> Option<Arc<T>> {
+        let children = self.children.read().unwrap();
+        children
+            .iter()
+            .find(|(vs, _)| vs == values)
+            .map(|(_, c)| Arc::clone(c))
+    }
+
+    /// `(label_values, child)` pairs sorted by label values.
+    fn sorted(&self) -> Vec<(Vec<String>, Arc<T>)> {
+        let mut out: Vec<_> = self.children.read().unwrap().clone();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// `k1="v1",k2="v2"` for one child's label values.
+    fn render_labels(&self, values: &[String]) -> String {
+        let labels: Vec<String> = self
+            .label_names
+            .iter()
+            .zip(values)
+            .map(|(k, val)| format!("{}=\"{}\"", k, escape_label(val)))
+            .collect();
+        labels.join(",")
+    }
+}
+
 /// A family of [`Counter`]s distinguished by label values, rendered as
 /// `name{k1="v1",k2="v2"} n`.
 ///
@@ -191,21 +259,19 @@ impl Histogram {
 /// [`CounterVec::with`] once and cache the `Arc<Counter>`.
 #[derive(Debug)]
 pub struct CounterVec {
-    label_names: Vec<&'static str>,
-    children: RwLock<Vec<(Vec<String>, Arc<Counter>)>>,
+    family: Labelled<Counter>,
 }
 
 impl CounterVec {
     fn new(label_names: &[&'static str]) -> Self {
         Self {
-            label_names: label_names.to_vec(),
-            children: RwLock::new(Vec::new()),
+            family: Labelled::new(label_names),
         }
     }
 
     /// The label names this family was registered with.
     pub fn label_names(&self) -> &[&'static str] {
-        &self.label_names
+        &self.family.label_names
     }
 
     /// The counter for one combination of label values (created at zero
@@ -214,61 +280,56 @@ impl CounterVec {
     /// # Panics
     /// If `values.len()` differs from the registered label-name count.
     pub fn with(&self, values: &[&str]) -> Arc<Counter> {
-        assert_eq!(
-            values.len(),
-            self.label_names.len(),
-            "label value count mismatch for counter vec"
-        );
-        {
-            let children = self.children.read().unwrap();
-            if let Some((_, c)) = children.iter().find(|(vs, _)| vs == values) {
-                return Arc::clone(c);
-            }
-        }
-        let mut children = self.children.write().unwrap();
-        if let Some((_, c)) = children.iter().find(|(vs, _)| vs == values) {
-            return Arc::clone(c);
-        }
-        let counter = Arc::new(Counter::new());
-        children.push((
-            values.iter().map(|v| v.to_string()).collect(),
-            Arc::clone(&counter),
-        ));
-        counter
+        self.family.with(values, Counter::new)
     }
 
     /// Sum over every child — "how many in total, ignoring labels".
     pub fn sum(&self) -> u64 {
-        self.children
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(_, c)| c.get())
-            .sum()
+        let children = self.family.children.read().unwrap();
+        children.iter().map(|(_, c)| c.get()).sum()
     }
 
     /// The current value for one label combination (0 when never seen).
     pub fn value(&self, values: &[&str]) -> u64 {
-        self.children
-            .read()
-            .unwrap()
-            .iter()
-            .find(|(vs, _)| vs == values)
-            .map(|(_, c)| c.get())
-            .unwrap_or(0)
+        self.family.get(values).map_or(0, |c| c.get())
     }
 
     /// `(label_values, count)` snapshot sorted by label values.
     pub fn snapshot(&self) -> Vec<(Vec<String>, u64)> {
-        let mut out: Vec<_> = self
-            .children
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(vs, c)| (vs.clone(), c.get()))
-            .collect();
-        out.sort();
-        out
+        self.family
+            .sorted()
+            .into_iter()
+            .map(|(vs, c)| (vs, c.get()))
+            .collect()
+    }
+}
+
+/// A family of [`Histogram`]s distinguished by label values, rendered as
+/// `name_bucket{k="v",le="…"}`, `name_sum{k="v"}` and `name_count{k="v"}`.
+///
+/// Same lookup cost as [`CounterVec`]: cache the `Arc<Histogram>` of
+/// [`HistogramVec::with`] on hot paths.
+#[derive(Debug)]
+pub struct HistogramVec {
+    family: Labelled<Histogram>,
+    buckets: usize,
+}
+
+impl HistogramVec {
+    fn new(label_names: &[&'static str], buckets: usize) -> Self {
+        Self {
+            family: Labelled::new(label_names),
+            buckets,
+        }
+    }
+
+    /// The histogram for one combination of label values (created empty
+    /// on first use).
+    ///
+    /// # Panics
+    /// If `values.len()` differs from the registered label-name count.
+    pub fn with(&self, values: &[&str]) -> Arc<Histogram> {
+        self.family.with(values, || Histogram::new(self.buckets))
     }
 }
 
@@ -278,6 +339,7 @@ enum Metric {
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     CounterVec(Arc<CounterVec>),
+    HistogramVec(Arc<HistogramVec>),
 }
 
 impl Metric {
@@ -285,7 +347,7 @@ impl Metric {
         match self {
             Metric::Counter(_) | Metric::CounterVec(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
+            Metric::Histogram(_) | Metric::HistogramVec(_) => "histogram",
         }
     }
 }
@@ -448,6 +510,30 @@ impl MetricsRegistry {
         )
     }
 
+    /// Get-or-create a labelled histogram family named `name`, every
+    /// child with `buckets` log₂ buckets (plus `+Inf`). The label names
+    /// and bucket count of the first registration win.
+    pub fn histogram_vec(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[&'static str],
+        buckets: usize,
+    ) -> Arc<HistogramVec> {
+        self.register(
+            name,
+            help,
+            || {
+                let v = Arc::new(HistogramVec::new(labels, buckets));
+                (Arc::clone(&v), Metric::HistogramVec(v))
+            },
+            |m| match m {
+                Metric::HistogramVec(v) => Some(Arc::clone(v)),
+                _ => None,
+            },
+        )
+    }
+
     /// The value of the plain counter `name`, if registered. Test helper.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         let families = self.families.read().unwrap();
@@ -485,25 +571,16 @@ impl MetricsRegistry {
             match &f.metric {
                 Metric::Counter(c) => writeln!(out, "{} {}", f.name, c.get())?,
                 Metric::Gauge(g) => writeln!(out, "{} {}", f.name, g.get())?,
-                Metric::Histogram(h) => {
-                    for (bound, cum) in h.cumulative() {
-                        match bound {
-                            Some(b) => writeln!(out, "{}_bucket{{le=\"{}\"}} {}", f.name, b, cum)?,
-                            None => writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", f.name, cum)?,
-                        }
-                    }
-                    writeln!(out, "{}_sum {}", f.name, h.sum())?;
-                    writeln!(out, "{}_count {}", f.name, h.count())?;
-                }
+                Metric::Histogram(h) => render_histogram(out, &f.name, "", h)?,
                 Metric::CounterVec(v) => {
                     for (values, count) in v.snapshot() {
-                        let labels: Vec<String> = v
-                            .label_names
-                            .iter()
-                            .zip(values.iter())
-                            .map(|(k, val)| format!("{}=\"{}\"", k, escape_label(val)))
-                            .collect();
-                        writeln!(out, "{}{{{}}} {}", f.name, labels.join(","), count)?;
+                        let labels = v.family.render_labels(&values);
+                        writeln!(out, "{}{{{}}} {}", f.name, labels, count)?;
+                    }
+                }
+                Metric::HistogramVec(v) => {
+                    for (values, h) in v.family.sorted() {
+                        render_histogram(out, &f.name, &v.family.render_labels(&values), &h)?;
                     }
                 }
             }
@@ -585,6 +662,28 @@ impl MetricsRegistry {
     }
 }
 
+/// One histogram's `_bucket` / `_sum` / `_count` lines; `labels` is the
+/// rendered label set of a [`HistogramVec`] child, empty for a plain one.
+fn render_histogram(
+    out: &mut dyn Write,
+    name: &str,
+    labels: &str,
+    h: &Histogram,
+) -> io::Result<()> {
+    let sep = if labels.is_empty() { "" } else { "," };
+    for (bound, cum) in h.cumulative() {
+        let le = bound.map_or("+Inf".to_string(), |b| b.to_string());
+        writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}")?;
+    }
+    if labels.is_empty() {
+        writeln!(out, "{name}_sum {}", h.sum())?;
+        writeln!(out, "{name}_count {}", h.count())
+    } else {
+        writeln!(out, "{name}_sum{{{labels}}} {}", h.sum())?;
+        writeln!(out, "{name}_count{{{labels}}} {}", h.count())
+    }
+}
+
 fn valid_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
@@ -650,6 +749,26 @@ mod tests {
         assert_eq!(v.value(&["GET", "200"]), 4);
         assert_eq!(v.sum(), 5);
         assert_eq!(reg.counter_vec_sum("req_total"), Some(5));
+    }
+
+    #[test]
+    fn histogram_vec_renders_labelled_series() {
+        let reg = MetricsRegistry::new();
+        let v = reg.histogram_vec("phase_us", "per phase", &["phase"], 4);
+        v.with(&["stage"]).observe(3);
+        v.with(&["notify"]).observe(100);
+        v.with(&["stage"]).observe(1);
+        assert_eq!(v.with(&["stage"]).count(), 2);
+        let text = reg.render_to_string();
+        assert!(text.contains("# TYPE phase_us histogram"));
+        assert!(text.contains("phase_us_bucket{phase=\"stage\",le=\"4\"} 2"));
+        assert!(text.contains("phase_us_bucket{phase=\"notify\",le=\"+Inf\"} 1"));
+        assert!(text.contains("phase_us_sum{phase=\"stage\"} 4"));
+        assert!(text.contains("phase_us_count{phase=\"notify\"} 1"));
+        let samples = MetricsRegistry::parse_exposition(&text).unwrap();
+        assert!(samples
+            .iter()
+            .any(|(n, l, v)| n == "phase_us_sum" && l == "phase=\"notify\"" && *v == 100.0));
     }
 
     #[test]
