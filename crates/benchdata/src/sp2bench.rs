@@ -325,7 +325,8 @@ pub fn queries() -> Vec<(&'static str, String)> {
             } ORDER BY ?ee LIMIT 10 OFFSET 5"#),
         ),
         // q13/q14: the two Q5 variants — author names of article
-        // creators, joined implicitly (q13) and via FILTER equality (q14).
+        // creators, joined via FILTER equality (q13, SP²Bench Q5a) and
+        // implicitly through a shared variable (q14, Q5b).
         (
             "q13",
             q(r#"SELECT DISTINCT ?person ?name WHERE {

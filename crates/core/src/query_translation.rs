@@ -20,12 +20,17 @@
 //!   terms appearing only in predicate position);
 //! * the gMark range paths `p{n}`, `p{n,}`, `p{n,m}` are desugared into
 //!   sequences/alternatives and evaluated with set semantics, like the
-//!   other unbounded operators.
+//!   other unbounded operators;
+//! * the finished program passes through
+//!   [`unify_equalities`](sparqlog_datalog::rewrite): a filter `x = y`,
+//!   `x = c` or `sameTerm(x, y)` becomes a join key in a rule that
+//!   inlines the join beneath it, instead of a filter over its product.
 
 use std::sync::Arc;
 
 use sparqlog_datalog::{
-    AggSpec, AtomArg, Const, Expr as DExpr, PostOp, Program, RuleBuilder, Sym, SymbolTable,
+    unify_equalities, AggSpec, AtomArg, Const, Expr as DExpr, PostOp, Program, RuleBuilder, Sym,
+    SymbolTable,
 };
 use sparqlog_sparql::{
     AggFunc as SAgg, Expr as SExpr, GraphPattern, GraphSpec, OrderCondition, PropertyPath, Query,
@@ -275,8 +280,13 @@ impl Translator {
             }
         }
 
+        // Filter equalities become join keys before anyone plans,
+        // evaluates or explains the program (ARCHITECTURE.md, "Rewrites
+        // between T_Q and the planner").
+        let program = unify_equalities(self.program, &self.symbols);
+
         Ok(TranslatedQuery {
-            program: self.program,
+            program,
             root_pred,
             columns,
             is_ask,

@@ -151,6 +151,54 @@ impl Expr {
         }
     }
 
+    /// Replaces every variable leaf `v` for which `f(v)` returns an
+    /// expression — the substitution step of [`crate::rewrite`].
+    pub(crate) fn substitute(&mut self, f: &impl Fn(VarId) -> Option<Expr>) {
+        match self {
+            Expr::Var(v) => {
+                if let Some(e) = f(*v) {
+                    *self = e;
+                }
+            }
+            Expr::Const(_) => {}
+            Expr::Skolem(_, args) => {
+                for a in args {
+                    a.substitute(f);
+                }
+            }
+            Expr::Cmp(_, a, b)
+            | Expr::Arith(_, a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b)
+            | Expr::Contains(a, b)
+            | Expr::StrStarts(a, b)
+            | Expr::StrEnds(a, b)
+            | Expr::SameTerm(a, b)
+            | Expr::LangMatches(a, b) => {
+                a.substitute(f);
+                b.substitute(f);
+            }
+            Expr::Not(e)
+            | Expr::IsIri(e)
+            | Expr::IsBlank(e)
+            | Expr::IsLiteral(e)
+            | Expr::IsNumeric(e)
+            | Expr::Str(e)
+            | Expr::Lang(e)
+            | Expr::Datatype(e)
+            | Expr::Ucase(e)
+            | Expr::Lcase(e)
+            | Expr::Strlen(e) => e.substitute(f),
+            Expr::Regex(a, b, c) => {
+                a.substitute(f);
+                b.substitute(f);
+                if let Some(c) = c {
+                    c.substitute(f);
+                }
+            }
+        }
+    }
+
     /// Evaluates the expression under `env` (indexed by [`VarId`]).
     /// `None` models a SPARQL expression error.
     pub fn eval(&self, env: &[Option<Const>], symbols: &SymbolTable) -> Option<Const> {
@@ -452,6 +500,12 @@ impl Expr {
                 b.display(var_names, symbols)
             ),
             Expr::Not(e) => format!("!({})", e.display(var_names, symbols)),
+            Expr::IsNumeric(e) => format!("isNumeric({})", e.display(var_names, symbols)),
+            Expr::SameTerm(a, b) => format!(
+                "sameTerm({}, {})",
+                a.display(var_names, symbols),
+                b.display(var_names, symbols)
+            ),
             other => format!("{other:?}"),
         }
     }

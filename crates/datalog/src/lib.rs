@@ -21,6 +21,9 @@
 //!   a separate stratum (Vadalog-style).
 //! * **`@output` / `@post` directives**: `orderby`, `limit`, `offset`
 //!   post-processing ([`eval::collect_output`]).
+//! * A **filter-equality rewrite** ([`rewrite`]): `x = y` conditions
+//!   become join keys, with single-use intermediate predicates unfolded
+//!   into the rule so the planner sees the whole join.
 //! * A **wardedness analyser** ([`wardedness`]) used by tests to verify
 //!   that the SPARQL translation produces warded programs, as the paper
 //!   claims.
@@ -62,6 +65,7 @@ pub mod plan;
 pub mod pool;
 pub mod profile;
 pub mod regex;
+pub mod rewrite;
 pub mod rule;
 pub mod stats;
 pub mod stratify;
@@ -85,6 +89,7 @@ pub use magic::{
 pub use plan::{plan_program, AtomPlan, ProgramPlan, RuleOrder};
 pub use pool::{run_scoped, run_scoped_caught, JobPanic};
 pub use profile::{QueryProfile, RoundProfile, RuleProfile, StratumProfile};
+pub use rewrite::unify_equalities;
 pub use rule::{
     AggFunc, AggSpec, Atom, AtomArg, BodyItem, PostOp, Program, Rule, RuleBuilder, VarId,
 };

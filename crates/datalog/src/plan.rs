@@ -5,7 +5,8 @@
 //! starting from the bound set (constants, then variables bound by
 //! already-placed atoms), it repeatedly places the positive atom with the
 //! smallest estimated probe cardinality ([`DbStats::estimate`] — rows
-//! divided by the distinct counts of the bound positions), and pushes
+//! divided by the distinct counts of the bound positions), preferring
+//! atoms that share a bound variable over cross products, and pushes
 //! filter conditions, assignments and negation checks to the earliest
 //! position at which all their variables are bound. Each placed atom also
 //! records the exact `(pred, mask)` hash index its probe will use, so a
@@ -211,14 +212,26 @@ fn order_body(rule: &Rule, stats: &DbStats, pinned: Option<usize>) -> RuleOrder 
             continue;
         }
         // Otherwise the positive atom with the smallest estimated probe
-        // cardinality under the current bound set. `remaining` is in
-        // ascending source order and `min_by` keeps the first minimum,
-        // so exact ties resolve to source order.
+        // cardinality under the current bound set — among the atoms
+        // sharing a bound variable while any does, so a cross product is
+        // planned only when nothing connected is left (independence
+        // estimates make two constant-heavy scans look cheaper than the
+        // join between them). `remaining` is in ascending source order
+        // and `min_by` keeps the first minimum, so exact ties resolve to
+        // source order.
+        let connected = |a: &crate::rule::Atom| {
+            a.args
+                .iter()
+                .any(|arg| matches!(arg, AtomArg::Var(v) if bound[*v as usize]))
+        };
+        let any_connected = remaining
+            .iter()
+            .any(|&i| matches!(&rule.body[i], BodyItem::Pos(a) if connected(a)));
         let (k, mask, est) = remaining
             .iter()
             .enumerate()
             .filter_map(|(k, &i)| match &rule.body[i] {
-                BodyItem::Pos(a) => {
+                BodyItem::Pos(a) if connected(a) || !any_connected => {
                     let mask = bound_mask(a, &bound);
                     Some((k, mask, stats.estimate(a.pred, mask)))
                 }

@@ -1,5 +1,7 @@
-//! Explain: inspect the physical plan the cost-based planner (PR 6)
-//! chooses for a query, and the statistics it chose it from.
+//! Explain: inspect the physical plan the cost-based planner chooses for
+//! a query, and the statistics it chose it from — including a query whose
+//! only join is a filter equality, which the translation rewrites into a
+//! join key before planning.
 //!
 //! ```sh
 //! cargo run --example explain_plan
@@ -52,6 +54,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{} solution(s), plans computed during execution: {}",
         result.len(),
         snapshot.plans_computed() - before
+    );
+
+    explain_filter_equality()
+}
+
+/// SP²Bench Q5a's shape: two patterns connected only by `FILTER (?n =
+/// ?m)`. Before planning, the translation's equality rewrite unfolds the
+/// join under the filter into one rule and unifies `?m` with `?n`, so the
+/// plan probes the label atom on the name already bound (a keyed join, not
+/// a filtered product); a second rule keeps the numerically-equal,
+/// non-identical matches `=` also admits.
+fn explain_filter_equality() -> Result<(), Box<dyn std::error::Error>> {
+    let store = Store::new();
+    let mut turtle = String::from("@prefix ex: <http://ex.org/> .\n");
+    for i in 0..200 {
+        turtle.push_str(&format!("ex:c{i} ex:name \"country {i}\" .\n"));
+        turtle.push_str(&format!("ex:k{i} ex:label \"country {}\" .\n", i * 7 % 200));
+    }
+    store.load_turtle(&turtle)?;
+
+    let query = "PREFIX ex: <http://ex.org/>
+                 SELECT ?c ?k WHERE { ?c ex:name ?n . ?k ex:label ?m FILTER (?n = ?m) }";
+    let prepared = store.prepare(query)?;
+    let snapshot = store.snapshot();
+    let plan = snapshot.explain(&prepared)?;
+    println!("\nplan for:\n  {query}\n");
+    println!("{plan}");
+    assert!(
+        plan.contains("<http://ex.org/label>, v_n,"),
+        "the filter equality was not turned into a join key"
+    );
+    println!(
+        "{} solution(s)",
+        snapshot.execute_prepared(&prepared)?.len()
     );
     Ok(())
 }

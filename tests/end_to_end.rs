@@ -152,6 +152,133 @@ fn sp2bench_cross_engine_agreement() {
     }
 }
 
+/// True unless the rule's positive atoms fall into several components
+/// with no variable in common — a product — of which some component binds
+/// no variable the rule requires to be numeric. Only the filter-equality
+/// rewrite's numeric side rule may keep a product, and there every
+/// component dies on string values before the product forms.
+fn product_is_guarded(rule: &sparqlog_datalog::Rule) -> bool {
+    use sparqlog_datalog::{BodyItem, Expr};
+    let atoms: Vec<Vec<u32>> = rule
+        .body
+        .iter()
+        .filter_map(|i| match i {
+            BodyItem::Pos(a) => Some(a.vars()),
+            _ => None,
+        })
+        .collect();
+    // Component labels by propagation: each atom ends with the smallest
+    // index of an atom it is connected to.
+    let mut label: Vec<usize> = (0..atoms.len()).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in 0..atoms.len() {
+            for j in 0..atoms.len() {
+                if label[j] < label[i] && atoms[i].iter().any(|v| atoms[j].contains(v)) {
+                    label[i] = label[j];
+                    changed = true;
+                }
+            }
+        }
+    }
+    let numeric: Vec<u32> = rule
+        .body
+        .iter()
+        .filter_map(|i| match i {
+            BodyItem::Cond(Expr::IsNumeric(e)) => match **e {
+                Expr::Var(v) => Some(v),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect();
+    let guarded = |root: usize| {
+        (0..atoms.len()).any(|i| label[i] == root && atoms[i].iter().any(|v| numeric.contains(v)))
+    };
+    let mut roots = label.clone();
+    roots.sort_unstable();
+    roots.dedup();
+    roots.len() <= 1 || roots.into_iter().all(guarded)
+}
+
+/// SP²Bench Q5a (`q13`) joins its two halves only through `FILTER (?name
+/// = ?name2)`. The filter-equality rewrite turns that equality into a join
+/// key, so Q5a plans like its twin Q5b instead of filtering the product of
+/// the halves (1 999 538 rows derived at this size before the rewrite).
+/// Counts, not clocks.
+#[test]
+fn sp2bench_q5a_joins_instead_of_filtering_a_product() {
+    use sparqlog::{translate_query, Store};
+    use sparqlog_datalog::plan_program;
+    use sparqlog_sparql::parse_query;
+
+    let store = Store::new();
+    store
+        .load_dataset(&Dataset::from_default_graph(sp2bench::generate(
+            sp2bench::Sp2bConfig {
+                target_triples: 10_000,
+                seed: 1,
+            },
+        )))
+        .unwrap();
+    let snapshot = store.snapshot();
+    let symbols = snapshot.symbols();
+    let query = |id: &str| {
+        sp2bench::queries()
+            .into_iter()
+            .find(|(q, _)| *q == id)
+            .unwrap()
+            .1
+    };
+
+    let q13 = query("q13");
+    let (results, profile) = snapshot.execute_profiled(&q13).unwrap();
+    let derived: u64 = profile.rules.iter().map(|r| r.derived).sum();
+    assert!(derived <= 200_000, "q13 derived {derived} rows");
+
+    // The same multiset as the hand-unified twin.
+    let twin = q13
+        .replace("?person2 foaf:name ?name2", "?person2 foaf:name ?name")
+        .replace("FILTER (?name = ?name2)", "");
+    assert!(!twin.contains("?name2"), "twin is the unified text");
+    match (&results, &snapshot.execute(&twin).unwrap()) {
+        (QueryResults::Solutions(got), QueryResults::Solutions(want)) => {
+            assert_eq!(got.len(), 454);
+            assert!(got.multiset_eq(want), "q13 differs from its unified twin");
+        }
+        _ => panic!("q13 is a SELECT"),
+    }
+
+    // No rule of the translated program evaluates an unguarded product.
+    let program = translate_query(&parse_query(&q13).unwrap(), symbols, "q5a_")
+        .unwrap()
+        .program;
+    for rule in &program.rules {
+        assert!(
+            product_is_guarded(rule),
+            "cross product: {}",
+            rule.display(symbols)
+        );
+    }
+
+    // q3a's `FILTER (?property = swrc:pages)` becomes a bound predicate:
+    // every `triple` probe of its plan has position 1 in its mask.
+    let q3a = translate_query(&parse_query(&query("q3a")).unwrap(), symbols, "q3a_")
+        .unwrap()
+        .program;
+    let plan = plan_program(&q3a, symbols, &snapshot.stats()).unwrap();
+    let triple = symbols.get("triple").unwrap();
+    let probes: Vec<_> = (plan.rules.iter())
+        .flat_map(|r| &r.atoms)
+        .filter(|a| a.pred == triple)
+        .collect();
+    assert!(!probes.is_empty());
+    for p in probes {
+        assert_ne!(p.mask & 0b10, 0, "triple probed without its predicate");
+    }
+}
+
 /// FEASIBLE: SparqLog and FusekiSim agree on every supported query
 /// (paper §6.2: "both SparqLog and Fuseki fully comply ... on each of
 /// the 77 queries").
