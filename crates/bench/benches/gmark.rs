@@ -1,7 +1,7 @@
 //! Bench behind Figures 8/9: recursive path queries on gMark instances —
 //! the workload class where the Datalog translation shines.
 
-use sparqlog::SparqLog;
+use sparqlog::Store;
 use sparqlog_bench::microbench::Bench;
 use sparqlog_benchdata::gmark::{generate, GmarkConfig, Scenario};
 use sparqlog_rdf::Dataset;
@@ -22,7 +22,7 @@ fn main() {
     ];
     for (name, q) in cases {
         b.bench(&format!("sparqlog/{name}"), || {
-            let mut engine = SparqLog::new();
+            let engine = Store::new();
             engine.load_dataset(&dataset).unwrap();
             engine.execute(q).unwrap()
         });

@@ -12,7 +12,7 @@
 //! * `row_cap_high` — a row cap far above the fixpoint size: adds the
 //!   per-emission `fetch_add` accounting, the most intrusive mode.
 
-use sparqlog::{SparqLog, Store};
+use sparqlog::Store;
 use sparqlog_bench::microbench::Bench;
 use sparqlog_datalog::{
     evaluate, parser::parse_program, Budget, CancelToken, Database, EvalOptions,
@@ -94,10 +94,9 @@ fn main() {
         ),
         ("row_cap_high", Budget::new().with_max_rows(usize::MAX / 2)),
     ] {
-        let mut engine = SparqLog::new();
-        engine.set_threads(Some(1));
-        engine.load_turtle(&data).expect("fixture loads");
-        let store: Store = engine.into_store();
+        let store = Store::new();
+        store.set_threads(Some(1));
+        store.load_turtle(&data).expect("fixture loads");
         store.set_default_budget(budget);
         let snapshot = store.snapshot();
         b.bench(&format!("batch_32q_t1_{name}"), || {

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use sparqlog::{SparqLog, Store, SubscriptionEvent, Term};
+use sparqlog::{Store, SubscriptionEvent, Term};
 use sparqlog_bench::microbench::Bench;
 use sparqlog_datalog::EvalOptions;
 
@@ -51,9 +51,9 @@ fn main() {
     // Baseline: the whole-store re-run a deletion used to cost — parse,
     // load and freeze the complete 100k-triple dataset from scratch.
     b.bench("full_reload_100k", || {
-        let mut engine = SparqLog::with_options(single_threaded());
-        engine.load_turtle(&src).unwrap();
-        engine.freeze()
+        let store = Store::with_options(single_threaded());
+        store.load_turtle(&src).unwrap();
+        store
     });
 
     // Maintained: a 10-remove commit, then a commit restoring the same

@@ -16,7 +16,7 @@
 //! `plain`): per-job timing is *expected* to cost more — the number
 //! documents how much, it is not under the 3% gate.
 
-use sparqlog::{SparqLog, Store};
+use sparqlog::Store;
 use sparqlog_bench::microbench::Bench;
 
 /// The `datalog_core` recursive-closure shape, expressed through the
@@ -61,10 +61,10 @@ fn query_log() -> Vec<&'static str> {
 }
 
 fn single_threaded_store(src: &str) -> Store {
-    let mut engine = SparqLog::new();
-    engine.set_threads(Some(1));
-    engine.load_turtle(src).expect("fixture loads");
-    engine.into_store()
+    let store = Store::new();
+    store.set_threads(Some(1));
+    store.load_turtle(src).expect("fixture loads");
+    store
 }
 
 fn main() {

@@ -2,7 +2,7 @@
 //! (rules, materialised at load) vs. StardogSim (forward chaining then
 //! direct evaluation).
 
-use sparqlog::SparqLog;
+use sparqlog::Store;
 use sparqlog_bench::microbench::Bench;
 use sparqlog_benchdata::ontology::{build, queries};
 use sparqlog_benchdata::sp2bench::Sp2bConfig;
@@ -21,7 +21,7 @@ fn main() {
     for id in ["oq1", "oq3", "oq4"] {
         let (_, q) = qs.iter().find(|(i, _)| *i == id).unwrap();
         b.bench(&format!("sparqlog/{id}"), || {
-            let mut engine = SparqLog::new();
+            let engine = Store::new();
             engine.load_dataset(&dataset).unwrap();
             engine.add_ontology(&onto).unwrap();
             engine.execute(q).unwrap()

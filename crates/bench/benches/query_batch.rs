@@ -1,8 +1,8 @@
 //! Throughput of the concurrent query-serving path: a fixed "query log"
-//! batch evaluated against one frozen snapshot at fan-out widths 1, 2, 4
+//! batch evaluated against one store snapshot at fan-out widths 1, 2, 4
 //! and 8, against the sequential `execute` loop as the baseline.
 //!
-//! The snapshot is frozen once per configuration *outside* the timed
+//! The snapshot is taken once per configuration *outside* the timed
 //! closure, and the first (untimed) warm-up iteration populates the
 //! translation cache — so the numbers measure steady-state query
 //! evaluation, the regime a server lives in. On a multi-core host
@@ -10,7 +10,7 @@
 //! interesting number is the batch *overhead* vs `sequential` (slot +
 //! pool bookkeeping), which stays within a few percent.
 
-use sparqlog::{FrozenDatabase, SparqLog};
+use sparqlog::{Snapshot, Store};
 use sparqlog_bench::microbench::Bench;
 
 /// A ring-with-shortcuts social graph, the recurring fixture shape of
@@ -44,11 +44,11 @@ fn query_log() -> Vec<&'static str> {
     (0..32).map(|i| shapes[i % shapes.len()]).collect()
 }
 
-fn freeze_with_threads(src: &str, threads: usize) -> FrozenDatabase {
-    let mut engine = SparqLog::new();
-    engine.set_threads(Some(threads));
-    engine.load_turtle(src).expect("fixture loads");
-    engine.freeze()
+fn freeze_with_threads(src: &str, threads: usize) -> Snapshot {
+    let store = Store::new();
+    store.set_threads(Some(threads));
+    store.load_turtle(src).expect("fixture loads");
+    store.snapshot()
 }
 
 fn main() {

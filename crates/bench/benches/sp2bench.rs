@@ -2,7 +2,7 @@
 //! engine and the FusekiSim baseline (small instance — the full sweep
 //! lives in the `fig7_sp2bench` binary).
 
-use sparqlog::SparqLog;
+use sparqlog::Store;
 use sparqlog_bench::microbench::Bench;
 use sparqlog_benchdata::sp2bench::{self, Sp2bConfig};
 use sparqlog_rdf::Dataset;
@@ -20,7 +20,7 @@ fn main() {
     for id in ["q1", "q3a", "q6", "q8", "q15"] {
         let (_, q) = queries.iter().find(|(i, _)| *i == id).unwrap();
         b.bench(&format!("sparqlog/{id}"), || {
-            let mut engine = SparqLog::new();
+            let engine = Store::new();
             engine.load_dataset(&dataset).unwrap();
             engine.execute(q).unwrap()
         });

@@ -15,7 +15,7 @@
 //! not a served store. The cases to quote are the warmed ones — after one
 //! executed query, and behind 1 000 and 4 000 cached translations.
 
-use sparqlog::{SparqLog, Store, Term};
+use sparqlog::{Store, Term};
 use sparqlog_bench::microbench::Bench;
 use sparqlog_datalog::EvalOptions;
 
@@ -50,12 +50,12 @@ fn main() {
     let mut b = Bench::new("store_update");
     let src = turtle(N);
 
-    // Baseline: what a 10-triple change cost before the Store API —
-    // reload the full dataset into a fresh engine and freeze it.
+    // Baseline: what a 10-triple change costs without incremental
+    // commits — reload the full dataset into a fresh store.
     b.bench("full_refreeze", || {
-        let mut engine = SparqLog::with_options(single_threaded());
-        engine.load_turtle(&src).unwrap();
-        engine.freeze()
+        let store = Store::with_options(single_threaded());
+        store.load_turtle(&src).unwrap();
+        store
     });
 
     // Incremental: one established store absorbs a 10-triple delta per

@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use sparqlog::{Ontology, QueryResults, SparqLog, SparqLogError};
+use sparqlog::{Budget, Ontology, QueryResults, SparqLogError, Store};
 use sparqlog_datalog::EvalOptions;
 use sparqlog_rdf::Dataset;
 use sparqlog_refengine::{EngineError, FusekiSim, StardogSim, VirtuosoSim};
@@ -134,11 +134,11 @@ fn run_sparqlog(
     timeout: Duration,
 ) -> Measurement {
     let options = EvalOptions {
-        timeout: Some(timeout),
+        budget: Budget::new().with_timeout(timeout),
         ..Default::default()
     };
     let start = Instant::now();
-    let mut engine = SparqLog::with_options(options);
+    let engine = Store::with_options(options);
     let load_result = engine.load_dataset(dataset).and_then(|_| match ontology {
         Some(o) => engine.add_ontology(o).map(|_| ()),
         None => Ok(()),

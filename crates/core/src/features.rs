@@ -122,7 +122,7 @@ pub fn render_table1() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SparqLog;
+    use crate::Store;
 
     #[test]
     fn matrix_matches_paper_counts() {
@@ -143,7 +143,7 @@ mod tests {
     /// The claimed ✓/✗ statuses must agree with the parser/translator.
     #[test]
     fn claimed_support_is_real() {
-        let mut engine = SparqLog::new();
+        let engine = Store::new();
         engine
             .load_turtle("@prefix ex: <http://e/> . ex:a ex:p ex:b .")
             .unwrap();

@@ -22,22 +22,19 @@
 //! axioms compiled to (possibly existential) rules over `triple/4` and
 //! materialised at load time.
 //!
-//! Two entry points share this pipeline:
-//!
-//! * [`Store`] — the unified read/write API: cheap `Arc`-shared
-//!   [`Snapshot`]s, staged [`Writer`] sessions, SPARQL 1.1 Update, and
-//!   incremental snapshot refresh (see [`store`]);
-//! * [`SparqLog`] — the original single-threaded engine façade, kept as
-//!   a thin wrapper for load-then-query workloads and the paper's
-//!   harnesses ([`SparqLog::into_store`] migrates).
+//! [`Store`] is the one engine over this pipeline: loads and SPARQL 1.1
+//! Update commit through it, and queries run against its cheap
+//! `Arc`-shared [`Snapshot`]s — each evaluated in a private overlay with
+//! a translation, magic-sets decision and physical plan cached per query
+//! text (see [`store`] and [`serving`]).
 //!
 //! # Quick start
 //!
 //! ```
-//! use sparqlog::SparqLog;
+//! use sparqlog::Store;
 //!
-//! let mut engine = SparqLog::new();
-//! engine
+//! let store = Store::new();
+//! store
 //!     .load_turtle(
 //!         r#"@prefix ex: <http://ex.org/> .
 //!            ex:spain ex:borders ex:france .
@@ -48,7 +45,7 @@
 //!     )
 //!     .unwrap();
 //! // Figure 3 of the paper: countries reachable from Spain.
-//! let result = engine
+//! let result = store
 //!     .execute(
 //!         "PREFIX ex: <http://ex.org/>
 //!          SELECT ?B WHERE { ?A ex:borders+ ?B . FILTER (?A = ex:spain) }",
@@ -60,7 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod data_translation;
-pub mod engine;
+pub mod error;
 pub mod expr_translation;
 pub mod features;
 pub(crate) mod metrics;
@@ -73,7 +70,7 @@ pub mod store;
 pub mod subscribe;
 
 pub use data_translation::{const_to_term, term_to_const};
-pub use engine::{SparqLog, SparqLogError};
+pub use error::SparqLogError;
 pub use ontology::{Axiom, Ontology};
 pub use query_translation::{translate_query, TranslatedQuery, TranslationError};
 pub use results_io::{SerializeError, WriteError};

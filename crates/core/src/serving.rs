@@ -1,57 +1,54 @@
-//! Concurrent query serving: frozen engine snapshots and the parallel
+//! Concurrent query serving: the snapshot type behind
+//! [`Store::snapshot`](crate::Store::snapshot) and the parallel
 //! query-batch API.
 //!
-//! Since the [`Store`](crate::Store) redesign, [`FrozenDatabase`] is
-//! the *serving layer* under [`Store::snapshot`](crate::Store::snapshot)
-//! rather than a one-way terminal state: a [`Snapshot`](crate::Snapshot)
-//! derefs to this type, and the store's commit path thaws the underlying
-//! [`FrozenDb`] back into a mutable database and re-freezes it
-//! incrementally. [`SparqLog::freeze`](crate::SparqLog::freeze) remains
-//! as the direct (one-way) route for freeze-once workloads.
+//! [`FrozenDatabase`] is the serving layer of a [`Store`](crate::Store):
+//! a [`Snapshot`](crate::Snapshot) derefs to it, and the store's commit
+//! path thaws the underlying [`FrozenDb`] back into a mutable database
+//! and re-freezes it incrementally.
 //!
 //! The paper's experiments run one query at a time, but the workloads its
 //! reproduction targets — see the query-log studies cited in PAPERS.md —
 //! are floods of small, read-only queries over a materialised store.
-//! Those are embarrassingly parallel: once loading and materialisation
-//! are done, nothing about executing a query needs `&mut` access.
-//!
-//! [`SparqLog::freeze`](crate::SparqLog::freeze) makes that lifecycle split explicit. It consumes
-//! the mutable engine and returns a [`FrozenDatabase`]: an
-//! index-complete, read-only snapshot whose every query entry point
-//! takes `&self`, so any number of threads can translate and evaluate
-//! queries against it concurrently (it is `Send + Sync`; wrap it in an
-//! `Arc` or hand out `&` references from a scope). Three pieces make
-//! this work:
+//! Those are embarrassingly parallel: nothing about executing a query
+//! needs `&mut` access. Every query entry point takes `&self`, so any
+//! number of threads can translate and evaluate queries against one
+//! snapshot concurrently (it is `Send + Sync`). Four pieces make this
+//! work:
 //!
 //! * the **snapshot** ([`sparqlog_datalog::FrozenDb`]): relations frozen
-//!   after materialisation with all per-mask hash indexes pre-built, so
-//!   reads never lock; each query derives its answer predicates into a
-//!   private overlay database that falls through to the snapshot;
+//!   with their hash indexes, so reads never lock; each query derives its
+//!   answer predicates into a private overlay database that falls through
+//!   to the snapshot and is dropped with the query;
 //! * the **translation cache**: translated programs are memoised by
 //!   query text, so repeated query shapes — the common case in real
 //!   query logs — skip the SPARQL→Datalog pipeline entirely;
+//! * the **plan cache**: each cached translation carries its magic-sets
+//!   keep/demote decision and physical plan, computed on its first
+//!   execution against the snapshot's statistics and reused until they
+//!   drift — the one place either decision is made;
 //! * the **batch fan-out** ([`FrozenDatabase::execute_batch`]): a batch
 //!   of queries is spread across the evaluator's scoped worker pool
 //!   ([`sparqlog_datalog::run_scoped`]), one overlay per query, with
 //!   results returned in input order regardless of scheduling.
 //!
 //! ```
-//! use sparqlog::SparqLog;
+//! use sparqlog::Store;
 //!
-//! let mut engine = SparqLog::new();
-//! engine
+//! let store = Store::new();
+//! store
 //!     .load_turtle(
 //!         r#"@prefix ex: <http://ex.org/> .
 //!            ex:spain ex:borders ex:france .
 //!            ex:france ex:borders ex:belgium ."#,
 //!     )
 //!     .unwrap();
-//! let frozen = engine.freeze(); // no further loads; queries go parallel
+//! let snapshot = store.snapshot();
 //! let queries = [
 //!     "PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x ex:borders ex:france }",
 //!     "PREFIX ex: <http://ex.org/> ASK { ex:spain ex:borders ex:belgium }",
 //! ];
-//! let results = frozen.execute_batch(&queries);
+//! let results = snapshot.execute_batch(&queries);
 //! assert_eq!(results[0].as_ref().unwrap().len(), 1); // spain
 //! assert!(results[1].as_ref().unwrap().is_empty()); // ASK ⇒ false
 //! ```
@@ -68,20 +65,21 @@ use sparqlog_datalog::{
 use sparqlog_obs::MetricsRegistry;
 use sparqlog_sparql::{parse_query, update_keyword, Query};
 
-use crate::engine::SparqLogError;
+use crate::error::SparqLogError;
 use crate::metrics::CoreMetrics;
 use crate::query_translation::{translate_query, TranslatedQuery};
 use crate::solution::{extract_results, QueryResults};
 
-/// A cached physical plan: the program it was computed for (the
+/// A cached program choice and physical plan: the program to run (the
 /// magic-sets rewrite of the translation when it applied *and* its
 /// measured demand pruned — see [`FrozenDatabase::compute_plan`] — else
-/// `None` meaning the translation's own program), the plan itself, and
-/// the statistics fingerprint it is valid against.
+/// `None` meaning the translation's own program), its plan, and the
+/// statistics fingerprint both are valid against.
 struct PlanEntry {
     /// The magic-rewritten program, when the rewrite applied and won.
     program: Option<Program>,
-    plan: ProgramPlan,
+    /// The physical plan; `None` when computed with planning disabled.
+    plan: Option<ProgramPlan>,
     /// Row counts of the read relations at planning time — the entry is
     /// discarded (and the query replanned) once these drift past the
     /// threshold ([`StatsFingerprint::drifted`]).
@@ -93,10 +91,11 @@ struct PlanEntry {
 struct CachedQuery {
     query: Query,
     translated: TranslatedQuery,
-    /// The memoised physical plan ([`PlanEntry`]). Living on the cached
-    /// query rather than the snapshot, it survives commits exactly like
-    /// the translation does — re-executing a [`PreparedQuery`] performs
-    /// zero planning work until statistics drift.
+    /// The memoised program choice and plan ([`PlanEntry`]). Living on
+    /// the cached query rather than the snapshot, it survives commits
+    /// exactly like the translation does — re-executing a
+    /// [`PreparedQuery`] performs zero planning work until statistics
+    /// drift.
     plan: RwLock<Option<Arc<PlanEntry>>>,
 }
 
@@ -219,13 +218,13 @@ impl std::fmt::Debug for PreparedQuery {
     }
 }
 
-/// A frozen, read-only engine snapshot serving concurrent queries.
+/// A frozen, read-only store snapshot serving concurrent queries.
 ///
-/// Produced by [`SparqLog::freeze`](crate::SparqLog::freeze). All query
-/// entry points take
-/// `&self`; the type is `Send + Sync`, so threads may share one instance
-/// directly or behind an `Arc`. No data can be loaded any more — the
-/// mutate phase ended at the freeze.
+/// Reached through [`Store::snapshot`](crate::Store::snapshot) (a
+/// [`Snapshot`](crate::Snapshot) derefs to it). All query entry points
+/// take `&self`; the type is `Send + Sync`, so threads may share one
+/// instance directly or behind an `Arc`. Writes go through the owning
+/// store and are never visible here.
 ///
 /// Executing a query touches three shared structures, each safely
 /// concurrent: the snapshot (read-only), the symbol table / term
@@ -242,6 +241,8 @@ pub struct FrozenDatabase {
 }
 
 impl FrozenDatabase {
+    /// A new [`Store`](crate::Store)'s first snapshot, with a fresh
+    /// translation cache.
     pub(crate) fn new(base: Arc<FrozenDb>, options: EvalOptions) -> Self {
         Self::with_cache(base, options, Arc::new(TranslationCache::new()))
     }
@@ -284,8 +285,8 @@ impl FrozenDatabase {
         &self.base
     }
 
-    /// The evaluation options every query runs with (inherited from the
-    /// engine at freeze time).
+    /// The evaluation options every query runs with (the store's options
+    /// when this snapshot was installed).
     pub fn options(&self) -> &EvalOptions {
         &self.options
     }
@@ -403,17 +404,17 @@ impl FrozenDatabase {
     /// evaluation.
     ///
     /// ```
-    /// use sparqlog::SparqLog;
+    /// use sparqlog::Store;
     ///
-    /// let mut engine = SparqLog::new();
-    /// engine
+    /// let store = Store::new();
+    /// store
     ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
     ///     .unwrap();
-    /// let frozen = engine.freeze();
+    /// let snapshot = store.snapshot();
     /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
-    /// assert_eq!(frozen.execute(q).unwrap().len(), 1);
-    /// assert_eq!(frozen.execute(q).unwrap().len(), 1); // cached translation
-    /// assert_eq!(frozen.cached_translations(), 1);
+    /// assert_eq!(snapshot.execute(q).unwrap().len(), 1);
+    /// assert_eq!(snapshot.execute(q).unwrap().len(), 1); // cached translation
+    /// assert_eq!(snapshot.cached_translations(), 1);
     /// ```
     pub fn execute(&self, query_str: &str) -> Result<QueryResults, SparqLogError> {
         let cached = self.translation(query_str)?;
@@ -428,16 +429,16 @@ impl FrozenDatabase {
     ///
     /// ```
     /// use std::time::Duration;
-    /// use sparqlog::{Budget, SparqLog};
+    /// use sparqlog::{Budget, Store};
     ///
-    /// let mut engine = SparqLog::new();
-    /// engine
+    /// let store = Store::new();
+    /// store
     ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
     ///     .unwrap();
-    /// let frozen = engine.freeze();
+    /// let snapshot = store.snapshot();
     /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
     /// let budget = Budget::new().with_timeout(Duration::from_secs(30));
-    /// assert_eq!(frozen.execute_with_budget(q, &budget).unwrap().len(), 1);
+    /// assert_eq!(snapshot.execute_with_budget(q, &budget).unwrap().len(), 1);
     /// ```
     pub fn execute_with_budget(
         &self,
@@ -480,14 +481,14 @@ impl FrozenDatabase {
     /// back as `Err` entries without affecting the rest of the batch.
     ///
     /// ```
-    /// use sparqlog::SparqLog;
+    /// use sparqlog::Store;
     ///
-    /// let mut engine = SparqLog::new();
-    /// engine
+    /// let store = Store::new();
+    /// store
     ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
     ///     .unwrap();
-    /// let frozen = engine.freeze();
-    /// let results = frozen.execute_batch(&[
+    /// let snapshot = store.snapshot();
+    /// let results = snapshot.execute_batch(&[
     ///     "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }",
     ///     "this is not sparql",
     /// ]);
@@ -658,11 +659,11 @@ impl FrozenDatabase {
     }
 
     /// Evaluates a translated query against the snapshot in a private
-    /// overlay and extracts the typed result. With planning enabled the
-    /// query's cached physical plan is used (computed on the first
-    /// execution, revalidated against the snapshot's statistics); with it
-    /// disabled, or when the program does not stratify for planning,
-    /// evaluation falls back to the unplanned path.
+    /// overlay and extracts the typed result. The query's cached program
+    /// choice and physical plan are used ([`Self::plan_entry`]: computed
+    /// on the first execution, revalidated against the snapshot's
+    /// statistics); with both optimisations disabled the translation runs
+    /// as is.
     fn run(
         &self,
         cached: &CachedQuery,
@@ -682,13 +683,23 @@ impl FrozenDatabase {
         cached: &CachedQuery,
         options: &EvalOptions,
     ) -> Result<(QueryResults, EvalStats), SparqLogError> {
-        let evaluated = match self.plan_entry(cached, options) {
-            Some(entry) => {
-                let program = entry.program.as_ref().unwrap_or(&cached.translated.program);
-                evaluate_frozen_with_plan(program, &self.base, options, Some(&entry.plan))
-            }
-            None => evaluate_frozen(&cached.translated.program, &self.base, options),
+        // One clock for the whole query: a relative timeout becomes a
+        // deadline here, shared by the demand measurement a plan may need
+        // and the main fixpoint (each would otherwise start its own).
+        let options = &EvalOptions {
+            budget: options.budget.armed(),
+            ..options.clone()
         };
+        let evaluated = self.plan_entry(cached, options).and_then(|entry| {
+            let entry = entry.as_deref();
+            let program = entry.and_then(|e| e.program.as_ref());
+            evaluate_frozen_with_plan(
+                program.unwrap_or(&cached.translated.program),
+                &self.base,
+                options,
+                entry.and_then(|e| e.plan.as_ref()),
+            )
+        });
         let m = &self.cache.metrics;
         match evaluated {
             Ok((db, stats)) => {
@@ -741,15 +752,15 @@ impl FrozenDatabase {
     /// on the snapshot.
     ///
     /// ```
-    /// use sparqlog::SparqLog;
+    /// use sparqlog::Store;
     ///
-    /// let mut engine = SparqLog::new();
-    /// engine
+    /// let store = Store::new();
+    /// store
     ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
     ///     .unwrap();
-    /// let frozen = engine.freeze();
+    /// let snapshot = store.snapshot();
     /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
-    /// let (results, profile) = frozen.execute_profiled(q).unwrap();
+    /// let (results, profile) = snapshot.execute_profiled(q).unwrap();
     /// assert_eq!(results.len(), 1);
     /// assert!(profile.render().contains("stratum 0"));
     /// ```
@@ -782,80 +793,86 @@ impl FrozenDatabase {
         self.run_profiled(&p.inner, &self.options)
     }
 
-    /// The query's physical plan: a cache hit when an entry exists and
-    /// the snapshot's statistics have not drifted past its fingerprint;
-    /// otherwise the query is (re)planned — magic-sets rewrite first when
-    /// enabled and its measured demand prunes, then cost-based ordering
-    /// against the snapshot's statistics — and the entry replaced. `None`
-    /// when planning is disabled or fails (the unplanned evaluation path
-    /// handles both the rewrite and ordering itself).
-    fn plan_entry(&self, cached: &CachedQuery, options: &EvalOptions) -> Option<Arc<PlanEntry>> {
-        if !options.plan {
-            return None;
+    /// The query's program choice and physical plan: a cache hit when an
+    /// entry computed under the same planning setting exists and the
+    /// snapshot's statistics have not drifted past its fingerprint;
+    /// otherwise the query is (re)planned ([`Self::compute_plan`]) and
+    /// the entry replaced. `Ok(None)` when both planning and magic sets
+    /// are disabled. A failed computation — a governor abort during the
+    /// demand measurement, say — is returned and caches nothing.
+    fn plan_entry(
+        &self,
+        cached: &CachedQuery,
+        options: &EvalOptions,
+    ) -> Result<Option<Arc<PlanEntry>>, EvalError> {
+        if !options.plan && !options.magic_sets {
+            return Ok(None);
         }
         let stats = self.base.stats();
         if let Some(entry) = cached.plan.read().unwrap().as_ref() {
-            if !entry.fingerprint.drifted(&stats) {
+            if entry.plan.is_some() == options.plan && !entry.fingerprint.drifted(&stats) {
                 self.cache.metrics.plan_hits.inc();
-                return Some(entry.clone());
+                return Ok(Some(entry.clone()));
             }
         }
         let entry = self.compute_plan(cached, options, &stats)?;
-        self.cache.track_index_needs(&entry.plan, &self.base);
+        if let Some(plan) = &entry.plan {
+            self.cache.track_index_needs(plan, &self.base);
+        }
         *cached.plan.write().unwrap() = Some(entry.clone());
         self.cache.metrics.plans_computed.inc();
-        Some(entry)
+        Ok(Some(entry))
     }
 
     /// Plans `cached` from scratch against `stats` (the slow path of
-    /// [`Self::plan_entry`]). The magic-sets rewrite is kept only when
-    /// its measured demand prunes: the demand subprogram is evaluated
-    /// against the snapshot (one cheap fixpoint, linear in the demanded
-    /// subgraph, amortised over every execution the entry serves) — the
-    /// same measurement the unplanned evaluation path performs, so the
-    /// planned and unplanned paths always pick the same program. The
-    /// fingerprint covers the unrewritten program's reads; the rewrite
-    /// reads the same base relations (its demand predicates are derived),
-    /// so the one fingerprint invalidates either choice.
+    /// [`Self::plan_entry`]) — the one place the magic-sets keep/demote
+    /// decision is made. The rewrite is kept only when its measured
+    /// demand prunes: the demand subprogram is evaluated against the
+    /// snapshot under the query's own (armed) budget — one cheap
+    /// fixpoint, linear in the demanded subgraph, amortised over every
+    /// execution the entry serves. The fingerprint covers the
+    /// unrewritten program's reads; the rewrite reads the same base
+    /// relations (its demand predicates are derived), so the one
+    /// fingerprint invalidates either choice.
     fn compute_plan(
         &self,
         cached: &CachedQuery,
         options: &EvalOptions,
         stats: &DbStats,
-    ) -> Option<Arc<PlanEntry>> {
+    ) -> Result<Arc<PlanEntry>, EvalError> {
         let symbols = self.base.symbols();
         let program = &cached.translated.program;
-        let rewritten = if options.magic_sets {
-            magic_sets_rewrite_analyzed(program, symbols).and_then(|rw| {
+        let mut rewritten = None;
+        if options.magic_sets {
+            if let Some(rw) = magic_sets_rewrite_analyzed(program, symbols) {
                 let keep = match demand_subprogram(&rw) {
                     Some(sub) => {
                         let sub_options = EvalOptions {
-                            magic_sets: false,
-                            plan: false,
                             threads: Some(1),
+                            profile: false,
                             ..options.clone()
                         };
-                        match evaluate_frozen(&sub, &self.base, &sub_options) {
-                            Ok((db, _)) => demand_prunes(&rw, &db),
-                            // Not measurable (e.g. timeout): keep the
-                            // rewrite, the conservative pre-demotion
-                            // behavior.
-                            Err(_) => true,
-                        }
+                        let (db, _) = evaluate_frozen(&sub, &self.base, &sub_options)?;
+                        demand_prunes(&rw, &db)
                     }
+                    // Not measurable in isolation: keep the rewrite.
                     None => true,
                 };
-                keep.then_some(rw.program)
-            })
+                if keep {
+                    rewritten = Some(rw.program);
+                }
+            }
+        }
+        let plan = if options.plan {
+            let chosen = rewritten.as_ref().unwrap_or(program);
+            Some(plan_program(chosen, symbols, stats)?)
         } else {
             None
         };
-        let plan = plan_program(rewritten.as_ref().unwrap_or(program), symbols, stats).ok()?;
-        let fingerprint = stats.fingerprint(program);
-        Some(Arc::new(PlanEntry {
+        Ok(Arc::new(PlanEntry {
             program: rewritten,
             plan,
-            fingerprint,
+            fingerprint: stats.fingerprint(program),
         }))
     }
 
@@ -887,19 +904,20 @@ impl FrozenDatabase {
     /// A magic-sets rewrite appears here (its `__magic` guards and demand
     /// rules) exactly when its measured demand pruned — see
     /// [`sparqlog_datalog::demand_prunes`].
-    /// Errors on a foreign handle; returns a diagnostic string when
-    /// planning is disabled or the program cannot be planned.
+    /// Errors on a foreign handle or when planning fails; returns a
+    /// diagnostic string when planning is disabled.
     pub fn explain(&self, p: &PreparedQuery) -> Result<String, SparqLogError> {
         self.check_prepared(p)?;
-        match self.plan_entry(&p.inner, &self.options) {
-            Some(entry) => {
-                let program = entry
-                    .program
-                    .as_ref()
-                    .unwrap_or(&p.inner.translated.program);
-                Ok(entry.plan.render(program, self.base.symbols()))
-            }
-            None => Ok("(no physical plan: planning disabled or program not plannable)".into()),
+        match self.plan_entry(&p.inner, &self.options)?.as_deref() {
+            Some(PlanEntry {
+                program,
+                plan: Some(plan),
+                ..
+            }) => Ok(plan.render(
+                program.as_ref().unwrap_or(&p.inner.translated.program),
+                self.base.symbols(),
+            )),
+            _ => Ok("(no physical plan: planning disabled)".into()),
         }
     }
 }
@@ -912,8 +930,9 @@ impl FrozenDatabase {
     pub(crate) fn cached_plan_needs_on_base(&self) -> Vec<(Sym, Mask)> {
         let mut out = Vec::new();
         for cached in self.cache.map.read().unwrap().values() {
-            if let Some(entry) = cached.plan.read().unwrap().as_ref() {
-                out.extend(entry.plan.index_needs());
+            let entry = cached.plan.read().unwrap();
+            if let Some(plan) = entry.as_ref().and_then(|e| e.plan.as_ref()) {
+                out.extend(plan.index_needs());
             }
         }
         out.retain(|&(pred, _)| self.base.relation(pred).is_some());
@@ -949,17 +968,21 @@ impl std::fmt::Debug for FrozenDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SparqLog;
+    use crate::{Snapshot, Store};
 
     const DATA: &str = r#"@prefix ex: <http://ex.org/> .
         ex:spain ex:borders ex:france .
         ex:france ex:borders ex:belgium .
         ex:belgium ex:borders ex:germany ."#;
 
-    fn frozen() -> FrozenDatabase {
-        let mut engine = SparqLog::new();
-        engine.load_turtle(DATA).unwrap();
-        engine.freeze()
+    fn snapshot_of(turtle: &str, options: EvalOptions) -> Snapshot {
+        let store = Store::with_options(options);
+        store.load_turtle(turtle).unwrap();
+        store.snapshot()
+    }
+
+    fn frozen() -> Snapshot {
+        snapshot_of(DATA, EvalOptions::default())
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -967,18 +990,6 @@ mod tests {
     #[test]
     fn frozen_database_is_send_sync() {
         assert_send_sync::<FrozenDatabase>();
-    }
-
-    #[test]
-    fn execute_matches_mutable_engine() {
-        let q = "PREFIX ex: <http://ex.org/>
-                 SELECT ?b WHERE { ex:spain ex:borders+ ?b }";
-        let mut engine = SparqLog::new();
-        engine.load_turtle(DATA).unwrap();
-        engine.set_threads(Some(1));
-        let expected = engine.execute(q).unwrap();
-        let frozen = frozen();
-        assert_eq!(frozen.execute(q).unwrap(), expected);
     }
 
     #[test]
@@ -1087,17 +1098,15 @@ mod tests {
 
     #[test]
     fn planned_and_unplanned_results_agree() {
-        let mut engine = SparqLog::new();
-        engine.load_turtle(DATA).unwrap();
-        let frozen = engine.freeze();
-        let mut raw_engine = SparqLog::new();
-        raw_engine.load_turtle(DATA).unwrap();
-        let unplanned = {
-            let (base, mut options, cache) = raw_engine.freeze().into_base();
-            options.plan = false;
-            options.magic_sets = false;
-            FrozenDatabase::with_cache(base, options, cache)
-        };
+        let frozen = frozen();
+        let unplanned = snapshot_of(
+            DATA,
+            EvalOptions {
+                plan: false,
+                magic_sets: false,
+                ..EvalOptions::default()
+            },
+        );
         for q in [
             "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders+ ?b }",
             "PREFIX ex: <http://ex.org/>
@@ -1128,9 +1137,7 @@ mod tests {
     fn selective_demand_keeps_the_magic_rewrite() {
         // A path bound near the end of a 30-edge chain demands a handful
         // of nodes: planning measures that and keeps the rewrite.
-        let mut engine = SparqLog::new();
-        engine.load_turtle(&path_turtle(30, false)).unwrap();
-        let frozen = engine.freeze();
+        let frozen = snapshot_of(&path_turtle(30, false), EvalOptions::default());
         let q = frozen
             .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n25 ex:p+ ?z }")
             .unwrap();
@@ -1150,9 +1157,7 @@ mod tests {
         // pure overhead, so planning measures the demand fixpoint once
         // and picks the plain program instead; no execution ever pays
         // for the rewrite.
-        let mut engine = SparqLog::new();
-        engine.load_turtle(&path_turtle(30, true)).unwrap();
-        let frozen = engine.freeze();
+        let frozen = snapshot_of(&path_turtle(30, true), EvalOptions::default());
         let q = frozen
             .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:p+ ?z }")
             .unwrap();
@@ -1168,6 +1173,40 @@ mod tests {
             1,
             "the demotion is part of the one plan"
         );
+    }
+
+    #[test]
+    fn aborted_demand_measurement_caches_no_plan() {
+        // The budget is armed once per query and governs the demand
+        // measurement too: under an already-cancelled token the first
+        // execution aborts inside the measurement, and nothing it did
+        // not finish is cached — no plan, and in particular no
+        // "keep the rewrite" verdict standing in for the measurement.
+        let frozen = snapshot_of(&path_turtle(30, true), EvalOptions::default());
+        let q = frozen
+            .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:p+ ?z }")
+            .unwrap();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let err = frozen
+            .execute_prepared_with_budget(&q, &Budget::new().with_cancel(cancel))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SparqLogError::Aborted {
+                    reason: sparqlog_datalog::AbortReason::Cancelled,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
+        assert_eq!(frozen.plans_computed(), 0, "an aborted plan is not cached");
+        assert!(
+            !frozen.explain(&q).unwrap().contains("__magic"),
+            "a fresh measurement demotes the rewrite on the ring"
+        );
+        assert_eq!(frozen.plans_computed(), 1);
     }
 
     #[test]

@@ -37,13 +37,13 @@ pub struct SolutionSeq {
 /// name — so callers stop counting columns:
 ///
 /// ```
-/// use sparqlog::SparqLog;
+/// use sparqlog::Store;
 ///
-/// let mut engine = SparqLog::new();
-/// engine
+/// let store = Store::new();
+/// store
 ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
 ///     .unwrap();
-/// let result = engine
+/// let result = store
 ///     .execute("PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }")
 ///     .unwrap();
 /// let solutions = result.solutions().unwrap();

@@ -1,10 +1,10 @@
 //! The unified [`Store`] API: one durable handle serving cheap read
 //! snapshots and explicit write sessions, with SPARQL 1.1 Update on top.
 //!
-//! This subsumes the `SparqLog` / `FrozenDatabase` split of the earlier
-//! PRs (both remain as thin compatibility wrappers). The lifecycle it
-//! models is the one real query logs exhibit — read-mostly traffic with
-//! occasional writes:
+//! The store is the system's one engine: every load, update and query
+//! goes through it. The lifecycle it models is the one real query logs
+//! exhibit — read-mostly traffic with occasional writes (a read-only
+//! workload is simply a store with one loading commit):
 //!
 //! * [`Store::snapshot`] hands out a [`Snapshot`]: an `Arc`-shared,
 //!   index-complete read view. Snapshots are cheap (one atomic
@@ -90,9 +90,6 @@
 //! (the explicitly written quads) from the first ontology-bearing
 //! commit on: deletes apply to the ledger, and a triple that is both
 //! asserted and entailed stays visible until its last support is gone.
-//! One caveat remains: a store converted from a pre-materialised engine
-//! ([`crate::SparqLog::into_store`]) counts the rows already entailed
-//! at conversion time as asserted.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -110,7 +107,7 @@ use sparqlog_sparql::{
 };
 
 use crate::data_translation::{base_program, default_graph_const, preds, term_to_const};
-use crate::engine::SparqLogError;
+use crate::error::SparqLogError;
 use crate::metrics::COMMIT_PHASES;
 use crate::ontology::Ontology;
 use crate::query_translation::update_where_query;
@@ -194,18 +191,17 @@ impl Store {
         Self::with_options(EvalOptions::default())
     }
 
-    /// Creates an empty store with explicit evaluation options (timeout,
-    /// thread count, ...).
+    /// Creates an empty store with explicit evaluation options (default
+    /// budget, thread count, planner and magic-sets toggles, ...).
     pub fn with_options(options: EvalOptions) -> Self {
-        Self::from_parts(Database::new(), options, Program::new())
-    }
-
-    pub(crate) fn from_parts(db: Database, options: EvalOptions, ontology: Program) -> Self {
-        let frozen = Arc::new(FrozenDatabase::new(db.freeze(), options.clone()));
+        let frozen = Arc::new(FrozenDatabase::new(
+            Database::new().freeze(),
+            options.clone(),
+        ));
         Store {
             state: RwLock::new(StoreState {
                 frozen: Some(frozen),
-                ontology,
+                ontology: Program::new(),
                 asserted: None,
                 options,
             }),
@@ -512,8 +508,11 @@ impl Store {
 
     /// Sets the worker-thread count for subsequent commits and
     /// snapshots (the current snapshot is re-wrapped; the translation
-    /// cache is store-lifetime and carries over). See
-    /// [`SparqLog::set_threads`](crate::SparqLog::set_threads).
+    /// cache is store-lifetime and carries over). `None` restores the
+    /// default resolution (the `SPARQLOG_THREADS` env var, then the
+    /// machine's available parallelism); `Some(1)` forces the
+    /// deterministic single-threaded path. Whatever the setting, results
+    /// are multiset-identical — only evaluation concurrency changes.
     pub fn set_threads(&self, threads: Option<usize>) {
         let mut options = self.options();
         options.threads = threads;
@@ -534,9 +533,10 @@ impl Store {
 
     /// Replaces the evaluation options for subsequent commits, queries
     /// and snapshots — thread count, the cost-based planner and
-    /// magic-sets toggles, timeouts and depth limits. The current
-    /// snapshot is re-wrapped around the new options; the translation
-    /// cache (and its cached plans) is store-lifetime and carries over.
+    /// magic-sets toggles, the default budget and the Skolem-depth
+    /// limit. The current snapshot is re-wrapped around the new options;
+    /// the translation cache (and its cached plans) is store-lifetime
+    /// and carries over.
     pub fn set_options(&self, options: EvalOptions) {
         let mut state = self.state.write().unwrap();
         state.options = options;
@@ -697,10 +697,7 @@ impl Store {
         // Start the asserted ledger at the first ontology-bearing
         // commit: from here on `triple` also carries entailed rows, so
         // the assertions need their own record for deletes to maintain
-        // against. (At this point `triple` still holds assertions only —
-        // except for a store converted from a pre-materialised engine,
-        // whose already-entailed rows become part of the baseline; see
-        // the module docs.)
+        // against. (At this point `triple` still holds assertions only.)
         if has_ontology && asserted.is_none() {
             asserted = Some(match db.relation(vocab.triple) {
                 Some(rel) => rel.clone_for_write(),
@@ -1986,25 +1983,6 @@ mod tests {
         store
             .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:x ex:p ex:y }")
             .unwrap();
-    }
-
-    #[test]
-    fn engine_migrates_into_store() {
-        let mut engine = crate::SparqLog::new();
-        engine
-            .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
-            .unwrap();
-        let store: Store = engine.into();
-        store
-            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:b ex:p ex:c }")
-            .unwrap();
-        assert_eq!(
-            store
-                .execute("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:a ex:p+ ?z }")
-                .unwrap()
-                .len(),
-            2
-        );
     }
 
     #[test]

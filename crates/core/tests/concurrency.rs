@@ -2,9 +2,9 @@
 //!
 //! Two properties are pinned down here:
 //!
-//! * **Differential**: `execute_batch` over a frozen snapshot, at any
-//!   fan-out width, returns *byte-identical* results to the mutable
-//!   engine executing the same queries one by one on the deterministic
+//! * **Differential**: `execute_batch` over a store snapshot, at any
+//!   fan-out width, returns *byte-identical* results to a store
+//!   executing the same queries one by one on the deterministic
 //!   single-threaded evaluator. (Decoded solutions are deterministic
 //!   even though raw Skolem `TermId`s are interned in scheduling order —
 //!   extraction renders them structurally.)
@@ -13,7 +13,7 @@
 //!   cache misses and batches) never produces a result that differs
 //!   from the sequential reference.
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{QueryResults, Store};
 
 /// A dataset with enough shape to exercise joins, recursion, OPTIONAL
 /// and filters: a chain with shortcuts, typed people, and labels.
@@ -65,12 +65,19 @@ fn queries() -> Vec<String> {
     qs
 }
 
-/// The sequential reference: the mutable engine, pinned single-threaded.
+/// A store over [`turtle`] evaluating at `threads` workers.
+fn store(threads: usize) -> Store {
+    let store = Store::new();
+    store.set_threads(Some(threads));
+    store.load_turtle(&turtle()).unwrap();
+    store
+}
+
+/// The sequential reference: one query at a time, pinned
+/// single-threaded.
 fn sequential_results(qs: &[String]) -> Vec<QueryResults> {
-    let mut engine = SparqLog::new();
-    engine.set_threads(Some(1));
-    engine.load_turtle(&turtle()).unwrap();
-    qs.iter().map(|q| engine.execute(q).unwrap()).collect()
+    let store = store(1);
+    qs.iter().map(|q| store.execute(q).unwrap()).collect()
 }
 
 #[test]
@@ -78,10 +85,7 @@ fn batch_is_byte_identical_to_sequential_at_every_width() {
     let qs = queries();
     let expected = sequential_results(&qs);
     for threads in [1usize, 2, 4, 8] {
-        let mut engine = SparqLog::new();
-        engine.set_threads(Some(threads));
-        engine.load_turtle(&turtle()).unwrap();
-        let frozen = engine.freeze();
+        let frozen = store(threads).snapshot();
         let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
         let got = frozen.execute_batch(&refs);
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -98,10 +102,7 @@ fn batch_is_byte_identical_to_sequential_at_every_width() {
 fn repeated_batches_are_stable_under_cache_reuse() {
     let qs = queries();
     let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
-    let mut engine = SparqLog::new();
-    engine.set_threads(Some(4));
-    engine.load_turtle(&turtle()).unwrap();
-    let frozen = engine.freeze();
+    let frozen = store(4).snapshot();
     let first = frozen.execute_batch(&refs);
     for round in 0..3 {
         let again = frozen.execute_batch(&refs);
@@ -121,10 +122,7 @@ fn repeated_batches_are_stable_under_cache_reuse() {
 fn hammer_one_frozen_database_from_eight_threads() {
     let qs = queries();
     let expected = sequential_results(&qs);
-    let mut engine = SparqLog::new();
-    engine.set_threads(Some(1));
-    engine.load_turtle(&turtle()).unwrap();
-    let frozen = engine.freeze();
+    let frozen = store(1).snapshot();
 
     std::thread::scope(|s| {
         for k in 0..8usize {

@@ -256,6 +256,34 @@ fn prepared_query_with_budget() {
     assert!(!snapshot.execute_prepared(&q).unwrap().is_empty());
 }
 
+/// The deadline also governs the magic-sets path: the query's budget is
+/// armed once, so the demand measurement its first execution runs and
+/// the main fixpoint share one clock instead of each starting its own.
+#[test]
+fn deadline_governs_magic_sets_path() {
+    let mut src = String::from("@prefix ex: <http://ex.org/> .\n");
+    for i in 0..300 {
+        src.push_str(&format!("ex:n{i} ex:next ex:n{} .\n", (i + 1) % 300));
+    }
+    let store = Store::new();
+    store.load_turtle(&src).unwrap();
+    let q = store
+        .prepare("PREFIX ex: <http://ex.org/> SELECT ?y WHERE { ex:n0 ex:next+ ?y }")
+        .unwrap();
+    let snapshot = store.snapshot();
+    let start = Instant::now();
+    match snapshot
+        .execute_prepared_with_budget(&q, &Budget::new().with_timeout(Duration::from_millis(1)))
+        .unwrap_err()
+    {
+        SparqLogError::Aborted {
+            reason: AbortReason::Deadline,
+            ..
+        } => assert!(start.elapsed() < Duration::from_millis(50)),
+        other => panic!("expected deadline abort, got {other:?}"),
+    }
+}
+
 /// `SparqLogError`'s std::error integration: `Display` names the tripped
 /// limit and how far execution got, `source()` exposes inner errors, and
 /// `is_timeout()` covers governor deadline aborts.

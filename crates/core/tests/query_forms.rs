@@ -1,9 +1,9 @@
 //! End-to-end coverage of the four query forms and the prepared-query
-//! lifecycle: CONSTRUCT/DESCRIBE through `SparqLog`, `Store::execute`
+//! lifecycle: CONSTRUCT/DESCRIBE through `Store::execute`, snapshots
 //! and `PreparedQuery`; the store-lifetime translation cache surviving
 //! commits; foreign-handle rejection.
 
-use sparqlog::{QueryResults, SparqLog, SparqLogError, Store};
+use sparqlog::{QueryResults, SparqLogError, Store};
 
 const DATA: &str = r#"@prefix ex: <http://ex.org/> .
     ex:spain ex:borders ex:france .
@@ -298,10 +298,8 @@ fn foreign_prepared_handles_are_rejected() {
 
 #[test]
 fn frozen_database_serves_graph_forms_too() {
-    // The legacy freeze-once path gets the new forms for free.
-    let mut engine = SparqLog::new();
-    engine.load_turtle(DATA).unwrap();
-    let frozen = engine.freeze();
+    // A snapshot's own entry points serve the graph forms too.
+    let frozen = store().snapshot();
     let r = frozen
         .execute("PREFIX ex: <http://ex.org/> CONSTRUCT WHERE { ?a ex:borders ?b }")
         .unwrap();
@@ -312,7 +310,7 @@ fn frozen_database_serves_graph_forms_too() {
 
 #[test]
 fn unsupported_features_carry_their_name_structurally() {
-    let mut engine = SparqLog::new();
+    let engine = Store::new();
     // Parser-level unsupported.
     let err = engine
         .execute("SELECT * WHERE { VALUES ?x { 1 } }")
@@ -331,7 +329,7 @@ fn unsupported_features_carry_their_name_structurally() {
     // Other error classes expose no feature.
     let err = engine.execute("not sparql at all ***").unwrap_err();
     assert_eq!(err.unsupported_feature(), None);
-    let err = Store::new().execute("CLEAR ALL").unwrap_err();
+    let err = engine.execute("CLEAR ALL").unwrap_err();
     assert_eq!(err, SparqLogError::ReadOnly("CLEAR"));
     assert_eq!(err.unsupported_feature(), None);
 }

@@ -1,7 +1,7 @@
 //! End-to-end semantics tests of the SparqLog pipeline against the
 //! paper's running examples and the SPARQL 1.1 semantics of Tables 4/5.
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{translate_query, QueryResults, Store};
 use sparqlog_rdf::Term;
 
 /// The film-directors graph of §3.1.
@@ -22,8 +22,8 @@ ex:belgium ex:borders ex:germany .
 ex:germany ex:borders ex:austria .
 "#;
 
-fn engine(turtle: &str) -> SparqLog {
-    let mut e = SparqLog::new();
+fn engine(turtle: &str) -> Store {
+    let e = Store::new();
     e.load_turtle(turtle).unwrap();
     e
 }
@@ -34,7 +34,7 @@ fn rows(r: &QueryResults) -> Vec<Vec<String>> {
 
 #[test]
 fn paper_figure1_optional_query() {
-    let mut e = engine(FILMS);
+    let e = engine(FILMS);
     let r = e
         .execute(
             r#"PREFIX ex: <http://ex.org/>
@@ -54,7 +54,7 @@ fn paper_figure1_optional_query() {
 
 #[test]
 fn paper_figure3_one_or_more_path() {
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     let r = e
         .execute(
             r#"PREFIX ex: <http://ex.org/>
@@ -78,7 +78,7 @@ fn paper_figure3_one_or_more_path() {
 fn bag_semantics_preserves_duplicates() {
     // Two distinct matches project onto the same ?typ value — bag
     // semantics must keep both.
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:type ex:T . ex:b ex:type ex:T ."#,
     );
@@ -94,7 +94,7 @@ fn bag_semantics_preserves_duplicates() {
 
 #[test]
 fn union_duplicates_add_up() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b ."#);
     let r = e
         .execute(
             "PREFIX ex: <http://e/>
@@ -107,7 +107,7 @@ fn union_duplicates_add_up() {
 #[test]
 fn join_multiplicities_multiply() {
     // ?x has two p-edges and two q-edges: join on ?x gives 4 solutions.
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:x ex:p ex:a , ex:b ; ex:q ex:c , ex:d ."#,
     );
@@ -119,7 +119,7 @@ fn join_multiplicities_multiply() {
 
 #[test]
 fn optional_unmatched_leaves_unbound() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:p ex:v . ex:b ex:p ex:v . ex:a ex:q ex:w ."#,
     );
@@ -145,7 +145,7 @@ fn optional_unmatched_leaves_unbound() {
 #[test]
 fn optional_filter_def_a9() {
     // (P1 OPT (P2 FILTER C)): the filter restricts the extension, not P1.
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:p 1 . ex:b ex:p 5 .
            ex:a ex:q 10 . ex:b ex:q 20 ."#,
@@ -169,7 +169,7 @@ fn optional_filter_def_a9() {
 
 #[test]
 fn minus_removes_compatible_with_shared_var() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:p ex:x . ex:b ex:p ex:x .
            ex:a ex:q ex:y ."#,
@@ -187,7 +187,7 @@ fn minus_removes_compatible_with_shared_var() {
 #[test]
 fn minus_with_disjoint_domains_keeps_everything() {
     // SPARQL §8.3.3: MINUS with no shared variables removes nothing.
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:x . ex:c ex:q ex:y ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:x . ex:c ex:q ex:y ."#);
     let r = e
         .execute(
             "PREFIX ex: <http://e/>
@@ -199,7 +199,7 @@ fn minus_with_disjoint_domains_keeps_everything() {
 
 #[test]
 fn filter_arithmetic_and_regex() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:price 10 ; ex:label "Journal of Rust" .
            ex:b ex:price 99 ; ex:label "Proceedings" ."#,
@@ -216,7 +216,7 @@ fn filter_arithmetic_and_regex() {
 
 #[test]
 fn ask_queries() {
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     assert_eq!(
         e.execute("PREFIX ex: <http://ex.org/> ASK { ex:spain ex:borders ex:france }")
             .unwrap(),
@@ -231,7 +231,7 @@ fn ask_queries() {
 
 #[test]
 fn zero_or_one_path_includes_zero_length() {
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     // ex:austria has no outgoing borders edge, but the zero-length path
     // (austria, austria) must exist (the fix the paper makes over [29]).
     let r = e
@@ -245,7 +245,7 @@ fn zero_or_one_path_includes_zero_length() {
 
 #[test]
 fn zero_or_more_includes_start_node() {
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     let r = e
         .execute(
             "PREFIX ex: <http://ex.org/>
@@ -261,7 +261,7 @@ fn zero_length_path_for_constant_not_in_graph() {
     // "the case that a path of zero length from t to t also exists for
     // those terms t which occur in the query but not in the current
     // graph" (§5.2) — the bug the paper fixes in earlier translations.
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     let r = e
         .execute(
             "PREFIX ex: <http://ex.org/>
@@ -279,7 +279,7 @@ fn zero_length_path_for_constant_not_in_graph() {
 fn recursive_path_set_semantics() {
     // Two routes from spain to germany (via france direct, via belgium):
     // `+` paths have set semantics, so germany appears once.
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     let r = e
         .execute(
             "PREFIX ex: <http://ex.org/>
@@ -292,7 +292,7 @@ fn recursive_path_set_semantics() {
 
 #[test]
 fn inverse_and_sequence_paths() {
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     // ^borders: (s ^p o) ≡ (o p s) — who does france border / who borders
     // france.
     let r = e
@@ -320,7 +320,7 @@ fn inverse_and_sequence_paths() {
 
 #[test]
 fn alternative_path_is_multiset_union() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b . ex:a ex:q ex:b ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b . ex:a ex:q ex:b ."#);
     let r = e
         .execute("PREFIX ex: <http://e/> SELECT ?y WHERE { ex:a (ex:p|ex:q) ?y }")
         .unwrap();
@@ -329,7 +329,7 @@ fn alternative_path_is_multiset_union() {
 
 #[test]
 fn negated_property_set() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b . ex:a ex:q ex:c ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b . ex:a ex:q ex:c ."#);
     let r = e
         .execute("PREFIX ex: <http://e/> SELECT ?y WHERE { ex:a !(ex:p) ?y }")
         .unwrap();
@@ -344,13 +344,13 @@ fn negated_property_set() {
 #[test]
 fn path_range_quantifiers() {
     // chain: n0 → n1 → n2 → n3 → n4
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:n0 ex:p ex:n1 . ex:n1 ex:p ex:n2 .
            ex:n2 ex:p ex:n3 . ex:n3 ex:p ex:n4 ."#,
     );
     let q = |path: &str| format!("PREFIX ex: <http://e/> SELECT ?y WHERE {{ ex:n0 {path} ?y }}");
-    let mut run = |path: &str| -> Vec<String> {
+    let run = |path: &str| -> Vec<String> {
         let r = e.execute(&q(path)).unwrap();
         let mut got: Vec<String> = rows(&r).into_iter().map(|r| r[0].clone()).collect();
         got.sort();
@@ -366,7 +366,7 @@ fn path_range_quantifiers() {
 
 #[test]
 fn named_graphs_and_graph_pattern() {
-    let mut e = SparqLog::new();
+    let e = Store::new();
     let mut ds = sparqlog_rdf::Dataset::new();
     ds.default_graph_mut().insert(sparqlog_rdf::Triple::new(
         Term::iri("http://e/a"),
@@ -409,7 +409,7 @@ fn named_graphs_and_graph_pattern() {
 
 #[test]
 fn order_limit_offset() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:v 3 . ex:b ex:v 1 . ex:c ex:v 2 . ex:d ex:v 5 ."#,
     );
@@ -427,7 +427,7 @@ fn order_limit_offset() {
 
 #[test]
 fn order_by_desc_and_complex() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:v 3 . ex:b ex:v 1 . ex:a ex:w 9 ."#,
     );
@@ -452,7 +452,7 @@ fn order_by_desc_and_complex() {
 
 #[test]
 fn group_by_count() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:p1 ex:author ex:alice . ex:p1 ex:author ex:bob .
            ex:p2 ex:author ex:carol ."#,
@@ -475,7 +475,7 @@ fn group_by_count() {
 
 #[test]
 fn count_distinct_and_star() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:p1 ex:t ex:a . ex:p1 ex:t ex:a2 . ex:p2 ex:t ex:a ."#,
     );
@@ -492,7 +492,7 @@ fn count_distinct_and_star() {
 #[test]
 fn ontology_subclass_subproperty() {
     use sparqlog::{Axiom, Ontology};
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
            ex:art1 rdf:type ex:Article .
@@ -521,7 +521,7 @@ fn ontology_subclass_subproperty() {
 #[test]
 fn ontology_existential_axiom_generates_labelled_null() {
     use sparqlog::{Axiom, Ontology};
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
            ex:alice rdf:type ex:Person ."#,
@@ -545,7 +545,7 @@ fn ontology_existential_axiom_generates_labelled_null() {
 
 #[test]
 fn filters_on_unbound_variables_fail() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p 1 ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p 1 ."#);
     // ?z is never bound: comparison errors → empty result; BOUND(?z) false.
     let r = e
         .execute("PREFIX ex: <http://e/> SELECT ?x WHERE { ?x ex:p ?n FILTER (?z > 0) }")
@@ -559,7 +559,7 @@ fn filters_on_unbound_variables_fail() {
 
 #[test]
 fn projection_of_never_bound_variable() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p 1 ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p 1 ."#);
     let r = e
         .execute("PREFIX ex: <http://e/> SELECT ?x ?ghost WHERE { ?x ex:p ?n }")
         .unwrap();
@@ -570,7 +570,7 @@ fn projection_of_never_bound_variable() {
 
 #[test]
 fn select_star_projection() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b ."#);
     let r = e.execute("SELECT * WHERE { ?s ?p ?o }").unwrap();
     let s = r.solutions().unwrap();
     assert_eq!(s.vars.len(), 3);
@@ -580,7 +580,7 @@ fn select_star_projection() {
 #[test]
 fn translated_programs_are_warded() {
     use sparqlog_datalog::check_wardedness;
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     for q in [
         "SELECT ?s WHERE { ?s ?p ?o . ?o ?q ?z }",
         "PREFIX ex: <http://ex.org/> SELECT ?B WHERE { ?A ex:borders+ ?B }",
@@ -590,15 +590,15 @@ fn translated_programs_are_warded() {
         "SELECT DISTINCT ?s WHERE { { ?s ?p ?o } UNION { ?o ?p ?s } }",
     ] {
         let query = sparqlog_sparql::parse_query(q).unwrap();
-        let tq = e.translate(&query).unwrap();
-        let report = check_wardedness(&tq.program, e.symbols());
+        let tq = translate_query(&query, &e.symbols(), "q_").unwrap();
+        let report = check_wardedness(&tq.program, &e.symbols());
         assert!(report.warded, "{q}: {:?}", report.violations);
     }
 }
 
 #[test]
 fn repeated_queries_are_isolated() {
-    let mut e = engine(COUNTRIES);
+    let e = engine(COUNTRIES);
     let q = "PREFIX ex: <http://ex.org/> SELECT ?B WHERE { ex:spain ex:borders* ?B }";
     let a = e.execute(q).unwrap();
     let b = e.execute(q).unwrap();
@@ -607,7 +607,7 @@ fn repeated_queries_are_isolated() {
 
 #[test]
 fn triple_pattern_with_repeated_variable() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:a . ex:a ex:p ex:b ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:a . ex:a ex:p ex:b ."#);
     let r = e
         .execute("PREFIX ex: <http://e/> SELECT ?x WHERE { ?x ex:p ?x }")
         .unwrap();
@@ -616,7 +616,7 @@ fn triple_pattern_with_repeated_variable() {
 
 #[test]
 fn empty_group_pattern() {
-    let mut e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b ."#);
+    let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p ex:b ."#);
     let r = e.execute("SELECT ?x WHERE { }").unwrap();
     let s = r.solutions().unwrap();
     assert_eq!(s.len(), 1, "empty pattern yields the empty mapping");
@@ -626,7 +626,7 @@ fn empty_group_pattern() {
 
 #[test]
 fn string_builtins_in_filters() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:name "Alice" . ex:b ex:name "bob" ."#,
     );
@@ -649,7 +649,7 @@ fn string_builtins_in_filters() {
 
 #[test]
 fn lang_tags_and_langmatches() {
-    let mut e = engine(
+    let e = engine(
         r#"@prefix ex: <http://e/> .
            ex:a ex:label "chat"@fr . ex:a ex:label "cat"@en-US . ex:a ex:label "plain" ."#,
     );
@@ -676,12 +676,12 @@ fn lang_tags_and_langmatches() {
 
 #[test]
 fn facade_thread_plumbing_reaches_the_engine() {
-    // The same query through the façade with 1 and 4 worker threads:
-    // multiset-identical solutions, and the option survives on the engine.
+    // The same query through the store with 1 and 4 worker threads:
+    // multiset-identical solutions, and the option survives on the store.
     let data = r#"@prefix ex: <http://e/> .
         ex:a ex:p ex:b . ex:b ex:p ex:c . ex:c ex:p ex:a ."#;
     let run = |threads: Option<usize>| {
-        let mut e = SparqLog::new();
+        let e = Store::new();
         e.set_threads(threads);
         e.load_turtle(data).unwrap();
         e.execute("PREFIX ex: <http://e/> SELECT ?x ?y WHERE { ?x ex:p+ ?y }")
@@ -695,7 +695,7 @@ fn facade_thread_plumbing_reaches_the_engine() {
     assert_eq!(a.len(), 9, "3-cycle closure is all 9 pairs");
     assert!(a.multiset_eq(b));
 
-    let mut e = SparqLog::new();
+    let e = Store::new();
     e.set_threads(Some(3));
     assert_eq!(e.options().resolved_threads(), 3);
     e.set_threads(None);

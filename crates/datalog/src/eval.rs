@@ -72,35 +72,25 @@ use crate::value::{Const, OrdF64, TermDict, TermId};
 /// Evaluation options.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Wall-clock budget; `None` = unlimited. The gMark experiments use
-    /// this to reproduce the paper's time-outs.
-    pub timeout: Option<Duration>,
-    /// Maximum semi-naive rounds per stratum (a safety net; the default is
-    /// effectively unlimited).
-    pub max_rounds: usize,
     /// Skolem-nesting bound: head tuples containing deeper Skolem terms
     /// are not derived. Substitutes for Vadalog's chase-termination
     /// strategy on cyclic existential rules.
     pub max_skolem_depth: usize,
-    /// Reorder rule bodies in semi-naive delta passes (delta atom first,
-    /// then greedily by bound positions). On by default; the ablation
-    /// bench (`cargo bench --bench ablation`) measures its effect. Only
-    /// consulted for delta occurrences the physical plan (if any) does
-    /// not cover.
-    pub semi_naive_reorder: bool,
     /// Cost-based join planning ([`crate::plan`]): order rule bodies by
     /// estimated probe cardinality from relation statistics instead of
     /// rule-text order. On by default; `false` is the planner-off
-    /// baseline the differential tests compare against. The mutable
-    /// path plans inline only when the program reads at least
-    /// [`PLAN_MIN_ROWS`] rows — below that the statistics pass costs
-    /// more than any join order saves.
+    /// baseline the differential tests compare against. The evaluator
+    /// itself never plans — it executes the plan handed to
+    /// [`evaluate_frozen_with_plan`]; this flag is read by the caller
+    /// that computes and caches that plan (the serving layer).
     pub plan: bool,
     /// Magic-sets demand transformation ([`crate::magic`]): restrict
     /// recursive predicates whose consumers bind constants (bound-endpoint
-    /// property paths) to the demanded tuples. On by default; never
+    /// property paths) to the demanded tuples, when the measured demand
+    /// prunes ([`crate::magic::demand_prunes`]). On by default; never
     /// applies to programs without `@output` declarations
-    /// (materialisation).
+    /// (materialisation). Like [`EvalOptions::plan`] it is read by the
+    /// caller that chooses the program, not by the evaluator.
     pub magic_sets: bool,
     /// Worker threads for rule/delta evaluation. `None` (the default)
     /// defers to the `SPARQLOG_THREADS` env var, then to
@@ -109,12 +99,9 @@ pub struct EvalOptions {
     pub threads: Option<usize>,
     /// The execution governor ([`crate::govern`]): deadline, derived-row
     /// cap, dictionary-growth cap and external cancellation, checked
-    /// cooperatively at batch granularity throughout the fixpoint (and
-    /// inherited by the magic-sets demand fixpoint). The unlimited
-    /// default costs one branch per check. A governed evaluation that
-    /// crosses a limit fails with [`EvalError::Aborted`]; the legacy
-    /// [`EvalOptions::timeout`] keeps its historical
-    /// [`EvalError::Timeout`].
+    /// cooperatively at batch granularity throughout the fixpoint. The
+    /// unlimited default costs one branch per check. A governed
+    /// evaluation that crosses a limit fails with [`EvalError::Aborted`].
     pub budget: Budget,
     /// Per-query profiling ([`crate::profile`]): record per-rule
     /// timings, per-round delta sizes and index builds into a
@@ -127,10 +114,7 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            timeout: None,
-            max_rounds: usize::MAX,
             max_skolem_depth: 64,
-            semi_naive_reorder: true,
             plan: true,
             magic_sets: true,
             threads: None,
@@ -187,15 +171,11 @@ pub struct EvalStats {
 /// Evaluation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalError {
-    /// The wall-clock budget was exceeded (the paper's "time-out" rows).
-    Timeout,
     /// Cyclic negation/aggregation.
     Stratification(String),
     /// A rule is unsafe (unbound variable in a negated atom, condition or
     /// head at evaluation position).
     Unsafe(String),
-    /// `max_rounds` exceeded.
-    RoundLimit,
     /// The execution governor stopped the evaluation: a [`Budget`]
     /// limit was crossed or its
     /// [`CancelToken`](crate::govern::CancelToken) fired. Carries how
@@ -220,10 +200,8 @@ pub enum EvalError {
 impl std::fmt::Display for EvalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EvalError::Timeout => write!(f, "evaluation timed out"),
             EvalError::Stratification(s) => write!(f, "{s}"),
             EvalError::Unsafe(s) => write!(f, "unsafe rule: {s}"),
-            EvalError::RoundLimit => write!(f, "round limit exceeded"),
             EvalError::Aborted {
                 reason,
                 elapsed,
@@ -245,7 +223,14 @@ impl From<StratifyError> for EvalError {
     }
 }
 
-/// Evaluates `program` against `db` to fixpoint, mutating `db` in place.
+/// Evaluates `program` against `db` to fixpoint, mutating `db` in place —
+/// the materialisation entry (T_D auxiliary rules, ontology rules,
+/// maintenance fallbacks).
+///
+/// The evaluator is a pure executor: it runs `program` as given, in
+/// rule-text body order. Choosing the program (the magic-sets rewrite)
+/// and its physical plan is the caller's job, done once per query by the
+/// serving layer and handed to [`evaluate_frozen_with_plan`].
 ///
 /// With an effective thread count above one ([`EvalOptions::threads`] /
 /// `SPARQLOG_THREADS` / available parallelism) the semi-naive passes run
@@ -256,112 +241,7 @@ pub fn evaluate(
     db: &mut Database,
     options: &EvalOptions,
 ) -> Result<EvalStats, EvalError> {
-    evaluate_with_plan(program, db, options, None)
-}
-
-/// [`evaluate`] with an explicit physical plan. `Some(plan)` means the
-/// caller already planned (and, if enabled, magic-rewrote) the program —
-/// the serving layer's plan-cache hit path, which must perform zero
-/// planning work here. `None` plans inline when [`EvalOptions::plan`] is
-/// set and applies the magic-sets rewrite when [`EvalOptions::magic_sets`]
-/// is set.
-pub fn evaluate_with_plan(
-    program: &Program,
-    db: &mut Database,
-    options: &EvalOptions,
-    plan: Option<&crate::plan::ProgramPlan>,
-) -> Result<EvalStats, EvalError> {
-    // Arm the governor's clock once, at the outermost entry: a relative
-    // timeout becomes an absolute deadline shared by everything this call
-    // runs — including the magic-sets demand fixpoint below, whose
-    // sub-options clone the (already-armed) budget and therefore cannot
-    // restart the clock.
-    let armed_options;
-    let options = if options.budget.needs_arming() {
-        armed_options = EvalOptions {
-            budget: options.budget.armed(),
-            ..options.clone()
-        };
-        &armed_options
-    } else {
-        options
-    };
-    // A supplied plan is always for the program as handed to us; the
-    // rewrite only runs when we are planning (or running unplanned)
-    // locally. Whether the rewrite pays off depends on the data, not the
-    // program — so the demand fixpoint (cheap, linear in the demanded
-    // subgraph) is evaluated first, into `db` itself, and the rewrite is
-    // kept only when the measured demand sets actually prune
-    // ([`crate::magic::demand_prunes`]). When it is kept, the demand
-    // rules and magic seeds are stripped from the program that runs
-    // ([`MagicRewrite::without_demand`](crate::magic::MagicRewrite::without_demand)):
-    // the measurement already saturated those relations in `db`, so the
-    // main evaluation reuses its derivations instead of re-staging every
-    // demand fact into the dedup probe. The keep/demote decision stays a
-    // pure function of program and data, so every evaluation path —
-    // mutable, frozen overlay, or the serving layer's plan cache, which
-    // runs the same measurement — materialises the same relations.
-    let rewritten;
-    let program = if plan.is_none() && options.magic_sets {
-        match crate::magic::magic_sets_rewrite_analyzed(program, db.symbols()) {
-            Some(rw) => {
-                let measured = match crate::magic::demand_subprogram(&rw) {
-                    Some(sub) => {
-                        let sub_options = EvalOptions {
-                            magic_sets: false,
-                            plan: false,
-                            threads: Some(1),
-                            // The caller sees only the main run's stats,
-                            // so a sub-profile would be dropped unseen.
-                            profile: false,
-                            ..options.clone()
-                        };
-                        evaluate_with_plan(&sub, db, &sub_options, None)?;
-                        Some(crate::magic::demand_prunes(&rw, db))
-                    }
-                    // Not measurable in isolation: keep the rewrite.
-                    None => None,
-                };
-                match measured {
-                    // Measured and pruning: the demand fixpoint is
-                    // already saturated in `db`, so run only the guarded
-                    // remainder — re-deriving the demand sets would stage
-                    // (and dedup away) every one of their facts again.
-                    Some(true) => {
-                        rewritten = rw
-                            .without_demand()
-                            .expect("measured rewrite has a demand closure");
-                        &rewritten
-                    }
-                    Some(false) => program,
-                    None => {
-                        rewritten = rw.program;
-                        &rewritten
-                    }
-                }
-            }
-            None => program,
-        }
-    } else {
-        program
-    };
-    let threads = options.resolved_threads();
-    if threads <= 1 {
-        return evaluate_inner(program, db, options, None, plan);
-    }
-    let pool = Pool::new(threads);
-    std::thread::scope(|s| {
-        let handle = PoolHandle {
-            pool: &pool,
-            scope: s,
-            spawned: std::cell::Cell::new(false),
-        };
-        // Shutdown-on-drop: a panic inside `evaluate_inner` (e.g. in a
-        // job claimed by this thread) must still unpark the workers, or
-        // the scope's implicit join deadlocks instead of propagating.
-        let _guard = crate::pool::ShutdownGuard(&pool);
-        evaluate_inner(program, db, options, Some(&handle), plan)
-    })
+    execute(program, db, options, None)
 }
 
 /// Evaluates `program` against a frozen snapshot, collecting all
@@ -382,10 +262,11 @@ pub fn evaluate_frozen(
     evaluate_frozen_with_plan(program, base, options, None)
 }
 
-/// [`evaluate_frozen`] with an explicit physical plan — the serving
-/// layer's entry once its plan cache has a (possibly magic-rewritten)
-/// program and plan for the query. See [`evaluate_with_plan`] for the
-/// `plan` contract.
+/// [`evaluate_frozen`] with a physical plan for `program` — the serving
+/// layer's entry once its plan cache holds the (possibly magic-rewritten)
+/// program and plan for the query. The plan's orders are advice: a plan
+/// whose rule count does not match the program is ignored, and `None`
+/// runs rule-text order.
 pub fn evaluate_frozen_with_plan(
     program: &Program,
     base: &Arc<FrozenDb>,
@@ -393,8 +274,47 @@ pub fn evaluate_frozen_with_plan(
     plan: Option<&crate::plan::ProgramPlan>,
 ) -> Result<(Database, EvalStats), EvalError> {
     let mut db = Database::overlay(base.clone());
-    let stats = evaluate_with_plan(program, &mut db, options, plan)?;
+    let stats = execute(program, &mut db, options, plan)?;
     Ok((db, stats))
+}
+
+/// The one fixpoint driver behind every `evaluate*` entry: arms the
+/// budget's clock (a no-op when the caller already armed it, so several
+/// evaluations of one request share one clock) and runs the strata
+/// inline or on a pool.
+fn execute(
+    program: &Program,
+    db: &mut Database,
+    options: &EvalOptions,
+    plan: Option<&crate::plan::ProgramPlan>,
+) -> Result<EvalStats, EvalError> {
+    let armed_options;
+    let options = if options.budget.needs_arming() {
+        armed_options = EvalOptions {
+            budget: options.budget.armed(),
+            ..options.clone()
+        };
+        &armed_options
+    } else {
+        options
+    };
+    let threads = options.resolved_threads();
+    if threads <= 1 {
+        return evaluate_inner(program, db, options, None, plan);
+    }
+    let pool = Pool::new(threads);
+    std::thread::scope(|s| {
+        let handle = PoolHandle {
+            pool: &pool,
+            scope: s,
+            spawned: std::cell::Cell::new(false),
+        };
+        // Shutdown-on-drop: a panic inside `evaluate_inner` (e.g. in a
+        // job claimed by this thread) must still unpark the workers, or
+        // the scope's implicit join deadlocks instead of propagating.
+        let _guard = crate::pool::ShutdownGuard(&pool);
+        evaluate_inner(program, db, options, Some(&handle), plan)
+    })
 }
 
 /// Lazily spawns the worker threads on the first genuinely parallel pass,
@@ -435,45 +355,6 @@ struct Job<'a> {
     delta: Option<(usize, &'a ColumnBatch, usize, usize)>,
 }
 
-/// Row-count floor for inline planning on the mutable path: below this
-/// many total rows read by the program, any join order is already fast
-/// and the per-call statistics pass would be pure overhead on hot point
-/// evaluations. The serving layer plans explicitly from its memoised
-/// snapshot statistics and is not subject to this heuristic.
-pub const PLAN_MIN_ROWS: usize = 4096;
-
-/// Inline planning pays off only when some rule actually joins (bodies
-/// with fewer than two positive atoms have no order freedom worth a
-/// statistics pass) and the program reads at least [`PLAN_MIN_ROWS`]
-/// rows of data for the order to matter.
-fn worth_planning(program: &Program, db: &Database) -> bool {
-    let joins = program.rules.iter().any(|r| {
-        r.body
-            .iter()
-            .filter(|i| matches!(i, BodyItem::Pos(_)))
-            .count()
-            >= 2
-    });
-    if !joins {
-        return false;
-    }
-    let mut preds: Vec<crate::symbols::Sym> = Vec::new();
-    for rule in &program.rules {
-        for item in &rule.body {
-            if let BodyItem::Pos(a) | BodyItem::Neg(a) = item {
-                if !preds.contains(&a.pred) {
-                    preds.push(a.pred);
-                }
-            }
-        }
-    }
-    let rows: usize = preds
-        .into_iter()
-        .map(|p| db.relation(p).map_or(0, |r| r.len()))
-        .sum();
-    rows >= PLAN_MIN_ROWS
-}
-
 fn evaluate_inner(
     program: &Program,
     db: &mut Database,
@@ -497,24 +378,10 @@ fn evaluate_inner(
         }
     }
 
-    // The physical plan: the caller's (plan-cache hit), or computed here
-    // from current relation statistics. A plan whose rule count does not
-    // match the program (stale cache against a different translation) is
-    // ignored rather than trusted.
-    let computed_plan;
-    let plan = match plan {
-        Some(p) if p.rules.len() == program.rules.len() => Some(p),
-        Some(_) => None,
-        None if options.plan && worth_planning(program, db) => {
-            let stats = crate::stats::DbStats::collect_sampled(
-                db.relations(),
-                crate::stats::INLINE_SAMPLE_LIMIT,
-            );
-            computed_plan = crate::plan::plan_program(program, &symbols, &stats).ok();
-            computed_plan.as_ref()
-        }
-        None => None,
-    };
+    // The caller's physical plan. One whose rule count does not match the
+    // program (stale cache against a different translation) is ignored
+    // rather than trusted.
+    let plan = plan.filter(|p| p.rules.len() == program.rules.len());
 
     let strat = stratify(program, &symbols)?;
     let plans: Vec<RulePlan> = program
@@ -546,7 +413,6 @@ fn evaluate_inner(
         symbols: &symbols,
         dict: &dict,
         start,
-        timeout: options.timeout,
         max_skolem_depth: options.max_skolem_depth,
         trace,
         budget: &options.budget,
@@ -591,22 +457,14 @@ fn evaluate_inner(
             let rule = &program.rules[ri];
             for item_idx in rule.positive_occurrences_of(&stratum_preds) {
                 // Order preference: the physical plan's delta variant,
-                // else the delta-first heuristic, else rule-text order
-                // (the delta restriction itself comes from the job, not
-                // the order).
-                let order: Option<Vec<usize>> = plan
+                // else the delta-first heuristic, with rule-text order as
+                // the fallback should either fail to compile (the delta
+                // restriction itself comes from the job, not the order).
+                let order: Vec<usize> = plan
                     .and_then(|p| p.delta.get(&(ri, item_idx)))
-                    .map(|ro| ro.order.clone())
-                    .or_else(|| {
-                        options
-                            .semi_naive_reorder
-                            .then(|| delta_order(rule, item_idx))
-                    });
-                let compiled = match order {
-                    Some(o) => compile_rule(ri, rule, &symbols, &dict, Some(&o))
-                        .or_else(|_| compile_rule(ri, rule, &symbols, &dict, None)),
-                    None => compile_rule(ri, rule, &symbols, &dict, None),
-                }?;
+                    .map_or_else(|| delta_order(rule, item_idx), |ro| ro.order.clone());
+                let compiled = compile_rule(ri, rule, &symbols, &dict, Some(&order))
+                    .or_else(|_| compile_rule(ri, rule, &symbols, &dict, None))?;
                 delta_plans.insert((ri, item_idx), compiled);
             }
         }
@@ -708,9 +566,6 @@ fn evaluate_inner(
         while delta.values().any(|b| !b.is_empty()) {
             rounds += 1;
             stats.rounds += 1;
-            if rounds > options.max_rounds {
-                return Err(EvalError::RoundLimit);
-            }
             ctx.check()?;
 
             let mut jobs: Vec<Job<'_>> = Vec::new();
@@ -1328,7 +1183,6 @@ struct Ctx<'a> {
     symbols: &'a SymbolTable,
     dict: &'a TermDict,
     start: Instant,
-    timeout: Option<Duration>,
     max_skolem_depth: usize,
     /// `SPARQLOG_TRACE` level (0 = off), read once per evaluation.
     trace: u8,
@@ -1354,15 +1208,9 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// The periodic cooperative check, called at batch granularity (every
-    /// ~4096 join ticks, each round, each merge): legacy timeout first,
-    /// then — only when a budget is armed — cancellation, deadline,
-    /// dictionary growth and the row cap.
+    /// ~4096 join ticks, each round, each merge): only when a budget is
+    /// armed — cancellation, deadline, dictionary growth and the row cap.
     fn check(&self) -> Result<(), EvalError> {
-        if let Some(t) = self.timeout {
-            if self.start.elapsed() > t {
-                return Err(EvalError::Timeout);
-            }
-        }
         if !self.governed {
             return Ok(());
         }
@@ -1621,7 +1469,7 @@ fn eval_delta_probe(
             for &i in bucket {
                 // Tick per bucket element, matching the general join's
                 // per-call granularity: a huge bucket must still hit the
-                // timeout check every 4096 emissions.
+                // budget check every 4096 emissions.
                 *ticks += 1;
                 if *ticks & 0xFFF == 0 {
                     if let Err(e) = ctx.check() {

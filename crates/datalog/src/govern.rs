@@ -236,10 +236,12 @@ impl Budget {
     }
 
     /// Fixes the relative timeout into an absolute deadline as of now.
-    /// Idempotent: an already-armed budget (e.g. the outer evaluation's,
-    /// inherited by the magic-sets demand fixpoint) keeps its deadline, so
-    /// nested evaluations share one clock.
-    pub(crate) fn armed(&self) -> Budget {
+    /// Every evaluation arms its budget on entry; a caller that runs
+    /// several evaluations for one request (a query's magic-sets demand
+    /// measurement, then its main fixpoint) arms once up front so they
+    /// share one clock. Idempotent: an already-armed budget keeps its
+    /// deadline.
+    pub fn armed(&self) -> Budget {
         let mut b = self.clone();
         if b.deadline.is_none() {
             b.deadline = b.timeout.map(|t| Instant::now() + t);
@@ -275,7 +277,8 @@ mod tests {
         let armed = b.armed();
         assert!(!armed.needs_arming());
         let deadline = armed.deadline().unwrap();
-        // Re-arming (the nested demand-fixpoint path) keeps the deadline.
+        // Re-arming (an evaluation entry under a pre-armed budget) keeps
+        // the deadline.
         assert_eq!(armed.armed().deadline(), Some(deadline));
     }
 

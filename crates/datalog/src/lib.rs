@@ -76,8 +76,8 @@ pub mod wardedness;
 pub use database::{row_hash, ColumnBatch, Database, Mask, Matches, Relation, Staging};
 pub use delta::{retract, stage_deletion, MaintainError, Retraction};
 pub use eval::{
-    collect_output, evaluate, evaluate_frozen, evaluate_frozen_with_plan, evaluate_with_plan,
-    order_cmp, EvalError, EvalOptions, EvalStats, PLAN_MIN_ROWS,
+    collect_output, evaluate, evaluate_frozen, evaluate_frozen_with_plan, order_cmp, EvalError,
+    EvalOptions, EvalStats,
 };
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use frozen::{FrozenDb, FULL_INDEX_MAX_ARITY};

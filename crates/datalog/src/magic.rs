@@ -96,30 +96,6 @@ pub struct MagicRewrite {
     demand_sources: Vec<(Sym, usize)>,
 }
 
-impl MagicRewrite {
-    /// The kept rewrite with the demand machinery stripped: every rule
-    /// the [`demand_subprogram`] measurement already fixpointed (the
-    /// demand rules and their transitive support rules) and every fact it
-    /// already loaded (the magic seeds) are removed, leaving only the
-    /// guarded rules to run. Callers that evaluated the demand
-    /// subprogram *into the same database* use this instead of
-    /// [`MagicRewrite::program`], so the main evaluation reads the
-    /// measured demand sets as plain EDB relations rather than
-    /// re-deriving (and re-dedup-probing) every one of their facts.
-    ///
-    /// `None` exactly when [`demand_subprogram`] is `None` — without a
-    /// measurable demand closure there is nothing already derived to
-    /// reuse.
-    pub fn without_demand(&self) -> Option<Program> {
-        let (covered, needed) = demand_closure(self)?;
-        let mut main = self.program.clone();
-        let mut covered_iter = covered.into_iter();
-        main.rules.retain(|_| !covered_iter.next().unwrap());
-        main.facts.retain(|(p, _)| !needed.contains(p));
-        Some(main)
-    }
-}
-
 /// [`magic_sets_rewrite`] with the analysis metadata attached.
 pub fn magic_sets_rewrite_analyzed(
     program: &Program,
@@ -377,27 +353,12 @@ pub fn magic_sets_rewrite_analyzed(
 /// residue is pure dedup.
 ///
 /// Returns `None` when the closure is not self-contained: it reads a
-/// guarded predicate (the measurement would underestimate demand) or
+/// guarded predicate (the measurement would underestimate demand),
 /// contains an existential rule (its labelled nulls make re-derivation
-/// more than a dedup). Callers then skip the measurement and keep the
-/// rewrite.
+/// more than a dedup) or carries a `@post` directive on a support
+/// predicate (a truncation, say). Callers then skip the measurement and
+/// keep the rewrite.
 pub fn demand_subprogram(rw: &MagicRewrite) -> Option<Program> {
-    let (keep, needed) = demand_closure(rw)?;
-    let mut sub = rw.program.clone();
-    let mut keep_iter = keep.into_iter();
-    sub.rules.retain(|_| keep_iter.next().unwrap());
-    sub.facts.retain(|(p, _)| needed.contains(p));
-    sub.outputs = rw.magic_preds.clone();
-    sub.post.clear();
-    Some(sub)
-}
-
-/// The demanded-support closure behind [`demand_subprogram`] /
-/// [`MagicRewrite::without_demand`]: which rules (by index) and which
-/// predicates the demand fixpoint covers. `None` under exactly the
-/// conditions `demand_subprogram` documents (guarded read, existential
-/// rule, `@post` on a support predicate).
-fn demand_closure(rw: &MagicRewrite) -> Option<(Vec<bool>, FxHashSet<Sym>)> {
     let guarded: FxHashSet<Sym> = rw.guarded.iter().copied().collect();
     let mut needed: FxHashSet<Sym> = rw.magic_preds.iter().copied().collect();
     let mut frontier: Vec<Sym> = rw.magic_preds.clone();
@@ -423,12 +384,16 @@ fn demand_closure(rw: &MagicRewrite) -> Option<(Vec<bool>, FxHashSet<Sym>)> {
             }
         }
     }
-    // A `@post` directive on a support predicate would make the
-    // measurement more than a pure dedup too (e.g. a truncation).
     if rw.program.post.iter().any(|(p, _)| needed.contains(p)) {
         return None;
     }
-    Some((keep, needed))
+    let mut sub = rw.program.clone();
+    let mut keep_iter = keep.into_iter();
+    sub.rules.retain(|_| keep_iter.next().unwrap());
+    sub.facts.retain(|(p, _)| needed.contains(p));
+    sub.outputs = rw.magic_preds.clone();
+    sub.post.clear();
+    Some(sub)
 }
 
 /// Judges a saturated demand fixpoint: `db` holds the evaluated
@@ -475,12 +440,8 @@ mod tests {
         db
     }
 
-    /// Options that neither re-apply the rewrite nor replan, so the test
-    /// compares exactly the programs it built.
     fn raw_options() -> EvalOptions {
         EvalOptions {
-            magic_sets: false,
-            plan: false,
             threads: Some(1),
             ..Default::default()
         }
@@ -590,55 +551,6 @@ mod tests {
         )
         .unwrap();
         assert!(magic_sets_rewrite(&prog, &t).is_none());
-    }
-
-    /// Satellite of the measured demotion: once the demand fixpoint has
-    /// been evaluated into the database, the kept rewrite should run
-    /// *without* its demand rules and magic seeds — re-deriving them
-    /// stages every demand fact into the dedup probe for nothing. The
-    /// `staged` counter is the witness.
-    #[test]
-    fn without_demand_reuses_the_measured_fixpoint() {
-        // Two identical worlds: both evaluate the demand subprogram
-        // first (as the measured-demotion path does), then one runs the
-        // full rewrite and the other the stripped remainder.
-        let run = |strip: bool| {
-            let mut db = chain_db(100);
-            let prog = parse_program(TC_SRC, db.symbols()).unwrap();
-            let rw = magic_sets_rewrite_analyzed(&prog, db.symbols()).expect("tc qualifies");
-            let sub = demand_subprogram(&rw).expect("self-contained closure");
-            evaluate(&sub, &mut db, &raw_options()).unwrap();
-            assert!(demand_prunes(&rw, &db), "chain demand stays selective");
-            let main = if strip {
-                rw.without_demand().expect("measurable closure")
-            } else {
-                rw.program.clone()
-            };
-            let stats = evaluate(&main, &mut db, &raw_options()).unwrap();
-            let out = db.symbols().get("out").unwrap();
-            let mut rows: Vec<Vec<Const>> = db
-                .relation(out)
-                .unwrap()
-                .iter()
-                .map(|t| db.decode_tuple(t))
-                .collect();
-            rows.sort();
-            (rows, stats)
-        };
-        let (rows_full, stats_full) = run(false);
-        let (rows_stripped, stats_stripped) = run(true);
-        assert_eq!(rows_full, rows_stripped, "same answers either way");
-        assert_eq!(rows_full.len(), 10, "nodes 91..=100 reachable from 90");
-        assert!(
-            stats_stripped.staged < stats_full.staged,
-            "stripped rewrite must not re-stage the demand facts: \
-             {} staged vs {} with demand rules kept",
-            stats_stripped.staged,
-            stats_full.staged
-        );
-        // Nothing the demand fixpoint derived is derived again: every
-        // derivation of the stripped run is a genuinely new guarded fact.
-        assert_eq!(stats_stripped.derived, stats_full.derived);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A dependency-free scoped worker pool shared by the evaluator's
-//! intra-query parallelism (PR 2) and the façade's inter-query batch
+//! intra-query parallelism and the serving layer's inter-query batch
 //! fan-out.
 //!
 //! The pool is a set of persistent threads parked on a condvar. Each
@@ -14,7 +14,7 @@
 //! unwinding through the pool: the worker thread survives and keeps
 //! claiming jobs, the pass drains normally, and the caller decides what a
 //! poisoned job means (the evaluator converts it to
-//! [`EvalError::Internal`](crate::EvalError::Internal); the batch façade
+//! [`EvalError::Internal`](crate::EvalError::Internal); the batch driver
 //! fails that one query and keeps its siblings). This is what
 //! distinguishes "job panicked" from "scope cancelled": only pool
 //! *shutdown* tears threads down, never a job failure.

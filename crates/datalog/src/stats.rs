@@ -30,14 +30,6 @@ use crate::symbols::Sym;
 /// statistics collection on large stores.
 pub const SAMPLE_LIMIT: usize = 1 << 16;
 
-/// Sample cap for the mutable path's inline planning pass
-/// ([`EvalOptions::plan`](crate::eval::EvalOptions::plan) with no
-/// caller-supplied plan). Greedy join ordering only needs coarse
-/// distinct estimates, so the per-call statistics pass is bounded far
-/// more tightly than the once-per-snapshot collection memoised behind
-/// [`FrozenDb::stats`](crate::frozen::FrozenDb::stats).
-pub const INLINE_SAMPLE_LIMIT: usize = 512;
-
 /// Row count assumed for predicates without statistics (typically
 /// intermediate IDB predicates that are still empty at planning time).
 pub const UNKNOWN_ROWS: f64 = 1024.0;
@@ -76,17 +68,10 @@ impl RelStats {
     /// Collects statistics for one relation in a single pass over its
     /// flat rows (strided sampling above [`SAMPLE_LIMIT`] rows).
     pub fn collect(rel: &Relation) -> RelStats {
-        RelStats::collect_sampled(rel, SAMPLE_LIMIT)
-    }
-
-    /// [`RelStats::collect`] with an explicit sample cap: at most
-    /// `sample_limit` evenly strided rows contribute to the distinct
-    /// estimates (the row count is always exact).
-    pub fn collect_sampled(rel: &Relation, sample_limit: usize) -> RelStats {
         let arity = rel.arity();
         let rows = rel.len();
         let mut sets: Vec<FxHashSet<u64>> = vec![FxHashSet::default(); arity];
-        let stride = rows.div_ceil(sample_limit.max(1)).max(1);
+        let stride = rows.div_ceil(SAMPLE_LIMIT).max(1);
         let mut sampled = 0usize;
         let mut i = 0usize;
         while i < rows {
@@ -149,20 +134,8 @@ pub struct DbStats {
 impl DbStats {
     /// Collects statistics over `(predicate, relation)` pairs.
     pub fn collect<'a>(rels: impl Iterator<Item = (Sym, &'a Relation)>) -> DbStats {
-        DbStats::collect_sampled(rels, SAMPLE_LIMIT)
-    }
-
-    /// [`DbStats::collect`] with an explicit per-relation sample cap —
-    /// the mutable path plans inline with [`INLINE_SAMPLE_LIMIT`] so a
-    /// per-call statistics pass stays cheap on small hot evaluations.
-    pub fn collect_sampled<'a>(
-        rels: impl Iterator<Item = (Sym, &'a Relation)>,
-        sample_limit: usize,
-    ) -> DbStats {
         DbStats {
-            rels: rels
-                .map(|(p, r)| (p, RelStats::collect_sampled(r, sample_limit)))
-                .collect(),
+            rels: rels.map(|(p, r)| (p, RelStats::collect(r))).collect(),
         }
     }
 

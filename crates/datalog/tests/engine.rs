@@ -4,7 +4,8 @@ use std::time::Duration;
 
 use sparqlog_datalog::parser::parse_program;
 use sparqlog_datalog::{
-    check_wardedness, collect_output, evaluate, Database, EvalError, EvalOptions,
+    check_wardedness, collect_output, evaluate, AbortReason, Budget, Database, EvalError,
+    EvalOptions,
 };
 
 fn run(src: &str) -> (Database, sparqlog_datalog::Program) {
@@ -232,11 +233,20 @@ fn timeout_fires_on_explosive_join() {
     src.push_str("pair(X, Y) :- n(X), n(Y).\nbig(X,Y,Z) :- pair(X,Y), n(Z).\n@output(\"big\").\n");
     let prog = parse_program(&src, db.symbols()).unwrap();
     let opts = EvalOptions {
-        timeout: Some(Duration::from_millis(50)),
+        budget: Budget::new().with_timeout(Duration::from_millis(50)),
         ..Default::default()
     };
     let err = evaluate(&prog, &mut db, &opts).unwrap_err();
-    assert_eq!(err, EvalError::Timeout);
+    assert!(
+        matches!(
+            err,
+            EvalError::Aborted {
+                reason: AbortReason::Deadline,
+                ..
+            }
+        ),
+        "expected a deadline abort, got {err:?}"
+    );
 }
 
 #[test]
@@ -488,12 +498,21 @@ fn parallel_timeout_still_fires() {
     src.push_str("pair(X, Y) :- n(X), n(Y).\nbig(X,Y,Z) :- pair(X,Y), n(Z).\n@output(\"big\").\n");
     let prog = parse_program(&src, db.symbols()).unwrap();
     let opts = EvalOptions {
-        timeout: Some(Duration::from_millis(50)),
         threads: Some(4),
+        budget: Budget::new().with_timeout(Duration::from_millis(50)),
         ..Default::default()
     };
     let err = evaluate(&prog, &mut db, &opts).unwrap_err();
-    assert_eq!(err, EvalError::Timeout);
+    assert!(
+        matches!(
+            err,
+            EvalError::Aborted {
+                reason: AbortReason::Deadline,
+                ..
+            }
+        ),
+        "expected a deadline abort, got {err:?}"
+    );
 }
 
 #[test]

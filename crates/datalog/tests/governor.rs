@@ -206,46 +206,3 @@ fn idle_governor_changes_nothing() {
         eval_tc(60, &EvalOptions::default()).unwrap()
     );
 }
-
-/// The deadline also governs the magic-sets path (including its nested
-/// demand-measurement fixpoint, which inherits the already-armed budget
-/// rather than restarting the clock).
-#[test]
-fn deadline_governs_magic_sets_path() {
-    let mut db = Database::new();
-    let mut src = String::new();
-    for i in 0..300 {
-        src.push_str(&format!("edge(\"n{i}\", \"n{}\").\n", (i + 1) % 300));
-    }
-    src.push_str(concat!(
-        "tc(X, Y) :- edge(X, Y).\n",
-        "tc(X, Z) :- edge(X, Y), tc(Y, Z).\n",
-        "q(Y) :- tc(\"n0\", Y).\n",
-        "@output(\"q\").\n"
-    ));
-    let prog = parse_program(&src, db.symbols()).unwrap();
-    let options = EvalOptions {
-        magic_sets: true,
-        budget: Budget::new().with_timeout(Duration::from_millis(1)),
-        ..Default::default()
-    };
-    let start = Instant::now();
-    match evaluate(&prog, &mut db, &options).unwrap_err() {
-        EvalError::Aborted {
-            reason: AbortReason::Deadline,
-            ..
-        } => assert!(start.elapsed() < Duration::from_millis(50)),
-        other => panic!("expected deadline abort, got {other:?}"),
-    }
-}
-
-/// The legacy `EvalOptions::timeout` keeps its distinct error so existing
-/// callers matching on `EvalError::Timeout` are unaffected.
-#[test]
-fn legacy_timeout_error_is_preserved() {
-    let options = EvalOptions {
-        timeout: Some(Duration::from_millis(1)),
-        ..Default::default()
-    };
-    assert_eq!(eval_tc(300, &options).unwrap_err(), EvalError::Timeout);
-}

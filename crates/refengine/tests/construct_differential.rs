@@ -5,7 +5,7 @@
 //! be exactly the template instantiated over the corresponding SELECT's
 //! solutions).
 
-use sparqlog::{canonical_triples as canonical, QueryResults, SparqLog};
+use sparqlog::{canonical_triples as canonical, QueryResults, Store};
 use sparqlog_rdf::{Dataset, Graph, Term, Triple};
 use sparqlog_refengine::FusekiSim;
 
@@ -25,7 +25,7 @@ fn dataset() -> Dataset {
 }
 
 fn compare_graph(query: &str, threads: usize) {
-    let mut sl = SparqLog::new();
+    let sl = Store::new();
     sl.set_threads(Some(threads));
     sl.load_dataset(&dataset()).unwrap();
     let fu = FusekiSim::new(dataset());
@@ -99,7 +99,7 @@ fn construct_agrees_with_template_over_select() {
     ];
     for threads in [1usize, 4] {
         for (construct, select, template) in cases {
-            let mut sl = SparqLog::new();
+            let sl = Store::new();
             sl.set_threads(Some(threads));
             sl.load_dataset(&dataset()).unwrap();
             let constructed = match sl.execute(construct).unwrap() {

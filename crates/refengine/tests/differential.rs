@@ -4,7 +4,7 @@
 //! empirical evaluation + formal analysis; §6.2: "each time when both
 //! Fuseki and SparqLog returned a result, the results were equal").
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{QueryResults, Store};
 use sparqlog_rdf::{Dataset, Graph, Term, Triple};
 use sparqlog_refengine::FusekiSim;
 
@@ -23,7 +23,7 @@ fn dataset() -> Dataset {
 }
 
 fn compare(query: &str) {
-    let mut sl = SparqLog::new();
+    let sl = Store::new();
     sl.load_dataset(&dataset()).unwrap();
     let fu = FusekiSim::new(dataset());
 
@@ -100,7 +100,7 @@ fn fixed_query_battery() {
 #[test]
 fn ordered_results_agree_in_order() {
     // With a total order (distinct names), the *sequences* must match.
-    let mut sl = SparqLog::new();
+    let sl = Store::new();
     sl.load_dataset(&dataset()).unwrap();
     let fu = FusekiSim::new(dataset());
     let q = "PREFIX ex: <http://e/> SELECT ?n WHERE { ?s ex:name ?n } ORDER BY ?n";
@@ -188,7 +188,7 @@ fn datalog_and_direct_routes_agree() {
         let qi = rng.range(0, 16) as usize;
         let query = query_template(qi);
         let ds = Dataset::from_default_graph(g);
-        let mut sl = SparqLog::new();
+        let sl = Store::new();
         sl.load_dataset(&ds).unwrap();
         let fu = FusekiSim::new(ds);
         let a = sl.execute(&query).unwrap();
@@ -212,9 +212,9 @@ fn datalog_and_direct_routes_agree() {
 }
 
 /// Parallel evaluation must be observably identical to sequential
-/// evaluation: for every random graph/query pair, a SparqLog engine
-/// pinned to `SPARQLOG_THREADS`-style worker counts of 2, 4 and 8 must
-/// produce multiset-identical solutions to the single-threaded engine
+/// evaluation: for every random graph/query pair, a store pinned to
+/// `SPARQLOG_THREADS`-style worker counts of 2, 4 and 8 must produce
+/// multiset-identical solutions to a single-threaded store
 /// (thread counts are pinned via `EvalOptions::threads`, not the env
 /// var, so this test is immune to the ambient configuration).
 #[test]
@@ -226,7 +226,7 @@ fn parallel_evaluation_matches_sequential_on_random_battery() {
             threads: Some(threads),
             ..Default::default()
         };
-        let mut sl = SparqLog::with_options(opts);
+        let sl = Store::with_options(opts);
         sl.load_dataset(ds).unwrap();
         sl
     };
@@ -237,10 +237,10 @@ fn parallel_evaluation_matches_sequential_on_random_battery() {
         let qi = rng.range(0, 16) as usize;
         let query = query_template(qi);
         let ds = Dataset::from_default_graph(g);
-        let mut sequential = engine_with_threads(&ds, 1);
+        let sequential = engine_with_threads(&ds, 1);
         let reference = sequential.execute(&query).unwrap();
         for threads in [2usize, 4, 8] {
-            let mut parallel = engine_with_threads(&ds, threads);
+            let parallel = engine_with_threads(&ds, threads);
             let got = parallel.execute(&query).unwrap();
             match (&reference, &got) {
                 (QueryResults::Boolean(x), QueryResults::Boolean(y)) => {
@@ -297,7 +297,7 @@ fn stardog_sim_reasons() {
     assert_eq!(r.len(), 2, "a and b are inferred Agents");
 
     // SparqLog with the same ontology agrees.
-    let mut sl = SparqLog::new();
+    let sl = Store::new();
     sl.load_dataset(&dataset()).unwrap();
     sl.add_ontology(&onto).unwrap();
     let r2 = sl

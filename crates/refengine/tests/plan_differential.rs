@@ -1,8 +1,9 @@
 //! Differential testing of the physical planner: every query runs
-//! under all four optimiser configurations — cost-based planning on/off
-//! × magic-sets rewrite on/off — at evaluator thread counts 1 and 4,
-//! and each result is checked against both the unoptimised SparqLog
-//! evaluation *and* FusekiSim's independent direct implementation.
+//! through the store under all four optimiser configurations —
+//! cost-based planning on/off × magic-sets rewrite on/off — at evaluator
+//! thread counts 1 and 4, and each result is checked against both the
+//! unoptimised evaluation *and* FusekiSim's independent direct
+//! implementation.
 //!
 //! The planner's contract is that plans are advice: a reordered body or
 //! a demand-restricted fixpoint may change the work performed but never
@@ -10,7 +11,7 @@
 //! contract for the filter-equality rewrite every translated program
 //! passes through, on a fixture built from the terms its `=` tells apart.
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{QueryResults, Store};
 use sparqlog_datalog::EvalOptions;
 use sparqlog_rdf::Dataset;
 use sparqlog_refengine::FusekiSim;
@@ -125,15 +126,15 @@ fn dataset(data: &str) -> Dataset {
     Dataset::from_default_graph(sparqlog_rdf::turtle::parse(data).unwrap())
 }
 
-fn engine(data: &str, plan: bool, magic_sets: bool, threads: usize) -> SparqLog {
-    let mut sl = SparqLog::with_options(EvalOptions {
+fn engine(data: &str, plan: bool, magic_sets: bool, threads: usize) -> Store {
+    let store = Store::with_options(EvalOptions {
         plan,
         magic_sets,
         threads: Some(threads),
         ..Default::default()
     });
-    sl.load_dataset(&dataset(data)).unwrap();
-    sl
+    store.load_dataset(&dataset(data)).unwrap();
+    store
 }
 
 fn assert_same(a: &QueryResults, b: &QueryResults, ctx: &str) {
@@ -152,12 +153,13 @@ fn assert_same(a: &QueryResults, b: &QueryResults, ctx: &str) {
 
 /// Runs every query under all four optimiser configurations at 1 and 4
 /// threads, checking each against the unoptimised run and that against
-/// FusekiSim.
+/// FusekiSim — and that the optimised configurations really computed
+/// plans (the unoptimised one none).
 fn check_configurations(data: &str, queries: &[&str]) {
     let fuseki = FusekiSim::new(dataset(data));
     for threads in [1, 4] {
-        let mut baseline = engine(data, false, false, threads);
-        let mut configs = [
+        let baseline = engine(data, false, false, threads);
+        let configs = [
             ("plan", engine(data, true, false, threads)),
             ("magic", engine(data, false, true, threads)),
             ("plan+magic", engine(data, true, true, threads)),
@@ -170,10 +172,19 @@ fn check_configurations(data: &str, queries: &[&str]) {
                 &expected,
                 &format!("baseline vs FusekiSim: {q} (threads {threads})"),
             );
-            for (name, sl) in &mut configs {
-                let got = sl.execute(q).unwrap_or_else(|e| panic!("{name} {q}: {e}"));
+            for (name, store) in &configs {
+                let got = store
+                    .execute(q)
+                    .unwrap_or_else(|e| panic!("{name} {q}: {e}"));
                 assert_same(&expected, &got, &format!("{name}: {q} (threads {threads})"));
             }
+        }
+        assert_eq!(baseline.snapshot().plans_computed(), 0, "baseline planned");
+        for (name, store) in &configs {
+            assert!(
+                store.snapshot().plans_computed() > 0,
+                "{name} (threads {threads}) computed no plan"
+            );
         }
     }
 }
@@ -190,10 +201,8 @@ fn filter_equalities_agree_in_every_optimiser_configuration() {
 
 #[test]
 fn store_level_toggle_is_differential_too() {
-    // The same contract through the Store/Snapshot serving path, where
-    // plans are cached on the translation: flipping the options on a
+    // Plans are cached on the translation: flipping the options on a
     // live store must not change any answer.
-    use sparqlog::Store;
     let planned = Store::with_options(EvalOptions {
         threads: Some(1),
         ..Default::default()
@@ -237,7 +246,6 @@ fn filter_equalities_agree_on_the_store_serving_path() {
     // The serving path always plans (no row-count floor), so this is
     // where the unfolded rules meet the cost-based planner on a small
     // fixture: planned and unplanned stores against FusekiSim.
-    use sparqlog::Store;
     let fuseki = FusekiSim::new(dataset(EQ_DATA));
     for threads in [1, 4] {
         for (plan, magic_sets) in [(true, true), (true, false), (false, false)] {

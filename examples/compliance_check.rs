@@ -6,7 +6,7 @@
 //! cargo run --example compliance_check
 //! ```
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{QueryResults, Store};
 use sparqlog_rdf::Dataset;
 use sparqlog_refengine::{FusekiSim, VirtuosoSim};
 
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
-    let mut sl = SparqLog::new();
+    let sl = Store::new();
     sl.load_dataset(&dataset)?;
     let fu = FusekiSim::new(dataset.clone());
     let vi = VirtuosoSim::new(dataset);

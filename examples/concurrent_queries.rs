@@ -1,7 +1,6 @@
-//! Concurrent query serving over a frozen snapshot: load once, freeze,
-//! then answer a flood of read-only queries from many threads — the
-//! query-log-shaped workload the mutable single-session engine cannot
-//! serve.
+//! Concurrent query serving over a store snapshot: load once, take a
+//! snapshot, then answer a flood of read-only queries from many threads
+//! — the query-log-shaped workload.
 //!
 //! ```sh
 //! cargo run --example concurrent_queries
@@ -9,10 +8,10 @@
 
 use std::time::Instant;
 
-use sparqlog::SparqLog;
+use sparqlog::Store;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Mutate phase: load a synthetic social graph and materialise.
+    // Load a synthetic social graph (one commit materialises T_D).
     let mut turtle = String::from("@prefix ex: <http://ex.org/> .\n");
     for i in 0..200 {
         turtle.push_str(&format!("ex:p{i} ex:knows ex:p{} .\n", (i + 1) % 200));
@@ -23,15 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             turtle.push_str(&format!("ex:p{i} ex:name \"person {i}\" .\n"));
         }
     }
-    let mut engine = SparqLog::new();
-    engine.load_turtle(&turtle)?;
-    println!(
-        "loaded + materialised: {} facts",
-        engine.database().fact_count()
-    );
+    let store = Store::new();
+    store.load_turtle(&turtle)?;
+    println!("loaded + materialised: {} facts", store.fact_count());
 
-    // Query phase: freeze. From here on everything is `&self`.
-    let frozen = engine.freeze();
+    // Query phase: one snapshot, shared by reference from here on.
+    let frozen = store.snapshot();
 
     // A "query log": a few shapes, many repetitions — the repetitions hit
     // the translation cache and skip the SPARQL→Datalog pipeline.

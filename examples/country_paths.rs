@@ -6,11 +6,11 @@
 //! cargo run --example country_paths
 //! ```
 
-use sparqlog::SparqLog;
+use sparqlog::Store;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut engine = SparqLog::new();
-    engine.load_turtle(
+    let store = Store::new();
+    store.load_turtle(
         r#"
         @prefix ex: <http://ex.org/> .
         ex:spain ex:borders ex:france .
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // Figure 3: one-or-more path.
-    let result = engine.execute(
+    let result = store.execute(
         r#"PREFIX ex: <http://ex.org/>
            SELECT ?B WHERE { ?A ex:borders+ ?B . FILTER (?A = ex:spain) }"#,
     )?;
@@ -34,13 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Zero-or-more includes Spain itself; zero-or-one covers the
     // zero-length edge case the paper fixes over earlier translations.
-    let star = engine.execute(
+    let star = store.execute(
         r#"PREFIX ex: <http://ex.org/>
            SELECT ?B WHERE { ex:spain ex:borders* ?B }"#,
     )?;
     println!("borders*: {} results (includes Spain itself)", star.len());
 
-    let ghost = engine.execute(
+    let ghost = store.execute(
         r#"PREFIX ex: <http://ex.org/>
            SELECT ?B WHERE { ex:atlantis ex:borders? ?B }"#,
     )?;

@@ -5,12 +5,12 @@
 //! cargo run --example film_directors
 //! ```
 
-use sparqlog::SparqLog;
+use sparqlog::{translate_query, Store};
 use sparqlog_sparql::parse_query;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut engine = SparqLog::new();
-    engine.load_turtle(
+    let store = Store::new();
+    store.load_turtle(
         r#"
         @prefix ex: <http://ex.org/> .
         ex:glucas ex:name "George" ;
@@ -28,11 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show the translated Datalog± rules — the analogue of Figure 2.
     let query = parse_query(query_text)?;
-    let translated = engine.translate(&query)?;
+    let symbols = store.symbols();
+    let translated = translate_query(&query, &symbols, "q1_")?;
     println!("--- generated Datalog± program (cf. paper Figure 2) ---");
-    println!("{}", translated.program.display(engine.symbols()));
+    println!("{}", translated.program.display(&symbols));
 
-    let result = engine.execute(query_text)?;
+    let result = store.execute(query_text)?;
     let s = result.solutions().expect("SELECT query");
     println!("--- solutions ---");
     println!("{s}");

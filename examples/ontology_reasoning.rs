@@ -6,11 +6,11 @@
 //! cargo run --example ontology_reasoning
 //! ```
 
-use sparqlog::{Axiom, Ontology, SparqLog};
+use sparqlog::{Axiom, Ontology, Store};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut engine = SparqLog::new();
-    engine.load_turtle(
+    let store = Store::new();
+    store.load_turtle(
         r#"
         @prefix ex: <http://ex.org/> .
         @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
@@ -40,19 +40,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             property: "http://ex.org/hasParent".into(),
             filler: "http://ex.org/Person".into(),
         });
-    engine.add_ontology(&onto)?;
+    store.add_ontology(&onto)?;
 
-    let docs =
-        engine.execute("PREFIX ex: <http://ex.org/> SELECT ?d WHERE { ?d a ex:Document }")?;
+    let docs = store.execute("PREFIX ex: <http://ex.org/> SELECT ?d WHERE { ?d a ex:Document }")?;
     println!("Documents (via subClassOf chain): {}", docs.len());
     assert_eq!(docs.len(), 2);
 
     let refs =
-        engine.execute("PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE { ?x ex:references ?y }")?;
+        store.execute("PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE { ?x ex:references ?y }")?;
     println!("references (via subPropertyOf): {}", refs.len());
     assert_eq!(refs.len(), 1);
 
-    let parents = engine
+    let parents = store
         .execute("PREFIX ex: <http://ex.org/> SELECT ?p WHERE { ex:alice ex:hasParent ?p }")?;
     let parent = parents
         .solutions()

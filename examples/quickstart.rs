@@ -5,11 +5,11 @@
 //! cargo run --example quickstart
 //! ```
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{QueryResults, Store};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut engine = SparqLog::new();
-    engine.load_turtle(
+    let store = Store::new();
+    store.load_turtle(
         r#"
         @prefix ex: <http://ex.org/> .
         ex:tolkien ex:wrote ex:lotr ;
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "#,
     )?;
 
-    let result = engine.execute(
+    let result = store.execute(
         r#"
         PREFIX ex: <http://ex.org/>
         SELECT ?author ?title WHERE {

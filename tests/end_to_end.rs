@@ -3,7 +3,7 @@
 //! extraction, cross-checked against the reference engines and the
 //! BeSEPPI ground truth.
 
-use sparqlog::{QueryResults, SparqLog};
+use sparqlog::{QueryResults, Store};
 use sparqlog_benchdata::{beseppi, feasible, gmark, sp2bench};
 use sparqlog_rdf::Dataset;
 use sparqlog_refengine::{EngineError, FusekiSim, VirtuosoSim};
@@ -16,9 +16,9 @@ fn beseppi_sparqlog_fully_compliant() {
     let dataset = Dataset::from_default_graph(beseppi::graph());
     let mut failures = Vec::new();
     for q in beseppi::queries() {
-        let mut engine = SparqLog::new();
-        engine.load_dataset(&dataset).unwrap();
-        let result = engine.execute(&q.query).unwrap();
+        let store = Store::new();
+        store.load_dataset(&dataset).unwrap();
+        let result = store.execute(&q.query).unwrap();
         let actual: Vec<Vec<sparqlog_rdf::Term>> = match &result {
             QueryResults::Boolean(_) => Vec::new(),
             QueryResults::Solutions(s) => s
@@ -127,7 +127,7 @@ fn sp2bench_cross_engine_agreement() {
     }));
     let fu = FusekiSim::new(dataset.clone());
     for (id, q) in sp2bench::queries() {
-        let mut sl = SparqLog::new();
+        let sl = Store::new();
         sl.load_dataset(&dataset).unwrap();
         let a = sl
             .execute(&q)
@@ -209,7 +209,7 @@ fn product_is_guarded(rule: &sparqlog_datalog::Rule) -> bool {
 /// Counts, not clocks.
 #[test]
 fn sp2bench_q5a_joins_instead_of_filtering_a_product() {
-    use sparqlog::{translate_query, Store};
+    use sparqlog::translate_query;
     use sparqlog_datalog::plan_program;
     use sparqlog_sparql::parse_query;
 
@@ -291,7 +291,7 @@ fn feasible_cross_engine_agreement() {
     });
     let fu = FusekiSim::new(dataset.clone());
     for (id, q) in feasible::queries() {
-        let mut sl = SparqLog::new();
+        let sl = Store::new();
         sl.load_dataset(&dataset).unwrap();
         let a = sl
             .execute(&q)
@@ -332,7 +332,7 @@ fn gmark_agreement_and_virtuoso_refusals() {
         let vi = VirtuosoSim::new(dataset.clone());
         let mut virtuoso_failures = 0usize;
         for (id, q) in gmark::queries(scenario) {
-            let mut sl = SparqLog::new();
+            let sl = Store::new();
             sl.load_dataset(&dataset).unwrap();
             let a = sl
                 .execute(&q)
@@ -378,7 +378,7 @@ fn umbrella_reexports() {
     let _ = sparqlog_suite::rdf::Term::iri("http://x");
     let _ = sparqlog_suite::datalog::Database::new();
     let _ = sparqlog_suite::sparql::parse_query("SELECT * WHERE { ?s ?p ?o }").unwrap();
-    let _ = sparqlog_suite::sparqlog::SparqLog::new();
+    let _ = sparqlog_suite::sparqlog::Store::new();
     let _ = sparqlog_suite::benchdata::beseppi::graph();
 }
 
