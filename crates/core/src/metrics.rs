@@ -67,8 +67,9 @@ pub(crate) struct CoreMetrics {
     pub(crate) rows_removed: Arc<Counter>,
     /// Removal commits handled by the incremental DRed maintainer.
     pub(crate) removals_maintained: Arc<Counter>,
-    /// Removal commits that fell back to full re-derivation.
-    pub(crate) removals_fallback: Arc<Counter>,
+    /// Rows commit maintenance staged, before dedup, deriving the
+    /// consequences of additions (O(delta) but for ontology installs).
+    pub(crate) maintain_rows_staged: Arc<Counter>,
     /// Snapshots re-frozen and installed by commits.
     pub(crate) snapshot_refreshes: Arc<Counter>,
     /// Result deltas delivered to standing-query subscriptions.
@@ -155,9 +156,9 @@ impl CoreMetrics {
                 "sparqlog_store_removals_maintained_total",
                 "Removal commits handled by the incremental DRed maintainer.",
             ),
-            removals_fallback: r.counter(
-                "sparqlog_store_removals_fallback_total",
-                "Removal commits that fell back to full re-derivation.",
+            maintain_rows_staged: r.counter(
+                "sparqlog_store_maintain_rows_staged_total",
+                "Rows commit maintenance staged (before dedup) deriving the consequences of additions.",
             ),
             snapshot_refreshes: r.counter(
                 "sparqlog_store_snapshot_refreshes_total",

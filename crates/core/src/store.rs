@@ -16,7 +16,7 @@
 //!   them atomically on [`Writer::commit`]. The commit *thaws* the
 //!   current frozen snapshot back into a mutable database
 //!   ([`sparqlog_datalog::FrozenDb::thaw`]), applies the delta, brings
-//!   the T_D auxiliary predicates up to date, and re-freezes —
+//!   the derived predicates up to date from it, and re-freezes —
 //!   **incrementally**: per-mask hash indexes of untouched predicates
 //!   are carried through thaw and maintained in place, so a small delta
 //!   never pays the `2^arity - 1` index rebuild of a from-scratch
@@ -70,26 +70,30 @@
 //! keeps serving the pre-commit version (new [`Store::snapshot`] /
 //! [`Store::execute`] calls proceed immediately); with no snapshot
 //! alive it takes the zero-copy path instead — relations are moved, and
-//! readers arriving mid-commit wait for it. Failure (e.g. an evaluation
-//! timeout) is graceful on the copy path — the pre-commit snapshot
-//! stays installed — but poisons the store on the zero-copy path
-//! (subsequent access panics rather than serving half-updated derived
-//! predicates).
+//! readers arriving mid-commit wait for it. No budget governs a commit
+//! (the store's default [`Budget`] is a query policy), so a commit fails
+//! only on an engine fault. Failure is graceful on the copy path — the
+//! pre-commit snapshot stays installed — but poisons the store on the
+//! zero-copy path (subsequent access panics rather than serving
+//! half-updated derived predicates).
 //!
 //! # Ontologies and deletion
 //!
-//! Ontology axioms ([`Store::add_ontology`]) are materialised at commit
-//! time like the engine always did; additions re-derive incrementally
-//! (materialisation is monotone). Deletions run through the DRed-style
-//! maintainer ([`sparqlog_datalog::retract`]): the auxiliary predicates
-//! *and* ontology entailments are retracted exactly when their last
-//! asserted support disappears, in time proportional to the affected
-//! fact set — after every commit the store is multiset-equal to loading
-//! the surviving asserted triples fresh and re-materialising. To tell
-//! assertions from entailments the store keeps an *asserted ledger*
-//! (the explicitly written quads) from the first ontology-bearing
-//! commit on: deletes apply to the ledger, and a triple that is both
-//! asserted and entailed stays visible until its last support is gone.
+//! Ontology axioms ([`Store::add_ontology`]) are materialised by the
+//! commit that installs them — the one commit that runs a full fixpoint.
+//! Every other commit maintains the T_D auxiliary predicates and the
+//! ontology entailments one way, in time proportional to the delta's
+//! consequences: deletions run through the DRed-style maintainer
+//! ([`sparqlog_datalog::retract`]), which retracts a derived fact exactly
+//! when its last asserted support disappears; additions through
+//! [`sparqlog_datalog::extend`], the evaluator's semi-naive loop seeded
+//! with exactly the rows the commit inserted. After every commit the
+//! store is multiset-equal to loading the surviving asserted triples
+//! fresh and re-materialising. To tell assertions from entailments the
+//! store keeps an *asserted ledger* (the explicitly written quads) from
+//! the first ontology install on: deletes apply to the ledger, and a
+//! triple that is both asserted and entailed stays visible until its
+//! last support is gone.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -98,8 +102,9 @@ use std::time::Instant;
 
 use sparqlog_datalog::fxhash::{FxHashMap, FxHashSet};
 use sparqlog_datalog::{
-    evaluate, retract, stage_deletion, Budget, ColumnBatch, Const, Database, DbStats, EvalOptions,
-    FrozenDb, MaintainError, Mask, Program, Relation, Rule, Sym, SymbolTable, TermId,
+    evaluate, extend, retract, stage_row, AtomArg, Budget, ColumnBatch, Const, Database, DbStats,
+    EvalError, EvalOptions, FrozenDb, MaintainError, Mask, Program, Relation, Retraction, Rule,
+    Sym, SymbolTable, TermId,
 };
 use sparqlog_rdf::{Dataset, Graph, Term};
 use sparqlog_sparql::{
@@ -140,7 +145,7 @@ struct StoreState {
     /// the state lock (readers block, never observe it) — or permanently
     /// after such a commit failed ([`POISONED`]).
     frozen: Option<Arc<FrozenDatabase>>,
-    /// Accumulated ontology rules, re-materialised on every commit.
+    /// Accumulated ontology rules, maintained by every commit.
     ontology: Program,
     /// The asserted ledger: the explicitly written quads, tracked
     /// separately from the (entailment-bearing) `triple` relation from
@@ -393,11 +398,11 @@ impl Store {
                             graph: q.graph.clone(),
                         })
                         .collect();
-                    self.apply_locked(&adds, &[], &[])?
+                    self.apply_locked(&adds, &[], &[], None)?
                 }
-                UpdateOperation::DeleteData(quads) => self.apply_locked(&[], quads, &[])?,
+                UpdateOperation::DeleteData(quads) => self.apply_locked(&[], quads, &[], None)?,
                 UpdateOperation::Clear(target) => {
-                    self.apply_locked(&[], &[], std::slice::from_ref(target))?
+                    self.apply_locked(&[], &[], std::slice::from_ref(target), None)?
                 }
                 UpdateOperation::DeleteInsert {
                     delete,
@@ -446,7 +451,7 @@ impl Store {
                 }
             }
         }
-        self.apply_locked(&adds, &removes, &[])
+        self.apply_locked(&adds, &removes, &[], None)
     }
 
     /// Stages and commits a Turtle document into the default graph.
@@ -481,13 +486,7 @@ impl Store {
     /// snapshots taken afterwards see the entailed triples.
     pub fn add_ontology(&self, onto: &Ontology) -> Result<CommitStats, SparqLogError> {
         let _serial = self.commit_lock.lock().unwrap();
-        {
-            let mut state = self.state.write().unwrap();
-            let symbols = state.frozen.as_ref().expect(POISONED).symbols().clone();
-            let prog = onto.to_program(&symbols);
-            state.ontology.rules.extend(prog.rules);
-        }
-        self.apply_locked(&[], &[], &[])
+        self.apply_locked(&[], &[], &[], Some(onto))
     }
 
     /// Total number of facts (triples plus auxiliary and derived
@@ -519,12 +518,12 @@ impl Store {
         self.set_options(options);
     }
 
-    /// Sets the default [`Budget`] every subsequent query (and commit
-    /// materialisation) runs under — the store-wide guard-rail policy.
-    /// Per-call `*_with_budget` entry points override it; snapshots taken
-    /// before this call keep the budget they were taken with. The budget
-    /// is a *policy*: a relative timeout in it is re-armed per query, not
-    /// counted from this call.
+    /// Sets the default [`Budget`] every subsequent query runs under —
+    /// the store-wide guard-rail policy. Per-call `*_with_budget` entry
+    /// points override it; snapshots taken before this call keep the
+    /// budget they were taken with. The budget is a *query* policy: a
+    /// relative timeout in it is re-armed per query, not counted from
+    /// this call, and commits never run under it.
     pub fn set_default_budget(&self, budget: Budget) {
         let mut options = self.options();
         options.budget = budget;
@@ -558,22 +557,23 @@ impl Store {
         clears: &[ClearTarget],
     ) -> Result<CommitStats, SparqLogError> {
         let _serial = self.commit_lock.lock().unwrap();
-        self.apply_locked(adds, removes, clears)
+        self.apply_locked(adds, removes, clears, None)
     }
 
-    /// Applies a staged delta in four phases — [`Store::stage`] →
-    /// [`Commit::maintain`] → [`Store::refreeze`] → [`Store::notify`] —
-    /// each timed into `sparqlog_commit_phase_duration_us`. Caller holds
-    /// the commit lock (which serialises writers). Every phase costs
-    /// O(delta) on the zero-copy path: none of them iterates the
-    /// translation cache or a whole relation (a full fixpoint under an
-    /// ontology, the re-derivation fallback and a hit `CLEAR` excepted —
+    /// Applies a staged delta — and installs `ontology`'s rules, if given
+    /// — in four phases: [`Store::stage`] → [`Commit::maintain`] →
+    /// [`Store::refreeze`] → [`Store::notify`], each timed into
+    /// `sparqlog_commit_phase_duration_us`. Caller holds the commit lock
+    /// (which serialises writers). Every phase costs O(delta) on the
+    /// zero-copy path: none of them iterates the translation cache or a
+    /// whole relation (an ontology install and a hit `CLEAR` excepted —
     /// their deltas are not small).
     fn apply_locked(
         &self,
         adds: &[GroundQuad],
         removes: &[GroundQuad],
         clears: &[ClearTarget],
+        ontology: Option<&Ontology>,
     ) -> Result<CommitStats, SparqLogError> {
         let commit_start = Instant::now();
         // Phase durations in `COMMIT_PHASES` order, back to back: each
@@ -588,7 +588,7 @@ impl Store {
             phase_start = now;
         };
 
-        let mut commit = self.stage(adds, removes, clears);
+        let mut commit = self.stage(adds, removes, clears, ontology);
         end_phase();
         // On failure the mutated copy is dropped with `commit`: the copy
         // path still has the pre-commit snapshot installed and keeps
@@ -613,30 +613,33 @@ impl Store {
             m.rows_added.add(outcome.stats.added as u64);
             m.rows_removed.add(outcome.stats.removed as u64);
             if outcome.stats.removed > 0 {
-                if outcome.maintained {
-                    m.removals_maintained.inc();
-                } else {
-                    m.removals_fallback.inc();
-                }
+                m.removals_maintained.inc();
             }
+            m.maintain_rows_staged.add(outcome.staged as u64);
             m.snapshot_refreshes.inc();
         }
         Ok(outcome.stats)
     }
 
     /// Commit phase 1: reclaim the serving snapshot into a mutable
-    /// database, encode the staged quads and resolve the staged removals
-    /// and clears to the asserted rows they actually hit.
+    /// database, encode the staged quads, resolve the staged removals
+    /// and clears to the asserted rows they actually hit, and compile
+    /// `ontology` (if any) into the rules this commit installs.
     fn stage(
         &self,
         adds: &[GroundQuad],
         removes: &[GroundQuad],
         clears: &[ClearTarget],
+        ontology: Option<&Ontology>,
     ) -> Commit<'_> {
         let mut state = self.state.write().unwrap();
         let options = state.options.clone();
-        let ontology_rules: Vec<Rule> = state.ontology.rules.clone();
         let current = state.frozen.take().expect(POISONED);
+        let new_rules: Vec<Rule> =
+            ontology.map_or_else(Vec::new, |o| o.to_program(current.symbols()).rules);
+        let mut program = base_program(current.symbols());
+        program.rules.extend(state.ontology.rules.iter().cloned());
+        program.rules.extend(new_rules.iter().cloned());
 
         // Reclaim the snapshot. When no snapshot handle is alive the
         // wrapper and then the FrozenDb unwrap uniquely and the
@@ -683,22 +686,14 @@ impl Store {
             literal: symbols.intern(preds::LITERAL),
             bnode: symbols.intern(preds::BNODE),
             named: symbols.intern(preds::NAMED),
-            term: symbols.intern(preds::TERM),
-            comp: symbols.intern(preds::COMP),
-            soo: symbols.intern(preds::SUBJECT_OR_OBJECT),
-            null: symbols.intern(preds::NULL),
             default_graph: dict.encode(&default_graph_const(&symbols)),
         };
 
-        let mut program = base_program(&symbols);
-        let has_ontology = !ontology_rules.is_empty();
-        program.rules.extend(ontology_rules);
-
-        // Start the asserted ledger at the first ontology-bearing
-        // commit: from here on `triple` also carries entailed rows, so
-        // the assertions need their own record for deletes to maintain
-        // against. (At this point `triple` still holds assertions only.)
-        if has_ontology && asserted.is_none() {
+        // Start the asserted ledger at the first ontology install: from
+        // here on `triple` also carries entailed rows, so the assertions
+        // need their own record for deletes to maintain against. (At
+        // this point `triple` still holds assertions only.)
+        if !new_rules.is_empty() && asserted.is_none() {
             asserted = Some(match db.relation(vocab.triple) {
                 Some(rel) => rel.clone_for_write(),
                 None => Relation::new(),
@@ -781,7 +776,7 @@ impl Store {
             prev_stats,
             options,
             program,
-            has_ontology,
+            new_rules,
             vocab,
             add_rows,
             removed_rows,
@@ -820,25 +815,19 @@ impl Store {
         };
         state.frozen = Some(new_frozen.clone());
         state.asserted = new_asserted;
+        state.ontology.rules.extend(commit.new_rules);
         (new_frozen, stats_rescans)
     }
 
     /// Commit phase 4: the snapshot is installed; fan the commit out to
     /// standing queries (still under the commit lock, so deltas are
-    /// stamped and delivered in commit order). A provably empty delta —
-    /// exact bookkeeping, no triple or ledger change — skips the whole
-    /// pass.
+    /// stamped and delivered in commit order). A commit that changed no
+    /// triple and no assertion skips the whole pass.
     fn notify(&self, snapshot: &Arc<FrozenDatabase>, outcome: &Outcome) {
         let commit_seq = self.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let provably_empty = outcome.exact_delta
-            && outcome.changed_preds.is_empty()
-            && outcome.stats == CommitStats::default();
-        if !provably_empty {
-            self.subs.notify(
-                snapshot,
-                outcome.exact_delta.then_some(&outcome.changed_preds),
-                commit_seq,
-            );
+        if !outcome.changed_preds.is_empty() || outcome.stats != CommitStats::default() {
+            self.subs
+                .notify(snapshot, &outcome.changed_preds, commit_seq);
         }
     }
 
@@ -868,10 +857,6 @@ struct Vocab {
     literal: Sym,
     bnode: Sym,
     named: Sym,
-    term: Sym,
-    comp: Sym,
-    soo: Sym,
-    null: Sym,
     /// The default graph's identifier in `triple`'s graph column.
     default_graph: TermId,
 }
@@ -891,9 +876,10 @@ struct Commit<'s> {
     /// The outgoing snapshot's statistics, if collected.
     prev_stats: Option<Arc<DbStats>>,
     options: EvalOptions,
-    /// T_D auxiliary rules plus the ontology's.
+    /// T_D auxiliary rules plus the ontology's, `new_rules` included.
     program: Program,
-    has_ontology: bool,
+    /// Ontology rules [`Store::add_ontology`] installs with this commit.
+    new_rules: Vec<Rule>,
     vocab: Vocab,
     /// The staged additions, encoded (parallel to the staged quads).
     add_rows: Vec<[TermId; 4]>,
@@ -905,65 +891,74 @@ struct Commit<'s> {
 struct Outcome {
     stats: CommitStats,
     /// Subscription prefilter bookkeeping: the predicate ids of every
-    /// `triple` row this commit added or (net) removed.
+    /// `triple` row this commit added or removed, asserted or entailed.
     changed_preds: FxHashSet<TermId>,
-    /// `changed_preds` is exact — true only on the paths that never run
-    /// a full fixpoint; whenever `evaluate` is involved the entailed
-    /// consequences are unknown and every subscriber is re-checked.
-    exact_delta: bool,
-    /// The DRed maintainer handled the removals (as opposed to the full
-    /// re-derivation fallback). Meaningful when `stats.removed > 0`.
-    maintained: bool,
+    /// Rows the forward pass ([`extend`], or [`evaluate`] on an install)
+    /// staged before dedup — the maintenance work of the additions.
+    staged: usize,
 }
 
 impl Commit<'_> {
-    /// Commit phase 2: bring the database up to date with the staged
-    /// delta — DRed for the removals, the additions, then the T_D
-    /// auxiliary predicates (and ontology entailments). `adds` are the
-    /// staged quads `add_rows` encodes.
+    /// Commit phase 2: [`retract`] the removals (DRed), insert the
+    /// additions and [`extend`] from exactly the rows that were new — or
+    /// [`evaluate`] it all when the commit installs rules. Not a query, so
+    /// unbudgeted. `adds` are the staged quads `add_rows` encodes.
     fn maintain(&mut self, adds: &[GroundQuad]) -> Result<Outcome, SparqLogError> {
+        let options = EvalOptions {
+            budget: Budget::default(),
+            ..self.options.clone()
+        };
         let mut outcome = Outcome {
             stats: CommitStats {
                 added: 0,
                 removed: self.removed_rows.len(),
             },
             changed_preds: FxHashSet::default(),
-            exact_delta: true,
-            maintained: false,
+            staged: 0,
         };
-        let has_removals = !self.removed_rows.is_empty();
-        if has_removals {
-            self.maintain_removals(&mut outcome);
+        // Terms whose class fact (`iri`/`literal`/`bnode`) appeared or
+        // disappeared.
+        let mut reclassified: FxHashSet<TermId> = FxHashSet::default();
+        if !self.removed_rows.is_empty() {
+            let retraction = self.retract_removals()?;
+            let removed = |pred| retraction.removed.get(&pred).into_iter().flatten();
+            outcome
+                .changed_preds
+                .extend(removed(self.vocab.triple).map(|row| row[1]));
+            for class in [self.vocab.iri, self.vocab.literal, self.vocab.bnode] {
+                reclassified.extend(removed(class).map(|row| row[0]));
+            }
         }
         let Commit {
             db,
             asserted,
             vocab,
+            program,
             ..
         } = self;
 
         // ------------------------------------------------ additions
-        // Track freshly appearing terms for the fast auxiliary path.
-        // Under an ontology, "fresh" means new to the *ledger*: a triple
-        // that was only entailed so far becomes asserted (and its terms
-        // gain class facts), even though it is already visible.
-        let mut fresh_terms: Vec<TermId> = Vec::new();
-        let mut fresh_triples: Vec<[TermId; 4]> = Vec::new();
-        for (q, &row) in adds.iter().zip(&self.add_rows) {
-            let fresh = match asserted.as_mut() {
-                Some(ledger) => {
-                    let fresh = ledger.insert(&row);
-                    db.relation_mut(vocab.triple).insert(&row);
-                    fresh
-                }
-                None => db.relation_mut(vocab.triple).insert(&row),
+        // Insert the staged quads and their load-time class and named-
+        // graph facts; every row that was not present yet is a seed.
+        // Under an ontology a quad counts as added when it is new to the
+        // *ledger*: a triple that was only entailed so far becomes
+        // asserted (and its terms gain class facts), but its `triple`
+        // row — present, consequences and all — is no seed.
+        let triples_before = db.relation(vocab.triple).map_or(0, Relation::len);
+        let mut seed: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        for (q, row) in adds.iter().zip(&self.add_rows) {
+            let new_row = db.relation_mut(vocab.triple).insert(row);
+            if new_row {
+                stage_row(&mut seed, vocab.triple, row);
+            }
+            let added = match asserted.as_mut() {
+                Some(ledger) => ledger.insert(row),
+                None => new_row,
             };
-            if !fresh {
+            if !added {
                 continue;
             }
             outcome.stats.added += 1;
-            outcome.changed_preds.insert(row[1]);
-            fresh_triples.push(row);
             for (term, id) in [
                 (&q.subject, row[0]),
                 (&q.predicate, row[1]),
@@ -975,84 +970,53 @@ impl Commit<'_> {
                     Term::Literal(_) => vocab.literal,
                 };
                 if db.relation_mut(class).insert(&[id]) {
-                    fresh_terms.push(id);
+                    stage_row(&mut seed, class, &[id]);
+                    reclassified.insert(id);
                 }
             }
-            if q.graph.is_some() {
-                db.relation_mut(vocab.named).insert(&[row[3]]);
+            if q.graph.is_some() && db.relation_mut(vocab.named).insert(&[row[3]]) {
+                stage_row(&mut seed, vocab.named, &[row[3]]);
             }
         }
 
-        // ------------------------------------ auxiliary predicates
-        if has_removals && !outcome.maintained {
-            // Fallback exact re-derivation: take the derived relations
-            // out, re-run the rules from the surviving facts, and swap
-            // the old relation back in wherever the content is unchanged
-            // so its indexes survive.
-            let mut derived: Vec<Sym> = self
-                .program
-                .rules
-                .iter()
-                .map(|r| r.head.pred)
-                .chain(self.program.facts.iter().map(|(p, _)| *p))
-                .filter(|&p| p != vocab.triple)
-                .collect();
-            derived.sort_unstable();
-            derived.dedup();
-            let olds: Vec<(Sym, Relation)> = derived
-                .iter()
-                .filter_map(|&p| db.take_relation(p).map(|r| (p, r)))
-                .collect();
-            let result = evaluate(&self.program, db, &self.options);
-            for (pred, old) in olds {
-                if db.relation(pred).is_some_and(|new| old.content_eq(new)) {
-                    db.set_relation(pred, old);
+        // ------------------------------------- derived predicates
+        let stats = if self.new_rules.is_empty() {
+            extend(program, db, seed, &options).map_err(maintenance_error)?
+        } else {
+            evaluate(program, db, &options)?
+        };
+        outcome.staged = stats.staged;
+
+        // Relations only grew since `triples_before` was read, so the
+        // rows past it are exactly the triples this commit appended.
+        let Some(triples) = db.relation(vocab.triple) else {
+            return Ok(outcome);
+        };
+        outcome
+            .changed_preds
+            .extend((triples_before..triples.len()).map(|i| triples.row(i as u32)[1]));
+        // A term gaining or losing its class fact changes `comp`, and so
+        // the results over every triple mentioning it. Outside the delta
+        // such a triple is entailed, and an entailed triple carries no
+        // term an asserted one does not — but the rules' own constants.
+        for arg in program.rules.iter().flat_map(|rule| &rule.head.args) {
+            let AtomArg::Const(c) = arg else { continue };
+            let term = db.dict().encode(c);
+            if reclassified.contains(&term) {
+                for mask in [0b0001, 0b0100] {
+                    let rows = triples.lookup(mask, &[term]);
+                    let preds = rows.iter().map(|&i| triples.row(i)[1]);
+                    outcome.changed_preds.extend(preds);
                 }
             }
-            result?;
-        } else if !self.has_ontology {
-            // Additions without ontology rules (removals, if any, are
-            // already maintained): the auxiliary rules are non-recursive
-            // over their sources, so their consequences are computed
-            // directly from the delta — O(|delta|), no fixpoint pass
-            // over the full store.
-            let null_id = db.dict().encode(&Const::Null);
-            db.relation_mut(vocab.null).insert(&[null_id]);
-            db.relation_mut(vocab.comp)
-                .insert(&[null_id, null_id, null_id]);
-            for &id in &fresh_terms {
-                if db.relation_mut(vocab.term).insert(&[id]) {
-                    let comp = db.relation_mut(vocab.comp);
-                    comp.insert(&[id, id, id]);
-                    comp.insert(&[id, null_id, id]);
-                    comp.insert(&[null_id, id, id]);
-                }
-            }
-            for row in &fresh_triples {
-                let soo = db.relation_mut(vocab.soo);
-                soo.insert(&[row[0], row[3]]);
-                soo.insert(&[row[2], row[3]]);
-            }
-        } else if !(outcome.maintained && adds.is_empty()) {
-            // Additions with ontology rules (or a fresh ontology
-            // install): materialisation is monotone, so re-running it
-            // only adds the new consequences (existing rows dedup away,
-            // indexes stay maintained). Maintained removals with nothing
-            // added skip it: the DRed pass left the store exactly
-            // fresh-reload-equivalent.
-            outcome.exact_delta = false;
-            evaluate(&self.program, db, &self.options)?;
         }
         Ok(outcome)
     }
 
     /// The removal half of [`Commit::maintain`]: retracts `removed_rows`
-    /// and everything that lived by them through the DRed maintainer
-    /// (`outcome.maintained`), or — for a program shape it does not
-    /// handle — rebuilds `triple` and the load-time class facts from the
-    /// surviving assertions and leaves the derived predicates to the
-    /// re-derivation fallback.
-    fn maintain_removals(&mut self, outcome: &mut Outcome) {
+    /// and everything that lived by them — their terms' load-time class
+    /// and named-graph facts included — through the DRed maintainer.
+    fn retract_removals(&mut self) -> Result<Retraction, SparqLogError> {
         let Commit {
             db,
             asserted,
@@ -1062,14 +1026,12 @@ impl Commit<'_> {
             ..
         } = self;
         let removed_set: FxHashSet<[TermId; 4]> = removed_rows.iter().copied().collect();
-        let removed_vecs: FxHashSet<Vec<TermId>> =
-            removed_rows.iter().map(|r| r.to_vec()).collect();
         // Drop the assertions from the ledger first: the external-
         // support probe below must see the *post*-deletion asserted
         // set, so a deleted assertion no longer supports itself.
         // Targeted removal — the ledger never pays a full rebuild.
         if let Some(ledger) = asserted.as_mut() {
-            ledger.remove_rows(&removed_vecs);
+            ledger.remove_rows(&removed_rows.iter().map(|r| r.to_vec()).collect());
         }
 
         // Stage the deletion seeds: the removed quads themselves,
@@ -1081,7 +1043,7 @@ impl Commit<'_> {
         let mut term_cands: FxHashSet<TermId> = FxHashSet::default();
         let mut graph_cands: FxHashSet<TermId> = FxHashSet::default();
         for row in removed_rows.iter() {
-            stage_deletion(&mut deleted, vocab.triple, row);
+            stage_row(&mut deleted, vocab.triple, row);
             term_cands.extend(row[..3].iter().copied());
             if row[3] != vocab.default_graph {
                 graph_cands.insert(row[3]);
@@ -1108,7 +1070,7 @@ impl Commit<'_> {
                 }
                 for class in [vocab.iri, vocab.literal, vocab.bnode] {
                     if db.relation(class).is_some_and(|r| r.contains(&[t])) {
-                        stage_deletion(&mut deleted, class, &[t]);
+                        stage_row(&mut deleted, class, &[t]);
                         break;
                     }
                 }
@@ -1117,7 +1079,7 @@ impl Commit<'_> {
                 if !survives(0b1000, &[g])
                     && db.relation(vocab.named).is_some_and(|r| r.contains(&[g]))
                 {
-                    stage_deletion(&mut deleted, vocab.named, &[g]);
+                    stage_row(&mut deleted, vocab.named, &[g]);
                 }
             }
         }
@@ -1129,76 +1091,16 @@ impl Commit<'_> {
         let support = |pred: Sym, row: &[TermId]| {
             pred == triple_p && asserted.as_ref().is_some_and(|l| l.contains(row))
         };
-        match retract(program, db, &deleted, &support) {
-            Ok(retraction) => {
-                outcome.maintained = true;
-                if let Some(rows) = retraction.removed.get(&vocab.triple) {
-                    outcome.changed_preds.extend(rows.iter().map(|r| r[1]));
-                }
-            }
-            Err(MaintainError::Unsupported(_)) => {
-                outcome.exact_delta = false;
-                // The program has a shape the maintainer does not
-                // handle: fall back to rebuilding `triple` from the
-                // assertions and re-deriving everything in `maintain`.
-                match asserted.as_ref() {
-                    Some(ledger) => {
-                        adopt(db, vocab.triple, ledger.clone_for_write());
-                    }
-                    None => {
-                        db.relation_mut(vocab.triple).remove_rows(&removed_vecs);
-                    }
-                }
-                // Refilter the load-time class and named-graph facts
-                // against the surviving assertions (membership in
-                // the old class relation is the classifier, so a
-                // term without a class fact can never gain one).
-                let mut new_iri = Relation::new();
-                let mut new_literal = Relation::new();
-                let mut new_bnode = Relation::new();
-                let mut new_named = Relation::new();
-                if let Some(rel) = db.relation(vocab.triple) {
-                    let old_iri = db.relation(vocab.iri);
-                    let old_bnode = db.relation(vocab.bnode);
-                    let old_literal = db.relation(vocab.literal);
-                    let in_class =
-                        |r: Option<&Relation>, id: TermId| r.is_some_and(|r| r.contains(&[id]));
-                    for row in rel.iter() {
-                        for &id in &row[..3] {
-                            if in_class(old_iri, id) {
-                                new_iri.insert(&[id]);
-                            } else if in_class(old_bnode, id) {
-                                new_bnode.insert(&[id]);
-                            } else if in_class(old_literal, id) {
-                                new_literal.insert(&[id]);
-                            }
-                        }
-                        if row[3] != vocab.default_graph {
-                            new_named.insert(&[row[3]]);
-                        }
-                    }
-                }
-                for (pred, fresh) in [
-                    (vocab.iri, new_iri),
-                    (vocab.literal, new_literal),
-                    (vocab.bnode, new_bnode),
-                    (vocab.named, new_named),
-                ] {
-                    adopt(db, pred, fresh);
-                }
-            }
-        }
+        retract(program, db, &deleted, &support).map_err(maintenance_error)
     }
 }
 
-/// Replaces `pred`'s relation with `fresh` — unless the old relation has
-/// identical content, in which case it is kept so its already-built
-/// indexes are reused by the re-freeze.
-fn adopt(db: &mut Database, pred: Sym, fresh: Relation) {
-    match db.take_relation(pred) {
-        Some(old) if old.content_eq(&fresh) => db.set_relation(pred, old),
-        _ if fresh.is_empty() => {}
-        _ => db.set_relation(pred, fresh),
+/// A maintenance failure as the store reports it: the store's program is
+/// always positive, so a refused shape is an engine bug.
+fn maintenance_error(e: MaintainError) -> SparqLogError {
+    match e {
+        MaintainError::Eval(e) => e.into(),
+        MaintainError::Unsupported(what) => SparqLogError::Eval(EvalError::Internal(what)),
     }
 }
 
@@ -2133,6 +2035,73 @@ mod tests {
         assert_eq!(read("sparqlog_translations_total"), translations + 1);
         assert_eq!(read("sparqlog_plans_computed_total"), plans + 1);
         assert_eq!(read("sparqlog_plan_cache_hits_total"), 99);
+    }
+
+    /// Ontology additions are O(delta), proved by counts: under an
+    /// ontology with an existential axiom, an add-10 commit stages as many
+    /// rows behind 20 000 asserted triples as behind 200, and a commit
+    /// that adds and removes nothing stages none.
+    #[test]
+    fn ontology_commits_stage_rows_in_proportion_to_the_delta() {
+        let rdf_type = || Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+        let ontology = crate::Ontology::new()
+            .with(crate::Axiom::SubClassOf(
+                format!("{EX}Student"),
+                format!("{EX}Person"),
+            ))
+            .with(crate::Axiom::SomeValuesFrom {
+                class: format!("{EX}Student"),
+                property: format!("{EX}enrolledIn"),
+                filler: format!("{EX}Course"),
+            });
+        // Rows staged by an add-10 commit and by a no-op commit behind
+        // `size` asserted triples.
+        let staged_behind = |size: usize| {
+            let store = Store::with_options(EvalOptions {
+                threads: Some(1),
+                ..Default::default()
+            });
+            store.add_ontology(&ontology).unwrap();
+            let mut w = store.writer();
+            for i in 0..size {
+                let (p, o) = match i % 4 {
+                    0 => (rdf_type(), iri("Student")),
+                    _ => (iri("knows"), iri(&format!("s{}", (i * 7) % size))),
+                };
+                w.insert(iri(&format!("s{i}")), p, o);
+            }
+            w.commit().unwrap();
+            let reg = store.metrics();
+            let staged = || {
+                reg.counter_value("sparqlog_store_maintain_rows_staged_total")
+                    .unwrap()
+            };
+
+            let before = staged();
+            let mut w = store.writer();
+            for k in 0..5 {
+                w.insert(iri(&format!("new{k}")), rdf_type(), iri("Student"));
+                w.insert(iri(&format!("new{k}")), iri("knows"), iri("s1"));
+            }
+            assert_eq!(w.commit().unwrap().added, 10);
+            let add10 = staged() - before;
+
+            let before = staged();
+            let mut w = store.writer();
+            w.insert(iri("s0"), rdf_type(), iri("Student"));
+            w.remove(iri("s0"), iri("knows"), iri("nobody"));
+            assert_eq!(w.commit().unwrap(), CommitStats::default());
+            (add10, staged() - before)
+        };
+        let (small, small_noop) = staged_behind(200);
+        let (large, large_noop) = staged_behind(20_000);
+        assert!(small > 0);
+        assert_eq!(small, large, "add10 staging is flat in the store size");
+        assert_eq!(
+            (small_noop, large_noop),
+            (0, 0),
+            "a no-op commit stages nothing"
+        );
     }
 
     /// The commit path is O(delta) by construction, proved by counts:

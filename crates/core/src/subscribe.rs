@@ -7,8 +7,9 @@
 //! large volumes of small, repeated query shapes that are far cheaper
 //! to *maintain* than to re-execute client-side. The store side rides
 //! on the incremental maintenance machinery: each commit computes its
-//! maintenance delta once (the DRed retraction plus the fresh
-//! assertions), uses the changed predicates to skip subscribers that
+//! maintenance delta once (the triples DRed retracted plus those the
+//! commit appended, asserted or entailed), uses the changed predicates
+//! to skip subscribers that
 //! provably cannot be affected, and re-evaluates only the remaining
 //! standing queries against the freshly installed snapshot, diffing
 //! against the previous result multiset.
@@ -210,12 +211,11 @@ impl Registry {
 
     /// Post-commit fan-out, called with the freshly installed snapshot.
     /// `changed_preds` is the exact set of triple-predicate ids the
-    /// commit touched when the commit path could prove one (`None` =
-    /// conservative: re-evaluate everyone).
+    /// commit touched — asserted or entailed, added or removed.
     pub(crate) fn notify(
         &self,
         snapshot: &FrozenDatabase,
-        changed_preds: Option<&FxHashSet<TermId>>,
+        changed_preds: &FxHashSet<TermId>,
         commit_seq: u64,
     ) {
         let metrics = snapshot.core_metrics();
@@ -223,8 +223,8 @@ impl Registry {
         let mut entries = self.entries.lock().unwrap();
         entries.retain(|e| !e.mailbox.is_closed());
         for entry in entries.iter_mut() {
-            if let (Some(changed), Some(preds)) = (changed_preds, &entry.preds) {
-                if !preds.iter().any(|p| changed.contains(p)) {
+            if let Some(preds) = &entry.preds {
+                if !preds.iter().any(|p| changed_preds.contains(p)) {
                     continue; // provably unaffected
                 }
             }

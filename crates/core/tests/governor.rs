@@ -7,7 +7,9 @@
 
 use std::time::{Duration, Instant};
 
-use sparqlog::{AbortReason, Budget, CancelToken, QueryResults, SparqLogError, Store};
+use sparqlog::{
+    AbortReason, Axiom, Budget, CancelToken, Ontology, QueryResults, SparqLogError, Store,
+};
 
 /// A ring with shortcuts: recursive property paths over it derive the
 /// full closure, expensive enough that a 1 ms deadline always interrupts.
@@ -312,4 +314,38 @@ fn abort_error_is_actionable() {
 
     let parse = store.execute("nonsense").unwrap_err();
     assert!(parse.source().is_some(), "parse errors chain their cause");
+}
+
+/// The store's default budget is a query policy, not a commit limit: a
+/// load whose maintenance derives far more rows than the default row cap
+/// commits, the store stays usable, and only queries are capped.
+#[test]
+fn default_budget_never_governs_commit_maintenance() {
+    let store = Store::new();
+    store
+        .add_ontology(&Ontology::new().with(Axiom::SubClassOf(
+            "http://ex.org/Student".into(),
+            "http://ex.org/Person".into(),
+        )))
+        .unwrap();
+    store.set_default_budget(Budget::new().with_max_rows(100));
+    let mut src = String::from("@prefix ex: <http://ex.org/> .\n");
+    for i in 0..1_000 {
+        src.push_str(&format!("ex:s{i} a ex:Student .\n"));
+    }
+    assert_eq!(store.load_turtle(&src).unwrap().added, 1_000);
+
+    let q = "PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Person }";
+    let all = store.execute_with_budget(q, &Budget::new()).unwrap();
+    assert_eq!(all.len(), 1_000);
+    assert!(
+        matches!(
+            store.execute(q).unwrap_err(),
+            SparqLogError::Aborted {
+                reason: AbortReason::RowLimit,
+                ..
+            }
+        ),
+        "the default budget still caps queries"
+    );
 }

@@ -3,9 +3,9 @@
 //! Property: after *every* commit of a random add/remove interleaving,
 //! the maintained store is multiset-equal (via
 //! `FrozenDb::content_signature`) to a from-scratch reload+freeze of
-//! the same asserted quads — with and without ontology materialisation,
-//! across evaluator widths 1/2/4, and under pinned live snapshots
-//! (which force the copy commit path). Plus the subscription contract:
+//! the same asserted quads — with and without ontology materialisation
+//! (installed before or after the data), across evaluator widths 1/2/4,
+//! and under pinned live snapshots (which force the copy commit path). Plus the subscription contract:
 //! every delivered [`ResultDelta`](sparqlog::ResultDelta) equals the
 //! multiset difference of full re-executions around the commit. And the
 //! carried-state contract: the planner statistics a commit patches
@@ -177,6 +177,28 @@ fn ontology() -> Ontology {
         })
 }
 
+/// The reference every differential here compares against, sharing no
+/// code with the commit path: the surviving quads loaded into an empty
+/// database and the T_D auxiliary rules — followed by `ontology()`'s, in
+/// the order the store installs them, so Skolem identities agree — run
+/// to fixpoint.
+fn rebuild(model: &[Quad], threads: usize, with_ontology: bool) -> Arc<FrozenDb> {
+    let mut fresh = Database::new();
+    load_dataset(&dataset_of(model), &mut fresh);
+    let mut program = base_program(fresh.symbols());
+    if with_ontology {
+        program
+            .rules
+            .extend(ontology().to_program(fresh.symbols()).rules);
+    }
+    let options = EvalOptions {
+        threads: Some(threads),
+        ..Default::default()
+    };
+    evaluate(&program, &mut fresh, &options).expect("rebuild");
+    fresh.freeze()
+}
+
 #[test]
 fn random_interleavings_match_fresh_reload_across_widths() {
     let pool = universe();
@@ -190,19 +212,9 @@ fn random_interleavings_match_fresh_reload_across_widths() {
         let mut history = Vec::new();
         for step in 0..30 {
             history.push(random_commit(&mut rng, &store, &mut model, &pool));
-            // The reference shares no code with the commit path: the
-            // surviving quads loaded into an empty database and the T_D
-            // auxiliary rules run to fixpoint.
-            let mut fresh = Database::new();
-            load_dataset(&dataset_of(&model), &mut fresh);
-            let options = EvalOptions {
-                threads: Some(threads),
-                ..Default::default()
-            };
-            evaluate(&base_program(fresh.symbols()), &mut fresh, &options).expect("reload");
             assert_signatures_equivalent(
                 &store.snapshot().database().content_signature(),
-                &fresh.freeze().content_signature(),
+                &rebuild(&model, threads, false).content_signature(),
                 &format!("threads={threads} step={step} ops={}", history[step]),
             );
         }
@@ -212,29 +224,30 @@ fn random_interleavings_match_fresh_reload_across_widths() {
 #[test]
 fn random_interleavings_with_ontology_match_fresh_rebuild() {
     // Same property with materialised entailments in play — including
-    // existential (labelled-null) consequences. The reference rebuild
-    // loads the surviving assertions fresh and re-materialises, so any
-    // leaked or lost entailment shows up as a signature diff.
+    // existential (labelled-null) consequences — in both install orders:
+    // the ontology first (every commit extends under it), or after eight
+    // commits of data (the install materialises them, later commits
+    // extend). Any leaked or lost entailment shows up as a signature diff.
     let pool = universe();
     for threads in [1usize, 2, 4] {
-        let mut rng = Rng::new(0xABCD_0000 + threads as u64);
-        let options = EvalOptions {
-            threads: Some(threads),
-            ..Default::default()
-        };
-        let store = Store::with_options(options.clone());
-        store.add_ontology(&ontology()).expect("ontology installs");
-        let mut model: Vec<Quad> = Vec::new();
-        for step in 0..20 {
-            let ops = random_commit(&mut rng, &store, &mut model, &pool);
-            let fresh = Store::with_options(options.clone());
-            fresh.load_dataset(&dataset_of(&model)).expect("reload");
-            fresh.add_ontology(&ontology()).expect("ontology installs");
-            assert_signatures_equivalent(
-                &store.snapshot().database().content_signature(),
-                &fresh.snapshot().database().content_signature(),
-                &format!("threads={threads} step={step} ops={ops}"),
-            );
+        for install_at in [0, 8] {
+            let mut rng = Rng::new(0xABCD_0000 + threads as u64 + install_at as u64);
+            let store = Store::with_options(EvalOptions {
+                threads: Some(threads),
+                ..Default::default()
+            });
+            let mut model: Vec<Quad> = Vec::new();
+            for step in 0..20 {
+                if step == install_at {
+                    store.add_ontology(&ontology()).expect("ontology installs");
+                }
+                let ops = random_commit(&mut rng, &store, &mut model, &pool);
+                assert_signatures_equivalent(
+                    &store.snapshot().database().content_signature(),
+                    &rebuild(&model, threads, step >= install_at).content_signature(),
+                    &format!("threads={threads} install_at={install_at} step={step} ops={ops}"),
+                );
+            }
         }
     }
 }
@@ -260,15 +273,9 @@ fn random_interleavings_under_pinned_snapshots() {
         pin_counts.push(pin.execute(count_q).expect("pin query").len());
         pins.push(pin);
         let ops = random_commit(&mut rng, &store, &mut model, &pool);
-        let fresh = Store::with_options(EvalOptions {
-            threads: Some(2),
-            ..Default::default()
-        });
-        fresh.load_dataset(&dataset_of(&model)).expect("reload");
-        fresh.add_ontology(&ontology()).expect("ontology installs");
         assert_signatures_equivalent(
             &store.snapshot().database().content_signature(),
-            &fresh.snapshot().database().content_signature(),
+            &rebuild(&model, 2, true).content_signature(),
             &format!("pinned step={step} ops={ops}"),
         );
     }
@@ -281,24 +288,12 @@ fn random_interleavings_under_pinned_snapshots() {
     }
 }
 
-#[test]
-fn subscription_deltas_equal_rerun_diffs() {
-    // The acceptance property: for every commit, the delta a
-    // subscription delivers equals the multiset difference between full
-    // re-executions of its query on the pre- and post-commit snapshots.
+/// The subscription contract over random commits on `store`: after
+/// every commit, each subscription's accumulated view (initial rows plus
+/// every delivered delta) equals a full re-execution of its query. With
+/// `install_at`, `ontology()` is installed before that step's commit.
+fn assert_deltas_equal_rerun_diffs(store: &Store, queries: &[&str], install_at: Option<usize>) {
     let pool = universe();
-    let store = Store::new();
-    let queries = [
-        // Closed predicate set — exercised *with* the prefilter.
-        "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:knows ?b }",
-        // FILTER defeats the prefilter — always re-evaluated.
-        "PREFIX ex: <http://ex.org/>
-         SELECT ?a WHERE { ?a ex:knows ?b FILTER (?b != ex:s0) }",
-        // OPTIONAL + named graph join.
-        "PREFIX ex: <http://ex.org/>
-         SELECT ?s ?src WHERE { ?s ex:name ?n
-           OPTIONAL { GRAPH <http://meta> { ?s ex:source ?src } } }",
-    ];
     let prepared: Vec<_> = queries
         .iter()
         .map(|q| store.prepare(q).expect("prepares"))
@@ -315,11 +310,15 @@ fn subscription_deltas_equal_rerun_diffs() {
     let mut model: Vec<Quad> = Vec::new();
     let mut last_seq = 0u64;
     for step in 0..25 {
-        let ops = random_commit(&mut rng, &store, &mut model, &pool);
+        let mut ops = String::new();
+        if install_at == Some(step) {
+            store.add_ontology(&ontology()).expect("ontology installs");
+            ops.push_str("ontology ");
+        }
+        ops.push_str(&random_commit(&mut rng, store, &mut model, &pool));
         let snapshot = store.snapshot();
         for (i, sub) in subs.iter().enumerate() {
-            // Drain this commit's event (at most one: deltas coalesce
-            // nothing, each commit delivers one delta or none).
+            // Drain this step's events (one per delivering commit).
             while let Some(event) = sub.try_recv() {
                 let SubscriptionEvent::Delta(delta) = event else {
                     panic!("mailbox is large enough to never lag here");
@@ -351,6 +350,113 @@ fn subscription_deltas_equal_rerun_diffs() {
             );
         }
     }
+}
+
+const SUBSCRIBED: [&str; 3] = [
+    // Closed predicate set — exercised *with* the prefilter.
+    "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:knows ?b }",
+    // FILTER defeats the prefilter — always re-evaluated.
+    "PREFIX ex: <http://ex.org/>
+     SELECT ?a WHERE { ?a ex:knows ?b FILTER (?b != ex:s0) }",
+    // OPTIONAL + named graph join.
+    "PREFIX ex: <http://ex.org/>
+     SELECT ?s ?src WHERE { ?s ex:name ?n
+       OPTIONAL { GRAPH <http://meta> { ?s ex:source ?src } } }",
+];
+
+#[test]
+fn subscription_deltas_equal_rerun_diffs() {
+    // The acceptance property: for every commit, the delta a
+    // subscription delivers equals the multiset difference between full
+    // re-executions of its query on the pre- and post-commit snapshots.
+    assert_deltas_equal_rerun_diffs(&Store::new(), &SUBSCRIBED, None);
+}
+
+#[test]
+fn subscription_deltas_equal_rerun_diffs_under_an_ontology() {
+    // The same on an ontology store, where entailed triples come and go
+    // with their premises — installed mid-stream, so the install commit
+    // itself is a delta too. Two more prefiltered queries read only
+    // entailments: a superclass and the existential property.
+    let queries: Vec<&str> = SUBSCRIBED
+        .into_iter()
+        .chain([
+            "PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Person }",
+            "PREFIX ex: <http://ex.org/> SELECT ?x ?c WHERE { ?x ex:enrolledIn ?c }",
+        ])
+        .collect();
+    assert_deltas_equal_rerun_diffs(&Store::new(), &queries, Some(5));
+}
+
+#[test]
+fn ontology_commits_rerun_only_affected_subscribers() {
+    // The prefilter is exact under an ontology too: a commit whose
+    // asserted and entailed triples all miss a subscriber's predicates
+    // does not re-run it.
+    let store = Store::new();
+    store.add_ontology(&ontology()).expect("ontology installs");
+    store
+        .load_dataset(&dataset_of(&universe()))
+        .expect("initial load");
+    let q = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:knows ?b }";
+    let sub = store.subscribe(&store.prepare(q).unwrap()).unwrap();
+    let reg = store.metrics();
+    let queries = || reg.counter_value("sparqlog_queries_total").unwrap();
+    let before = queries();
+    store
+        .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:newcomer a ex:Student }")
+        .unwrap();
+    assert_eq!(queries(), before, "a Student fact cannot change ex:knows");
+    assert_eq!(sub.try_recv(), None);
+    store
+        .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:newcomer ex:knows ex:s0 }")
+        .unwrap();
+    assert_eq!(queries(), before + 1);
+    assert!(matches!(sub.try_recv(), Some(SubscriptionEvent::Delta(_))));
+}
+
+#[test]
+fn class_facts_of_ontology_constants_reach_subscribers() {
+    // ex:Person occurs only in entailed triples, so it has no class
+    // fact, and joins through it find nothing. Asserting any triple that
+    // mentions it — under a predicate the subscriber never reads — gives
+    // it one, which changes the subscriber's results: the prefilter must
+    // let that commit through.
+    let store = Store::new();
+    store.add_ontology(&ontology()).expect("ontology installs");
+    store
+        .load_dataset(&dataset_of(&universe()))
+        .expect("initial load");
+    let q = store
+        .prepare("PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE { ?x a ?c . ?y a ?c }")
+        .unwrap();
+    let sub = store.subscribe(&q).unwrap();
+    let mut view = sub.initial().canonical(false);
+    let mut sizes = vec![view.len()];
+    for update in [
+        "PREFIX ex: <http://ex.org/> INSERT DATA { ex:Person ex:label \"person\" }",
+        "PREFIX ex: <http://ex.org/> DELETE DATA { ex:Person ex:label \"person\" }",
+    ] {
+        store.update(update).unwrap();
+        while let Some(SubscriptionEvent::Delta(delta)) = sub.try_recv() {
+            for row in delta.removed.canonical(false) {
+                let pos = view.iter().position(|r| *r == row).expect("in view");
+                view.swap_remove(pos);
+            }
+            view.extend(delta.added.canonical(false));
+        }
+        let rerun = store.snapshot().execute_prepared(&q).unwrap();
+        let mut rerun = rerun.solutions().unwrap().canonical(false);
+        rerun.sort();
+        view.sort();
+        assert_eq!(view, rerun, "{update}");
+        sizes.push(view.len());
+    }
+    assert!(
+        sizes[1] > sizes[0],
+        "the class fact joins the Persons: {sizes:?}"
+    );
+    assert_eq!(sizes[2], sizes[0], "and its retraction unjoins them");
 }
 
 /// [`universe`] widened to 40 subjects (280 quads), so that relations are

@@ -697,18 +697,6 @@ impl Relation {
         }
     }
 
-    /// True when `self` and `other` hold exactly the same tuple set.
-    /// Both relations are deduplicated sets, so equal lengths plus
-    /// containment one way is full equality. Indexes are irrelevant —
-    /// this compares *content* (the incremental re-freeze uses it to
-    /// decide whether a recomputed relation can be swapped for the old
-    /// one, keeping the old one's already-built indexes).
-    pub fn content_eq(&self, other: &Relation) -> bool {
-        self.len == other.len
-            && (self.len == 0 || self.arity == other.arity)
-            && other.iter().all(|t| self.contains(t))
-    }
-
     /// A deep copy suitable for independent mutation: rows, dedup tables
     /// and eager indexes are cloned; the lazy-index map starts empty (a
     /// copy-on-write overlay rebuilds unplanned indexes on demand rather
@@ -1031,23 +1019,6 @@ impl Database {
         self.relations.entry(pred).or_default().ensure_index(mask)
     }
 
-    /// Removes and returns `pred`'s *local* relation (a frozen base, if
-    /// any, is not consulted — the snapshot-refresh path that uses this
-    /// operates on thawed databases, which have no base). The next write
-    /// to `pred` starts from an empty relation.
-    pub fn take_relation(&mut self, pred: Sym) -> Option<Relation> {
-        self.relations.remove(&pred)
-    }
-
-    /// Installs `rel` as `pred`'s relation, replacing any local one.
-    /// Together with [`Database::take_relation`] this lets the
-    /// incremental re-freeze swap a recomputed relation back for the old
-    /// one when their contents turn out equal, keeping the old
-    /// already-built indexes.
-    pub fn set_relation(&mut self, pred: Sym, rel: Relation) {
-        self.relations.insert(pred, rel);
-    }
-
     /// Iterates over `(predicate, relation)` pairs — local relations
     /// first, then base relations not shadowed by a local copy.
     pub fn relations(&self) -> impl Iterator<Item = (Sym, &Relation)> + '_ {
@@ -1203,24 +1174,6 @@ mod tests {
         }
         assert_eq!(r.retain(|_| true), 0);
         assert_eq!(r.len(), 5);
-    }
-
-    #[test]
-    fn content_eq_ignores_order_and_indexes() {
-        let dict = TermDict::new();
-        let mut a = Relation::new();
-        let mut b = Relation::new();
-        for i in 0..10i64 {
-            a.insert(&ids(&dict, &[i, i + 1]));
-        }
-        for i in (0..10i64).rev() {
-            b.insert(&ids(&dict, &[i, i + 1]));
-        }
-        a.ensure_index(0b01);
-        assert!(a.content_eq(&b));
-        assert!(b.content_eq(&a));
-        b.insert(&ids(&dict, &[99, 99]));
-        assert!(!a.content_eq(&b));
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Incremental retraction: DRed-style delete/re-derive over encoded rows.
+//! Incremental maintenance of a materialised database over encoded rows:
+//! [`extend`] for insertions, [`retract`] (DRed delete/re-derive) for
+//! deletions.
 //!
-//! [`retract`] maintains a materialised database under fact deletions in
-//! time proportional to what the deletions touch, instead of re-running
-//! the whole fixpoint. It is the engine behind the store's O(delta)
-//! removal commits (ROADMAP item 3): the T_D auxiliary predicates and the
-//! ontology entailments are both defined by plain positive rules over the
-//! loaded facts, so one generic delete/re-derive pass retracts exactly
-//! the derivations that lost their last support.
+//! Both keep a database at fixpoint under its program as its base facts
+//! change, in time proportional to what the change touches. They are the
+//! store's commit path: the T_D auxiliary predicates and the ontology
+//! entailments are plain positive rules over the loaded facts.
 //!
-//! The algorithm is the classic two-phase DRed (delete-and-re-derive),
-//! specialised to the engine's dictionary-encoded rows:
+//! **Insertions** run the evaluator's own semi-naive loop *seeded* with
+//! exactly the rows the caller inserted that were new: no naive pass, so
+//! a monotone program derives the seed's consequences and nothing else.
+//!
+//! **Deletions** are the classic two-phase DRed, specialised to the
+//! engine's dictionary-encoded rows:
 //!
 //! 1. **Overdelete** — starting from the explicitly deleted rows, every
 //!    rule is run *backwards through its body*: a deleted fact matching a
@@ -31,20 +34,24 @@
 //!
 //! Existential rules (the ontology's ∃-generators) need no special
 //! bookkeeping: the evaluator Skolemises existential head variables
-//! *deterministically* over the rule's frontier (`_ex_r{idx}_{name}`
-//! functors, see `eval.rs`), so both phases compute the exact head row a
-//! deleted body row did or would produce by recomputing the same Skolem
-//! term via [`TermDict::skolem`]. A row created by a different rule over
-//! the same predicate is never touched by accident.
+//! *deterministically* over the rule's frontier, with one functor naming
+//! shared by both halves (`eval::skolem_functors`), so [`retract`]
+//! recomputes — via [`TermDict::skolem`] — exactly the labelled null
+//! [`extend`] or a full evaluation minted. A row created by a different
+//! rule over the same predicate is never touched by accident.
 //!
-//! The module handles positive, non-aggregate rules — exactly the shape
-//! of the T_D base program and the ontology compilation. Anything else
-//! (negation, conditions, assignments, aggregates, `@post`) returns
-//! [`MaintainError::Unsupported`] and the caller falls back to a full
-//! re-evaluation; incremental maintenance under non-monotone rules is a
-//! different algorithm, not a missing `match` arm.
+//! Both halves take the same programs: positive, non-aggregate rules and
+//! no `@post` — exactly the shape of the T_D base program and the
+//! ontology compilation. Anything else (negation, conditions,
+//! assignments, aggregates, `@post`) is refused with
+//! [`MaintainError::Unsupported`] before the database is touched;
+//! maintenance under non-monotone rules is a different algorithm, not a
+//! missing `match` arm.
 
 use crate::database::{ColumnBatch, Database, Mask};
+use crate::eval::{
+    execute, skolem_functors, EvalError, EvalOptions, EvalStats, MIN_PARTITION_ROWS,
+};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::rule::{AtomArg, BodyItem, Program};
 use crate::symbols::Sym;
@@ -53,13 +60,16 @@ use crate::value::{TermDict, TermId};
 /// An encoded fact row.
 pub type Row = Vec<TermId>;
 
-/// Why a deletion could not be maintained incrementally.
+/// Why a change could not be maintained incrementally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintainError {
     /// The program contains a construct the maintainer does not handle
     /// (negation, filters, assignments, aggregates or `@post`
-    /// directives). Callers fall back to full re-evaluation.
+    /// directives). The database is untouched.
     Unsupported(String),
+    /// The forward evaluation of [`extend`] failed: its budget aborted
+    /// it, or a worker panicked.
+    Eval(EvalError),
 }
 
 impl std::fmt::Display for MaintainError {
@@ -68,6 +78,7 @@ impl std::fmt::Display for MaintainError {
             MaintainError::Unsupported(what) => {
                 write!(f, "incremental maintenance unsupported: {what}")
             }
+            MaintainError::Eval(e) => write!(f, "incremental maintenance failed: {e}"),
         }
     }
 }
@@ -109,9 +120,8 @@ enum EncArg {
 }
 
 /// A rule compiled for maintenance: encoded head/body plus the Skolem
-/// recipe for its existential head variables (identical to the
-/// evaluator's: functor `_ex_r{rule_idx}_{var_name}` applied to the
-/// frontier values in `frontier_vars()` order).
+/// recipe for its existential head variables (the evaluator's, see
+/// `eval::skolem_functors`).
 struct EncRule {
     head: EncAtom,
     body: Vec<EncAtom>,
@@ -135,56 +145,55 @@ fn encode_atom(pred: Sym, args: &[AtomArg], dict: &TermDict) -> EncAtom {
     }
 }
 
-fn compile(program: &Program, db: &Database) -> Result<Vec<EncRule>, MaintainError> {
+/// The precondition both halves of maintenance share: a positive program
+/// — no negated atom, condition, assignment, aggregate or `@post`
+/// directive.
+fn check_maintainable(program: &Program) -> Result<(), MaintainError> {
+    let unsupported = |what: &str| Err(MaintainError::Unsupported(what.into()));
     if !program.post.is_empty() {
-        return Err(MaintainError::Unsupported(
-            "@post directives reshape relations after the fixpoint".into(),
-        ));
+        return unsupported("@post directives reshape relations after the fixpoint");
     }
-    let symbols = db.symbols().clone();
-    let dict = db.dict().clone();
-    let mut out = Vec::with_capacity(program.rules.len());
-    for (rule_idx, rule) in program.rules.iter().enumerate() {
+    for rule in &program.rules {
         if rule.aggregate.is_some() {
-            return Err(MaintainError::Unsupported("aggregate rule".into()));
+            return unsupported("aggregate rule");
         }
-        let mut body = Vec::with_capacity(rule.body.len());
         for item in &rule.body {
             match item {
-                BodyItem::Pos(a) => body.push(encode_atom(a.pred, &a.args, &dict)),
-                BodyItem::Neg(_) => {
-                    return Err(MaintainError::Unsupported("negated atom".into()));
-                }
-                BodyItem::Cond(_) => {
-                    return Err(MaintainError::Unsupported("filter condition".into()));
-                }
-                BodyItem::Assign(..) => {
-                    return Err(MaintainError::Unsupported("assignment".into()));
-                }
+                BodyItem::Pos(_) => {}
+                BodyItem::Neg(_) => return unsupported("negated atom"),
+                BodyItem::Cond(_) => return unsupported("filter condition"),
+                BodyItem::Assign(..) => return unsupported("assignment"),
             }
         }
-        // The same functor naming as `compile_rule` in eval.rs — the
-        // Skolem terms recomputed here must be *identical* to the ones
-        // the evaluator interned, which also means the program must be
-        // the one the database was materialised with, rule order
-        // included.
-        let existentials = rule
-            .existential_vars()
-            .into_iter()
-            .map(|v| {
-                let name = &rule.var_names[v as usize];
-                (v, symbols.intern(&format!("_ex_r{rule_idx}_{name}")))
-            })
-            .collect();
-        out.push(EncRule {
-            head: encode_atom(rule.head.pred, &rule.head.args, &dict),
-            body,
-            nvars: rule.var_names.len(),
-            existentials,
-            frontier: rule.frontier_vars(),
-        });
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Compiles a [`check_maintainable`] program for [`retract`]; its Skolem
+/// terms match the evaluator's only for the program the database was
+/// materialised with, rule order included.
+fn compile(program: &Program, db: &Database) -> Vec<EncRule> {
+    let symbols = db.symbols();
+    let dict = db.dict();
+    program
+        .rules
+        .iter()
+        .enumerate()
+        .map(|(rule_idx, rule)| EncRule {
+            head: encode_atom(rule.head.pred, &rule.head.args, dict),
+            body: rule
+                .body
+                .iter()
+                .filter_map(|item| match item {
+                    BodyItem::Pos(a) => Some(encode_atom(a.pred, &a.args, dict)),
+                    _ => None,
+                })
+                .collect(),
+            nvars: rule.var_names.len(),
+            existentials: skolem_functors(rule_idx, rule, symbols),
+            frontier: rule.frontier_vars(),
+        })
+        .collect()
 }
 
 /// Binds `atom`'s variables against `row`. Returns `false` on a constant
@@ -412,7 +421,8 @@ pub fn retract(
     deleted: &FxHashMap<Sym, ColumnBatch>,
     externally_supported: &dyn Fn(Sym, &[TermId]) -> bool,
 ) -> Result<Retraction, MaintainError> {
-    let rules = compile(program, db)?;
+    check_maintainable(program)?;
+    let rules = compile(program, db);
     let dict = db.dict().clone();
 
     // Rules indexed by body predicate: the forward (overdelete) step
@@ -541,11 +551,40 @@ pub fn retract(
     })
 }
 
-/// Convenience for callers staging deletions row by row: appends `row`
-/// to the per-predicate [`ColumnBatch`] in `deleted`.
-pub fn stage_deletion(deleted: &mut FxHashMap<Sym, ColumnBatch>, pred: Sym, row: &[TermId]) {
-    deleted
-        .entry(pred)
+/// Derives every consequence of rows the caller just inserted into `db`,
+/// in time proportional to those consequences — the insertion half of
+/// maintenance, beside [`retract`].
+///
+/// * `program` must be the program `db` is at fixpoint under (same
+///   rules, same order — Skolem identities depend on rule indices).
+/// * `inserted` maps predicates to exactly the inserted rows that were
+///   *not* present before (new program facts the run finds itself).
+///
+/// On [`MaintainError::Unsupported`] the database is untouched; on
+/// [`MaintainError::Eval`] it holds a partial extension.
+pub fn extend(
+    program: &Program,
+    db: &mut Database,
+    inserted: FxHashMap<Sym, ColumnBatch>,
+    options: &EvalOptions,
+) -> Result<EvalStats, MaintainError> {
+    check_maintainable(program)?;
+    // A seed smaller than one batch partition saves less than spawning a
+    // worker costs, so such runs stay on the calling thread.
+    let small = inserted.values().map(ColumnBatch::len).sum::<usize>() < MIN_PARTITION_ROWS;
+    let inline = EvalOptions {
+        threads: Some(1),
+        ..options.clone()
+    };
+    let options = if small { &inline } else { options };
+    execute(program, db, options, None, Some(inserted)).map_err(MaintainError::Eval)
+}
+
+/// Convenience for callers staging rows one by one — the `deleted` map of
+/// [`retract`], the `inserted` map of [`extend`]: appends `row` to
+/// `pred`'s [`ColumnBatch`] in `rows`.
+pub fn stage_row(rows: &mut FxHashMap<Sym, ColumnBatch>, pred: Sym, row: &[TermId]) {
+    rows.entry(pred)
         .or_insert_with(|| ColumnBatch::new(row.len()))
         .push_row(row);
 }
@@ -564,11 +603,23 @@ mod tests {
         }
     }
 
-    /// Loads `edges`, materialises `prog`, deletes `gone`, and checks the
-    /// maintained database equals a from-scratch rebuild, relation by
-    /// relation (as sorted row sets).
-    fn check_against_rebuild(src: &str, edges: &[(i64, i64)], gone: &[(i64, i64)]) {
-        let mut db = Database::new();
+    /// `edges` loaded and materialised under `src`. `share` lends its
+    /// symbol table and dictionary, so encoded rows — Skolem ids included
+    /// — compare across the two databases.
+    fn materialise(
+        src: &str,
+        edges: &[(i64, i64)],
+        share: Option<&Database>,
+    ) -> (Database, Program) {
+        let mut db = match share {
+            Some(d) => Database {
+                symbols: d.symbols.clone(),
+                dict: d.dict.clone(),
+                relations: FxHashMap::default(),
+                base: None,
+            },
+            None => Database::new(),
+        };
         let e = db.symbols().intern("edge");
         let rows: Vec<Vec<Const>> = edges
             .iter()
@@ -577,28 +628,18 @@ mod tests {
         db.load_rows(e, &rows);
         let prog = parse_program(src, db.symbols()).unwrap();
         evaluate(&prog, &mut db, &options()).unwrap();
+        (db, prog)
+    }
 
-        let gone_set: FxHashSet<(i64, i64)> = gone.iter().copied().collect();
-        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-        for &(a, b) in gone {
-            let row = [
-                db.dict().encode(&Const::Int(a)),
-                db.dict().encode(&Const::Int(b)),
-            ];
-            stage_deletion(&mut deleted, e, &row);
-        }
-        retract(&prog, &mut db, &deleted, &|_, _| false).unwrap();
+    fn edge(db: &Database, (a, b): (i64, i64)) -> [TermId; 2] {
+        [
+            db.dict().encode(&Const::Int(a)),
+            db.dict().encode(&Const::Int(b)),
+        ]
+    }
 
-        // Fresh rebuild over the surviving edges.
-        let mut fresh = Database::with_symbols(db.symbols().clone());
-        let survivors: Vec<Vec<Const>> = edges
-            .iter()
-            .filter(|&&p| !gone_set.contains(&p))
-            .map(|&(a, b)| vec![Const::Int(a), Const::Int(b)])
-            .collect();
-        fresh.load_rows(e, &survivors);
-        evaluate(&prog, &mut fresh, &options()).unwrap();
-
+    /// Relation by relation (as sorted row sets), `db` equals `fresh`.
+    fn assert_same_relations(db: &Database, fresh: &Database, what: &str) {
         let preds: FxHashSet<Sym> = db
             .relations()
             .map(|(p, _)| p)
@@ -614,12 +655,103 @@ mod tests {
                 v
             };
             assert_eq!(
-                dump(&db),
-                dump(&fresh),
-                "relation {} diverged after retract",
+                dump(db),
+                dump(fresh),
+                "relation {} diverged after {what}",
                 db.symbols().resolve(p)
             );
         }
+    }
+
+    /// Materialises `src` over `edges`, deletes `gone`, and checks the
+    /// maintained database equals a from-scratch rebuild.
+    fn check_against_rebuild(src: &str, edges: &[(i64, i64)], gone: &[(i64, i64)]) {
+        let (mut db, prog) = materialise(src, edges, None);
+        let e = db.symbols().intern("edge");
+        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        for &pair in gone {
+            stage_row(&mut deleted, e, &edge(&db, pair));
+        }
+        retract(&prog, &mut db, &deleted, &|_, _| false).unwrap();
+        let survivors: Vec<(i64, i64)> = edges
+            .iter()
+            .filter(|p| !gone.contains(p))
+            .copied()
+            .collect();
+        let (fresh, _) = materialise(src, &survivors, Some(&db));
+        assert_same_relations(&db, &fresh, "retract");
+    }
+
+    /// Materialises `src` over `edges`, inserts `added` and extends from
+    /// the rows that were new, and checks the result equals a
+    /// from-scratch materialisation of both. Returns the run's stats.
+    fn check_extend_against_rebuild(
+        src: &str,
+        edges: &[(i64, i64)],
+        added: &[(i64, i64)],
+    ) -> EvalStats {
+        let (mut db, prog) = materialise(src, edges, None);
+        let e = db.symbols().intern("edge");
+        let mut inserted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        for &pair in added {
+            let row = edge(&db, pair);
+            if db.relation_mut(e).insert(&row) {
+                stage_row(&mut inserted, e, &row);
+            }
+        }
+        let stats = extend(&prog, &mut db, inserted, &options()).unwrap();
+        let all: Vec<(i64, i64)> = edges.iter().chain(added).copied().collect();
+        let (fresh, _) = materialise(src, &all, Some(&db));
+        assert_same_relations(&db, &fresh, "extend");
+        stats
+    }
+
+    const TC: &str = "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n";
+
+    #[test]
+    fn extend_closes_recursion_and_its_consumers() {
+        // Joining two chains derives new closure pairs across both, and a
+        // rule over the closure sees its new rows.
+        let src = format!("{TC}from1(Y) :- tc(1, Y).\n");
+        let stats = check_extend_against_rebuild(
+            &src,
+            &[(1, 2), (2, 3), (10, 11), (11, 12)],
+            &[(3, 10), (1, 2)],
+        );
+        assert!(stats.derived > 0);
+        // Nothing inserted, nothing staged.
+        let stats = check_extend_against_rebuild(&src, &[(1, 2), (2, 3)], &[(1, 2)]);
+        assert_eq!((stats.staged, stats.derived), (0, 0));
+    }
+
+    #[test]
+    fn extend_costs_the_consequences_not_the_store() {
+        // A disconnected edge stages the same rows behind a 20-edge chain
+        // as behind a 400-edge one.
+        let staged = |n: i64| {
+            let chain: Vec<(i64, i64)> = (0..n).map(|i| (i, i + 1)).collect();
+            check_extend_against_rebuild(TC, &chain, &[(-1, -2)]).staged
+        };
+        assert_eq!(staged(20), staged(400));
+    }
+
+    #[test]
+    fn extend_mints_the_nulls_retract_recomputes() {
+        let src = "gen(X, Z) :- edge(X, Y).\nhas(Z, X) :- gen(X, Z).\n";
+        check_extend_against_rebuild(src, &[(1, 2)], &[(3, 4), (1, 5)]);
+        // Extend, then retract the same rows: back to the start.
+        let (mut db, prog) = materialise(src, &[(1, 2)], None);
+        let before = materialise(src, &[(1, 2)], Some(&db)).0;
+        let e = db.symbols().intern("edge");
+        let mut rows: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        for pair in [(3, 4), (5, 6)] {
+            let row = edge(&db, pair);
+            db.relation_mut(e).insert(&row);
+            stage_row(&mut rows, e, &row);
+        }
+        extend(&prog, &mut db, rows.clone(), &options()).unwrap();
+        retract(&prog, &mut db, &rows, &|_, _| false).unwrap();
+        assert_same_relations(&db, &before, "extend + retract");
     }
 
     #[test]
@@ -636,17 +768,9 @@ mod tests {
     fn recursive_closure_is_maintained() {
         // A chain plus a shortcut: deleting the shortcut must keep the
         // reachability facts the chain still supports.
-        check_against_rebuild(
-            "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n",
-            &[(1, 2), (2, 3), (3, 4), (1, 3)],
-            &[(1, 3)],
-        );
+        check_against_rebuild(TC, &[(1, 2), (2, 3), (3, 4), (1, 3)], &[(1, 3)]);
         // And deleting a chain link cuts everything downstream of it.
-        check_against_rebuild(
-            "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n",
-            &[(1, 2), (2, 3), (3, 4), (1, 3)],
-            &[(2, 3)],
-        );
+        check_against_rebuild(TC, &[(1, 2), (2, 3), (3, 4), (1, 3)], &[(2, 3)]);
     }
 
     #[test]
@@ -654,11 +778,7 @@ mod tests {
         // The classic DRed trap: a 3-cycle's closure facts all support
         // each other; deleting one edge must not let the orphaned loop
         // re-derive itself from its own corpse.
-        check_against_rebuild(
-            "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n",
-            &[(1, 2), (2, 3), (3, 1)],
-            &[(3, 1)],
-        );
+        check_against_rebuild(TC, &[(1, 2), (2, 3), (3, 1)], &[(3, 1)]);
     }
 
     #[test]
@@ -684,7 +804,7 @@ mod tests {
             db.dict().encode(&Const::Int(2)),
         ];
         let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-        stage_deletion(&mut deleted, e, &row);
+        stage_row(&mut deleted, e, &row);
         let outcome = retract(&prog, &mut db, &deleted, &|pred, _| pred == hop).unwrap();
         assert_eq!(db.relation(e).unwrap().len(), 1);
         assert_eq!(db.relation(hop).unwrap().len(), 1);
@@ -708,7 +828,7 @@ mod tests {
 
         let row = [db.dict().encode(&Const::Int(7))];
         let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-        stage_deletion(&mut deleted, a, &row);
+        stage_row(&mut deleted, a, &row);
         let outcome = retract(&prog, &mut db, &deleted, &|_, _| false).unwrap();
         assert_eq!(
             db.relation(gen).unwrap().len(),
@@ -729,7 +849,7 @@ mod tests {
         evaluate(&prog, &mut db, &options()).unwrap();
         let before = db.fact_count();
         let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-        stage_deletion(
+        stage_row(
             &mut deleted,
             e,
             &[
@@ -740,6 +860,10 @@ mod tests {
         let err = retract(&prog, &mut db, &deleted, &|_, _| false).unwrap_err();
         assert!(matches!(err, MaintainError::Unsupported(_)));
         assert_eq!(db.fact_count(), before, "refusal leaves the db untouched");
+        // The insertion half shares the precondition.
+        let err = extend(&prog, &mut db, deleted, &options()).unwrap_err();
+        assert!(matches!(err, MaintainError::Unsupported(_)));
+        assert_eq!(db.fact_count(), before);
     }
 
     #[test]
@@ -750,7 +874,7 @@ mod tests {
         let prog = parse_program("tc(X, Y) :- edge(X, Y).\n", db.symbols()).unwrap();
         evaluate(&prog, &mut db, &options()).unwrap();
         let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-        stage_deletion(
+        stage_row(
             &mut deleted,
             e,
             &[

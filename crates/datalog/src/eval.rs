@@ -12,6 +12,12 @@
 //!    termination on the set level; bag semantics lives entirely in the
 //!    Skolem tuple-ID argument, as in the paper (§5.1).
 //!
+//! A *seeded* run ([`crate::delta::extend`]) skips step 1: the seed —
+//! the rows the caller inserted, plus program facts new to the database —
+//! is the first round's delta, so the run costs the seed's consequences,
+//! not a pass over the store. Seeded programs are positive, and a
+//! positive program is a single stratum, so the seed reaches every rule.
+//!
 //! **Batched execution.** Each round's delta is a columnar
 //! [`ColumnBatch`] over the flat `TermId` rows, and each (rule, delta
 //! occurrence) pass is a *job* that scans its batch partition in a tight
@@ -224,8 +230,7 @@ impl From<StratifyError> for EvalError {
 }
 
 /// Evaluates `program` against `db` to fixpoint, mutating `db` in place —
-/// the materialisation entry (T_D auxiliary rules, ontology rules,
-/// maintenance fallbacks).
+/// the materialisation entry (T_D auxiliary rules, ontology rules).
 ///
 /// The evaluator is a pure executor: it runs `program` as given, in
 /// rule-text body order. Choosing the program (the magic-sets rewrite)
@@ -241,7 +246,7 @@ pub fn evaluate(
     db: &mut Database,
     options: &EvalOptions,
 ) -> Result<EvalStats, EvalError> {
-    execute(program, db, options, None)
+    execute(program, db, options, None, None)
 }
 
 /// Evaluates `program` against a frozen snapshot, collecting all
@@ -274,19 +279,21 @@ pub fn evaluate_frozen_with_plan(
     plan: Option<&crate::plan::ProgramPlan>,
 ) -> Result<(Database, EvalStats), EvalError> {
     let mut db = Database::overlay(base.clone());
-    let stats = execute(program, &mut db, options, plan)?;
+    let stats = execute(program, &mut db, options, plan, None)?;
     Ok((db, stats))
 }
 
-/// The one fixpoint driver behind every `evaluate*` entry: arms the
-/// budget's clock (a no-op when the caller already armed it, so several
-/// evaluations of one request share one clock) and runs the strata
-/// inline or on a pool.
-fn execute(
+/// The one fixpoint driver behind every `evaluate*` entry and
+/// [`crate::delta::extend`]: arms the budget's clock (a no-op when the
+/// caller already armed it, so several evaluations of one request share
+/// one clock) and runs the strata inline or on a pool. A `seed` (the
+/// rows inserted since `db` was at fixpoint) makes it a seeded run.
+pub(crate) fn execute(
     program: &Program,
     db: &mut Database,
     options: &EvalOptions,
     plan: Option<&crate::plan::ProgramPlan>,
+    seed: Option<FxHashMap<Sym, ColumnBatch>>,
 ) -> Result<EvalStats, EvalError> {
     let armed_options;
     let options = if options.budget.needs_arming() {
@@ -300,7 +307,7 @@ fn execute(
     };
     let threads = options.resolved_threads();
     if threads <= 1 {
-        return evaluate_inner(program, db, options, None, plan);
+        return evaluate_inner(program, db, options, None, plan, seed);
     }
     let pool = Pool::new(threads);
     std::thread::scope(|s| {
@@ -313,7 +320,7 @@ fn execute(
         // job claimed by this thread) must still unpark the workers, or
         // the scope's implicit join deadlocks instead of propagating.
         let _guard = crate::pool::ShutdownGuard(&pool);
-        evaluate_inner(program, db, options, Some(&handle), plan)
+        evaluate_inner(program, db, options, Some(&handle), plan, seed)
     })
 }
 
@@ -361,10 +368,12 @@ fn evaluate_inner(
     options: &EvalOptions,
     pool: Option<&PoolHandle<'_, '_>>,
     plan: Option<&crate::plan::ProgramPlan>,
+    mut seed: Option<FxHashMap<Sym, ColumnBatch>>,
 ) -> Result<EvalStats, EvalError> {
     let start = Instant::now();
     let symbols = db.symbols().clone();
     let dict = db.dict().clone();
+    let seeded = seed.is_some();
 
     // Load the program's bundled facts (the T_D encode boundary for
     // facts carried by the program itself).
@@ -375,6 +384,18 @@ fn evaluate_inner(
         scratch.extend(tuple.iter().map(|c| dict.encode(c)));
         if db.add_fact_ids(*pred, &scratch) {
             derived += 1;
+            if let Some(seed) = seed.as_mut() {
+                crate::delta::stage_row(seed, *pred, &scratch);
+            }
+        }
+    }
+    // A seeded run with nothing new has nothing to derive.
+    if let Some(seed) = &seed {
+        if seed.values().all(ColumnBatch::is_empty) {
+            return Ok(EvalStats {
+                derived,
+                ..EvalStats::default()
+            });
         }
     }
 
@@ -441,21 +462,25 @@ fn evaluate_inner(
         if let Some(pb) = pb.as_mut() {
             pb.begin_stratum(stratum_idx);
         }
-        // Predicates defined in this stratum (their deltas drive the
-        // semi-naive rounds) — the stratum's write set.
+        // Predicates defined in this stratum — the stratum's write set.
         let stratum_preds: FxHashSet<Sym> =
             strat.stratum_writes(stratum_rules).into_iter().collect();
         debug_assert!(
             strat.pass_is_independent(stratum_rules, program),
             "stratifier emitted a stratum whose rules are not snapshot-independent"
         );
+        // Predicates whose deltas drive the semi-naive rounds: the write
+        // set, plus the seed's.
+        debug_assert!(!seeded || strat.strata.len() == 1);
+        let mut delta_preds = stratum_preds.clone();
+        delta_preds.extend(seed.iter().flat_map(|rows| rows.keys()));
 
         // Delta-first plan variants for the semi-naive rounds: one per
-        // body occurrence of a this-stratum predicate.
+        // body occurrence of a delta predicate.
         let mut delta_plans: FxHashMap<(usize, usize), RulePlan> = FxHashMap::default();
         for &ri in stratum_rules {
             let rule = &program.rules[ri];
-            for item_idx in rule.positive_occurrences_of(&stratum_preds) {
+            for item_idx in rule.positive_occurrences_of(&delta_preds) {
                 // Order preference: the physical plan's delta variant,
                 // else the delta-first heuristic, with rule-text order as
                 // the fallback should either fail to compile (the delta
@@ -471,14 +496,12 @@ fn evaluate_inner(
 
         // Make sure every index the plans need exists — the hash-join
         // build sides. Built once here; maintained incrementally by every
-        // merge, so rounds never rebuild them.
+        // merge, so rounds never rebuild them. A seeded run builds none:
+        // its jobs fall back to lazily built indexes, so it builds only
+        // what the seed's rounds actually probe.
         let mut indexes_built = 0usize;
-        for &ri in stratum_rules {
-            for need in &plans[ri].index_needs {
-                indexes_built += db.ensure_index(need.0, need.1) as usize;
-            }
-        }
-        for plan in delta_plans.values() {
+        let all_plans = stratum_rules.iter().map(|&ri| &plans[ri]);
+        for plan in all_plans.chain(delta_plans.values()).filter(|_| !seeded) {
             for need in &plan.index_needs {
                 indexes_built += db.ensure_index(need.0, need.1) as usize;
             }
@@ -500,7 +523,7 @@ fn evaluate_inner(
         // converges: those tuples are in the delta, so round 1's
         // delta-restricted variants see them.
         let mut delta: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-        {
+        if !seeded {
             let jobs: Vec<Job<'_>> = plain_rules
                 .iter()
                 .map(|&ri| Job {
@@ -542,7 +565,7 @@ fn evaluate_inner(
         // edge). Without this, every merge insert would keep them
         // current for nothing. Relations not written here pay no
         // maintenance, so their indexes stay for later queries.
-        {
+        if !seeded {
             let keep: FxHashSet<(Sym, Mask)> = delta_plans
                 .values()
                 .flat_map(|p| p.index_needs.iter().copied())
@@ -562,6 +585,10 @@ fn evaluate_inner(
         }
 
         // --- semi-naive rounds ---
+        // A seeded run's first round drives from the seed.
+        if let Some(seed) = seed.take() {
+            delta = seed;
+        }
         let mut rounds = 0usize;
         while delta.values().any(|b| !b.is_empty()) {
             rounds += 1;
@@ -571,12 +598,12 @@ fn evaluate_inner(
             let mut jobs: Vec<Job<'_>> = Vec::new();
             for &ri in &plain_rules {
                 let rule = &program.rules[ri];
-                // One variant per body occurrence of a this-stratum pred,
+                // One variant per body occurrence of a delta predicate,
                 // range-partitioned across the pool's workers when the
                 // batch is large enough to split.
                 for (item_idx, item) in rule.body.iter().enumerate() {
                     let atom_pred = match item {
-                        BodyItem::Pos(a) if stratum_preds.contains(&a.pred) => a.pred,
+                        BodyItem::Pos(a) if delta_preds.contains(&a.pred) => a.pred,
                         _ => continue,
                     };
                     let Some(batch) = delta.get(&atom_pred) else {
@@ -1072,23 +1099,31 @@ fn compile_rule(
         }
     }
 
-    let existentials = rule
-        .existential_vars()
+    Ok(RulePlan {
+        steps,
+        nvars,
+        index_needs,
+        existentials: skolem_functors(rule_idx, rule, symbols),
+        enc_atoms,
+        enc_head: encode_atom(&rule.head, dict),
+    })
+}
+
+/// The Skolem functor `_ex_r{rule_idx}_{var}` of each existential head
+/// variable — the one naming the evaluator and [`crate::delta`] share, so
+/// the null one mints over a frontier is the one the other recomputes.
+pub(crate) fn skolem_functors(
+    rule_idx: usize,
+    rule: &Rule,
+    symbols: &SymbolTable,
+) -> Vec<(VarId, Sym)> {
+    rule.existential_vars()
         .into_iter()
         .map(|v| {
             let name = &rule.var_names[v as usize];
             (v, symbols.intern(&format!("_ex_r{rule_idx}_{name}")))
         })
-        .collect();
-
-    Ok(RulePlan {
-        steps,
-        nvars,
-        index_needs,
-        existentials,
-        enc_atoms,
-        enc_head: encode_atom(&rule.head, dict),
-    })
+        .collect()
 }
 
 /// Body order for a delta variant: the delta atom first, then greedily —
@@ -1177,7 +1212,7 @@ const MAX_COLS: usize = 64;
 /// Minimum delta rows per partition job: batches smaller than this are
 /// not worth a second worker's fixed cost (staging buffer, plan
 /// resolution, pool dispatch).
-const MIN_PARTITION_ROWS: usize = 512;
+pub(crate) const MIN_PARTITION_ROWS: usize = 512;
 
 struct Ctx<'a> {
     symbols: &'a SymbolTable,

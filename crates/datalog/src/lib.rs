@@ -74,7 +74,7 @@ pub mod value;
 pub mod wardedness;
 
 pub use database::{row_hash, ColumnBatch, Database, Mask, Matches, Relation, Staging};
-pub use delta::{retract, stage_deletion, MaintainError, Retraction};
+pub use delta::{extend, retract, stage_row, MaintainError, Retraction};
 pub use eval::{
     collect_output, evaluate, evaluate_frozen, evaluate_frozen_with_plan, order_cmp, EvalError,
     EvalOptions, EvalStats,

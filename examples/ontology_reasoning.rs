@@ -51,17 +51,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("references (via subPropertyOf): {}", refs.len());
     assert_eq!(refs.len(), 1);
 
-    let parents = store
-        .execute("PREFIX ex: <http://ex.org/> SELECT ?p WHERE { ex:alice ex:hasParent ?p }")?;
-    let parent = parents
-        .solutions()
-        .unwrap()
-        .solution(0)
-        .unwrap()
-        .get("p")
-        .unwrap()
-        .clone();
+    let parent_of = |person: &str| -> Result<sparqlog::Term, sparqlog::SparqLogError> {
+        let parents = store.execute(&format!(
+            "PREFIX ex: <http://ex.org/> SELECT ?p WHERE {{ ex:{person} ex:hasParent ?p }}"
+        ))?;
+        assert_eq!(parents.len(), 1);
+        Ok(parents
+            .solutions()
+            .unwrap()
+            .solution(0)
+            .unwrap()
+            .get("p")
+            .unwrap()
+            .clone())
+    };
+    let parent = parent_of("alice")?;
     println!("alice's invented parent (labelled null): {parent}");
+    assert!(parent.is_bnode());
+
+    // Later commits extend the materialisation from their own delta: the
+    // new article is a Document at once, and the new person gets a parent.
+    store.update(
+        "PREFIX ex: <http://ex.org/>
+         INSERT DATA { ex:art3 a ex:Article . ex:bob a ex:Person }",
+    )?;
+    let docs = store.execute("PREFIX ex: <http://ex.org/> SELECT ?d WHERE { ?d a ex:Document }")?;
+    println!("Documents after inserting ex:art3: {}", docs.len());
+    assert_eq!(docs.len(), 3);
+    let parent = parent_of("bob")?;
+    println!("bob's invented parent: {parent}");
     assert!(parent.is_bnode());
     Ok(())
 }
