@@ -83,17 +83,18 @@
 //! commit that installs them — the one commit that runs a full fixpoint.
 //! Every other commit maintains the T_D auxiliary predicates and the
 //! ontology entailments one way, in time proportional to the delta's
-//! consequences: deletions run through the DRed-style maintainer
-//! ([`sparqlog_datalog::retract`]), which retracts a derived fact exactly
-//! when its last asserted support disappears; additions through
-//! [`sparqlog_datalog::extend`], the evaluator's semi-naive loop seeded
-//! with exactly the rows the commit inserted. After every commit the
-//! store is multiset-equal to loading the surviving asserted triples
-//! fresh and re-materialising. To tell assertions from entailments the
-//! store keeps an *asserted ledger* (the explicitly written quads) from
-//! the first ontology install on: deletes apply to the ledger, and a
-//! triple that is both asserted and entailed stays visible until its
-//! last support is gone.
+//! consequences, always on the evaluator's semi-naive loop seeded with
+//! the rows that changed: deletions run through DRed
+//! ([`sparqlog_datalog::retract`]: an overdelete run, then a re-derive
+//! run, of rewritten rules), which retracts a derived fact exactly when
+//! its last asserted support disappears; additions through
+//! [`sparqlog_datalog::extend`], seeded with exactly the rows the commit
+//! inserted. After every commit the store is multiset-equal to loading
+//! the surviving asserted triples fresh and re-materialising. To tell
+//! assertions from entailments the store keeps an *asserted ledger* (the
+//! explicitly written quads) from the first ontology install on: deletes
+//! apply to the ledger, and a triple that is both asserted and entailed
+//! stays visible until its last support is gone.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -893,8 +894,9 @@ struct Outcome {
     /// Subscription prefilter bookkeeping: the predicate ids of every
     /// `triple` row this commit added or removed, asserted or entailed.
     changed_preds: FxHashSet<TermId>,
-    /// Rows the forward pass ([`extend`], or [`evaluate`] on an install)
-    /// staged before dedup — the maintenance work of the additions.
+    /// Rows the seeded runs ([`retract`]'s two, then [`extend`], or
+    /// [`evaluate`] on an install) staged before dedup — the commit's
+    /// maintenance work.
     staged: usize,
 }
 
@@ -920,7 +922,8 @@ impl Commit<'_> {
         // disappeared.
         let mut reclassified: FxHashSet<TermId> = FxHashSet::default();
         if !self.removed_rows.is_empty() {
-            let retraction = self.retract_removals()?;
+            let retraction = self.retract_removals(&options)?;
+            outcome.staged = retraction.staged;
             let removed = |pred| retraction.removed.get(&pred).into_iter().flatten();
             outcome
                 .changed_preds
@@ -985,7 +988,7 @@ impl Commit<'_> {
         } else {
             evaluate(program, db, &options)?
         };
-        outcome.staged = stats.staged;
+        outcome.staged += stats.staged;
 
         // Relations only grew since `triples_before` was read, so the
         // rows past it are exactly the triples this commit appended.
@@ -1016,7 +1019,7 @@ impl Commit<'_> {
     /// The removal half of [`Commit::maintain`]: retracts `removed_rows`
     /// and everything that lived by them — their terms' load-time class
     /// and named-graph facts included — through the DRed maintainer.
-    fn retract_removals(&mut self) -> Result<Retraction, SparqLogError> {
+    fn retract_removals(&mut self, options: &EvalOptions) -> Result<Retraction, SparqLogError> {
         let Commit {
             db,
             asserted,
@@ -1091,7 +1094,7 @@ impl Commit<'_> {
         let support = |pred: Sym, row: &[TermId]| {
             pred == triple_p && asserted.as_ref().is_some_and(|l| l.contains(row))
         };
-        retract(program, db, &deleted, &support).map_err(maintenance_error)
+        retract(program, db, &deleted, &support, options).map_err(maintenance_error)
     }
 }
 
@@ -2037,10 +2040,11 @@ mod tests {
         assert_eq!(read("sparqlog_plan_cache_hits_total"), 99);
     }
 
-    /// Ontology additions are O(delta), proved by counts: under an
-    /// ontology with an existential axiom, an add-10 commit stages as many
-    /// rows behind 20 000 asserted triples as behind 200, and a commit
-    /// that adds and removes nothing stages none.
+    /// Ontology commits are O(delta), proved by counts: under an ontology
+    /// with an existential axiom, an add-10 commit stages as many rows
+    /// behind 20 000 asserted triples as behind 200, so does the remove-10
+    /// commit taking the same triples out again, and a commit that adds
+    /// and removes nothing stages none.
     #[test]
     fn ontology_commits_stage_rows_in_proportion_to_the_delta() {
         let rdf_type = || Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
@@ -2091,16 +2095,30 @@ mod tests {
             w.insert(iri("s0"), rdf_type(), iri("Student"));
             w.remove(iri("s0"), iri("knows"), iri("nobody"));
             assert_eq!(w.commit().unwrap(), CommitStats::default());
-            (add10, staged() - before)
+            let noop = staged() - before;
+
+            let before = staged();
+            let mut w = store.writer();
+            for k in 0..5 {
+                w.remove(iri(&format!("new{k}")), rdf_type(), iri("Student"));
+                w.remove(iri(&format!("new{k}")), iri("knows"), iri("s1"));
+            }
+            assert_eq!(w.commit().unwrap().removed, 10);
+            (add10, noop, staged() - before)
         };
-        let (small, small_noop) = staged_behind(200);
-        let (large, large_noop) = staged_behind(20_000);
+        let (small, small_noop, small_remove) = staged_behind(200);
+        let (large, large_noop, large_remove) = staged_behind(20_000);
         assert!(small > 0);
         assert_eq!(small, large, "add10 staging is flat in the store size");
         assert_eq!(
             (small_noop, large_noop),
             (0, 0),
             "a no-op commit stages nothing"
+        );
+        assert!(small_remove > 0);
+        assert_eq!(
+            small_remove, large_remove,
+            "remove10 staging is flat in the store size"
         );
     }
 

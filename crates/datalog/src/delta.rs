@@ -1,44 +1,44 @@
 //! Incremental maintenance of a materialised database over encoded rows:
-//! [`extend`] for insertions, [`retract`] (DRed delete/re-derive) for
-//! deletions.
+//! [`extend`] for insertions, [`retract`] (DRed) for deletions.
 //!
 //! Both keep a database at fixpoint under its program as its base facts
 //! change, in time proportional to what the change touches. They are the
 //! store's commit path: the T_D auxiliary predicates and the ontology
 //! entailments are plain positive rules over the loaded facts.
 //!
-//! **Insertions** run the evaluator's own semi-naive loop *seeded* with
-//! exactly the rows the caller inserted that were new: no naive pass, so
-//! a monotone program derives the seed's consequences and nothing else.
+//! Both run on the evaluator's own semi-naive loop *seeded* with the
+//! rows that changed: no naive pass, so a run derives the seed's
+//! consequences and nothing else. **Insertions** seed it with exactly the
+//! rows the caller inserted that were new.
 //!
-//! **Deletions** are the classic two-phase DRed, specialised to the
-//! engine's dictionary-encoded rows:
+//! **Deletions** are classic DRed (Gupta, Mumick & Subrahmanian, SIGMOD
+//! 1993) written as two Program → Program rewrites, each run seeded on
+//! the database itself. Every predicate `p` gets a candidate relation
+//! `p__dred`, dropped again before [`retract`] returns.
 //!
-//! 1. **Overdelete** — starting from the explicitly deleted rows, every
-//!    rule is run *backwards through its body*: a deleted fact matching a
-//!    body atom has the remaining atoms joined against the (unmodified)
-//!    database, and each resulting head row becomes a deletion candidate
-//!    unless it is externally supported (still asserted). This is the
-//!    semi-naive forward closure of "might have depended on a deleted
-//!    fact"; it deliberately overshoots.
-//! 2. **Re-derive** — each candidate is checked for an *alternative*
-//!    derivation against the database *with the candidate set masked
-//!    out* (a visibility filter; nothing is physically removed yet). A
-//!    re-derived row becomes visible again and may re-support other
-//!    candidates, so the phase iterates to a fixpoint (bounded by the
-//!    candidate count). Only the rows that stay dead are then removed,
-//!    by targeted swap-remove (`Relation::remove_rows`), which patches
-//!    dedup tables and eager indexes per row — a relation whose
-//!    casualties all re-derive is never rebuilt, and one that loses a
-//!    handful of rows pays for the handful, not its size.
+//! 1. **Overdelete.** One rule per positive body occurrence: occurrence
+//!    `j` of `h :- b1, …, bn` reads `bj__dred`, the other atoms read the
+//!    unmodified relations, and the head writes `h__dred`. Seeded with the
+//!    deleted rows that are present and not externally supported, the run
+//!    is the forward closure of "might have depended on a deleted fact";
+//!    it deliberately overshoots.
+//! 2. **Remove** every candidate (`Relation::remove_rows`: swap-remove,
+//!    with dedup tables and eager indexes patched per row).
+//! 3. **Re-derive.** Every rule whose head has candidates, with
+//!    `h__dred(head args)` prepended, seeded with the candidates: a
+//!    candidate the remaining facts still derive goes back into `h`, and
+//!    the run's later rounds let it support other candidates — DRed's
+//!    iterative re-derivation. Candidates that are still externally
+//!    supported are re-inserted first and seeded under `h` itself.
 //!
-//! Existential rules (the ontology's ∃-generators) need no special
-//! bookkeeping: the evaluator Skolemises existential head variables
-//! *deterministically* over the rule's frontier, with one functor naming
-//! shared by both halves (`eval::skolem_functors`), so [`retract`]
-//! recomputes — via [`TermDict::skolem`] — exactly the labelled null
-//! [`extend`] or a full evaluation minted. A row created by a different
-//! rule over the same predicate is never touched by accident.
+//! Existential rules (the ontology's ∃-generators) need no bookkeeping of
+//! their own: before either rewrite, each existential head variable `Z`
+//! of rule `i` becomes a body assignment `Z = [functor|frontier]` under
+//! the functor the evaluator minted its null with
+//! (`eval::skolem_functors`). A rewritten copy therefore recomputes that
+//! exact null or, where the candidate already binds `Z`, checks it — a
+//! row created by a different rule over the same predicate is never
+//! touched by accident.
 //!
 //! Both halves take the same programs: positive, non-aggregate rules and
 //! no `@post` — exactly the shape of the T_D base program and the
@@ -48,14 +48,15 @@
 //! maintenance under non-monotone rules is a different algorithm, not a
 //! missing `match` arm.
 
-use crate::database::{ColumnBatch, Database, Mask};
+use crate::database::{ColumnBatch, Database};
 use crate::eval::{
     execute, skolem_functors, EvalError, EvalOptions, EvalStats, MIN_PARTITION_ROWS,
 };
+use crate::expr::Expr;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::rule::{AtomArg, BodyItem, Program};
-use crate::symbols::Sym;
-use crate::value::{TermDict, TermId};
+use crate::rule::{Atom, BodyItem, Program, Rule};
+use crate::symbols::{Sym, SymbolTable};
+use crate::value::TermId;
 
 /// An encoded fact row.
 pub type Row = Vec<TermId>;
@@ -67,8 +68,8 @@ pub enum MaintainError {
     /// (negation, filters, assignments, aggregates or `@post`
     /// directives). The database is untouched.
     Unsupported(String),
-    /// The forward evaluation of [`extend`] failed: its budget aborted
-    /// it, or a worker panicked.
+    /// A seeded evaluation of [`extend`] or [`retract`] failed: its
+    /// budget aborted it, or a worker panicked.
     Eval(EvalError),
 }
 
@@ -88,60 +89,18 @@ impl std::error::Error for MaintainError {}
 /// The outcome of one [`retract`] pass.
 #[derive(Debug, Default)]
 pub struct Retraction {
-    /// Rows physically removed, per predicate — the net delta after
-    /// re-derivation. Includes the explicitly deleted rows that were
-    /// present (and stayed dead).
+    /// Rows removed, per predicate: the candidates that did not
+    /// re-derive, the explicitly deleted rows that were present included.
     pub removed: FxHashMap<Sym, Vec<Row>>,
-    /// Deletion candidates marked by the overdelete phase (including the
-    /// explicit seeds).
-    pub overdeleted: usize,
-    /// Candidates that survived via an alternative derivation and were
-    /// kept in place.
-    pub rederived: usize,
+    /// Rows the overdelete and re-derive runs staged before dedup — the
+    /// removal's maintenance work.
+    pub staged: usize,
 }
 
 impl Retraction {
-    /// Total rows physically removed across all predicates.
+    /// Total rows removed across all predicates.
     pub fn removed_rows(&self) -> usize {
         self.removed.values().map(Vec::len).sum()
-    }
-}
-
-/// A body atom with its constants pre-encoded to [`TermId`]s.
-struct EncAtom {
-    pred: Sym,
-    args: Vec<EncArg>,
-}
-
-#[derive(Clone, Copy)]
-enum EncArg {
-    Var(u32),
-    Id(TermId),
-}
-
-/// A rule compiled for maintenance: encoded head/body plus the Skolem
-/// recipe for its existential head variables (the evaluator's, see
-/// `eval::skolem_functors`).
-struct EncRule {
-    head: EncAtom,
-    body: Vec<EncAtom>,
-    nvars: usize,
-    /// `(var, functor)` per existential head variable.
-    existentials: Vec<(u32, Sym)>,
-    /// Frontier variables, in Skolem-argument order.
-    frontier: Vec<u32>,
-}
-
-fn encode_atom(pred: Sym, args: &[AtomArg], dict: &TermDict) -> EncAtom {
-    EncAtom {
-        pred,
-        args: args
-            .iter()
-            .map(|a| match a {
-                AtomArg::Var(v) => EncArg::Var(*v),
-                AtomArg::Const(c) => EncArg::Id(dict.encode(c)),
-            })
-            .collect(),
     }
 }
 
@@ -169,232 +128,39 @@ fn check_maintainable(program: &Program) -> Result<(), MaintainError> {
     Ok(())
 }
 
-/// Compiles a [`check_maintainable`] program for [`retract`]; its Skolem
-/// terms match the evaluator's only for the program the database was
-/// materialised with, rule order included.
-fn compile(program: &Program, db: &Database) -> Vec<EncRule> {
-    let symbols = db.symbols();
-    let dict = db.dict();
-    program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(rule_idx, rule)| EncRule {
-            head: encode_atom(rule.head.pred, &rule.head.args, dict),
-            body: rule
-                .body
-                .iter()
-                .filter_map(|item| match item {
-                    BodyItem::Pos(a) => Some(encode_atom(a.pred, &a.args, dict)),
-                    _ => None,
-                })
-                .collect(),
-            nvars: rule.var_names.len(),
-            existentials: skolem_functors(rule_idx, rule, symbols),
-            frontier: rule.frontier_vars(),
-        })
-        .collect()
-}
-
-/// Binds `atom`'s variables against `row`. Returns `false` on a constant
-/// mismatch or an inconsistent repeated variable.
-fn unify(atom: &EncAtom, row: &[TermId], env: &mut [Option<TermId>]) -> bool {
-    debug_assert_eq!(atom.args.len(), row.len());
-    for (arg, &id) in atom.args.iter().zip(row) {
-        match arg {
-            EncArg::Id(c) => {
-                if *c != id {
-                    return false;
-                }
-            }
-            EncArg::Var(v) => match env[*v as usize] {
-                Some(bound) if bound != id => return false,
-                Some(_) => {}
-                None => env[*v as usize] = Some(id),
-            },
-        }
-    }
-    true
-}
-
-/// Enumerates every binding of `atoms` (skipping index `skip`) consistent
-/// with `env` against `db`, invoking `found` per complete binding.
-/// Returns early once `found` returns `false` (existence checks).
-/// Rows masked out of the database during the re-derive phase: the
-/// still-overdeleted candidates. Joins treat them as absent without any
-/// physical removal having happened yet.
-type Hidden = FxHashMap<Sym, FxHashSet<Row>>;
-
-fn is_hidden(hidden: &Hidden, pred: Sym, row: &[TermId]) -> bool {
-    hidden.get(&pred).is_some_and(|set| set.contains(row))
-}
-
-fn join(
-    atoms: &[EncAtom],
-    skip: Option<usize>,
-    env: &mut [Option<TermId>],
-    db: &Database,
-    hidden: &Hidden,
-    found: &mut dyn FnMut(&mut [Option<TermId>]) -> bool,
-) -> bool {
-    // Atoms are solved in body order (bodies here are 1–2 atoms; a
-    // join-order search would cost more than it saves).
-    join_from(atoms, skip, 0, env, db, hidden, found)
-}
-
-fn join_from(
-    atoms: &[EncAtom],
-    skip: Option<usize>,
-    next: usize,
-    env: &mut [Option<TermId>],
-    db: &Database,
-    hidden: &Hidden,
-    found: &mut dyn FnMut(&mut [Option<TermId>]) -> bool,
-) -> bool {
-    let Some(i) = (next..atoms.len()).find(|&i| Some(i) != skip) else {
-        return found(env);
+/// Runs `program` on `db` seeded with `seed`. A seed smaller than one
+/// batch partition saves less than spawning a worker costs, so such runs
+/// stay on the calling thread.
+fn run_seeded(
+    program: &Program,
+    db: &mut Database,
+    seed: FxHashMap<Sym, ColumnBatch>,
+    options: &EvalOptions,
+) -> Result<EvalStats, MaintainError> {
+    let small = seed.values().map(ColumnBatch::len).sum::<usize>() < MIN_PARTITION_ROWS;
+    let inline = EvalOptions {
+        threads: Some(1),
+        ..options.clone()
     };
-    let atom = &atoms[i];
-    let Some(rel) = db.relation(atom.pred) else {
-        return true; // empty relation: no matches, keep enumerating peers
-    };
-    // Bound positions become the probe key; unbound variables are filled
-    // from each match (verified for repeated-variable consistency by
-    // `unify`).
-    let mut mask: Mask = 0;
-    let mut key: Vec<TermId> = Vec::new();
-    let mut all_bound = true;
-    for (pos, arg) in atom.args.iter().enumerate() {
-        match arg {
-            EncArg::Id(c) => {
-                mask |= 1 << pos;
-                key.push(*c);
-            }
-            EncArg::Var(v) => match env[*v as usize] {
-                Some(id) => {
-                    mask |= 1 << pos;
-                    key.push(id);
-                }
-                None => all_bound = false,
-            },
-        }
-    }
-    if all_bound {
-        // `key` is the full row in position order when every position is
-        // bound, so the hidden check probes with it directly.
-        if !rel.contains(&key) || is_hidden(hidden, atom.pred, &key) {
-            return true;
-        }
-        return join_from(atoms, skip, i + 1, env, db, hidden, found);
-    }
-    let matches: Vec<u32> = if mask == 0 {
-        (0..rel.len() as u32).collect()
-    } else {
-        rel.lookup(mask, &key).to_vec()
-    };
-    let saved: Vec<Option<TermId>> = env.to_vec();
-    for m in matches {
-        let row = rel.row(m).to_vec();
-        if is_hidden(hidden, atom.pred, &row) {
-            continue;
-        }
-        env.copy_from_slice(&saved);
-        if !unify(atom, &row, env) {
-            continue;
-        }
-        if !join_from(atoms, skip, i + 1, env, db, hidden, found) {
-            return false;
-        }
-    }
-    env.copy_from_slice(&saved);
-    true
+    let options = if small { &inline } else { options };
+    execute(program, db, options, None, Some(seed)).map_err(MaintainError::Eval)
 }
 
-/// Instantiates `rule`'s head under `env`, Skolemising existential
-/// variables over the frontier. Returns `None` if a head variable is
-/// unbound (cannot happen for safe rules).
-fn head_row(rule: &EncRule, env: &[Option<TermId>], dict: &TermDict) -> Option<Row> {
-    let mut ex_values: FxHashMap<u32, TermId> = FxHashMap::default();
-    if !rule.existentials.is_empty() {
-        let frontier: Vec<TermId> = rule
-            .frontier
-            .iter()
-            .map(|&v| env[v as usize])
-            .collect::<Option<_>>()?;
-        for (v, functor) in &rule.existentials {
-            ex_values.insert(*v, dict.skolem(*functor, &frontier));
+/// A copy of rule `i` with every existential head variable assigned, in
+/// the body, the Skolem term the evaluator mints for it. Rule indices
+/// name the functors, so `i` must index the program the database was
+/// materialised with. The assignments go last: body positions stay valid.
+fn skolemised(i: usize, rule: &Rule, symbols: &SymbolTable) -> Rule {
+    let mut copy = rule.clone();
+    let functors = skolem_functors(i, rule, symbols);
+    if !functors.is_empty() {
+        let frontier: Vec<Expr> = rule.frontier_vars().into_iter().map(Expr::Var).collect();
+        for (z, functor) in functors {
+            copy.body
+                .push(BodyItem::Assign(z, Expr::Skolem(functor, frontier.clone())));
         }
     }
-    rule.head
-        .args
-        .iter()
-        .map(|arg| match arg {
-            EncArg::Id(c) => Some(*c),
-            EncArg::Var(v) => env[*v as usize].or_else(|| ex_values.get(v).copied()),
-        })
-        .collect()
-}
-
-/// Checks whether `row` (a fact of `rule`'s head predicate) has a
-/// derivation through `rule` in `db` with the `hidden` rows masked out:
-/// head unification binds the frontier, the Skolem identity of
-/// existential positions is verified, and the body is joined for
-/// existence over the visible facts only.
-fn rederivable_via(
-    rule: &EncRule,
-    row: &[TermId],
-    db: &Database,
-    hidden: &Hidden,
-    dict: &TermDict,
-) -> bool {
-    if rule.head.args.len() != row.len() {
-        return false;
-    }
-    let mut env: Vec<Option<TermId>> = vec![None; rule.nvars];
-    // Bind non-existential head positions; remember existential values
-    // for the identity check below.
-    for (arg, &id) in rule.head.args.iter().zip(row) {
-        match arg {
-            EncArg::Id(c) => {
-                if *c != id {
-                    return false;
-                }
-            }
-            EncArg::Var(v) => match env[*v as usize] {
-                Some(bound) if bound != id => return false,
-                Some(_) => {}
-                None => env[*v as usize] = Some(id),
-            },
-        }
-    }
-    // An existential position must carry exactly the Skolem term this
-    // rule would mint over its frontier (all frontier variables are head
-    // variables, so they are bound by now).
-    for (v, functor) in &rule.existentials {
-        let Some(frontier) = rule
-            .frontier
-            .iter()
-            .map(|&fv| env[fv as usize])
-            .collect::<Option<Vec<_>>>()
-        else {
-            return false;
-        };
-        match env[*v as usize] {
-            Some(actual) if actual == dict.skolem(*functor, &frontier) => {}
-            _ => return false,
-        }
-    }
-    // Clear existential bindings for the body join: they do not occur in
-    // the body by definition.
-    for (v, _) in &rule.existentials {
-        env[*v as usize] = None;
-    }
-    let mut derivable = false;
-    join(&rule.body, None, &mut env, db, hidden, &mut |_| {
-        derivable = true;
-        false // first witness suffices
-    });
-    derivable
+    copy
 }
 
 /// Retracts `deleted` rows from `db` and incrementally maintains every
@@ -408,147 +174,130 @@ fn rederivable_via(
 /// * `externally_supported(pred, row)` reports rows that keep
 ///   independent, non-rule support after the deletion (the store passes
 ///   its post-deletion *asserted* set here). Such rows are never
-///   removed, and propagation stops at them.
+///   removed.
+/// * `options` govern both seeded runs, as for [`extend`].
 ///
-/// On success every relation with *net* casualties has had exactly those
-/// rows removed (targeted swap-remove, cost proportional to the
-/// casualties); relations whose candidates all re-derived are untouched.
-/// The returned [`Retraction`] lists the net removals. On
-/// [`MaintainError`] the database is untouched.
+/// On success every relation has lost exactly its net casualties; the
+/// returned [`Retraction`] lists them. On [`MaintainError::Unsupported`]
+/// the database is untouched; on [`MaintainError::Eval`] it holds a
+/// partial retraction.
 pub fn retract(
     program: &Program,
     db: &mut Database,
     deleted: &FxHashMap<Sym, ColumnBatch>,
     externally_supported: &dyn Fn(Sym, &[TermId]) -> bool,
+    options: &EvalOptions,
 ) -> Result<Retraction, MaintainError> {
     check_maintainable(program)?;
-    let rules = compile(program, db);
-    let dict = db.dict().clone();
-
-    // Rules indexed by body predicate: the forward (overdelete) step
-    // asks "who consumes this deleted fact?".
-    let mut by_body: FxHashMap<Sym, Vec<(usize, usize)>> = FxHashMap::default();
-    for (ri, rule) in rules.iter().enumerate() {
-        for (bi, atom) in rule.body.iter().enumerate() {
-            by_body.entry(atom.pred).or_default().push((ri, bi));
-        }
+    // The candidate relation of every predicate a rule or the deletion
+    // names.
+    let symbols = db.symbols().clone();
+    let mut dred: FxHashMap<Sym, Sym> = FxHashMap::default();
+    let atoms = program.rules.iter().flat_map(|rule| {
+        let body = rule.body.iter().filter_map(|item| match item {
+            BodyItem::Pos(a) => Some(a.pred),
+            _ => None,
+        });
+        body.chain([rule.head.pred])
+    });
+    for pred in atoms.chain(deleted.keys().copied()) {
+        dred.entry(pred)
+            .or_insert_with(|| symbols.intern(&format!("{}__dred", symbols.resolve(pred))));
     }
-    // ... and by head predicate for the backward (re-derive) step.
-    let mut by_head: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
-    for (ri, rule) in rules.iter().enumerate() {
-        by_head.entry(rule.head.pred).or_default().push(ri);
+    let outcome =
+        overdelete_and_rederive(program, db, deleted, externally_supported, options, &dred);
+    for candidates in dred.values() {
+        db.relations.remove(candidates);
     }
+    outcome
+}
 
-    // --- Phase 1: overdelete ------------------------------------------
-    // Candidates per predicate, plus a worklist of fresh ones. The
-    // database is *not* modified in this phase: joins run against the
-    // full pre-deletion state, which can only overestimate (exactly what
-    // DRed wants).
-    let no_hidden = Hidden::default();
-    let mut over: Hidden = FxHashMap::default();
-    let mut worklist: Vec<(Sym, Row)> = Vec::new();
+/// The three DRed steps of [`retract`], `dred` naming each predicate's
+/// candidate relation.
+fn overdelete_and_rederive(
+    program: &Program,
+    db: &mut Database,
+    deleted: &FxHashMap<Sym, ColumnBatch>,
+    externally_supported: &dyn Fn(Sym, &[TermId]) -> bool,
+    options: &EvalOptions,
+    dred: &FxHashMap<Sym, Sym>,
+) -> Result<Retraction, MaintainError> {
+    let symbols = db.symbols().clone();
+
+    // --- Overdelete: against the unmodified relations -----------------
+    let mut seed: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+    let mut row: Row = Vec::new();
     for (&pred, batch) in deleted {
-        let Some(rel) = db.relation(pred) else {
-            continue;
-        };
-        let set = over.entry(pred).or_default();
         for i in 0..batch.len() {
-            let row: Row = batch.cols().iter().map(|c| c[i]).collect();
-            if !rel.contains(&row) || externally_supported(pred, &row) {
-                continue;
-            }
-            if set.insert(row.clone()) {
-                worklist.push((pred, row));
+            row.clear();
+            row.extend(batch.cols().iter().map(|c| c[i]));
+            let present = db.relation(pred).is_some_and(|r| r.contains(&row));
+            if present
+                && !externally_supported(pred, &row)
+                && db.relation_mut(dred[&pred]).insert(&row)
+            {
+                stage_row(&mut seed, dred[&pred], &row);
             }
         }
     }
+    let mut overdelete = Program::new();
+    for (i, rule) in program.rules.iter().enumerate() {
+        for (j, item) in rule.body.iter().enumerate() {
+            let BodyItem::Pos(a) = item else { continue };
+            let mut copy = skolemised(i, rule, &symbols);
+            copy.head.pred = dred[&rule.head.pred];
+            copy.body[j] = BodyItem::Pos(Atom::new(dred[&a.pred], a.args.clone()));
+            overdelete.rules.push(copy);
+        }
+    }
+    let mut staged = run_seeded(&overdelete, db, seed, options)?.staged;
 
-    while let Some((pred, row)) = worklist.pop() {
-        let Some(consumers) = by_body.get(&pred) else {
+    // --- Remove every candidate ----------------------------------------
+    let mut candidates: Vec<(Sym, FxHashSet<Row>)> = Vec::new();
+    for (&pred, candidate_pred) in dred {
+        let Some(rel) = db.relation(*candidate_pred).filter(|r| !r.is_empty()) else {
             continue;
         };
-        for &(ri, bi) in consumers {
-            let rule = &rules[ri];
-            let mut env: Vec<Option<TermId>> = vec![None; rule.nvars];
-            if !unify(&rule.body[bi], &row, &mut env) {
-                continue;
-            }
-            let mut heads: Vec<Row> = Vec::new();
-            join(&rule.body, Some(bi), &mut env, db, &no_hidden, &mut |env| {
-                if let Some(h) = head_row(rule, env, &dict) {
-                    heads.push(h);
-                }
-                true
-            });
-            for h in heads {
-                let head_pred = rule.head.pred;
-                let present = db.relation(head_pred).is_some_and(|r| r.contains(&h));
-                if !present
-                    || externally_supported(head_pred, &h)
-                    || over.get(&head_pred).is_some_and(|s| s.contains(&h))
-                {
-                    continue;
-                }
-                over.entry(head_pred).or_default().insert(h.clone());
-                worklist.push((head_pred, h));
-            }
-        }
-    }
-    over.retain(|_, set| !set.is_empty());
-    let overdeleted: usize = over.values().map(FxHashSet::len).sum();
-    if overdeleted == 0 {
-        return Ok(Retraction::default());
+        let rows: FxHashSet<Row> = rel.iter().map(<[TermId]>::to_vec).collect();
+        db.relation_mut(pred).remove_rows(&rows);
+        candidates.push((pred, rows));
     }
 
-    // --- Phase 2: re-derive against the hidden view --------------------
-    // Nothing is physically removed yet. Re-derivability joins run on
-    // the database with the overdeleted rows masked out; a candidate
-    // proven alive becomes visible again and may re-support further
-    // candidates, so iterate to fixpoint. Seeds are candidates too: an
-    // explicitly deleted row a rule still derives (an asserted triple
-    // that is also entailed) simply stays, matching fresh-reload
-    // semantics exactly. Working on the mask instead of the storage
-    // means a relation whose casualties all come back — the common case
-    // for dense auxiliaries — is never touched at all.
-    let mut rederived = 0usize;
-    loop {
-        let candidates: Vec<(Sym, Row)> = over
-            .iter()
-            .flat_map(|(&p, set)| set.iter().map(move |r| (p, r.clone())))
-            .collect();
-        let mut progressed = false;
-        for (pred, row) in candidates {
-            let alive = by_head.get(&pred).is_some_and(|ris| {
-                ris.iter()
-                    .any(|&ri| rederivable_via(&rules[ri], &row, db, &over, &dict))
-            });
-            if alive {
-                over.get_mut(&pred).expect("candidate pred").remove(&row);
-                rederived += 1;
-                progressed = true;
+    // --- Re-derive: the rules of candidate heads, guarded by them ------
+    let mut seed: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+    for (pred, rows) in &candidates {
+        for row in rows {
+            stage_row(&mut seed, dred[pred], row);
+            if externally_supported(*pred, row) {
+                db.relation_mut(*pred).insert(row);
+                stage_row(&mut seed, *pred, row);
             }
         }
-        if !progressed {
-            break;
+    }
+    let heads: FxHashSet<Sym> = candidates.iter().map(|(pred, _)| *pred).collect();
+    let mut rederive = Program::new();
+    for (i, rule) in program.rules.iter().enumerate() {
+        if heads.contains(&rule.head.pred) {
+            let guard = Atom::new(dred[&rule.head.pred], rule.head.args.clone());
+            let mut copy = skolemised(i, rule, &symbols);
+            copy.body.insert(0, BodyItem::Pos(guard));
+            rederive.rules.push(copy);
         }
     }
+    staged += run_seeded(&rederive, db, seed, options)?.staged;
 
-    // --- Phase 3: compact the net casualties ---------------------------
-    // Only rows that stayed dead are physically removed, by targeted
-    // swap-remove ([`Relation::remove_rows`]): dedup tables and eager
-    // indexes are patched per row, so the commit cost stays proportional
-    // to the casualties, not the relation.
-    over.retain(|_, set| !set.is_empty());
-    let mut removed: FxHashMap<Sym, Vec<Row>> = FxHashMap::default();
-    for (&pred, set) in &over {
-        db.relation_mut(pred).remove_rows(set);
-        removed.insert(pred, set.iter().cloned().collect());
-    }
-    Ok(Retraction {
-        removed,
-        overdeleted,
-        rederived,
-    })
+    let removed = candidates
+        .into_iter()
+        .filter_map(|(pred, rows)| {
+            let rel = db.relation(pred);
+            let gone: Vec<Row> = rows
+                .into_iter()
+                .filter(|row| !rel.is_some_and(|r| r.contains(row)))
+                .collect();
+            (!gone.is_empty()).then_some((pred, gone))
+        })
+        .collect();
+    Ok(Retraction { removed, staged })
 }
 
 /// Derives every consequence of rows the caller just inserted into `db`,
@@ -569,15 +318,7 @@ pub fn extend(
     options: &EvalOptions,
 ) -> Result<EvalStats, MaintainError> {
     check_maintainable(program)?;
-    // A seed smaller than one batch partition saves less than spawning a
-    // worker costs, so such runs stay on the calling thread.
-    let small = inserted.values().map(ColumnBatch::len).sum::<usize>() < MIN_PARTITION_ROWS;
-    let inline = EvalOptions {
-        threads: Some(1),
-        ..options.clone()
-    };
-    let options = if small { &inline } else { options };
-    execute(program, db, options, None, Some(inserted)).map_err(MaintainError::Eval)
+    run_seeded(program, db, inserted, options)
 }
 
 /// Convenience for callers staging rows one by one — the `deleted` map of
@@ -666,13 +407,23 @@ mod tests {
     /// Materialises `src` over `edges`, deletes `gone`, and checks the
     /// maintained database equals a from-scratch rebuild.
     fn check_against_rebuild(src: &str, edges: &[(i64, i64)], gone: &[(i64, i64)]) {
+        check_against_rebuild_with(src, edges, gone, &options());
+    }
+
+    /// [`check_against_rebuild`], retracting under `retract_options`.
+    fn check_against_rebuild_with(
+        src: &str,
+        edges: &[(i64, i64)],
+        gone: &[(i64, i64)],
+        retract_options: &EvalOptions,
+    ) {
         let (mut db, prog) = materialise(src, edges, None);
         let e = db.symbols().intern("edge");
         let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
         for &pair in gone {
             stage_row(&mut deleted, e, &edge(&db, pair));
         }
-        retract(&prog, &mut db, &deleted, &|_, _| false).unwrap();
+        retract(&prog, &mut db, &deleted, &|_, _| false, retract_options).unwrap();
         let survivors: Vec<(i64, i64)> = edges
             .iter()
             .filter(|p| !gone.contains(p))
@@ -750,7 +501,7 @@ mod tests {
             stage_row(&mut rows, e, &row);
         }
         extend(&prog, &mut db, rows.clone(), &options()).unwrap();
-        retract(&prog, &mut db, &rows, &|_, _| false).unwrap();
+        retract(&prog, &mut db, &rows, &|_, _| false, &options()).unwrap();
         assert_same_relations(&db, &before, "extend + retract");
     }
 
@@ -805,7 +556,8 @@ mod tests {
         ];
         let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
         stage_row(&mut deleted, e, &row);
-        let outcome = retract(&prog, &mut db, &deleted, &|pred, _| pred == hop).unwrap();
+        let outcome =
+            retract(&prog, &mut db, &deleted, &|pred, _| pred == hop, &options()).unwrap();
         assert_eq!(db.relation(e).unwrap().len(), 1);
         assert_eq!(db.relation(hop).unwrap().len(), 1);
         assert_eq!(outcome.removed_rows(), 1);
@@ -829,7 +581,7 @@ mod tests {
         let row = [db.dict().encode(&Const::Int(7))];
         let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
         stage_row(&mut deleted, a, &row);
-        let outcome = retract(&prog, &mut db, &deleted, &|_, _| false).unwrap();
+        let outcome = retract(&prog, &mut db, &deleted, &|_, _| false, &options()).unwrap();
         assert_eq!(
             db.relation(gen).unwrap().len(),
             1,
@@ -857,7 +609,7 @@ mod tests {
                 db.dict().encode(&Const::Int(2)),
             ],
         );
-        let err = retract(&prog, &mut db, &deleted, &|_, _| false).unwrap_err();
+        let err = retract(&prog, &mut db, &deleted, &|_, _| false, &options()).unwrap_err();
         assert!(matches!(err, MaintainError::Unsupported(_)));
         assert_eq!(db.fact_count(), before, "refusal leaves the db untouched");
         // The insertion half shares the precondition.
@@ -882,9 +634,98 @@ mod tests {
                 db.dict().encode(&Const::Int(9)),
             ],
         );
-        let outcome = retract(&prog, &mut db, &deleted, &|_, _| false).unwrap();
+        let outcome = retract(&prog, &mut db, &deleted, &|_, _| false, &options()).unwrap();
         assert_eq!(outcome.removed_rows(), 0);
-        assert_eq!(outcome.overdeleted, 0);
+        assert_eq!(outcome.staged, 0);
         assert_eq!(db.fact_count(), 2); // edge(1,2) + tc(1,2), nothing lost
+    }
+
+    #[test]
+    fn pooled_removal_matches_rebuild() {
+        // 600 deleted edges fill more than one batch partition, so both
+        // seeded runs go to the pool.
+        let edges: Vec<(i64, i64)> = (0..1600)
+            .filter(|i| i % 4 != 3)
+            .map(|i| (i, i + 1))
+            .collect();
+        let gone: Vec<(i64, i64)> = edges.iter().copied().step_by(2).take(600).collect();
+        assert_eq!(gone.len(), 600);
+        let pooled = EvalOptions {
+            threads: Some(4),
+            ..Default::default()
+        };
+        let src = format!("{TC}hop(X, Z) :- edge(X, Y), edge(Y, Z).\n");
+        check_against_rebuild_with(&src, &edges, &gone, &pooled);
+    }
+
+    /// Deterministic xorshift64*: the differential below must not depend
+    /// on ambient randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn random_retract_and_extend_sequences_match_rebuilds() {
+        // Recursion, a body repeating a predicate (`hop`), two ∃-rules
+        // sharing a head and a consumer of that derived predicate.
+        let src = format!(
+            "{TC}hop(X, Z) :- edge(X, Y), edge(Y, Z).\n\
+             gen(X, Z) :- edge(X, Y).\n\
+             gen(X, Z) :- hop(X, X).\n\
+             has(Z, X) :- gen(X, Z).\n"
+        );
+        let mut rng = Rng(0xD8ED_5EED);
+        for graph in 0..30 {
+            let n = 2 + rng.below(9);
+            let random_edge = |rng: &mut Rng| (rng.below(n) as i64, rng.below(n) as i64);
+            let mut edges: Vec<(i64, i64)> = Vec::new();
+            for _ in 0..rng.below(16) {
+                let pair = random_edge(&mut rng);
+                if !edges.contains(&pair) {
+                    edges.push(pair);
+                }
+            }
+            let (mut db, prog) = materialise(&src, &edges, None);
+            let e = db.symbols().intern("edge");
+            for step in 0..6 {
+                let mut rows: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+                if step % 2 == 0 {
+                    // Retract a random subset plus one edge that may be
+                    // absent.
+                    let mut gone: Vec<(i64, i64)> = edges
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.below(3) == 0)
+                        .collect();
+                    gone.push(random_edge(&mut rng));
+                    for &pair in &gone {
+                        stage_row(&mut rows, e, &edge(&db, pair));
+                    }
+                    retract(&prog, &mut db, &rows, &|_, _| false, &options()).unwrap();
+                    edges.retain(|pair| !gone.contains(pair));
+                } else {
+                    for _ in 0..1 + rng.below(4) {
+                        let pair = random_edge(&mut rng);
+                        let row = edge(&db, pair);
+                        if db.relation_mut(e).insert(&row) {
+                            stage_row(&mut rows, e, &row);
+                            edges.push(pair);
+                        }
+                    }
+                    extend(&prog, &mut db, rows, &options()).unwrap();
+                }
+                let (fresh, _) = materialise(&src, &edges, Some(&db));
+                assert_same_relations(&db, &fresh, &format!("graph {graph}, step {step}"));
+            }
+        }
     }
 }

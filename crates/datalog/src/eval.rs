@@ -405,20 +405,28 @@ fn evaluate_inner(
     let plan = plan.filter(|p| p.rules.len() == program.rules.len());
 
     let strat = stratify(program, &symbols)?;
-    let plans: Vec<RulePlan> = program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            // Plan orders are advice: if one fails to compile (it cannot,
-            // unless stale), rule-text order is the safe authority.
-            match plan.map(|p| p.rules[i].order.as_slice()) {
-                Some(o) => compile_rule(i, r, &symbols, &dict, Some(o))
-                    .or_else(|_| compile_rule(i, r, &symbols, &dict, None)),
-                None => compile_rule(i, r, &symbols, &dict, None),
-            }
-        })
-        .collect::<Result<_, _>>()?;
+    // Whole-rule plans, for the naive pass and aggregates. A seeded run
+    // has neither (maintenance programs carry no aggregates): it compiles
+    // only the delta variants.
+    let plans: Vec<RulePlan> = if seeded {
+        Vec::new()
+    } else {
+        program
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                // Plan orders are advice: if one fails to compile (it
+                // cannot, unless stale), rule-text order is the safe
+                // authority.
+                match plan.map(|p| p.rules[i].order.as_slice()) {
+                    Some(o) => compile_rule(i, r, &symbols, &dict, Some(o), None)
+                        .or_else(|_| compile_rule(i, r, &symbols, &dict, None, None)),
+                    None => compile_rule(i, r, &symbols, &dict, None, None),
+                }
+            })
+            .collect::<Result<_, _>>()?
+    };
 
     // `SPARQLOG_TRACE=1` prints per-rule evaluation progress to stderr —
     // the engine's answer to Vadalog's provenance/debugging output
@@ -488,8 +496,9 @@ fn evaluate_inner(
                 let order: Vec<usize> = plan
                     .and_then(|p| p.delta.get(&(ri, item_idx)))
                     .map_or_else(|| delta_order(rule, item_idx), |ro| ro.order.clone());
-                let compiled = compile_rule(ri, rule, &symbols, &dict, Some(&order))
-                    .or_else(|_| compile_rule(ri, rule, &symbols, &dict, None))?;
+                let delta = Some(item_idx);
+                let compiled = compile_rule(ri, rule, &symbols, &dict, Some(&order), delta)
+                    .or_else(|_| compile_rule(ri, rule, &symbols, &dict, None, delta))?;
                 delta_plans.insert((ri, item_idx), compiled);
             }
         }
@@ -500,10 +509,12 @@ fn evaluate_inner(
         // its jobs fall back to lazily built indexes, so it builds only
         // what the seed's rounds actually probe.
         let mut indexes_built = 0usize;
-        let all_plans = stratum_rules.iter().map(|&ri| &plans[ri]);
-        for plan in all_plans.chain(delta_plans.values()).filter(|_| !seeded) {
-            for need in &plan.index_needs {
-                indexes_built += db.ensure_index(need.0, need.1) as usize;
+        if !seeded {
+            let all_plans = stratum_rules.iter().map(|&ri| &plans[ri]);
+            for plan in all_plans.chain(delta_plans.values()) {
+                for need in &plan.index_needs {
+                    indexes_built += db.ensure_index(need.0, need.1) as usize;
+                }
             }
         }
         if let Some(pb) = pb.as_mut() {
@@ -514,6 +525,7 @@ fn evaluate_inner(
         let (agg_rules, plain_rules): (Vec<usize>, Vec<usize>) = stratum_rules
             .iter()
             .partition(|&&i| program.rules[i].aggregate.is_some());
+        debug_assert!(!seeded || agg_rules.is_empty());
 
         // --- naive first pass ---
         // All rules evaluate against the same snapshot (concurrently when
@@ -931,14 +943,23 @@ pub fn order_cmp(a: &Const, b: &Const, symbols: &SymbolTable) -> std::cmp::Order
 #[derive(Debug, Clone)]
 enum Step {
     /// Scan/lookup a positive atom. `mask` = positions bound at this point
-    /// (constants or already-bound variables).
+    /// (constants or already-bound variables). With `exists`, neither a
+    /// later step nor the head reads a variable the atom binds: every
+    /// match yields the same emissions, so the join takes the first.
     Scan {
         item_idx: usize,
         pred: Sym,
         mask: Mask,
+        exists: bool,
     },
-    /// Check absence of a fully-bound negated atom.
-    NegCheck { item_idx: usize, pred: Sym },
+    /// Membership test of a fully bound atom against the relation's
+    /// dedup table: passes when the row's presence equals `present`
+    /// (`false` for a negated atom). Needs no index.
+    Check {
+        item_idx: usize,
+        pred: Sym,
+        present: bool,
+    },
     /// Evaluate a filter condition.
     Filter { item_idx: usize },
     /// Evaluate an assignment.
@@ -993,12 +1014,16 @@ fn encode_atom(atom: &crate::rule::Atom, dict: &TermDict) -> EncAtom {
 /// planner or [`delta_order`]) or rule-text order when `None`. Masks and
 /// safety are recomputed from the given order, never taken on faith from
 /// a plan: a stale order can cost performance but not correctness.
+/// `delta` names the body item a semi-naive job drives from its batch;
+/// every other positive atom whose positions are all bound compiles to a
+/// membership [`Step::Check`].
 fn compile_rule(
     rule_idx: usize,
     rule: &Rule,
     symbols: &SymbolTable,
     dict: &TermDict,
     order: Option<&[usize]>,
+    delta: Option<usize>,
 ) -> Result<RulePlan, EvalError> {
     let nvars = rule.var_names.len();
     let mut bound = vec![false; nvars];
@@ -1021,7 +1046,9 @@ fn compile_rule(
         Some(o) if is_permutation(o) => o.to_vec(),
         Some(_) | None => (0..rule.body.len()).collect(),
     };
-    for item_idx in order {
+    // Per variable: the step that binds it first (positive atoms only).
+    let mut first = vec![usize::MAX; nvars];
+    for &item_idx in &order {
         let item = &rule.body[item_idx];
         match item {
             BodyItem::Pos(a) => {
@@ -1036,19 +1063,29 @@ fn compile_rule(
                         }
                     }
                 }
-                for arg in &a.args {
-                    if let AtomArg::Var(v) = arg {
-                        bound[*v as usize] = true;
+                for v in a.vars() {
+                    if !bound[v as usize] {
+                        bound[v as usize] = true;
+                        first[v as usize] = steps.len();
                     }
+                }
+                enc_atoms[item_idx] = Some(encode_atom(a, dict));
+                if mask.count_ones() as usize == a.args.len() && delta != Some(item_idx) {
+                    steps.push(Step::Check {
+                        item_idx,
+                        pred: a.pred,
+                        present: true,
+                    });
+                    continue;
                 }
                 if mask != 0 {
                     index_needs.push((a.pred, mask));
                 }
-                enc_atoms[item_idx] = Some(encode_atom(a, dict));
                 steps.push(Step::Scan {
                     item_idx,
                     pred: a.pred,
                     mask,
+                    exists: false,
                 });
             }
             BodyItem::Neg(a) => {
@@ -1064,9 +1101,10 @@ fn compile_rule(
                     }
                 }
                 enc_atoms[item_idx] = Some(encode_atom(a, dict));
-                steps.push(Step::NegCheck {
+                steps.push(Step::Check {
                     item_idx,
                     pred: a.pred,
+                    present: false,
                 });
             }
             BodyItem::Cond(e) => {
@@ -1095,6 +1133,23 @@ fn compile_rule(
                 }
                 bound[*v as usize] = true;
                 steps.push(Step::Bind { item_idx, var: *v });
+            }
+        }
+    }
+    // Walking back from the head, a scan is existence-only when nothing
+    // after it reads a variable it binds first. Aggregates count matches,
+    // so theirs stay exhaustive.
+    let mut live: Vec<VarId> = rule.head.vars();
+    for (k, (step, &item_idx)) in steps.iter_mut().zip(&order).enumerate().rev() {
+        if let Step::Scan { exists, .. } = step {
+            *exists = rule.aggregate.is_none() && !live.iter().any(|&v| first[v as usize] == k);
+        }
+        match &rule.body[item_idx] {
+            BodyItem::Pos(a) | BodyItem::Neg(a) => live.extend(a.vars()),
+            BodyItem::Cond(e) => e.collect_vars(&mut live),
+            BodyItem::Assign(v, e) => {
+                live.push(*v);
+                e.collect_vars(&mut live);
             }
         }
     }
@@ -1311,8 +1366,9 @@ enum ScanIndex<'d> {
     Lazy(Arc<std::sync::OnceLock<Index>>),
 }
 
-/// A scan step's relation and hash index, resolved once per rule pass so
-/// the probe loop never re-hashes the `(pred, mask)` pair per tuple.
+/// A scan or check step's relation and (scans only) hash index, resolved
+/// once per rule pass so the probe loop never re-hashes the `(pred,
+/// mask)` pair per tuple.
 struct ResolvedScan<'d> {
     rel: Option<&'d Relation>,
     index: Option<ScanIndex<'d>>,
@@ -1329,7 +1385,8 @@ impl ResolvedScan<'_> {
     }
 }
 
-/// Resolves every scan step of `plan` against the current snapshot.
+/// Resolves every scan and check step of `plan` against the current
+/// snapshot.
 /// Eager indexes win (lock-free, incrementally maintained); a planned
 /// mask the snapshot did not build eagerly — a frozen base builds only
 /// the masks live plans name — falls back to the relation's shared
@@ -1351,6 +1408,10 @@ fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database) -> Vec<ResolvedScan<'d>>
                 });
                 ResolvedScan { rel, index }
             }
+            Step::Check { pred, .. } => ResolvedScan {
+                rel: db.relation(*pred),
+                index: None,
+            },
             _ => ResolvedScan {
                 rel: None,
                 index: None,
@@ -1400,7 +1461,6 @@ fn eval_rule(
             plan,
             &resolved,
             rule,
-            db,
             delta,
             ctx,
             0,
@@ -1436,8 +1496,8 @@ fn eval_rule(
 /// batch partition, one hash probe per row, head emission inline — no
 /// recursion, no per-level dispatch. Returns `None` (fall back to the
 /// general join) unless the plan is exactly `[Scan(delta),
-/// Scan(indexed)]`: any filter, negation, assignment, further atom or a
-/// missing index takes the general path.
+/// Scan(indexed)]`: any check, filter, assignment, further atom, an
+/// existence-only delta scan or a missing index takes the general path.
 #[allow(clippy::too_many_arguments)]
 fn eval_delta_probe(
     plan: &RulePlan,
@@ -1449,13 +1509,20 @@ fn eval_delta_probe(
     out: &mut Staging,
     ticks: &mut u64,
 ) -> Option<Result<(), EvalError>> {
-    let [Step::Scan { item_idx: i0, .. }, Step::Scan {
-        item_idx: i1, mask, ..
+    let [Step::Scan {
+        item_idx: i0,
+        exists: false,
+        ..
+    }, Step::Scan {
+        item_idx: i1,
+        mask,
+        exists,
+        ..
     }] = &plan.steps[..]
     else {
         return None;
     };
-    let (i0, i1, mask) = (*i0, *i1, *mask);
+    let (i0, i1, mask, exists) = (*i0, *i1, *mask, *exists);
     if i0 != di || i1 == di || mask == 0 {
         return None;
     }
@@ -1525,6 +1592,9 @@ fn eval_delta_probe(
                         instantiate_head(plan, rule, &env, ctx, dedup_against, out);
                         unbind_atom(atom1, undo1, &mut env);
                     }
+                    if exists {
+                        break;
+                    }
                 }
             }
         }
@@ -1548,7 +1618,6 @@ fn eval_rule_envs(
         plan,
         &resolved,
         rule,
-        db,
         None,
         ctx,
         0,
@@ -1570,7 +1639,6 @@ fn join<F>(
     plan: &RulePlan,
     resolved: &[ResolvedScan<'_>],
     rule: &Rule,
-    db: &Database,
     delta: Option<(usize, &ColumnBatch, usize, usize)>,
     ctx: &Ctx<'_>,
     step_idx: usize,
@@ -1589,7 +1657,12 @@ where
         return emit(env, ctx);
     };
     match step {
-        Step::Scan { item_idx, mask, .. } => {
+        Step::Scan {
+            item_idx,
+            mask,
+            exists,
+            ..
+        } => {
             let atom = plan.enc_atoms[*item_idx]
                 .as_ref()
                 .expect("scan step on non-positive item");
@@ -1603,7 +1676,6 @@ where
                                 plan,
                                 resolved,
                                 rule,
-                                db,
                                 delta,
                                 ctx,
                                 step_idx + 1,
@@ -1612,6 +1684,9 @@ where
                                 emit,
                             )?;
                             unbind_atom(atom, undo_mask, env);
+                            if *exists {
+                                break;
+                            }
                         }
                     }
                     return Ok(());
@@ -1645,7 +1720,6 @@ where
                                     plan,
                                     resolved,
                                     rule,
-                                    db,
                                     delta,
                                     ctx,
                                     step_idx + 1,
@@ -1654,6 +1728,9 @@ where
                                     emit,
                                 )?;
                                 unbind_atom(atom, undo_mask, env);
+                                if *exists {
+                                    break;
+                                }
                             }
                         }
                     }
@@ -1671,7 +1748,6 @@ where
                                 plan,
                                 resolved,
                                 rule,
-                                db,
                                 delta,
                                 ctx,
                                 step_idx + 1,
@@ -1680,33 +1756,37 @@ where
                                 emit,
                             )?;
                             unbind_atom(atom, undo_mask, env);
+                            if *exists {
+                                break;
+                            }
                         }
                     }
                 }
             }
             Ok(())
         }
-        Step::NegCheck { item_idx, pred } => {
+        Step::Check {
+            item_idx, present, ..
+        } => {
             let atom = plan.enc_atoms[*item_idx]
                 .as_ref()
-                .expect("neg step on non-negated item");
+                .expect("check step on non-atom item");
             let mut tuple = [TermId::NULL; MAX_COLS];
             for (i, arg) in atom.args.iter().enumerate() {
                 tuple[i] = match arg {
                     EArg::Id(id) => *id,
                     EArg::Var(v) => env[*v as usize]
-                        .ok_or_else(|| EvalError::Unsafe("unbound neg var".into()))?,
+                        .ok_or_else(|| EvalError::Unsafe("unbound check var".into()))?,
                 };
             }
-            let present = db
-                .relation(*pred)
+            let found = resolved[step_idx]
+                .rel
                 .is_some_and(|r| r.contains(&tuple[..atom.args.len()]));
-            if !present {
+            if found == *present {
                 join(
                     plan,
                     resolved,
                     rule,
-                    db,
                     delta,
                     ctx,
                     step_idx + 1,
@@ -1727,7 +1807,6 @@ where
                     plan,
                     resolved,
                     rule,
-                    db,
                     delta,
                     ctx,
                     step_idx + 1,
@@ -1768,7 +1847,6 @@ where
                         plan,
                         resolved,
                         rule,
-                        db,
                         delta,
                         ctx,
                         step_idx + 1,

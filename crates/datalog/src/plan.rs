@@ -39,6 +39,9 @@ pub struct AtomPlan {
     /// Bound-position mask of the probe (0 = full scan; for a pinned
     /// delta atom the scan is batch-driven and the mask is 0).
     pub mask: Mask,
+    /// Every position is bound: the probe is a membership test of the
+    /// relation's dedup table and needs no index.
+    pub check: bool,
     /// Estimated probe output cardinality at planning time.
     pub estimate: f64,
 }
@@ -76,7 +79,7 @@ impl ProgramPlan {
             .chain(self.delta.values())
             .flat_map(|r| r.atoms.iter());
         for a in atoms {
-            if a.mask != 0 && !out.contains(&(a.pred, a.mask)) {
+            if a.mask != 0 && !a.check && !out.contains(&(a.pred, a.mask)) {
                 out.push((a.pred, a.mask));
             }
         }
@@ -105,9 +108,10 @@ fn render_order(out: &mut String, ro: &RuleOrder) {
     use std::fmt::Write;
     let _ = writeln!(out, "  order: {:?}", ro.order);
     for a in &ro.atoms {
+        let probe = if a.check { "check" } else { "probe" };
         let _ = writeln!(
             out,
-            "    probe item {} mask={:#b} est={:.1}",
+            "    {probe} item {} mask={:#b} est={:.1}",
             a.item_idx, a.mask, a.estimate
         );
     }
@@ -193,6 +197,7 @@ fn order_body(rule: &Rule, stats: &DbStats, pinned: Option<usize>) -> RuleOrder 
                 item_idx: di,
                 pred: a.pred,
                 mask: 0,
+                check: false,
                 estimate: 0.0,
             });
         }
@@ -248,6 +253,7 @@ fn order_body(rule: &Rule, stats: &DbStats, pinned: Option<usize>) -> RuleOrder 
                 item_idx: i,
                 pred: a.pred,
                 mask,
+                check: mask.count_ones() as usize == a.args.len(),
                 estimate: est,
             });
         }
@@ -301,6 +307,20 @@ mod tests {
         let big1 = db.symbols().get("big1").unwrap();
         let big2 = db.symbols().get("big2").unwrap();
         assert!(needs.contains(&(big1, 0b001)) && needs.contains(&(big2, 0b001)));
+    }
+
+    #[test]
+    fn fully_bound_atoms_need_no_index() {
+        // Whichever of the two atoms runs second has both positions
+        // bound: a membership test of the dedup table, not an index
+        // probe.
+        let (db, _) = star_fixture();
+        let prog = parse_program("q(X, Y) :- big1(X, Y), big2(X, Y).\n", db.symbols()).unwrap();
+        let stats = DbStats::collect(db.relations());
+        let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
+        let second = &plan.rules[0].atoms[1];
+        assert!(second.check && second.mask == 0b11);
+        assert!(plan.index_needs().is_empty());
     }
 
     #[test]

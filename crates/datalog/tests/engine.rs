@@ -604,3 +604,56 @@ fn profiler_reports_rules_rounds_and_probes() {
     assert!(plain.profile.is_none());
     assert_eq!(plain.derived, stats.derived);
 }
+
+#[test]
+fn fully_bound_atoms_are_membership_tests() {
+    // Once `q(X)` binds X, `r(X)` is fully bound and `go(1)` is all
+    // constants: both are probes of the dedup table, so neither relation
+    // gains an index. `done(1) :- reach(5)` is an all-constant atom at a
+    // delta occurrence, which still drives from its batch.
+    let (db, prog) = run(r#"
+        q(1). q(2). q(3). r(2). r(3). go(1).
+        e(1, 2). e(2, 5). e(5, 6).
+        p(X) :- q(X), r(X), go(1).
+        reach(X) :- q(X), go(1).
+        reach(Y) :- reach(X), e(X, Y).
+        done(1) :- reach(5).
+        @output("p").
+        @output("done").
+    "#);
+    let mut out = output_strings(&db, &prog, "p");
+    out.sort();
+    assert_eq!(out, [["2"], ["3"]]);
+    assert_eq!(output_strings(&db, &prog, "done"), [["1"]]);
+    for pred in ["r", "go"] {
+        let rel = db.relation(db.symbols().get(pred).unwrap()).unwrap();
+        assert_eq!(
+            rel.index_masks(),
+            Vec::<u64>::new(),
+            "{pred} gained an index"
+        );
+    }
+}
+
+#[test]
+fn atoms_binding_only_unread_variables_stop_at_the_first_match() {
+    // `r(X, Y)` binds only Y, which neither the head nor a later atom
+    // reads: one match per X decides the row, so `p` stages one row, not
+    // one per `r` row. An aggregate counts matches and keeps them all.
+    let mut src = String::from("q(1). q(2).\n");
+    for y in 0..100 {
+        src.push_str(&format!("r(1, {y}).\n"));
+    }
+    src.push_str("p(X) :- q(X), r(X, Y).\n");
+    src.push_str("n(X, C) :- q(X), r(X, Y), C = count().\n@output(\"p\").\n@output(\"n\").\n");
+    let mut db = Database::new();
+    let prog = parse_program(&src, db.symbols()).unwrap();
+    let options = EvalOptions {
+        threads: Some(1),
+        ..Default::default()
+    };
+    let stats = evaluate(&prog, &mut db, &options).unwrap();
+    assert_eq!(output_strings(&db, &prog, "p"), [["1"]]);
+    assert_eq!(output_strings(&db, &prog, "n"), [["1", "100"]]);
+    assert_eq!(stats.staged, 2, "one row of p, one of n");
+}
