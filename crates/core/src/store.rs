@@ -7,7 +7,7 @@
 //! workload is simply a store with one loading commit):
 //!
 //! * [`Store::snapshot`] hands out a [`Snapshot`]: an `Arc`-shared,
-//!   index-complete read view. Snapshots are cheap (one atomic
+//!   indexed read view. Snapshots are cheap (one atomic
 //!   refcount), immutable, `Send + Sync`, and keep serving their
 //!   version of the data even while later commits land — readers are
 //!   never blocked and never see partial writes.
@@ -103,9 +103,9 @@ use std::time::Instant;
 
 use sparqlog_datalog::fxhash::{FxHashMap, FxHashSet};
 use sparqlog_datalog::{
-    evaluate, extend, retract, stage_row, AtomArg, Budget, ColumnBatch, Const, Database, DbStats,
-    EvalError, EvalOptions, FrozenDb, MaintainError, Mask, Program, Relation, Retraction, Rule,
-    Sym, SymbolTable, TermId,
+    evaluate, extend, retract, stage_row, AtomArg, Budget, Const, Database, DbStats, EvalError,
+    EvalOptions, FrozenDb, MaintainError, Mask, Program, Relation, Retraction, RowBatch, Rule, Sym,
+    SymbolTable, TermId,
 };
 use sparqlog_rdf::{Dataset, Graph, Term};
 use sparqlog_sparql::{
@@ -228,7 +228,7 @@ impl Store {
             .clone()
     }
 
-    /// The current read view: an `Arc`-shared, index-complete snapshot.
+    /// The current read view: an `Arc`-shared, indexed snapshot.
     ///
     /// Snapshots are immutable and version-stable — later commits do not
     /// affect them — and deref to [`FrozenDatabase`], so the whole
@@ -788,15 +788,14 @@ impl Store {
     /// as the serving snapshot. Returns the installed snapshot and the
     /// number of relations re-scanned for statistics.
     ///
-    /// Freezing is profile-guided: besides promoting the indexes the
-    /// snapshot already carries (eager on untouched relations, lazily
-    /// probed ones on the rest), the masks in the translation cache's
-    /// index-need set — every probe a computed plan makes on a stored
-    /// relation — are eager, so hot query shapes never fall back to lazy
-    /// index construction after a commit. The set is read as it stands;
-    /// the cache itself (threaded through to the new snapshot:
-    /// translations and, until statistics drift, their plans are
-    /// data-independent) is never walked. Statistics are carried by
+    /// Freezing is profile-guided: besides keeping the indexes the
+    /// relations already carry (built by plans or by probes), the masks
+    /// in the translation cache's index-need set — every probe a
+    /// computed plan makes on a stored relation — are built, so hot
+    /// query shapes never wait for an index build after a commit. The
+    /// set is read as it stands; the cache itself (threaded through to
+    /// the new snapshot: translations and, until statistics drift, their
+    /// plans are data-independent) is never walked. Statistics are carried by
     /// patching row counts ([`FrozenDb::warm_stats_from`]).
     fn refreeze(&self, commit: Commit<'_>) -> (Arc<FrozenDatabase>, usize) {
         let snapshot = commit.db.freeze_with_needs(&commit.cache.index_needs());
@@ -948,7 +947,7 @@ impl Commit<'_> {
         // asserted (and its terms gain class facts), but its `triple`
         // row — present, consequences and all — is no seed.
         let triples_before = db.relation(vocab.triple).map_or(0, Relation::len);
-        let mut seed: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut seed: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         for (q, row) in adds.iter().zip(&self.add_rows) {
             let new_row = db.relation_mut(vocab.triple).insert(row);
             if new_row {
@@ -1042,7 +1041,7 @@ impl Commit<'_> {
         // whose last asserted occurrence just disappeared (class
         // facts come from asserted data only, so survival is probed
         // against the asserted view — O(occurrences), not O(store)).
-        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         let mut term_cands: FxHashSet<TermId> = FxHashSet::default();
         let mut graph_cands: FxHashSet<TermId> = FxHashSet::default();
         for row in removed_rows.iter() {
@@ -1377,6 +1376,30 @@ mod tests {
         store.update("CLEAR DEFAULT").unwrap();
         assert_eq!(before.execute(q).unwrap().len(), 3, "old version intact");
         assert_eq!(store.snapshot().execute(q).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn copy_path_commits_keep_lazily_probed_masks() {
+        let store = borders_store();
+        let held = store.snapshot();
+        let triple = held.symbols().get(preds::TRIPLE).unwrap();
+        // Probe (predicate, object) on the shared snapshot: a mask the
+        // freeze did not build.
+        let mask = 0b0110;
+        let rel = held.database().relation(triple).unwrap();
+        assert!(!rel.index_masks().contains(&mask));
+        let row = rel.row(0);
+        assert_eq!(rel.lookup(mask, &[row[1], row[2]]).len(), 1);
+        // `held` keeps the snapshot shared, so the commit thaws a copy.
+        store
+            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:spain ex:borders ex:portugal }")
+            .unwrap();
+        let after = store.snapshot();
+        let rel = after.database().relation(triple).unwrap();
+        assert!(rel.index_masks().contains(&mask), "probed mask kept");
+        assert_eq!(rel.indexed_rows(mask), Some(rel.len()));
+        let before = held.database().relation(triple).unwrap();
+        assert_eq!(before.len() + 1, rel.len(), "the held snapshot was copied");
     }
 
     #[test]
@@ -1792,8 +1815,8 @@ mod tests {
             }
         );
         // The facts are untouched; the only signature difference the
-        // commit may introduce is the promotion of the index its own
-        // removal probe demanded (profile-guided freezing).
+        // commit may introduce is the index its own removal probe
+        // built (profile-guided freezing).
         let after_first = store.snapshot().database().content_signature();
         let facts = |sig: &[String]| -> Vec<String> {
             sig.iter()

@@ -9,13 +9,14 @@
 //! output collection (decode).
 //!
 //! This module also hosts the batch types of the batched executor:
-//! [`ColumnBatch`] (columnar semi-naive deltas) and [`Staging`]
-//! (per-worker output buffers carrying precomputed row hashes, merged
-//! through [`Relation::insert_hashed`]).
+//! [`RowBatch`] (semi-naive deltas, row-major like the relations) and
+//! [`Staging`] (per-worker output buffers carrying precomputed row
+//! hashes, merged through [`Relation::merge_staged`]).
 
 use std::hash::Hasher;
+use std::marker::PhantomData;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher, PrehashedMap};
 use crate::symbols::{Sym, SymbolTable};
@@ -82,12 +83,46 @@ pub(crate) fn masked_hash(tuple: &[TermId], mask: Mask) -> u64 {
 /// table then uses verbatim.
 pub(crate) type Index = PrehashedMap<Vec<u32>>;
 
-/// The result of an index probe: a borrowed id slice on the planned fast
-/// path, an owned copy when the lazily auto-built index served the miss.
+/// One mask's index cell: built once initialised.
+type IndexCell = Arc<OnceLock<Index>>;
+
+/// A built hash index, borrowed from its relation. The cell handle cannot
+/// outlive the `&Relation` it came from, so every handle is gone before
+/// the next `&mut self` insert maintains the index.
+pub(crate) struct IndexRef<'a> {
+    cell: IndexCell,
+    _rel: PhantomData<&'a Relation>,
+}
+
+impl Deref for IndexRef<'_> {
+    type Target = Index;
+
+    fn deref(&self) -> &Index {
+        self.cell.get().expect("handed out only once built")
+    }
+}
+
+/// The index bucket under one key hash.
+pub struct Bucket<'a> {
+    index: IndexRef<'a>,
+    hash: u64,
+}
+
+impl Deref for Bucket<'_> {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        self.index.get(&self.hash).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The result of an index probe: the bucket, borrowed in full, or a
+/// filtered copy when a 64-bit hash collision put rows with another key
+/// in it.
 pub enum Matches<'a> {
-    /// The planned fast path: the index bucket, borrowed in full.
-    Borrowed(&'a [u32]),
-    /// A filtered copy (lazy auto-built index, or a rare hash collision).
+    /// The index bucket, every row of which matches.
+    Borrowed(Bucket<'a>),
+    /// The matching rows of a bucket that also holds colliding keys.
     Owned(Vec<u32>),
 }
 
@@ -96,7 +131,7 @@ impl Deref for Matches<'_> {
 
     fn deref(&self) -> &[u32] {
         match self {
-            Matches::Borrowed(s) => s,
+            Matches::Borrowed(b) => b,
             Matches::Owned(v) => v,
         }
     }
@@ -107,9 +142,10 @@ impl Deref for Matches<'_> {
 /// mask and maintained incrementally on insert.
 ///
 /// These incrementally maintained per-mask indexes are the *build side*
-/// of the executor's hash joins: built once (when the planner first needs
-/// the mask) and then kept current on every insert, rather than rebuilt
-/// per semi-naive round. Probes drive from the delta batch.
+/// of the executor's hash joins: built once (by the planner's
+/// [`Relation::ensure_index`] or the first probe of the mask) and then
+/// kept current on every insert, rather than rebuilt per semi-naive
+/// round. Probes drive from the delta batch.
 #[derive(Debug, Default)]
 pub struct Relation {
     /// Tuple width; fixed by the first insert.
@@ -125,14 +161,12 @@ pub struct Relation {
     /// re-hashing: the precomputed row hash is the key.
     seen: PrehashedMap<u32>,
     seen_overflow: PrehashedMap<Vec<u32>>,
-    /// Eager indexes, pre-built by the evaluator's planner.
-    indexes: FxHashMap<Mask, Index>,
-    /// Lazily auto-built indexes serving unplanned lookups (interior
-    /// mutability: [`Relation::lookup`] takes `&self`). Each mask's index
-    /// sits behind its own `OnceLock` latch, so under concurrent readers
-    /// it is built exactly once — and *outside* the map lock, so a slow
-    /// build never blocks lookups on other masks.
-    lazy: RwLock<FxHashMap<Mask, Arc<OnceLock<Index>>>>,
+    /// One hash index per bound-position mask, built when its cell is
+    /// initialised. Probes take `&self`, so a missing mask is built on
+    /// first probe: concurrent readers race to its `OnceLock`, exactly
+    /// one builds — *outside* the map lock, so a slow build never blocks
+    /// probes of other masks — and every insert keeps it current.
+    indexes: RwLock<FxHashMap<Mask, IndexCell>>,
 }
 
 impl Relation {
@@ -188,21 +222,64 @@ impl Relation {
         self.insert_hashed(tuple, row_hash(tuple))
     }
 
-    /// [`Relation::insert`] with the row hash precomputed — the merge
-    /// path of the batched executor, whose staging buffers carry the hash
-    /// computed at emission time so it is never taken twice.
+    /// [`Relation::insert`] with the row hash precomputed.
     pub fn insert_hashed(&mut self, tuple: &[TermId], hash: u64) -> bool {
         debug_assert_eq!(hash, row_hash(tuple));
+        self.fix_arity(tuple.len());
+        if !self.append(tuple, hash) {
+            return false;
+        }
+        self.index_rows_from(self.len - 1);
+        true
+    }
+
+    /// Merges one staging buffer of emitted rows (with precomputed
+    /// hashes): every fresh row is inserted and appended to
+    /// `delta_batch`; duplicates are dropped. Returns the number of
+    /// fresh rows.
+    ///
+    /// This is [`Relation::insert_hashed`] with the loop-invariant work
+    /// hoisted: storage is pre-sized once, and the fresh rows — one run
+    /// at the end of the storage — are indexed and copied to the delta
+    /// once per batch instead of once per row.
+    pub fn merge_staged(&mut self, out: &Staging, delta_batch: &mut RowBatch) -> usize {
+        debug_assert!(
+            out.arity > 0,
+            "nullary merges are special-cased by the caller"
+        );
+        self.fix_arity(out.arity);
+        self.reserve(out.count, out.arity);
+        let start = self.len;
+        for (tuple, &hash) in out.ids.chunks_exact(out.arity).zip(&out.hashes) {
+            self.append(tuple, hash);
+        }
+        self.index_rows_from(start);
+        let fresh = self.len - start;
+        delta_batch
+            .ids
+            .extend_from_slice(&self.rows[start * self.arity..]);
+        delta_batch.len += fresh;
+        fresh
+    }
+
+    /// Fixes the arity at the first row and holds every later row to it
+    /// (a predicate's arity is fixed — mixed arities would be a
+    /// programming error in the translator or a malformed program).
+    fn fix_arity(&mut self, arity: usize) {
         if self.len == 0 && self.rows.is_empty() {
-            self.arity = tuple.len();
+            self.arity = arity;
         } else {
             assert_eq!(
-                tuple.len(),
-                self.arity,
+                arity, self.arity,
                 "arity mismatch: relation holds {}-tuples",
                 self.arity
             );
         }
+    }
+
+    /// Appends `tuple` unless the dedup tables already hold it. Indexes
+    /// are the caller's business ([`Relation::index_rows_from`]).
+    fn append(&mut self, tuple: &[TermId], hash: u64) -> bool {
         let idx = self.len as u32;
         match self.seen.entry(hash) {
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -224,92 +301,18 @@ impl Relation {
         }
         self.rows.extend_from_slice(tuple);
         self.len += 1;
-        if !self.indexes.is_empty() {
-            for (&mask, index) in self.indexes.iter_mut() {
-                index_add(index, tuple, mask, idx);
-            }
-        }
-        // `&mut self` means no other thread is inside `lookup` — the map
-        // lock is uncontended and every latch is fully initialised or
-        // unobserved. Lazily built indexes stay consistent across inserts.
-        let lazy = self.lazy.get_mut().unwrap();
-        if !lazy.is_empty() {
-            lazy.retain(|&mask, cell| match Arc::get_mut(cell) {
-                Some(once) => {
-                    if let Some(index) = once.get_mut() {
-                        index_add(index, tuple, mask, idx);
-                    }
-                    true
-                }
-                // An escaped latch handle (impossible today: `lookup`
-                // drops its clone before returning) — drop the entry; the
-                // index is rebuilt from scratch on the next probe rather
-                // than served stale.
-                None => false,
-            });
-        }
         true
     }
 
-    /// Merges one staging buffer of emitted rows (with precomputed
-    /// hashes): every fresh row is inserted and appended to
-    /// `delta_batch`; duplicates are dropped. Returns the number of
-    /// fresh rows.
-    ///
-    /// This is [`Relation::insert_hashed`] with the loop-invariant work
-    /// hoisted: storage pre-sized once, and the index-maintenance checks
-    /// taken once per batch instead of once per row (the common merge
-    /// target — a freshly derived predicate — has no indexes to
-    /// maintain, so its loop is just the dedup probe plus appends).
-    pub fn merge_staged(&mut self, out: &Staging, delta_batch: &mut ColumnBatch) -> usize {
-        debug_assert!(
-            out.arity > 0,
-            "nullary merges are special-cased by the caller"
-        );
-        if self.len == 0 && self.rows.is_empty() {
-            self.arity = out.arity;
-        } else {
-            assert_eq!(
-                out.arity, self.arity,
-                "arity mismatch: relation holds {}-tuples",
-                self.arity
-            );
-        }
-        self.reserve(out.count, out.arity);
-        let plain = self.indexes.is_empty() && self.lazy.get_mut().unwrap().is_empty();
-        let mut fresh = 0usize;
-        for (tuple, &hash) in out.ids.chunks_exact(out.arity).zip(&out.hashes) {
-            if plain {
-                let idx = self.len as u32;
-                match self.seen.entry(hash) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(idx);
-                    }
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if row_at(&self.rows, self.arity, *e.get()) == tuple {
-                            continue;
-                        }
-                        let chain = self.seen_overflow.entry(hash).or_default();
-                        if chain
-                            .iter()
-                            .any(|&i| row_at(&self.rows, self.arity, i) == tuple)
-                        {
-                            continue;
-                        }
-                        chain.push(idx);
-                    }
-                }
-                self.rows.extend_from_slice(tuple);
-                self.len += 1;
-            } else if !self.insert_hashed(tuple, hash) {
-                continue;
+    /// Adds rows `from..len` to every built index.
+    fn index_rows_from(&mut self, from: usize) {
+        let (rows, arity, len) = (&self.rows, self.arity, self.len as u32);
+        for (mask, index) in built_mut(&mut self.indexes) {
+            for i in from as u32..len {
+                index_add(index, row_at(rows, arity, i), mask, i);
             }
-            fresh += 1;
-            delta_batch.push_row(tuple);
         }
-        fresh
     }
-
     /// Membership check.
     pub fn contains(&self, tuple: &[TermId]) -> bool {
         self.contains_hashed(tuple, row_hash(tuple))
@@ -338,81 +341,77 @@ impl Relation {
         row_at(&self.rows, self.arity, idx)
     }
 
+    /// The flat row storage (`len * arity` ids).
+    pub(crate) fn ids(&self) -> &[TermId] {
+        &self.rows
+    }
+
     /// Iterates over all tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[TermId]> + '_ {
         (0..self.len as u32).map(move |i| self.row(i))
     }
 
-    /// Builds the eager index for `mask` if missing (promoting a lazily
-    /// built one when available instead of rebuilding). Returns whether
-    /// an index was actually built or promoted — the profiler's
-    /// index-build count.
+    /// Builds the index for `mask` if missing. Returns whether it was
+    /// built — the profiler's index-build count.
     pub fn ensure_index(&mut self, mask: Mask) -> bool {
-        if mask == 0 || self.indexes.contains_key(&mask) {
+        let built = cells(&mut self.indexes)
+            .get(&mask)
+            .is_some_and(|cell| cell.get().is_some());
+        if mask == 0 || built {
             return false;
         }
-        if let Some(cell) = self.lazy.get_mut().unwrap().remove(&mask) {
-            if let Some(ready) = Arc::try_unwrap(cell).ok().and_then(OnceLock::into_inner) {
-                self.indexes.insert(mask, ready);
-                return true;
-            }
-        }
-        self.indexes.insert(mask, self.build_index(mask));
+        let index = self.build_index(mask);
+        cells(&mut self.indexes).insert(mask, Arc::new(OnceLock::from(index)));
         true
     }
 
-    /// The eager index for `mask`, if built — the evaluator resolves this
-    /// once per rule pass and probes the raw buckets in its tight loops.
-    #[inline]
-    pub(crate) fn hash_index(&self, mask: Mask) -> Option<&Index> {
-        self.indexes.get(&mask)
-    }
-
-    /// The shared, lazily auto-built index for `mask`, built on demand
-    /// behind the per-mask `OnceLock` — the evaluator's `&self` fallback
-    /// when a planned probe names a mask the snapshot did not build
-    /// eagerly (frozen bases build only the masks live plans name). The
-    /// returned cell is always initialised; the snapshot's next freeze
-    /// promotes it to an eager index. `None` when there is nothing to
-    /// probe.
-    pub(crate) fn shared_index(&self, mask: Mask) -> Option<Arc<OnceLock<Index>>> {
-        if mask == 0 || self.len == 0 {
-            return None;
-        }
-        let cell = {
-            let lazy = self.lazy.read().unwrap();
-            lazy.get(&mask).cloned()
-        };
-        let cell =
-            cell.unwrap_or_else(|| self.lazy.write().unwrap().entry(mask).or_default().clone());
+    /// The hash index for `mask`, built here on first use. Concurrent
+    /// callers share one build: the map lock is held only to find or add
+    /// the mask's cell, and the cell's `OnceLock` lets exactly one of
+    /// them build while the rest wait for it.
+    pub(crate) fn index(&self, mask: Mask) -> IndexRef<'_> {
+        let cell = read(&self.indexes).get(&mask).cloned();
+        let cell = cell.unwrap_or_else(|| {
+            let mut cells = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
+            cells.entry(mask).or_default().clone()
+        });
+        // Build outside the map lock: one winner per mask, the rest wait
+        // on the latch.
         cell.get_or_init(|| self.build_index(mask));
-        Some(cell)
+        IndexRef {
+            cell,
+            _rel: PhantomData,
+        }
     }
 
-    /// The bound-position masks with an eager index built, sorted
-    /// ascending (diagnostics and the snapshot content signature).
+    /// The bound-position masks with a built index, sorted ascending
+    /// (diagnostics and the snapshot content signature).
     pub fn index_masks(&self) -> Vec<Mask> {
-        let mut masks: Vec<Mask> = self.indexes.keys().copied().collect();
+        let mut masks: Vec<Mask> = read(&self.indexes)
+            .iter()
+            .filter(|(_, cell)| cell.get().is_some())
+            .map(|(&mask, _)| mask)
+            .collect();
         masks.sort_unstable();
         masks
     }
 
-    /// Total number of row references held by the eager index for
-    /// `mask`, if built. A complete, current index references every row
-    /// exactly once, so this equals [`Relation::len`] — the snapshot
-    /// content signature uses that as its index-integrity check.
+    /// Total number of row references held by the index for `mask`, if
+    /// built. A complete, current index references every row exactly
+    /// once, so this equals [`Relation::len`] — the snapshot content
+    /// signature uses that as its index-integrity check.
     pub fn indexed_rows(&self, mask: Mask) -> Option<usize> {
-        self.indexes
-            .get(&mask)
-            .map(|ix| ix.values().map(Vec::len).sum())
+        let cells = read(&self.indexes);
+        let index = cells.get(&mask)?.get()?;
+        Some(index.values().map(Vec::len).sum())
     }
 
-    /// Drops the eager index for `mask`. The evaluator sheds indexes that
-    /// only a stratum's one-shot naive pass probed, so the semi-naive
-    /// merge loop does not keep them current for nothing; a later
-    /// [`Relation::ensure_index`] (or lazy lookup) simply rebuilds.
+    /// Drops the index for `mask`. The evaluator sheds indexes that only
+    /// a stratum's one-shot naive pass probed, so the semi-naive merge
+    /// loop does not keep them current for nothing; a later
+    /// [`Relation::ensure_index`] or probe simply rebuilds.
     pub fn drop_index(&mut self, mask: Mask) -> bool {
-        self.indexes.remove(&mask).is_some()
+        cells(&mut self.indexes).remove(&mask).is_some()
     }
 
     fn build_index(&self, mask: Mask) -> Index {
@@ -423,58 +422,16 @@ impl Relation {
         index
     }
 
-    /// Looks up tuple indices whose `mask` columns equal `key`.
-    ///
-    /// The evaluator's planner pre-builds its indexes with
-    /// [`Relation::ensure_index`], so its probes hit the borrowed fast
-    /// path. A lookup on a mask that was never planned auto-builds the
-    /// index on first miss instead of panicking: concurrent readers race
-    /// to a per-mask `OnceLock`, exactly one builds, the rest block on
-    /// the latch and then probe; the built index is memoised and
-    /// maintained on subsequent inserts. Those probes return an owned
-    /// copy of the matching ids.
-    ///
-    /// Buckets are keyed by the 64-bit key hash; candidate rows are
-    /// verified against `key`, so the result is exact either way.
+    /// Looks up tuple indices whose `mask` columns equal `key`, building
+    /// the mask's index on first use. The result borrows the index
+    /// bucket; buckets are keyed by the 64-bit key hash and their rows
+    /// are verified against `key`, so it is exact.
     pub fn lookup(&self, mask: Mask, key: &[TermId]) -> Matches<'_> {
-        static EMPTY: Vec<u32> = Vec::new();
+        let index = self.index(mask);
         let hash = row_hash(key);
-        if let Some(index) = self.indexes.get(&mask) {
-            let Some(bucket) = index.get(&hash) else {
-                return Matches::Borrowed(&EMPTY);
-            };
-            return self.verify_bucket(bucket, mask, key);
-        }
-        if self.len == 0 {
-            return Matches::Borrowed(&EMPTY);
-        }
-        let cell = {
-            let lazy = self.lazy.read().unwrap();
-            lazy.get(&mask).cloned()
-        };
-        let cell =
-            cell.unwrap_or_else(|| self.lazy.write().unwrap().entry(mask).or_default().clone());
-        // Build outside the map lock: one winner per mask, losers wait on
-        // the latch. Subsequent probes reuse the memoised index.
-        let index = cell.get_or_init(|| self.build_index(mask));
-        match index.get(&hash) {
-            Some(bucket) => Matches::Owned(
-                bucket
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.row_matches(i, mask, key))
-                    .collect(),
-            ),
-            None => Matches::Borrowed(&EMPTY),
-        }
-    }
-
-    /// Fast path: buckets almost always verify in full (a non-trivial
-    /// filter implies a 64-bit hash collision), so return the bucket
-    /// borrowed when every row matches.
-    fn verify_bucket<'a>(&'a self, bucket: &'a [u32], mask: Mask, key: &[TermId]) -> Matches<'a> {
+        let bucket = index.get(&hash).map_or(&[][..], Vec::as_slice);
         if bucket.iter().all(|&i| self.row_matches(i, mask, key)) {
-            return Matches::Borrowed(bucket);
+            return Matches::Borrowed(Bucket { index, hash });
         }
         Matches::Owned(
             bucket
@@ -485,56 +442,12 @@ impl Relation {
         )
     }
 
-    /// Builds every non-trivial per-mask index eagerly — the freeze-time
-    /// "index-complete" step ([`crate::frozen::FrozenDb`]). Relations up
-    /// to `max_full_arity` columns get all `2^arity - 1` masks, making
-    /// every possible [`Relation::lookup`] a lock-free eager-index hit;
-    /// wider relations only promote their lazily auto-built indexes, so
-    /// an unplanned `lookup` mask there still takes the (thread-safe)
-    /// `OnceLock` auto-build path on first probe. The evaluator itself
-    /// never does: a scan step without an eager index falls back to a
-    /// verified full scan.
-    pub fn complete_indexes(&mut self, max_full_arity: usize) {
-        if self.arity > 0 && self.arity <= max_full_arity {
-            for mask in 1..(1u64 << self.arity) {
-                self.ensure_index(mask);
-            }
-        } else {
-            let masks: Vec<Mask> = self.lazy.get_mut().unwrap().keys().copied().collect();
-            for mask in masks {
-                self.ensure_index(mask);
-            }
-        }
-        self.lazy.get_mut().unwrap().clear();
-    }
-
-    /// Promotes every lazily auto-built index to an eager, incrementally
-    /// maintained one — without building any new masks. This is the
-    /// profile-guided freeze step: masks that real probes demanded on the
-    /// previous snapshot (planned probes falling back via the shared
-    /// lazy cell, or unplanned [`Relation::lookup`]s) become lock-free
-    /// eager indexes of the next one, while never-probed masks are never
-    /// built at all.
-    pub fn promote_lazy_indexes(&mut self) {
-        let masks: Vec<Mask> = self.lazy.get_mut().unwrap().keys().copied().collect();
-        for mask in masks {
-            self.ensure_index(mask);
-        }
-        self.lazy.get_mut().unwrap().clear();
-    }
-
     /// Removes every tuple for which `keep` returns `false`, preserving
     /// the insertion order of the retained tuples. Returns the number of
     /// tuples removed.
     ///
     /// The dedup tables are rebuilt over the survivors, and so is every
-    /// *already-built* eager index — exactly the masks the relation had,
-    /// no more (the incremental re-freeze path relies on this: a
-    /// predicate touched by removals pays an index rebuild for the masks
-    /// it actually serves, while untouched predicates keep their indexes
-    /// as-is and [`Relation::complete_indexes`] later finds nothing to
-    /// do). Lazily auto-built indexes are dropped; the next unplanned
-    /// probe rebuilds them on demand.
+    /// built index — exactly the masks the relation had, no more.
     pub fn retain(&mut self, mut keep: impl FnMut(&[TermId]) -> bool) -> usize {
         if self.len == 0 {
             return 0;
@@ -550,22 +463,21 @@ impl Relation {
             }
             return 0;
         }
-        let masks: Vec<Mask> = self.indexes.keys().copied().collect();
+        let masks = self.index_masks();
         let old_rows = std::mem::take(&mut self.rows);
         let old_len = self.len;
         self.len = 0;
         self.rows.reserve(old_rows.len());
         self.seen.clear();
         self.seen_overflow.clear();
-        self.indexes.clear();
-        self.lazy.get_mut().unwrap().clear();
+        cells(&mut self.indexes).clear();
         for tuple in old_rows.chunks_exact(self.arity) {
             if keep(tuple) {
                 self.insert_hashed(tuple, row_hash(tuple));
             }
         }
         for mask in masks {
-            self.indexes.insert(mask, self.build_index(mask));
+            self.ensure_index(mask);
         }
         old_len - self.len
     }
@@ -573,16 +485,15 @@ impl Relation {
     /// Removes a batch of tuples in time proportional to the *batch*,
     /// not the relation: each present tuple is swap-removed (the last
     /// tuple moves into the vacated slot) and the dedup tables plus
-    /// every already-built eager index are patched in place —
-    /// O(batch × (eager masks + 2)) hash operations, against the full
-    /// O(len) rebuild of [`Relation::retain`]. Tuples not present are
-    /// ignored; the count of tuples actually removed is returned.
+    /// every built index are patched in place — O(batch × (masks + 2))
+    /// hash operations, against the full O(len) rebuild of
+    /// [`Relation::retain`]. Tuples not present are ignored; the count
+    /// of tuples actually removed is returned.
     ///
     /// Unlike `retain`, insertion order is **not** preserved (relations
-    /// are sets; only enumeration order changes). Lazily auto-built
-    /// indexes are dropped and rebuilt on next probe. Batches of half
-    /// the relation or more fall back to `retain` internally — one
-    /// rebuild beats that many patches.
+    /// are sets; only enumeration order changes). Batches of half the
+    /// relation or more fall back to `retain` internally — one rebuild
+    /// beats that many patches.
     pub fn remove_rows(&mut self, batch: &FxHashSet<Vec<TermId>>) -> usize {
         if batch.is_empty() || self.len == 0 {
             return 0;
@@ -593,11 +504,6 @@ impl Relation {
         if batch.len() >= self.len / 2 {
             return self.retain(|t| !batch.contains(t));
         }
-        // Lazily built indexes are probe-demanded and would be promoted
-        // to eager at the next freeze regardless; promoting them *now*
-        // lets the per-row patching below keep them current instead of
-        // throwing away an O(len) build.
-        self.promote_lazy_indexes();
         let mut removed = 0usize;
         for tuple in batch {
             if self.remove_one(tuple) {
@@ -608,8 +514,7 @@ impl Relation {
     }
 
     /// Removes a single tuple by swap-remove, patching dedup tables and
-    /// eager indexes. Returns `false` if the tuple is absent. The lazy
-    /// index map must already be cleared (callers batch that).
+    /// built indexes. Returns `false` if the tuple is absent.
     fn remove_one(&mut self, tuple: &[TermId]) -> bool {
         if tuple.len() != self.arity {
             return false;
@@ -619,7 +524,7 @@ impl Relation {
             return false;
         };
         self.dedup_remove(hash, idx);
-        for (&mask, index) in self.indexes.iter_mut() {
+        for (mask, index) in built_mut(&mut self.indexes) {
             bucket_remove(index, masked_hash(tuple, mask), idx);
         }
         let last = (self.len - 1) as u32;
@@ -629,7 +534,7 @@ impl Relation {
             let moved: Vec<TermId> = self.row(last).to_vec();
             let moved_hash = row_hash(&moved);
             self.dedup_repoint(moved_hash, last, idx);
-            for (&mask, index) in self.indexes.iter_mut() {
+            for (mask, index) in built_mut(&mut self.indexes) {
                 bucket_repoint(index, masked_hash(&moved, mask), last, idx);
             }
             let a = self.arity;
@@ -698,19 +603,21 @@ impl Relation {
     }
 
     /// A deep copy suitable for independent mutation: rows, dedup tables
-    /// and eager indexes are cloned; the lazy-index map starts empty (a
-    /// copy-on-write overlay rebuilds unplanned indexes on demand rather
-    /// than inheriting latches). Used when an overlay database first
-    /// writes to a predicate that lives in its frozen base.
+    /// and every built index are cloned. Used when an overlay database
+    /// first writes to a predicate that lives in its frozen base, and
+    /// when a snapshot other readers still hold thaws.
     pub fn clone_for_write(&self) -> Relation {
+        let indexes = read(&self.indexes)
+            .iter()
+            .filter_map(|(&mask, cell)| Some((mask, Arc::new(OnceLock::from(cell.get()?.clone())))))
+            .collect();
         Relation {
             arity: self.arity,
             len: self.len,
             rows: self.rows.clone(),
             seen: self.seen.clone(),
             seen_overflow: self.seen_overflow.clone(),
-            indexes: self.indexes.clone(),
-            lazy: RwLock::new(FxHashMap::default()),
+            indexes: RwLock::new(indexes),
         }
     }
 
@@ -737,6 +644,29 @@ fn row_at(rows: &[TermId], arity: usize, idx: u32) -> &[TermId] {
     &rows[start..start + arity]
 }
 
+/// The index map behind a read lock. Nothing panics while holding the
+/// lock, so a poisoned one is still consistent.
+fn read(
+    indexes: &RwLock<FxHashMap<Mask, IndexCell>>,
+) -> RwLockReadGuard<'_, FxHashMap<Mask, IndexCell>> {
+    indexes.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The index map under `&mut` access, where no probe can hold its lock.
+fn cells(indexes: &mut RwLock<FxHashMap<Mask, IndexCell>>) -> &mut FxHashMap<Mask, IndexCell> {
+    indexes.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Every built index, for maintenance under `&mut` access. Handles never
+/// outlive a `&Relation` borrow, so `make_mut` never has to copy.
+fn built_mut(
+    indexes: &mut RwLock<FxHashMap<Mask, IndexCell>>,
+) -> impl Iterator<Item = (Mask, &mut Index)> {
+    cells(indexes)
+        .iter_mut()
+        .filter_map(|(&mask, cell)| Some((mask, Arc::make_mut(cell).get_mut()?)))
+}
+
 /// Adds a tuple to an index: hash the key columns in place, push the row
 /// id into the bucket. No allocation beyond bucket growth.
 fn index_add(index: &mut Index, tuple: &[TermId], mask: Mask, idx: u32) {
@@ -744,10 +674,13 @@ fn index_add(index: &mut Index, tuple: &[TermId], mask: Mask, idx: u32) {
 }
 
 /// Drops row id `idx` from the bucket under `key_hash`, removing the
-/// bucket when it empties.
+/// bucket when it empties. Buckets hold row ids in insertion order and
+/// removals mostly hit recent rows (a commit undoing recent additions,
+/// the last row a swap-remove moves), so both searches start at the back:
+/// a coarse mask's bucket can hold most of the relation.
 fn bucket_remove(index: &mut Index, key_hash: u64, idx: u32) {
     if let Some(bucket) = index.get_mut(&key_hash) {
-        if let Some(pos) = bucket.iter().position(|&i| i == idx) {
+        if let Some(pos) = bucket.iter().rposition(|&i| i == idx) {
             bucket.swap_remove(pos);
             if bucket.is_empty() {
                 index.remove(&key_hash);
@@ -760,29 +693,30 @@ fn bucket_remove(index: &mut Index, key_hash: u64, idx: u32) {
 /// swap-remove repoint for a moved row).
 fn bucket_repoint(index: &mut Index, key_hash: u64, old: u32, new: u32) {
     if let Some(bucket) = index.get_mut(&key_hash) {
-        if let Some(slot) = bucket.iter_mut().find(|i| **i == old) {
+        if let Some(slot) = bucket.iter_mut().rev().find(|i| **i == old) {
             *slot = new;
         }
     }
 }
 
-/// A columnar batch of fixed-arity encoded rows: one contiguous
-/// `Vec<TermId>` per column. The batched executor materialises each
-/// semi-naive delta as one of these — appending is column pushes, range
-/// partitioning across workers is index arithmetic, and per-column access
-/// in the probe loop is sequential.
+/// A batch of fixed-arity encoded rows, row-major in one flat buffer like
+/// a [`Relation`]'s storage. The batched executor materialises each
+/// semi-naive delta as one of these: a merge appends the fresh rows with
+/// one copy, and range partitioning across workers is index arithmetic.
+/// The length is kept apart so nullary rows count too.
 #[derive(Debug, Default, Clone)]
-pub struct ColumnBatch {
+pub struct RowBatch {
+    arity: usize,
     len: usize,
-    cols: Box<[Vec<TermId>]>,
+    ids: Vec<TermId>,
 }
 
-impl ColumnBatch {
+impl RowBatch {
     /// Creates an empty batch of the given width.
     pub fn new(arity: usize) -> Self {
-        ColumnBatch {
-            len: 0,
-            cols: vec![Vec::new(); arity].into_boxed_slice(),
+        RowBatch {
+            arity,
+            ..RowBatch::default()
         }
     }
 
@@ -796,30 +730,37 @@ impl ColumnBatch {
         self.len == 0
     }
 
-    /// Number of columns.
+    /// Row width.
     pub fn arity(&self) -> usize {
-        self.cols.len()
+        self.arity
     }
 
-    /// The columns, each of length [`ColumnBatch::len`].
-    #[inline]
-    pub fn cols(&self) -> &[Vec<TermId>] {
-        &self.cols
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[TermId] {
+        row_at(&self.ids, self.arity, i as u32)
     }
 
-    /// Appends a row (given row-major).
+    /// Iterates over the rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[TermId]> + '_ {
+        (0..self.len).map(move |i| self.row(i))
+    }
+
+    /// The flat row storage (`len * arity` ids).
+    pub(crate) fn ids(&self) -> &[TermId] {
+        &self.ids
+    }
+
+    /// Appends a row.
     pub fn push_row(&mut self, row: &[TermId]) {
-        debug_assert_eq!(row.len(), self.cols.len());
-        for (col, &id) in self.cols.iter_mut().zip(row) {
-            col.push(id);
-        }
+        debug_assert_eq!(row.len(), self.arity);
+        self.ids.extend_from_slice(row);
         self.len += 1;
     }
 }
 
 /// A per-worker staging buffer: head rows emitted by one rule-evaluation
 /// job, as a flat id buffer plus the row hashes computed at emission time
-/// (reused by the sequential merge via [`Relation::insert_hashed`], so no
+/// (reused by the sequential merge via [`Relation::merge_staged`], so no
 /// row is ever hashed twice). `count` also covers nullary heads.
 #[derive(Debug, Default)]
 pub struct Staging {
@@ -956,20 +897,6 @@ impl Database {
         fresh
     }
 
-    /// Bulk loading of already-encoded rows (`nrows * arity` ids,
-    /// row-major). Returns the number of fresh tuples.
-    pub fn load_encoded_rows(&mut self, pred: Sym, arity: usize, ids: &[TermId]) -> usize {
-        assert!(
-            arity > 0 && ids.len().is_multiple_of(arity),
-            "load_encoded_rows: id buffer is not a whole number of {arity}-tuples"
-        );
-        let rel = self.relation_mut(pred);
-        rel.reserve(ids.len() / arity, arity);
-        ids.chunks_exact(arity)
-            .filter(|row| rel.insert(row))
-            .count()
-    }
-
     /// The relation for `pred`, if any facts exist — checking the local
     /// relations first, then the frozen base (overlay read-through).
     pub fn relation(&self, pred: Sym) -> Option<&Relation> {
@@ -1001,10 +928,9 @@ impl Database {
     }
 
     /// Ensures the `(pred, mask)` hash index exists, without forcing a
-    /// copy-on-write: a predicate served by the frozen base is
-    /// index-complete already (or deliberately scan-only above
-    /// [`crate::frozen::FULL_INDEX_MAX_ARITY`] columns), so the planner's
-    /// index pre-pass is a no-op there.
+    /// copy-on-write: on a predicate served by the frozen base this is a
+    /// no-op, and the first probe builds a missing mask in the base,
+    /// shared by every overlay ([`Relation::lookup`]).
     pub fn ensure_index(&mut self, pred: Sym, mask: Mask) -> bool {
         if let Some(rel) = self.relations.get_mut(&pred) {
             return rel.ensure_index(mask);
@@ -1121,7 +1047,7 @@ mod tests {
         // The auto-built index is maintained on subsequent inserts.
         r.insert(&ids(&dict, &[1, 30]));
         assert_eq!(r.lookup(0b1, &ids(&dict, &[1])).len(), 3);
-        // ensure_index promotes it to the eager fast path.
+        // ensure_index finds it built; probes borrow its buckets.
         r.ensure_index(0b1);
         assert!(matches!(
             r.lookup(0b1, &ids(&dict, &[1])),
@@ -1262,29 +1188,17 @@ mod tests {
     }
 
     #[test]
-    fn load_encoded_rows_bulk_path() {
-        let mut db = Database::new();
-        let p = db.symbols().intern("p");
-        let flat: Vec<TermId> = (0..20)
-            .map(|i| db.dict().encode(&Const::Int(i % 7)))
-            .collect();
-        assert_eq!(db.load_encoded_rows(p, 2, &flat), 7, "pairs repeat mod 7");
-        assert_eq!(db.relation(p).unwrap().arity(), 2);
-    }
-
-    #[test]
-    fn column_batch_roundtrip() {
+    fn row_batch_roundtrip() {
         let dict = TermDict::new();
-        let mut b = ColumnBatch::new(3);
+        let mut b = RowBatch::new(3);
         assert!(b.is_empty());
         let rows = [ids(&dict, &[1, 2, 3]), ids(&dict, &[4, 5, 6])];
         for r in &rows {
             b.push_row(r);
         }
         assert_eq!((b.len(), b.arity()), (2, 3));
-        let row1: Vec<TermId> = b.cols().iter().map(|c| c[1]).collect();
-        assert_eq!(row1, rows[1]);
-        assert_eq!(b.cols()[2], vec![rows[0][2], rows[1][2]]);
+        assert_eq!(b.row(1), rows[1]);
+        assert_eq!(b.iter().collect::<Vec<_>>(), [&rows[0][..], &rows[1][..]]);
     }
 
     #[test]

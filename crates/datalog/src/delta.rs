@@ -23,7 +23,7 @@
 //!    is the forward closure of "might have depended on a deleted fact";
 //!    it deliberately overshoots.
 //! 2. **Remove** every candidate (`Relation::remove_rows`: swap-remove,
-//!    with dedup tables and eager indexes patched per row).
+//!    with dedup tables and built indexes patched per row).
 //! 3. **Re-derive.** Every rule whose head has candidates, with
 //!    `h__dred(head args)` prepended, seeded with the candidates: a
 //!    candidate the remaining facts still derive goes back into `h`, and
@@ -48,7 +48,7 @@
 //! maintenance under non-monotone rules is a different algorithm, not a
 //! missing `match` arm.
 
-use crate::database::{ColumnBatch, Database};
+use crate::database::{Database, RowBatch};
 use crate::eval::{
     execute, skolem_functors, EvalError, EvalOptions, EvalStats, MIN_PARTITION_ROWS,
 };
@@ -134,10 +134,10 @@ fn check_maintainable(program: &Program) -> Result<(), MaintainError> {
 fn run_seeded(
     program: &Program,
     db: &mut Database,
-    seed: FxHashMap<Sym, ColumnBatch>,
+    seed: FxHashMap<Sym, RowBatch>,
     options: &EvalOptions,
 ) -> Result<EvalStats, MaintainError> {
-    let small = seed.values().map(ColumnBatch::len).sum::<usize>() < MIN_PARTITION_ROWS;
+    let small = seed.values().map(RowBatch::len).sum::<usize>() < MIN_PARTITION_ROWS;
     let inline = EvalOptions {
         threads: Some(1),
         ..options.clone()
@@ -184,7 +184,7 @@ fn skolemised(i: usize, rule: &Rule, symbols: &SymbolTable) -> Rule {
 pub fn retract(
     program: &Program,
     db: &mut Database,
-    deleted: &FxHashMap<Sym, ColumnBatch>,
+    deleted: &FxHashMap<Sym, RowBatch>,
     externally_supported: &dyn Fn(Sym, &[TermId]) -> bool,
     options: &EvalOptions,
 ) -> Result<Retraction, MaintainError> {
@@ -217,7 +217,7 @@ pub fn retract(
 fn overdelete_and_rederive(
     program: &Program,
     db: &mut Database,
-    deleted: &FxHashMap<Sym, ColumnBatch>,
+    deleted: &FxHashMap<Sym, RowBatch>,
     externally_supported: &dyn Fn(Sym, &[TermId]) -> bool,
     options: &EvalOptions,
     dred: &FxHashMap<Sym, Sym>,
@@ -225,18 +225,15 @@ fn overdelete_and_rederive(
     let symbols = db.symbols().clone();
 
     // --- Overdelete: against the unmodified relations -----------------
-    let mut seed: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-    let mut row: Row = Vec::new();
+    let mut seed: FxHashMap<Sym, RowBatch> = FxHashMap::default();
     for (&pred, batch) in deleted {
-        for i in 0..batch.len() {
-            row.clear();
-            row.extend(batch.cols().iter().map(|c| c[i]));
-            let present = db.relation(pred).is_some_and(|r| r.contains(&row));
+        for row in batch.iter() {
+            let present = db.relation(pred).is_some_and(|r| r.contains(row));
             if present
-                && !externally_supported(pred, &row)
-                && db.relation_mut(dred[&pred]).insert(&row)
+                && !externally_supported(pred, row)
+                && db.relation_mut(dred[&pred]).insert(row)
             {
-                stage_row(&mut seed, dred[&pred], &row);
+                stage_row(&mut seed, dred[&pred], row);
             }
         }
     }
@@ -264,7 +261,7 @@ fn overdelete_and_rederive(
     }
 
     // --- Re-derive: the rules of candidate heads, guarded by them ------
-    let mut seed: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+    let mut seed: FxHashMap<Sym, RowBatch> = FxHashMap::default();
     for (pred, rows) in &candidates {
         for row in rows {
             stage_row(&mut seed, dred[pred], row);
@@ -314,7 +311,7 @@ fn overdelete_and_rederive(
 pub fn extend(
     program: &Program,
     db: &mut Database,
-    inserted: FxHashMap<Sym, ColumnBatch>,
+    inserted: FxHashMap<Sym, RowBatch>,
     options: &EvalOptions,
 ) -> Result<EvalStats, MaintainError> {
     check_maintainable(program)?;
@@ -323,10 +320,10 @@ pub fn extend(
 
 /// Convenience for callers staging rows one by one — the `deleted` map of
 /// [`retract`], the `inserted` map of [`extend`]: appends `row` to
-/// `pred`'s [`ColumnBatch`] in `rows`.
-pub fn stage_row(rows: &mut FxHashMap<Sym, ColumnBatch>, pred: Sym, row: &[TermId]) {
+/// `pred`'s [`RowBatch`] in `rows`.
+pub fn stage_row(rows: &mut FxHashMap<Sym, RowBatch>, pred: Sym, row: &[TermId]) {
     rows.entry(pred)
-        .or_insert_with(|| ColumnBatch::new(row.len()))
+        .or_insert_with(|| RowBatch::new(row.len()))
         .push_row(row);
 }
 
@@ -419,7 +416,7 @@ mod tests {
     ) {
         let (mut db, prog) = materialise(src, edges, None);
         let e = db.symbols().intern("edge");
-        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         for &pair in gone {
             stage_row(&mut deleted, e, &edge(&db, pair));
         }
@@ -443,7 +440,7 @@ mod tests {
     ) -> EvalStats {
         let (mut db, prog) = materialise(src, edges, None);
         let e = db.symbols().intern("edge");
-        let mut inserted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut inserted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         for &pair in added {
             let row = edge(&db, pair);
             if db.relation_mut(e).insert(&row) {
@@ -494,7 +491,7 @@ mod tests {
         let (mut db, prog) = materialise(src, &[(1, 2)], None);
         let before = materialise(src, &[(1, 2)], Some(&db)).0;
         let e = db.symbols().intern("edge");
-        let mut rows: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut rows: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         for pair in [(3, 4), (5, 6)] {
             let row = edge(&db, pair);
             db.relation_mut(e).insert(&row);
@@ -554,7 +551,7 @@ mod tests {
             db.dict().encode(&Const::Int(1)),
             db.dict().encode(&Const::Int(2)),
         ];
-        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(&mut deleted, e, &row);
         let outcome =
             retract(&prog, &mut db, &deleted, &|pred, _| pred == hop, &options()).unwrap();
@@ -579,7 +576,7 @@ mod tests {
         assert_eq!(db.relation(gen).unwrap().len(), 2, "one Skolem per rule");
 
         let row = [db.dict().encode(&Const::Int(7))];
-        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(&mut deleted, a, &row);
         let outcome = retract(&prog, &mut db, &deleted, &|_, _| false, &options()).unwrap();
         assert_eq!(
@@ -600,7 +597,7 @@ mod tests {
             parse_program("lonely(X) :- edge(X, Y), not edge(Y, X).\n", db.symbols()).unwrap();
         evaluate(&prog, &mut db, &options()).unwrap();
         let before = db.fact_count();
-        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(
             &mut deleted,
             e,
@@ -625,7 +622,7 @@ mod tests {
         db.load_rows(e, &[vec![Const::Int(1), Const::Int(2)]]);
         let prog = parse_program("tc(X, Y) :- edge(X, Y).\n", db.symbols()).unwrap();
         evaluate(&prog, &mut db, &options()).unwrap();
-        let mut deleted: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(
             &mut deleted,
             e,
@@ -697,7 +694,7 @@ mod tests {
             let (mut db, prog) = materialise(&src, &edges, None);
             let e = db.symbols().intern("edge");
             for step in 0..6 {
-                let mut rows: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+                let mut rows: FxHashMap<Sym, RowBatch> = FxHashMap::default();
                 if step % 2 == 0 {
                     // Retract a random subset plus one edge that may be
                     // absent.

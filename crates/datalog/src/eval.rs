@@ -18,16 +18,16 @@
 //! not a pass over the store. Seeded programs are positive, and a
 //! positive program is a single stratum, so the seed reaches every rule.
 //!
-//! **Batched execution.** Each round's delta is a columnar
-//! [`ColumnBatch`] over the flat `TermId` rows, and each (rule, delta
-//! occurrence) pass is a *job* that scans its batch partition in a tight
-//! loop, probing the relations' u64-keyed hash indexes (the hash-join
-//! build side, built once by the planner and maintained incrementally on
-//! insert — never rebuilt per round). Jobs emit head rows into
-//! per-worker [`Staging`] buffers carrying precomputed row hashes;
-//! afterwards a sequential merge pushes them through the relation's dedup
-//! map in deterministic job order, which doubles as the semi-naive delta
-//! filter.
+//! **Batched execution.** Each round's delta is a [`RowBatch`] of flat,
+//! row-major `TermId` rows, and each (rule, delta occurrence) pass is a
+//! *job*: one join loop over the plan's steps that drives from its batch
+//! partition and probes the relations' u64-keyed hash indexes (the
+//! hash-join build side, built once — by the planner or the first probe —
+//! and maintained incrementally on insert, never rebuilt per round). Jobs
+//! emit head rows into per-worker [`Staging`] buffers carrying
+//! precomputed row hashes; afterwards a sequential merge pushes them
+//! through the relation's dedup map in deterministic job order, which
+//! doubles as the semi-naive delta filter.
 //!
 //! **Parallelism.** All rules of a pass — and range partitions of large
 //! deltas — evaluate concurrently on a pool of scoped threads
@@ -65,7 +65,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::database::{row_hash, ColumnBatch, Database, Index, Mask, Relation, Staging};
+use crate::database::{row_hash, Database, IndexRef, Mask, Relation, RowBatch, Staging};
 use crate::frozen::FrozenDb;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::govern::{AbortReason, Budget};
@@ -162,10 +162,11 @@ pub struct EvalStats {
     pub strata: usize,
     /// Wall-clock time.
     pub elapsed: Duration,
-    /// Join ticks across all rule jobs — every delta row scanned, index
-    /// bucket entry probed or join-step entered. The engine's "join
-    /// probes" figure: proportional to join work, counted by summing the
-    /// jobs' existing per-job tick counters (no hot-path cost).
+    /// Join ticks across all rule jobs — one per join step entered: each
+    /// row a scan binds, each filter, check or assignment passed, and
+    /// each emission. The engine's "join probes" figure: proportional to
+    /// join work, counted by summing the jobs' existing per-job tick
+    /// counters (no hot-path cost).
     pub probes: u64,
     /// Wall time per stratum, in evaluation order (two `Instant` reads
     /// per stratum — always on).
@@ -293,7 +294,7 @@ pub(crate) fn execute(
     db: &mut Database,
     options: &EvalOptions,
     plan: Option<&crate::plan::ProgramPlan>,
-    seed: Option<FxHashMap<Sym, ColumnBatch>>,
+    seed: Option<FxHashMap<Sym, RowBatch>>,
 ) -> Result<EvalStats, EvalError> {
     let armed_options;
     let options = if options.budget.needs_arming() {
@@ -359,7 +360,7 @@ struct Job<'a> {
     /// Index of `rule` in the program — the profiler's attribution key.
     rule_idx: usize,
     /// `(body item, batch, row range)` — the delta restriction, if any.
-    delta: Option<(usize, &'a ColumnBatch, usize, usize)>,
+    delta: Option<(usize, &'a RowBatch, usize, usize)>,
 }
 
 fn evaluate_inner(
@@ -368,7 +369,7 @@ fn evaluate_inner(
     options: &EvalOptions,
     pool: Option<&PoolHandle<'_, '_>>,
     plan: Option<&crate::plan::ProgramPlan>,
-    mut seed: Option<FxHashMap<Sym, ColumnBatch>>,
+    mut seed: Option<FxHashMap<Sym, RowBatch>>,
 ) -> Result<EvalStats, EvalError> {
     let start = Instant::now();
     let symbols = db.symbols().clone();
@@ -391,7 +392,7 @@ fn evaluate_inner(
     }
     // A seeded run with nothing new has nothing to derive.
     if let Some(seed) = &seed {
-        if seed.values().all(ColumnBatch::is_empty) {
+        if seed.values().all(RowBatch::is_empty) {
             return Ok(EvalStats {
                 derived,
                 ..EvalStats::default()
@@ -428,22 +429,12 @@ fn evaluate_inner(
             .collect::<Result<_, _>>()?
     };
 
-    // `SPARQLOG_TRACE=1` prints per-rule evaluation progress to stderr —
-    // the engine's answer to Vadalog's provenance/debugging output
-    // (Appendix C: "information for debugging/explanation purposes").
-    // `=2` additionally reports join ticks. Read once, not per rule pass.
-    let trace: u8 = std::env::var("SPARQLOG_TRACE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-
     let governed = !options.budget.is_unlimited();
     let ctx = Ctx {
         symbols: &symbols,
         dict: &dict,
         start,
         max_skolem_depth: options.max_skolem_depth,
-        trace,
         budget: &options.budget,
         governed,
         dict_base: if governed { dict.interned_terms() } else { 0 },
@@ -505,9 +496,9 @@ fn evaluate_inner(
 
         // Make sure every index the plans need exists — the hash-join
         // build sides. Built once here; maintained incrementally by every
-        // merge, so rounds never rebuild them. A seeded run builds none:
-        // its jobs fall back to lazily built indexes, so it builds only
-        // what the seed's rounds actually probe.
+        // merge, so rounds never rebuild them. A seeded run builds none
+        // here: its jobs' first probes build what the seed's rounds
+        // actually need.
         let mut indexes_built = 0usize;
         if !seeded {
             let all_plans = stratum_rules.iter().map(|&ri| &plans[ri]);
@@ -534,7 +525,7 @@ fn evaluate_inner(
         // whose derivations another rule of this pass would consume still
         // converges: those tuples are in the delta, so round 1's
         // delta-restricted variants see them.
-        let mut delta: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
+        let mut delta: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         if !seeded {
             let jobs: Vec<Job<'_>> = plain_rules
                 .iter()
@@ -545,14 +536,6 @@ fn evaluate_inner(
                     delta: None,
                 })
                 .collect();
-            if trace >= 1 {
-                for &ri in &plain_rules {
-                    eprintln!(
-                        "[eval] naive rule {ri}: {}",
-                        program.rules[ri].display(&symbols)
-                    );
-                }
-            }
             let round_start = Instant::now();
             let (staged0, derived0) = (stats.staged, stats.derived);
             let outs = run_pass(&jobs, db, &ctx, pool, &mut spare);
@@ -660,10 +643,7 @@ fn evaluate_inner(
                 0
             };
             let outs = run_pass(&jobs, db, &ctx, pool, &mut spare);
-            let mut next: FxHashMap<Sym, ColumnBatch> = FxHashMap::default();
-            if trace >= 1 {
-                eprintln!("[eval] round {rounds}: {} jobs", jobs.len());
-            }
+            let mut next: FxHashMap<Sym, RowBatch> = FxHashMap::default();
             merge_pass(
                 db, &jobs, outs, &mut next, &mut stats, &ctx, &mut spare, &mut pb,
             )?;
@@ -686,7 +666,10 @@ fn evaluate_inner(
             let rule = &program.rules[ri];
             let plan = &plans[ri];
             let mut matches = Vec::new();
-            eval_rule_envs(plan, rule, db, &ctx, &mut matches)?;
+            let probes = eval_rule(plan, rule, db, None, &ctx, &mut |env, _| {
+                matches.push(env.to_vec());
+                Ok(())
+            })?;
             let tuples = aggregate(rule, matches, &ctx)?;
             stats.staged += tuples.len();
             let (staged, mut derived_here) = (tuples.len(), 0usize);
@@ -703,6 +686,7 @@ fn evaluate_inner(
                     staged,
                     derived_here,
                     agg_start.elapsed().as_nanos() as u64,
+                    probes,
                 );
             }
         }
@@ -756,10 +740,34 @@ fn run_pass(
             // Job wall time is profiler-only: the two `Instant` reads per
             // job stay off the unprofiled path.
             let job_start = ctx.profile.then(Instant::now);
-            if let Err(e) = eval_rule(job.plan, job.rule, db, job.delta, ctx, dedup_against, out) {
-                *guard = Err(e);
-            } else if let Some(t0) = job_start {
-                out.nanos = t0.elapsed().as_nanos() as u64;
+            out.arity = job.plan.enc_head.args.len();
+            let row_cap = ctx.row_cap();
+            let emit = &mut |env: &[Option<TermId>], ctx: &Ctx<'_>| {
+                let before = out.count;
+                instantiate_head(job.plan, job.rule, env, ctx, dedup_against, out);
+                // Row accounting only while a cap is armed: the ungoverned
+                // emission path never touches the shared counter.
+                match row_cap {
+                    Some(cap)
+                        if out.count > before
+                            && ctx.derived.fetch_add(1, Ordering::Relaxed) + 1 > cap =>
+                    {
+                        Err(ctx.abort(AbortReason::RowLimit))
+                    }
+                    _ => Ok(()),
+                }
+            };
+            match eval_rule(job.plan, job.rule, db, job.delta, ctx, emit) {
+                // The job's join ticks become its probe figure, summed
+                // into [`EvalStats::probes`] by the merge — one store per
+                // job, not per tick.
+                Ok(ticks) => {
+                    out.ticks += ticks;
+                    if let Some(t0) = job_start {
+                        out.nanos = t0.elapsed().as_nanos() as u64;
+                    }
+                }
+                Err(e) => *guard = Err(e),
             }
         }
     };
@@ -805,7 +813,7 @@ fn run_pass(
 }
 
 /// Merges a pass's staged outputs into the database in deterministic job
-/// order; fresh tuples are appended to `delta`'s columnar batches. The
+/// order; fresh tuples are appended to `delta`'s batches. The
 /// relation's dedup map is the only per-tuple hash probe (the staging
 /// buffers carry each row's hash precomputed).
 #[allow(clippy::too_many_arguments)]
@@ -813,7 +821,7 @@ fn merge_pass(
     db: &mut Database,
     jobs: &[Job<'_>],
     outs: Vec<Result<Staging, EvalError>>,
-    delta: &mut FxHashMap<Sym, ColumnBatch>,
+    delta: &mut FxHashMap<Sym, RowBatch>,
     stats: &mut EvalStats,
     ctx: &Ctx<'_>,
     spare: &mut Vec<Staging>,
@@ -828,13 +836,6 @@ fn merge_pass(
         // Merges are sequential and can dominate huge passes: keep the
         // governor's batch granularity across them (per job, not per row).
         ctx.check()?;
-        if ctx.trace >= 1 {
-            eprintln!(
-                "[eval]   merge {}: {} tuples",
-                job.rule.display(ctx.symbols),
-                out.count
-            );
-        }
         let pred = job.rule.head.pred;
         let mut fresh = 0usize;
         if out.count == 0 {
@@ -844,7 +845,7 @@ fn merge_pass(
                 fresh = 1;
                 delta
                     .entry(pred)
-                    .or_insert_with(|| ColumnBatch::new(0))
+                    .or_insert_with(|| RowBatch::new(0))
                     .push_row(&[]);
             }
         } else {
@@ -853,12 +854,12 @@ fn merge_pass(
             // batch merge.
             let batch = delta
                 .entry(pred)
-                .or_insert_with(|| ColumnBatch::new(out.arity));
+                .or_insert_with(|| RowBatch::new(out.arity));
             fresh = db.relation_mut(pred).merge_staged(&out, batch);
         }
         *derived += fresh;
         if let Some(pb) = pb.as_mut() {
-            pb.record_job(job.rule_idx, out.count, fresh, out.nanos);
+            pb.record_job(job.rule_idx, out.count, fresh, out.nanos, out.ticks);
         }
         out.clear();
         spare.push(out);
@@ -1274,8 +1275,6 @@ struct Ctx<'a> {
     dict: &'a TermDict,
     start: Instant,
     max_skolem_depth: usize,
-    /// `SPARQLOG_TRACE` level (0 = off), read once per evaluation.
-    trace: u8,
     /// The armed execution budget (see [`crate::govern`]).
     budget: &'a Budget,
     /// False when the budget is unlimited — every governed check then
@@ -1359,53 +1358,25 @@ impl Ctx<'_> {
     }
 }
 
-/// A scan step's hash index: borrowed from the relation's eager map, or
-/// a shared lazily built one (kept alive by its `Arc` for the pass).
-enum ScanIndex<'d> {
-    Eager(&'d Index),
-    Lazy(Arc<std::sync::OnceLock<Index>>),
-}
-
-/// A scan or check step's relation and (scans only) hash index, resolved
-/// once per rule pass so the probe loop never re-hashes the `(pred,
-/// mask)` pair per tuple.
+/// A scan or check step's relation and (keyed scans only) hash index,
+/// resolved once per rule pass so the probe loop never re-hashes the
+/// `(pred, mask)` pair per tuple.
 struct ResolvedScan<'d> {
     rel: Option<&'d Relation>,
-    index: Option<ScanIndex<'d>>,
-}
-
-impl ResolvedScan<'_> {
-    #[inline]
-    fn index(&self) -> Option<&Index> {
-        match &self.index {
-            Some(ScanIndex::Eager(ix)) => Some(ix),
-            Some(ScanIndex::Lazy(cell)) => cell.get(),
-            None => None,
-        }
-    }
+    index: Option<IndexRef<'d>>,
 }
 
 /// Resolves every scan and check step of `plan` against the current
-/// snapshot.
-/// Eager indexes win (lock-free, incrementally maintained); a planned
-/// mask the snapshot did not build eagerly — a frozen base builds only
-/// the masks live plans name — falls back to the relation's shared
-/// lazily built index, initialised here, outside the probe loop.
+/// snapshot. A keyed scan's index is built here, outside the probe loop,
+/// when no plan or probe built its mask before — a frozen base builds
+/// only the masks live plans name.
 fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database) -> Vec<ResolvedScan<'d>> {
     plan.steps
         .iter()
         .map(|step| match step {
             Step::Scan { pred, mask, .. } => {
                 let rel = db.relation(*pred);
-                let index = rel.and_then(|r| {
-                    if *mask == 0 {
-                        return None;
-                    }
-                    match r.hash_index(*mask) {
-                        Some(ix) => Some(ScanIndex::Eager(ix)),
-                        None => r.shared_index(*mask).map(ScanIndex::Lazy),
-                    }
-                });
+                let index = rel.filter(|_| *mask != 0).map(|r| r.index(*mask));
                 ResolvedScan { rel, index }
             }
             Step::Check { pred, .. } => ResolvedScan {
@@ -1420,214 +1391,28 @@ fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database) -> Vec<ResolvedScan<'d>>
         .collect()
 }
 
-/// Evaluates a rule, appending instantiated head rows (and their hashes)
-/// to the staging buffer. `delta` optionally restricts one body
-/// occurrence to a row range of a columnar batch; `dedup_against` drops
-/// rows already present in the head's snapshot at emission time (the
-/// parallel pre-filter).
-fn eval_rule(
+/// Evaluates a rule body, calling `emit` with every complete environment
+/// — a job stages head rows, an aggregate collects the environments.
+/// `delta` optionally restricts one body occurrence to a row range of a
+/// delta batch. Returns the join ticks spent.
+fn eval_rule<F>(
     plan: &RulePlan,
     rule: &Rule,
     db: &Database,
-    delta: Option<(usize, &ColumnBatch, usize, usize)>,
+    delta: Option<(usize, &RowBatch, usize, usize)>,
     ctx: &Ctx<'_>,
-    dedup_against: Option<&Relation>,
-    out: &mut Staging,
-) -> Result<(), EvalError> {
-    out.arity = plan.enc_head.args.len();
-    let resolved = resolve_scans(plan, db);
-    let mut ticks = 0u64;
-    let r = 'done: {
-        if let Some(d) = delta {
-            // The workhorse shape of recursive rules — delta scan followed
-            // by exactly one indexed probe (`tc(X,Z) :- Δtc(Y,Z),
-            // edge(X,Y)`) — runs as a fused, non-recursive loop.
-            if let Some(r) = eval_delta_probe(
-                plan,
-                rule,
-                &resolved,
-                d,
-                ctx,
-                dedup_against,
-                out,
-                &mut ticks,
-            ) {
-                break 'done r;
-            }
-        }
-        let mut env: Vec<Option<TermId>> = vec![None; plan.nvars];
-        let row_cap = ctx.row_cap();
-        join(
-            plan,
-            &resolved,
-            rule,
-            delta,
-            ctx,
-            0,
-            &mut env,
-            &mut ticks,
-            &mut |env: &[Option<TermId>], ctx: &Ctx<'_>| {
-                // Row accounting only while a cap is armed: the ungoverned
-                // emission path stays exactly as cheap as before the governor.
-                if let Some(cap) = row_cap {
-                    let before = out.count;
-                    instantiate_head(plan, rule, env, ctx, dedup_against, out);
-                    if out.count > before && ctx.derived.fetch_add(1, Ordering::Relaxed) + 1 > cap {
-                        return Err(ctx.abort(AbortReason::RowLimit));
-                    }
-                } else {
-                    instantiate_head(plan, rule, env, ctx, dedup_against, out);
-                }
-                Ok(())
-            },
-        )
-    };
-    if ctx.trace >= 2 {
-        eprintln!("[eval]   join ticks: {ticks}");
-    }
-    // The local tick counter becomes the job's probe figure, summed into
-    // [`EvalStats::probes`] by the merge — one store per job, not per
-    // tick.
-    out.ticks += ticks;
-    r
-}
-
-/// The fused fast path for two-step delta plans: a tight loop over the
-/// batch partition, one hash probe per row, head emission inline — no
-/// recursion, no per-level dispatch. Returns `None` (fall back to the
-/// general join) unless the plan is exactly `[Scan(delta),
-/// Scan(indexed)]`: any check, filter, assignment, further atom, an
-/// existence-only delta scan or a missing index takes the general path.
-#[allow(clippy::too_many_arguments)]
-fn eval_delta_probe(
-    plan: &RulePlan,
-    rule: &Rule,
-    resolved: &[ResolvedScan<'_>],
-    (di, batch, lo, hi): (usize, &ColumnBatch, usize, usize),
-    ctx: &Ctx<'_>,
-    dedup_against: Option<&Relation>,
-    out: &mut Staging,
-    ticks: &mut u64,
-) -> Option<Result<(), EvalError>> {
-    let [Step::Scan {
-        item_idx: i0,
-        exists: false,
-        ..
-    }, Step::Scan {
-        item_idx: i1,
-        mask,
-        exists,
-        ..
-    }] = &plan.steps[..]
-    else {
-        return None;
-    };
-    let (i0, i1, mask, exists) = (*i0, *i1, *mask, *exists);
-    if i0 != di || i1 == di || mask == 0 {
-        return None;
-    }
-    let atom0 = plan.enc_atoms[i0]
-        .as_ref()
-        .expect("scan step on positive item");
-    let atom1 = plan.enc_atoms[i1]
-        .as_ref()
-        .expect("scan step on positive item");
-    let (rel, index) = (resolved[1].rel?, resolved[1].index()?);
-    let mut env: Vec<Option<TermId>> = vec![None; plan.nvars];
-    let row_cap = ctx.row_cap();
-    for r in lo..hi {
-        *ticks += 1;
-        if *ticks & 0xFFF == 0 {
-            if let Err(e) = ctx.check() {
-                return Some(Err(e));
-            }
-        }
-        let Some(undo0) = bind_atom_cols(atom0, batch, r, &mut env) else {
-            continue;
-        };
-        let mut key = [TermId::NULL; MAX_COLS];
-        let mut klen = 0usize;
-        let mut ok = true;
-        for (i, arg) in atom1.args.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                key[klen] = match arg {
-                    EArg::Id(id) => *id,
-                    EArg::Var(v) => match env[*v as usize] {
-                        Some(id) => id,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                };
-                klen += 1;
-            }
-        }
-        if !ok {
-            unbind_atom(atom0, undo0, &mut env);
-            return Some(Err(EvalError::Unsafe("unbound key var".into())));
-        }
-        if let Some(bucket) = index.get(&row_hash(&key[..klen])) {
-            for &i in bucket {
-                // Tick per bucket element, matching the general join's
-                // per-call granularity: a huge bucket must still hit the
-                // budget check every 4096 emissions.
-                *ticks += 1;
-                if *ticks & 0xFFF == 0 {
-                    if let Err(e) = ctx.check() {
-                        return Some(Err(e));
-                    }
-                }
-                if let Some(undo1) = bind_atom(atom1, rel.row(i), &mut env) {
-                    if let Some(cap) = row_cap {
-                        let before = out.count;
-                        instantiate_head(plan, rule, &env, ctx, dedup_against, out);
-                        unbind_atom(atom1, undo1, &mut env);
-                        if out.count > before
-                            && ctx.derived.fetch_add(1, Ordering::Relaxed) + 1 > cap
-                        {
-                            return Some(Err(ctx.abort(AbortReason::RowLimit)));
-                        }
-                    } else {
-                        instantiate_head(plan, rule, &env, ctx, dedup_against, out);
-                        unbind_atom(atom1, undo1, &mut env);
-                    }
-                    if exists {
-                        break;
-                    }
-                }
-            }
-        }
-        unbind_atom(atom0, undo0, &mut env);
-    }
-    Some(Ok(()))
-}
-
-/// Like [`eval_rule`] but yields complete environments (for aggregates).
-fn eval_rule_envs(
-    plan: &RulePlan,
-    rule: &Rule,
-    db: &Database,
-    ctx: &Ctx<'_>,
-    out: &mut Vec<Vec<Option<TermId>>>,
-) -> Result<(), EvalError> {
+    emit: &mut F,
+) -> Result<u64, EvalError>
+where
+    F: FnMut(&[Option<TermId>], &Ctx<'_>) -> Result<(), EvalError>,
+{
     let resolved = resolve_scans(plan, db);
     let mut env: Vec<Option<TermId>> = vec![None; plan.nvars];
     let mut ticks = 0u64;
     join(
-        plan,
-        &resolved,
-        rule,
-        None,
-        ctx,
-        0,
-        &mut env,
-        &mut ticks,
-        &mut |env: &[Option<TermId>], _: &Ctx<'_>| {
-            out.push(env.to_vec());
-            Ok(())
-        },
-    )
+        plan, &resolved, rule, delta, ctx, 0, &mut env, &mut ticks, emit,
+    )?;
+    Ok(ticks)
 }
 
 /// The recursive join over the plan's steps: batch-driven at the delta
@@ -1639,7 +1424,7 @@ fn join<F>(
     plan: &RulePlan,
     resolved: &[ResolvedScan<'_>],
     rule: &Rule,
-    delta: Option<(usize, &ColumnBatch, usize, usize)>,
+    delta: Option<(usize, &RowBatch, usize, usize)>,
     ctx: &Ctx<'_>,
     step_idx: usize,
     env: &mut Vec<Option<TermId>>,
@@ -1666,101 +1451,65 @@ where
             let atom = plan.enc_atoms[*item_idx]
                 .as_ref()
                 .expect("scan step on non-positive item");
-            // Delta override for this occurrence: a tight loop over the
-            // batch partition's columns.
-            if let Some((di, batch, lo, hi)) = delta {
-                if di == *item_idx {
-                    for r in lo..hi {
-                        if let Some(undo_mask) = bind_atom_cols(atom, batch, r, env) {
-                            join(
-                                plan,
-                                resolved,
-                                rule,
-                                delta,
-                                ctx,
-                                step_idx + 1,
-                                env,
-                                ticks,
-                                emit,
-                            )?;
-                            unbind_atom(atom, undo_mask, env);
-                            if *exists {
-                                break;
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-            }
-            let rs = &resolved[step_idx];
-            let Some(rel) = rs.rel else { return Ok(()) };
-            match rs.index() {
-                Some(index) if *mask != 0 => {
-                    // Hash probe on the bound positions; the key lives in
-                    // a stack buffer — the hot loop does not allocate.
-                    // Bucket rows that merely collide on the 64-bit key
-                    // hash fail `bind_atom` below, so results stay exact.
-                    let mut key = [TermId::NULL; MAX_COLS];
-                    let mut klen = 0usize;
-                    for (i, arg) in atom.args.iter().enumerate() {
-                        if mask & (1 << i) != 0 {
-                            key[klen] = match arg {
-                                EArg::Id(id) => *id,
-                                EArg::Var(v) => env[*v as usize]
-                                    .ok_or_else(|| EvalError::Unsafe("unbound key var".into()))?,
-                            };
-                            klen += 1;
-                        }
-                    }
-                    if let Some(bucket) = index.get(&row_hash(&key[..klen])) {
-                        for &i in bucket {
-                            let t = rel.row(i);
-                            if let Some(undo_mask) = bind_atom(atom, t, env) {
-                                join(
-                                    plan,
-                                    resolved,
-                                    rule,
-                                    delta,
-                                    ctx,
-                                    step_idx + 1,
-                                    env,
-                                    ticks,
-                                    emit,
-                                )?;
-                                unbind_atom(atom, undo_mask, env);
-                                if *exists {
-                                    break;
-                                }
-                            }
-                        }
-                    }
+            // One row source: `range` of a flat row-major buffer — the
+            // delta partition or the whole relation — or, through `picks`,
+            // the relation rows an index bucket names.
+            let (flat, arity, picks, range): (&[TermId], usize, Option<&[u32]>, _) = match delta {
+                Some((di, batch, lo, hi)) if di == *item_idx => {
+                    (batch.ids(), batch.arity(), None, lo..hi)
                 }
                 _ => {
-                    // Full scan over the flat storage (borrowed rows — no
-                    // clones, the ids are plain u64s). Also the fallback
-                    // for an unresolved index: `bind_atom` verifies every
-                    // bound position, so correctness never depends on the
-                    // index existing.
-                    for i in 0..rel.len() as u32 {
-                        let t = rel.row(i);
-                        if let Some(undo_mask) = bind_atom(atom, t, env) {
-                            join(
-                                plan,
-                                resolved,
-                                rule,
-                                delta,
-                                ctx,
-                                step_idx + 1,
-                                env,
-                                ticks,
-                                emit,
-                            )?;
-                            unbind_atom(atom, undo_mask, env);
-                            if *exists {
-                                break;
+                    let rs = &resolved[step_idx];
+                    let Some(rel) = rs.rel else { return Ok(()) };
+                    match &rs.index {
+                        Some(index) => {
+                            // Hash probe on the bound positions; the key
+                            // lives in a stack buffer — the hot loop does
+                            // not allocate. Bucket rows that merely collide
+                            // on the 64-bit key hash fail `bind_atom`
+                            // below, so results stay exact.
+                            let mut key = [TermId::NULL; MAX_COLS];
+                            let mut klen = 0usize;
+                            for (i, arg) in atom.args.iter().enumerate() {
+                                if mask & (1 << i) != 0 {
+                                    key[klen] = match arg {
+                                        EArg::Id(id) => *id,
+                                        EArg::Var(v) => env[*v as usize].ok_or_else(|| {
+                                            EvalError::Unsafe("unbound key var".into())
+                                        })?,
+                                    };
+                                    klen += 1;
+                                }
                             }
+                            let Some(bucket) = index.get(&row_hash(&key[..klen])) else {
+                                return Ok(());
+                            };
+                            (rel.ids(), rel.arity(), Some(&bucket[..]), 0..bucket.len())
                         }
+                        None => (rel.ids(), rel.arity(), None, 0..rel.len()),
                     }
+                }
+            };
+            for k in range {
+                let r = picks.map_or(k, |p| p[k] as usize);
+                let Some(undo_mask) = bind_atom(atom, &flat[r * arity..(r + 1) * arity], env)
+                else {
+                    continue;
+                };
+                join(
+                    plan,
+                    resolved,
+                    rule,
+                    delta,
+                    ctx,
+                    step_idx + 1,
+                    env,
+                    ticks,
+                    emit,
+                )?;
+                unbind_atom(atom, undo_mask, env);
+                if *exists {
+                    break;
                 }
             }
             Ok(())
@@ -1890,48 +1639,6 @@ fn bind_atom(atom: &EncAtom, tuple: &[TermId], env: &mut [Option<TermId>]) -> Op
                     }
                     None => {
                         *slot = Some(tuple[i]);
-                        bound_here |= 1 << i;
-                    }
-                }
-            }
-        }
-    }
-    Some(bound_here)
-}
-
-/// [`bind_atom`] against row `r` of a columnar batch: binds the atom's
-/// variables from the batch's columns without materialising the row.
-fn bind_atom_cols(
-    atom: &EncAtom,
-    batch: &ColumnBatch,
-    r: usize,
-    env: &mut [Option<TermId>],
-) -> Option<u64> {
-    let cols = batch.cols();
-    if atom.args.len() != cols.len() {
-        return None;
-    }
-    let mut bound_here: u64 = 0;
-    for (i, arg) in atom.args.iter().enumerate() {
-        let id = cols[i][r];
-        match arg {
-            EArg::Id(c) => {
-                if *c != id {
-                    unbind_atom(atom, bound_here, env);
-                    return None;
-                }
-            }
-            EArg::Var(v) => {
-                let slot = &mut env[*v as usize];
-                match slot {
-                    Some(existing) => {
-                        if *existing != id {
-                            unbind_atom(atom, bound_here, env);
-                            return None;
-                        }
-                    }
-                    None => {
-                        *slot = Some(id);
                         bound_here |= 1 << i;
                     }
                 }

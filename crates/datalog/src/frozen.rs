@@ -4,15 +4,15 @@
 //! A [`FrozenDb`] is produced by [`Database::freeze`] after loading and
 //! materialisation. Freezing is *profile-guided*: instead of eagerly
 //! materialising all `2^arity - 1` per-mask indexes of every relation, it
-//! promotes the lazily auto-built indexes that probes on the previous
-//! snapshot actually demanded, plus the masks named by the caller's live
-//! physical plans ([`Database::freeze_with_needs`] — the serving layer
-//! passes the index-need set it grows as plans are computed). Everything
-//! else is built on demand through the thread-safe per-mask `OnceLock` path
-//! ([`Relation::lookup`] and the evaluator's shared-index fallback) and
-//! promoted to a lock-free eager index at the *next* freeze. The snapshot
-//! never mutates otherwise, so every accessor takes `&self` and it is
-//! shared across threads behind one `Arc`.
+//! keeps the indexes the relations already have — the masks earlier
+//! plans and probes demanded — and builds the masks named by the caller's
+//! live physical plans ([`Database::freeze_with_needs`] — the serving
+//! layer passes the index-need set it grows as plans are computed). Any
+//! other mask is built on its first probe through the thread-safe
+//! per-mask `OnceLock` path ([`Relation::lookup`] and the evaluator's
+//! scans), and from then on belongs to the snapshot like the rest. The
+//! snapshot never mutates otherwise, so every accessor takes `&self` and
+//! it is shared across threads behind one `Arc`.
 //!
 //! A snapshot also memoises its relation statistics ([`FrozenDb::stats`])
 //! — the input of the cost-based planner ([`crate::plan`]) — collected
@@ -37,17 +37,7 @@ use crate::stats::DbStats;
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::TermDict;
 
-/// Widest relation for which [`Relation::complete_indexes`] builds the
-/// *complete* per-mask index set (`2^arity - 1` hash indexes) — the
-/// exhaustive-indexing bound freezing used before the planner existed.
-/// [`Database::freeze`] no longer builds them all: snapshots index
-/// profile-guided (promoted lazy masks plus the masks live plans name),
-/// and this constant remains for callers that want the old exhaustive
-/// treatment explicitly.
-pub const FULL_INDEX_MAX_ARITY: usize = 4;
-
-/// An immutable, index-complete database snapshot, shared across threads
-/// behind an `Arc`.
+/// An immutable database snapshot, shared across threads behind an `Arc`.
 ///
 /// Produced by [`Database::freeze`]; queried either directly (all
 /// accessors take `&self`) or through per-query overlays created with
@@ -140,12 +130,10 @@ impl FrozenDb {
     /// half of the snapshot-refresh cycle (`freeze → thaw → mutate →
     /// freeze`).
     ///
-    /// Every relation keeps its rows, dedup tables **and already-built
-    /// eager indexes**: inserts maintain indexes incrementally, so a
-    /// thawed database absorbs a delta and re-freezes without rebuilding
-    /// the `2^arity - 1` per-mask indexes of untouched predicates
-    /// ([`Database::freeze`]'s completion pass finds them all present
-    /// and does nothing).
+    /// Every relation keeps its rows, dedup tables **and built
+    /// indexes**: inserts maintain indexes incrementally, so a thawed
+    /// database absorbs a delta and re-freezes without rebuilding the
+    /// indexes of untouched predicates.
     ///
     /// When `this` is the last handle to the snapshot the relations are
     /// *moved* (no copy at all); while read snapshots are still live the
@@ -175,7 +163,7 @@ impl FrozenDb {
     /// A canonical, order- and dictionary-independent rendering of the
     /// snapshot: one line per fact (decoded through the symbol table, so
     /// two snapshots with different interning histories compare equal)
-    /// plus one line per eager index recording its mask and an integrity
+    /// plus one line per built index recording its mask and an integrity
     /// count (a complete index references every row exactly once).
     ///
     /// Two snapshots with equal signatures hold the same facts with the
@@ -219,16 +207,14 @@ impl Database {
     /// Consumes the database into an immutable [`FrozenDb`] snapshot,
     /// shareable across threads behind the returned `Arc`.
     ///
-    /// Indexing is *profile-guided*: already-built eager indexes are
-    /// kept (inserts maintained them incrementally) and lazily
-    /// auto-built ones — masks that real probes demanded on this data —
-    /// are promoted to eager, lock-free indexes. Nothing else is built:
-    /// a probe on a fresh mask auto-builds its index on first use
-    /// through the thread-safe per-mask `OnceLock` path (the evaluator's
-    /// shared-index fallback, or [`Relation::lookup`]), and the *next*
-    /// freeze promotes it. Callers whose physical plans name the masks
-    /// they will probe use [`Database::freeze_with_needs`] to have them
-    /// eager from the start.
+    /// Indexing is *profile-guided*: the indexes the relations already
+    /// have — built by plans or by probes on this data, and maintained
+    /// by every insert since — are kept, and nothing else is built: a
+    /// probe on a fresh mask builds its index on first use through the
+    /// thread-safe per-mask `OnceLock` path (the evaluator's scans, or
+    /// [`Relation::lookup`]). Callers whose physical plans name the
+    /// masks they will probe use [`Database::freeze_with_needs`] to have
+    /// them built from the start.
     ///
     /// Any frozen base this database was overlaid on is flattened into
     /// the snapshot (local copy-on-write relations shadow their base
@@ -238,10 +224,9 @@ impl Database {
     }
 
     /// [`Database::freeze`], additionally building the named `(predicate,
-    /// bound-position mask)` hash indexes eagerly — the serving layer
-    /// passes the index needs of the plans it has computed, so every
-    /// planned probe on the new snapshot is a lock-free eager-index hit
-    /// from the first query on. Masks that do not fit the relation's
+    /// bound-position mask)` hash indexes — the serving layer passes the
+    /// index needs of the plans it has computed, so no planned probe on
+    /// the new snapshot waits for a build. Masks that do not fit the relation's
     /// arity (or name absent predicates) are ignored.
     pub fn freeze_with_needs(mut self, needs: &[(Sym, Mask)]) -> Arc<FrozenDb> {
         // Flatten an overlay: pull in base relations not shadowed locally.
@@ -251,9 +236,6 @@ impl Database {
                     .entry(pred)
                     .or_insert_with(|| rel.clone_for_write());
             }
-        }
-        for rel in self.relations.values_mut() {
-            rel.promote_lazy_indexes();
         }
         for &(pred, mask) in needs {
             if let Some(rel) = self.relations.get_mut(&pred) {
@@ -422,10 +404,9 @@ mod tests {
         // A probe on the shared snapshot demands mask 0b10 lazily...
         let key = crate::database::project(rel.row(3), 0b10);
         assert_eq!(rel.lookup(0b10, &key).len(), 1);
-        assert!(rel.index_masks().is_empty(), "still lazy, not eager");
 
-        // ...and the thaw → re-freeze cycle promotes it to an eager
-        // index, visible in the snapshot's content signature.
+        // ...and the thaw → re-freeze cycle keeps it, visible in the
+        // snapshot's content signature.
         let again = FrozenDb::thaw(frozen).freeze();
         let rel = again.relation(e).unwrap();
         assert_eq!(rel.index_masks(), vec![0b10], "probed mask promoted");

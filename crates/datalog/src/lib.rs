@@ -73,14 +73,14 @@ pub mod symbols;
 pub mod value;
 pub mod wardedness;
 
-pub use database::{row_hash, ColumnBatch, Database, Mask, Matches, Relation, Staging};
+pub use database::{row_hash, Database, Mask, Matches, Relation, RowBatch, Staging};
 pub use delta::{extend, retract, stage_row, MaintainError, Retraction};
 pub use eval::{
     collect_output, evaluate, evaluate_frozen, evaluate_frozen_with_plan, order_cmp, EvalError,
     EvalOptions, EvalStats,
 };
 pub use expr::{ArithOp, CmpOp, Expr};
-pub use frozen::{FrozenDb, FULL_INDEX_MAX_ARITY};
+pub use frozen::FrozenDb;
 pub use govern::{AbortReason, Budget, CancelToken};
 pub use magic::{
     demand_prunes, demand_subprogram, magic_sets_rewrite, magic_sets_rewrite_analyzed,

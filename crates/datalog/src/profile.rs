@@ -31,6 +31,9 @@ pub struct RuleProfile {
     pub staged: u64,
     /// Rows this rule actually contributed (after dedup).
     pub derived: u64,
+    /// Join probes across this rule's jobs, counted like
+    /// [`EvalStats::probes`](crate::EvalStats::probes).
+    pub probes: u64,
     /// Wall time summed across this rule's jobs. Jobs run concurrently,
     /// so rule times can sum to more than the query's wall time.
     pub elapsed: Duration,
@@ -76,7 +79,7 @@ pub struct QueryProfile {
     pub rules: Vec<RuleProfile>,
     /// Per-stratum breakdown with per-round delta sizes.
     pub strata: Vec<StratumProfile>,
-    /// Eager hash-join indexes built for this evaluation (the build
+    /// Hash-join indexes built up front for this evaluation (the build
     /// sides the planner requested that did not already exist).
     pub index_builds: usize,
     /// Total evaluation wall time.
@@ -120,11 +123,12 @@ impl QueryProfile {
         by_time.sort_by_key(|r| std::cmp::Reverse(r.elapsed));
         for r in by_time {
             out.push_str(&format!(
-                "rule [{:.3} ms, {} job(s), staged={} derived={}] {}\n",
+                "rule [{:.3} ms, {} job(s), staged={} derived={} probes={}] {}\n",
                 r.elapsed.as_secs_f64() * 1e3,
                 r.jobs,
                 r.staged,
                 r.derived,
+                r.probes,
                 r.rule
             ));
         }
@@ -219,6 +223,7 @@ impl ProfileBuilder {
                         jobs: 0,
                         staged: 0,
                         derived: 0,
+                        probes: 0,
                         elapsed: Duration::ZERO,
                     })
                     .collect(),
@@ -227,19 +232,22 @@ impl ProfileBuilder {
         }
     }
 
-    /// One finished job of `rule_idx`: `staged` candidates in
-    /// `nanos` wall time, of which `derived` survived the merge.
+    /// One finished job of `rule_idx`: `staged` candidates from
+    /// `probes` join probes in `nanos` wall time, of which `derived`
+    /// survived the merge.
     pub(crate) fn record_job(
         &mut self,
         rule_idx: usize,
         staged: usize,
         derived: usize,
         nanos: u64,
+        probes: u64,
     ) {
         if let Some(r) = self.profile.rules.get_mut(rule_idx) {
             r.jobs += 1;
             r.staged += staged as u64;
             r.derived += derived as u64;
+            r.probes += probes;
             r.elapsed += Duration::from_nanos(nanos);
         }
     }
@@ -286,6 +294,7 @@ mod tests {
                 jobs: 1,
                 staged: 2,
                 derived: 1,
+                probes: 3,
                 elapsed: Duration::from_micros(5),
             }],
             strata: vec![StratumProfile {

@@ -656,4 +656,49 @@ fn atoms_binding_only_unread_variables_stop_at_the_first_match() {
     assert_eq!(output_strings(&db, &prog, "p"), [["1"]]);
     assert_eq!(output_strings(&db, &prog, "n"), [["1", "100"]]);
     assert_eq!(stats.staged, 2, "one row of p, one of n");
+
+    // A full-scan source: `r(Z, W)` shares nothing with `q(X)`, so the
+    // whole relation is its source, and its first row decides.
+    let mut src = String::from("q(1). q(2).\n");
+    for y in 0..100 {
+        src.push_str(&format!("r(1, {y}).\n"));
+    }
+    src.push_str("e(X) :- q(X), r(Z, W).\n@output(\"e\").\n");
+    let mut db = Database::new();
+    let prog = parse_program(&src, db.symbols()).unwrap();
+    let stats = evaluate(&prog, &mut db, &options).unwrap();
+    assert_eq!(output_strings(&db, &prog, "e").len(), 2);
+    assert_eq!(stats.staged, 2, "one row per q row, not 2 x 100");
+
+    // A delta-driven source: `flag` shares the stratum of the recursive
+    // `tc` and reads none of its variables, so each round's `tc` delta
+    // stages one row of `flag`, not one per delta row. Over a 20-edge
+    // chain `tc` grows in 20 rounds by 210 rows in all.
+    let mut src = String::new();
+    for i in 0..20 {
+        src.push_str(&format!("edge({i}, {}).\n", i + 1));
+    }
+    src.push_str(
+        "tc(X, Y) :- edge(X, Y).\n\
+         tc(X, Z) :- tc(X, Y), edge(Y, Z).\n\
+         flag(1) :- tc(A, B).\n\
+         @output(\"flag\").\n",
+    );
+    let mut db = Database::new();
+    let prog = parse_program(&src, db.symbols()).unwrap();
+    let profiled = EvalOptions {
+        profile: true,
+        ..options
+    };
+    let stats = evaluate(&prog, &mut db, &profiled).unwrap();
+    assert_eq!(output_strings(&db, &prog, "flag"), [["1"]]);
+    let tc = db.symbols().get("tc").unwrap();
+    assert_eq!(db.relation(tc).unwrap().len(), 210);
+    let profile = stats.profile.as_deref().expect("profile armed");
+    let flag = profile
+        .rules
+        .iter()
+        .find(|r| r.rule.starts_with("flag"))
+        .expect("flag rule profiled");
+    assert_eq!(flag.staged, 20, "one row per round");
 }

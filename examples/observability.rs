@@ -79,5 +79,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (results, profile) = store.snapshot().execute_profiled(closure)?;
     println!("\nclosure: {} rows; profile:", results.len());
     println!("{}", profile.render());
+
+    // The closure rule is the recursive one: its head predicate recurs
+    // in its body. Its join probes are the work its jobs did.
+    let recursive = profile
+        .rules
+        .iter()
+        .find(|r| {
+            let (head, body) = r.rule.split_once(" :- ").unwrap_or_default();
+            let pred = head.split('(').next().unwrap_or_default();
+            body.contains(&format!("{pred}("))
+        })
+        .expect("the closure rule is profiled");
+    assert!(recursive.probes > 0, "the closure rule probed nothing");
+    println!("closure rule: {} join probes", recursive.probes);
     Ok(())
 }
