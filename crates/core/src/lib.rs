@@ -75,8 +75,6 @@ pub use ontology::{Axiom, Ontology};
 pub use query_translation::{translate_query, TranslatedQuery, TranslationError};
 pub use results_io::{SerializeError, WriteError};
 pub use serving::{FrozenDatabase, PreparedQuery};
-#[allow(deprecated)]
-pub use solution::QueryResult;
 pub use solution::{canonical_triples, QueryResults, Solution, SolutionSeq};
 pub use sparqlog_datalog::{AbortReason, Budget, CancelToken, QueryProfile};
 pub use sparqlog_obs::MetricsRegistry;

@@ -298,16 +298,6 @@ impl FrozenDatabase {
         self.cache.map.read().unwrap().len()
     }
 
-    /// Total number of parse+translate passes ever performed through
-    /// this handle's (store-shared) translation cache. Cache hits and
-    /// prepared-query executions do not increment it — the counter is
-    /// how tests prove a hot query shape stayed warm across a commit.
-    /// Also exported as `sparqlog_translations_total` on
-    /// [`Self::metrics`].
-    pub fn translations_performed(&self) -> usize {
-        self.cache.metrics.translations.get() as usize
-    }
-
     /// The metrics registry shared by every snapshot of the owning
     /// store — the registry `GET /metrics` renders. Other layers (the
     /// HTTP server) register their own families into it so one scrape
@@ -883,14 +873,6 @@ impl FrozenDatabase {
         self.base.stats()
     }
 
-    /// Executions served from a still-valid cached physical plan, across
-    /// every snapshot sharing this store's caches. Together with
-    /// [`Self::plans_computed`] this is how tests prove a
-    /// [`PreparedQuery`] re-execution performs zero planning work.
-    pub fn plan_cache_hits(&self) -> usize {
-        self.cache.metrics.plan_hits.get() as usize
-    }
-
     /// Physical plans computed through this store's caches: first
     /// executions and statistics-drift replans.
     pub fn plans_computed(&self) -> usize {
@@ -898,8 +880,10 @@ impl FrozenDatabase {
     }
 
     /// Renders the physical plan a [`PreparedQuery`] executes with
-    /// against this snapshot: per rule the chosen atom order, the
-    /// `(pred, mask)` index each probe uses and its cardinality estimate.
+    /// against this snapshot: per rule and delta variant the compiled
+    /// body order, and per atom step its kind (`probe`, `exists`,
+    /// `check`), the index mask it probes and its cardinality estimate
+    /// ([`ProgramPlan::render`]).
     /// Computes (and caches) the plan if the handle has not executed yet.
     /// A magic-sets rewrite appears here (its `__magic` guards and demand
     /// rules) exactly when its measured demand pruned — see
@@ -1069,12 +1053,17 @@ mod tests {
             .unwrap();
         let first = frozen.execute_prepared(&q).unwrap();
         assert_eq!(frozen.plans_computed(), 1, "first execution plans");
-        assert_eq!(frozen.plan_cache_hits(), 0);
+        let hits = || {
+            frozen
+                .metrics()
+                .counter_value("sparqlog_plan_cache_hits_total")
+        };
+        assert_eq!(hits(), Some(0));
         for _ in 0..5 {
             assert_eq!(frozen.execute_prepared(&q).unwrap(), first);
         }
         assert_eq!(frozen.plans_computed(), 1, "re-execution never replans");
-        assert_eq!(frozen.plan_cache_hits(), 5);
+        assert_eq!(hits(), Some(5));
     }
 
     #[test]

@@ -207,13 +207,6 @@ pub enum QueryResults {
     Graph(Box<Graph>),
 }
 
-/// Deprecated alias of [`QueryResults`] — the pre-PR 5 name, from before
-/// CONSTRUCT/DESCRIBE added the `Graph` variant. Existing two-armed
-/// `match`es keep compiling through the alias (modulo the new variant);
-/// migrate by renaming.
-#[deprecated(note = "renamed to `QueryResults`; CONSTRUCT/DESCRIBE added a `Graph` variant")]
-pub type QueryResult = QueryResults;
-
 impl QueryResults {
     /// The solutions, if this is a SELECT result.
     pub fn solutions(&self) -> Option<&SolutionSeq> {

@@ -3,7 +3,7 @@
 //! and `PreparedQuery`; the store-lifetime translation cache surviving
 //! commits; foreign-handle rejection.
 
-use sparqlog::{QueryResults, SparqLogError, Store};
+use sparqlog::{SparqLogError, Store};
 
 const DATA: &str = r#"@prefix ex: <http://ex.org/> .
     ex:spain ex:borders ex:france .
@@ -245,7 +245,9 @@ fn prepared_query_and_cache_survive_commits() {
     assert_eq!(snapshot.execute_prepared(&prepared).unwrap().len(), 3);
     // prepare() went through the text cache: one translation so far.
     assert_eq!(snapshot.cached_translations(), 1);
-    let translations_before = snapshot.translations_performed();
+    let translations =
+        |s: &sparqlog::Snapshot| s.metrics().counter_value("sparqlog_translations_total");
+    let translations_before = translations(&snapshot);
 
     // A commit through the writer...
     let mut w = store.writer();
@@ -268,7 +270,7 @@ fn prepared_query_and_cache_survive_commits() {
     // Executing the same text again is a cache hit, not a fresh pass.
     assert_eq!(after.execute(q).unwrap().len(), 4);
     assert_eq!(
-        after.translations_performed(),
+        translations(&after),
         translations_before,
         "hot query shape stayed warm through writer().commit()"
     );
@@ -332,17 +334,4 @@ fn unsupported_features_carry_their_name_structurally() {
     let err = engine.execute("CLEAR ALL").unwrap_err();
     assert_eq!(err, SparqLogError::ReadOnly("CLEAR"));
     assert_eq!(err.unsupported_feature(), None);
-}
-
-#[test]
-fn deprecated_alias_still_compiles() {
-    #[allow(deprecated)]
-    fn takes_old_name(r: &sparqlog::QueryResult) -> usize {
-        r.len()
-    }
-    let store = store();
-    let r: QueryResults = store
-        .execute("PREFIX ex: <http://ex.org/> ASK { ex:spain ex:borders ex:france }")
-        .unwrap();
-    assert_eq!(takes_old_name(&r), 1);
 }

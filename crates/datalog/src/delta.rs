@@ -35,7 +35,7 @@
 //! their own: before either rewrite, each existential head variable `Z`
 //! of rule `i` becomes a body assignment `Z = [functor|frontier]` under
 //! the functor the evaluator minted its null with
-//! (`eval::skolem_functors`). A rewritten copy therefore recomputes that
+//! (`plan::skolem_functors`). A rewritten copy therefore recomputes that
 //! exact null or, where the candidate already binds `Z`, checks it — a
 //! row created by a different rule over the same predicate is never
 //! touched by accident.
@@ -49,11 +49,10 @@
 //! missing `match` arm.
 
 use crate::database::{Database, RowBatch};
-use crate::eval::{
-    execute, skolem_functors, EvalError, EvalOptions, EvalStats, MIN_PARTITION_ROWS,
-};
+use crate::eval::{execute, EvalError, EvalOptions, EvalStats, MIN_PARTITION_ROWS};
 use crate::expr::Expr;
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::plan::skolem_functors;
 use crate::rule::{Atom, BodyItem, Program, Rule};
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::TermId;

@@ -46,11 +46,12 @@
 //! byte-identical across runs; decoded results are.
 //!
 //! The entire fixpoint runs on dictionary-encoded tuples: atom constants
-//! are encoded once at plan-compile time, join keys and environments are
-//! fixed-width [`TermId`]s, and dedup probes hash raw `u64` rows. The
-//! inner join loop performs **no heap allocation** — index keys live in
-//! stack buffers and tuples are borrowed slices of the relations' flat
-//! storage. Constants are decoded only at the filter/arithmetic boundary
+//! are encoded once per execution (the only per-run compile step — the
+//! rule plans come compiled from [`crate::plan`]), join keys and
+//! environments are fixed-width [`TermId`]s, and dedup probes hash raw
+//! `u64` rows. The inner join loop performs **no heap allocation** —
+//! index keys live in stack buffers and tuples are borrowed slices of the
+//! relations' flat storage. Constants are decoded only at the filter/arithmetic boundary
 //! ([`crate::expr`]) and in [`collect_output`].
 //!
 //! Existential head variables are Skolemised deterministically over the
@@ -61,6 +62,7 @@
 //! the configurable Skolem-depth bound (the substitute for Vadalog's
 //! warded-chase termination strategy) is an O(1) check.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -69,8 +71,10 @@ use crate::database::{row_hash, Database, IndexRef, Mask, Relation, RowBatch, St
 use crate::frozen::FrozenDb;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::govern::{AbortReason, Budget};
+use crate::plan::{plan_rule, ProgramPlan, RulePlan, Step};
 use crate::pool::Pool;
 use crate::rule::{AggFunc, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
+use crate::stats::DbStats;
 use crate::stratify::{stratify, StratifyError};
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::{Const, OrdF64, TermDict, TermId};
@@ -82,13 +86,13 @@ pub struct EvalOptions {
     /// are not derived. Substitutes for Vadalog's chase-termination
     /// strategy on cyclic existential rules.
     pub max_skolem_depth: usize,
-    /// Cost-based join planning ([`crate::plan`]): order rule bodies by
-    /// estimated probe cardinality from relation statistics instead of
-    /// rule-text order. On by default; `false` is the planner-off
-    /// baseline the differential tests compare against. The evaluator
-    /// itself never plans — it executes the plan handed to
-    /// [`evaluate_frozen_with_plan`]; this flag is read by the caller
-    /// that computes and caches that plan (the serving layer).
+    /// Cost-based join planning ([`crate::plan`]): plan rule bodies with
+    /// the snapshot's relation statistics, or without. On by default;
+    /// `false` is the statistics-blind baseline the differential tests
+    /// compare against. Read by the caller that computes and caches the
+    /// plan handed to [`evaluate_frozen_with_plan`] (the serving layer):
+    /// with `false` it hands none, and the evaluator compiles the rules
+    /// with the same planner against empty statistics.
     pub plan: bool,
     /// Magic-sets demand transformation ([`crate::magic`]): restrict
     /// recursive predicates whose consumers bind constants (bound-endpoint
@@ -233,10 +237,11 @@ impl From<StratifyError> for EvalError {
 /// Evaluates `program` against `db` to fixpoint, mutating `db` in place —
 /// the materialisation entry (T_D auxiliary rules, ontology rules).
 ///
-/// The evaluator is a pure executor: it runs `program` as given, in
-/// rule-text body order. Choosing the program (the magic-sets rewrite)
-/// and its physical plan is the caller's job, done once per query by the
-/// serving layer and handed to [`evaluate_frozen_with_plan`].
+/// Runs `program` as given: no rewrite, and bodies compiled by
+/// `plan::plan_rule` against empty statistics. Choosing the
+/// program (the magic-sets rewrite) and a statistics-driven plan is the
+/// caller's job, done once per query by the serving layer and handed to
+/// [`evaluate_frozen_with_plan`].
 ///
 /// With an effective thread count above one ([`EvalOptions::threads`] /
 /// `SPARQLOG_THREADS` / available parallelism) the semi-naive passes run
@@ -270,14 +275,16 @@ pub fn evaluate_frozen(
 
 /// [`evaluate_frozen`] with a physical plan for `program` — the serving
 /// layer's entry once its plan cache holds the (possibly magic-rewritten)
-/// program and plan for the query. The plan's orders are advice: a plan
-/// whose rule count does not match the program is ignored, and `None`
-/// runs rule-text order.
+/// program and plan for the query. A plan [`plan_program`](crate::plan_program)
+/// made for `program` runs as compiled: the execution plans nothing. A
+/// plan made for another program is ignored, never trusted, and `None`
+/// — like an ignored plan — compiles the rules against empty
+/// statistics.
 pub fn evaluate_frozen_with_plan(
     program: &Program,
     base: &Arc<FrozenDb>,
     options: &EvalOptions,
-    plan: Option<&crate::plan::ProgramPlan>,
+    plan: Option<&ProgramPlan>,
 ) -> Result<(Database, EvalStats), EvalError> {
     let mut db = Database::overlay(base.clone());
     let stats = execute(program, &mut db, options, plan, None)?;
@@ -293,7 +300,7 @@ pub(crate) fn execute(
     program: &Program,
     db: &mut Database,
     options: &EvalOptions,
-    plan: Option<&crate::plan::ProgramPlan>,
+    plan: Option<&ProgramPlan>,
     seed: Option<FxHashMap<Sym, RowBatch>>,
 ) -> Result<EvalStats, EvalError> {
     let armed_options;
@@ -356,6 +363,7 @@ impl PoolHandle<'_, '_> {
 /// a delta batch, or a full naive pass of the rule.
 struct Job<'a> {
     plan: &'a RulePlan,
+    enc: &'a EncRule,
     rule: &'a Rule,
     /// Index of `rule` in the program — the profiler's attribution key.
     rule_idx: usize,
@@ -368,7 +376,7 @@ fn evaluate_inner(
     db: &mut Database,
     options: &EvalOptions,
     pool: Option<&PoolHandle<'_, '_>>,
-    plan: Option<&crate::plan::ProgramPlan>,
+    plan: Option<&ProgramPlan>,
     mut seed: Option<FxHashMap<Sym, RowBatch>>,
 ) -> Result<EvalStats, EvalError> {
     let start = Instant::now();
@@ -400,34 +408,36 @@ fn evaluate_inner(
         }
     }
 
-    // The caller's physical plan. One whose rule count does not match the
-    // program (stale cache against a different translation) is ignored
-    // rather than trusted.
-    let plan = plan.filter(|p| p.rules.len() == program.rules.len());
-
     let strat = stratify(program, &symbols)?;
+    // The caller's physical plan, if it was made for this program (a
+    // stale cache against a different translation is ignored, not
+    // trusted). Whatever it lacks — everything, without a plan; a seeded
+    // run's variants — is compiled here against empty statistics.
+    let plan = plan.filter(|p| p.fits(program));
+    let no_stats = DbStats::default();
+    let compile = |ri: usize, pinned: Option<usize>| {
+        let handed = match pinned {
+            None => plan.map(|p| &p.rules[ri]),
+            Some(di) => plan.and_then(|p| p.delta.get(&(ri, di))),
+        };
+        match handed {
+            Some(rp) => Ok(Cow::Borrowed(rp)),
+            None => plan_rule(ri, &program.rules[ri], &symbols, &no_stats, pinned).map(Cow::Owned),
+        }
+    };
     // Whole-rule plans, for the naive pass and aggregates. A seeded run
-    // has neither (maintenance programs carry no aggregates): it compiles
+    // has neither (maintenance programs carry no aggregates): it needs
     // only the delta variants.
-    let plans: Vec<RulePlan> = if seeded {
+    let plans: Vec<Cow<'_, RulePlan>> = if seeded {
         Vec::new()
     } else {
-        program
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // Plan orders are advice: if one fails to compile (it
-                // cannot, unless stale), rule-text order is the safe
-                // authority.
-                match plan.map(|p| p.rules[i].order.as_slice()) {
-                    Some(o) => compile_rule(i, r, &symbols, &dict, Some(o), None)
-                        .or_else(|_| compile_rule(i, r, &symbols, &dict, None, None)),
-                    None => compile_rule(i, r, &symbols, &dict, None, None),
-                }
-            })
+        (0..program.rules.len())
+            .map(|ri| compile(ri, None))
             .collect::<Result<_, _>>()?
     };
+    let enc: Vec<EncRule> = (program.rules.iter())
+        .map(|r| EncRule::new(r, &dict))
+        .collect();
 
     let governed = !options.budget.is_unlimited();
     let ctx = Ctx {
@@ -474,23 +484,18 @@ fn evaluate_inner(
         let mut delta_preds = stratum_preds.clone();
         delta_preds.extend(seed.iter().flat_map(|rows| rows.keys()));
 
-        // Delta-first plan variants for the semi-naive rounds: one per
-        // body occurrence of a delta predicate.
-        let mut delta_plans: FxHashMap<(usize, usize), RulePlan> = FxHashMap::default();
-        for &ri in stratum_rules {
-            let rule = &program.rules[ri];
-            for item_idx in rule.positive_occurrences_of(&delta_preds) {
-                // Order preference: the physical plan's delta variant,
-                // else the delta-first heuristic, with rule-text order as
-                // the fallback should either fail to compile (the delta
-                // restriction itself comes from the job, not the order).
-                let order: Vec<usize> = plan
-                    .and_then(|p| p.delta.get(&(ri, item_idx)))
-                    .map_or_else(|| delta_order(rule, item_idx), |ro| ro.order.clone());
-                let delta = Some(item_idx);
-                let compiled = compile_rule(ri, rule, &symbols, &dict, Some(&order), delta)
-                    .or_else(|_| compile_rule(ri, rule, &symbols, &dict, None, delta))?;
-                delta_plans.insert((ri, item_idx), compiled);
+        // Aggregate rules run once, after the non-aggregate fixpoint.
+        let (agg_rules, plain_rules): (Vec<usize>, Vec<usize>) = stratum_rules
+            .iter()
+            .partition(|&&i| program.rules[i].aggregate.is_some());
+        debug_assert!(!seeded || agg_rules.is_empty());
+
+        // Delta-first variants for the semi-naive rounds: one per body
+        // occurrence of a delta predicate.
+        let mut delta_plans: FxHashMap<(usize, usize), Cow<'_, RulePlan>> = FxHashMap::default();
+        for &ri in &plain_rules {
+            for di in program.rules[ri].positive_occurrences_of(&delta_preds) {
+                delta_plans.insert((ri, di), compile(ri, Some(di))?);
             }
         }
 
@@ -503,20 +508,14 @@ fn evaluate_inner(
         if !seeded {
             let all_plans = stratum_rules.iter().map(|&ri| &plans[ri]);
             for plan in all_plans.chain(delta_plans.values()) {
-                for need in &plan.index_needs {
-                    indexes_built += db.ensure_index(need.0, need.1) as usize;
+                for (pred, mask) in plan.index_needs() {
+                    indexes_built += db.ensure_index(pred, mask) as usize;
                 }
             }
         }
         if let Some(pb) = pb.as_mut() {
             pb.record_index_builds(indexes_built);
         }
-
-        // Aggregate rules run once, after the non-aggregate fixpoint.
-        let (agg_rules, plain_rules): (Vec<usize>, Vec<usize>) = stratum_rules
-            .iter()
-            .partition(|&&i| program.rules[i].aggregate.is_some());
-        debug_assert!(!seeded || agg_rules.is_empty());
 
         // --- naive first pass ---
         // All rules evaluate against the same snapshot (concurrently when
@@ -531,6 +530,7 @@ fn evaluate_inner(
                 .iter()
                 .map(|&ri| Job {
                     plan: &plans[ri],
+                    enc: &enc[ri],
                     rule: &program.rules[ri],
                     rule_idx: ri,
                     delta: None,
@@ -563,15 +563,11 @@ fn evaluate_inner(
         if !seeded {
             let keep: FxHashSet<(Sym, Mask)> = delta_plans
                 .values()
-                .flat_map(|p| p.index_needs.iter().copied())
-                .chain(
-                    agg_rules
-                        .iter()
-                        .flat_map(|&ri| plans[ri].index_needs.iter().copied()),
-                )
+                .flat_map(|p| p.index_needs())
+                .chain(agg_rules.iter().flat_map(|&ri| plans[ri].index_needs()))
                 .collect();
             for &ri in &plain_rules {
-                for &(pred, mask) in &plans[ri].index_needs {
+                for (pred, mask) in plans[ri].index_needs() {
                     if stratum_preds.contains(&pred) && !keep.contains(&(pred, mask)) {
                         db.relation_mut(pred).drop_index(mask);
                     }
@@ -622,6 +618,7 @@ fn evaluate_inner(
                         if lo < hi {
                             jobs.push(Job {
                                 plan,
+                                enc: &enc[ri],
                                 rule,
                                 rule_idx: ri,
                                 delta: Some((item_idx, batch, lo, hi)),
@@ -664,9 +661,15 @@ fn evaluate_inner(
         for &ri in &agg_rules {
             let agg_start = Instant::now();
             let rule = &program.rules[ri];
-            let plan = &plans[ri];
+            let job = Job {
+                plan: &plans[ri],
+                enc: &enc[ri],
+                rule,
+                rule_idx: ri,
+                delta: None,
+            };
             let mut matches = Vec::new();
-            let probes = eval_rule(plan, rule, db, None, &ctx, &mut |env, _| {
+            let probes = eval_rule(&job, db, &ctx, &mut |env, _| {
                 matches.push(env.to_vec());
                 Ok(())
             })?;
@@ -740,11 +743,11 @@ fn run_pass(
             // Job wall time is profiler-only: the two `Instant` reads per
             // job stay off the unprofiled path.
             let job_start = ctx.profile.then(Instant::now);
-            out.arity = job.plan.enc_head.args.len();
+            out.arity = job.enc.head.args.len();
             let row_cap = ctx.row_cap();
             let emit = &mut |env: &[Option<TermId>], ctx: &Ctx<'_>| {
                 let before = out.count;
-                instantiate_head(job.plan, job.rule, env, ctx, dedup_against, out);
+                instantiate_head(job, env, ctx, dedup_against, out);
                 // Row accounting only while a cap is armed: the ungoverned
                 // emission path never touches the shared counter.
                 match row_cap {
@@ -757,7 +760,7 @@ fn run_pass(
                     _ => Ok(()),
                 }
             };
-            match eval_rule(job.plan, job.rule, db, job.delta, ctx, emit) {
+            match eval_rule(job, db, ctx, emit) {
                 // The job's join ticks become its probe figure, summed
                 // into [`EvalStats::probes`] by the merge — one store per
                 // job, not per tick.
@@ -938,325 +941,56 @@ pub fn order_cmp(a: &Const, b: &Const, symbols: &SymbolTable) -> std::cmp::Order
     }
 }
 
-// ------------------------------------------------------------------ plans
+// ------------------------------------------------------------ encoding
 
-/// One compiled body step.
-#[derive(Debug, Clone)]
-enum Step {
-    /// Scan/lookup a positive atom. `mask` = positions bound at this point
-    /// (constants or already-bound variables). With `exists`, neither a
-    /// later step nor the head reads a variable the atom binds: every
-    /// match yields the same emissions, so the join takes the first.
-    Scan {
-        item_idx: usize,
-        pred: Sym,
-        mask: Mask,
-        exists: bool,
-    },
-    /// Membership test of a fully bound atom against the relation's
-    /// dedup table: passes when the row's presence equals `present`
-    /// (`false` for a negated atom). Needs no index.
-    Check {
-        item_idx: usize,
-        pred: Sym,
-        present: bool,
-    },
-    /// Evaluate a filter condition.
-    Filter { item_idx: usize },
-    /// Evaluate an assignment.
-    Bind { item_idx: usize, var: VarId },
-}
-
-/// A pre-encoded atom argument: constants encode to ids at plan-compile
-/// time so the join loop compares raw `u64`s.
+/// A pre-encoded atom argument: constants encode to ids once per
+/// execution so the join loop compares raw `u64`s.
 #[derive(Debug, Clone, Copy)]
 enum EArg {
     Id(TermId),
     Var(VarId),
 }
 
-/// An atom with pre-encoded arguments, parallel to a body item (or the
-/// head) of the source rule.
+/// An atom with pre-encoded arguments.
 #[derive(Debug, Clone)]
 struct EncAtom {
     args: Box<[EArg]>,
 }
 
-/// A compiled rule.
-#[derive(Debug, Clone)]
-struct RulePlan {
-    steps: Vec<Step>,
-    nvars: usize,
-    /// Indexes the plan requires: `(pred, mask)` pairs.
-    index_needs: Vec<(Sym, Mask)>,
-    /// Existential head vars with their Skolem functor.
-    existentials: Vec<(VarId, Sym)>,
+impl EncAtom {
+    fn new(atom: &crate::rule::Atom, dict: &TermDict) -> Self {
+        EncAtom {
+            args: (atom.args.iter())
+                .map(|arg| match arg {
+                    AtomArg::Const(c) => EArg::Id(dict.encode(c)),
+                    AtomArg::Var(v) => EArg::Var(*v),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// A rule's atoms encoded against the store dictionary — the one part of
+/// running a rule that is dictionary state, not plan, so it happens per
+/// execution (once per rule, shared by all its variants).
+struct EncRule {
     /// Encoded positive/negated atoms, indexed by body item.
-    enc_atoms: Vec<Option<EncAtom>>,
-    /// The encoded head.
-    enc_head: EncAtom,
+    body: Vec<Option<EncAtom>>,
+    head: EncAtom,
 }
 
-fn encode_atom(atom: &crate::rule::Atom, dict: &TermDict) -> EncAtom {
-    EncAtom {
-        args: atom
-            .args
-            .iter()
-            .map(|arg| match arg {
-                AtomArg::Const(c) => EArg::Id(dict.encode(c)),
-                AtomArg::Var(v) => EArg::Var(*v),
-            })
-            .collect(),
-    }
-}
-
-/// Compiles a rule into an evaluation plan, consuming body items in
-/// `order` (a permutation of the body's indices — from the cost-based
-/// planner or [`delta_order`]) or rule-text order when `None`. Masks and
-/// safety are recomputed from the given order, never taken on faith from
-/// a plan: a stale order can cost performance but not correctness.
-/// `delta` names the body item a semi-naive job drives from its batch;
-/// every other positive atom whose positions are all bound compiles to a
-/// membership [`Step::Check`].
-fn compile_rule(
-    rule_idx: usize,
-    rule: &Rule,
-    symbols: &SymbolTable,
-    dict: &TermDict,
-    order: Option<&[usize]>,
-    delta: Option<usize>,
-) -> Result<RulePlan, EvalError> {
-    let nvars = rule.var_names.len();
-    let mut bound = vec![false; nvars];
-    let mut steps = Vec::new();
-    let mut index_needs = Vec::new();
-    let mut enc_atoms: Vec<Option<EncAtom>> = vec![None; rule.body.len()];
-
-    let is_permutation = |o: &[usize]| {
-        let mut seen = vec![false; rule.body.len()];
-        o.len() == rule.body.len()
-            && o.iter().all(|&i| {
-                let fresh = i < rule.body.len() && !seen[i];
-                if fresh {
-                    seen[i] = true;
-                }
-                fresh
-            })
-    };
-    let order: Vec<usize> = match order {
-        Some(o) if is_permutation(o) => o.to_vec(),
-        Some(_) | None => (0..rule.body.len()).collect(),
-    };
-    // Per variable: the step that binds it first (positive atoms only).
-    let mut first = vec![usize::MAX; nvars];
-    for &item_idx in &order {
-        let item = &rule.body[item_idx];
-        match item {
-            BodyItem::Pos(a) => {
-                let mut mask: Mask = 0;
-                for (i, arg) in a.args.iter().enumerate() {
-                    match arg {
-                        AtomArg::Const(_) => mask |= 1 << i,
-                        AtomArg::Var(v) => {
-                            if bound[*v as usize] {
-                                mask |= 1 << i;
-                            }
-                        }
-                    }
-                }
-                for v in a.vars() {
-                    if !bound[v as usize] {
-                        bound[v as usize] = true;
-                        first[v as usize] = steps.len();
-                    }
-                }
-                enc_atoms[item_idx] = Some(encode_atom(a, dict));
-                if mask.count_ones() as usize == a.args.len() && delta != Some(item_idx) {
-                    steps.push(Step::Check {
-                        item_idx,
-                        pred: a.pred,
-                        present: true,
-                    });
-                    continue;
-                }
-                if mask != 0 {
-                    index_needs.push((a.pred, mask));
-                }
-                steps.push(Step::Scan {
-                    item_idx,
-                    pred: a.pred,
-                    mask,
-                    exists: false,
-                });
-            }
-            BodyItem::Neg(a) => {
-                for arg in &a.args {
-                    if let AtomArg::Var(v) = arg {
-                        if !bound[*v as usize] {
-                            return Err(EvalError::Unsafe(format!(
-                                "rule {rule_idx}: variable {} unbound in negated atom {}",
-                                rule.var_names[*v as usize],
-                                symbols.resolve(a.pred)
-                            )));
-                        }
-                    }
-                }
-                enc_atoms[item_idx] = Some(encode_atom(a, dict));
-                steps.push(Step::Check {
-                    item_idx,
-                    pred: a.pred,
-                    present: false,
-                });
-            }
-            BodyItem::Cond(e) => {
-                let mut vars = Vec::new();
-                e.collect_vars(&mut vars);
-                for v in vars {
-                    if !bound[v as usize] {
-                        return Err(EvalError::Unsafe(format!(
-                            "rule {rule_idx}: variable {} unbound in condition",
-                            rule.var_names[v as usize]
-                        )));
-                    }
-                }
-                steps.push(Step::Filter { item_idx });
-            }
-            BodyItem::Assign(v, e) => {
-                let mut vars = Vec::new();
-                e.collect_vars(&mut vars);
-                for w in vars {
-                    if !bound[w as usize] {
-                        return Err(EvalError::Unsafe(format!(
-                            "rule {rule_idx}: variable {} unbound in assignment",
-                            rule.var_names[w as usize]
-                        )));
-                    }
-                }
-                bound[*v as usize] = true;
-                steps.push(Step::Bind { item_idx, var: *v });
-            }
+impl EncRule {
+    fn new(rule: &Rule, dict: &TermDict) -> Self {
+        EncRule {
+            body: (rule.body.iter())
+                .map(|item| match item {
+                    BodyItem::Pos(a) | BodyItem::Neg(a) => Some(EncAtom::new(a, dict)),
+                    _ => None,
+                })
+                .collect(),
+            head: EncAtom::new(&rule.head, dict),
         }
     }
-    // Walking back from the head, a scan is existence-only when nothing
-    // after it reads a variable it binds first. Aggregates count matches,
-    // so theirs stay exhaustive.
-    let mut live: Vec<VarId> = rule.head.vars();
-    for (k, (step, &item_idx)) in steps.iter_mut().zip(&order).enumerate().rev() {
-        if let Step::Scan { exists, .. } = step {
-            *exists = rule.aggregate.is_none() && !live.iter().any(|&v| first[v as usize] == k);
-        }
-        match &rule.body[item_idx] {
-            BodyItem::Pos(a) | BodyItem::Neg(a) => live.extend(a.vars()),
-            BodyItem::Cond(e) => e.collect_vars(&mut live),
-            BodyItem::Assign(v, e) => {
-                live.push(*v);
-                e.collect_vars(&mut live);
-            }
-        }
-    }
-
-    Ok(RulePlan {
-        steps,
-        nvars,
-        index_needs,
-        existentials: skolem_functors(rule_idx, rule, symbols),
-        enc_atoms,
-        enc_head: encode_atom(&rule.head, dict),
-    })
-}
-
-/// The Skolem functor `_ex_r{rule_idx}_{var}` of each existential head
-/// variable — the one naming the evaluator and [`crate::delta`] share, so
-/// the null one mints over a frontier is the one the other recomputes.
-pub(crate) fn skolem_functors(
-    rule_idx: usize,
-    rule: &Rule,
-    symbols: &SymbolTable,
-) -> Vec<(VarId, Sym)> {
-    rule.existential_vars()
-        .into_iter()
-        .map(|v| {
-            let name = &rule.var_names[v as usize];
-            (v, symbols.intern(&format!("_ex_r{rule_idx}_{name}")))
-        })
-        .collect()
-}
-
-/// Body order for a delta variant: the delta atom first, then greedily —
-/// conditions/assignments/negations as soon as their variables are bound,
-/// and among the remaining positive atoms the one with the most
-/// bound-or-constant argument positions (most selective index lookup).
-/// Without this, moving the delta atom to the front could place a join
-/// atom before the `comp` atom that binds its key, recreating a cross
-/// product.
-fn delta_order(rule: &Rule, delta_item: usize) -> Vec<usize> {
-    let nvars = rule.var_names.len();
-    let mut bound = vec![false; nvars];
-    let mut order = vec![delta_item];
-    if let BodyItem::Pos(a) = &rule.body[delta_item] {
-        for v in a.vars() {
-            bound[v as usize] = true;
-        }
-    }
-    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&i| i != delta_item).collect();
-
-    while !remaining.is_empty() {
-        // Eagerly place ready non-atom items (keeping original order).
-        if let Some(k) = remaining.iter().position(|&i| match &rule.body[i] {
-            BodyItem::Cond(e) => {
-                let mut vs = Vec::new();
-                e.collect_vars(&mut vs);
-                vs.iter().all(|&v| bound[v as usize])
-            }
-            BodyItem::Assign(_, e) => {
-                let mut vs = Vec::new();
-                e.collect_vars(&mut vs);
-                vs.iter().all(|&v| bound[v as usize])
-            }
-            BodyItem::Neg(a) => a.vars().iter().all(|&v| bound[v as usize]),
-            BodyItem::Pos(_) => false,
-        }) {
-            let i = remaining.remove(k);
-            if let BodyItem::Assign(v, _) = &rule.body[i] {
-                bound[*v as usize] = true;
-            }
-            order.push(i);
-            continue;
-        }
-        // Otherwise the most selective positive atom. Bound *variable*
-        // positions dominate (they are join keys); constant positions
-        // count less (a constant like the graph component may match the
-        // whole relation); ties resolve to the original order.
-        let (k, _) = remaining
-            .iter()
-            .enumerate()
-            .filter_map(|(k, &i)| match &rule.body[i] {
-                BodyItem::Pos(a) => {
-                    let bound_vars = a
-                        .args
-                        .iter()
-                        .filter(|arg| matches!(arg, AtomArg::Var(v) if bound[*v as usize]))
-                        .count();
-                    let consts = a
-                        .args
-                        .iter()
-                        .filter(|arg| matches!(arg, AtomArg::Const(_)))
-                        .count();
-                    Some((k, (bound_vars, consts)))
-                }
-                _ => None,
-            })
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .expect("unplaced non-atom item must have unbound vars from a future atom");
-        let i = remaining.remove(k);
-        if let BodyItem::Pos(a) = &rule.body[i] {
-            for v in a.vars() {
-                bound[v as usize] = true;
-            }
-        }
-        order.push(i);
-    }
-    order
 }
 
 // ------------------------------------------------------------ evaluation
@@ -1395,23 +1129,14 @@ fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database) -> Vec<ResolvedScan<'d>>
 /// — a job stages head rows, an aggregate collects the environments.
 /// `delta` optionally restricts one body occurrence to a row range of a
 /// delta batch. Returns the join ticks spent.
-fn eval_rule<F>(
-    plan: &RulePlan,
-    rule: &Rule,
-    db: &Database,
-    delta: Option<(usize, &RowBatch, usize, usize)>,
-    ctx: &Ctx<'_>,
-    emit: &mut F,
-) -> Result<u64, EvalError>
+fn eval_rule<F>(job: &Job<'_>, db: &Database, ctx: &Ctx<'_>, emit: &mut F) -> Result<u64, EvalError>
 where
     F: FnMut(&[Option<TermId>], &Ctx<'_>) -> Result<(), EvalError>,
 {
-    let resolved = resolve_scans(plan, db);
-    let mut env: Vec<Option<TermId>> = vec![None; plan.nvars];
+    let resolved = resolve_scans(job.plan, db);
+    let mut env: Vec<Option<TermId>> = vec![None; job.plan.nvars];
     let mut ticks = 0u64;
-    join(
-        plan, &resolved, rule, delta, ctx, 0, &mut env, &mut ticks, emit,
-    )?;
+    join(job, &resolved, ctx, 0, &mut env, &mut ticks, emit)?;
     Ok(ticks)
 }
 
@@ -1419,12 +1144,9 @@ where
 /// occurrence, hash-index probes (against the incrementally maintained
 /// build side) elsewhere. Generic over the emit callback so the head
 /// instantiation inlines into the innermost loop.
-#[allow(clippy::too_many_arguments)]
 fn join<F>(
-    plan: &RulePlan,
+    job: &Job<'_>,
     resolved: &[ResolvedScan<'_>],
-    rule: &Rule,
-    delta: Option<(usize, &RowBatch, usize, usize)>,
     ctx: &Ctx<'_>,
     step_idx: usize,
     env: &mut Vec<Option<TermId>>,
@@ -1438,7 +1160,7 @@ where
     if *ticks & 0xFFF == 0 {
         ctx.check()?;
     }
-    let Some(step) = plan.steps.get(step_idx) else {
+    let Some(step) = job.plan.steps.get(step_idx) else {
         return emit(env, ctx);
     };
     match step {
@@ -1448,13 +1170,14 @@ where
             exists,
             ..
         } => {
-            let atom = plan.enc_atoms[*item_idx]
+            let atom = job.enc.body[*item_idx]
                 .as_ref()
                 .expect("scan step on non-positive item");
             // One row source: `range` of a flat row-major buffer — the
             // delta partition or the whole relation — or, through `picks`,
             // the relation rows an index bucket names.
-            let (flat, arity, picks, range): (&[TermId], usize, Option<&[u32]>, _) = match delta {
+            let (flat, arity, picks, range): (&[TermId], usize, Option<&[u32]>, _) = match job.delta
+            {
                 Some((di, batch, lo, hi)) if di == *item_idx => {
                     (batch.ids(), batch.arity(), None, lo..hi)
                 }
@@ -1496,17 +1219,7 @@ where
                 else {
                     continue;
                 };
-                join(
-                    plan,
-                    resolved,
-                    rule,
-                    delta,
-                    ctx,
-                    step_idx + 1,
-                    env,
-                    ticks,
-                    emit,
-                )?;
+                join(job, resolved, ctx, step_idx + 1, env, ticks, emit)?;
                 unbind_atom(atom, undo_mask, env);
                 if *exists {
                     break;
@@ -1517,7 +1230,7 @@ where
         Step::Check {
             item_idx, present, ..
         } => {
-            let atom = plan.enc_atoms[*item_idx]
+            let atom = job.enc.body[*item_idx]
                 .as_ref()
                 .expect("check step on non-atom item");
             let mut tuple = [TermId::NULL; MAX_COLS];
@@ -1532,42 +1245,22 @@ where
                 .rel
                 .is_some_and(|r| r.contains(&tuple[..atom.args.len()]));
             if found == *present {
-                join(
-                    plan,
-                    resolved,
-                    rule,
-                    delta,
-                    ctx,
-                    step_idx + 1,
-                    env,
-                    ticks,
-                    emit,
-                )?;
+                join(job, resolved, ctx, step_idx + 1, env, ticks, emit)?;
             }
             Ok(())
         }
         Step::Filter { item_idx } => {
-            let expr = match &rule.body[*item_idx] {
+            let expr = match &job.rule.body[*item_idx] {
                 BodyItem::Cond(e) => e,
                 _ => unreachable!("filter step on non-condition item"),
             };
             if expr.eval_bool_ids(env, ctx.dict, ctx.symbols) {
-                join(
-                    plan,
-                    resolved,
-                    rule,
-                    delta,
-                    ctx,
-                    step_idx + 1,
-                    env,
-                    ticks,
-                    emit,
-                )?;
+                join(job, resolved, ctx, step_idx + 1, env, ticks, emit)?;
             }
             Ok(())
         }
         Step::Bind { item_idx, var } => {
-            let expr = match &rule.body[*item_idx] {
+            let expr = match &job.rule.body[*item_idx] {
                 BodyItem::Assign(_, e) => e,
                 _ => unreachable!("bind step on non-assignment item"),
             };
@@ -1592,17 +1285,7 @@ where
                 };
                 if ok {
                     env[*var as usize] = Some(v);
-                    join(
-                        plan,
-                        resolved,
-                        rule,
-                        delta,
-                        ctx,
-                        step_idx + 1,
-                        env,
-                        ticks,
-                        emit,
-                    )?;
+                    join(job, resolved, ctx, step_idx + 1, env, ticks, emit)?;
                 }
                 env[*var as usize] = prev;
             }
@@ -1668,8 +1351,7 @@ fn unbind_atom(atom: &EncAtom, bound_here: u64, env: &mut [Option<TermId>]) {
 /// the head's snapshot are dropped before they reach the sequential
 /// merge.
 fn instantiate_head(
-    plan: &RulePlan,
-    rule: &Rule,
+    job: &Job<'_>,
     env: &[Option<TermId>],
     ctx: &Ctx<'_>,
     dedup_against: Option<&Relation>,
@@ -1678,18 +1360,18 @@ fn instantiate_head(
     // Existential Skolemisation: functor over the frontier values,
     // interned by identity (no structural Skolem terms are built).
     let mut ex_values: FxHashMap<VarId, TermId> = FxHashMap::default();
-    if !plan.existentials.is_empty() {
-        let frontier: Vec<TermId> = rule
+    if !job.plan.existentials.is_empty() {
+        let frontier: Vec<TermId> = (job.rule)
             .frontier_vars()
             .into_iter()
             .filter_map(|v| env[v as usize])
             .collect();
-        for (v, functor) in &plan.existentials {
+        for (v, functor) in &job.plan.existentials {
             ex_values.insert(*v, ctx.dict.skolem(*functor, &frontier));
         }
     }
     let start = out.ids.len();
-    for arg in &plan.enc_head.args {
+    for arg in &job.enc.head.args {
         let id = match arg {
             EArg::Id(id) => *id,
             EArg::Var(v) => match env[*v as usize] {

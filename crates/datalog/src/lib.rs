@@ -86,7 +86,7 @@ pub use magic::{
     demand_prunes, demand_subprogram, magic_sets_rewrite, magic_sets_rewrite_analyzed,
     MagicRewrite, DEMAND_SELECTIVITY,
 };
-pub use plan::{plan_program, AtomPlan, ProgramPlan, RuleOrder};
+pub use plan::{plan_program, ProgramPlan};
 pub use pool::{run_scoped, run_scoped_caught, JobPanic};
 pub use profile::{QueryProfile, RoundProfile, RuleProfile, StratumProfile};
 pub use rewrite::unify_equalities;

@@ -1,137 +1,215 @@
-//! The cost-based physical planner: statistics-driven join ordering.
+//! The physical planner: statistics-driven join ordering, compiled once.
 //!
-//! Sitting between translation and evaluation, [`plan_program`] computes
-//! for every rule body an evaluation order by greedy selectivity search:
-//! starting from the bound set (constants, then variables bound by
+//! `plan_rule` is the one place a rule body is lowered for the join
+//! loop ([`crate::eval`]). By greedy selectivity search it orders the
+//! body: starting from the bound set (constants, then variables bound by
 //! already-placed atoms), it repeatedly places the positive atom with the
 //! smallest estimated probe cardinality ([`DbStats::estimate`] — rows
 //! divided by the distinct counts of the bound positions), preferring
 //! atoms that share a bound variable over cross products, and pushes
 //! filter conditions, assignments and negation checks to the earliest
-//! position at which all their variables are bound. Each placed atom also
-//! records the exact `(pred, mask)` hash index its probe will use, so a
-//! frozen snapshot can build precisely the indexes live plans name
-//! instead of all `2^arity - 1` masks.
+//! position at which all their variables are bound. The same walk builds
+//! each step: the exact `(pred, mask)` hash index a probe uses (so a
+//! frozen snapshot can build precisely the indexes live plans name instead
+//! of all `2^arity - 1` masks), a membership check for a fully bound
+//! atom, the existence-only flag of a scan, the rule's Skolem functors,
+//! and the safety verdict — a negation, condition or assignment reading
+//! a variable no body item before it binds is [`EvalError::Unsafe`].
 //!
-//! Semi-naive delta variants get their own orders (one per positive body
-//! occurrence of a stratum-written predicate) with the delta atom pinned
-//! first — the delta-first constraint of semi-naive evaluation — and the
-//! rest ordered by the same greedy search.
-//!
-//! The orders are *advice*: [`crate::eval`]'s `compile_rule` recomputes
-//! masks and re-verifies rule safety from whatever order it is handed, so
-//! a stale or mismatched plan can cost performance but never correctness.
+//! [`plan_program`] compiles every rule of a program against a
+//! snapshot's statistics: one naive plan per rule plus semi-naive delta
+//! variants (one per positive body occurrence of a stratum-written
+//! predicate) with the delta atom pinned first — the delta-first
+//! constraint of semi-naive evaluation — and the rest ordered by the same
+//! search. The evaluator runs those plans as they are; whatever a run
+//! needs that the handed plan lacks (no plan, a seeded run's variants) it
+//! compiles with the same function against empty statistics. A plan made
+//! for a different program is ignored (`ProgramPlan::fits`), so a wrong
+//! plan can cost performance but never correctness.
 
 use crate::database::Mask;
+use crate::eval::EvalError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::rule::{AtomArg, BodyItem, Program, Rule};
+use crate::rule::{Atom, AtomArg, BodyItem, Program, Rule, VarId};
 use crate::stats::DbStats;
-use crate::stratify::{stratify, StratifyError};
+use crate::stratify::stratify;
 use crate::symbols::{Sym, SymbolTable};
 
-/// The planned probe of one positive body atom.
+/// One compiled body step.
 #[derive(Debug, Clone)]
-pub struct AtomPlan {
-    /// Index of the atom in the rule's body (source position).
-    pub item_idx: usize,
-    /// The probed predicate.
-    pub pred: Sym,
-    /// Bound-position mask of the probe (0 = full scan; for a pinned
-    /// delta atom the scan is batch-driven and the mask is 0).
-    pub mask: Mask,
-    /// Every position is bound: the probe is a membership test of the
-    /// relation's dedup table and needs no index.
-    pub check: bool,
-    /// Estimated probe output cardinality at planning time.
-    pub estimate: f64,
+pub(crate) enum Step {
+    /// Scan/lookup a positive atom. `mask` = positions bound at this point
+    /// (constants or already-bound variables; 0 for a delta atom, whose
+    /// scan is driven by the batch). With `exists`, neither a later step
+    /// nor the head reads a variable the atom binds: every match yields
+    /// the same emissions, so the join takes the first. `estimate` is the
+    /// planner's probe cardinality, kept for [`ProgramPlan::render`].
+    Scan {
+        item_idx: usize,
+        pred: Sym,
+        mask: Mask,
+        exists: bool,
+        estimate: f64,
+    },
+    /// Membership test of a fully bound atom against the relation's
+    /// dedup table: passes when the row's presence equals `present`
+    /// (`false` for a negated atom). Needs no index.
+    Check {
+        item_idx: usize,
+        pred: Sym,
+        present: bool,
+    },
+    /// Evaluate a filter condition.
+    Filter { item_idx: usize },
+    /// Evaluate an assignment.
+    Bind { item_idx: usize, var: VarId },
 }
 
-/// A planned evaluation order for one rule body.
-#[derive(Debug, Clone)]
-pub struct RuleOrder {
-    /// Body item indices in evaluation order (all items, not only atoms).
-    pub order: Vec<usize>,
-    /// Probe plans of the positive atoms, in evaluation order.
-    pub atoms: Vec<AtomPlan>,
+impl Step {
+    /// The body item the step evaluates.
+    fn item_idx(&self) -> usize {
+        match self {
+            Step::Scan { item_idx, .. }
+            | Step::Check { item_idx, .. }
+            | Step::Filter { item_idx }
+            | Step::Bind { item_idx, .. } => *item_idx,
+        }
+    }
 }
 
-/// A physical plan for a program: per-rule body orders for the naive
-/// pass, per-`(rule, delta occurrence)` orders for the semi-naive
-/// rounds, and the index masks they probe.
+/// A compiled rule body: the steps the join loop runs, in order.
+#[derive(Debug, Clone)]
+pub(crate) struct RulePlan {
+    pub(crate) steps: Vec<Step>,
+    pub(crate) nvars: usize,
+    /// Existential head vars with their Skolem functor.
+    pub(crate) existentials: Vec<(VarId, Sym)>,
+}
+
+impl RulePlan {
+    /// The `(pred, mask)` of each scan, in step order. Mask 0 is a full
+    /// scan, or the batch-driven scan of a delta atom.
+    fn scans(&self) -> impl Iterator<Item = (Sym, Mask)> + '_ {
+        self.steps.iter().filter_map(|s| match s {
+            Step::Scan { pred, mask, .. } => Some((*pred, *mask)),
+            _ => None,
+        })
+    }
+
+    /// The hash indexes the plan probes: its scans with a nonzero mask.
+    pub(crate) fn index_needs(&self) -> impl Iterator<Item = (Sym, Mask)> + '_ {
+        self.scans().filter(|&(_, mask)| mask != 0)
+    }
+}
+
+/// A physical plan for a program: per-rule compiled bodies for the naive
+/// pass, per-`(rule, delta occurrence)` variants for the semi-naive
+/// rounds, and the rules they were compiled from.
 #[derive(Debug, Clone)]
 pub struct ProgramPlan {
-    /// One order per program rule (parallel to `program.rules`).
-    pub rules: Vec<RuleOrder>,
-    /// Delta-variant orders, keyed by `(rule index, body item index of
-    /// the delta occurrence)`.
-    pub delta: FxHashMap<(usize, usize), RuleOrder>,
+    /// The planned program's rules: [`ProgramPlan::fits`] compares them.
+    source: Vec<Rule>,
+    /// One naive plan per program rule (parallel to `program.rules`).
+    pub(crate) rules: Vec<RulePlan>,
+    /// Delta variants, keyed by `(rule index, body item index of the
+    /// delta occurrence)`.
+    pub(crate) delta: FxHashMap<(usize, usize), RulePlan>,
 }
 
 impl ProgramPlan {
+    /// True when the plan was made for `program` — rule for rule, the
+    /// same bodies, heads and variables. O(program size); the evaluator
+    /// ignores a plan that does not fit.
+    pub(crate) fn fits(&self, program: &Program) -> bool {
+        self.source == program.rules
+    }
+
+    /// The `(pred, mask)` of every scan of the naive plans (`delta =
+    /// false`) or of the delta variants (`true`), in rule and step order.
+    /// Mask 0 is a full scan, or the batch-driven scan of a delta atom.
+    pub fn probes(&self, delta: bool) -> impl Iterator<Item = (Sym, Mask)> + '_ {
+        let naive = self.rules.iter().filter(move |_| !delta);
+        let variants = self.delta.values().filter(move |_| delta);
+        naive.chain(variants).flat_map(RulePlan::scans)
+    }
+
     /// The distinct `(pred, mask)` hash indexes the plan's probes use —
     /// what a frozen snapshot needs eagerly built for this plan to run
     /// at full speed.
     pub fn index_needs(&self) -> Vec<(Sym, Mask)> {
         let mut out: Vec<(Sym, Mask)> = Vec::new();
-        let atoms = self
-            .rules
-            .iter()
-            .chain(self.delta.values())
-            .flat_map(|r| r.atoms.iter());
-        for a in atoms {
-            if a.mask != 0 && !a.check && !out.contains(&(a.pred, a.mask)) {
-                out.push((a.pred, a.mask));
+        for need in self.probes(false).chain(self.probes(true)) {
+            if need.1 != 0 && !out.contains(&need) {
+                out.push(need);
             }
         }
         out
     }
 
-    /// Renders the plan for humans: per rule the chosen atom order, probe
-    /// masks and cardinality estimates — the payload of the serving
+    /// Renders the plan for humans: per rule and delta variant the body
+    /// order and each atom step — its kind (`probe`, `exists` for a scan
+    /// that stops at the first match, `check` for a membership test),
+    /// probe mask and cardinality estimate. The payload of the serving
     /// layer's `explain`.
     pub fn render(&self, program: &Program, symbols: &SymbolTable) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        for (ri, (rule, ro)) in program.rules.iter().zip(&self.rules).enumerate() {
+        for (ri, (rule, rp)) in program.rules.iter().zip(&self.rules).enumerate() {
             let _ = writeln!(out, "rule {ri}: {}", rule.display(symbols));
-            render_order(&mut out, ro);
-            for ((r2, di), dro) in self.delta.iter().filter(|((r2, _), _)| *r2 == ri) {
-                let _ = writeln!(out, "  delta variant (rule {r2}, body item {di}):");
-                render_order(&mut out, dro);
+            render_steps(&mut out, rp);
+            let mut variants: Vec<_> = self.delta.iter().filter(|((r, _), _)| *r == ri).collect();
+            variants.sort_unstable_by_key(|(key, _)| **key);
+            for ((_, di), drp) in variants {
+                let _ = writeln!(out, "  delta variant (rule {ri}, body item {di}):");
+                render_steps(&mut out, drp);
             }
         }
         out
     }
 }
 
-fn render_order(out: &mut String, ro: &RuleOrder) {
+fn render_steps(out: &mut String, rp: &RulePlan) {
     use std::fmt::Write;
-    let _ = writeln!(out, "  order: {:?}", ro.order);
-    for a in &ro.atoms {
-        let probe = if a.check { "check" } else { "probe" };
-        let _ = writeln!(
-            out,
-            "    {probe} item {} mask={:#b} est={:.1}",
-            a.item_idx, a.mask, a.estimate
-        );
+    let order: Vec<usize> = rp.steps.iter().map(Step::item_idx).collect();
+    let _ = writeln!(out, "  order: {order:?}");
+    for step in &rp.steps {
+        let _ = match step {
+            Step::Scan {
+                item_idx,
+                mask,
+                exists,
+                estimate,
+                ..
+            } => {
+                let kind = if *exists { "exists" } else { "probe" };
+                writeln!(
+                    out,
+                    "    {kind} item {item_idx} mask={mask:#b} est={estimate:.1}"
+                )
+            }
+            Step::Check {
+                item_idx,
+                present: true,
+                ..
+            } => writeln!(out, "    check item {item_idx}"),
+            _ => Ok(()),
+        };
     }
 }
 
-/// Plans every rule of `program` against `stats`: greedy selectivity
-/// ordering for the naive pass plus delta-pinned variants for the
-/// semi-naive rounds. Fails only if the program does not stratify (the
-/// same error evaluation itself would report).
+/// Compiles every rule of `program` against `stats`: a naive plan per
+/// rule plus delta-pinned variants for the semi-naive rounds. Fails when
+/// the program does not stratify or a rule is unsafe — the errors
+/// evaluation itself would report.
 pub fn plan_program(
     program: &Program,
     symbols: &SymbolTable,
     stats: &DbStats,
-) -> Result<ProgramPlan, StratifyError> {
+) -> Result<ProgramPlan, EvalError> {
     let strat = stratify(program, symbols)?;
-    let rules = program
-        .rules
-        .iter()
-        .map(|r| order_body(r, stats, None))
-        .collect();
+    let rules = (program.rules.iter().enumerate())
+        .map(|(ri, r)| plan_rule(ri, r, symbols, stats, None))
+        .collect::<Result<_, _>>()?;
     let mut delta = FxHashMap::default();
     for stratum in &strat.strata {
         let writes: FxHashSet<Sym> = strat.stratum_writes(stratum).into_iter().collect();
@@ -141,126 +219,231 @@ pub fn plan_program(
                 continue;
             }
             for di in rule.positive_occurrences_of(&writes) {
-                delta.insert((ri, di), order_body(rule, stats, Some(di)));
+                delta.insert((ri, di), plan_rule(ri, rule, symbols, stats, Some(di))?);
             }
         }
     }
-    Ok(ProgramPlan { rules, delta })
+    Ok(ProgramPlan {
+        source: program.rules.clone(),
+        rules,
+        delta,
+    })
 }
 
-/// True when a non-atom body item's variables are all bound.
-fn ready(item: &BodyItem, bound: &[bool]) -> bool {
-    match item {
-        BodyItem::Cond(e) | BodyItem::Assign(_, e) => {
-            let mut vs = Vec::new();
-            e.collect_vars(&mut vs);
-            vs.iter().all(|&v| bound[v as usize])
+/// Plans and compiles rule `rule_idx`: orders the body by greedy
+/// selectivity against `stats` and lowers each item to its [`Step`].
+/// With `pinned = Some(di)`, body item `di` (the delta occurrence) runs
+/// first as a batch-driven scan and never becomes a `Check`.
+pub(crate) fn plan_rule(
+    rule_idx: usize,
+    rule: &Rule,
+    symbols: &SymbolTable,
+    stats: &DbStats,
+    pinned: Option<usize>,
+) -> Result<RulePlan, EvalError> {
+    let nvars = rule.var_names.len();
+    // Safety is a property of the rule text: a variable a negation,
+    // condition or assignment reads must be bound by a positive atom or
+    // assignment before it. A safe body can always be ordered.
+    let mut bound = vec![false; nvars];
+    let mut vars = Vec::new();
+    for item in &rule.body {
+        vars.clear();
+        reads(item, &mut vars);
+        if let BodyItem::Pos(_) = item {
+            vars.iter().for_each(|&v| bound[v as usize] = true);
+            continue;
         }
-        BodyItem::Neg(a) => a.vars().iter().all(|&v| bound[v as usize]),
-        BodyItem::Pos(_) => false,
+        if let Some(&v) = vars.iter().find(|&&v| !bound[v as usize]) {
+            let what = match item {
+                BodyItem::Neg(a) => format!("negated atom {}", symbols.resolve(a.pred)),
+                BodyItem::Cond(_) => "condition".into(),
+                _ => "assignment".into(),
+            };
+            return Err(EvalError::Unsafe(format!(
+                "rule {rule_idx}: variable {} unbound in {what}",
+                rule.var_names[v as usize]
+            )));
+        }
+        if let BodyItem::Assign(v, _) = item {
+            bound[*v as usize] = true;
+        }
     }
-}
+    bound.fill(false);
+    // Per variable: the step that binds it first (positive atoms only).
+    let mut first = vec![usize::MAX; nvars];
+    let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
+    let mut remaining: Vec<usize> = (0..rule.body.len())
+        .filter(|&i| Some(i) != pinned)
+        .collect();
+    let mut next = pinned;
 
-/// The bound-position mask an atom would probe with under `bound`.
-fn bound_mask(atom: &crate::rule::Atom, bound: &[bool]) -> Mask {
-    let mut mask: Mask = 0;
-    for (i, arg) in atom.args.iter().enumerate() {
-        match arg {
-            AtomArg::Const(_) => mask |= 1 << i,
-            AtomArg::Var(v) => {
-                if bound[*v as usize] {
-                    mask |= 1 << i;
+    while let Some(item_idx) = next
+        .take()
+        .or_else(|| pick(rule, stats, &mut remaining, &bound, &mut vars))
+    {
+        let k = steps.len();
+        steps.push(match &rule.body[item_idx] {
+            BodyItem::Pos(a) => {
+                let mask = if pinned == Some(item_idx) {
+                    0
+                } else {
+                    bound_mask(a, &bound)
+                };
+                vars.clear();
+                reads(&rule.body[item_idx], &mut vars);
+                for &v in &vars {
+                    if !bound[v as usize] {
+                        bound[v as usize] = true;
+                        first[v as usize] = k;
+                    }
+                }
+                if mask.count_ones() as usize == a.args.len() && pinned != Some(item_idx) {
+                    Step::Check {
+                        item_idx,
+                        pred: a.pred,
+                        present: true,
+                    }
+                } else {
+                    Step::Scan {
+                        item_idx,
+                        pred: a.pred,
+                        mask,
+                        exists: false,
+                        estimate: stats.estimate(a.pred, mask),
+                    }
                 }
             }
+            BodyItem::Neg(a) => Step::Check {
+                item_idx,
+                pred: a.pred,
+                present: false,
+            },
+            BodyItem::Cond(_) => Step::Filter { item_idx },
+            BodyItem::Assign(v, _) => {
+                bound[*v as usize] = true;
+                Step::Bind { item_idx, var: *v }
+            }
+        });
+    }
+    assert!(remaining.is_empty(), "a safe body places every item");
+
+    // Walking back from the head, a scan is existence-only when nothing
+    // after it reads a variable it binds first. Aggregates count matches,
+    // so theirs stay exhaustive.
+    let mut live: Vec<VarId> = rule.head.vars();
+    for (k, step) in steps.iter_mut().enumerate().rev() {
+        if let Step::Scan { exists, .. } = step {
+            *exists = rule.aggregate.is_none() && !live.iter().any(|&v| first[v as usize] == k);
+        }
+        let item = &rule.body[step.item_idx()];
+        reads(item, &mut live);
+        if let BodyItem::Assign(v, _) = item {
+            live.push(*v);
+        }
+    }
+
+    // A head the body binds has no existential variable to name (the
+    // common case, spared `skolem_functors`' allocations).
+    let head_bound = (rule.head.args.iter()).all(|arg| match arg {
+        AtomArg::Var(v) => bound[*v as usize],
+        AtomArg::Const(_) => true,
+    });
+    Ok(RulePlan {
+        steps,
+        nvars,
+        existentials: if head_bound {
+            Vec::new()
+        } else {
+            skolem_functors(rule_idx, rule, symbols)
+        },
+    })
+}
+
+/// Removes and returns the next body item to place: a filter, assignment
+/// or negation as soon as its variables are bound (source order among
+/// the simultaneously ready), otherwise the positive atom with the
+/// smallest estimated probe cardinality — among the atoms sharing a bound
+/// variable while any does, so a cross product is planned only when
+/// nothing connected is left (independence estimates make two
+/// constant-heavy scans look cheaper than the join between them).
+/// `remaining` is in ascending source order and `min_by` keeps the first
+/// minimum, so exact ties resolve to source order. `None` when nothing
+/// can be placed.
+fn pick(
+    rule: &Rule,
+    stats: &DbStats,
+    remaining: &mut Vec<usize>,
+    bound: &[bool],
+    vars: &mut Vec<VarId>,
+) -> Option<usize> {
+    let ready = |&i: &usize| {
+        vars.clear();
+        reads(&rule.body[i], vars);
+        !matches!(rule.body[i], BodyItem::Pos(_)) && vars.iter().all(|&v| bound[v as usize])
+    };
+    if let Some(k) = remaining.iter().position(ready) {
+        return Some(remaining.remove(k));
+    }
+    let connected =
+        |a: &Atom| (a.args.iter()).any(|arg| matches!(arg, AtomArg::Var(v) if bound[*v as usize]));
+    let any_connected =
+        (remaining.iter()).any(|&i| matches!(&rule.body[i], BodyItem::Pos(a) if connected(a)));
+    let (k, _) = (remaining.iter().enumerate())
+        .filter_map(|(k, &i)| match &rule.body[i] {
+            BodyItem::Pos(a) if connected(a) || !any_connected => {
+                Some((k, stats.estimate(a.pred, bound_mask(a, bound))))
+            }
+            _ => None,
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1))?;
+    Some(remaining.remove(k))
+}
+
+/// Appends the variables a body item reads to `out`: an atom's, or an
+/// expression's (an assignment's target is bound by it, not read).
+fn reads(item: &BodyItem, out: &mut Vec<VarId>) {
+    match item {
+        BodyItem::Pos(a) | BodyItem::Neg(a) => {
+            out.extend(a.args.iter().filter_map(|arg| match arg {
+                AtomArg::Var(v) => Some(*v),
+                AtomArg::Const(_) => None,
+            }))
+        }
+        BodyItem::Cond(e) | BodyItem::Assign(_, e) => e.collect_vars(out),
+    }
+}
+
+/// The bound-position mask an atom probes with under `bound`.
+fn bound_mask(atom: &Atom, bound: &[bool]) -> Mask {
+    let mut mask: Mask = 0;
+    for (i, arg) in atom.args.iter().enumerate() {
+        let known = match arg {
+            AtomArg::Const(_) => true,
+            AtomArg::Var(v) => bound[*v as usize],
+        };
+        if known {
+            mask |= 1 << i;
         }
     }
     mask
 }
 
-/// Greedy selectivity ordering of one rule body. With `pinned =
-/// Some(di)`, body item `di` (the delta occurrence) is placed first —
-/// its scan is driven by the delta batch, not an index probe.
-fn order_body(rule: &Rule, stats: &DbStats, pinned: Option<usize>) -> RuleOrder {
-    let n = rule.body.len();
-    let mut bound = vec![false; rule.var_names.len()];
-    let mut order = Vec::with_capacity(n);
-    let mut atoms = Vec::new();
-    let mut remaining: Vec<usize> = (0..n).collect();
-
-    if let Some(di) = pinned {
-        remaining.retain(|&i| i != di);
-        if let BodyItem::Pos(a) = &rule.body[di] {
-            for v in a.vars() {
-                bound[v as usize] = true;
-            }
-            atoms.push(AtomPlan {
-                item_idx: di,
-                pred: a.pred,
-                mask: 0,
-                check: false,
-                estimate: 0.0,
-            });
-        }
-        order.push(di);
-    }
-
-    while !remaining.is_empty() {
-        // Filters, assignments and negation checks run as soon as their
-        // variables are bound (earliest evaluable position, source order
-        // among the simultaneously ready).
-        if let Some(k) = remaining.iter().position(|&i| ready(&rule.body[i], &bound)) {
-            let i = remaining.remove(k);
-            if let BodyItem::Assign(v, _) = &rule.body[i] {
-                bound[*v as usize] = true;
-            }
-            order.push(i);
-            continue;
-        }
-        // Otherwise the positive atom with the smallest estimated probe
-        // cardinality under the current bound set — among the atoms
-        // sharing a bound variable while any does, so a cross product is
-        // planned only when nothing connected is left (independence
-        // estimates make two constant-heavy scans look cheaper than the
-        // join between them). `remaining` is in ascending source order
-        // and `min_by` keeps the first minimum, so exact ties resolve to
-        // source order.
-        let connected = |a: &crate::rule::Atom| {
-            a.args
-                .iter()
-                .any(|arg| matches!(arg, AtomArg::Var(v) if bound[*v as usize]))
-        };
-        let any_connected = remaining
-            .iter()
-            .any(|&i| matches!(&rule.body[i], BodyItem::Pos(a) if connected(a)));
-        let (k, mask, est) = remaining
-            .iter()
-            .enumerate()
-            .filter_map(|(k, &i)| match &rule.body[i] {
-                BodyItem::Pos(a) if connected(a) || !any_connected => {
-                    let mask = bound_mask(a, &bound);
-                    Some((k, mask, stats.estimate(a.pred, mask)))
-                }
-                _ => None,
-            })
-            .min_by(|a, b| a.2.total_cmp(&b.2))
-            .expect("unplaced non-atom item has variables no remaining atom binds");
-        let i = remaining.remove(k);
-        if let BodyItem::Pos(a) = &rule.body[i] {
-            for v in a.vars() {
-                bound[v as usize] = true;
-            }
-            atoms.push(AtomPlan {
-                item_idx: i,
-                pred: a.pred,
-                mask,
-                check: mask.count_ones() as usize == a.args.len(),
-                estimate: est,
-            });
-        }
-        order.push(i);
-    }
-
-    RuleOrder { order, atoms }
+/// The Skolem functor `_ex_r{rule_idx}_{var}` of each existential head
+/// variable — the one naming the evaluator and [`crate::delta`] share, so
+/// the null one mints over a frontier is the one the other recomputes.
+pub(crate) fn skolem_functors(
+    rule_idx: usize,
+    rule: &Rule,
+    symbols: &SymbolTable,
+) -> Vec<(VarId, Sym)> {
+    rule.existential_vars()
+        .into_iter()
+        .map(|v| {
+            let name = &rule.var_names[v as usize];
+            (v, symbols.intern(&format!("_ex_r{rule_idx}_{name}")))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -269,6 +452,21 @@ mod tests {
     use crate::database::Database;
     use crate::parser::parse_program;
     use crate::value::Const;
+
+    /// The body items of a compiled rule, in evaluation order.
+    fn order(rp: &RulePlan) -> Vec<usize> {
+        rp.steps.iter().map(Step::item_idx).collect()
+    }
+
+    /// The masks of a compiled rule's scans, in evaluation order.
+    fn scan_masks(rp: &RulePlan) -> Vec<Mask> {
+        (rp.steps.iter())
+            .filter_map(|s| match s {
+                Step::Scan { mask, .. } => Some(*mask),
+                _ => None,
+            })
+            .collect()
+    }
 
     /// A star join whose selective atom sits last in rule text: the
     /// planner must pull it to the front.
@@ -299,9 +497,8 @@ mod tests {
         let stats = DbStats::collect(db.relations());
         let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
         // tiny (1 row) first, then the two indexed probes on X.
-        assert_eq!(plan.rules[0].order, vec![2, 0, 1]);
-        let masks: Vec<Mask> = plan.rules[0].atoms.iter().map(|a| a.mask).collect();
-        assert_eq!(masks, vec![0, 0b001, 0b001]);
+        assert_eq!(order(&plan.rules[0]), vec![2, 0, 1]);
+        assert_eq!(scan_masks(&plan.rules[0]), vec![0, 0b001, 0b001]);
         // Index needs name exactly the bound-X probes.
         let needs = plan.index_needs();
         let big1 = db.symbols().get("big1").unwrap();
@@ -318,8 +515,10 @@ mod tests {
         let prog = parse_program("q(X, Y) :- big1(X, Y), big2(X, Y).\n", db.symbols()).unwrap();
         let stats = DbStats::collect(db.relations());
         let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
-        let second = &plan.rules[0].atoms[1];
-        assert!(second.check && second.mask == 0b11);
+        assert!(matches!(
+            plan.rules[0].steps[1],
+            Step::Check { present: true, .. }
+        ));
         assert!(plan.index_needs().is_empty());
     }
 
@@ -340,10 +539,11 @@ mod tests {
         let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
         // Rule 1's only delta occurrence is tc at body item 1; the
         // variant must start there.
-        let ro = &plan.delta[&(1, 1)];
-        assert_eq!(ro.order[0], 1);
-        assert_eq!(ro.atoms[0].mask, 0, "delta scan is batch-driven");
-        assert_ne!(ro.atoms[1].mask, 0, "the other atom probes an index");
+        let rp = &plan.delta[&(1, 1)];
+        assert_eq!(order(rp)[0], 1);
+        let masks = scan_masks(rp);
+        assert_eq!(masks[0], 0, "delta scan is batch-driven");
+        assert_ne!(masks[1], 0, "the other atom probes an index");
     }
 
     #[test]
@@ -365,7 +565,7 @@ mod tests {
         .unwrap();
         let stats = DbStats::collect(db.relations());
         let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
-        let order = &plan.rules[0].order;
+        let order = order(&plan.rules[0]);
         // q (5 rows) first, then the filter is not yet ready (A unbound),
         // p probes on X, filter last-but-ready.
         assert_eq!(order[0], 1, "smaller q leads");
@@ -383,5 +583,66 @@ mod tests {
         assert!(text.contains("order: [2, 0, 1]"), "{text}");
         assert!(text.contains("mask=0b1"), "{text}");
         assert!(text.contains("est="), "{text}");
+        assert!(text.contains("probe item 0"), "{text}");
+
+        // `r(Z, W)` binds only variables nothing reads: it stops at the
+        // first match. Of two atoms over the same variables the second
+        // is a membership test.
+        let prog = parse_program(
+            "e(X) :- q(X), r(Z, W).\nc(X, Y) :- big1(X, Y), big2(X, Y).\n",
+            db.symbols(),
+        )
+        .unwrap();
+        let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
+        let text = plan.render(&prog, db.symbols());
+        assert!(text.contains("exists item 1"), "{text}");
+        assert!(text.contains("check item 1"), "{text}");
+    }
+
+    #[test]
+    fn a_plan_made_for_another_program_is_ignored() {
+        use crate::eval::{collect_output, evaluate_frozen, evaluate_frozen_with_plan};
+        let mut db = Database::new();
+        let rows: Vec<Vec<Const>> = (0..30)
+            .map(|i| vec![Const::Int(i % 10), Const::Int(i)])
+            .collect();
+        for pred in ["e", "f", "g"] {
+            let p = db.symbols().intern(pred);
+            db.load_rows(p, &rows);
+        }
+        let base = std::sync::Arc::new(db.freeze());
+        let symbols = base.symbols();
+        // Same rule count and body lengths; A's second atom stops at its
+        // first match, and A probes `e` where B probes `f` and `g`.
+        let a = parse_program("p(X) :- e(X, Y), e(Y, Z).\nr(X) :- e(X, X).\n", symbols).unwrap();
+        let b = parse_program(
+            "q(X, Z) :- f(X, Y), g(Y, Z).\ns(X) :- f(X, X).\n@output(\"q\").\n",
+            symbols,
+        )
+        .unwrap();
+        let plan_a = plan_program(&a, symbols, &base.stats()).unwrap();
+        let options = crate::eval::EvalOptions::default();
+        let q = symbols.get("q").unwrap();
+        let facts = |db: &Database| {
+            let mut rows = collect_output(&b, db, q);
+            rows.sort();
+            rows
+        };
+        let (unplanned, _) = evaluate_frozen(&b, &base, &options).unwrap();
+        let (misplanned, _) =
+            evaluate_frozen_with_plan(&b, &base, &options, Some(&plan_a)).unwrap();
+        assert_eq!(facts(&misplanned), facts(&unplanned));
+        assert_eq!(facts(&unplanned).len(), 30);
+    }
+
+    #[test]
+    fn unsafe_rule_is_an_error_not_a_panic() {
+        let db = Database::new();
+        let prog = parse_program("p(X) :- q(Y), X > 3.\n", db.symbols()).unwrap();
+        let err = plan_program(&prog, db.symbols(), &DbStats::default()).unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::Unsafe("rule 0: variable X unbound in condition".into())
+        );
     }
 }

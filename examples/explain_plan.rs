@@ -42,9 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         triple_stats.rows, triple_stats.distinct
     );
 
-    // The chosen physical plan: atom order, probe masks, estimates.
+    // The chosen physical plan: atom order, and per atom step its kind,
+    // probe mask and estimate.
+    let plan = snapshot.explain(&prepared)?;
     println!("plan for:\n  {query}\n");
-    println!("{}", snapshot.explain(&prepared)?);
+    println!("{plan}");
+    assert!(plan.contains("probe item"), "the plan probes no atom");
 
     // Executing the prepared query reuses the cached plan — zero
     // planning work per execution until statistics drift.

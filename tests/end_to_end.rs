@@ -269,13 +269,10 @@ fn sp2bench_q5a_joins_instead_of_filtering_a_product() {
         .program;
     let plan = plan_program(&q3a, symbols, &snapshot.stats()).unwrap();
     let triple = symbols.get("triple").unwrap();
-    let probes: Vec<_> = (plan.rules.iter())
-        .flat_map(|r| &r.atoms)
-        .filter(|a| a.pred == triple)
-        .collect();
+    let probes: Vec<_> = plan.probes(false).filter(|&(p, _)| p == triple).collect();
     assert!(!probes.is_empty());
-    for p in probes {
-        assert_ne!(p.mask & 0b10, 0, "triple probed without its predicate");
+    for (_, mask) in probes {
+        assert_ne!(mask & 0b10, 0, "triple probed without its predicate");
     }
 }
 
