@@ -1,7 +1,7 @@
 //! Cost of the query front-end under the PR 5 prepared-query API: the
 //! same query log executed (a) re-parsed + re-translated every call,
 //! (b) through the text-keyed translation cache, and (c) through
-//! [`PreparedQuery`] handles — plus the prepared-handle batch fan-out.
+//! [`PreparedQuery`] handles.
 //!
 //! The spread between `retranslate_32q` and `prepared_32q` is the
 //! front-end work a server saves per request once a shape is prepared;
@@ -73,15 +73,6 @@ fn main() {
         prepared
             .iter()
             .map(|p| snapshot.execute_prepared(p).expect("query runs").len())
-            .sum::<usize>()
-    });
-
-    // Prepared batch fan-out (width = thread count, 1 here).
-    b.bench("prepared_batch_32q", || {
-        snapshot
-            .execute_prepared_batch(&prepared)
-            .into_iter()
-            .map(|r| r.expect("query runs").len())
             .sum::<usize>()
     });
 

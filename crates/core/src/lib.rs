@@ -74,12 +74,12 @@ pub use error::SparqLogError;
 pub use ontology::{Axiom, Ontology};
 pub use query_translation::{translate_query, TranslatedQuery, TranslationError};
 pub use results_io::{SerializeError, WriteError};
-pub use serving::{FrozenDatabase, PreparedQuery};
+pub use serving::{PreparedQuery, Snapshot};
 pub use solution::{canonical_triples, QueryResults, Solution, SolutionSeq};
 pub use sparqlog_datalog::{AbortReason, Budget, CancelToken, QueryProfile};
 pub use sparqlog_obs::MetricsRegistry;
 pub use sparqlog_rdf::{Graph, Term};
-pub use store::{CommitStats, Snapshot, Store, Writer};
+pub use store::{CommitStats, Store, Writer};
 pub use subscribe::{
     ResultDelta, SolutionRow, Subscription, SubscriptionEvent, DEFAULT_MAILBOX_CAPACITY,
 };

@@ -3,29 +3,29 @@
 //! Three standard formats cover the solution-producing query forms
 //! (`SELECT`, `ASK`):
 //!
-//! * **SPARQL 1.1 Query Results JSON** ([`write_json`] / [`to_json`]) —
+//! * **SPARQL 1.1 Query Results JSON** ([`write_json`]) —
 //!   the `application/sparql-results+json` format:
 //!   `{"head":{"vars":[...]},"results":{"bindings":[...]}}` for
 //!   solutions, `{"head":{},"boolean":...}` for ASK;
-//! * **SPARQL 1.1 Query Results CSV** ([`write_csv`] / [`to_csv`]) —
+//! * **SPARQL 1.1 Query Results CSV** ([`write_csv`]) —
 //!   plain values (IRIs bare, literals as their lexical form), RFC 4180
 //!   quoting, CRLF line endings;
-//! * **SPARQL 1.1 Query Results TSV** ([`write_tsv`] / [`to_tsv`]) —
+//! * **SPARQL 1.1 Query Results TSV** ([`write_tsv`]) —
 //!   terms in SPARQL concrete syntax (`<iri>`, `"lit"@en`, `_:b`),
 //!   tab-separated.
 //!
 //! The graph-producing forms (`CONSTRUCT`, `DESCRIBE`) serialize through
-//! the `sparqlog-rdf` writers instead: [`write_ntriples`] /
-//! [`graph_to_ntriples`] and [`write_turtle`] / [`graph_to_turtle`].
-//! Asking a solution format for a graph result (or vice versa) is a
-//! [`SerializeError`], not a silent coercion.
+//! the `sparqlog-rdf` writers instead: [`write_ntriples`] and
+//! [`write_turtle`]. Asking a solution format for a graph result (or vice
+//! versa) is a [`SerializeError`], not a silent coercion — raised by the
+//! `write_*` function alone.
 //!
 //! Since PR 8 the **incremental [`std::io::Write`] paths are primary**:
 //! every `write_*` function streams straight into its sink — one row /
 //! one triple at a time, no intermediate document string — so a huge
 //! CONSTRUCT serialized through an HTTP chunked-transfer writer never
-//! materializes in RAM. The `to_*` String functions are thin wrappers
-//! that stream into a `Vec<u8>`. Differential tests in
+//! materializes in RAM. The `QueryResults::to_*` String methods are thin
+//! wrappers that stream into a `Vec<u8>`. Differential tests in
 //! `crates/core/tests/results_io.rs` pin both paths byte-identical,
 //! including through a pathological 1-byte-per-call writer.
 //!
@@ -35,7 +35,7 @@
 
 use std::io::{self, Write};
 
-use sparqlog_rdf::{Graph, LiteralKind, Term};
+use sparqlog_rdf::{LiteralKind, Term};
 
 use crate::solution::{QueryResults, SolutionSeq};
 
@@ -141,12 +141,6 @@ pub fn write_json(results: &QueryResults, out: &mut dyn Write) -> Result<(), Wri
         }
         .into()),
     }
-}
-
-/// Serializes a SELECT/ASK result in the SPARQL 1.1 Query Results JSON
-/// format. Thin wrapper over [`write_json`].
-pub fn to_json(results: &QueryResults) -> Result<String, SerializeError> {
-    collect_string(|out| write_json(results, out))
 }
 
 fn write_solutions_json(s: &SolutionSeq, out: &mut dyn Write) -> Result<(), WriteError> {
@@ -292,12 +286,6 @@ pub fn write_csv(results: &QueryResults, out: &mut dyn Write) -> Result<(), Writ
     }
 }
 
-/// Serializes a SELECT/ASK result in the SPARQL 1.1 Query Results CSV
-/// format. Thin wrapper over [`write_csv`].
-pub fn to_csv(results: &QueryResults) -> Result<String, SerializeError> {
-    collect_string(|out| write_csv(results, out))
-}
-
 /// Writes a CSV field, quoting per RFC 4180 only when needed.
 fn csv_field(value: &str, out: &mut dyn Write) -> io::Result<()> {
     if value.contains(['"', ',', '\n', '\r']) {
@@ -363,12 +351,6 @@ pub fn write_tsv(results: &QueryResults, out: &mut dyn Write) -> Result<(), Writ
     }
 }
 
-/// Serializes a SELECT/ASK result in the SPARQL 1.1 Query Results TSV
-/// format. Thin wrapper over [`write_tsv`].
-pub fn to_tsv(results: &QueryResults) -> Result<String, SerializeError> {
-    collect_string(|out| write_tsv(results, out))
-}
-
 // -------------------------------------------------------------- graphs
 
 /// Streams a CONSTRUCT/DESCRIBE result graph as N-Triples into `out`,
@@ -403,59 +385,42 @@ pub fn write_turtle(results: &QueryResults, out: &mut dyn Write) -> Result<(), W
     }
 }
 
-/// Serializes a CONSTRUCT/DESCRIBE result graph as N-Triples.
-pub fn graph_to_ntriples(g: &Graph) -> String {
-    sparqlog_rdf::ntriples::serialize(g)
-}
-
-/// Serializes a CONSTRUCT/DESCRIBE result graph as Turtle (triples
-/// grouped by subject, `rdf:type` compacted to `a`).
-pub fn graph_to_turtle(g: &Graph) -> String {
-    sparqlog_rdf::turtle::serialize(g)
-}
-
 impl QueryResults {
-    /// [`to_json`] as a method.
+    /// The result as a SPARQL 1.1 Query Results JSON string, for
+    /// SELECT/ASK results ([`write_json`] into a buffer).
     pub fn to_json(&self) -> Result<String, SerializeError> {
-        to_json(self)
+        collect_string(|out| write_json(self, out))
     }
 
-    /// [`to_csv`] as a method.
+    /// The result as a SPARQL 1.1 Query Results CSV string, for
+    /// SELECT/ASK results ([`write_csv`] into a buffer).
     pub fn to_csv(&self) -> Result<String, SerializeError> {
-        to_csv(self)
+        collect_string(|out| write_csv(self, out))
     }
 
-    /// [`to_tsv`] as a method.
+    /// The result as a SPARQL 1.1 Query Results TSV string, for
+    /// SELECT/ASK results ([`write_tsv`] into a buffer).
     pub fn to_tsv(&self) -> Result<String, SerializeError> {
-        to_tsv(self)
+        collect_string(|out| write_tsv(self, out))
     }
 
-    /// The result graph as N-Triples, for CONSTRUCT/DESCRIBE results.
+    /// The result graph as N-Triples, for CONSTRUCT/DESCRIBE results
+    /// ([`write_ntriples`] into a buffer).
     pub fn to_ntriples(&self) -> Result<String, SerializeError> {
-        match self {
-            QueryResults::Graph(g) => Ok(graph_to_ntriples(g)),
-            other => Err(SerializeError {
-                format: "N-Triples",
-                form: form_name(other),
-            }),
-        }
+        collect_string(|out| write_ntriples(self, out))
     }
 
-    /// The result graph as Turtle, for CONSTRUCT/DESCRIBE results.
+    /// The result graph as Turtle, for CONSTRUCT/DESCRIBE results
+    /// ([`write_turtle`] into a buffer).
     pub fn to_turtle(&self) -> Result<String, SerializeError> {
-        match self {
-            QueryResults::Graph(g) => Ok(graph_to_turtle(g)),
-            other => Err(SerializeError {
-                format: "Turtle",
-                form: form_name(other),
-            }),
-        }
+        collect_string(|out| write_turtle(self, out))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparqlog_rdf::Graph;
 
     fn seq() -> QueryResults {
         QueryResults::Solutions(SolutionSeq {
@@ -473,7 +438,7 @@ mod tests {
     #[test]
     fn json_shapes() {
         assert_eq!(
-            to_json(&QueryResults::Boolean(true)).unwrap(),
+            QueryResults::Boolean(true).to_json().unwrap(),
             r#"{"head":{},"boolean":true}"#
         );
         let json = seq().to_json().unwrap();

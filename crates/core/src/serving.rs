@@ -1,11 +1,6 @@
-//! Concurrent query serving: the snapshot type behind
-//! [`Store::snapshot`](crate::Store::snapshot) and the parallel
+//! Concurrent query serving: [`Snapshot`], the read handle behind
+//! [`Store::snapshot`](crate::Store::snapshot), and the parallel
 //! query-batch API.
-//!
-//! [`FrozenDatabase`] is the serving layer of a [`Store`](crate::Store):
-//! a [`Snapshot`](crate::Snapshot) derefs to it, and the store's commit
-//! path thaws the underlying [`FrozenDb`] back into a mutable database
-//! and re-freezes it incrementally.
 //!
 //! The paper's experiments run one query at a time, but the workloads its
 //! reproduction targets — see the query-log studies cited in PAPERS.md —
@@ -27,10 +22,16 @@
 //!   keep/demote decision and physical plan, computed on its first
 //!   execution against the snapshot's statistics and reused until they
 //!   drift — the one place either decision is made;
-//! * the **batch fan-out** ([`FrozenDatabase::execute_batch`]): a batch
+//! * the **batch fan-out** ([`Snapshot::execute_batch`]): a batch
 //!   of queries is spread across the evaluator's scoped worker pool
 //!   ([`sparqlog_datalog::run_scoped`]), one overlay per query, with
 //!   results returned in input order regardless of scheduling.
+//!
+//! Every execution runs under the store's default [`Budget`]; a handle
+//! from [`Snapshot::with_budget`] runs under its own instead. There is
+//! no other per-call knob: text, parsed query, prepared handle and batch
+//! are the inputs, and [`Snapshot::execute_profiled`] the one profiled
+//! form.
 //!
 //! ```
 //! use sparqlog::Store;
@@ -53,6 +54,7 @@
 //! assert!(results[1].as_ref().unwrap().is_empty()); // ASK ⇒ false
 //! ```
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, RwLock};
 
 use sparqlog_datalog::{
@@ -72,7 +74,7 @@ use crate::solution::{extract_results, QueryResults};
 
 /// A cached program choice and physical plan: the program to run (the
 /// magic-sets rewrite of the translation when it applied *and* its
-/// measured demand pruned — see [`FrozenDatabase::compute_plan`] — else
+/// measured demand pruned — see [`Snapshot::compute_plan`] — else
 /// `None` meaning the translation's own program), its plan, and the
 /// statistics fingerprint both are valid against.
 struct PlanEntry {
@@ -108,7 +110,7 @@ pub const MAX_CACHED_TRANSLATIONS: usize = 4096;
 
 /// The text-keyed translation cache plus the store's metric handles.
 ///
-/// Owned behind an `Arc` so it outlives any single [`FrozenDatabase`]:
+/// Owned behind an `Arc` so it outlives any single [`Snapshot`]:
 /// translations are data-independent (they reference interned symbols,
 /// never facts), so the [`Store`](crate::Store) commit path threads one
 /// cache through every snapshot it installs — hot query shapes stay warm
@@ -129,7 +131,7 @@ pub(crate) struct TranslationCache {
     /// The `(pred, mask)` hash indexes that plans computed through this
     /// cache probe on *stored* relations — what the commit path builds
     /// eagerly on every snapshot it installs. Grown where plans are born
-    /// ([`FrozenDatabase::plan_entry`]) and never walked back out of the
+    /// ([`Snapshot::plan_entry`]) and never walked back out of the
     /// cached plans: a plan's needs on its own query-private `f<n>_…`
     /// predicates never enter, so the set is bounded by stored predicates
     /// × masks (a few dozen entries) however many texts are cached.
@@ -137,7 +139,7 @@ pub(crate) struct TranslationCache {
 }
 
 impl TranslationCache {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TranslationCache {
             map: RwLock::new(FxHashMap::default()),
             metrics: CoreMetrics::new(Arc::new(MetricsRegistry::new())),
@@ -168,8 +170,8 @@ impl TranslationCache {
 /// A query parsed and translated once, reusable across executions,
 /// snapshots and commits of the store that prepared it.
 ///
-/// Produced by [`Store::prepare`](crate::Store::prepare),
-/// `Snapshot::prepare` or [`FrozenDatabase::prepare`]. The handle is
+/// Produced by [`Store::prepare`](crate::Store::prepare) or
+/// [`Snapshot::prepare`]. The handle is
 /// `Send + Sync` and cheap to clone (one `Arc` bump); because
 /// translations are data-independent, a handle prepared before a commit
 /// keeps working on every later snapshot of the same store. Executing it
@@ -218,13 +220,28 @@ impl std::fmt::Debug for PreparedQuery {
     }
 }
 
-/// A frozen, read-only store snapshot serving concurrent queries.
+/// The state one installed store version serves from: its frozen
+/// database, the store's options at install time and the store-lifetime
+/// translation cache. The [`Store`](crate::Store) keeps it behind the
+/// `Arc` every [`Snapshot`] of that version shares — a commit that finds
+/// the `Arc` unshared reclaims it by move (the zero-copy path).
+pub(crate) struct Served {
+    pub(crate) base: Arc<FrozenDb>,
+    pub(crate) options: EvalOptions,
+    /// The translation cache — shared with every other snapshot of the
+    /// owning [`Store`](crate::Store), so it survives commits.
+    pub(crate) cache: Arc<TranslationCache>,
+}
+
+/// An immutable, version-stable read view of a [`Store`](crate::Store),
+/// serving concurrent queries.
 ///
-/// Reached through [`Store::snapshot`](crate::Store::snapshot) (a
-/// [`Snapshot`](crate::Snapshot) derefs to it). All query entry points
-/// take `&self`; the type is `Send + Sync`, so threads may share one
-/// instance directly or behind an `Arc`. Writes go through the owning
-/// store and are never visible here.
+/// Reached through [`Store::snapshot`](crate::Store::snapshot); cloning
+/// is one atomic refcount. All query entry points take `&self`; the type
+/// is `Send + Sync`, so threads may share one instance directly or behind
+/// an `Arc`. Writes go through the owning store and are never visible
+/// here: passing a SPARQL *Update* string to [`Snapshot::execute`]
+/// returns [`SparqLogError::ReadOnly`].
 ///
 /// Executing a query touches three shared structures, each safely
 /// concurrent: the snapshot (read-only), the symbol table / term
@@ -232,70 +249,99 @@ impl std::fmt::Debug for PreparedQuery {
 /// cache (an `RwLock` map; hits are read-locked only). Everything else —
 /// the evaluation overlay, staging buffers, solution extraction — is
 /// private to the executing thread.
-pub struct FrozenDatabase {
-    base: Arc<FrozenDb>,
-    options: EvalOptions,
-    /// The translation cache — shared with every other snapshot of the
-    /// owning [`Store`](crate::Store), so it survives commits.
-    cache: Arc<TranslationCache>,
+#[derive(Clone)]
+pub struct Snapshot {
+    inner: Arc<Served>,
+    /// The [`Snapshot::with_budget`] override; `None` runs every
+    /// execution under the store's default budget.
+    budget: Option<Budget>,
 }
 
-impl FrozenDatabase {
-    /// A new [`Store`](crate::Store)'s first snapshot, with a fresh
-    /// translation cache.
-    pub(crate) fn new(base: Arc<FrozenDb>, options: EvalOptions) -> Self {
-        Self::with_cache(base, options, Arc::new(TranslationCache::new()))
-    }
-
-    /// Wraps a snapshot around an existing translation cache — the
-    /// [`Store`](crate::Store) commit path uses this to carry the cache
-    /// (and its predicate-namespace counter) across commits.
-    pub(crate) fn with_cache(
-        base: Arc<FrozenDb>,
-        options: EvalOptions,
-        cache: Arc<TranslationCache>,
-    ) -> Self {
-        FrozenDatabase {
-            base,
-            options,
-            cache,
+impl Snapshot {
+    /// A handle on an installed store version, under the store's
+    /// default budget.
+    pub(crate) fn new(inner: Arc<Served>) -> Self {
+        Snapshot {
+            inner,
+            budget: None,
         }
     }
 
-    /// The shared translation cache (for re-wrapping by the store).
-    pub(crate) fn cache_handle(&self) -> Arc<TranslationCache> {
-        self.cache.clone()
+    /// This snapshot under `budget` in place of the store's default: a
+    /// handle on the same store version (one `Arc` bump, no copy) whose
+    /// every execution — batches included — runs under `budget`. A query
+    /// that crosses a limit (or whose [`CancelToken`] fires) returns
+    /// [`SparqLogError::Aborted`] within one evaluation batch of the
+    /// limit, leaving the snapshot untouched. [`Snapshot::options`] still
+    /// reports the store's options.
+    ///
+    /// In a batch each query gets the budget individually (the timeout
+    /// clock starts when *its* evaluation starts, row/dictionary caps are
+    /// per-query), except cancellation, which is batch-wide: the first
+    /// query to abort cancels its still-running siblings, so a batch
+    /// against an overloaded store drains in roughly one query's worth of
+    /// time instead of `n`. Ordinary per-query failures (parse errors,
+    /// unsupported features) do *not* cancel siblings.
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use sparqlog::{Budget, Store};
+    ///
+    /// let store = Store::new();
+    /// store
+    ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
+    ///     .unwrap();
+    /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
+    /// let budget = Budget::new().with_timeout(Duration::from_secs(30));
+    /// let governed = store.snapshot().with_budget(budget);
+    /// assert_eq!(governed.execute(q).unwrap().len(), 1);
+    /// ```
+    pub fn with_budget(&self, budget: Budget) -> Snapshot {
+        Snapshot {
+            inner: self.inner.clone(),
+            budget: Some(budget),
+        }
     }
 
-    /// Dismantles the serving wrapper back into its snapshot, options
-    /// and translation cache — the [`Store`](crate::Store) commit path
-    /// reclaims the snapshot through this (and thaws it in place when no
-    /// other handle is alive).
-    pub(crate) fn into_base(self) -> (Arc<FrozenDb>, EvalOptions, Arc<TranslationCache>) {
-        (self.base, self.options, self.cache)
+    /// The options an execution through this handle runs with: the
+    /// store's, under the [`Self::with_budget`] override when one is set.
+    fn run_options(&self) -> Cow<'_, EvalOptions> {
+        match &self.budget {
+            None => Cow::Borrowed(&self.inner.options),
+            Some(budget) => Cow::Owned(EvalOptions {
+                budget: budget.clone(),
+                ..self.inner.options.clone()
+            }),
+        }
     }
 
     /// The shared symbol table.
     pub fn symbols(&self) -> &Arc<SymbolTable> {
-        self.base.symbols()
+        self.inner.base.symbols()
     }
 
     /// The underlying frozen Datalog snapshot.
     pub fn database(&self) -> &Arc<FrozenDb> {
-        &self.base
+        &self.inner.base
     }
 
-    /// The evaluation options every query runs with (the store's options
-    /// when this snapshot was installed).
+    /// Total number of facts in this snapshot.
+    pub fn fact_count(&self) -> usize {
+        self.inner.base.fact_count()
+    }
+
+    /// The store's evaluation options when this snapshot was installed —
+    /// including its default budget, which a [`Self::with_budget`]
+    /// override replaces for execution but not here.
     pub fn options(&self) -> &EvalOptions {
-        &self.options
+        &self.inner.options
     }
 
     /// Number of distinct query texts currently memoised in the
     /// translation cache (shared with every snapshot of the owning
     /// store, so commits do not reset it).
     pub fn cached_translations(&self) -> usize {
-        self.cache.map.read().unwrap().len()
+        self.inner.cache.map.read().unwrap().len()
     }
 
     /// The metrics registry shared by every snapshot of the owning
@@ -303,12 +349,12 @@ impl FrozenDatabase {
     /// HTTP server) register their own families into it so one scrape
     /// covers the whole stack.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.cache.metrics.registry
+        &self.inner.cache.metrics.registry
     }
 
     /// The cached per-family handles (crate-internal recording sites).
     pub(crate) fn core_metrics(&self) -> &CoreMetrics {
-        &self.cache.metrics
+        &self.inner.cache.metrics
     }
 
     /// Parses and translates a query once, returning a reusable
@@ -328,14 +374,14 @@ impl FrozenDatabase {
     fn wrap_prepared(&self, inner: Arc<CachedQuery>) -> PreparedQuery {
         PreparedQuery {
             inner,
-            symbols: self.base.symbols().clone(),
+            symbols: self.inner.base.symbols().clone(),
         }
     }
 
     /// Guards against executing a handle prepared by a different store:
     /// its program's interned symbols would mis-resolve here.
     fn check_prepared(&self, p: &PreparedQuery) -> Result<(), SparqLogError> {
-        if Arc::ptr_eq(&p.symbols, self.base.symbols()) {
+        if Arc::ptr_eq(&p.symbols, self.inner.base.symbols()) {
             Ok(())
         } else {
             Err(SparqLogError::ForeignPrepared)
@@ -346,44 +392,7 @@ impl FrozenDatabase {
     /// cache probe — straight to evaluation against this snapshot.
     pub fn execute_prepared(&self, p: &PreparedQuery) -> Result<QueryResults, SparqLogError> {
         self.check_prepared(p)?;
-        self.run(&p.inner, &self.options)
-    }
-
-    /// [`Self::execute_prepared`] under an explicit [`Budget`], which
-    /// replaces the snapshot's default budget for this execution only.
-    pub fn execute_prepared_with_budget(
-        &self,
-        p: &PreparedQuery,
-        budget: &Budget,
-    ) -> Result<QueryResults, SparqLogError> {
-        self.check_prepared(p)?;
-        self.run(&p.inner, &self.options_with(budget))
-    }
-
-    /// [`Self::execute_batch`] over prepared handles: fans evaluation
-    /// out over the worker pool with zero per-query translation work,
-    /// returning results in input order.
-    pub fn execute_prepared_batch(
-        &self,
-        queries: &[PreparedQuery],
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), &self.options.budget, |i| {
-            self.check_prepared(&queries[i])?;
-            Ok(queries[i].inner.clone())
-        })
-    }
-
-    /// [`Self::execute_prepared_batch`] under an explicit [`Budget`]
-    /// (see [`Self::execute_batch_with_budget`] for the semantics).
-    pub fn execute_prepared_batch_with_budget(
-        &self,
-        queries: &[PreparedQuery],
-        budget: &Budget,
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), budget, |i| {
-            self.check_prepared(&queries[i])?;
-            Ok(queries[i].inner.clone())
-        })
+        self.run(&p.inner, &self.run_options())
     }
 
     /// Parses, translates (or recalls), evaluates and extracts one query.
@@ -408,35 +417,7 @@ impl FrozenDatabase {
     /// ```
     pub fn execute(&self, query_str: &str) -> Result<QueryResults, SparqLogError> {
         let cached = self.translation(query_str)?;
-        self.run(&cached, &self.options)
-    }
-
-    /// [`Self::execute`] under an explicit [`Budget`], which replaces the
-    /// snapshot's default budget for this execution only. A query that
-    /// crosses a limit (or whose [`CancelToken`] fires) returns
-    /// [`SparqLogError::Aborted`] within one evaluation batch of the
-    /// limit, leaving the snapshot untouched.
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use sparqlog::{Budget, Store};
-    ///
-    /// let store = Store::new();
-    /// store
-    ///     .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
-    ///     .unwrap();
-    /// let snapshot = store.snapshot();
-    /// let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
-    /// let budget = Budget::new().with_timeout(Duration::from_secs(30));
-    /// assert_eq!(snapshot.execute_with_budget(q, &budget).unwrap().len(), 1);
-    /// ```
-    pub fn execute_with_budget(
-        &self,
-        query_str: &str,
-        budget: &Budget,
-    ) -> Result<QueryResults, SparqLogError> {
-        let cached = self.translation(query_str)?;
-        self.run(&cached, &self.options_with(budget))
+        self.run(&cached, &self.run_options())
     }
 
     /// Executes an already-parsed query (translated fresh each call — the
@@ -444,7 +425,7 @@ impl FrozenDatabase {
     /// for text-level memoisation).
     pub fn execute_query(&self, query: &Query) -> Result<QueryResults, SparqLogError> {
         let cached = self.translate_entry(query.clone())?;
-        self.run(&cached, &self.options)
+        self.run(&cached, &self.run_options())
     }
 
     /// [`Self::execute_query`] through the translation cache, keyed by
@@ -456,7 +437,7 @@ impl FrozenDatabase {
         query: &Query,
     ) -> Result<QueryResults, SparqLogError> {
         let cached = self.memoised(&query.to_string(), || Ok(query.clone()))?;
-        self.run(&cached, &self.options)
+        self.run(&cached, &self.run_options())
     }
 
     /// Executes a batch of queries across the scoped worker pool,
@@ -469,6 +450,18 @@ impl FrozenDatabase {
     /// lone [`Self::execute`] call would use, so results are identical to
     /// the sequential ones whatever the width. Per-query failures come
     /// back as `Err` entries without affecting the rest of the batch.
+    ///
+    /// Two robustness layers (PR 7):
+    ///
+    /// * **Sibling cancellation** — when the batch is governed (by the
+    ///   store's default budget or a [`Self::with_budget`] override),
+    ///   every query runs under a child of one group [`CancelToken`]
+    ///   (itself a child of the budget's token, so external cancellation
+    ///   still propagates); the first governor abort cancels the group.
+    /// * **Panic containment** — jobs run under [`run_scoped_caught`],
+    ///   so a panicking query (a bug, not a policy outcome) yields an
+    ///   `Err` in its own slot while every other query's result is
+    ///   returned intact.
     ///
     /// ```
     /// use sparqlog::Store;
@@ -486,71 +479,10 @@ impl FrozenDatabase {
     /// assert!(results[1].is_err()); // the batch keeps going
     /// ```
     pub fn execute_batch(&self, queries: &[&str]) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), &self.options.budget, |i| {
-            self.translation(queries[i])
-        })
-    }
-
-    /// [`Self::execute_batch`] under an explicit [`Budget`], which
-    /// replaces the snapshot's default budget for every query in the
-    /// batch. Each query gets the budget individually (the timeout clock
-    /// starts when *its* evaluation starts, row/dictionary caps are
-    /// per-query), except cancellation, which is batch-wide: the first
-    /// query to return [`SparqLogError::Aborted`] cancels its still-
-    /// running siblings, so a batch against an overloaded store drains in
-    /// roughly one query's worth of time instead of `n`. Ordinary
-    /// per-query failures (parse errors, unsupported features) do *not*
-    /// cancel siblings — they come back as `Err` entries in input order
-    /// exactly as in [`Self::execute_batch`].
-    pub fn execute_batch_with_budget(
-        &self,
-        queries: &[&str],
-        budget: &Budget,
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), budget, |i| self.translation(queries[i]))
-    }
-
-    /// [`Self::execute_batch`] over already-parsed queries (no text
-    /// cache; each query is translated once for the batch).
-    pub fn execute_query_batch(
-        &self,
-        queries: &[Query],
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.batch(queries.len(), &self.options.budget, |i| {
-            self.translate_entry(queries[i].clone())
-        })
-    }
-
-    /// This snapshot's options with `budget` substituted — the per-call
-    /// override used by every `*_with_budget` entry point.
-    fn options_with(&self, budget: &Budget) -> EvalOptions {
-        EvalOptions {
-            budget: budget.clone(),
-            ..self.options.clone()
-        }
-    }
-
-    /// Shared batch driver: resolves each query to a translation, fans
-    /// evaluation out over the scoped pool, and collects results in input
-    /// order via per-job slots.
-    ///
-    /// Two robustness layers (PR 7):
-    ///
-    /// * **Sibling cancellation** — when the batch is governed, every
-    ///   query runs under a child of one group [`CancelToken`] (itself a
-    ///   child of the caller's token, so external cancellation still
-    ///   propagates); the first governor abort cancels the group.
-    /// * **Panic containment** — jobs run under
-    ///   [`run_scoped_caught`], so a panicking query (a bug, not a policy
-    ///   outcome) yields an `Err` in its own slot while every other
-    ///   query's result is returned intact.
-    fn batch(
-        &self,
-        n: usize,
-        budget: &Budget,
-        translation_of: impl Fn(usize) -> Result<Arc<CachedQuery>, SparqLogError> + Sync,
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        let threads = self.options.resolved_threads().min(n.max(1));
+        let n = queries.len();
+        let options = self.run_options();
+        let threads = options.resolved_threads().min(n.max(1));
+        let budget = &options.budget;
         let (group, effective) = if budget.is_unlimited() {
             // Ungoverned batch: no abort can occur, so skip the token and
             // keep the per-query evaluations on the ungoverned fast path.
@@ -568,12 +500,14 @@ impl FrozenDatabase {
         let per_query = EvalOptions {
             threads: Some(1),
             budget: effective,
-            ..self.options.clone()
+            ..options.into_owned()
         };
         let slots: Vec<Mutex<Option<Result<QueryResults, SparqLogError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let panics = run_scoped_caught(threads, n, &|i| {
-            let result = translation_of(i).and_then(|cached| self.run(&cached, &per_query));
+            let result = self
+                .translation(queries[i])
+                .and_then(|cached| self.run(&cached, &per_query));
             if let (Some(group), Err(SparqLogError::Aborted { .. })) = (&group, &result) {
                 group.cancel();
             }
@@ -624,11 +558,11 @@ impl FrozenDatabase {
         key: &str,
         parse: impl FnOnce() -> Result<Query, SparqLogError>,
     ) -> Result<Arc<CachedQuery>, SparqLogError> {
-        if let Some(hit) = self.cache.map.read().unwrap().get(key) {
+        if let Some(hit) = self.inner.cache.map.read().unwrap().get(key) {
             return Ok(hit.clone());
         }
         let entry = self.translate_entry(parse()?)?;
-        let mut cache = self.cache.map.write().unwrap();
+        let mut cache = self.inner.cache.map.write().unwrap();
         if cache.len() >= MAX_CACHED_TRANSLATIONS && !cache.contains_key(key) {
             return Ok(entry);
         }
@@ -639,8 +573,8 @@ impl FrozenDatabase {
     fn translate_entry(&self, query: Query) -> Result<Arc<CachedQuery>, SparqLogError> {
         // Never gated on `armed`: the returned value is the `f{n}_`
         // namespace sequence, not just a statistic.
-        let n = self.cache.metrics.translations.inc() as usize;
-        let translated = translate_query(&query, self.base.symbols(), &format!("f{n}_"))?;
+        let n = self.inner.cache.metrics.translations.inc() as usize;
+        let translated = translate_query(&query, self.inner.base.symbols(), &format!("f{n}_"))?;
         Ok(Arc::new(CachedQuery {
             query,
             translated,
@@ -685,12 +619,12 @@ impl FrozenDatabase {
             let program = entry.and_then(|e| e.program.as_ref());
             evaluate_frozen_with_plan(
                 program.unwrap_or(&cached.translated.program),
-                &self.base,
+                &self.inner.base,
                 options,
                 entry.and_then(|e| e.plan.as_ref()),
             )
         });
-        let m = &self.cache.metrics;
+        let m = &self.inner.cache.metrics;
         match evaluated {
             Ok((db, stats)) => {
                 if m.registry.armed() {
@@ -759,28 +693,7 @@ impl FrozenDatabase {
         query_str: &str,
     ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
         let cached = self.translation(query_str)?;
-        self.run_profiled(&cached, &self.options)
-    }
-
-    /// [`Self::execute_profiled`] under an explicit [`Budget`] (the
-    /// HTTP layer's `profile=true` path: request budgets still apply).
-    pub fn execute_profiled_with_budget(
-        &self,
-        query_str: &str,
-        budget: &Budget,
-    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
-        let cached = self.translation(query_str)?;
-        self.run_profiled(&cached, &self.options_with(budget))
-    }
-
-    /// [`Self::execute_prepared`] with per-query profiling armed (see
-    /// [`Self::execute_profiled`]).
-    pub fn execute_prepared_profiled(
-        &self,
-        p: &PreparedQuery,
-    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
-        self.check_prepared(p)?;
-        self.run_profiled(&p.inner, &self.options)
+        self.run_profiled(&cached, &self.run_options())
     }
 
     /// The query's program choice and physical plan: a cache hit when an
@@ -798,19 +711,19 @@ impl FrozenDatabase {
         if !options.plan && !options.magic_sets {
             return Ok(None);
         }
-        let stats = self.base.stats();
+        let stats = self.inner.base.stats();
         if let Some(entry) = cached.plan.read().unwrap().as_ref() {
             if entry.plan.is_some() == options.plan && !entry.fingerprint.drifted(&stats) {
-                self.cache.metrics.plan_hits.inc();
+                self.inner.cache.metrics.plan_hits.inc();
                 return Ok(Some(entry.clone()));
             }
         }
         let entry = self.compute_plan(cached, options, &stats)?;
         if let Some(plan) = &entry.plan {
-            self.cache.track_index_needs(plan, &self.base);
+            self.inner.cache.track_index_needs(plan, &self.inner.base);
         }
         *cached.plan.write().unwrap() = Some(entry.clone());
-        self.cache.metrics.plans_computed.inc();
+        self.inner.cache.metrics.plans_computed.inc();
         Ok(Some(entry))
     }
 
@@ -830,7 +743,7 @@ impl FrozenDatabase {
         options: &EvalOptions,
         stats: &DbStats,
     ) -> Result<Arc<PlanEntry>, EvalError> {
-        let symbols = self.base.symbols();
+        let symbols = self.inner.base.symbols();
         let program = &cached.translated.program;
         let mut rewritten = None;
         if options.magic_sets {
@@ -842,7 +755,7 @@ impl FrozenDatabase {
                             profile: false,
                             ..options.clone()
                         };
-                        let (db, _) = evaluate_frozen(&sub, &self.base, &sub_options)?;
+                        let (db, _) = evaluate_frozen(&sub, &self.inner.base, &sub_options)?;
                         demand_prunes(&rw, &db)
                     }
                     // Not measurable in isolation: keep the rewrite.
@@ -870,13 +783,13 @@ impl FrozenDatabase {
     /// distinct estimates) — collected once per snapshot and carried
     /// incrementally across the store's commits.
     pub fn stats(&self) -> Arc<DbStats> {
-        self.base.stats()
+        self.inner.base.stats()
     }
 
     /// Physical plans computed through this store's caches: first
     /// executions and statistics-drift replans.
     pub fn plans_computed(&self) -> usize {
-        self.cache.metrics.plans_computed.get() as usize
+        self.inner.cache.metrics.plans_computed.get() as usize
     }
 
     /// Renders the physical plan a [`PreparedQuery`] executes with
@@ -892,14 +805,14 @@ impl FrozenDatabase {
     /// diagnostic string when planning is disabled.
     pub fn explain(&self, p: &PreparedQuery) -> Result<String, SparqLogError> {
         self.check_prepared(p)?;
-        match self.plan_entry(&p.inner, &self.options)?.as_deref() {
+        match self.plan_entry(&p.inner, &self.run_options())?.as_deref() {
             Some(PlanEntry {
                 program,
                 plan: Some(plan),
                 ..
             }) => Ok(plan.render(
                 program.as_ref().unwrap_or(&p.inner.translated.program),
-                self.base.symbols(),
+                self.inner.base.symbols(),
             )),
             _ => Ok("(no physical plan: planning disabled)".into()),
         }
@@ -907,19 +820,19 @@ impl FrozenDatabase {
 }
 
 #[cfg(test)]
-impl FrozenDatabase {
+impl Snapshot {
     /// Every `(pred, mask)` the currently cached plans probe on a
     /// relation of this snapshot, by walking the cache — the oracle the
     /// commit-cost test holds the tracked need set against.
     pub(crate) fn cached_plan_needs_on_base(&self) -> Vec<(Sym, Mask)> {
         let mut out = Vec::new();
-        for cached in self.cache.map.read().unwrap().values() {
+        for cached in self.inner.cache.map.read().unwrap().values() {
             let entry = cached.plan.read().unwrap();
             if let Some(plan) = entry.as_ref().and_then(|e| e.plan.as_ref()) {
                 out.extend(plan.index_needs());
             }
         }
-        out.retain(|&(pred, _)| self.base.relation(pred).is_some());
+        out.retain(|&(pred, _)| self.inner.base.relation(pred).is_some());
         out.sort_unstable();
         out.dedup();
         out
@@ -940,11 +853,12 @@ fn panic_marker_hook(text: &str) {
     }
 }
 
-impl std::fmt::Debug for FrozenDatabase {
+impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrozenDatabase")
-            .field("facts", &self.base.fact_count())
+        f.debug_struct("Snapshot")
+            .field("facts", &self.fact_count())
             .field("cached_translations", &self.cached_translations())
+            .field("budget", &self.budget)
             .finish()
     }
 }
@@ -952,7 +866,7 @@ impl std::fmt::Debug for FrozenDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Snapshot, Store};
+    use crate::Store;
 
     const DATA: &str = r#"@prefix ex: <http://ex.org/> .
         ex:spain ex:borders ex:france .
@@ -973,7 +887,7 @@ mod tests {
 
     #[test]
     fn frozen_database_is_send_sync() {
-        assert_send_sync::<FrozenDatabase>();
+        assert_send_sync::<Snapshot>();
     }
 
     #[test]
@@ -1020,21 +934,6 @@ mod tests {
             frozen.execute("garbage ***").unwrap_err(),
             SparqLogError::Parse(_)
         ));
-    }
-
-    #[test]
-    fn query_typed_batch() {
-        let frozen = frozen();
-        let queries: Vec<Query> = [
-            "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders ?b }",
-            "PREFIX ex: <http://ex.org/> SELECT ?a WHERE { ?a ex:borders ex:germany }",
-        ]
-        .iter()
-        .map(|q| parse_query(q).unwrap())
-        .collect();
-        let results = frozen.execute_query_batch(&queries);
-        assert_eq!(results[0].as_ref().unwrap().len(), 1);
-        assert_eq!(results[1].as_ref().unwrap().len(), 1);
     }
 
     #[test]
@@ -1178,7 +1077,8 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let err = frozen
-            .execute_prepared_with_budget(&q, &Budget::new().with_cancel(cancel))
+            .with_budget(Budget::new().with_cancel(cancel))
+            .execute_prepared(&q)
             .unwrap_err();
         assert!(
             matches!(

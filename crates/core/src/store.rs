@@ -7,10 +7,12 @@
 //! workload is simply a store with one loading commit):
 //!
 //! * [`Store::snapshot`] hands out a [`Snapshot`]: an `Arc`-shared,
-//!   indexed read view. Snapshots are cheap (one atomic
-//!   refcount), immutable, `Send + Sync`, and keep serving their
-//!   version of the data even while later commits land — readers are
-//!   never blocked and never see partial writes.
+//!   indexed read view and the one query surface. Snapshots are cheap
+//!   (one atomic refcount), immutable, `Send + Sync`, and keep serving
+//!   their version of the data even while later commits land — readers
+//!   are never blocked and never see partial writes. Queries run under
+//!   the store's default [`Budget`] ([`Store::set_default_budget`]) or a
+//!   handle's own ([`Snapshot::with_budget`]).
 //! * [`Store::writer`] opens a [`Writer`]: a session that stages
 //!   triple-level additions and removals (and `CLEAR`s) and applies
 //!   them atomically on [`Writer::commit`]. The commit *thaws* the
@@ -65,9 +67,10 @@
 //! failure: operations commit one by one, and an error leaves the
 //! earlier operations applied.
 //!
-//! Readers holding a [`Snapshot`] are never blocked by a commit. A
-//! commit that finds live snapshots works on a copy while the store
-//! keeps serving the pre-commit version (new [`Store::snapshot`] /
+//! Readers holding a [`Snapshot`] are never blocked by a commit (a
+//! [`Snapshot::with_budget`] handle shares its snapshot, so it counts
+//! as one). A commit that finds live snapshots works on a copy while the
+//! store keeps serving the pre-commit version (new [`Store::snapshot`] /
 //! [`Store::execute`] calls proceed immediately); with no snapshot
 //! alive it takes the zero-copy path instead — relations are moved, and
 //! readers arriving mid-commit wait for it. No budget governs a commit
@@ -117,7 +120,7 @@ use crate::error::SparqLogError;
 use crate::metrics::COMMIT_PHASES;
 use crate::ontology::Ontology;
 use crate::query_translation::update_where_query;
-use crate::serving::{FrozenDatabase, PreparedQuery, TranslationCache};
+use crate::serving::{PreparedQuery, Served, Snapshot, TranslationCache};
 use crate::solution::QueryResults;
 use crate::subscribe::{prefilter, Registry, Subscription, DEFAULT_MAILBOX_CAPACITY};
 
@@ -145,7 +148,7 @@ struct StoreState {
     /// The serving snapshot. `None` only while a zero-copy commit holds
     /// the state lock (readers block, never observe it) — or permanently
     /// after such a commit failed ([`POISONED`]).
-    frozen: Option<Arc<FrozenDatabase>>,
+    frozen: Option<Arc<Served>>,
     /// Accumulated ontology rules, maintained by every commit.
     ontology: Program,
     /// The asserted ledger: the explicitly written quads, tracked
@@ -200,10 +203,11 @@ impl Store {
     /// Creates an empty store with explicit evaluation options (default
     /// budget, thread count, planner and magic-sets toggles, ...).
     pub fn with_options(options: EvalOptions) -> Self {
-        let frozen = Arc::new(FrozenDatabase::new(
-            Database::new().freeze(),
-            options.clone(),
-        ));
+        let frozen = Arc::new(Served {
+            base: Database::new().freeze(),
+            options: options.clone(),
+            cache: Arc::new(TranslationCache::new()),
+        });
         Store {
             state: RwLock::new(StoreState {
                 frozen: Some(frozen),
@@ -218,26 +222,15 @@ impl Store {
         }
     }
 
-    fn current(&self) -> Arc<FrozenDatabase> {
-        self.state
-            .read()
-            .unwrap()
-            .frozen
-            .as_ref()
-            .expect(POISONED)
-            .clone()
-    }
-
     /// The current read view: an `Arc`-shared, indexed snapshot.
     ///
     /// Snapshots are immutable and version-stable — later commits do not
-    /// affect them — and deref to [`FrozenDatabase`], so the whole
-    /// concurrent query API (`execute`, `execute_batch`, the translation
-    /// cache) is available on them.
+    /// affect them — and carry the whole concurrent query API
+    /// ([`Snapshot::execute`], [`Snapshot::execute_batch`], prepared
+    /// handles, [`Snapshot::with_budget`]).
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            inner: self.current(),
-        }
+        let state = self.state.read().unwrap();
+        Snapshot::new(state.frozen.as_ref().expect(POISONED).clone())
     }
 
     /// Opens a write session staging triple-level changes; nothing is
@@ -256,45 +249,15 @@ impl Store {
     /// snapshot per call, so prefer holding a [`Snapshot`] when issuing
     /// many queries against one version).
     pub fn execute(&self, query: &str) -> Result<QueryResults, SparqLogError> {
-        self.current().execute(query)
-    }
-
-    /// [`Store::execute`] under an explicit [`Budget`], which replaces
-    /// the store's default budget for this execution only (see
-    /// [`FrozenDatabase::execute_with_budget`]).
-    pub fn execute_with_budget(
-        &self,
-        query: &str,
-        budget: &Budget,
-    ) -> Result<QueryResults, SparqLogError> {
-        self.current().execute_with_budget(query, budget)
-    }
-
-    /// Executes a batch of queries against the current snapshot, fanned
-    /// over the worker pool (see [`FrozenDatabase::execute_batch`]).
-    pub fn execute_batch(&self, queries: &[&str]) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.current().execute_batch(queries)
-    }
-
-    /// [`Store::execute_batch`] under an explicit [`Budget`] — per-query
-    /// limits plus batch-wide first-abort cancellation (see
-    /// [`FrozenDatabase::execute_batch_with_budget`]).
-    pub fn execute_batch_with_budget(
-        &self,
-        queries: &[&str],
-        budget: &Budget,
-    ) -> Vec<Result<QueryResults, SparqLogError>> {
-        self.current().execute_batch_with_budget(queries, budget)
+        self.snapshot().execute(query)
     }
 
     /// Parses and translates a query once, returning a reusable
     /// [`PreparedQuery`] handle. Translations are data-independent, so
     /// the handle stays valid across commits — execute it against any
-    /// later [`Snapshot`] (or through
-    /// [`FrozenDatabase::execute_prepared`] /
-    /// [`FrozenDatabase::execute_prepared_batch`] on a snapshot).
+    /// later [`Snapshot`] through [`Snapshot::execute_prepared`].
     pub fn prepare(&self, query: &str) -> Result<PreparedQuery, SparqLogError> {
-        self.current().prepare(query)
+        self.snapshot().prepare(query)
     }
 
     /// Registers a standing `SELECT` query: after every commit that
@@ -332,7 +295,7 @@ impl Store {
         // commit can land between them (a commit would then be neither
         // in the baseline nor delivered as a delta).
         let _serial = self.commit_lock.lock().unwrap();
-        let snapshot = self.current();
+        let snapshot = self.snapshot();
         let result = snapshot.execute_prepared(query)?;
         let baseline = result
             .solutions()
@@ -428,7 +391,7 @@ impl Store {
         pattern: sparqlog_sparql::GraphPattern,
     ) -> Result<CommitStats, SparqLogError> {
         let query = update_where_query(pattern);
-        let result = self.current().execute_query_cached(&query)?;
+        let result = self.snapshot().execute_query_cached(&query)?;
         let Some(solutions) = result.solutions() else {
             return Ok(CommitStats::default());
         };
@@ -493,12 +456,12 @@ impl Store {
     /// Total number of facts (triples plus auxiliary and derived
     /// predicates) in the current snapshot.
     pub fn fact_count(&self) -> usize {
-        self.current().database().fact_count()
+        self.snapshot().fact_count()
     }
 
     /// The store's symbol table (shared across all snapshots).
     pub fn symbols(&self) -> Arc<SymbolTable> {
-        self.current().symbols().clone()
+        self.snapshot().symbols().clone()
     }
 
     /// The evaluation options commits run with.
@@ -520,9 +483,9 @@ impl Store {
     }
 
     /// Sets the default [`Budget`] every subsequent query runs under —
-    /// the store-wide guard-rail policy. Per-call `*_with_budget` entry
-    /// points override it; snapshots taken before this call keep the
-    /// budget they were taken with. The budget is a *query* policy: a
+    /// the store-wide guard-rail policy, the HTTP endpoint's included.
+    /// [`Snapshot::with_budget`] overrides it per handle; snapshots taken
+    /// before this call keep the budget they were taken with. The budget is a *query* policy: a
     /// relative timeout in it is re-armed per query, not counted from
     /// this call, and commits never run under it.
     pub fn set_default_budget(&self, budget: Budget) {
@@ -541,12 +504,12 @@ impl Store {
         let mut state = self.state.write().unwrap();
         state.options = options;
         let current = state.frozen.as_ref().expect(POISONED);
-        let (base, cache) = (current.database().clone(), current.cache_handle());
-        state.frozen = Some(Arc::new(FrozenDatabase::with_cache(
-            base,
-            state.options.clone(),
-            cache,
-        )));
+        let served = Served {
+            base: current.base.clone(),
+            options: state.options.clone(),
+            cache: current.cache.clone(),
+        };
+        state.frozen = Some(Arc::new(served));
     }
 
     /// [`Store::apply_locked`] behind the commit lock — the entry point
@@ -637,8 +600,8 @@ impl Store {
         let options = state.options.clone();
         let current = state.frozen.take().expect(POISONED);
         let new_rules: Vec<Rule> =
-            ontology.map_or_else(Vec::new, |o| o.to_program(current.symbols()).rules);
-        let mut program = base_program(current.symbols());
+            ontology.map_or_else(Vec::new, |o| o.to_program(current.base.symbols()).rules);
+        let mut program = base_program(current.base.symbols());
         program.rules.extend(state.ontology.rules.iter().cloned());
         program.rules.extend(new_rules.iter().cloned());
 
@@ -655,14 +618,12 @@ impl Store {
         // and a failed commit leaves the store untouched instead of
         // poisoned.
         let (base, cache, asserted, held_state) = match Arc::try_unwrap(current) {
-            Ok(fd) => {
-                let (base, _options, cache) = fd.into_base();
+            Ok(served) => {
                 let asserted = state.asserted.take();
-                (base, cache, asserted, Some(state))
+                (served.base, served.cache, asserted, Some(state))
             }
             Err(shared) => {
-                let base = shared.database().clone();
-                let cache = shared.cache_handle();
+                let (base, cache) = (shared.base.clone(), shared.cache.clone());
                 let asserted = state.asserted.clone();
                 state.frozen = Some(shared);
                 drop(state);
@@ -797,17 +758,17 @@ impl Store {
     /// the new snapshot: translations and, until statistics drift, their
     /// plans are data-independent) is never walked. Statistics are carried by
     /// patching row counts ([`FrozenDb::warm_stats_from`]).
-    fn refreeze(&self, commit: Commit<'_>) -> (Arc<FrozenDatabase>, usize) {
+    fn refreeze(&self, commit: Commit<'_>) -> (Snapshot, usize) {
         let snapshot = commit.db.freeze_with_needs(&commit.cache.index_needs());
         let stats_rescans = commit
             .prev_stats
             .as_deref()
             .map_or(0, |prev| snapshot.warm_stats_from(prev));
-        let new_frozen = Arc::new(FrozenDatabase::with_cache(
-            snapshot,
-            commit.options,
-            commit.cache,
-        ));
+        let new_frozen = Arc::new(Served {
+            base: snapshot,
+            options: commit.options,
+            cache: commit.cache,
+        });
         let new_asserted = commit.asserted.map(Arc::new);
         let mut state = match commit.held_state {
             Some(state) => state,
@@ -816,14 +777,14 @@ impl Store {
         state.frozen = Some(new_frozen.clone());
         state.asserted = new_asserted;
         state.ontology.rules.extend(commit.new_rules);
-        (new_frozen, stats_rescans)
+        (Snapshot::new(new_frozen), stats_rescans)
     }
 
     /// Commit phase 4: the snapshot is installed; fan the commit out to
     /// standing queries (still under the commit lock, so deltas are
     /// stamped and delivered in commit order). A commit that changed no
     /// triple and no assertion skips the whole pass.
-    fn notify(&self, snapshot: &Arc<FrozenDatabase>, outcome: &Outcome) {
+    fn notify(&self, snapshot: &Snapshot, outcome: &Outcome) {
         let commit_seq = self.commit_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if !outcome.changed_preds.is_empty() || outcome.stats != CommitStats::default() {
             self.subs
@@ -838,7 +799,7 @@ impl Store {
     /// families into the same registry, and `GET /metrics` renders it
     /// in the Prometheus text exposition format.
     pub fn metrics(&self) -> Arc<sparqlog_obs::MetricsRegistry> {
-        self.current().metrics().clone()
+        self.snapshot().metrics().clone()
     }
 }
 
@@ -1140,43 +1101,6 @@ fn instantiate(
     })
 }
 
-/// An immutable, version-stable read view of a [`Store`].
-///
-/// Cloning is one atomic refcount. Derefs to [`FrozenDatabase`], so the
-/// whole concurrent query API is available: [`FrozenDatabase::execute`],
-/// [`FrozenDatabase::execute_batch`], the translation cache. Passing a
-/// SPARQL *Update* string to `execute` returns
-/// [`SparqLogError::ReadOnly`] — route writes through the owning store.
-#[derive(Clone, Debug)]
-pub struct Snapshot {
-    inner: Arc<FrozenDatabase>,
-}
-
-impl Snapshot {
-    /// The underlying serving wrapper (also reachable via deref).
-    pub fn frozen(&self) -> &FrozenDatabase {
-        &self.inner
-    }
-
-    /// The underlying frozen Datalog snapshot.
-    pub fn database(&self) -> &Arc<FrozenDb> {
-        self.inner.database()
-    }
-
-    /// Total number of facts in this snapshot.
-    pub fn fact_count(&self) -> usize {
-        self.inner.database().fact_count()
-    }
-}
-
-impl std::ops::Deref for Snapshot {
-    type Target = FrozenDatabase;
-
-    fn deref(&self) -> &FrozenDatabase {
-        &self.inner
-    }
-}
-
 /// A write session on a [`Store`]: stages triple additions, removals
 /// and graph clears, applied atomically by [`Writer::commit`].
 ///
@@ -1376,6 +1300,48 @@ mod tests {
         store.update("CLEAR DEFAULT").unwrap();
         assert_eq!(before.execute(q).unwrap().len(), 3, "old version intact");
         assert_eq!(store.snapshot().execute(q).unwrap().len(), 0);
+    }
+
+    /// A [`Snapshot::with_budget`] handle shares the installed snapshot
+    /// rather than holding a copy of its database: while it alone is
+    /// alive a commit must take the copy path (a handle that kept only the
+    /// `FrozenDb` would let the commit reclaim the snapshot by move and
+    /// deep-copy the store under the state lock).
+    #[test]
+    fn budgeted_handle_is_a_view_not_a_copy() {
+        let store = Store::new();
+        let mut w = store.writer();
+        for i in 0..30 {
+            w.insert(iri(&format!("n{i}")), iri("p"), iri(&format!("n{}", i + 1)));
+        }
+        w.commit().unwrap();
+        let heavy = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:p+ ?b }";
+        let light = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:n0 ex:p ?o }";
+
+        let snapshot = store.snapshot();
+        let h = snapshot.with_budget(Budget::new().with_max_rows(50));
+        let err = h.execute(heavy).unwrap_err();
+        assert!(err.is_aborted(), "{err:?}");
+        assert_eq!(snapshot.execute(heavy).unwrap().len(), 465, "30·31/2 pairs");
+        drop(snapshot);
+
+        let installed = || store.state.read().unwrap().frozen.clone().unwrap();
+        assert_eq!(
+            Arc::strong_count(&installed()),
+            3,
+            "the store's, h's and this probe's"
+        );
+        store
+            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:n0 ex:p ex:extra }")
+            .unwrap();
+        assert_eq!(h.execute(light).unwrap().len(), 1, "h kept its version");
+        assert_eq!(store.execute(light).unwrap().len(), 2);
+        drop(h);
+        assert_eq!(
+            Arc::strong_count(&installed()),
+            2,
+            "the store's and the probe's"
+        );
     }
 
     #[test]
@@ -1920,7 +1886,7 @@ mod tests {
         let q = parse_query("PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ?a ex:borders ?b }")
             .unwrap();
         assert_eq!(snapshot.execute_query(&q).unwrap().len(), 3);
-        let results = store.execute_batch(&[
+        let results = snapshot.execute_batch(&[
             "PREFIX ex: <http://ex.org/> ASK { ex:spain ex:borders ex:france }",
             "not a query",
         ]);
@@ -1956,7 +1922,7 @@ mod tests {
 
         // A row-capped query aborts and lands in the labelled family.
         let tight = Budget::new().with_max_rows(1);
-        let err = store.execute_with_budget(q, &tight).unwrap_err();
+        let err = store.snapshot().with_budget(tight).execute(q).unwrap_err();
         assert!(err.is_aborted());
         assert_eq!(reg.counter_vec_sum("sparqlog_query_aborts_total"), Some(1));
         assert_eq!(reg.counter_value("sparqlog_queries_total"), Some(2));
@@ -2029,12 +1995,6 @@ mod tests {
         let rendered = profile.render();
         assert!(rendered.contains("stratum 0"), "{rendered}");
         assert!(profile.to_json().contains("\"delta_rows\""));
-
-        // Prepared-handle variant agrees with the plain execution.
-        let prepared = store.prepare(q).unwrap();
-        let (r2, p2) = snapshot.execute_prepared_profiled(&prepared).unwrap();
-        assert_eq!(r2, results);
-        assert!(p2.elapsed > std::time::Duration::ZERO);
 
         // The unprofiled paths still work and return identical results.
         assert_eq!(snapshot.execute(q).unwrap(), results);
@@ -2200,7 +2160,8 @@ mod tests {
             }
         };
         let need_set = |store: &Store| {
-            let mut needs = store.current().cache_handle().index_needs();
+            let state = store.state.read().unwrap();
+            let mut needs = state.frozen.as_ref().unwrap().cache.index_needs();
             needs.sort_unstable();
             needs
         };
@@ -2215,7 +2176,7 @@ mod tests {
         for n in 1..=2_000 {
             store.execute(&text(n)).unwrap();
         }
-        assert_eq!(store.current().cached_translations(), 2_001);
+        assert_eq!(store.snapshot().cached_translations(), 2_001);
         let before = rescans();
         churn(&store);
         assert_eq!(rescans(), before, "behind 2 000 cached texts");
@@ -2227,7 +2188,7 @@ mod tests {
 
         // The tracked set covers what a walk of the cache would find,
         // and the post-commit snapshot has all of it eager.
-        let snapshot = store.current();
+        let snapshot = store.snapshot();
         let walked = snapshot.cached_plan_needs_on_base();
         assert!(!walked.is_empty());
         for (pred, mask) in walked {

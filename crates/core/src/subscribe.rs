@@ -50,7 +50,7 @@ use sparqlog_datalog::TermId;
 use sparqlog_rdf::Term;
 use sparqlog_sparql::{GraphPattern, TermPattern};
 
-use crate::serving::{FrozenDatabase, PreparedQuery};
+use crate::serving::{PreparedQuery, Snapshot};
 use crate::solution::SolutionSeq;
 
 /// Default bound on undelivered deltas per subscription.
@@ -214,7 +214,7 @@ impl Registry {
     /// commit touched — asserted or entailed, added or removed.
     pub(crate) fn notify(
         &self,
-        snapshot: &FrozenDatabase,
+        snapshot: &Snapshot,
         changed_preds: &FxHashSet<TermId>,
         commit_seq: u64,
     ) {
@@ -319,10 +319,7 @@ fn closed_predicates(pattern: &GraphPattern, out: &mut Vec<Term>) -> bool {
 /// Computes the subscribe-time prefilter for `prepared` against the
 /// store's dictionary: the encoded predicate ids, or `None` when the
 /// query shape does not admit a closed set.
-pub(crate) fn prefilter(
-    prepared: &PreparedQuery,
-    snapshot: &FrozenDatabase,
-) -> Option<Vec<TermId>> {
+pub(crate) fn prefilter(prepared: &PreparedQuery, snapshot: &Snapshot) -> Option<Vec<TermId>> {
     let query = prepared.query();
     if !query.dataset.is_empty() {
         return None;

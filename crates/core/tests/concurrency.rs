@@ -8,7 +8,7 @@
 //!   single-threaded evaluator. (Decoded solutions are deterministic
 //!   even though raw Skolem `TermId`s are interned in scheduling order —
 //!   extraction renders them structurally.)
-//! * **Hammer**: one `FrozenDatabase` serving 8 OS threads that all
+//! * **Hammer**: one `Snapshot` serving 8 OS threads that all
 //!   translate, evaluate and extract concurrently (mixing cache hits,
 //!   cache misses and batches) never produces a result that differs
 //!   from the sequential reference.

@@ -1,5 +1,5 @@
 //! The execution governor at the serving layer (PR 7): budgets and
-//! cancellation through `Store` / `Snapshot` / `FrozenDatabase`, batch
+//! cancellation through `Store` / `Snapshot::with_budget`, batch
 //! sibling cancellation, panic containment, and — the critical property —
 //! that a storm of aborted queries leaves no shared-state corruption
 //! behind: the same snapshot then answers every query byte-identically
@@ -77,7 +77,7 @@ fn deadline_storm_leaves_no_corruption() {
     for threads in [Some(1), None] {
         store.set_threads(threads);
         let stormed = store.snapshot();
-        let results = stormed.execute_batch_with_budget(&refs, &deadline);
+        let results = stormed.with_budget(deadline.clone()).execute_batch(&refs);
         assert_eq!(results.len(), refs.len());
         let mut aborted = 0usize;
         for (i, r) in results.iter().enumerate() {
@@ -116,7 +116,7 @@ fn first_abort_cancels_batch_siblings() {
     let refs = [heavy; 6];
     let budget = Budget::new().with_max_rows(2_000);
     let start = Instant::now();
-    let results = store.snapshot().execute_batch_with_budget(&refs, &budget);
+    let results = store.snapshot().with_budget(budget).execute_batch(&refs);
     let elapsed = start.elapsed();
     match &results[0] {
         Err(SparqLogError::Aborted {
@@ -146,10 +146,10 @@ fn first_abort_cancels_batch_siblings() {
 fn parse_error_does_not_cancel_siblings() {
     let store = ring_store(30);
     let ok = "PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:next ?z }";
-    let results = store.snapshot().execute_batch_with_budget(
-        &["this is not sparql", ok],
-        &Budget::new().with_timeout(Duration::from_secs(30)),
-    );
+    let results = store
+        .snapshot()
+        .with_budget(Budget::new().with_timeout(Duration::from_secs(30)))
+        .execute_batch(&["this is not sparql", ok]);
     assert!(matches!(results[0], Err(SparqLogError::Parse(_))));
     assert!(!results[1].as_ref().unwrap().is_empty());
 }
@@ -164,7 +164,8 @@ fn external_token_cancels_whole_batch() {
     let q = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }";
     let results = store
         .snapshot()
-        .execute_batch_with_budget(&[q, q, q], &Budget::new().with_cancel(cancel));
+        .with_budget(Budget::new().with_cancel(cancel))
+        .execute_batch(&[q, q, q]);
     for r in &results {
         assert!(
             matches!(
@@ -225,12 +226,18 @@ fn store_default_budget_governs_and_is_overridable() {
         "got {err:?}"
     );
     // Per-call override lifts the default cap...
-    let full = store.execute_with_budget(heavy, &Budget::new()).unwrap();
+    let full = store
+        .snapshot()
+        .with_budget(Budget::new())
+        .execute(heavy)
+        .unwrap();
     assert!(!full.is_empty());
     // ...and a per-call cap tightens an unlimited default.
     store.set_default_budget(Budget::new());
     assert!(store
-        .execute_with_budget(heavy, &Budget::new().with_max_rows(1_000))
+        .snapshot()
+        .with_budget(Budget::new().with_max_rows(1_000))
+        .execute(heavy)
         .unwrap_err()
         .is_aborted());
     assert_eq!(store.execute(heavy).unwrap(), full);
@@ -241,18 +248,17 @@ fn store_default_budget_governs_and_is_overridable() {
 #[test]
 fn prepared_query_with_budget() {
     let store = ring_store(150);
-    let q = store
-        .prepare("PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }")
-        .unwrap();
+    let text = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }";
+    let q = store.prepare(text).unwrap();
     let snapshot = store.snapshot();
     let err = snapshot
-        .execute_prepared_with_budget(&q, &Budget::new().with_max_rows(500))
+        .with_budget(Budget::new().with_max_rows(500))
+        .execute_prepared(&q)
         .unwrap_err();
     assert!(err.is_aborted());
-    let batch = snapshot.execute_prepared_batch_with_budget(
-        &[q.clone(), q.clone()],
-        &Budget::new().with_max_rows(500),
-    );
+    let batch = snapshot
+        .with_budget(Budget::new().with_max_rows(500))
+        .execute_batch(&[text, text]);
     assert!(batch.iter().all(|r| r.as_ref().is_err()));
     // Unbudgeted execution of the same handle still completes.
     assert!(!snapshot.execute_prepared(&q).unwrap().is_empty());
@@ -275,7 +281,8 @@ fn deadline_governs_magic_sets_path() {
     let snapshot = store.snapshot();
     let start = Instant::now();
     match snapshot
-        .execute_prepared_with_budget(&q, &Budget::new().with_timeout(Duration::from_millis(1)))
+        .with_budget(Budget::new().with_timeout(Duration::from_millis(1)))
+        .execute_prepared(&q)
         .unwrap_err()
     {
         SparqLogError::Aborted {
@@ -296,7 +303,9 @@ fn abort_error_is_actionable() {
     let heavy = "PREFIX ex: <http://ex.org/> SELECT ?a ?b WHERE { ?a ex:next+ ?b }";
 
     let err = store
-        .execute_with_budget(heavy, &Budget::new().with_max_rows(1_000))
+        .snapshot()
+        .with_budget(Budget::new().with_max_rows(1_000))
+        .execute(heavy)
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("derived-row limit"), "message: {msg}");
@@ -305,7 +314,9 @@ fn abort_error_is_actionable() {
     assert!(!err.is_timeout());
 
     let err = store
-        .execute_with_budget(heavy, &Budget::new().with_timeout(Duration::from_millis(1)))
+        .snapshot()
+        .with_budget(Budget::new().with_timeout(Duration::from_millis(1)))
+        .execute(heavy)
         .unwrap_err();
     assert!(
         err.is_timeout(),
@@ -336,7 +347,11 @@ fn default_budget_never_governs_commit_maintenance() {
     assert_eq!(store.load_turtle(&src).unwrap().added, 1_000);
 
     let q = "PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Person }";
-    let all = store.execute_with_budget(q, &Budget::new()).unwrap();
+    let all = store
+        .snapshot()
+        .with_budget(Budget::new())
+        .execute(q)
+        .unwrap();
     assert_eq!(all.len(), 1_000);
     assert!(
         matches!(

@@ -215,27 +215,6 @@ fn all_four_forms_via_store_and_prepared_handles() {
 }
 
 #[test]
-fn prepared_batch_matches_sequential() {
-    let store = store();
-    let texts = [
-        "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ?a ex:borders ?b }",
-        "PREFIX ex: <http://ex.org/> ASK { ex:belgium ex:borders ex:germany }",
-        "PREFIX ex: <http://ex.org/> CONSTRUCT { ?b ex:rev ?a } WHERE { ?a ex:borders ?b }",
-    ];
-    let prepared: Vec<_> = texts.iter().map(|t| store.prepare(t).unwrap()).collect();
-    let snapshot = store.snapshot();
-    let batch = snapshot.execute_prepared_batch(&prepared);
-    assert_eq!(batch.len(), 3);
-    for (i, text) in texts.iter().enumerate() {
-        assert_eq!(
-            *batch[i].as_ref().unwrap(),
-            snapshot.execute(text).unwrap(),
-            "{text}"
-        );
-    }
-}
-
-#[test]
 fn prepared_query_and_cache_survive_commits() {
     let store = store();
     let q = "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders+ ?b }";
@@ -291,11 +270,6 @@ fn foreign_prepared_handles_are_rejected() {
     let prepared = other.prepare("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
     let err = store.snapshot().execute_prepared(&prepared).unwrap_err();
     assert_eq!(err, SparqLogError::ForeignPrepared);
-    let errs = store.snapshot().execute_prepared_batch(&[prepared]);
-    assert_eq!(
-        errs[0].as_ref().unwrap_err(),
-        &SparqLogError::ForeignPrepared
-    );
 }
 
 #[test]

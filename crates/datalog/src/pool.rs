@@ -235,7 +235,7 @@ impl Pool {
 /// calling thread, in order — the deterministic fallback (panics are
 /// caught the same way). Job *claiming* order under parallelism is
 /// nondeterministic; callers that need ordered results should write into
-/// a per-job slot, as `FrozenDatabase::execute_batch` does.
+/// a per-job slot, as `Snapshot::execute_batch` does.
 pub fn run_scoped_caught(
     threads: usize,
     njobs: usize,

@@ -15,9 +15,10 @@
 //! * every response body streams with chunked transfer encoding
 //!   through the incremental serializers, so result size never
 //!   dictates server memory;
-//! * per-request [`Budget`](sparqlog::Budget)s: a server-wide default
-//!   deadline, an optional per-request `timeout=` ms override (only
-//!   ever *lowering* the default), and a connection-drop
+//! * per-request [`Budget`](sparqlog::Budget)s: the store's default
+//!   budget (`Store::set_default_budget`), an optional per-request
+//!   `timeout=` ms override (only ever *lowering* its timeout), and a
+//!   connection-drop
 //!   [`CancelToken`](sparqlog::CancelToken) — an exceeded budget is a
 //!   `408` whose `application/json` body carries the structured abort
 //!   detail (`reason`, `elapsed_ms`, `rows_derived`);

@@ -9,9 +9,10 @@
 //!
 //! * one [`Snapshot`](sparqlog::Snapshot) is pinned, so the whole
 //!   response is a consistent store version even while writers commit;
-//! * a [`Budget`] carries the request deadline (server default, capped
-//!   `timeout=` ms override) and a connection-drop [`CancelToken`]
-//!   (see [`crate::watch`]) into the PR 7 governor;
+//! * the store's default [`Budget`] governs the request — a `timeout=`
+//!   ms parameter may only lower its timeout — plus a connection-drop
+//!   [`CancelToken`] (see [`crate::watch`]), through
+//!   [`Snapshot::with_budget`](sparqlog::Snapshot::with_budget);
 //! * the result streams out through a
 //!   [`ChunkedWriter`] — a huge CONSTRUCT
 //!   never materializes server-side.
@@ -51,18 +52,15 @@ use crate::urlenc::{find_param, parse_form};
 use crate::watch;
 
 /// Tunables for a [`SparqlServer`]. `Default` is sensible for tests and
-/// local serving; production deployments mostly raise `workers` and set
-/// `default_timeout`.
+/// local serving; production deployments mostly raise `workers`. The
+/// query guard-rails (timeout, row and dictionary caps) are the store's
+/// default budget ([`Store::set_default_budget`]), not a server knob.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Accept-loop/connection workers (each holds one connection at a
     /// time; keep-alive included). Defaults to
     /// `max(4, available_parallelism)`.
     pub workers: usize,
-    /// Default per-request evaluation budget. A request may *lower* it
-    /// with a `timeout=` parameter (milliseconds) but never raise it.
-    /// `None` = unlimited unless the request asks for less.
-    pub default_timeout: Option<Duration>,
     /// Idle read timeout on kept-alive connections; also bounds how
     /// long a half-sent request can stall a worker.
     pub keep_alive_timeout: Duration,
@@ -80,7 +78,6 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .max(4),
-            default_timeout: None,
             keep_alive_timeout: Duration::from_secs(10),
             chunk_size: 16 * 1024,
             max_body: crate::http::DEFAULT_MAX_BODY,
@@ -699,29 +696,21 @@ fn serve_metrics(
     }
 }
 
-/// Builds the request budget: server default, optionally *lowered* by a
-/// `timeout=` (milliseconds) parameter, plus the connection-drop token.
-fn request_budget(
-    ctx: &Ctx<'_>,
-    params: &[(String, String)],
-    token: CancelToken,
-) -> Result<Budget, String> {
-    let mut timeout = ctx.config.default_timeout;
-    if let Some(raw) = find_param(params, "timeout") {
-        let ms: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid timeout parameter {raw:?} (want milliseconds)"))?;
-        let requested = Duration::from_millis(ms);
-        timeout = Some(match timeout {
-            Some(cap) => cap.min(requested),
-            None => requested,
-        });
-    }
-    let mut budget = Budget::new().with_cancel(token);
-    if let Some(t) = timeout {
-        budget = budget.with_timeout(t);
-    }
-    Ok(budget)
+/// Builds the request budget from the store's default: its timeout
+/// optionally *lowered* by a `timeout=` (milliseconds) parameter, never
+/// raised. The caller attaches the connection-drop token.
+fn request_budget(default: &Budget, params: &[(String, String)]) -> Result<Budget, String> {
+    let Some(raw) = find_param(params, "timeout") else {
+        return Ok(default.clone());
+    };
+    let ms: u64 = raw
+        .parse()
+        .map_err(|_| format!("invalid timeout parameter {raw:?} (want milliseconds)"))?;
+    let requested = Duration::from_millis(ms);
+    let timeout = default
+        .timeout()
+        .map_or(requested, |cap| cap.min(requested));
+    Ok(default.clone().with_timeout(timeout))
 }
 
 /// The stable machine-readable label for an abort reason (matches the
@@ -824,18 +813,23 @@ fn run_query(
         );
     };
 
-    let token = CancelToken::new();
-    let budget = match request_budget(ctx, params, token.clone()) {
-        Ok(b) => b,
-        Err(msg) => return respond_text(stream, scope, 400, &msg, keep_alive),
-    };
-    let profiled = find_param(params, "profile")
-        .map(|v| v == "true" || v == "1")
-        .unwrap_or(false);
-
     // Pin ONE snapshot for the request: evaluation and serialization
     // both see a single store version regardless of concurrent commits.
     let snapshot = ctx.store.snapshot();
+    let default = &snapshot.options().budget;
+    let budget = match request_budget(default, params) {
+        Ok(b) => b,
+        Err(msg) => return respond_text(stream, scope, 400, &msg, keep_alive),
+    };
+    // The connection-drop token, under the default's own token if it
+    // has one, so cancelling the store-wide token still reaches us.
+    let token = default
+        .cancel_token()
+        .map_or_else(CancelToken::new, CancelToken::child);
+    let snapshot = snapshot.with_budget(budget.with_cancel(token.clone()));
+    let profiled = find_param(params, "profile")
+        .map(|v| v == "true" || v == "1")
+        .unwrap_or(false);
 
     // While the query runs, the connection watcher cancels the token if
     // the client hangs up. The guard is dropped before any response
@@ -844,12 +838,10 @@ fn run_query(
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if profiled {
             snapshot
-                .execute_profiled_with_budget(query, &budget)
+                .execute_profiled(query)
                 .map(|(results, profile)| (results, Some(profile)))
         } else {
-            snapshot
-                .execute_with_budget(query, &budget)
-                .map(|results| (results, None))
+            snapshot.execute(query).map(|results| (results, None))
         }
     }));
     drop(guard);

@@ -10,7 +10,7 @@ mod common;
 use std::time::{Duration, Instant};
 
 use common::{boot, get_query, request, Client, TestServer};
-use sparqlog::{Store, Term};
+use sparqlog::{Budget, Store, Term};
 use sparqlog_http::{percent_encode, ServerConfig};
 
 const PREFIX: &str = "PREFIX ex: <http://ex.org/> ";
@@ -496,6 +496,31 @@ fn abort_is_408_with_structured_json_body() {
     );
     assert!(body.contains("\"elapsed_ms\":"), "{body}");
     assert!(body.contains("\"rows_derived\":"), "{body}");
+}
+
+/// The store's default budget is the endpoint's policy: a row cap set
+/// with `Store::set_default_budget` aborts an over-budget closure over
+/// HTTP as it would in-process, while a cheap query still answers.
+#[test]
+fn store_default_budget_governs_http_queries() {
+    let store = fixture_store();
+    store.set_default_budget(Budget::new().with_max_rows(100));
+    let server = boot(store, ServerConfig::default());
+    let closure = format!("{PREFIX}SELECT ?a ?b WHERE {{ ?a ex:next+ ?b }}");
+    let target = format!("/query?query={}", percent_encode(&closure));
+    let r = request(server.addr, "GET", &target, &[], None);
+    assert_eq!(r.status, 408, "{}", r.text());
+    assert!(
+        r.text().contains("\"reason\":\"row_limit\""),
+        "{}",
+        r.text()
+    );
+    let ask = format!("{PREFIX}ASK {{ ex:alice ex:knows ex:bob }}");
+    let r = get_query(server.addr, &ask, None);
+    assert_eq!(
+        (r.status, r.text()),
+        (200, "{\"head\":{},\"boolean\":true}")
+    );
 }
 
 /// Tentpole: `GET /metrics` serves valid Prometheus text exposition

@@ -21,8 +21,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sparqlog::Store;
-use sparqlog_http::{client, ServerConfig, SparqlServer};
+use sparqlog::{Budget, Store};
+use sparqlog_http::{client, SparqlServer};
 
 /// A small social graph plus a shortcut ring (the ring makes `ex:next+`
 /// expensive enough to demonstrate request budgets).
@@ -64,12 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Demo mode: serve on an ephemeral port in the background and act as
-    // our own client.
-    let config = ServerConfig {
-        default_timeout: Some(Duration::from_secs(5)),
-        ..ServerConfig::default()
-    };
-    let bound = SparqlServer::with_config(Arc::new(demo_store()), config).bind("127.0.0.1:0")?;
+    // our own client. The store's default budget is the endpoint's
+    // guard-rail: no query runs past 5 s, and a request's `timeout=` may
+    // only lower that.
+    let store = demo_store();
+    store.set_default_budget(Budget::new().with_timeout(Duration::from_secs(5)));
+    let bound = SparqlServer::new(Arc::new(store)).bind("127.0.0.1:0")?;
     let addr = bound.local_addr()?;
     let handle = bound.handle()?;
     let server = std::thread::spawn(move || bound.serve());

@@ -45,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Governor aborts are counted by reason.
-    match store.execute_with_budget(closure, &Budget::new().with_max_rows(1_000)) {
+    let capped = snapshot.with_budget(Budget::new().with_max_rows(1_000));
+    match capped.execute(closure) {
         Err(SparqLogError::Aborted { reason, .. }) => println!("aborted: {reason}"),
         other => println!("unexpectedly {other:?}"),
     }

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Deadline: give the query 2 ms of wall-clock time.
     let budget = Budget::new().with_timeout(Duration::from_millis(2));
     let start = Instant::now();
-    match store.execute_with_budget(runaway, &budget) {
+    match store.snapshot().with_budget(budget).execute(runaway) {
         Err(e @ SparqLogError::Aborted { .. }) => {
             println!("deadline: {e}");
             println!("          (observed after {:?})", start.elapsed());
@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Row cap: bound the work (and intermediate-result memory) instead
     //    of the clock — deterministic across machines.
-    match store.execute_with_budget(runaway, &Budget::new().with_max_rows(10_000)) {
+    let capped = store
+        .snapshot()
+        .with_budget(Budget::new().with_max_rows(10_000));
+    match capped.execute(runaway) {
         Err(SparqLogError::Aborted {
             reason,
             rows_derived,
@@ -64,20 +67,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cancel.cancel(); // "client went away"
         })
     };
-    match store.execute_with_budget(runaway, &Budget::new().with_cancel(cancel)) {
+    let cancellable = store
+        .snapshot()
+        .with_budget(Budget::new().with_cancel(cancel));
+    match cancellable.execute(runaway) {
         Err(SparqLogError::Aborted { reason, .. }) => println!("cancel:   {reason}"),
         other => println!("cancel:   unexpectedly {other:?}"),
     }
     killer.join().unwrap();
 
     // 4. A store-wide default policy: every query (and every query of a
-    //    batch) runs under it unless a call-site budget overrides it.
+    //    batch) runs under it unless a `with_budget` handle overrides it.
     store.set_default_budget(
         Budget::new()
             .with_timeout(Duration::from_secs(30))
             .with_max_rows(5_000),
     );
-    let results = store.execute_batch(&[runaway, runaway, runaway]);
+    let results = store.snapshot().execute_batch(&[runaway, runaway, runaway]);
     let aborted = results.iter().filter(|r| r.is_err()).count();
     println!("batch under default budget: {aborted}/3 aborted");
 
