@@ -14,8 +14,7 @@
 
 use std::sync::Arc;
 
-use sparqlog_datalog::AbortReason;
-use sparqlog_obs::{Counter, CounterVec, Gauge, Histogram, MetricsRegistry};
+use sparqlog_obs::{Counter, CounterVec, Histogram, MetricsRegistry};
 
 /// The four phases of a commit, in execution order — the `phase` label
 /// values of `sparqlog_commit_phase_duration_us` and the index into
@@ -59,8 +58,6 @@ pub(crate) struct CoreMetrics {
     /// Relations re-scanned for planner statistics by commits (a carried
     /// relation costs none).
     pub(crate) stats_rescans: Arc<Counter>,
-    /// Size of the `(pred, mask)` index-need set commits build eagerly.
-    pub(crate) index_needs: Arc<Gauge>,
     /// Triples actually added by commits.
     pub(crate) rows_added: Arc<Counter>,
     /// Triples actually removed by commits.
@@ -140,10 +137,6 @@ impl CoreMetrics {
                 "sparqlog_store_stats_rescans_total",
                 "Relations re-scanned for planner statistics by commits.",
             ),
-            index_needs: r.gauge(
-                "sparqlog_store_index_needs",
-                "Tracked (predicate, mask) index needs of planned queries on stored relations.",
-            ),
             rows_added: r.counter(
                 "sparqlog_store_rows_added_total",
                 "Triples actually added by commits (staged duplicates excluded).",
@@ -173,16 +166,6 @@ impl CoreMetrics {
                 "Deltas dropped on lagging subscribers (overflow or failed re-evaluation).",
             ),
             registry,
-        }
-    }
-
-    /// The stable `reason` label for an abort counter child.
-    pub(crate) fn abort_label(reason: AbortReason) -> &'static str {
-        match reason {
-            AbortReason::Deadline => "deadline",
-            AbortReason::Cancelled => "cancelled",
-            AbortReason::RowLimit => "row_limit",
-            AbortReason::DictGrowth => "dict_growth",
         }
     }
 }

@@ -12,9 +12,11 @@
 //! work:
 //!
 //! * the **snapshot** ([`sparqlog_datalog::FrozenDb`]): relations frozen
-//!   with their hash indexes, so reads never lock; each query derives its
-//!   answer predicates into a private overlay database that falls through
-//!   to the snapshot and is dropped with the query;
+//!   with the hash indexes earlier probes built — a mask no query has
+//!   probed yet is built by its first probe and kept by every later
+//!   snapshot of the store; each query derives its answer predicates into
+//!   a private overlay database that falls through to the snapshot and is
+//!   dropped with the query;
 //! * the **translation cache**: translated programs are memoised by
 //!   query text, so repeated query shapes — the common case in real
 //!   query logs — skip the SPARQL→Datalog pipeline entirely;
@@ -59,10 +61,9 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use sparqlog_datalog::{
     demand_prunes, demand_subprogram, evaluate_frozen, evaluate_frozen_with_plan,
-    fxhash::{FxHashMap, FxHashSet},
-    magic_sets_rewrite_analyzed, plan_program, run_scoped_caught, Budget, CancelToken, DbStats,
-    EvalError, EvalOptions, EvalStats, FrozenDb, Mask, Program, ProgramPlan, QueryProfile,
-    StatsFingerprint, Sym, SymbolTable,
+    fxhash::FxHashMap, magic_sets_rewrite_analyzed, plan_program, run_scoped_caught, Budget,
+    CancelToken, DbStats, EvalError, EvalOptions, EvalStats, FrozenDb, Program, ProgramPlan,
+    QueryProfile, StatsFingerprint, SymbolTable,
 };
 use sparqlog_obs::MetricsRegistry;
 use sparqlog_sparql::{parse_query, update_keyword, Query};
@@ -115,10 +116,9 @@ pub const MAX_CACHED_TRANSLATIONS: usize = 4096;
 /// never facts), so the [`Store`](crate::Store) commit path threads one
 /// cache through every snapshot it installs — hot query shapes stay warm
 /// across commits instead of re-translating after every write. A commit
-/// never iterates the cache: all it reads from it is the small
-/// index-need set kept beside the map. The metrics registry rides along
-/// for the same reason: counters must survive commits, and per-store
-/// ownership keeps tests isolated.
+/// never reads the cache. The metrics registry rides along for the same
+/// reason: counters must survive commits, and per-store ownership keeps
+/// tests isolated.
 pub(crate) struct TranslationCache {
     /// Query text → parsed + translated program. Bounded by
     /// [`MAX_CACHED_TRANSLATIONS`] (first-come retention).
@@ -128,14 +128,6 @@ pub(crate) struct TranslationCache {
     /// program's predicates (`f1_ans0`, `f2_ans0`, ...) so programs of
     /// different queries can never collide in an overlay.
     pub(crate) metrics: CoreMetrics,
-    /// The `(pred, mask)` hash indexes that plans computed through this
-    /// cache probe on *stored* relations — what the commit path builds
-    /// eagerly on every snapshot it installs. Grown where plans are born
-    /// ([`Snapshot::plan_entry`]) and never walked back out of the
-    /// cached plans: a plan's needs on its own query-private `f<n>_…`
-    /// predicates never enter, so the set is bounded by stored predicates
-    /// × masks (a few dozen entries) however many texts are cached.
-    index_needs: Mutex<FxHashSet<(Sym, Mask)>>,
 }
 
 impl TranslationCache {
@@ -143,27 +135,7 @@ impl TranslationCache {
         TranslationCache {
             map: RwLock::new(FxHashMap::default()),
             metrics: CoreMetrics::new(Arc::new(MetricsRegistry::new())),
-            index_needs: Mutex::new(FxHashSet::default()),
         }
-    }
-
-    /// Records the index needs of a freshly computed `plan` on relations
-    /// present in `base`.
-    fn track_index_needs(&self, plan: &ProgramPlan, base: &FrozenDb) {
-        let mut needs = plan.index_needs();
-        needs.retain(|&(pred, _)| base.relation(pred).is_some());
-        if needs.is_empty() {
-            return;
-        }
-        let mut tracked = self.index_needs.lock().unwrap();
-        tracked.extend(needs);
-        self.metrics.index_needs.set(tracked.len() as i64);
-    }
-
-    /// The tracked index-need set, for
-    /// [`Database::freeze_with_needs`](sparqlog_datalog::Database::freeze_with_needs).
-    pub(crate) fn index_needs(&self) -> Vec<(Sym, Mask)> {
-        self.index_needs.lock().unwrap().iter().copied().collect()
     }
 }
 
@@ -362,20 +334,10 @@ impl Snapshot {
     /// preparing an already-hot text is free; the returned handle skips
     /// even the cache's text hash on execution.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery, SparqLogError> {
-        Ok(self.wrap_prepared(self.translation(text)?))
-    }
-
-    /// [`Self::prepare`] for an already-parsed query (no text cache —
-    /// the translation is performed fresh and owned by the handle).
-    pub fn prepare_query(&self, query: Query) -> Result<PreparedQuery, SparqLogError> {
-        Ok(self.wrap_prepared(self.translate_entry(query)?))
-    }
-
-    fn wrap_prepared(&self, inner: Arc<CachedQuery>) -> PreparedQuery {
-        PreparedQuery {
-            inner,
+        Ok(PreparedQuery {
+            inner: self.translation(text)?,
             symbols: self.inner.base.symbols().clone(),
-        }
+        })
     }
 
     /// Guards against executing a handle prepared by a different store:
@@ -644,7 +606,7 @@ impl Snapshot {
                 let e: SparqLogError = e.into();
                 if m.registry.armed() {
                     if let SparqLogError::Aborted { reason, .. } = &e {
-                        m.aborts.with(&[CoreMetrics::abort_label(*reason)]).inc();
+                        m.aborts.with(&[reason.label()]).inc();
                     }
                 }
                 Err(e)
@@ -719,9 +681,6 @@ impl Snapshot {
             }
         }
         let entry = self.compute_plan(cached, options, &stats)?;
-        if let Some(plan) = &entry.plan {
-            self.inner.cache.track_index_needs(plan, &self.inner.base);
-        }
         *cached.plan.write().unwrap() = Some(entry.clone());
         self.inner.cache.metrics.plans_computed.inc();
         Ok(Some(entry))
@@ -821,15 +780,18 @@ impl Snapshot {
 
 #[cfg(test)]
 impl Snapshot {
-    /// Every `(pred, mask)` the currently cached plans probe on a
-    /// relation of this snapshot, by walking the cache — the oracle the
-    /// commit-cost test holds the tracked need set against.
-    pub(crate) fn cached_plan_needs_on_base(&self) -> Vec<(Sym, Mask)> {
+    /// Every `(pred, mask)` hash index the currently cached plans probe
+    /// on a relation of this snapshot, by walking the cache — the masks
+    /// the commit-cost test expects every later snapshot to keep.
+    pub(crate) fn cached_plan_needs_on_base(
+        &self,
+    ) -> Vec<(sparqlog_datalog::Sym, sparqlog_datalog::Mask)> {
         let mut out = Vec::new();
         for cached in self.inner.cache.map.read().unwrap().values() {
             let entry = cached.plan.read().unwrap();
             if let Some(plan) = entry.as_ref().and_then(|e| e.plan.as_ref()) {
-                out.extend(plan.index_needs());
+                let probes = plan.probes(false).chain(plan.probes(true));
+                out.extend(probes.filter(|&(_, mask)| mask != 0));
             }
         }
         out.retain(|&(pred, _)| self.inner.base.relation(pred).is_some());

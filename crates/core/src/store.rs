@@ -749,17 +749,15 @@ impl Store {
     /// as the serving snapshot. Returns the installed snapshot and the
     /// number of relations re-scanned for statistics.
     ///
-    /// Freezing is profile-guided: besides keeping the indexes the
-    /// relations already carry (built by plans or by probes), the masks
-    /// in the translation cache's index-need set — every probe a
-    /// computed plan makes on a stored relation — are built, so hot
-    /// query shapes never wait for an index build after a commit. The
-    /// set is read as it stands; the cache itself (threaded through to
-    /// the new snapshot: translations and, until statistics drift, their
-    /// plans are data-independent) is never walked. Statistics are carried by
+    /// Freezing builds no index: the relations keep the masks earlier
+    /// queries' probes built, carried through the thaw and maintained by
+    /// the commit, so hot query shapes never wait for an index build
+    /// after a commit. The translation cache is threaded through to the
+    /// new snapshot unread (translations and, until statistics drift,
+    /// their plans are data-independent). Statistics are carried by
     /// patching row counts ([`FrozenDb::warm_stats_from`]).
     fn refreeze(&self, commit: Commit<'_>) -> (Snapshot, usize) {
-        let snapshot = commit.db.freeze_with_needs(&commit.cache.index_needs());
+        let snapshot = commit.db.freeze();
         let stats_rescans = commit
             .prev_stats
             .as_deref()
@@ -2106,9 +2104,11 @@ mod tests {
     }
 
     /// The commit path is O(delta) by construction, proved by counts:
-    /// behind 2 000 cached texts a ten-triple commit re-scans as few
-    /// relations (none) and hands the freeze as many index needs as
-    /// behind one.
+    /// behind one and behind 2 000 cached texts, ten-triple commits — on
+    /// the zero-copy path and, with the current snapshot held, on the
+    /// copy path — re-scan no relation, and every mask the cached plans
+    /// probe on a stored relation is still built on the post-commit
+    /// snapshot.
     #[test]
     fn commit_cost_is_flat_in_cached_texts() {
         let store = Store::new();
@@ -2136,7 +2136,13 @@ mod tests {
                 1_000_000 + n
             )
         };
-        let churn = |store: &Store| {
+        // Twenty add-10 / remove-10 commit pairs; with `hold`, each
+        // commit finds the installed snapshot shared and thaws a copy.
+        let churn = |hold: bool| {
+            let commit = |w: Writer<'_>| {
+                let _held = hold.then(|| store.snapshot());
+                w.commit().unwrap()
+            };
             for round in 0..20 {
                 let fresh: Vec<[Term; 3]> = (0..10)
                     .map(|k| {
@@ -2151,54 +2157,81 @@ mod tests {
                 for [s, p, o] in fresh.iter().cloned() {
                     w.insert(s, p, o);
                 }
-                assert_eq!(w.commit().unwrap().added, 10);
+                assert_eq!(commit(w).added, 10);
                 let mut w = store.writer();
                 for [s, p, o] in fresh.iter().cloned() {
                     w.remove(s, p, o);
                 }
-                assert_eq!(w.commit().unwrap().removed, 10);
+                assert_eq!(commit(w).removed, 10);
             }
         };
-        let need_set = |store: &Store| {
-            let state = store.state.read().unwrap();
-            let mut needs = state.frozen.as_ref().unwrap().cache.index_needs();
-            needs.sort_unstable();
-            needs
+        let churn_keeps_masks = |behind: &str| {
+            for hold in [false, true] {
+                let before = rescans();
+                churn(hold);
+                assert_eq!(rescans(), before, "{behind}, held: {hold}");
+                let snapshot = store.snapshot();
+                let walked = snapshot.cached_plan_needs_on_base();
+                assert!(!walked.is_empty());
+                for (pred, mask) in walked {
+                    let rel = snapshot.database().relation(pred).unwrap();
+                    assert!(
+                        rel.index_masks().contains(&mask),
+                        "{behind}, held: {hold}: {} mask {mask:#b} not kept",
+                        snapshot.symbols().resolve(pred)
+                    );
+                    assert_eq!(rel.indexed_rows(mask), Some(rel.len()));
+                }
+            }
         };
 
         assert_eq!(store.execute(&text(0)).unwrap().len(), 4);
-        let before = rescans();
-        churn(&store);
-        assert_eq!(rescans(), before, "behind one cached text");
-        let needs_behind_one = need_set(&store);
-        assert!(!needs_behind_one.is_empty());
-
+        churn_keeps_masks("behind one cached text");
         for n in 1..=2_000 {
             store.execute(&text(n)).unwrap();
         }
         assert_eq!(store.snapshot().cached_translations(), 2_001);
-        let before = rescans();
-        churn(&store);
-        assert_eq!(rescans(), before, "behind 2 000 cached texts");
-        assert_eq!(need_set(&store), needs_behind_one);
-        assert_eq!(
-            reg.gauge("sparqlog_store_index_needs", "").get(),
-            needs_behind_one.len() as i64
-        );
+        churn_keeps_masks("behind 2 000 cached texts");
+    }
 
-        // The tracked set covers what a walk of the cache would find,
-        // and the post-commit snapshot has all of it eager.
-        let snapshot = store.snapshot();
-        let walked = snapshot.cached_plan_needs_on_base();
-        assert!(!walked.is_empty());
-        for (pred, mask) in walked {
-            assert!(needs_behind_one.contains(&(pred, mask)));
-            let rel = snapshot.database().relation(pred).unwrap();
-            assert!(
-                rel.index_masks().contains(&mask),
-                "{} mask {mask:#b} not eager",
-                snapshot.symbols().resolve(pred)
+    #[test]
+    fn add_ontology_keeps_masks_queries_built() {
+        // A query probing `triple` by type and class in any named graph
+        // builds mask 0b0110 on the snapshot — the mask the naive pass of
+        // the subclass rule below probes too. The install's full
+        // evaluation writes `triple` and sheds only masks it built
+        // itself, so the query's mask survives, complete.
+        let store = Store::new();
+        store
+            .update(
+                "PREFIX ex: <http://ex.org/> INSERT DATA { ex:alice a ex:Student .
+                 GRAPH ex:g { ex:carol a ex:Student } }",
+            )
+            .unwrap();
+        let in_graphs = |class: &str| {
+            let q = format!(
+                "PREFIX ex: <http://ex.org/> SELECT ?x ?g WHERE {{ GRAPH ?g {{ ?x a ex:{class} }} }}"
             );
-        }
+            store.execute(&q).unwrap().len()
+        };
+        assert_eq!(in_graphs("Student"), 1);
+        let triple = store.symbols().get(preds::TRIPLE).unwrap();
+        let masks = || {
+            let snapshot = store.snapshot();
+            let rel = snapshot.database().relation(triple).unwrap();
+            for mask in rel.index_masks() {
+                assert_eq!(rel.indexed_rows(mask), Some(rel.len()), "{mask:#b}");
+            }
+            rel.index_masks()
+        };
+        assert_eq!(masks(), vec![0b0110], "the query built its mask");
+        store
+            .add_ontology(&crate::Ontology::new().with(crate::Axiom::SubClassOf(
+                "http://ex.org/Student".into(),
+                "http://ex.org/Person".into(),
+            )))
+            .unwrap();
+        assert!(masks().contains(&0b0110), "the query's mask was shed");
+        assert_eq!(in_graphs("Person"), 1);
     }
 }

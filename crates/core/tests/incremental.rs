@@ -491,18 +491,17 @@ fn wide_universe() -> Vec<Quad> {
     out
 }
 
-/// A from-scratch freeze of `fresh`'s content with exactly the eager
+/// A from-scratch freeze of `fresh`'s content with exactly the built
 /// indexes `committed` carries.
 fn refrozen_with_indexes_of(fresh: &Store, committed: &FrozenDb) -> Arc<FrozenDb> {
-    let db = FrozenDb::thaw(fresh.snapshot().database().clone());
-    let needs: Vec<_> = committed
-        .relations()
-        .flat_map(|(pred, rel)| {
-            let here = db.symbols().intern(&committed.symbols().resolve(pred));
-            rel.index_masks().into_iter().map(move |mask| (here, mask))
-        })
-        .collect();
-    db.freeze_with_needs(&needs)
+    let mut db = FrozenDb::thaw(fresh.snapshot().database().clone());
+    for (pred, rel) in committed.relations() {
+        let here = db.symbols().intern(&committed.symbols().resolve(pred));
+        for mask in rel.index_masks() {
+            db.ensure_index(here, mask);
+        }
+    }
+    db.freeze()
 }
 
 #[test]

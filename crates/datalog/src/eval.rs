@@ -504,17 +504,19 @@ fn evaluate_inner(
         // merge, so rounds never rebuild them. A seeded run builds none
         // here: its jobs' first probes build what the seed's rounds
         // actually need.
-        let mut indexes_built = 0usize;
+        let mut built: FxHashSet<(Sym, Mask)> = FxHashSet::default();
         if !seeded {
             let all_plans = stratum_rules.iter().map(|&ri| &plans[ri]);
             for plan in all_plans.chain(delta_plans.values()) {
                 for (pred, mask) in plan.index_needs() {
-                    indexes_built += db.ensure_index(pred, mask) as usize;
+                    if db.ensure_index(pred, mask) {
+                        built.insert((pred, mask));
+                    }
                 }
             }
         }
         if let Some(pb) = pb.as_mut() {
-            pb.record_index_builds(indexes_built);
+            pb.record_index_builds(built.len());
         }
 
         // --- naive first pass ---
@@ -553,24 +555,24 @@ fn evaluate_inner(
             }
         }
 
-        // Shed indexes on this stratum's *written* relations that only
-        // the one-shot naive pass probed (the classic case: the naive
-        // plan of `tc(X,Z) :- edge(X,Y), tc(Y,Z)` probes tc by Y, but
-        // every delta round drives from the tc batch and probes only
-        // edge). Without this, every merge insert would keep them
-        // current for nothing. Relations not written here pay no
-        // maintenance, so their indexes stay for later queries.
-        if !seeded {
+        // Shed indexes this run built on the stratum's *written*
+        // relations that only the one-shot naive pass probed (the
+        // classic case: the naive plan of `tc(X,Z) :- edge(X,Y), tc(Y,Z)`
+        // probes tc by Y, but every delta round drives from the tc batch
+        // and probes only edge). Without this, every merge insert would
+        // keep them current for nothing. Relations not written here pay
+        // no maintenance, and a mask that existed before the run — one a
+        // query built on a stored relation, say — is someone else's, so
+        // those stay for later queries.
+        if !built.is_empty() {
             let keep: FxHashSet<(Sym, Mask)> = delta_plans
                 .values()
                 .flat_map(|p| p.index_needs())
                 .chain(agg_rules.iter().flat_map(|&ri| plans[ri].index_needs()))
                 .collect();
-            for &ri in &plain_rules {
-                for (pred, mask) in plans[ri].index_needs() {
-                    if stratum_preds.contains(&pred) && !keep.contains(&(pred, mask)) {
-                        db.relation_mut(pred).drop_index(mask);
-                    }
+            for (pred, mask) in built {
+                if stratum_preds.contains(&pred) && !keep.contains(&(pred, mask)) {
+                    db.relation_mut(pred).drop_index(mask);
                 }
             }
         }

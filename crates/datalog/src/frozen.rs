@@ -2,13 +2,11 @@
 //! mutate/query lifecycle split.
 //!
 //! A [`FrozenDb`] is produced by [`Database::freeze`] after loading and
-//! materialisation. Freezing is *profile-guided*: instead of eagerly
-//! materialising all `2^arity - 1` per-mask indexes of every relation, it
-//! keeps the indexes the relations already have — the masks earlier
-//! plans and probes demanded — and builds the masks named by the caller's
-//! live physical plans ([`Database::freeze_with_needs`] — the serving
-//! layer passes the index-need set it grows as plans are computed). Any
-//! other mask is built on its first probe through the thread-safe
+//! materialisation. Freezing builds no index: instead of materialising
+//! all `2^arity - 1` per-mask indexes of every relation, a snapshot keeps
+//! exactly the indexes its relations already have — the masks earlier
+//! probes built, carried through thaw and maintained by every insert
+//! since. A mask is built on its first probe through the thread-safe
 //! per-mask `OnceLock` path ([`Relation::lookup`] and the evaluator's
 //! scans), and from then on belongs to the snapshot like the rest. The
 //! snapshot never mutates otherwise, so every accessor takes `&self` and
@@ -31,7 +29,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::database::{Database, Mask, Relation};
+use crate::database::{Database, Relation};
 use crate::fxhash::FxHashMap;
 use crate::stats::DbStats;
 use crate::symbols::{Sym, SymbolTable};
@@ -207,41 +205,24 @@ impl Database {
     /// Consumes the database into an immutable [`FrozenDb`] snapshot,
     /// shareable across threads behind the returned `Arc`.
     ///
-    /// Indexing is *profile-guided*: the indexes the relations already
-    /// have — built by plans or by probes on this data, and maintained
-    /// by every insert since — are kept, and nothing else is built: a
-    /// probe on a fresh mask builds its index on first use through the
-    /// thread-safe per-mask `OnceLock` path (the evaluator's scans, or
-    /// [`Relation::lookup`]). Callers whose physical plans name the
-    /// masks they will probe use [`Database::freeze_with_needs`] to have
-    /// them built from the start.
+    /// The indexes the relations already have — built by probes on this
+    /// data, and maintained by every insert since — are kept, and
+    /// nothing else is built: a probe on a fresh mask builds its index
+    /// on first use through the thread-safe per-mask `OnceLock` path
+    /// (the evaluator's scans, or [`Relation::lookup`]). A caller that
+    /// wants a mask from the start builds it first
+    /// ([`Database::ensure_index`]).
     ///
     /// Any frozen base this database was overlaid on is flattened into
     /// the snapshot (local copy-on-write relations shadow their base
     /// versions).
-    pub fn freeze(self) -> Arc<FrozenDb> {
-        self.freeze_with_needs(&[])
-    }
-
-    /// [`Database::freeze`], additionally building the named `(predicate,
-    /// bound-position mask)` hash indexes — the serving layer passes the
-    /// index needs of the plans it has computed, so no planned probe on
-    /// the new snapshot waits for a build. Masks that do not fit the relation's
-    /// arity (or name absent predicates) are ignored.
-    pub fn freeze_with_needs(mut self, needs: &[(Sym, Mask)]) -> Arc<FrozenDb> {
+    pub fn freeze(mut self) -> Arc<FrozenDb> {
         // Flatten an overlay: pull in base relations not shadowed locally.
         if let Some(base) = self.base.take() {
             for (pred, rel) in base.relations() {
                 self.relations
                     .entry(pred)
                     .or_insert_with(|| rel.clone_for_write());
-            }
-        }
-        for &(pred, mask) in needs {
-            if let Some(rel) = self.relations.get_mut(&pred) {
-                if mask != 0 && rel.arity() < 64 && mask < (1u64 << rel.arity()) {
-                    rel.ensure_index(mask);
-                }
             }
         }
         Arc::new(FrozenDb::new(self.symbols, self.dict, self.relations))
@@ -264,6 +245,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Mask;
     use crate::eval::{evaluate, evaluate_frozen, EvalOptions};
     use crate::parser::parse_program;
     use crate::value::Const;
@@ -278,14 +260,24 @@ mod tests {
         db
     }
 
+    /// [`edges_db`] with the `edge` indexes for `masks` built.
+    fn edges_db_indexed(masks: &[Mask]) -> (Database, Sym) {
+        let mut db = edges_db();
+        let e = db.symbols().get("edge").unwrap();
+        for &mask in masks {
+            assert!(db.ensure_index(e, mask));
+        }
+        (db, e)
+    }
+
     #[test]
     fn freeze_preserves_facts_and_builds_only_named_masks() {
         let frozen = edges_db().freeze();
         assert_eq!(frozen.fact_count(), 50);
         let e = frozen.symbols().get("edge").unwrap();
         let rel = frozen.relation(e).unwrap();
-        // Profile-guided freezing builds nothing up front...
-        assert!(rel.index_masks().is_empty(), "no eager masks were named");
+        // Freezing builds nothing up front...
+        assert!(rel.index_masks().is_empty(), "no masks were built");
         // ...but every lookup still answers exactly, through the lazy
         // auto-build path.
         for mask in 1u64..4 {
@@ -293,9 +285,10 @@ mod tests {
             assert_eq!(rel.lookup(mask, &key).len(), 1, "mask {mask:#b}");
         }
 
-        // Naming a mask makes it eager from the start: a lock-free
+        // A mask built before the freeze is there from the start: a
         // borrowed-bucket hit.
-        let frozen = edges_db().freeze_with_needs(&[(e, 0b01)]);
+        let (db, e) = edges_db_indexed(&[0b01]);
+        let frozen = db.freeze();
         let rel = frozen.relation(e).unwrap();
         assert_eq!(rel.index_masks(), vec![0b01]);
         assert!(
@@ -303,12 +296,8 @@ mod tests {
                 rel.lookup(0b01, &crate::database::project(rel.row(0), 0b01)),
                 crate::database::Matches::Borrowed(_)
             ),
-            "named mask must be pre-built"
+            "built mask must be kept"
         );
-        // Out-of-arity masks and unknown predicates are ignored.
-        let ghost = frozen.symbols().intern("ghost");
-        let frozen = edges_db().freeze_with_needs(&[(e, 0b1000), (ghost, 0b1)]);
-        assert!(frozen.relation(e).unwrap().index_masks().is_empty());
     }
 
     #[test]
@@ -369,14 +358,11 @@ mod tests {
 
     #[test]
     fn thaw_unique_keeps_indexes_and_absorbs_delta() {
-        let e = {
-            let db = edges_db();
-            db.symbols().get("edge").unwrap()
-        };
-        let frozen = edges_db().freeze_with_needs(&[(e, 0b01), (e, 0b10), (e, 0b11)]);
+        let (db, e) = edges_db_indexed(&[0b01, 0b10, 0b11]);
+        let frozen = db.freeze();
         let sig_before = frozen.content_signature();
         let db = FrozenDb::thaw(frozen); // unique: relations are moved
-                                         // Indexes survived the thaw: all three masks still eager.
+                                         // Indexes survived the thaw: all three masks still built.
         assert_eq!(db.relation(e).unwrap().index_masks(), vec![1, 2, 3]);
         // Re-freezing without changes reproduces the same snapshot.
         let refrozen = db.freeze();

@@ -39,6 +39,19 @@ pub enum AbortReason {
     DictGrowth,
 }
 
+impl AbortReason {
+    /// The stable machine-readable label: the `reason` label of
+    /// `sparqlog_query_aborts_total` and of the HTTP 408 body.
+    pub fn label(self) -> &'static str {
+        match self {
+            AbortReason::Deadline => "deadline",
+            AbortReason::Cancelled => "cancelled",
+            AbortReason::RowLimit => "row_limit",
+            AbortReason::DictGrowth => "dict_growth",
+        }
+    }
+}
+
 impl std::fmt::Display for AbortReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

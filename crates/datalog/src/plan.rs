@@ -9,9 +9,9 @@
 //! atoms that share a bound variable over cross products, and pushes
 //! filter conditions, assignments and negation checks to the earliest
 //! position at which all their variables are bound. The same walk builds
-//! each step: the exact `(pred, mask)` hash index a probe uses (so a
-//! frozen snapshot can build precisely the indexes live plans name instead
-//! of all `2^arity - 1` masks), a membership check for a fully bound
+//! each step: the exact `(pred, mask)` hash index a probe uses (built on
+//! its first probe, so a snapshot holds the masks its queries used rather
+//! than all `2^arity - 1`), a membership check for a fully bound
 //! atom, the existence-only flag of a scan, the rule's Skolem functors,
 //! and the safety verdict — a negation, condition or assignment reading
 //! a variable no body item before it binds is [`EvalError::Unsafe`].
@@ -131,19 +131,6 @@ impl ProgramPlan {
         let naive = self.rules.iter().filter(move |_| !delta);
         let variants = self.delta.values().filter(move |_| delta);
         naive.chain(variants).flat_map(RulePlan::scans)
-    }
-
-    /// The distinct `(pred, mask)` hash indexes the plan's probes use —
-    /// what a frozen snapshot needs eagerly built for this plan to run
-    /// at full speed.
-    pub fn index_needs(&self) -> Vec<(Sym, Mask)> {
-        let mut out: Vec<(Sym, Mask)> = Vec::new();
-        for need in self.probes(false).chain(self.probes(true)) {
-            if need.1 != 0 && !out.contains(&need) {
-                out.push(need);
-            }
-        }
-        out
     }
 
     /// Renders the plan for humans: per rule and delta variant the body
@@ -499,11 +486,11 @@ mod tests {
         // tiny (1 row) first, then the two indexed probes on X.
         assert_eq!(order(&plan.rules[0]), vec![2, 0, 1]);
         assert_eq!(scan_masks(&plan.rules[0]), vec![0, 0b001, 0b001]);
-        // Index needs name exactly the bound-X probes.
-        let needs = plan.index_needs();
+        // The indexed probes are exactly the bound-X ones.
+        let probes: Vec<_> = plan.probes(false).filter(|&(_, m)| m != 0).collect();
         let big1 = db.symbols().get("big1").unwrap();
         let big2 = db.symbols().get("big2").unwrap();
-        assert!(needs.contains(&(big1, 0b001)) && needs.contains(&(big2, 0b001)));
+        assert_eq!(probes, vec![(big1, 0b001), (big2, 0b001)]);
     }
 
     #[test]
@@ -519,7 +506,7 @@ mod tests {
             plan.rules[0].steps[1],
             Step::Check { present: true, .. }
         ));
-        assert!(plan.index_needs().is_empty());
+        assert!(plan.probes(false).all(|(_, mask)| mask == 0));
     }
 
     #[test]

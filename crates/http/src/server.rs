@@ -38,11 +38,9 @@ use sparqlog::results_io::{
     write_csv, write_json, write_ntriples, write_tsv, write_turtle, WriteError,
 };
 use sparqlog::{
-    AbortReason, Budget, CancelToken, MetricsRegistry, QueryProfile, QueryResults, SparqLogError,
-    Store,
+    Budget, CancelToken, MetricsRegistry, QueryProfile, QueryResults, SparqLogError, Store,
 };
 use sparqlog_obs::{CounterVec, Histogram};
-use sparqlog_sparql::{parse_query, QueryForm};
 
 use crate::conneg::{candidates, negotiate, Format};
 use crate::http::{
@@ -502,75 +500,12 @@ fn handle_request(
     let scope = ReqScope::for_request(req, ctx.metrics);
     let scope = &scope;
     match (req.path.as_str(), req.method.as_str()) {
-        ("/query", "GET") => {
-            let params = match parse_form(req.query_string.as_deref().unwrap_or("")) {
-                Ok(p) => p,
-                Err(e) => return respond_text(stream, scope, 400, &e.to_string(), keep_alive),
-            };
-            let Some(query) = find_param(&params, "query").map(str::to_string) else {
-                return respond_text(stream, scope, 400, "missing `query` parameter", keep_alive);
-            };
-            run_query(req, stream, scope, keep_alive, ctx, &query, &params)
-        }
-        ("/query", "POST") => {
-            match req.content_type().as_deref() {
-                Some("application/sparql-query") => {
-                    let query = match std::str::from_utf8(&req.body) {
-                        Ok(q) => q.to_string(),
-                        Err(_) => {
-                            return respond_text(
-                                stream,
-                                scope,
-                                400,
-                                "query body is not UTF-8",
-                                keep_alive,
-                            )
-                        }
-                    };
-                    // Protocol params may still ride the query string.
-                    let params = parse_form(req.query_string.as_deref().unwrap_or(""))
-                        .unwrap_or_default();
+        ("/query", "GET" | "POST") => {
+            match decode_operation(req, "query", "application/sparql-query") {
+                Ok((query, params)) => {
                     run_query(req, stream, scope, keep_alive, ctx, &query, &params)
                 }
-                Some("application/x-www-form-urlencoded") | None => {
-                    let body = match std::str::from_utf8(&req.body) {
-                        Ok(b) => b,
-                        Err(_) => {
-                            return respond_text(
-                                stream,
-                                scope,
-                                400,
-                                "form body is not UTF-8",
-                                keep_alive,
-                            )
-                        }
-                    };
-                    let params = match parse_form(body) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            return respond_text(stream, scope, 400, &e.to_string(), keep_alive)
-                        }
-                    };
-                    let Some(query) = find_param(&params, "query").map(str::to_string) else {
-                        return respond_text(
-                            stream,
-                            scope,
-                            400,
-                            "missing `query` parameter",
-                            keep_alive,
-                        );
-                    };
-                    run_query(req, stream, scope, keep_alive, ctx, &query, &params)
-                }
-                Some(other) => respond_text(
-                    stream,
-                    scope,
-                    415,
-                    &format!(
-                        "unsupported Content-Type {other:?}; use application/sparql-query or application/x-www-form-urlencoded"
-                    ),
-                    keep_alive,
-                ),
+                Err((status, msg)) => respond_text(stream, scope, status, &msg, keep_alive),
             }
         }
         ("/query", _) => respond_text_extra(
@@ -581,64 +516,10 @@ fn handle_request(
             keep_alive,
             &["Allow: GET, POST"],
         ),
-        ("/update", "POST") => {
-            match req.content_type().as_deref() {
-                Some("application/sparql-update") => {
-                    let update = match std::str::from_utf8(&req.body) {
-                        Ok(u) => u.to_string(),
-                        Err(_) => {
-                            return respond_text(
-                                stream,
-                                scope,
-                                400,
-                                "update body is not UTF-8",
-                                keep_alive,
-                            )
-                        }
-                    };
-                    run_update(stream, scope, keep_alive, ctx, &update)
-                }
-                Some("application/x-www-form-urlencoded") | None => {
-                    let body = match std::str::from_utf8(&req.body) {
-                        Ok(b) => b,
-                        Err(_) => {
-                            return respond_text(
-                                stream,
-                                scope,
-                                400,
-                                "form body is not UTF-8",
-                                keep_alive,
-                            )
-                        }
-                    };
-                    let params = match parse_form(body) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            return respond_text(stream, scope, 400, &e.to_string(), keep_alive)
-                        }
-                    };
-                    let Some(update) = find_param(&params, "update").map(str::to_string) else {
-                        return respond_text(
-                            stream,
-                            scope,
-                            400,
-                            "missing `update` parameter",
-                            keep_alive,
-                        );
-                    };
-                    run_update(stream, scope, keep_alive, ctx, &update)
-                }
-                Some(other) => respond_text(
-                    stream,
-                    scope,
-                    415,
-                    &format!(
-                        "unsupported Content-Type {other:?}; use application/sparql-update or application/x-www-form-urlencoded"
-                    ),
-                    keep_alive,
-                ),
-            }
-        }
+        ("/update", "POST") => match decode_operation(req, "update", "application/sparql-update") {
+            Ok((update, _)) => run_update(stream, scope, keep_alive, ctx, &update),
+            Err((status, msg)) => respond_text(stream, scope, status, &msg, keep_alive),
+        },
         ("/update", _) => respond_text_extra(
             stream,
             scope,
@@ -664,6 +545,46 @@ fn handle_request(
             keep_alive,
         ),
     }
+}
+
+/// A decoded protocol operation: its text and the request's parameters.
+type Operation = (String, Vec<(String, String)>);
+
+/// Decodes a protocol operation — the `param` text (`query` or `update`)
+/// and the request's parameters — as SPARQL 1.1 Protocol sends it: a
+/// `GET` carries a URL-encoded form in the query string; a `POST` either
+/// the raw text under the `direct` content type (parameters may still
+/// ride the query string) or a URL-encoded form body. A request that
+/// does not decode is the `(status, message)` to answer with.
+fn decode_operation(req: &Request, param: &str, direct: &str) -> Result<Operation, (u16, String)> {
+    let query_string = req.query_string.as_deref().unwrap_or("");
+    let utf8 = |what: &str| {
+        std::str::from_utf8(&req.body).map_err(|_| (400, format!("{what} body is not UTF-8")))
+    };
+    let form = if req.method == "GET" {
+        query_string
+    } else {
+        match req.content_type().as_deref() {
+            Some(ct) if ct == direct => {
+                let text = utf8(param)?.to_string();
+                return Ok((text, parse_form(query_string).unwrap_or_default()));
+            }
+            Some("application/x-www-form-urlencoded") | None => utf8("form")?,
+            Some(other) => {
+                return Err((
+                    415,
+                    format!(
+                        "unsupported Content-Type {other:?}; use {direct} or application/x-www-form-urlencoded"
+                    ),
+                ))
+            }
+        }
+    };
+    let params = parse_form(form).map_err(|e| (400, e.to_string()))?;
+    let text = find_param(&params, param)
+        .ok_or_else(|| (400, format!("missing `{param}` parameter")))?
+        .to_string();
+    Ok((text, params))
 }
 
 /// `GET /metrics`: the store registry (engine + HTTP families) in the
@@ -713,17 +634,6 @@ fn request_budget(default: &Budget, params: &[(String, String)]) -> Result<Budge
     Ok(default.clone().with_timeout(timeout))
 }
 
-/// The stable machine-readable label for an abort reason (matches the
-/// `reason` label of `sparqlog_query_aborts_total`).
-fn abort_label(reason: AbortReason) -> &'static str {
-    match reason {
-        AbortReason::Deadline => "deadline",
-        AbortReason::Cancelled => "cancelled",
-        AbortReason::RowLimit => "row_limit",
-        AbortReason::DictGrowth => "dict_growth",
-    }
-}
-
 /// Renders a governor abort as the structured 408 JSON body.
 fn abort_body(e: &SparqLogError) -> Option<String> {
     let SparqLogError::Aborted {
@@ -736,7 +646,7 @@ fn abort_body(e: &SparqLogError) -> Option<String> {
     };
     Some(format!(
         "{{\"error\":\"query aborted\",\"reason\":\"{}\",\"detail\":\"{}\",\"elapsed_ms\":{},\"rows_derived\":{}}}",
-        abort_label(*reason),
+        reason.label(),
         reason,
         elapsed.as_millis(),
         rows_derived
@@ -763,6 +673,9 @@ fn respond_error(
     }
 }
 
+/// The 500 body of a query whose preparation or evaluation panicked.
+const PANICKED: &str = "internal error: query evaluation panicked";
+
 #[allow(clippy::too_many_arguments)]
 fn run_query(
     req: &Request,
@@ -785,16 +698,18 @@ fn run_query(
         );
     }
 
-    // Parse first: the query form decides which formats are negotiable,
-    // so 400 and 406 are both settled before any evaluation.
-    let parsed = match parse_query(query) {
-        Ok(q) => q,
-        Err(e) => return respond_text(stream, scope, 400, &e.to_string(), keep_alive),
+    // Pin ONE snapshot for the request: evaluation and serialization
+    // both see a single store version regardless of concurrent commits.
+    let snapshot = ctx.store.snapshot();
+    // Prepare first (a cached text is not parsed again): the query form
+    // decides which formats are negotiable, so 400 and 406 are both
+    // settled before any evaluation.
+    let prepared = match catch_unwind(AssertUnwindSafe(|| snapshot.prepare(query))) {
+        Err(_) => return respond_text(stream, scope, 500, PANICKED, keep_alive),
+        Ok(Err(e)) => return respond_error(stream, scope, &e, keep_alive),
+        Ok(Ok(p)) => p,
     };
-    let graph_form = matches!(
-        parsed.form,
-        QueryForm::Construct { .. } | QueryForm::Describe { .. }
-    );
+    let graph_form = prepared.query().is_construct() || prepared.query().is_describe();
     let Some(format) = negotiate(req.header("accept"), graph_form) else {
         let acceptable: Vec<&str> = candidates(graph_form)
             .iter()
@@ -813,9 +728,6 @@ fn run_query(
         );
     };
 
-    // Pin ONE snapshot for the request: evaluation and serialization
-    // both see a single store version regardless of concurrent commits.
-    let snapshot = ctx.store.snapshot();
     let default = &snapshot.options().budget;
     let budget = match request_budget(default, params) {
         Ok(b) => b,
@@ -841,21 +753,15 @@ fn run_query(
                 .execute_profiled(query)
                 .map(|(results, profile)| (results, Some(profile)))
         } else {
-            snapshot.execute(query).map(|results| (results, None))
+            snapshot
+                .execute_prepared(&prepared)
+                .map(|results| (results, None))
         }
     }));
     drop(guard);
 
     let (results, profile) = match outcome {
-        Err(_) => {
-            return respond_text(
-                stream,
-                scope,
-                500,
-                "internal error: query evaluation panicked",
-                keep_alive,
-            )
-        }
+        Err(_) => return respond_text(stream, scope, 500, PANICKED, keep_alive),
         Ok(Err(e)) => return respond_error(stream, scope, &e, keep_alive),
         Ok(Ok(pair)) => pair,
     };
