@@ -92,6 +92,19 @@ fn fixed_query_battery() {
         "PREFIX ex: <http://e/> SELECT ?n WHERE { ?s ex:name ?n } ORDER BY DESC(?n) LIMIT 2",
         // Filters with unbound vars and BOUND.
         "PREFIX ex: <http://e/> SELECT ?s WHERE { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } FILTER (!BOUND(?a)) }",
+        // Shared variables that may be null: compatibility, not equality.
+        // AND with the shared ?a null on the left, on the right, on both.
+        "PREFIX ex: <http://e/> SELECT * WHERE { { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } { ?x ex:age ?a } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { { ?x ex:age ?a } { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } { ?t a ?k OPTIONAL { ?t ex:age ?a } } }",
+        // OPTIONAL on a possibly-null variable.
+        "PREFIX ex: <http://e/> SELECT * WHERE { { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } OPTIONAL { ?x ex:age ?a } }",
+        // MINUS over a possibly-null variable, on either side.
+        "PREFIX ex: <http://e/> SELECT * WHERE { { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } MINUS { ?x ex:age ?a } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { ?s ex:name ?n MINUS { ?s a ?k OPTIONAL { ?s ex:age ?a } } }",
+        // UNION padding, then a join on the padded variable.
+        "PREFIX ex: <http://e/> SELECT * WHERE { { { ?s ex:age ?a } UNION { ?t a ?k } } ?s ex:name ?n }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { { { ?s ex:p ?o } UNION { ?o ex:q ?z } } { ?s ex:name ?n } }",
     ] {
         compare(q);
     }
