@@ -3,38 +3,30 @@
 //! Translates an RDF dataset into Datalog± facts and the auxiliary rules
 //! every translated query relies on:
 //!
-//! * `iri/1`, `literal/1`, `bnode/1` facts for every RDF term;
-//! * `term/1` rules (Def. A.1);
 //! * `triple/4` facts, with `"default"` as the default graph's name;
 //! * `named/1` facts for the named graphs;
-//! * `null/1` and the compatibility predicate `comp/3` (Def. A.2);
 //! * `subjectOrObject/2` (Def. A.17, extended with the graph argument so
 //!   zero-length paths are computed per graph).
+//!
+//! The appendix's term classes (`iri/1`, `literal/1`, `bnode/1`,
+//! `term/1`, Def. A.1) and its `null/1` and `comp/3` (Def. A.2) are not
+//! relations here. They exist to compute compatibility, which T_Q emits
+//! as a compatibility item the planner compiles to a comparison of
+//! values ([`sparqlog_datalog::BodyItem::Compat`]); `null(x)` is an
+//! assignment or comparison with the one null constant.
 
 use std::sync::Arc;
 
-use sparqlog_datalog::{AtomArg, Const, Database, Program, RuleBuilder, Sym, SymbolTable};
+use sparqlog_datalog::{Const, Database, Program, RuleBuilder, SymbolTable};
 use sparqlog_rdf::vocab::xsd;
 use sparqlog_rdf::{Dataset, Graph, LiteralKind, Term};
 
 /// Predicate names used by the translation.
 pub mod preds {
-    /// `iri/1` — every IRI term of the dataset.
-    pub const IRI: &str = "iri";
-    /// `literal/1` — every literal term.
-    pub const LITERAL: &str = "literal";
-    /// `bnode/1` — every blank-node term.
-    pub const BNODE: &str = "bnode";
-    /// `term/1` — the union of the three term classes (Def. A.1).
-    pub const TERM: &str = "term";
     /// `triple/4` — `(S, P, O, graph)` facts.
     pub const TRIPLE: &str = "triple";
     /// `named/1` — the named graphs of the dataset.
     pub const NAMED: &str = "named";
-    /// `null/1` — the distinguished unbound marker (Def. A.2).
-    pub const NULL: &str = "null";
-    /// `comp/3` — the compatibility predicate of Def. A.2.
-    pub const COMP: &str = "comp";
     /// `subjectOrObject/2` — path endpoints per graph (Def. A.17).
     pub const SUBJECT_OR_OBJECT: &str = "subjectOrObject";
     /// The name of the default graph in the `triple/4` representation.
@@ -115,15 +107,6 @@ pub fn load_dataset(ds: &Dataset, db: &mut Database) {
 }
 
 fn load_graph_facts(graph: &Graph, graph_const: &Const, db: &mut Database, symbols: &SymbolTable) {
-    for term in graph.terms() {
-        let c = term_to_const(term, symbols);
-        let pred = match term {
-            Term::Iri(_) => preds::IRI,
-            Term::BlankNode(_) => preds::BNODE,
-            Term::Literal(_) => preds::LITERAL,
-        };
-        db.add_fact_str(pred, vec![c]);
-    }
     for (s, p, o) in graph.iter() {
         db.add_fact_str(
             preds::TRIPLE,
@@ -137,70 +120,13 @@ fn load_graph_facts(graph: &Graph, graph_const: &Const, db: &mut Database, symbo
     }
 }
 
-/// Builds the auxiliary-rule program of T_D: `term/1`, `null/1`, `comp/3`
-/// and `subjectOrObject/2`. Evaluated once at load time; all translated
-/// queries then reference the materialised predicates.
+/// Builds the auxiliary-rule program of T_D: `subjectOrObject/2`,
+/// maintained with the store; all translated queries reference the
+/// materialised predicate.
 pub fn base_program(symbols: &Arc<SymbolTable>) -> Program {
     let mut program = Program::new();
-    let term = symbols.intern(preds::TERM);
-    let comp = symbols.intern(preds::COMP);
-    let null = symbols.intern(preds::NULL);
     let soo = symbols.intern(preds::SUBJECT_OR_OBJECT);
     let triple = symbols.intern(preds::TRIPLE);
-
-    // null("null").  (Def. A.2 — we use the distinguished Null constant.)
-    program.facts.push((null, vec![Const::Null]));
-
-    // term(X) :- iri(X) / literal(X) / bnode(X).   (Def. A.1)
-    for src in [preds::IRI, preds::LITERAL, preds::BNODE] {
-        let mut b = RuleBuilder::new();
-        let hx = b.v("X");
-        b.head(term, vec![hx]);
-        let x = b.v("X");
-        b.pos(symbols.intern(src), vec![x]);
-        program.rules.push(b.build());
-    }
-
-    // comp(X, X, X) :- term(X).
-    {
-        let mut b = RuleBuilder::new();
-        let (h1, h2, h3) = (b.v("X"), b.v("X"), b.v("X"));
-        b.head(comp, vec![h1, h2, h3]);
-        let x = b.v("X");
-        b.pos(term, vec![x]);
-        program.rules.push(b.build());
-    }
-    // comp(X, Z, X) :- term(X), null(Z).
-    {
-        let mut b = RuleBuilder::new();
-        let (h1, h2, h3) = (b.v("X"), b.v("Z"), b.v("X"));
-        b.head(comp, vec![h1, h2, h3]);
-        let x = b.v("X");
-        b.pos(term, vec![x]);
-        let z = b.v("Z");
-        b.pos(null, vec![z]);
-        program.rules.push(b.build());
-    }
-    // comp(Z, X, X) :- term(X), null(Z).
-    {
-        let mut b = RuleBuilder::new();
-        let (h1, h2, h3) = (b.v("Z"), b.v("X"), b.v("X"));
-        b.head(comp, vec![h1, h2, h3]);
-        let x = b.v("X");
-        b.pos(term, vec![x]);
-        let z = b.v("Z");
-        b.pos(null, vec![z]);
-        program.rules.push(b.build());
-    }
-    // comp(Z, Z, Z) :- null(Z).
-    {
-        let mut b = RuleBuilder::new();
-        let (h1, h2, h3) = (b.v("Z"), b.v("Z"), b.v("Z"));
-        b.head(comp, vec![h1, h2, h3]);
-        let z = b.v("Z");
-        b.pos(null, vec![z]);
-        program.rules.push(b.build());
-    }
 
     // subjectOrObject(X, D) :- triple(X, P, Y, D).
     // subjectOrObject(Y, D) :- triple(X, P, Y, D).   (Def. A.17 + graph)
@@ -217,25 +143,14 @@ pub fn base_program(symbols: &Arc<SymbolTable>) -> Program {
     program
 }
 
-/// Creates an [`AtomArg`] for a constant (convenience for the translator).
-pub fn carg(c: Const) -> AtomArg {
-    AtomArg::Const(c)
-}
-
 /// The default-graph constant.
 pub fn default_graph_const(symbols: &SymbolTable) -> Const {
     Const::Str(symbols.intern(preds::DEFAULT_GRAPH))
 }
 
-/// Interns a predicate name.
-pub fn sym(symbols: &SymbolTable, name: &str) -> Sym {
-    symbols.intern(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_datalog::{evaluate, EvalOptions};
     use sparqlog_rdf::Triple;
 
     fn film_dataset() -> Dataset {
@@ -260,36 +175,26 @@ mod tests {
     }
 
     #[test]
-    fn facts_generated_per_term_and_triple() {
-        let mut db = Database::new();
-        load_dataset(&film_dataset(), &mut db);
-        let s = db.symbols().clone();
-        assert_eq!(db.relation(s.get("triple").unwrap()).unwrap().len(), 3);
-        assert_eq!(db.relation(s.get("iri").unwrap()).unwrap().len(), 3);
-        assert_eq!(db.relation(s.get("literal").unwrap()).unwrap().len(), 3);
-        assert_eq!(db.relation(s.get("bnode").unwrap()).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn base_rules_materialise_term_and_comp() {
-        let mut db = Database::new();
-        load_dataset(&film_dataset(), &mut db);
-        let prog = base_program(db.symbols());
-        evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-        let s = db.symbols().clone();
-        // 7 distinct terms (3 iris + 3 literals + 1 bnode).
-        assert_eq!(db.relation(s.get("term").unwrap()).unwrap().len(), 7);
-        // comp: one (X,X,X) per term + two null rules per term + (null,null,null).
+    fn a_loaded_snapshot_holds_exactly_triples_named_graphs_and_endpoints() {
+        let mut ds = film_dataset();
+        ds.named_graph_mut("http://g1").insert(Triple::new(
+            Term::iri("http://ex.org/glucas"),
+            Term::iri("http://ex.org/name"),
+            Term::literal("George"),
+        ));
+        let store = crate::Store::new();
+        store.load_dataset(&ds).unwrap();
+        let snap = store.snapshot();
+        let s = snap.symbols();
+        let mut sizes: Vec<(String, usize)> = (snap.database().relations())
+            .map(|(p, r)| (s.resolve(p).to_string(), r.len()))
+            .collect();
+        sizes.sort();
+        // subjectOrObject: per graph, default {glucas, b1, George, Lucas,
+        // Steven} and g1 {glucas, George}.
         assert_eq!(
-            db.relation(s.get("comp").unwrap()).unwrap().len(),
-            7 * 3 + 1
-        );
-        // subjectOrObject: subjects {glucas, b1} + objects {George, Lucas, Steven}.
-        assert_eq!(
-            db.relation(s.get("subjectOrObject").unwrap())
-                .unwrap()
-                .len(),
-            5
+            sizes,
+            [("named", 1), ("subjectOrObject", 7), ("triple", 4)].map(|(p, n)| (p.to_string(), n))
         );
     }
 

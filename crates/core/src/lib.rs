@@ -10,8 +10,9 @@
 //!
 //! The three translation methods of §4:
 //!
-//! * **T_D** ([`data_translation`]): RDF dataset → Datalog facts +
-//!   auxiliary predicates (`term`, `comp`, `subjectOrObject`, `null`);
+//! * **T_D** ([`data_translation`]): RDF dataset → `triple`/`named`
+//!   facts + the auxiliary `subjectOrObject` (compatibility, Def. A.2,
+//!   is a compiled comparison, not a relation);
 //! * **T_Q** ([`query_translation`]): SPARQL query → Datalog± rules,
 //!   with Skolem tuple-IDs realising bag semantics and `Id = []`
 //!   realising the set semantics of recursive property paths;

@@ -142,6 +142,23 @@ struct Translator {
     rule_seq: usize,
 }
 
+/// `compat({left}x, r2_x, {out}x)` for every shared variable `x`, placed
+/// before the right answer atom: once the left side binds `{left}x` the
+/// planner widens `r2_x` to {that value, null}, so the right atom is an
+/// index lookup, not a cross product.
+fn compat_shared(b: &mut RuleBuilder, shared: &[&Var], left: &str, out: &str) {
+    for v in shared {
+        let [l, r, o] = [left, "r2_", out].map(|p| b.v(&format!("{p}{}", v.name())));
+        b.compat(l, r, o);
+    }
+}
+
+/// Binds variable `name` to null: Def. A.2's positive `null(name)`.
+fn null_pad(b: &mut RuleBuilder, name: &str) {
+    let var = b.var(name);
+    b.assign(var, DExpr::Const(Const::Null));
+}
+
 /// The nil tuple ID `[]` forcing set semantics (§5.2).
 fn nil_id(symbols: &SymbolTable) -> Const {
     Const::skolem(symbols.intern("[]"), Vec::new())
@@ -326,9 +343,7 @@ impl Translator {
         // Projected variables not bound by the pattern: null-pad.
         for v in projection {
             if !pattern_vars.contains(v) {
-                let n = format!("v_{}", v.name());
-                let var = b.var(&n);
-                b.pos(self.pred(preds::NULL), vec![AtomArg::Var(var)]);
+                null_pad(&mut b, &format!("v_{}", v.name()));
             }
         }
 
@@ -597,9 +612,7 @@ impl Translator {
                     // Null-pad the variables missing from this branch.
                     for v in &vars {
                         if !child_vars.contains(v) {
-                            let n = format!("v_{}", v.name());
-                            let var = b.var(&n);
-                            b.pos(self.pred(preds::NULL), vec![AtomArg::Var(var)]);
+                            null_pad(&mut b, &format!("v_{}", v.name()));
                         }
                     }
                     self.assign_id(&mut b, "Id", dst, &body_vars, idx);
@@ -777,18 +790,11 @@ impl Translator {
         args.push(self.gctx_arg(&mut b, ctx));
         b.pos(self.ans_pred(2 * idx), args);
 
-        // comp(r1_x, r2_x, v_x) for each shared x. Emitted *before* the
-        // second answer atom: with r1_x bound, each comp probe yields at
-        // most {r1_x, null}, so the second atom is an index lookup rather
-        // than a cross product — the join-ordering optimisation §5.1
-        // attributes to the underlying engine.
-        for v in &shared {
-            let a = b.v(&format!("r1_{}", v.name()));
-            let c = b.v(&format!("r2_{}", v.name()));
-            let out = b.v(&format!("v_{}", v.name()));
-            b.pos(self.pred(preds::COMP), vec![a, c, out]);
-            body_vars.push(format!("v_{}", v.name()));
-        }
+        // compat(r1_x, r2_x, v_x) for each shared x (Def. A.2's comp),
+        // before the second answer atom: the join-ordering optimisation
+        // §5.1 attributes to the underlying engine.
+        compat_shared(&mut b, &shared, "r1_", "v_");
+        body_vars.extend(shared.iter().map(|v| format!("v_{}", v.name())));
 
         // ans_2i+1 with shared vars renamed via v2 ↦ r2_ (now bound).
         let mut args = vec![AtomArg::Var(b.var("Id2"))];
@@ -838,7 +844,7 @@ impl Translator {
         let opt_pred = self.aux_pred("opt", idx);
 
         // Rule 1: ans_opt(var(P1), D) :- ans_2i(Id1, var(P1), D),
-        //         ans_2i+1(Id2, v2(var(P2)), D), comp(x, r2_x, z_x), [C].
+        //         ans_2i+1(Id2, v2(var(P2)), D), compat(x, r2_x, z_x), [C].
         {
             let mut b = RuleBuilder::new();
             let mut head = Vec::new();
@@ -855,13 +861,7 @@ impl Translator {
             args.push(self.gctx_arg(&mut b, ctx));
             b.pos(self.ans_pred(2 * idx), args);
 
-            // comp before the right atom: index join, not cross product.
-            for v in &shared {
-                let a = b.v(&format!("v_{}", v.name()));
-                let c = b.v(&format!("r2_{}", v.name()));
-                let z = b.v(&format!("z_{}", v.name()));
-                b.pos(self.pred(preds::COMP), vec![a, c, z]);
-            }
+            compat_shared(&mut b, &shared, "v_", "z_");
 
             let mut args = vec![AtomArg::Var(b.var("Id2"))];
             for v in &v2 {
@@ -876,7 +876,7 @@ impl Translator {
             b.pos(self.ans_pred(2 * idx + 1), args);
 
             // The filter condition over the *joined* mapping: shared
-            // variables refer to the comp output z_x.
+            // variables refer to the compat output z_x.
             for cond in conds {
                 let shared_names: Vec<String> =
                     shared.iter().map(|v| v.name().to_string()).collect();
@@ -922,14 +922,8 @@ impl Translator {
             args.push(self.gctx_arg(&mut b, ctx));
             b.pos(self.ans_pred(2 * idx), args);
 
-            // comp before the right atom: index join, not cross product.
-            for v in &shared {
-                let a = b.v(&format!("r1_{}", v.name()));
-                let c = b.v(&format!("r2_{}", v.name()));
-                let out = b.v(&format!("v_{}", v.name()));
-                b.pos(self.pred(preds::COMP), vec![a, c, out]);
-                body_vars.push(format!("v_{}", v.name()));
-            }
+            compat_shared(&mut b, &shared, "r1_", "v_");
+            body_vars.extend(shared.iter().map(|v| format!("v_{}", v.name())));
 
             body_vars.push("Id2".into());
             let mut args = vec![AtomArg::Var(b.var("Id2"))];
@@ -958,7 +952,7 @@ impl Translator {
         }
 
         // Rule 3: ans_i(Id, var(Pi), D) :- ans_2i(Id1, var(P1), D),
-        //         not ans_opt(var(P1), D), null(y)...
+        //         not ans_opt(var(P1), D), y = null...
         {
             let mut b = RuleBuilder::new();
             let mut head = vec![AtomArg::Var(b.var("Id"))];
@@ -986,9 +980,7 @@ impl Translator {
             b.neg(opt_pred, neg_args);
 
             for v in &only2 {
-                let n = format!("v_{}", v.name());
-                let var = b.var(&n);
-                b.pos(self.pred(preds::NULL), vec![AtomArg::Var(var)]);
+                null_pad(&mut b, &format!("v_{}", v.name()));
             }
             self.assign_id(&mut b, "Id", dst, &body_vars, idx);
             self.program.rules.push(b.build());
@@ -1024,7 +1016,7 @@ impl Translator {
             }))
             .collect();
 
-        // ans_join(x̄, D) :- ans_2i(...), ans_2i+1(...), comp(x, r2_x, z_x).
+        // ans_join(x̄, D) :- ans_2i(...), ans_2i+1(...), compat(x, r2_x, z_x).
         {
             let mut b = RuleBuilder::new();
             let mut head = Vec::new();
@@ -1041,13 +1033,7 @@ impl Translator {
             args.push(self.gctx_arg(&mut b, ctx));
             b.pos(self.ans_pred(2 * idx), args);
 
-            // comp before the right atom: index join, not cross product.
-            for v in &shared {
-                let a = b.v(&format!("v_{}", v.name()));
-                let c = b.v(&format!("r2_{}", v.name()));
-                let z = b.v(&format!("z_{}", v.name()));
-                b.pos(self.pred(preds::COMP), vec![a, c, z]);
-            }
+            compat_shared(&mut b, &shared, "v_", "z_");
 
             let mut args = vec![AtomArg::Var(b.var("Id2"))];
             for v in &v2 {
@@ -1064,7 +1050,7 @@ impl Translator {
         }
 
         // ans_equal(var(P1), D) :- ans_join(x̄, D), x_j = r2_x_j,
-        //                          not null(x_j).   — one rule per shared var.
+        //                          !sameTerm(x_j, null).   — one rule per shared var.
         for v in &shared {
             let mut b = RuleBuilder::new();
             let mut head = Vec::new();
@@ -1088,7 +1074,10 @@ impl Translator {
                 Box::new(DExpr::Var(x)),
                 Box::new(DExpr::Var(r)),
             ));
-            b.neg(self.pred(preds::NULL), vec![AtomArg::Var(x)]);
+            b.cond(DExpr::Not(Box::new(DExpr::SameTerm(
+                Box::new(DExpr::Var(x)),
+                Box::new(DExpr::Const(Const::Null)),
+            ))));
             self.program.rules.push(b.build());
         }
 

@@ -84,10 +84,11 @@
 //!
 //! Ontology axioms ([`Store::add_ontology`]) are materialised by the
 //! commit that installs them — the one commit that runs a full fixpoint.
-//! Every other commit maintains the T_D auxiliary predicates and the
-//! ontology entailments one way, in time proportional to the delta's
-//! consequences, always on the evaluator's semi-naive loop seeded with
-//! the rows that changed: deletions run through DRed
+//! Every other commit maintains the T_D auxiliary predicates (`named`
+//! and `subjectOrObject`; compatibility is computed per query, not
+//! stored) and the ontology entailments one way, in time proportional
+//! to the delta's consequences, always on the evaluator's semi-naive
+//! loop seeded with the rows that changed: deletions run through DRed
 //! ([`sparqlog_datalog::retract`]: an overdelete run, then a re-derive
 //! run, of rewritten rules), which retracts a derived fact exactly when
 //! its last asserted support disappears; additions through
@@ -106,9 +107,9 @@ use std::time::Instant;
 
 use sparqlog_datalog::fxhash::{FxHashMap, FxHashSet};
 use sparqlog_datalog::{
-    evaluate, extend, retract, stage_row, AtomArg, Budget, Const, Database, DbStats, EvalError,
-    EvalOptions, FrozenDb, MaintainError, Mask, Program, Relation, Retraction, RowBatch, Rule, Sym,
-    SymbolTable, TermId,
+    evaluate, extend, retract, stage_row, Budget, Const, Database, DbStats, EvalError, EvalOptions,
+    FrozenDb, MaintainError, Mask, Program, Relation, Retraction, RowBatch, Rule, Sym, SymbolTable,
+    TermId,
 };
 use sparqlog_rdf::{Dataset, Graph, Term};
 use sparqlog_sparql::{
@@ -453,8 +454,9 @@ impl Store {
         self.apply_locked(&[], &[], &[], Some(onto))
     }
 
-    /// Total number of facts (triples plus auxiliary and derived
-    /// predicates) in the current snapshot.
+    /// Total number of facts in the current snapshot: `triple` rows
+    /// (asserted and entailed) plus the `named` and `subjectOrObject`
+    /// rows T_D derives from them.
     pub fn fact_count(&self) -> usize {
         self.snapshot().fact_count()
     }
@@ -558,7 +560,7 @@ impl Store {
         // path still has the pre-commit snapshot installed and keeps
         // serving it; the zero-copy path has nothing to fall back to —
         // the store is poisoned (`frozen` stays `None`).
-        let outcome = commit.maintain(adds)?;
+        let outcome = commit.maintain()?;
         end_phase();
         let (snapshot, stats_rescans) = self.refreeze(commit);
         end_phase();
@@ -644,9 +646,6 @@ impl Store {
         let dict = db.dict().clone();
         let vocab = Vocab {
             triple: symbols.intern(preds::TRIPLE),
-            iri: symbols.intern(preds::IRI),
-            literal: symbols.intern(preds::LITERAL),
-            bnode: symbols.intern(preds::BNODE),
             named: symbols.intern(preds::NAMED),
             default_graph: dict.encode(&default_graph_const(&symbols)),
         };
@@ -812,9 +811,6 @@ impl std::fmt::Debug for Store {
 /// The T_D vocabulary a commit touches, interned once per commit.
 struct Vocab {
     triple: Sym,
-    iri: Sym,
-    literal: Sym,
-    bnode: Sym,
     named: Sym,
     /// The default graph's identifier in `triple`'s graph column.
     default_graph: TermId,
@@ -835,7 +831,8 @@ struct Commit<'s> {
     /// The outgoing snapshot's statistics, if collected.
     prev_stats: Option<Arc<DbStats>>,
     options: EvalOptions,
-    /// T_D auxiliary rules plus the ontology's, `new_rules` included.
+    /// T_D's `subjectOrObject` rules plus the ontology's, `new_rules`
+    /// included.
     program: Program,
     /// Ontology rules [`Store::add_ontology`] installs with this commit.
     new_rules: Vec<Rule>,
@@ -862,8 +859,8 @@ impl Commit<'_> {
     /// Commit phase 2: [`retract`] the removals (DRed), insert the
     /// additions and [`extend`] from exactly the rows that were new — or
     /// [`evaluate`] it all when the commit installs rules. Not a query, so
-    /// unbudgeted. `adds` are the staged quads `add_rows` encodes.
-    fn maintain(&mut self, adds: &[GroundQuad]) -> Result<Outcome, SparqLogError> {
+    /// unbudgeted.
+    fn maintain(&mut self) -> Result<Outcome, SparqLogError> {
         let options = EvalOptions {
             budget: Budget::default(),
             ..self.options.clone()
@@ -876,19 +873,13 @@ impl Commit<'_> {
             changed_preds: FxHashSet::default(),
             staged: 0,
         };
-        // Terms whose class fact (`iri`/`literal`/`bnode`) appeared or
-        // disappeared.
-        let mut reclassified: FxHashSet<TermId> = FxHashSet::default();
         if !self.removed_rows.is_empty() {
             let retraction = self.retract_removals(&options)?;
             outcome.staged = retraction.staged;
-            let removed = |pred| retraction.removed.get(&pred).into_iter().flatten();
+            let removed = retraction.removed.get(&self.vocab.triple);
             outcome
                 .changed_preds
-                .extend(removed(self.vocab.triple).map(|row| row[1]));
-            for class in [self.vocab.iri, self.vocab.literal, self.vocab.bnode] {
-                reclassified.extend(removed(class).map(|row| row[0]));
-            }
+                .extend(removed.into_iter().flatten().map(|row| row[1]));
         }
         let Commit {
             db,
@@ -899,15 +890,14 @@ impl Commit<'_> {
         } = self;
 
         // ------------------------------------------------ additions
-        // Insert the staged quads and their load-time class and named-
-        // graph facts; every row that was not present yet is a seed.
-        // Under an ontology a quad counts as added when it is new to the
-        // *ledger*: a triple that was only entailed so far becomes
-        // asserted (and its terms gain class facts), but its `triple`
+        // Insert the staged quads and their named-graph facts; every row
+        // that was not present yet is a seed. Under an ontology a quad
+        // counts as added when it is new to the *ledger*: a triple that
+        // was only entailed so far becomes asserted, but its `triple`
         // row — present, consequences and all — is no seed.
         let triples_before = db.relation(vocab.triple).map_or(0, Relation::len);
         let mut seed: FxHashMap<Sym, RowBatch> = FxHashMap::default();
-        for (q, row) in adds.iter().zip(&self.add_rows) {
+        for row in &self.add_rows {
             let new_row = db.relation_mut(vocab.triple).insert(row);
             if new_row {
                 stage_row(&mut seed, vocab.triple, row);
@@ -920,22 +910,7 @@ impl Commit<'_> {
                 continue;
             }
             outcome.stats.added += 1;
-            for (term, id) in [
-                (&q.subject, row[0]),
-                (&q.predicate, row[1]),
-                (&q.object, row[2]),
-            ] {
-                let class = match term {
-                    Term::Iri(_) => vocab.iri,
-                    Term::BlankNode(_) => vocab.bnode,
-                    Term::Literal(_) => vocab.literal,
-                };
-                if db.relation_mut(class).insert(&[id]) {
-                    stage_row(&mut seed, class, &[id]);
-                    reclassified.insert(id);
-                }
-            }
-            if q.graph.is_some() && db.relation_mut(vocab.named).insert(&[row[3]]) {
+            if row[3] != vocab.default_graph && db.relation_mut(vocab.named).insert(&[row[3]]) {
                 stage_row(&mut seed, vocab.named, &[row[3]]);
             }
         }
@@ -950,33 +925,17 @@ impl Commit<'_> {
 
         // Relations only grew since `triples_before` was read, so the
         // rows past it are exactly the triples this commit appended.
-        let Some(triples) = db.relation(vocab.triple) else {
-            return Ok(outcome);
-        };
-        outcome
-            .changed_preds
-            .extend((triples_before..triples.len()).map(|i| triples.row(i as u32)[1]));
-        // A term gaining or losing its class fact changes `comp`, and so
-        // the results over every triple mentioning it. Outside the delta
-        // such a triple is entailed, and an entailed triple carries no
-        // term an asserted one does not — but the rules' own constants.
-        for arg in program.rules.iter().flat_map(|rule| &rule.head.args) {
-            let AtomArg::Const(c) = arg else { continue };
-            let term = db.dict().encode(c);
-            if reclassified.contains(&term) {
-                for mask in [0b0001, 0b0100] {
-                    let rows = triples.lookup(mask, &[term]);
-                    let preds = rows.iter().map(|&i| triples.row(i)[1]);
-                    outcome.changed_preds.extend(preds);
-                }
-            }
+        if let Some(triples) = db.relation(vocab.triple) {
+            outcome
+                .changed_preds
+                .extend((triples_before..triples.len()).map(|i| triples.row(i as u32)[1]));
         }
         Ok(outcome)
     }
 
     /// The removal half of [`Commit::maintain`]: retracts `removed_rows`
-    /// and everything that lived by them — their terms' load-time class
-    /// and named-graph facts included — through the DRed maintainer.
+    /// and everything that lived by them — their graphs' `named` facts
+    /// included — through the DRed maintainer.
     fn retract_removals(&mut self, options: &EvalOptions) -> Result<Retraction, SparqLogError> {
         let Commit {
             db,
@@ -995,17 +954,15 @@ impl Commit<'_> {
             ledger.remove_rows(&removed_rows.iter().map(|r| r.to_vec()).collect());
         }
 
-        // Stage the deletion seeds: the removed quads themselves,
-        // plus the load-time class and named-graph facts of terms
-        // whose last asserted occurrence just disappeared (class
-        // facts come from asserted data only, so survival is probed
-        // against the asserted view — O(occurrences), not O(store)).
+        // Stage the deletion seeds: the removed quads themselves, plus
+        // the `named` facts of graphs whose last asserted quad just
+        // disappeared (`named` comes from asserted data only, so
+        // survival is probed against the asserted view —
+        // O(occurrences), not O(store)).
         let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
-        let mut term_cands: FxHashSet<TermId> = FxHashSet::default();
         let mut graph_cands: FxHashSet<TermId> = FxHashSet::default();
         for row in removed_rows.iter() {
             stage_row(&mut deleted, vocab.triple, row);
-            term_cands.extend(row[..3].iter().copied());
             if row[3] != vocab.default_graph {
                 graph_cands.insert(row[3]);
             }
@@ -1025,17 +982,6 @@ impl Commit<'_> {
                     !removed_set.contains(&row4)
                 })
             };
-            for &t in &term_cands {
-                if [0b0001, 0b0010, 0b0100].iter().any(|&m| survives(m, &[t])) {
-                    continue;
-                }
-                for class in [vocab.iri, vocab.literal, vocab.bnode] {
-                    if db.relation(class).is_some_and(|r| r.contains(&[t])) {
-                        stage_row(&mut deleted, class, &[t]);
-                        break;
-                    }
-                }
-            }
             for &g in &graph_cands {
                 if !survives(0b1000, &[g])
                     && db.relation(vocab.named).is_some_and(|r| r.contains(&[g]))
@@ -1491,60 +1437,77 @@ mod tests {
     }
 
     #[test]
-    fn ontology_delete_does_not_leak_entailed_terms_into_class_facts() {
-        // An ontology-entailed triple mentions ex:Person, which never
-        // occurs in asserted data. A commit with an (unrelated) removal
-        // refilters the class facts from all surviving triples —
-        // including entailed ones — and must not invent iri(Person):
-        // the class relations only ever shrink toward the asserted set.
+    fn entailed_classes_join_like_asserted_ones() {
+        // ex:Person occurs only in entailed triples. Compatibility
+        // compares values, so AND, OPTIONAL and MINUS join through it as
+        // through the asserted ex:Student.
         let store = Store::new();
         store
             .load_turtle(
-                r#"@prefix ex: <http://ex.org/> .
-                   @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
-                   ex:alice rdf:type ex:Student .
-                   ex:x ex:junk ex:y ."#,
+                "@prefix ex: <http://ex.org/> . ex:alice a ex:Student . ex:bob a ex:Student .",
             )
             .unwrap();
         store
             .add_ontology(&crate::Ontology::new().with(crate::Axiom::SubClassOf(
-                "http://ex.org/Student".into(),
-                "http://ex.org/Person".into(),
+                format!("{EX}Student"),
+                format!("{EX}Person"),
             )))
             .unwrap();
-        // Entailment is materialised...
-        assert_eq!(
-            store
-                .execute(
-                    "PREFIX ex: <http://ex.org/>
-                     ASK { ex:alice a ex:Person }"
-                )
-                .unwrap(),
-            QueryResults::Boolean(true)
-        );
-        let iri_count = |store: &Store| {
-            let snap = store.snapshot();
-            let p = snap.symbols().get("iri").unwrap();
-            snap.database().relation(p).unwrap().len()
+        let rows = |query: &str| {
+            let results = store
+                .execute(&format!("PREFIX ex: <{EX}> {query}"))
+                .unwrap();
+            results.solutions().unwrap().canonical(false)
         };
-        let before = iri_count(&store);
-        store
-            .update("PREFIX ex: <http://ex.org/> DELETE DATA { ex:x ex:junk ex:y }")
-            .unwrap();
-        // ... but the delete must not add iri(Person) (or anything else).
-        assert!(iri_count(&store) < before, "ex:x/junk/y class facts gone");
-        let person = store.symbols().get("http://ex.org/Person").unwrap();
-        let snap = store.snapshot();
-        let iri_p = snap.symbols().get("iri").unwrap();
-        let rel = snap.database().relation(iri_p).unwrap();
-        let person_id = snap
-            .database()
-            .dict()
-            .encode(&sparqlog_datalog::Const::Iri(person));
-        assert!(
-            !rel.contains(&[person_id]),
-            "entailed-only term must not gain a class fact"
+        let (student, person) = (format!("<{EX}Student>"), format!("<{EX}Person>"));
+        let (alice, bob) = (format!("<{EX}alice>"), format!("<{EX}bob>"));
+        assert_eq!(
+            rows("SELECT ?c { ex:alice a ?c . ex:bob a ?c }"),
+            [[&person], [&student]].map(|row| row.map(String::clone))
         );
+        assert_eq!(
+            rows("SELECT ?c ?y { ex:alice a ?c OPTIONAL { ?y a ?c } }"),
+            [
+                [&person, &alice],
+                [&person, &bob],
+                [&student, &alice],
+                [&student, &bob]
+            ]
+            .map(|row| row.map(String::clone))
+        );
+        assert!(rows("SELECT ?c { ex:alice a ?c MINUS { ex:bob a ?c } }").is_empty());
+    }
+
+    #[test]
+    fn commits_store_only_triples_named_graphs_and_endpoints() {
+        let store = borders_store();
+        let names = |store: &Store| {
+            let snap = store.snapshot();
+            let mut names: Vec<String> = (snap.database().relations())
+                .map(|(p, _)| snap.symbols().resolve(p).to_string())
+                .collect();
+            names.sort();
+            names
+        };
+        let expected = ["named", "subjectOrObject", "triple"];
+        store
+            .update(&format!(
+                "PREFIX ex: <{EX}> INSERT DATA {{ GRAPH ex:g {{ ex:a ex:p \"lit\", _:b }} }}"
+            ))
+            .unwrap();
+        assert_eq!(names(&store), expected);
+        store
+            .update(&format!(
+                "PREFIX ex: <{EX}> DELETE DATA {{ GRAPH ex:g {{ ex:a ex:p \"lit\" }} }}"
+            ))
+            .unwrap();
+        store
+            .add_ontology(&crate::Ontology::new().with(crate::Axiom::SubClassOf(
+                format!("{EX}Country"),
+                format!("{EX}Place"),
+            )))
+            .unwrap();
+        assert_eq!(names(&store), expected);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! directives), and every workload query translates to a warded program.
 
 use sparqlog::translate_query;
-use sparqlog_datalog::{BodyItem, Expr, PostOp, SymbolTable};
+use sparqlog_datalog::{AtomArg, BodyItem, Expr, PostOp, SymbolTable};
 use sparqlog_sparql::parse_query;
 
 fn translate(q: &str) -> (sparqlog_datalog::Program, std::sync::Arc<SymbolTable>) {
@@ -142,8 +142,8 @@ fn join_reordering_avoids_cross_products() {
            ?a2 <http://journal> ?j }",
     );
     // Every join rule's two answer atoms must share a variable through
-    // the comp chain: check that no rule body contains two `ans` atoms
-    // with disjoint variable sets and no comp atom between them.
+    // a compatibility item: check that no rule body contains two `ans`
+    // atoms and no compat item joining them.
     for rule in &p.rules {
         let ans_atoms: Vec<&sparqlog_datalog::Atom> = rule
             .body
@@ -154,14 +154,46 @@ fn join_reordering_avoids_cross_products() {
             })
             .collect();
         if ans_atoms.len() == 2 {
-            let has_comp = rule.body.iter().any(
-                |i| matches!(i, BodyItem::Pos(a) if symbols.resolve(a.pred).as_ref() == "comp"),
-            );
+            let has_compat = rule.body.iter().any(|i| {
+                matches!(i, BodyItem::Compat([AtomArg::Var(a), AtomArg::Var(b), _])
+                    if ans_atoms[0].vars().contains(a) && ans_atoms[1].vars().contains(b))
+            });
             assert!(
-                has_comp,
-                "join rule without comp atoms would be a cross product: {}",
+                has_compat,
+                "join rule without a compat item would be a cross product: {}",
                 rule.display(&symbols)
             );
         }
+    }
+}
+
+#[test]
+fn compatibility_and_null_are_items_not_relations() {
+    // Joins, OPTIONAL, MINUS, UNION padding and an unbound projection:
+    // every construct whose Def. A.2 rules read `comp`/`null`.
+    for q in [
+        "SELECT * WHERE { ?s <http://p> ?o . ?o <http://q> ?z }",
+        "SELECT * WHERE { ?s <http://p> ?o OPTIONAL { ?o <http://q> ?z } }",
+        "SELECT * WHERE { ?s <http://p> ?o MINUS { ?s <http://q> ?z } }",
+        "SELECT * WHERE { { ?s <http://p> ?o } UNION { ?s <http://q> ?z } }",
+        "SELECT ?s ?never WHERE { ?s <http://p> ?o }",
+    ] {
+        let (p, symbols) = translate(q);
+        for rule in &p.rules {
+            for item in &rule.body {
+                if let BodyItem::Pos(a) | BodyItem::Neg(a) = item {
+                    let pred = symbols.resolve(a.pred);
+                    assert!(
+                        !["comp", "null", "term", "iri", "literal", "bnode"]
+                            .contains(&pred.as_ref()),
+                        "{q}: {}",
+                        rule.display(&symbols)
+                    );
+                }
+            }
+        }
+        let compat =
+            (p.rules.iter().flat_map(|r| &r.body)).any(|i| matches!(i, BodyItem::Compat(_)));
+        assert_eq!(compat, !q.contains("UNION") && !q.contains("?never"), "{q}");
     }
 }

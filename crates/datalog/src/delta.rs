@@ -104,8 +104,8 @@ impl Retraction {
 }
 
 /// The precondition both halves of maintenance share: a positive program
-/// — no negated atom, condition, assignment, aggregate or `@post`
-/// directive.
+/// — no negated atom, condition, assignment, compatibility item,
+/// aggregate or `@post` directive.
 fn check_maintainable(program: &Program) -> Result<(), MaintainError> {
     let unsupported = |what: &str| Err(MaintainError::Unsupported(what.into()));
     if !program.post.is_empty() {
@@ -121,6 +121,7 @@ fn check_maintainable(program: &Program) -> Result<(), MaintainError> {
                 BodyItem::Neg(_) => return unsupported("negated atom"),
                 BodyItem::Cond(_) => return unsupported("filter condition"),
                 BodyItem::Assign(..) => return unsupported("assignment"),
+                BodyItem::Compat(_) => return unsupported("compatibility item"),
             }
         }
     }

@@ -960,9 +960,9 @@ struct EncAtom {
 }
 
 impl EncAtom {
-    fn new(atom: &crate::rule::Atom, dict: &TermDict) -> Self {
+    fn new(args: &[AtomArg], dict: &TermDict) -> Self {
         EncAtom {
-            args: (atom.args.iter())
+            args: (args.iter())
                 .map(|arg| match arg {
                     AtomArg::Const(c) => EArg::Id(dict.encode(c)),
                     AtomArg::Var(v) => EArg::Var(*v),
@@ -976,7 +976,7 @@ impl EncAtom {
 /// running a rule that is dictionary state, not plan, so it happens per
 /// execution (once per rule, shared by all its variants).
 struct EncRule {
-    /// Encoded positive/negated atoms, indexed by body item.
+    /// Encoded atoms and compatibility items, indexed by body item.
     body: Vec<Option<EncAtom>>,
     head: EncAtom,
 }
@@ -986,11 +986,12 @@ impl EncRule {
         EncRule {
             body: (rule.body.iter())
                 .map(|item| match item {
-                    BodyItem::Pos(a) | BodyItem::Neg(a) => Some(EncAtom::new(a, dict)),
+                    BodyItem::Pos(a) | BodyItem::Neg(a) => Some(EncAtom::new(&a.args, dict)),
+                    BodyItem::Compat(args) => Some(EncAtom::new(args, dict)),
                     _ => None,
                 })
                 .collect(),
-            head: EncAtom::new(&rule.head, dict),
+            head: EncAtom::new(&rule.head.args, dict),
         }
     }
 }
@@ -1178,6 +1179,7 @@ where
             // One row source: `range` of a flat row-major buffer — the
             // delta partition or the whole relation — or, through `picks`,
             // the relation rows an index bucket names.
+            let narrowed;
             let (flat, arity, picks, range): (&[TermId], usize, Option<&[u32]>, _) = match job.delta
             {
                 Some((di, batch, lo, hi)) if di == *item_idx => {
@@ -1186,26 +1188,33 @@ where
                 _ => {
                     let rs = &resolved[step_idx];
                     let Some(rel) = rs.rel else { return Ok(()) };
-                    match &rs.index {
-                        Some(index) => {
-                            // Hash probe on the bound positions; the key
-                            // lives in a stack buffer — the hot loop does
-                            // not allocate. Bucket rows that merely collide
-                            // on the 64-bit key hash fail `bind_atom`
-                            // below, so results stay exact.
-                            let mut key = [TermId::NULL; MAX_COLS];
-                            let mut klen = 0usize;
-                            for (i, arg) in atom.args.iter().enumerate() {
-                                if mask & (1 << i) != 0 {
-                                    key[klen] = match arg {
-                                        EArg::Id(id) => *id,
-                                        EArg::Var(v) => env[*v as usize].ok_or_else(|| {
-                                            EvalError::Unsafe("unbound key var".into())
-                                        })?,
-                                    };
-                                    klen += 1;
-                                }
+                    // Hash probe on the bound positions; the key lives in
+                    // a stack buffer — the hot loop does not allocate.
+                    // Bucket rows that merely collide on the 64-bit key
+                    // hash fail `bind_atom` below, so results stay exact.
+                    // A key variable a `compat` step left free drops out.
+                    let mut key = [TermId::NULL; MAX_COLS];
+                    let (mut klen, mut free) = (0, 0);
+                    let keyed = |&(i, _): &(usize, _)| mask & (1 << i) != 0;
+                    for (i, arg) in atom.args.iter().enumerate().filter(keyed) {
+                        match arg_value(arg, env) {
+                            Some(id) => {
+                                key[klen] = id;
+                                klen += 1;
                             }
+                            None => free |= 1 << i,
+                        }
+                    }
+                    let index = match free {
+                        0 => rs.index.as_ref(),
+                        _ if mask & !free == 0 => None,
+                        _ => {
+                            narrowed = rel.index(mask & !free);
+                            Some(&narrowed)
+                        }
+                    };
+                    match index {
+                        Some(index) => {
                             let Some(bucket) = index.get(&row_hash(&key[..klen])) else {
                                 return Ok(());
                             };
@@ -1237,11 +1246,8 @@ where
                 .expect("check step on non-atom item");
             let mut tuple = [TermId::NULL; MAX_COLS];
             for (i, arg) in atom.args.iter().enumerate() {
-                tuple[i] = match arg {
-                    EArg::Id(id) => *id,
-                    EArg::Var(v) => env[*v as usize]
-                        .ok_or_else(|| EvalError::Unsafe("unbound check var".into()))?,
-                };
+                tuple[i] = arg_value(arg, env)
+                    .ok_or_else(|| EvalError::Unsafe("unbound check var".into()))?;
             }
             let found = resolved[step_idx]
                 .rel
@@ -1258,6 +1264,32 @@ where
             };
             if expr.eval_bool_ids(env, ctx.dict, ctx.symbols) {
                 join(job, resolved, ctx, step_idx + 1, env, ticks, emit)?;
+            }
+            Ok(())
+        }
+        Step::Compat { item_idx, widen } => {
+            let atom = job.enc.body[*item_idx]
+                .as_ref()
+                .expect("compat step on non-compat item");
+            // The rows of Def. A.2's `comp` that agree with the bound
+            // sides. A null bound side leaves the other free for the next
+            // scan; the check step binds `v` once both are bound.
+            let null = TermId::NULL;
+            let (rows, n) = match [0, 1].map(|i| arg_value(&atom.args[i], env)) {
+                [Some(a), Some(b)] if a == b || a.is_null() || b.is_null() => {
+                    ([[a, b, if a.is_null() { b } else { a }]; 2], 1)
+                }
+                [Some(_), Some(_)] => return Ok(()),
+                [Some(s), None] if !s.is_null() => ([[s, s, s], [s, null, s]], 2),
+                [None, Some(s)] if !s.is_null() => ([[s, s, s], [null, s, s]], 2),
+                _ if *widen => return join(job, resolved, ctx, step_idx + 1, env, ticks, emit),
+                _ => return Err(EvalError::Unsafe("unbound compat side".into())),
+            };
+            for row in &rows[..n] {
+                if let Some(undo) = bind_atom(atom, row, env) {
+                    join(job, resolved, ctx, step_idx + 1, env, ticks, emit)?;
+                    unbind_atom(atom, undo, env);
+                }
             }
             Ok(())
         }
@@ -1293,6 +1325,14 @@ where
             }
             Ok(())
         }
+    }
+}
+
+/// An argument's value under `env`; `None` for a free variable.
+fn arg_value(arg: &EArg, env: &[Option<TermId>]) -> Option<TermId> {
+    match arg {
+        EArg::Id(id) => Some(*id),
+        EArg::Var(v) => env[*v as usize],
     }
 }
 

@@ -31,7 +31,7 @@
 
 use crate::database::Database;
 use crate::fxhash::FxHashSet;
-use crate::rule::{Atom, AtomArg, BodyItem, Program, Rule};
+use crate::rule::{arg_vars, Atom, AtomArg, BodyItem, Program, Rule};
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::Const;
 
@@ -183,7 +183,10 @@ pub fn magic_sets_rewrite_analyzed(
             });
             // Every demand rule (one per recursive occurrence) must be
             // safe: its head variables bound by the guard or by the
-            // kept prefix (positive atoms and assignments).
+            // kept prefix (positive atoms, assignments and compatibility
+            // items — a compatibility item binds its variables when one
+            // side is bound before it and the other before it or by a
+            // prefix atom, and refuses the candidate otherwise).
             let demand_ok = r.body.iter().enumerate().all(|(j, item)| {
                 let occ = match item {
                     BodyItem::Pos(a) if a.pred == p => a,
@@ -195,11 +198,25 @@ pub fn magic_sets_rewrite_analyzed(
                         bound.insert(*v);
                     }
                 }
-                for prev in &r.body[..j] {
+                let prefix = &r.body[..j];
+                let in_atom = |arg: &AtomArg| {
+                    (prefix.iter()).any(|i| matches!(i, BodyItem::Pos(a) if a.args.contains(arg)))
+                };
+                for prev in prefix {
                     match prev {
                         BodyItem::Pos(a) => bound.extend(a.vars()),
                         BodyItem::Assign(v, _) => {
                             bound.insert(*v);
+                        }
+                        BodyItem::Compat(args @ [x, y, _]) => {
+                            let known =
+                                |s: &AtomArg| !matches!(s, AtomArg::Var(v) if !bound.contains(v));
+                            if !(known(x) || known(y))
+                                || ![x, y].iter().all(|s| known(s) || in_atom(s))
+                            {
+                                return false;
+                            }
+                            bound.extend(arg_vars(args));
                         }
                         _ => {}
                     }
@@ -320,7 +337,9 @@ pub fn magic_sets_rewrite_analyzed(
                 }
                 let mut body = vec![BodyItem::Pos(guard.clone())];
                 body.extend(rule.body[..j].iter().filter_map(|prev| match prev {
-                    BodyItem::Pos(_) | BodyItem::Assign(..) => Some(prev.clone()),
+                    BodyItem::Pos(_) | BodyItem::Assign(..) | BodyItem::Compat(_) => {
+                        Some(prev.clone())
+                    }
                     // Dropping negations and filters over-approximates
                     // demand — sound, the magic set only grows.
                     BodyItem::Neg(_) | BodyItem::Cond(_) => None,

@@ -9,6 +9,7 @@
 //! p(X) :- q(X), not r(X).                  % stratified negation
 //! big(X) :- n(X), X > 10.                  % comparisons
 //! id(I, X) :- q(X), I = skolem("f", X).    % Skolem tuple IDs
+//! j(V) :- l(X), compat(X, Y, V), r(Y).     % compatibility (Def. A.2)
 //! cnt(C) :- q(X), C = count().             % aggregation
 //! @output("tc").                           % output directive
 //! @post("tc", "orderby(1)").               % post-processing
@@ -402,7 +403,11 @@ impl<'a> P<'a> {
             {
                 self.pos = save;
                 let atom = self.atom(b)?;
-                b.pos(atom.pred, atom.args);
+                match <[AtomArg; 3]>::try_from(atom.args) {
+                    Ok([x, y, v]) if name == "compat" => b.compat(x, y, v),
+                    Ok(args) => b.pos(atom.pred, Vec::from(args)),
+                    Err(args) => b.pos(atom.pred, args),
+                };
                 return Ok(());
             }
             self.pos = save;

@@ -30,7 +30,7 @@
 use crate::database::Mask;
 use crate::eval::EvalError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::rule::{Atom, AtomArg, BodyItem, Program, Rule, VarId};
+use crate::rule::{arg_vars, Atom, AtomArg, BodyItem, Program, Rule, VarId};
 use crate::stats::DbStats;
 use crate::stratify::stratify;
 use crate::symbols::{Sym, SymbolTable};
@@ -63,6 +63,12 @@ pub(crate) enum Step {
     Filter { item_idx: usize },
     /// Evaluate an assignment.
     Bind { item_idx: usize, var: VarId },
+    /// A `compat(a, b, v)` item. With `widen`, one side is bound: a
+    /// non-null bound side gives the other {that value, null} (and `v`
+    /// that value), a null one leaves it free for the next scan, whose
+    /// probe drops it from its key. Without, both sides are bound: a
+    /// check that binds `v`.
+    Compat { item_idx: usize, widen: bool },
 }
 
 impl Step {
@@ -72,7 +78,8 @@ impl Step {
             Step::Scan { item_idx, .. }
             | Step::Check { item_idx, .. }
             | Step::Filter { item_idx }
-            | Step::Bind { item_idx, .. } => *item_idx,
+            | Step::Bind { item_idx, .. }
+            | Step::Compat { item_idx, .. } => *item_idx,
         }
     }
 }
@@ -134,8 +141,10 @@ impl ProgramPlan {
     }
 
     /// Renders the plan for humans: per rule and delta variant the body
-    /// order and each atom step — its kind (`probe`, `exists` for a scan
-    /// that stops at the first match, `check` for a membership test),
+    /// order and one line per step — its kind (`probe`, `exists` for a
+    /// scan that stops at the first match, `check` and `check not` for
+    /// membership tests, `filter`, `bind`, and `compat widen` / `compat
+    /// check` for the two halves of a compatibility item) and, for scans,
     /// probe mask and cardinality estimate. The payload of the serving
     /// layer's `explain`.
     pub fn render(&self, program: &Program, symbols: &SymbolTable) -> String {
@@ -160,9 +169,9 @@ fn render_steps(out: &mut String, rp: &RulePlan) {
     let order: Vec<usize> = rp.steps.iter().map(Step::item_idx).collect();
     let _ = writeln!(out, "  order: {order:?}");
     for step in &rp.steps {
+        let item_idx = step.item_idx();
         let _ = match step {
             Step::Scan {
-                item_idx,
                 mask,
                 exists,
                 estimate,
@@ -174,12 +183,12 @@ fn render_steps(out: &mut String, rp: &RulePlan) {
                     "    {kind} item {item_idx} mask={mask:#b} est={estimate:.1}"
                 )
             }
-            Step::Check {
-                item_idx,
-                present: true,
-                ..
-            } => writeln!(out, "    check item {item_idx}"),
-            _ => Ok(()),
+            Step::Check { present: true, .. } => writeln!(out, "    check item {item_idx}"),
+            Step::Check { .. } => writeln!(out, "    check not item {item_idx}"),
+            Step::Filter { .. } => writeln!(out, "    filter item {item_idx}"),
+            Step::Bind { .. } => writeln!(out, "    bind item {item_idx}"),
+            Step::Compat { widen: true, .. } => writeln!(out, "    compat widen item {item_idx}"),
+            Step::Compat { .. } => writeln!(out, "    compat check item {item_idx}"),
         };
     }
 }
@@ -231,20 +240,24 @@ pub(crate) fn plan_rule(
     let nvars = rule.var_names.len();
     // Safety is a property of the rule text: a variable a negation,
     // condition or assignment reads must be bound by a positive atom or
-    // assignment before it. A safe body can always be ordered.
+    // assignment before it, and so must one side of a compatibility item.
+    // A safe body can always be ordered, unless no atom binds the other
+    // side of a compatibility item (checked once the order is done).
     let mut bound = vec![false; nvars];
     let mut vars = Vec::new();
     for item in &rule.body {
         vars.clear();
         reads(item, &mut vars);
-        if let BodyItem::Pos(_) = item {
-            vars.iter().for_each(|&v| bound[v as usize] = true);
-            continue;
-        }
-        if let Some(&v) = vars.iter().find(|&&v| !bound[v as usize]) {
+        let unbound = match item {
+            BodyItem::Pos(_) => None,
+            BodyItem::Compat([a, b, _]) => free_var(b, &bound).and(free_var(a, &bound)),
+            _ => vars.iter().copied().find(|&v| !bound[v as usize]),
+        };
+        if let Some(v) = unbound {
             let what = match item {
                 BodyItem::Neg(a) => format!("negated atom {}", symbols.resolve(a.pred)),
                 BodyItem::Cond(_) => "condition".into(),
+                BodyItem::Compat(_) => "compatibility".into(),
                 _ => "assignment".into(),
             };
             return Err(EvalError::Unsafe(format!(
@@ -252,11 +265,19 @@ pub(crate) fn plan_rule(
                 rule.var_names[v as usize]
             )));
         }
-        if let BodyItem::Assign(v, _) = item {
-            bound[*v as usize] = true;
+        match item {
+            BodyItem::Pos(_) | BodyItem::Compat(_) => {
+                vars.iter().for_each(|&v| bound[v as usize] = true)
+            }
+            BodyItem::Assign(v, _) => bound[*v as usize] = true,
+            _ => {}
         }
     }
     bound.fill(false);
+    // Variables a `compat` widen step gives {value, null} — or, after a
+    // null, leaves free: probes key on them, but only a scan binds them
+    // for certain.
+    let mut widened = vec![false; nvars];
     // Per variable: the step that binds it first (positive atoms only).
     let mut first = vec![usize::MAX; nvars];
     let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
@@ -267,25 +288,25 @@ pub(crate) fn plan_rule(
 
     while let Some(item_idx) = next
         .take()
-        .or_else(|| pick(rule, stats, &mut remaining, &bound, &mut vars))
+        .or_else(|| pick(rule, stats, &mut remaining, &bound, &widened, &mut vars))
     {
         let k = steps.len();
         steps.push(match &rule.body[item_idx] {
             BodyItem::Pos(a) => {
-                let mask = if pinned == Some(item_idx) {
+                let delta = pinned == Some(item_idx);
+                let mask = if delta {
                     0
                 } else {
-                    bound_mask(a, &bound)
+                    bound_mask(a, &bound, &widened)
                 };
-                vars.clear();
-                reads(&rule.body[item_idx], &mut vars);
-                for &v in &vars {
+                let complete = !delta && arg_vars(&a.args).all(|v| bound[v as usize]);
+                for v in arg_vars(&a.args) {
                     if !bound[v as usize] {
                         bound[v as usize] = true;
                         first[v as usize] = k;
                     }
                 }
-                if mask.count_ones() as usize == a.args.len() && pinned != Some(item_idx) {
+                if complete {
                     Step::Check {
                         item_idx,
                         pred: a.pred,
@@ -311,9 +332,22 @@ pub(crate) fn plan_rule(
                 bound[*v as usize] = true;
                 Step::Bind { item_idx, var: *v }
             }
+            BodyItem::Compat([a, b, v]) => {
+                let free = free_var(a, &bound).or(free_var(b, &bound));
+                match (free, v) {
+                    (Some(w), _) => widened[w as usize] = true,
+                    (None, AtomArg::Var(v)) => bound[*v as usize] = true,
+                    (None, AtomArg::Const(_)) => {}
+                }
+                let widen = free.is_some();
+                Step::Compat { item_idx, widen }
+            }
         });
     }
-    assert!(remaining.is_empty(), "a safe body places every item");
+    if let Some(i) = remaining.first() {
+        let what = format!("rule {rule_idx}: no atom binds a side of compatibility item {i}");
+        return Err(EvalError::Unsafe(what));
+    }
 
     // Walking back from the head, a scan is existence-only when nothing
     // after it reads a variable it binds first. Aggregates count matches,
@@ -348,38 +382,54 @@ pub(crate) fn plan_rule(
 }
 
 /// Removes and returns the next body item to place: a filter, assignment
-/// or negation as soon as its variables are bound (source order among
-/// the simultaneously ready), otherwise the positive atom with the
-/// smallest estimated probe cardinality — among the atoms sharing a bound
-/// variable while any does, so a cross product is planned only when
-/// nothing connected is left (independence estimates make two
-/// constant-heavy scans look cheaper than the join between them).
-/// `remaining` is in ascending source order and `min_by` keeps the first
-/// minimum, so exact ties resolve to source order. `None` when nothing
-/// can be placed.
+/// or negation as soon as its variables are bound, a compatibility item
+/// as soon as one side is (source order among the simultaneously ready),
+/// otherwise the positive atom with the smallest estimated probe
+/// cardinality — among the atoms sharing a bound variable while any
+/// does, so a cross product is planned only when nothing connected is
+/// left (independence estimates make two constant-heavy scans look
+/// cheaper than the join between them). A compatibility item with one
+/// side bound is placed as its widen step and stays, to be placed again
+/// as its check once both sides are bound. `remaining` is in ascending
+/// source order and `min_by` keeps the first minimum, so exact ties
+/// resolve to source order. `None` when nothing can be placed.
 fn pick(
     rule: &Rule,
     stats: &DbStats,
     remaining: &mut Vec<usize>,
     bound: &[bool],
+    widened: &[bool],
     vars: &mut Vec<VarId>,
 ) -> Option<usize> {
-    let ready = |&i: &usize| {
-        vars.clear();
-        reads(&rule.body[i], vars);
-        !matches!(rule.body[i], BodyItem::Pos(_)) && vars.iter().all(|&v| bound[v as usize])
+    let ready = |&i: &usize| match &rule.body[i] {
+        BodyItem::Pos(_) => false,
+        BodyItem::Compat([a, b, _]) => {
+            let (x, y) = (free_var(a, bound), free_var(b, bound));
+            x.and(y).is_none() && !x.or(y).is_some_and(|w| widened[w as usize])
+        }
+        item => {
+            vars.clear();
+            reads(item, vars);
+            vars.iter().all(|&v| bound[v as usize])
+        }
     };
     if let Some(k) = remaining.iter().position(ready) {
-        return Some(remaining.remove(k));
+        let widen = matches!(&rule.body[remaining[k]], BodyItem::Compat([a, b, _])
+            if free_var(a, bound).or(free_var(b, bound)).is_some());
+        return Some(if widen {
+            remaining[k]
+        } else {
+            remaining.remove(k)
+        });
     }
-    let connected =
-        |a: &Atom| (a.args.iter()).any(|arg| matches!(arg, AtomArg::Var(v) if bound[*v as usize]));
+    let known = |v: &VarId| bound[*v as usize] || widened[*v as usize];
+    let connected = |a: &Atom| arg_vars(&a.args).any(|v| known(&v));
     let any_connected =
         (remaining.iter()).any(|&i| matches!(&rule.body[i], BodyItem::Pos(a) if connected(a)));
     let (k, _) = (remaining.iter().enumerate())
         .filter_map(|(k, &i)| match &rule.body[i] {
             BodyItem::Pos(a) if connected(a) || !any_connected => {
-                Some((k, stats.estimate(a.pred, bound_mask(a, bound))))
+                Some((k, stats.estimate(a.pred, bound_mask(a, bound, widened))))
             }
             _ => None,
         })
@@ -387,27 +437,33 @@ fn pick(
     Some(remaining.remove(k))
 }
 
-/// Appends the variables a body item reads to `out`: an atom's, or an
-/// expression's (an assignment's target is bound by it, not read).
+/// Appends the variables a body item reads to `out`: an atom's or a
+/// compatibility item's, or an expression's (an assignment's target is
+/// bound by it, not read).
 fn reads(item: &BodyItem, out: &mut Vec<VarId>) {
     match item {
-        BodyItem::Pos(a) | BodyItem::Neg(a) => {
-            out.extend(a.args.iter().filter_map(|arg| match arg {
-                AtomArg::Var(v) => Some(*v),
-                AtomArg::Const(_) => None,
-            }))
-        }
+        BodyItem::Pos(a) | BodyItem::Neg(a) => out.extend(arg_vars(&a.args)),
+        BodyItem::Compat(args) => out.extend(arg_vars(args)),
         BodyItem::Cond(e) | BodyItem::Assign(_, e) => e.collect_vars(out),
     }
 }
 
-/// The bound-position mask an atom probes with under `bound`.
-fn bound_mask(atom: &Atom, bound: &[bool]) -> Mask {
+/// The variable of `arg` when it is one `bound` does not bind yet.
+fn free_var(arg: &AtomArg, bound: &[bool]) -> Option<VarId> {
+    match arg {
+        AtomArg::Var(v) if !bound[*v as usize] => Some(*v),
+        _ => None,
+    }
+}
+
+/// The mask an atom probes with: its constants and the variables bound
+/// or widened so far.
+fn bound_mask(atom: &Atom, bound: &[bool], widened: &[bool]) -> Mask {
     let mut mask: Mask = 0;
     for (i, arg) in atom.args.iter().enumerate() {
         let known = match arg {
             AtomArg::Const(_) => true,
-            AtomArg::Var(v) => bound[*v as usize],
+            AtomArg::Var(v) => bound[*v as usize] || widened[*v as usize],
         };
         if known {
             mask |= 1 << i;
@@ -583,7 +639,30 @@ mod tests {
         let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
         let text = plan.render(&prog, db.symbols());
         assert!(text.contains("exists item 1"), "{text}");
-        assert!(text.contains("check item 1"), "{text}");
+        assert!(text.contains("    check item 1"), "{text}");
+
+        // OPTIONAL's rules (Def. A.7): the join through a compatibility
+        // item, and the unmatched left rows padded with null. Every step
+        // kind prints a line.
+        let prog = parse_program(
+            "o(X, Y) :- big1(X, A), compat(A, B, Y), big2(B, Z), Z > 3.\n\
+             u(X, A, N) :- big1(X, A), not o(X, A), N = null.\n",
+            db.symbols(),
+        )
+        .unwrap();
+        let plan = plan_program(&prog, db.symbols(), &stats).unwrap();
+        let text = plan.render(&prog, db.symbols());
+        for line in [
+            "order: [0, 1, 2, 1, 3]",
+            "    compat widen item 1",
+            "    probe item 2 mask=0b1 est=",
+            "    compat check item 1",
+            "    filter item 3",
+            "    check not item 1",
+            "    bind item 2",
+        ] {
+            assert!(text.contains(line), "{line}:\n{text}");
+        }
     }
 
     #[test]
@@ -631,5 +710,21 @@ mod tests {
             err,
             EvalError::Unsafe("rule 0: variable X unbound in condition".into())
         );
+        // A compatibility item needs one side bound before it and an atom
+        // binding the other.
+        for (src, message) in [
+            (
+                "p(V) :- compat(A, B, V), q(A), q(B).\n",
+                "rule 0: variable A unbound in compatibility",
+            ),
+            (
+                "p(V) :- q(A), compat(A, B, V).\n",
+                "rule 0: no atom binds a side of compatibility item 1",
+            ),
+        ] {
+            let prog = parse_program(src, db.symbols()).unwrap();
+            let err = plan_program(&prog, db.symbols(), &DbStats::default()).unwrap_err();
+            assert_eq!(err, EvalError::Unsafe(message.into()));
+        }
     }
 }

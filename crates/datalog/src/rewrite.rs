@@ -7,7 +7,8 @@
 //! built — SP²Bench Q5a joins its two components through nothing else,
 //! so that join is a cross product. The pass works on every rule with a
 //! condition `x = y`, `x = c` or `sameTerm(x, y)` (top-level `&&` split
-//! first) over variables bound by positive atoms, in two steps:
+//! first) over variables bound by positive atoms or compatibility
+//! items, in two steps:
 //!
 //! 1. **Unfold.** Every IDB predicate the rule reads is inlined,
 //!    transitively, when it has exactly one defining rule — non-recursive,
@@ -36,7 +37,7 @@
 
 use crate::expr::{CmpOp, Expr};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::rule::{Atom, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
+use crate::rule::{arg_vars, Atom, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::Const;
 
@@ -133,20 +134,16 @@ impl Binding {
         };
         for item in &rule.body {
             match item {
-                BodyItem::Pos(a) => {
-                    for v in a.vars() {
-                        b.positive[v as usize] = true;
-                    }
-                }
                 BodyItem::Assign(v, _) => b.assigned[*v as usize] = true,
-                _ => {}
+                item => binds(item).for_each(|v| b.positive[v as usize] = true),
             }
         }
         b
     }
 
-    /// Only a variable a positive atom binds, and no assignment does, can
-    /// be unified away: its value is a stored term, compared by identity.
+    /// Only a variable a positive atom or compatibility item binds, and
+    /// no assignment does, can be unified away: its value is a stored
+    /// term, compared by identity.
     fn joinable(&self, v: VarId) -> bool {
         self.positive[v as usize] && !self.assigned[v as usize]
     }
@@ -331,13 +328,8 @@ fn unfold(consumer: Rule, j: usize, def: &Rule, round: usize) -> Result<Rule, Ru
     let mut positive = vec![false; n];
     let mut assigned = vec![0u32; n];
     let mut mark = |item: &BodyItem, off: VarId| match item {
-        BodyItem::Pos(a) => {
-            for v in a.vars() {
-                positive[(v + off) as usize] = true;
-            }
-        }
         BodyItem::Assign(v, _) => assigned[(v + off) as usize] += 1,
-        _ => {}
+        item => binds(item).for_each(|v| positive[(v + off) as usize] = true),
     };
     for (i, item) in consumer.body.iter().enumerate() {
         if i != j {
@@ -551,10 +543,8 @@ fn numeric_side_rule(rule: &Rule, i: usize, x: VarId, other: &AtomArg) -> Rule {
         AtomArg::Const(_) => None,
     });
     for v in vars {
-        let at = side
-            .body
-            .iter()
-            .position(|item| matches!(item, BodyItem::Pos(a) if a.args.contains(&AtomArg::Var(v))))
+        let at = (side.body.iter())
+            .position(|item| binds(item).any(|w| w == v))
             .expect("unifiable variables are positively bound");
         side.body.insert(
             at + 1,
@@ -564,14 +554,27 @@ fn numeric_side_rule(rule: &Rule, i: usize, x: VarId, other: &AtomArg) -> Rule {
     side
 }
 
+/// The variables a body item binds as a stored term: a positive atom's
+/// and a compatibility item's (its output is one of its sides).
+fn binds(item: &BodyItem) -> impl Iterator<Item = VarId> + '_ {
+    let args: &[AtomArg] = match item {
+        BodyItem::Pos(a) => &a.args,
+        BodyItem::Compat(args) => args,
+        _ => &[],
+    };
+    arg_vars(args)
+}
+
 // ---------------------------------------------------------- substitution
 
-fn subst_atom(atom: &mut Atom, f: &impl Fn(VarId) -> AtomArg) {
-    for arg in &mut atom.args {
-        if let AtomArg::Var(v) = arg {
-            *arg = f(*v);
-        }
+fn subst_arg(arg: &mut AtomArg, f: &impl Fn(VarId) -> AtomArg) {
+    if let AtomArg::Var(v) = arg {
+        *arg = f(*v);
     }
+}
+
+fn subst_atom(atom: &mut Atom, f: &impl Fn(VarId) -> AtomArg) {
+    atom.args.iter_mut().for_each(|arg| subst_arg(arg, f));
 }
 
 fn subst_item(item: &mut BodyItem, f: &impl Fn(VarId) -> AtomArg) {
@@ -585,6 +588,7 @@ fn subst_item(item: &mut BodyItem, f: &impl Fn(VarId) -> AtomArg) {
     };
     match item {
         BodyItem::Pos(a) | BodyItem::Neg(a) => subst_atom(a, f),
+        BodyItem::Compat(args) => args.iter_mut().for_each(|arg| subst_arg(arg, f)),
         BodyItem::Cond(e) => subst_expr(e),
         BodyItem::Assign(v, e) => {
             let AtomArg::Var(w) = f(*v) else {

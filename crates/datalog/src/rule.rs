@@ -37,11 +37,9 @@ impl Atom {
     /// The distinct variables of the atom.
     pub fn vars(&self) -> Vec<VarId> {
         let mut out = Vec::new();
-        for a in &self.args {
-            if let AtomArg::Var(v) = a {
-                if !out.contains(v) {
-                    out.push(*v);
-                }
+        for v in arg_vars(&self.args) {
+            if !out.contains(&v) {
+                out.push(v);
             }
         }
         out
@@ -61,6 +59,19 @@ pub enum BodyItem {
     /// An assignment `V = expr` binding a fresh variable. This is how the
     /// translation constructs Skolem tuple IDs (`ID = ["f2", X, ...]`).
     Assign(VarId, Expr),
+    /// `compat(a, b, v)`, the paper's `comp/3` (Def. A.2) as a comparison
+    /// of values: `a` and `b` are compatible when equal or either is
+    /// null, and `v` is the non-null one. One side must be bound before
+    /// it, and a positive atom must bind the other.
+    Compat([AtomArg; 3]),
+}
+
+/// The variables among `args`, in order (repeats kept).
+pub(crate) fn arg_vars(args: &[AtomArg]) -> impl Iterator<Item = VarId> + '_ {
+    args.iter().filter_map(|arg| match arg {
+        AtomArg::Var(v) => Some(*v),
+        AtomArg::Const(_) => None,
+    })
 }
 
 /// Aggregate functions (Vadalog-style post-fixpoint aggregation).
@@ -115,6 +126,7 @@ impl Rule {
         for item in &self.body {
             match item {
                 BodyItem::Pos(a) => bound.extend(a.vars()),
+                BodyItem::Compat(args) => bound.extend(arg_vars(args)),
                 BodyItem::Assign(v, _) => bound.push(*v),
                 _ => {}
             }
@@ -205,6 +217,10 @@ impl Rule {
                         .unwrap_or_else(|| format!("V{v}")),
                     e.display(&self.var_names, symbols)
                 )),
+                BodyItem::Compat(args) => {
+                    let args: Vec<String> = args.iter().map(fmt_arg).collect();
+                    parts.push(format!("compat({})", args.join(", ")))
+                }
             }
         }
         if self.body.is_empty() {
@@ -353,6 +369,12 @@ impl RuleBuilder {
     /// Appends an assignment.
     pub fn assign(&mut self, var: VarId, e: Expr) -> &mut Self {
         self.body.push(BodyItem::Assign(var, e));
+        self
+    }
+
+    /// Appends a compatibility item `compat(a, b, v)`.
+    pub fn compat(&mut self, a: AtomArg, b: AtomArg, v: AtomArg) -> &mut Self {
+        self.body.push(BodyItem::Compat([a, b, v]));
         self
     }
 

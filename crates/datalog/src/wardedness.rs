@@ -74,18 +74,10 @@ fn affected_positions(program: &Program) -> FxHashSet<(Sym, usize)> {
         let mut changed = false;
         for rule in &program.rules {
             for (i, arg) in rule.head.args.iter().enumerate() {
-                let v = match arg {
-                    AtomArg::Var(v) => *v,
-                    AtomArg::Const(_) => continue,
-                };
-                if affected.contains(&(rule.head.pred, i)) {
-                    continue;
-                }
-                let occurrences = body_occurrences(rule, v);
-                if !occurrences.is_empty()
-                    && occurrences.iter().all(|pos| affected.contains(pos))
-                    && affected.insert((rule.head.pred, i))
-                {
+                let AtomArg::Var(v) = arg else { continue };
+                let pos = (rule.head.pred, i);
+                if !affected.contains(&pos) && only_affected(rule, *v, &affected) {
+                    affected.insert(pos);
                     changed = true;
                 }
             }
@@ -110,19 +102,27 @@ fn existential_like_vars(rule: &Rule) -> FxHashSet<VarId> {
     out
 }
 
-/// The `(pred, position)` pairs where `v` occurs in positive body atoms.
-fn body_occurrences(rule: &Rule, v: VarId) -> Vec<(Sym, usize)> {
-    let mut out = Vec::new();
+/// True when `v` occurs in the body only at affected positions of
+/// positive atoms. A compatibility item reads no relation; its
+/// positions count as unaffected, like an extensional atom's.
+fn only_affected(rule: &Rule, v: VarId, affected: &FxHashSet<(Sym, usize)>) -> bool {
+    let mut seen = false;
     for item in &rule.body {
-        if let BodyItem::Pos(a) = item {
-            for (i, arg) in a.args.iter().enumerate() {
-                if matches!(arg, AtomArg::Var(w) if *w == v) {
-                    out.push((a.pred, i));
+        let (pred, args) = match item {
+            BodyItem::Pos(a) => (Some(a.pred), &a.args[..]),
+            BodyItem::Compat(args) => (None, &args[..]),
+            _ => continue,
+        };
+        for (i, arg) in args.iter().enumerate() {
+            if *arg == AtomArg::Var(v) {
+                seen = true;
+                if !pred.is_some_and(|p| affected.contains(&(p, i))) {
+                    return false;
                 }
             }
         }
     }
-    out
+    seen
 }
 
 /// Checks one rule; returns a violation description if it is not warded.
@@ -136,8 +136,7 @@ fn check_rule(
     let head_vars: FxHashSet<VarId> = rule.head.vars().into_iter().collect();
     let mut dangerous: Vec<VarId> = Vec::new();
     for &v in &head_vars {
-        let occ = body_occurrences(rule, v);
-        if !occ.is_empty() && occ.iter().all(|p| affected.contains(p)) {
+        if only_affected(rule, v, affected) {
             dangerous.push(v);
         }
     }
@@ -170,8 +169,7 @@ fn check_rule(
                 if !ward_vars.contains(&v) {
                     continue;
                 }
-                let occ = body_occurrences(rule, v);
-                if occ.iter().all(|p| affected.contains(p)) {
+                if only_affected(rule, v, affected) {
                     continue 'candidates;
                 }
             }

@@ -326,6 +326,35 @@ fn paper_figure2_shape_runs() {
 }
 
 #[test]
+fn compat_joins_through_nulls() {
+    // Def. A.2 without the `comp` relation: a null side is compatible
+    // with every value, and the output is the non-null side. `l` and `r`
+    // are derived, so the semi-naive round runs both delta variants —
+    // one widening `B` from `A`, the other `A` from `B`.
+    let (db, prog) = run(r#"
+        lbase(1). lbase(null).
+        rbase(1). rbase(2). rbase(null).
+        l(X) :- lbase(X).
+        r(X) :- rbase(X).
+        j(A, B, V) :- l(A), compat(A, B, V), r(B).
+        @output("j").
+    "#);
+    let mut out = output_strings(&db, &prog, "j");
+    out.sort();
+    let row = |r: [&str; 3]| r.map(String::from).to_vec();
+    assert_eq!(
+        out,
+        [
+            row(["1", "1", "1"]),
+            row(["1", "null", "1"]),
+            row(["null", "1", "1"]),
+            row(["null", "2", "2"]),
+            row(["null", "null", "null"]),
+        ]
+    );
+}
+
+#[test]
 fn warded_report_on_translated_shape() {
     let db = Database::new();
     let prog = parse_program(

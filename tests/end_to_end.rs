@@ -152,9 +152,10 @@ fn sp2bench_cross_engine_agreement() {
     }
 }
 
-/// True unless the rule's positive atoms fall into several components
-/// with no variable in common — a product — of which some component binds
-/// no variable the rule requires to be numeric. Only the filter-equality
+/// True unless the rule's positive atoms, linked through compatibility
+/// items, fall into several components with no variable in common — a
+/// product — of which some component binds no variable the rule
+/// requires to be numeric. Only the filter-equality
 /// rewrite's numeric side rule may keep a product, and there every
 /// component dies on string values before the product forms.
 fn product_is_guarded(rule: &sparqlog_datalog::Rule) -> bool {
@@ -164,6 +165,15 @@ fn product_is_guarded(rule: &sparqlog_datalog::Rule) -> bool {
         .iter()
         .filter_map(|i| match i {
             BodyItem::Pos(a) => Some(a.vars()),
+            // A compatibility item links its two sides, as `comp` did.
+            BodyItem::Compat(args) => Some(
+                args.iter()
+                    .filter_map(|arg| match arg {
+                        sparqlog_datalog::AtomArg::Var(v) => Some(*v),
+                        sparqlog_datalog::AtomArg::Const(_) => None,
+                    })
+                    .collect(),
+            ),
             _ => None,
         })
         .collect();
