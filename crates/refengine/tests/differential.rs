@@ -23,9 +23,13 @@ fn dataset() -> Dataset {
 }
 
 fn compare(query: &str) {
+    compare_on(&dataset(), query)
+}
+
+fn compare_on(ds: &Dataset, query: &str) {
     let sl = Store::new();
-    sl.load_dataset(&dataset()).unwrap();
-    let fu = FusekiSim::new(dataset());
+    sl.load_dataset(ds).unwrap();
+    let fu = FusekiSim::new(ds.clone());
 
     let a = sl
         .execute(query)
@@ -107,6 +111,68 @@ fn fixed_query_battery() {
         "PREFIX ex: <http://e/> SELECT * WHERE { { { ?s ex:p ?o } UNION { ?o ex:q ?z } } { ?s ex:name ?n } }",
     ] {
         compare(q);
+    }
+}
+
+/// A default graph and two named graphs that share subjects and
+/// predicates, so `GRAPH ?g` has to keep the graphs apart: `<http://g/1>`
+/// holds a `p`-cycle, `<http://g/2>` a `p`-chain, and `ex:a ex:p ex:b`
+/// sits in the default graph and in `<http://g/1>`.
+const QUADS: &str = r#"
+<http://e/a> <http://e/p> <http://e/b> .
+<http://e/x> <http://e/name> "Xan" .
+<http://e/a> <http://e/p> <http://e/b> <http://g/1> .
+<http://e/b> <http://e/p> <http://e/c> <http://g/1> .
+<http://e/c> <http://e/p> <http://e/a> <http://g/1> .
+<http://e/a> <http://e/q> <http://e/c> <http://g/1> .
+<http://e/b> <http://e/name> "Ben" <http://g/1> .
+<http://e/a> <http://e/age> "30"^^<http://www.w3.org/2001/XMLSchema#integer> <http://g/1> .
+<http://e/a> <http://e/p> <http://e/c> <http://g/2> .
+<http://e/c> <http://e/p> <http://e/d> <http://g/2> .
+<http://e/d> <http://e/q> <http://e/a> <http://g/2> .
+<http://e/a> <http://e/name> "Anna" <http://g/2> .
+<http://e/c> <http://e/name> "Cem" <http://g/2> .
+<http://e/c> <http://e/age> "25"^^<http://www.w3.org/2001/XMLSchema#integer> <http://g/2> .
+"#;
+
+/// Every operator under a graph variable: the translation threads `?g`
+/// through each rule as the graph column, ranges it over `named` where
+/// nothing else binds it, and adds it to every bag-semantics tuple ID.
+#[test]
+fn graph_variable_battery() {
+    let ds = sparqlog_rdf::nquads::parse(QUADS).unwrap();
+    for q in [
+        "PREFIX ex: <http://e/> SELECT ?g ?s ?o WHERE { GRAPH ?g { ?s ex:p ?o } }",
+        "SELECT ?g WHERE { GRAPH ?g { } }",
+        // Zero-length paths: a constant subject, a constant object, both free.
+        "PREFIX ex: <http://e/> SELECT ?g ?y WHERE { GRAPH ?g { ex:a ex:p* ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?x WHERE { GRAPH ?g { ?x ex:p* ex:a } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?x ?y WHERE { GRAPH ?g { ?x ex:p* ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?y WHERE { GRAPH ?g { ex:a ex:p+ ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?y WHERE { GRAPH ?g { ex:a ex:p? ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?x ?y WHERE { GRAPH ?g { ?x ex:p/ex:q ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?y WHERE { GRAPH ?g { ex:a (ex:p|ex:q) ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?x ?y WHERE { GRAPH ?g { ?x ^ex:p ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?x ?y WHERE { GRAPH ?g { ?x !(ex:p) ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?x ?y WHERE { GRAPH ?g { ?x !(^ex:p) ?y } }",
+        "PREFIX ex: <http://e/> SELECT ?g ?y WHERE { GRAPH ?g { ex:a ex:p{0,2} ?y } }",
+        // The binary operators.
+        "PREFIX ex: <http://e/> SELECT * WHERE { GRAPH ?g { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { GRAPH ?g { ?s ex:p ?o OPTIONAL { ?o ex:p ?z FILTER (?z != ex:a) } } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { GRAPH ?g { ?s ex:p ?o MINUS { ?s ex:q ?z } } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { GRAPH ?g { { ?s ex:p ex:c } UNION { ?s ex:q ?o } } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { GRAPH ?g { ?s ex:age ?a FILTER (?a > 26) } }",
+        // Joins across graph blocks: two graph variables, then one shared.
+        "PREFIX ex: <http://e/> SELECT * WHERE { GRAPH ?g { ?s ex:p ?o } GRAPH ?h { ?o ex:name ?n } }",
+        "PREFIX ex: <http://e/> SELECT * WHERE { GRAPH ?g { ?s ex:p ?o } GRAPH ?g { ?o ex:name ?n } }",
+        // The default graph joined with a named one.
+        "PREFIX ex: <http://e/> SELECT ?g ?o WHERE { ex:a ex:p ?o GRAPH ?g { ex:a ex:p ?o } }",
+        // ASK and GROUP BY over a graph variable.
+        "PREFIX ex: <http://e/> ASK { GRAPH ?g { ex:c ex:p ex:d } }",
+        "PREFIX ex: <http://e/> ASK { GRAPH ?g { ex:d ex:p ex:a } }",
+        "SELECT ?g (COUNT(*) AS ?c) WHERE { GRAPH ?g { ?s ?p ?o } } GROUP BY ?g",
+    ] {
+        compare_on(&ds, q);
     }
 }
 
