@@ -29,8 +29,8 @@
 use std::sync::Arc;
 
 use sparqlog_datalog::{
-    unify_equalities, AggSpec, AtomArg, Const, Expr as DExpr, PostOp, Program, RuleBuilder, Sym,
-    SymbolTable,
+    unify_equalities, AggSpec, AtomArg, CmpOp, Const, Expr as DExpr, PostOp, Program, RuleBuilder,
+    Sym, SymbolTable,
 };
 use sparqlog_sparql::{
     AggFunc as SAgg, Expr as SExpr, GraphPattern, GraphSpec, OrderCondition, PropertyPath, Query,
@@ -142,23 +142,6 @@ struct Translator {
     rule_seq: usize,
 }
 
-/// `compat({left}x, r2_x, {out}x)` for every shared variable `x`, placed
-/// before the right answer atom: once the left side binds `{left}x` the
-/// planner widens `r2_x` to {that value, null}, so the right atom is an
-/// index lookup, not a cross product.
-fn compat_shared(b: &mut RuleBuilder, shared: &[&Var], left: &str, out: &str) {
-    for v in shared {
-        let [l, r, o] = [left, "r2_", out].map(|p| b.v(&format!("{p}{}", v.name())));
-        b.compat(l, r, o);
-    }
-}
-
-/// Binds variable `name` to null: Def. A.2's positive `null(name)`.
-fn null_pad(b: &mut RuleBuilder, name: &str) {
-    let var = b.var(name);
-    b.assign(var, DExpr::Const(Const::Null));
-}
-
 /// The nil tuple ID `[]` forcing set semantics (§5.2).
 fn nil_id(symbols: &SymbolTable) -> Const {
     Const::skolem(symbols.intern("[]"), Vec::new())
@@ -170,6 +153,166 @@ fn sig(p: &GraphPattern) -> Vec<Var> {
     let mut vs = p.vars();
     vs.sort();
     vs
+}
+
+/// The sorted union `var(P1) ∪ var(P2)`.
+fn union(v1: &[Var], v2: &[Var]) -> Vec<Var> {
+    let mut u = [v1, v2].concat();
+    u.sort();
+    u.dedup();
+    u
+}
+
+/// The variables of `v1` that `v2` shares.
+fn shared<'a>(v1: &'a [Var], v2: &[Var]) -> Vec<&'a Var> {
+    v1.iter().filter(|v| v2.contains(v)).collect()
+}
+
+/// A column list with a renaming: variable `x` of `vars` is the column
+/// `{prefix}x`, or `{renamed}x` when `x` is one of `shared` — the
+/// renamings `v1`/`v2` of Def. A.5, `w2` of Def. A.10 and the compat
+/// outputs `z` of Def. A.9.
+#[derive(Clone, Copy)]
+struct Cols<'a> {
+    vars: &'a [Var],
+    prefix: &'a str,
+    shared: &'a [&'a Var],
+    renamed: &'a str,
+}
+
+impl<'a> Cols<'a> {
+    fn new(vars: &'a [Var], prefix: &'a str) -> Self {
+        Cols {
+            vars,
+            prefix,
+            shared: &[],
+            renamed: "",
+        }
+    }
+
+    /// Every variable `x` as the column `v_x`.
+    fn v(vars: &'a [Var]) -> Self {
+        Cols::new(vars, "v_")
+    }
+
+    /// The same columns with the `shared` variables renamed to `{renamed}x`.
+    fn rename(self, shared: &'a [&'a Var], renamed: &'a str) -> Self {
+        Cols {
+            shared,
+            renamed,
+            ..self
+        }
+    }
+
+    /// The column of the variable called `name`; `None` outside `vars`.
+    fn col(&self, name: &str) -> Option<String> {
+        let prefix = if self.shared.iter().any(|v| v.name() == name) {
+            self.renamed
+        } else if self.vars.iter().any(|v| v.name() == name) {
+            self.prefix
+        } else {
+            return None;
+        };
+        Some(format!("{prefix}{name}"))
+    }
+
+    fn names(&self) -> Vec<String> {
+        self.vars
+            .iter()
+            .filter_map(|v| self.col(v.name()))
+            .collect()
+    }
+}
+
+/// Where an answer atom goes in a rule.
+#[derive(Clone, Copy)]
+enum Slot {
+    Head,
+    Pos,
+    Neg,
+}
+
+/// The answer-atom template `pred(Id, cols…, D)` of §5.1, placed at
+/// `slot` (the ID-less auxiliary predicates `ans_opt`, `ans_join` and
+/// `ans_equal` pass no `id`). Returns the names that feed
+/// `push_with_id`: the ID and the columns.
+fn ans(
+    b: &mut RuleBuilder,
+    slot: Slot,
+    pred: Sym,
+    id: Option<&str>,
+    cols: &[String],
+    ctx: &GraphCtx,
+) -> Vec<String> {
+    let feeds: Vec<String> = id
+        .map(str::to_string)
+        .into_iter()
+        .chain(cols.iter().cloned())
+        .collect();
+    let mut args: Vec<AtomArg> = feeds.iter().map(|n| b.v(n)).collect();
+    args.push(ctx.arg(b));
+    match slot {
+        Slot::Head => b.head(pred, args),
+        Slot::Pos => b.pos(pred, args),
+        Slot::Neg => b.neg(pred, args),
+    };
+    feeds
+}
+
+/// `compat({left}x, r2_x, {out}x)` for every shared variable `x`, placed
+/// before the right answer atom: once the left side binds `{left}x` the
+/// planner widens `r2_x` to {that value, null}, so the right atom is an
+/// index lookup, not a cross product.
+fn compat_shared(b: &mut RuleBuilder, shared: &[&Var], left: &str, out: &str) {
+    for v in shared {
+        let [l, r, o] = [left, "r2_", out].map(|p| b.v(&format!("{p}{}", v.name())));
+        b.compat(l, r, o);
+    }
+}
+
+/// Binds `v_x` to null — Def. A.2's positive `null(v_x)` — for every
+/// `x` of `vars` missing from `present`.
+fn pad(b: &mut RuleBuilder, vars: &[Var], present: &[Var]) {
+    for v in vars.iter().filter(|v| !present.contains(v)) {
+        let var = b.var(&format!("v_{}", v.name()));
+        b.assign(var, DExpr::Const(Const::Null));
+    }
+}
+
+impl GraphCtx {
+    /// The graph argument `D` of an atom.
+    fn arg(&self, b: &mut RuleBuilder) -> AtomArg {
+        match self {
+            GraphCtx::Const(c) => AtomArg::Const(c.clone()),
+            GraphCtx::Var(name) => b.v(name),
+        }
+    }
+
+    /// Adds the graph variable, if any, to the names feeding a tuple ID.
+    fn feed(&self, feeds: &mut Vec<String>) {
+        if let GraphCtx::Var(name) = self {
+            if !feeds.contains(name) {
+                feeds.push(name.clone());
+            }
+        }
+    }
+}
+
+/// An argument of a path rule: a named variable or a constant.
+enum Arg<'a> {
+    V(&'a str),
+    C(Const),
+}
+
+use Arg::{C, V};
+
+impl Arg<'_> {
+    fn atom_arg(&self, b: &mut RuleBuilder) -> AtomArg {
+        match self {
+            V(name) => b.v(name),
+            C(c) => AtomArg::Const(c.clone()),
+        }
+    }
 }
 
 impl Translator {
@@ -190,6 +333,47 @@ impl Translator {
 
     fn pred(&self, name: &str) -> Sym {
         self.symbols.intern(name)
+    }
+
+    /// The index of the only child of subpattern `idx`.
+    fn child(&mut self, idx: u64) -> u64 {
+        2 * idx
+    }
+
+    /// The indices of the two children of subpattern `idx`.
+    fn kids(&mut self, idx: u64) -> [u64; 2] {
+        [2 * idx, 2 * idx + 1]
+    }
+
+    /// Starts a rule with the head `ans_idx(Id, v_x̄, D)`.
+    fn rule(&self, idx: u64, vars: &[Var], ctx: &GraphCtx) -> RuleBuilder {
+        let mut b = RuleBuilder::new();
+        ans(
+            &mut b,
+            Slot::Head,
+            self.ans_pred(idx),
+            Some("Id"),
+            &Cols::v(vars).names(),
+            ctx,
+        );
+        b
+    }
+
+    /// Adds `Id = skolem(f, feeds…)` (bag) or `Id = []` (set) and emits
+    /// the rule.
+    fn push_with_id(&mut self, mut b: RuleBuilder, dst: bool, feeds: &[String], idx: u64) {
+        let id = b.var("Id");
+        let value = if dst {
+            DExpr::Const(nil_id(&self.symbols))
+        } else {
+            let functor = self.next_functor(idx);
+            DExpr::Skolem(
+                functor,
+                feeds.iter().map(|n| DExpr::Var(b.var(n))).collect(),
+            )
+        };
+        b.assign(id, value);
+        self.program.rules.push(b.build());
     }
 
     // ------------------------------------------------------------ entry
@@ -244,14 +428,7 @@ impl Translator {
             }
             QueryForm::Select { items, .. } => {
                 let cols = if query.has_aggregates() {
-                    self.translate_select_aggregate(
-                        root_pred,
-                        query,
-                        items,
-                        &pattern_vars,
-                        &ctx,
-                        dst,
-                    )?
+                    self.translate_select_aggregate(root_pred, query, items, &pattern_vars, &ctx)?
                 } else {
                     let proj = query.projection();
                     self.translate_select(root_pred, &proj, &query.pattern, &ctx, dst)?;
@@ -323,32 +500,18 @@ impl Translator {
     ) -> Result<(), TranslationError> {
         let pattern_vars = sig(pattern);
         let mut b = RuleBuilder::new();
-        let mut head = vec![AtomArg::Var(b.var("Id"))];
-        for v in projection {
-            head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-        }
-        head.push(self.gctx_arg(&mut b, ctx));
-        b.head(root_pred, head);
-
-        let mut body_vars: Vec<String> = vec!["Id1".into()];
-        let mut args = vec![AtomArg::Var(b.var("Id1"))];
-        for v in &pattern_vars {
-            let n = format!("v_{}", v.name());
-            args.push(AtomArg::Var(b.var(&n)));
-            body_vars.push(n);
-        }
-        args.push(self.gctx_arg(&mut b, ctx));
-        b.pos(self.ans_pred(1), args);
-
-        // Projected variables not bound by the pattern: null-pad.
-        for v in projection {
-            if !pattern_vars.contains(v) {
-                null_pad(&mut b, &format!("v_{}", v.name()));
-            }
-        }
-
-        self.assign_id(&mut b, "Id", dst, &body_vars, 0);
-        self.program.rules.push(b.build());
+        ans(
+            &mut b,
+            Slot::Head,
+            root_pred,
+            Some("Id"),
+            &Cols::v(projection).names(),
+            ctx,
+        );
+        let body = Cols::v(&pattern_vars).names();
+        let feeds = ans(&mut b, Slot::Pos, self.ans_pred(1), Some("Id1"), &body, ctx);
+        pad(&mut b, projection, &pattern_vars);
+        self.push_with_id(b, dst, &feeds, 0);
         Ok(())
     }
 
@@ -361,7 +524,6 @@ impl Translator {
         items: &[SelectItem],
         pattern_vars: &[Var],
         ctx: &GraphCtx,
-        _dst: bool,
     ) -> Result<Vec<Var>, TranslationError> {
         let aggs: Vec<&SelectItem> = items
             .iter()
@@ -373,17 +535,20 @@ impl Translator {
             ));
         }
         let mut b = RuleBuilder::new();
-        let mut columns = Vec::new();
-        let mut head = vec![AtomArg::Var(b.var("Id"))];
-        let mut agg_spec: Option<AggSpec> = None;
-
+        let id = b.var("Id");
         // Body: the pattern's answer predicate.
-        let mut body_args = vec![AtomArg::Var(b.var("Id1"))];
-        for v in pattern_vars {
-            body_args.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-        }
-        body_args.push(self.gctx_arg(&mut b, ctx));
-
+        let scope = Cols::v(pattern_vars);
+        ans(
+            &mut b,
+            Slot::Pos,
+            self.ans_pred(1),
+            Some("Id1"),
+            &scope.names(),
+            ctx,
+        );
+        let mut columns = Vec::new();
+        let mut head = vec![AtomArg::Var(id)];
+        let mut agg_spec: Option<AggSpec> = None;
         for item in items {
             match item {
                 SelectItem::Var(v) => {
@@ -395,7 +560,7 @@ impl Translator {
                         });
                     }
                     columns.push(v.clone());
-                    head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
+                    head.push(b.v(&format!("v_{}", v.name())));
                 }
                 SelectItem::Aggregate {
                     var,
@@ -408,15 +573,7 @@ impl Translator {
                     head.push(AtomArg::Var(result));
                     let input = match arg {
                         None => None,
-                        Some(e) => {
-                            let scope_vars: Vec<Var> = pattern_vars.to_vec();
-                            Some(self.translate_expr(e, &mut b, &|name| {
-                                scope_vars
-                                    .iter()
-                                    .any(|v| v.name() == name)
-                                    .then(|| format!("v_{name}"))
-                            })?)
-                        }
+                        Some(e) => Some(self.translate_expr(e, &mut b, scope)?),
                     };
                     agg_spec = Some(AggSpec {
                         func: match func {
@@ -433,11 +590,9 @@ impl Translator {
                 }
             }
         }
-        head.push(self.gctx_arg(&mut b, ctx));
+        head.push(ctx.arg(&mut b));
         b.head(root_pred, head);
-        b.pos(self.ans_pred(1), body_args);
         // Aggregate rows form a set: nil ID.
-        let id = b.var("Id");
         b.assign(id, DExpr::Const(nil_id(&self.symbols)));
         b.aggregate(agg_spec.expect("checked aggregate present"));
         self.program.rules.push(b.build());
@@ -453,62 +608,23 @@ impl Translator {
     ) -> Result<(), TranslationError> {
         let ask_pred = self.aux_pred("ask", 1);
         // ans_ask(true) :- ans1(Id1, vars, D).
-        {
-            let mut b = RuleBuilder::new();
-            b.head(ask_pred, vec![AtomArg::Const(Const::Bool(true))]);
-            let mut args = vec![AtomArg::Var(b.var("Id1"))];
-            for v in sig(pattern) {
-                args.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(1), args);
-            self.program.rules.push(b.build());
-        }
+        let mut b = RuleBuilder::new();
+        b.head(ask_pred, vec![AtomArg::Const(Const::Bool(true))]);
+        let body = Cols::v(&sig(pattern)).names();
+        ans(&mut b, Slot::Pos, self.ans_pred(1), Some("Id1"), &body, ctx);
+        self.program.rules.push(b.build());
         // ans(H) :- ans_ask(H).
-        {
-            let mut b = RuleBuilder::new();
-            let h = b.v("H");
-            b.head(root_pred, vec![h]);
-            let h2 = b.v("H");
-            b.pos(ask_pred, vec![h2]);
-            self.program.rules.push(b.build());
-        }
+        let mut b = RuleBuilder::new();
+        let h = b.v("H");
+        b.head(root_pred, vec![h.clone()]);
+        b.pos(ask_pred, vec![h]);
+        self.program.rules.push(b.build());
         // ans(false) :- not ans_ask(true).
-        {
-            let mut b = RuleBuilder::new();
-            b.head(root_pred, vec![AtomArg::Const(Const::Bool(false))]);
-            b.neg(ask_pred, vec![AtomArg::Const(Const::Bool(true))]);
-            self.program.rules.push(b.build());
-        }
+        let mut b = RuleBuilder::new();
+        b.head(root_pred, vec![AtomArg::Const(Const::Bool(false))]);
+        b.neg(ask_pred, vec![AtomArg::Const(Const::Bool(true))]);
+        self.program.rules.push(b.build());
         Ok(())
-    }
-
-    // ---------------------------------------------------------- helpers
-
-    fn gctx_arg(&self, b: &mut RuleBuilder, ctx: &GraphCtx) -> AtomArg {
-        match ctx {
-            GraphCtx::Const(c) => AtomArg::Const(c.clone()),
-            GraphCtx::Var(name) => AtomArg::Var(b.var(name)),
-        }
-    }
-
-    /// Adds `Id = skolem(f, vars...)` (bag) or `Id = []` (set).
-    fn assign_id(
-        &mut self,
-        b: &mut RuleBuilder,
-        id_name: &str,
-        dst: bool,
-        body_vars: &[String],
-        idx: u64,
-    ) {
-        let id = b.var(id_name);
-        if dst {
-            b.assign(id, DExpr::Const(nil_id(&self.symbols)));
-        } else {
-            let functor = self.next_functor(idx);
-            let args: Vec<DExpr> = body_vars.iter().map(|n| DExpr::Var(b.var(n))).collect();
-            b.assign(id, DExpr::Skolem(functor, args));
-        }
     }
 
     fn term_pattern_arg(
@@ -533,6 +649,7 @@ impl Translator {
 
     /// The translation function τ(P, dst, D, idx) of Figure 5 / Defs
     /// A.3–A.11. `force_set` propagates the set-ID regime of range paths.
+    /// Every rule derives `ans_idx(Id, v_x̄, D)` with `x̄ = sig(P)`.
     fn tau(
         &mut self,
         p: &GraphPattern,
@@ -542,171 +659,94 @@ impl Translator {
         force_set: bool,
     ) -> Result<(), TranslationError> {
         let dst = dst || force_set;
-        match p {
+        let vars = sig(p);
+        let children: Vec<(&GraphPattern, u64)> = match p {
             GraphPattern::Empty => {
                 // The empty group yields exactly the empty mapping μ0.
-                let mut b = RuleBuilder::new();
-                let head = vec![AtomArg::Var(b.var("Id")), self.gctx_arg(&mut b, ctx)];
-                b.head(self.ans_pred(idx), head);
+                let mut b = self.rule(idx, &vars, ctx);
                 if let GraphCtx::Var(name) = ctx {
-                    let g = b.var(name);
-                    b.pos(self.pred(preds::NAMED), vec![AtomArg::Var(g)]);
+                    let g = b.v(name);
+                    b.pos(self.pred(preds::NAMED), vec![g]);
                 }
-                self.assign_id(&mut b, "Id", dst, &[], idx);
-                self.program.rules.push(b.build());
-                Ok(())
+                self.push_with_id(b, dst, &[], idx);
+                vec![]
             }
             GraphPattern::Triple(t) => {
                 // Def. A.3.
-                let vars = sig(p);
-                let mut b = RuleBuilder::new();
-                let mut head = vec![AtomArg::Var(b.var("Id"))];
-                for v in &vars {
-                    head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-                }
-                head.push(self.gctx_arg(&mut b, ctx));
-                b.head(self.ans_pred(idx), head);
-
-                let mut bound: Vec<String> = Vec::new();
-                let s = self.term_pattern_arg(&mut b, &t.subject, &mut bound);
-                let pr = self.term_pattern_arg(&mut b, &t.predicate, &mut bound);
-                let o = self.term_pattern_arg(&mut b, &t.object, &mut bound);
-                let d = self.gctx_arg(&mut b, ctx);
-                if let GraphCtx::Var(name) = ctx {
-                    if !bound.contains(name) {
-                        bound.push(name.clone());
-                    }
-                }
+                let mut b = self.rule(idx, &vars, ctx);
+                let mut feeds = Vec::new();
+                let s = self.term_pattern_arg(&mut b, &t.subject, &mut feeds);
+                let pr = self.term_pattern_arg(&mut b, &t.predicate, &mut feeds);
+                let o = self.term_pattern_arg(&mut b, &t.object, &mut feeds);
+                let d = ctx.arg(&mut b);
+                ctx.feed(&mut feeds);
                 b.pos(self.pred(preds::TRIPLE), vec![s, pr, o, d]);
-                self.assign_id(&mut b, "Id", dst, &bound, idx);
-                self.program.rules.push(b.build());
-                Ok(())
+                self.push_with_id(b, dst, &feeds, idx);
+                vec![]
             }
             GraphPattern::Join(p1, p2) => {
-                self.translate_join(p1, p2, dst, ctx, idx)?;
-                self.tau(p1, dst, ctx, 2 * idx, force_set)?;
-                self.tau(p2, dst, ctx, 2 * idx + 1, force_set)
+                let [l, r] = self.kids(idx);
+                self.join_rule(idx, [(l, &sig(p1)), (r, &sig(p2))], &[], dst, ctx)?;
+                vec![(p1, l), (p2, r)]
             }
             GraphPattern::Union(p1, p2) => {
-                // Def. A.6.
-                let vars = sig(p);
-                for (child, child_idx) in [(p1, 2 * idx), (p2, 2 * idx + 1)] {
+                // Def. A.6: each branch, null-padded to the union's columns.
+                let [l, r] = self.kids(idx);
+                for (child, c) in [(p1, l), (p2, r)] {
                     let child_vars = sig(child);
-                    let mut b = RuleBuilder::new();
-                    let mut head = vec![AtomArg::Var(b.var("Id"))];
-                    for v in &vars {
-                        head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-                    }
-                    head.push(self.gctx_arg(&mut b, ctx));
-                    b.head(self.ans_pred(idx), head);
-
-                    let mut body_vars: Vec<String> = vec!["Id1".into()];
-                    let mut args = vec![AtomArg::Var(b.var("Id1"))];
-                    for v in &child_vars {
-                        let n = format!("v_{}", v.name());
-                        args.push(AtomArg::Var(b.var(&n)));
-                        body_vars.push(n);
-                    }
-                    args.push(self.gctx_arg(&mut b, ctx));
-                    b.pos(self.ans_pred(child_idx), args);
-                    // Null-pad the variables missing from this branch.
-                    for v in &vars {
-                        if !child_vars.contains(v) {
-                            null_pad(&mut b, &format!("v_{}", v.name()));
-                        }
-                    }
-                    self.assign_id(&mut b, "Id", dst, &body_vars, idx);
-                    self.program.rules.push(b.build());
+                    let mut b = self.rule(idx, &vars, ctx);
+                    let body = Cols::v(&child_vars).names();
+                    let feeds = ans(&mut b, Slot::Pos, self.ans_pred(c), Some("Id1"), &body, ctx);
+                    pad(&mut b, &vars, &child_vars);
+                    self.push_with_id(b, dst, &feeds, idx);
                 }
-                self.tau(p1, dst, ctx, 2 * idx, force_set)?;
-                self.tau(p2, dst, ctx, 2 * idx + 1, force_set)
+                vec![(p1, l), (p2, r)]
             }
             GraphPattern::Optional(p1, p2) => {
                 // Defs A.7 / A.9: peel filters off the right side.
                 let (inner, conds) = peel_filters(p2);
-                self.translate_optional(p1, inner, &conds, dst, ctx, idx)?;
-                self.tau(p1, dst, ctx, 2 * idx, force_set)?;
-                self.tau(inner, dst, ctx, 2 * idx + 1, force_set)
+                let [l, r] = self.kids(idx);
+                self.translate_optional(idx, [(l, &sig(p1)), (r, &sig(inner))], &conds, dst, ctx)?;
+                vec![(p1, l), (inner, r)]
             }
             GraphPattern::Minus(p1, p2) => {
-                self.translate_minus(p1, p2, dst, ctx, idx)?;
-                self.tau(p1, dst, ctx, 2 * idx, force_set)?;
-                self.tau(p2, dst, ctx, 2 * idx + 1, force_set)
+                let [l, r] = self.kids(idx);
+                self.translate_minus(idx, [(l, &sig(p1)), (r, &sig(p2))], dst, ctx);
+                vec![(p1, l), (p2, r)]
             }
             GraphPattern::Filter(p1, cond) => {
                 // Def. A.8.
-                let vars = sig(p1);
-                let scope_vars = vars.clone();
-                let mut b = RuleBuilder::new();
-                let mut head = vec![AtomArg::Var(b.var("Id"))];
-                for v in &vars {
-                    head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-                }
-                head.push(self.gctx_arg(&mut b, ctx));
-                b.head(self.ans_pred(idx), head);
-
-                let mut body_vars: Vec<String> = vec!["Id1".into()];
-                let mut args = vec![AtomArg::Var(b.var("Id1"))];
-                for v in &vars {
-                    let n = format!("v_{}", v.name());
-                    args.push(AtomArg::Var(b.var(&n)));
-                    body_vars.push(n);
-                }
-                args.push(self.gctx_arg(&mut b, ctx));
-                b.pos(self.ans_pred(2 * idx), args);
-
-                let c = self.translate_expr(cond, &mut b, &|name| {
-                    scope_vars
-                        .iter()
-                        .any(|v| v.name() == name)
-                        .then(|| format!("v_{name}"))
-                })?;
-                b.cond(c);
-                self.assign_id(&mut b, "Id", dst, &body_vars, idx);
-                self.program.rules.push(b.build());
-                self.tau(p1, dst, ctx, 2 * idx, force_set)
+                let c = self.child(idx);
+                let mut b = self.rule(idx, &vars, ctx);
+                let body = Cols::v(&vars).names();
+                let feeds = ans(&mut b, Slot::Pos, self.ans_pred(c), Some("Id1"), &body, ctx);
+                self.conds(&mut b, std::slice::from_ref(cond), Cols::v(&vars))?;
+                self.push_with_id(b, dst, &feeds, idx);
+                vec![(p1, c)]
             }
             GraphPattern::Graph(spec, p1) => {
-                // Def. A.4.
-                let vars = sig(p);
-                let child_vars = sig(p1);
-                let (child_ctx, g_name) = match spec {
-                    GraphSpec::Iri(iri) => {
-                        (GraphCtx::Const(Const::Iri(self.symbols.intern(iri))), None)
-                    }
-                    GraphSpec::Var(v) => {
-                        let n = format!("v_{}", v.name());
-                        (GraphCtx::Var(n.clone()), Some(n))
-                    }
+                // Def. A.4: the child runs in the graph context `spec`,
+                // which ranges over `named`.
+                let child_ctx = match spec {
+                    GraphSpec::Iri(iri) => GraphCtx::Const(Const::Iri(self.symbols.intern(iri))),
+                    GraphSpec::Var(v) => GraphCtx::Var(format!("v_{}", v.name())),
                 };
-                let mut b = RuleBuilder::new();
-                let mut head = vec![AtomArg::Var(b.var("Id"))];
-                for v in &vars {
-                    head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-                }
-                head.push(self.gctx_arg(&mut b, ctx));
-                b.head(self.ans_pred(idx), head);
-
-                let mut body_vars: Vec<String> = vec!["Id1".into()];
-                let mut args = vec![AtomArg::Var(b.var("Id1"))];
-                for v in &child_vars {
-                    let n = format!("v_{}", v.name());
-                    args.push(AtomArg::Var(b.var(&n)));
-                    body_vars.push(n);
-                }
-                args.push(self.gctx_arg(&mut b, &child_ctx));
-                b.pos(self.ans_pred(2 * idx), args);
-                // named(g).
-                let named_arg = self.gctx_arg(&mut b, &child_ctx);
-                b.pos(self.pred(preds::NAMED), vec![named_arg]);
-                if let Some(n) = g_name {
-                    if !body_vars.contains(&n) {
-                        body_vars.push(n);
-                    }
-                }
-                self.assign_id(&mut b, "Id", dst, &body_vars, idx);
-                self.program.rules.push(b.build());
-                self.tau(p1, dst, &child_ctx, 2 * idx, force_set)
+                let c = self.child(idx);
+                let mut b = self.rule(idx, &vars, ctx);
+                let body = Cols::v(&sig(p1)).names();
+                let mut feeds = ans(
+                    &mut b,
+                    Slot::Pos,
+                    self.ans_pred(c),
+                    Some("Id1"),
+                    &body,
+                    &child_ctx,
+                );
+                let g = child_ctx.arg(&mut b);
+                b.pos(self.pred(preds::NAMED), vec![g]);
+                child_ctx.feed(&mut feeds);
+                self.push_with_id(b, dst, &feeds, idx);
+                return self.tau(p1, dst, &child_ctx, c, force_set);
             }
             GraphPattern::Path {
                 subject,
@@ -715,104 +755,56 @@ impl Translator {
             } => {
                 // Def. A.11: glue the endpoints onto the top-level path
                 // expression.
-                let vars = sig(p);
-                let mut b = RuleBuilder::new();
-                let mut head = vec![AtomArg::Var(b.var("Id"))];
-                for v in &vars {
-                    head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-                }
-                head.push(self.gctx_arg(&mut b, ctx));
-                b.head(self.ans_pred(idx), head);
-
-                let mut bound: Vec<String> = vec!["Id1".into()];
-                let s = self.term_pattern_arg(&mut b, subject, &mut bound);
-                let o = self.term_pattern_arg(&mut b, object, &mut bound);
-                let d = self.gctx_arg(&mut b, ctx);
-                if let GraphCtx::Var(name) = ctx {
-                    if !bound.contains(name) {
-                        bound.push(name.clone());
-                    }
-                }
-                let id1 = AtomArg::Var(b.var("Id1"));
-                b.pos(self.ans_pred(2 * idx), vec![id1, s, o, d]);
-                self.assign_id(&mut b, "Id", dst, &bound, idx);
-                self.program.rules.push(b.build());
-
-                self.tau_pp(path, dst, subject, object, ctx, 2 * idx, force_set)
+                let c = self.child(idx);
+                let mut b = self.rule(idx, &vars, ctx);
+                let mut feeds = vec!["Id1".to_string()];
+                let s = self.term_pattern_arg(&mut b, subject, &mut feeds);
+                let o = self.term_pattern_arg(&mut b, object, &mut feeds);
+                let d = ctx.arg(&mut b);
+                ctx.feed(&mut feeds);
+                let id1 = b.v("Id1");
+                b.pos(self.ans_pred(c), vec![id1, s, o, d]);
+                self.push_with_id(b, dst, &feeds, idx);
+                return self.tau_pp(path, dst, subject, object, ctx, c, force_set);
             }
+        };
+        for (child, c) in children {
+            self.tau(child, dst, ctx, c, force_set)?;
         }
+        Ok(())
     }
 
-    /// Def. A.5 (Join).
-    fn translate_join(
+    /// Def. A.5 (Join), and Def. A.9's join rule under the conditions
+    /// `conds`: `ans_i(Id, x̄, D) :- ans_l(Id1, v1, D), compat(r1_x, r2_x,
+    /// v_x)…, ans_r(Id2, v2, D), C`, each shared `x` renamed apart on both
+    /// sides. The compat items sit before the second answer atom: the
+    /// join-ordering optimisation §5.1 attributes to the underlying engine.
+    fn join_rule(
         &mut self,
-        p1: &GraphPattern,
-        p2: &GraphPattern,
+        idx: u64,
+        [(l, v1), (r, v2)]: [(u64, &[Var]); 2],
+        conds: &[SExpr],
         dst: bool,
         ctx: &GraphCtx,
-        idx: u64,
     ) -> Result<(), TranslationError> {
-        let v1 = sig(p1);
-        let v2 = sig(p2);
-        let shared: Vec<&Var> = v1.iter().filter(|v| v2.contains(v)).collect();
-        let all: Vec<Var> = {
-            let mut u = v1.clone();
-            for v in &v2 {
-                if !u.contains(v) {
-                    u.push(v.clone());
-                }
-            }
-            u.sort();
-            u
-        };
-
-        let mut b = RuleBuilder::new();
-        let mut head = vec![AtomArg::Var(b.var("Id"))];
-        for v in &all {
-            head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-        }
-        head.push(self.gctx_arg(&mut b, ctx));
-        b.head(self.ans_pred(idx), head);
-
-        let mut body_vars: Vec<String> = Vec::new();
-        // ans_2i with shared vars renamed via v1 ↦ r1_.
-        let mut args = vec![AtomArg::Var(b.var("Id1"))];
-        body_vars.push("Id1".into());
-        for v in &v1 {
-            let n = if shared.contains(&v) {
-                format!("r1_{}", v.name())
-            } else {
-                format!("v_{}", v.name())
-            };
-            args.push(AtomArg::Var(b.var(&n)));
-            body_vars.push(n);
-        }
-        args.push(self.gctx_arg(&mut b, ctx));
-        b.pos(self.ans_pred(2 * idx), args);
-
-        // compat(r1_x, r2_x, v_x) for each shared x (Def. A.2's comp),
-        // before the second answer atom: the join-ordering optimisation
-        // §5.1 attributes to the underlying engine.
+        let shared = shared(v1, v2);
+        let all = union(v1, v2);
+        let mut b = self.rule(idx, &all, ctx);
+        let left = Cols::v(v1).rename(&shared, "r1_").names();
+        let mut feeds = ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
         compat_shared(&mut b, &shared, "r1_", "v_");
-        body_vars.extend(shared.iter().map(|v| format!("v_{}", v.name())));
-
-        // ans_2i+1 with shared vars renamed via v2 ↦ r2_ (now bound).
-        let mut args = vec![AtomArg::Var(b.var("Id2"))];
-        body_vars.push("Id2".into());
-        for v in &v2 {
-            let n = if shared.contains(&v) {
-                format!("r2_{}", v.name())
-            } else {
-                format!("v_{}", v.name())
-            };
-            args.push(AtomArg::Var(b.var(&n)));
-            body_vars.push(n);
-        }
-        args.push(self.gctx_arg(&mut b, ctx));
-        b.pos(self.ans_pred(2 * idx + 1), args);
-
-        self.assign_id(&mut b, "Id", dst, &body_vars, idx);
-        self.program.rules.push(b.build());
+        feeds.extend(shared.iter().map(|v| format!("v_{}", v.name())));
+        let right = Cols::v(v2).rename(&shared, "r2_").names();
+        feeds.extend(ans(
+            &mut b,
+            Slot::Pos,
+            self.ans_pred(r),
+            Some("Id2"),
+            &right,
+            ctx,
+        ));
+        self.conds(&mut b, conds, Cols::v(&all))?;
+        self.push_with_id(b, dst, &feeds, idx);
         Ok(())
     }
 
@@ -820,262 +812,89 @@ impl Translator {
     /// pulled off the right-hand side (empty for plain OPTIONAL).
     fn translate_optional(
         &mut self,
-        p1: &GraphPattern,
-        p2: &GraphPattern,
+        idx: u64,
+        sides: [(u64, &[Var]); 2],
         conds: &[SExpr],
         dst: bool,
         ctx: &GraphCtx,
-        idx: u64,
     ) -> Result<(), TranslationError> {
-        let v1 = sig(p1);
-        let v2 = sig(p2);
-        let shared: Vec<&Var> = v1.iter().filter(|v| v2.contains(v)).collect();
-        let only2: Vec<&Var> = v2.iter().filter(|v| !v1.contains(v)).collect();
-        let all: Vec<Var> = {
-            let mut u = v1.clone();
-            for v in &v2 {
-                if !u.contains(v) {
-                    u.push(v.clone());
-                }
-            }
-            u.sort();
-            u
-        };
+        let [(l, v1), (r, v2)] = sides;
+        let shared = shared(v1, v2);
+        let all = union(v1, v2);
         let opt_pred = self.aux_pred("opt", idx);
 
         // Rule 1: ans_opt(var(P1), D) :- ans_2i(Id1, var(P1), D),
-        //         ans_2i+1(Id2, v2(var(P2)), D), compat(x, r2_x, z_x), [C].
-        {
-            let mut b = RuleBuilder::new();
-            let mut head = Vec::new();
-            for v in &v1 {
-                head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            head.push(self.gctx_arg(&mut b, ctx));
-            b.head(opt_pred, head);
-
-            let mut args = vec![AtomArg::Var(b.var("Id1"))];
-            for v in &v1 {
-                args.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx), args);
-
-            compat_shared(&mut b, &shared, "v_", "z_");
-
-            let mut args = vec![AtomArg::Var(b.var("Id2"))];
-            for v in &v2 {
-                let n = if shared.contains(&v) {
-                    format!("r2_{}", v.name())
-                } else {
-                    format!("v_{}", v.name())
-                };
-                args.push(AtomArg::Var(b.var(&n)));
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx + 1), args);
-
-            // The filter condition over the *joined* mapping: shared
-            // variables refer to the compat output z_x.
-            for cond in conds {
-                let shared_names: Vec<String> =
-                    shared.iter().map(|v| v.name().to_string()).collect();
-                let v1c = v1.clone();
-                let v2c = v2.clone();
-                let c = self.translate_expr(cond, &mut b, &move |name| {
-                    if shared_names.iter().any(|s| s == name) {
-                        Some(format!("z_{name}"))
-                    } else if v1c.iter().any(|v| v.name() == name)
-                        || v2c.iter().any(|v| v.name() == name)
-                    {
-                        Some(format!("v_{name}"))
-                    } else {
-                        None
-                    }
-                })?;
-                b.cond(c);
-            }
-            self.program.rules.push(b.build());
-        }
+        //         compat(x, r2_x, z_x)…, ans_2i+1(Id2, v2(var(P2)), D), [C].
+        let mut b = RuleBuilder::new();
+        let left = Cols::v(v1).names();
+        ans(&mut b, Slot::Head, opt_pred, None, &left, ctx);
+        ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
+        compat_shared(&mut b, &shared, "v_", "z_");
+        let right = Cols::v(v2).rename(&shared, "r2_").names();
+        ans(
+            &mut b,
+            Slot::Pos,
+            self.ans_pred(r),
+            Some("Id2"),
+            &right,
+            ctx,
+        );
+        // The filter condition over the *joined* mapping: shared
+        // variables refer to the compat output z_x.
+        self.conds(&mut b, conds, Cols::v(&all).rename(&shared, "z_"))?;
+        self.program.rules.push(b.build());
 
         // Rule 2: the join rule (+C).
-        {
-            let mut b = RuleBuilder::new();
-            let mut head = vec![AtomArg::Var(b.var("Id"))];
-            for v in &all {
-                head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            head.push(self.gctx_arg(&mut b, ctx));
-            b.head(self.ans_pred(idx), head);
-
-            let mut body_vars: Vec<String> = vec!["Id1".into()];
-            let mut args = vec![AtomArg::Var(b.var("Id1"))];
-            for v in &v1 {
-                let n = if shared.contains(&v) {
-                    format!("r1_{}", v.name())
-                } else {
-                    format!("v_{}", v.name())
-                };
-                args.push(AtomArg::Var(b.var(&n)));
-                body_vars.push(n);
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx), args);
-
-            compat_shared(&mut b, &shared, "r1_", "v_");
-            body_vars.extend(shared.iter().map(|v| format!("v_{}", v.name())));
-
-            body_vars.push("Id2".into());
-            let mut args = vec![AtomArg::Var(b.var("Id2"))];
-            for v in &v2 {
-                let n = if shared.contains(&v) {
-                    format!("r2_{}", v.name())
-                } else {
-                    format!("v_{}", v.name())
-                };
-                args.push(AtomArg::Var(b.var(&n)));
-                body_vars.push(n);
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx + 1), args);
-            for cond in conds {
-                let v1c = v1.clone();
-                let v2c = v2.clone();
-                let c = self.translate_expr(cond, &mut b, &move |name| {
-                    (v1c.iter().any(|v| v.name() == name) || v2c.iter().any(|v| v.name() == name))
-                        .then(|| format!("v_{name}"))
-                })?;
-                b.cond(c);
-            }
-            self.assign_id(&mut b, "Id", dst, &body_vars, idx);
-            self.program.rules.push(b.build());
-        }
+        self.join_rule(idx, sides, conds, dst, ctx)?;
 
         // Rule 3: ans_i(Id, var(Pi), D) :- ans_2i(Id1, var(P1), D),
         //         not ans_opt(var(P1), D), y = null...
-        {
-            let mut b = RuleBuilder::new();
-            let mut head = vec![AtomArg::Var(b.var("Id"))];
-            for v in &all {
-                head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            head.push(self.gctx_arg(&mut b, ctx));
-            b.head(self.ans_pred(idx), head);
-
-            let mut body_vars: Vec<String> = vec!["Id1".into()];
-            let mut args = vec![AtomArg::Var(b.var("Id1"))];
-            for v in &v1 {
-                let n = format!("v_{}", v.name());
-                args.push(AtomArg::Var(b.var(&n)));
-                body_vars.push(n);
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx), args);
-
-            let mut neg_args = Vec::new();
-            for v in &v1 {
-                neg_args.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            neg_args.push(self.gctx_arg(&mut b, ctx));
-            b.neg(opt_pred, neg_args);
-
-            for v in &only2 {
-                null_pad(&mut b, &format!("v_{}", v.name()));
-            }
-            self.assign_id(&mut b, "Id", dst, &body_vars, idx);
-            self.program.rules.push(b.build());
-        }
+        self.antijoin_rule(idx, &all, (l, v1), opt_pred, dst, ctx);
         Ok(())
     }
 
     /// Def. A.10 (Minus).
     fn translate_minus(
         &mut self,
-        p1: &GraphPattern,
-        p2: &GraphPattern,
+        idx: u64,
+        [(l, v1), (r, v2)]: [(u64, &[Var]); 2],
         dst: bool,
         ctx: &GraphCtx,
-        idx: u64,
-    ) -> Result<(), TranslationError> {
-        let v1 = sig(p1);
-        let v2 = sig(p2);
-        let shared: Vec<&Var> = v1.iter().filter(|v| v2.contains(v)).collect();
+    ) {
+        let shared = shared(v1, v2);
         let join_pred = self.aux_pred("join", idx);
         let equal_pred = self.aux_pred("equal", idx);
-
+        let left = Cols::v(v1).names();
+        let right = Cols::new(v2, "w2_").rename(&shared, "r2_").names();
         // x̄ = var(P1) ∪ v2(var(P2)) — columns of ans_join.
-        let join_cols: Vec<String> = v1
-            .iter()
-            .map(|v| format!("v_{}", v.name()))
-            .chain(v2.iter().map(|v| {
-                if shared.contains(&v) {
-                    format!("r2_{}", v.name())
-                } else {
-                    format!("w2_{}", v.name())
-                }
-            }))
-            .collect();
+        let join_cols = [left.clone(), right.clone()].concat();
 
-        // ans_join(x̄, D) :- ans_2i(...), ans_2i+1(...), compat(x, r2_x, z_x).
-        {
-            let mut b = RuleBuilder::new();
-            let mut head = Vec::new();
-            for n in &join_cols {
-                head.push(AtomArg::Var(b.var(n)));
-            }
-            head.push(self.gctx_arg(&mut b, ctx));
-            b.head(join_pred, head);
-
-            let mut args = vec![AtomArg::Var(b.var("Id1"))];
-            for v in &v1 {
-                args.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx), args);
-
-            compat_shared(&mut b, &shared, "v_", "z_");
-
-            let mut args = vec![AtomArg::Var(b.var("Id2"))];
-            for v in &v2 {
-                let n = if shared.contains(&v) {
-                    format!("r2_{}", v.name())
-                } else {
-                    format!("w2_{}", v.name())
-                };
-                args.push(AtomArg::Var(b.var(&n)));
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx + 1), args);
-            self.program.rules.push(b.build());
-        }
+        // ans_join(x̄, D) :- ans_2i(...), compat(x, r2_x, z_x), ans_2i+1(...).
+        let mut b = RuleBuilder::new();
+        ans(&mut b, Slot::Head, join_pred, None, &join_cols, ctx);
+        ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
+        compat_shared(&mut b, &shared, "v_", "z_");
+        ans(
+            &mut b,
+            Slot::Pos,
+            self.ans_pred(r),
+            Some("Id2"),
+            &right,
+            ctx,
+        );
+        self.program.rules.push(b.build());
 
         // ans_equal(var(P1), D) :- ans_join(x̄, D), x_j = r2_x_j,
         //                          !sameTerm(x_j, null).   — one rule per shared var.
         for v in &shared {
             let mut b = RuleBuilder::new();
-            let mut head = Vec::new();
-            for w in &v1 {
-                head.push(AtomArg::Var(b.var(&format!("v_{}", w.name()))));
-            }
-            head.push(self.gctx_arg(&mut b, ctx));
-            b.head(equal_pred, head);
-
-            let mut args = Vec::new();
-            for n in &join_cols {
-                args.push(AtomArg::Var(b.var(n)));
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(join_pred, args);
-
-            let x = b.var(&format!("v_{}", v.name()));
-            let r = b.var(&format!("r2_{}", v.name()));
-            b.cond(DExpr::Cmp(
-                sparqlog_datalog::CmpOp::Eq,
-                Box::new(DExpr::Var(x)),
-                Box::new(DExpr::Var(r)),
-            ));
+            ans(&mut b, Slot::Head, equal_pred, None, &left, ctx);
+            ans(&mut b, Slot::Pos, join_pred, None, &join_cols, ctx);
+            let x = DExpr::Var(b.var(&format!("v_{}", v.name())));
+            let r = DExpr::Var(b.var(&format!("r2_{}", v.name())));
+            b.cond(DExpr::Cmp(CmpOp::Eq, Box::new(x.clone()), Box::new(r)));
             b.cond(DExpr::Not(Box::new(DExpr::SameTerm(
-                Box::new(DExpr::Var(x)),
+                Box::new(x),
                 Box::new(DExpr::Const(Const::Null)),
             ))));
             self.program.rules.push(b.build());
@@ -1083,42 +902,33 @@ impl Translator {
 
         // ans_i(Id, var(P1), D) :- ans_2i(Id1, var(P1), D),
         //                          not ans_equal(var(P1), D).
-        {
-            let mut b = RuleBuilder::new();
-            let mut head = vec![AtomArg::Var(b.var("Id"))];
-            for v in &v1 {
-                head.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            head.push(self.gctx_arg(&mut b, ctx));
-            b.head(self.ans_pred(idx), head);
+        self.antijoin_rule(idx, v1, (l, v1), equal_pred, dst, ctx);
+    }
 
-            let mut body_vars: Vec<String> = vec!["Id1".into()];
-            let mut args = vec![AtomArg::Var(b.var("Id1"))];
-            for v in &v1 {
-                let n = format!("v_{}", v.name());
-                args.push(AtomArg::Var(b.var(&n)));
-                body_vars.push(n);
-            }
-            args.push(self.gctx_arg(&mut b, ctx));
-            b.pos(self.ans_pred(2 * idx), args);
-
-            let mut neg_args = Vec::new();
-            for v in &v1 {
-                neg_args.push(AtomArg::Var(b.var(&format!("v_{}", v.name()))));
-            }
-            neg_args.push(self.gctx_arg(&mut b, ctx));
-            b.neg(equal_pred, neg_args);
-
-            self.assign_id(&mut b, "Id", dst, &body_vars, idx);
-            self.program.rules.push(b.build());
-        }
-        Ok(())
+    /// `ans_i(Id, v_x̄, D) :- ans_l(Id1, var(P1), D), not aux(var(P1), D)`,
+    /// null-padding the variables of `x̄` that `P1` lacks: the last rule of
+    /// Defs A.7 and A.10.
+    fn antijoin_rule(
+        &mut self,
+        idx: u64,
+        vars: &[Var],
+        (l, v1): (u64, &[Var]),
+        aux: Sym,
+        dst: bool,
+        ctx: &GraphCtx,
+    ) {
+        let mut b = self.rule(idx, vars, ctx);
+        let left = Cols::v(v1).names();
+        let feeds = ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
+        ans(&mut b, Slot::Neg, aux, None, &left, ctx);
+        pad(&mut b, vars, v1);
+        self.push_with_id(b, dst, &feeds, idx);
     }
 
     // ------------------------------------------------- path translation
 
     /// The translation function τ_PP (Defs A.12–A.20). Every path answer
-    /// predicate has the layout `ans_i(Id, X, Y, D)`.
+    /// predicate has the layout `ans_i(Id, X, Y, D)` (see `path_rule`).
     #[allow(clippy::too_many_arguments)]
     fn tau_pp(
         &mut self,
@@ -1131,215 +941,95 @@ impl Translator {
         force_set: bool,
     ) -> Result<(), TranslationError> {
         let dst = dst || force_set;
-        match pp {
+        let children: Vec<(&PropertyPath, u64)> = match pp {
             PropertyPath::Link(p) => {
                 // Def. A.12.
-                let mut b = RuleBuilder::new();
-                let head = vec![
-                    AtomArg::Var(b.var("Id")),
-                    AtomArg::Var(b.var("X")),
-                    AtomArg::Var(b.var("Y")),
-                    self.gctx_arg(&mut b, ctx),
-                ];
-                b.head(self.ans_pred(idx), head);
-                let (x, y) = (b.v("X"), b.v("Y"));
-                let pc = AtomArg::Const(Const::Iri(self.symbols.intern(p.as_ref())));
-                let d = self.gctx_arg(&mut b, ctx);
-                b.pos(self.pred(preds::TRIPLE), vec![x, pc, y, d]);
-                let mut bound = vec!["X".to_string(), "Y".to_string()];
-                if let GraphCtx::Var(n) = ctx {
-                    bound.push(n.clone());
-                }
-                self.assign_id(&mut b, "Id", dst, &bound, idx);
-                self.program.rules.push(b.build());
-                Ok(())
+                let p = C(Const::Iri(self.symbols.intern(p.as_ref())));
+                let body = [(self.pred(preds::TRIPLE), vec![V("X"), p, V("Y")])];
+                let id = Some((dst, &["X", "Y"][..]));
+                self.path_rule(idx, [V("X"), V("Y")], &body, id, &[], ctx);
+                vec![]
             }
             PropertyPath::Inverse(inner) => {
-                // Def. A.13.
-                let mut b = RuleBuilder::new();
-                let head = vec![
-                    AtomArg::Var(b.var("Id")),
-                    AtomArg::Var(b.var("X")),
-                    AtomArg::Var(b.var("Y")),
-                    self.gctx_arg(&mut b, ctx),
-                ];
-                b.head(self.ans_pred(idx), head);
-                let (id1, y, x) = (b.v("Id1"), b.v("Y"), b.v("X"));
-                let d = self.gctx_arg(&mut b, ctx);
-                b.pos(self.ans_pred(2 * idx), vec![id1, y, x, d]);
-                let mut bound = vec!["Id1".to_string(), "X".to_string(), "Y".to_string()];
-                if let GraphCtx::Var(n) = ctx {
-                    bound.push(n.clone());
-                }
-                self.assign_id(&mut b, "Id", dst, &bound, idx);
-                self.program.rules.push(b.build());
                 // Def. A.13 propagates S and O unchanged (zero-length
                 // pairs are symmetric, so no swap is needed).
-                self.tau_pp(inner, dst, subject, object, ctx, 2 * idx, force_set)
+                let c = self.child(idx);
+                let body = [(self.ans_pred(c), vec![V("Id1"), V("Y"), V("X")])];
+                let id = Some((dst, &["Id1", "X", "Y"][..]));
+                self.path_rule(idx, [V("X"), V("Y")], &body, id, &[], ctx);
+                vec![(inner, c)]
             }
             PropertyPath::Alternative(l, r) => {
                 // Def. A.14.
-                for child_idx in [2 * idx, 2 * idx + 1] {
-                    let mut b = RuleBuilder::new();
-                    let head = vec![
-                        AtomArg::Var(b.var("Id")),
-                        AtomArg::Var(b.var("X")),
-                        AtomArg::Var(b.var("Y")),
-                        self.gctx_arg(&mut b, ctx),
-                    ];
-                    b.head(self.ans_pred(idx), head);
-                    let (id1, x, y) = (b.v("Id1"), b.v("X"), b.v("Y"));
-                    let d = self.gctx_arg(&mut b, ctx);
-                    b.pos(self.ans_pred(child_idx), vec![id1, x, y, d]);
-                    let mut bound = vec!["Id1".to_string(), "X".to_string(), "Y".to_string()];
-                    if let GraphCtx::Var(n) = ctx {
-                        bound.push(n.clone());
-                    }
-                    self.assign_id(&mut b, "Id", dst, &bound, idx);
-                    self.program.rules.push(b.build());
+                let [cl, cr] = self.kids(idx);
+                for c in [cl, cr] {
+                    let body = [(self.ans_pred(c), vec![V("Id1"), V("X"), V("Y")])];
+                    let id = Some((dst, &["Id1", "X", "Y"][..]));
+                    self.path_rule(idx, [V("X"), V("Y")], &body, id, &[], ctx);
                 }
-                self.tau_pp(l, dst, subject, object, ctx, 2 * idx, force_set)?;
-                self.tau_pp(r, dst, subject, object, ctx, 2 * idx + 1, force_set)
+                vec![(l, cl), (r, cr)]
             }
             PropertyPath::Sequence(l, r) => {
-                // Def. A.15.
-                let mut b = RuleBuilder::new();
-                let head = vec![
-                    AtomArg::Var(b.var("Id")),
-                    AtomArg::Var(b.var("X")),
-                    AtomArg::Var(b.var("Z")),
-                    self.gctx_arg(&mut b, ctx),
-                ];
-                b.head(self.ans_pred(idx), head);
-                let (id1, x, y) = (b.v("Id1"), b.v("X"), b.v("Y"));
-                let d = self.gctx_arg(&mut b, ctx);
-                b.pos(self.ans_pred(2 * idx), vec![id1, x, y, d]);
-                let (id2, y2, z) = (b.v("Id2"), b.v("Y"), b.v("Z"));
-                let d2 = self.gctx_arg(&mut b, ctx);
-                b.pos(self.ans_pred(2 * idx + 1), vec![id2, y2, z, d2]);
-                let mut bound = vec![
-                    "Id1".to_string(),
-                    "X".to_string(),
-                    "Y".to_string(),
-                    "Id2".to_string(),
-                    "Z".to_string(),
-                ];
-                if let GraphCtx::Var(n) = ctx {
-                    bound.push(n.clone());
-                }
-                self.assign_id(&mut b, "Id", dst, &bound, idx);
-                self.program.rules.push(b.build());
                 // Def. A.15: the *top-level* S and O propagate to both
                 // children unchanged (they only influence zero-length
                 // paths, where the extra pairs are harmless — see the
                 // correctness discussion in Appendix B).
-                self.tau_pp(l, dst, subject, object, ctx, 2 * idx, force_set)?;
-                self.tau_pp(r, dst, subject, object, ctx, 2 * idx + 1, force_set)
+                let [cl, cr] = self.kids(idx);
+                let body = [
+                    (self.ans_pred(cl), vec![V("Id1"), V("X"), V("Y")]),
+                    (self.ans_pred(cr), vec![V("Id2"), V("Y"), V("Z")]),
+                ];
+                let id = Some((dst, &["Id1", "X", "Y", "Id2", "Z"][..]));
+                self.path_rule(idx, [V("X"), V("Z")], &body, id, &[], ctx);
+                vec![(l, cl), (r, cr)]
             }
             PropertyPath::OneOrMore(inner) => {
                 // Def. A.16 — transitive closure with nil IDs.
-                self.emit_one_or_more(idx, ctx);
-                self.tau_pp(inner, dst, subject, object, ctx, 2 * idx, force_set)
+                let c = self.child(idx);
+                self.emit_one_or_more(idx, c, ctx);
+                vec![(inner, c)]
             }
             PropertyPath::ZeroOrOne(inner) => {
-                // Def. A.18.
+                // Def. A.18: the zero-length rules and
+                // ans_i([], X, Y, D) :- ans_2i(Id1, X, Y, D).
+                let c = self.child(idx);
                 self.emit_zero_rules(idx, subject, object, ctx);
-                // ans_i(nil, X, Y, D) :- ans_2i(Id1, X, Y, D).
-                let mut b = RuleBuilder::new();
-                let head = vec![
-                    AtomArg::Const(nil_id(&self.symbols)),
-                    AtomArg::Var(b.var("X")),
-                    AtomArg::Var(b.var("Y")),
-                    self.gctx_arg(&mut b, ctx),
-                ];
-                b.head(self.ans_pred(idx), head);
-                let (id1, x, y) = (b.v("Id1"), b.v("X"), b.v("Y"));
-                let d = self.gctx_arg(&mut b, ctx);
-                b.pos(self.ans_pred(2 * idx), vec![id1, x, y, d]);
-                self.program.rules.push(b.build());
-                self.tau_pp(inner, dst, subject, object, ctx, 2 * idx, force_set)
+                let body = [(self.ans_pred(c), vec![V("Id1"), V("X"), V("Y")])];
+                self.path_rule(idx, [V("X"), V("Y")], &body, None, &[], ctx);
+                vec![(inner, c)]
             }
             PropertyPath::ZeroOrMore(inner) => {
                 // Def. A.19 = zero part + one-or-more part.
+                let c = self.child(idx);
                 self.emit_zero_rules(idx, subject, object, ctx);
-                self.emit_one_or_more(idx, ctx);
-                self.tau_pp(inner, dst, subject, object, ctx, 2 * idx, force_set)
+                self.emit_one_or_more(idx, c, ctx);
+                vec![(inner, c)]
             }
             PropertyPath::NegatedSet { forward, backward } => {
-                // Def. A.20.
+                // Def. A.20: a forward rule (also emitted when the set is
+                // empty: `!()` matches every predicate) and a backward one.
+                let body = [(self.pred(preds::TRIPLE), vec![V("X"), V("P"), V("Y")])];
+                let id = Some((dst, &["X", "P", "Y"][..]));
                 if !forward.is_empty() || backward.is_empty() {
-                    // Forward rule (also emitted when the set is empty:
-                    // `!()` matches every predicate).
-                    let mut b = RuleBuilder::new();
-                    let head = vec![
-                        AtomArg::Var(b.var("Id")),
-                        AtomArg::Var(b.var("X")),
-                        AtomArg::Var(b.var("Y")),
-                        self.gctx_arg(&mut b, ctx),
-                    ];
-                    b.head(self.ans_pred(idx), head);
-                    let (x, pv, y) = (b.v("X"), b.v("P"), b.v("Y"));
-                    let d = self.gctx_arg(&mut b, ctx);
-                    b.pos(self.pred(preds::TRIPLE), vec![x, pv, y, d]);
-                    for p in forward {
-                        let pvar = b.var("P");
-                        b.cond(DExpr::Cmp(
-                            sparqlog_datalog::CmpOp::Neq,
-                            Box::new(DExpr::Var(pvar)),
-                            Box::new(DExpr::Const(Const::Iri(self.symbols.intern(p.as_ref())))),
-                        ));
-                    }
-                    let mut bound = vec!["X".to_string(), "P".to_string(), "Y".to_string()];
-                    if let GraphCtx::Var(n) = ctx {
-                        bound.push(n.clone());
-                    }
-                    self.assign_id(&mut b, "Id", dst, &bound, idx);
-                    self.program.rules.push(b.build());
+                    self.path_rule(idx, [V("X"), V("Y")], &body, id, forward, ctx);
                 }
                 if !backward.is_empty() {
-                    let mut b = RuleBuilder::new();
-                    let head = vec![
-                        AtomArg::Var(b.var("Id")),
-                        AtomArg::Var(b.var("Y")),
-                        AtomArg::Var(b.var("X")),
-                        self.gctx_arg(&mut b, ctx),
-                    ];
-                    b.head(self.ans_pred(idx), head);
-                    let (x, pv, y) = (b.v("X"), b.v("P"), b.v("Y"));
-                    let d = self.gctx_arg(&mut b, ctx);
-                    b.pos(self.pred(preds::TRIPLE), vec![x, pv, y, d]);
-                    for p in backward {
-                        let pvar = b.var("P");
-                        b.cond(DExpr::Cmp(
-                            sparqlog_datalog::CmpOp::Neq,
-                            Box::new(DExpr::Var(pvar)),
-                            Box::new(DExpr::Const(Const::Iri(self.symbols.intern(p.as_ref())))),
-                        ));
-                    }
-                    let mut bound = vec!["X".to_string(), "P".to_string(), "Y".to_string()];
-                    if let GraphCtx::Var(n) = ctx {
-                        bound.push(n.clone());
-                    }
-                    self.assign_id(&mut b, "Id", dst, &bound, idx);
-                    self.program.rules.push(b.build());
+                    self.path_rule(idx, [V("Y"), V("X")], &body, id, backward, ctx);
                 }
-                Ok(())
+                vec![]
             }
             // ------------------------- gMark range paths (§4.3), desugared
-            PropertyPath::Exactly(inner, n) => {
-                let desugared = exactly(inner, *n);
-                match desugared {
-                    None => {
-                        // p{0}: zero-length paths only.
-                        self.emit_zero_rules(idx, subject, object, ctx);
-                        Ok(())
-                    }
-                    Some(path) => self.tau_pp(&path, dst, subject, object, ctx, idx, true),
+            PropertyPath::Exactly(inner, n) => match exactly(inner, *n) {
+                // p{0}: zero-length paths only.
+                None => {
+                    self.emit_zero_rules(idx, subject, object, ctx);
+                    vec![]
                 }
-            }
+                Some(path) => return self.tau_pp(&path, dst, subject, object, ctx, idx, true),
+            },
             PropertyPath::AtLeast(inner, n) => {
                 let path = at_least(inner, *n);
-                self.tau_pp(&path, dst, subject, object, ctx, idx, true)
+                return self.tau_pp(&path, dst, subject, object, ctx, idx, true);
             }
             PropertyPath::Between(inner, n, m) => {
                 if *n == 0 {
@@ -1357,46 +1047,24 @@ impl Translator {
                         Box::new(path),
                     );
                 }
-                self.tau_pp(&path, dst, subject, object, ctx, idx, true)
+                return self.tau_pp(&path, dst, subject, object, ctx, idx, true);
             }
+        };
+        for (child, c) in children {
+            self.tau_pp(child, dst, subject, object, ctx, c, force_set)?;
         }
+        Ok(())
     }
 
-    /// The two transitive-closure rules of Def. A.16 (IDs forced to `[]`).
-    fn emit_one_or_more(&mut self, idx: u64, ctx: &GraphCtx) {
-        // ans_i([], X, Y, D) :- ans_2i(Id1, X, Y, D).
-        {
-            let mut b = RuleBuilder::new();
-            let head = vec![
-                AtomArg::Const(nil_id(&self.symbols)),
-                AtomArg::Var(b.var("X")),
-                AtomArg::Var(b.var("Y")),
-                self.gctx_arg(&mut b, ctx),
-            ];
-            b.head(self.ans_pred(idx), head);
-            let (id1, x, y) = (b.v("Id1"), b.v("X"), b.v("Y"));
-            let d = self.gctx_arg(&mut b, ctx);
-            b.pos(self.ans_pred(2 * idx), vec![id1, x, y, d]);
-            self.program.rules.push(b.build());
-        }
-        // ans_i([], X, Z, D) :- ans_2i(Id1, X, Y, D), ans_i(Id2, Y, Z, D).
-        {
-            let mut b = RuleBuilder::new();
-            let head = vec![
-                AtomArg::Const(nil_id(&self.symbols)),
-                AtomArg::Var(b.var("X")),
-                AtomArg::Var(b.var("Z")),
-                self.gctx_arg(&mut b, ctx),
-            ];
-            b.head(self.ans_pred(idx), head);
-            let (id1, x, y) = (b.v("Id1"), b.v("X"), b.v("Y"));
-            let d = self.gctx_arg(&mut b, ctx);
-            b.pos(self.ans_pred(2 * idx), vec![id1, x, y, d]);
-            let (id2, y2, z) = (b.v("Id2"), b.v("Y"), b.v("Z"));
-            let d2 = self.gctx_arg(&mut b, ctx);
-            b.pos(self.ans_pred(idx), vec![id2, y2, z, d2]);
-            self.program.rules.push(b.build());
-        }
+    /// The two transitive-closure rules of Def. A.16 (IDs forced to `[]`):
+    /// `ans_i([], X, Y, D) :- ans_c(Id1, X, Y, D)` and
+    /// `ans_i([], X, Z, D) :- ans_c(Id1, X, Y, D), ans_i(Id2, Y, Z, D)`.
+    fn emit_one_or_more(&mut self, idx: u64, c: u64, ctx: &GraphCtx) {
+        let pred = self.ans_pred(c);
+        let step = || (pred, vec![V("Id1"), V("X"), V("Y")]);
+        self.path_rule(idx, [V("X"), V("Y")], &[step()], None, &[], ctx);
+        let next = (self.ans_pred(idx), vec![V("Id2"), V("Y"), V("Z")]);
+        self.path_rule(idx, [V("X"), V("Z")], &[step(), next], None, &[], ctx);
     }
 
     /// The zero-length-path rules of Defs A.18/A.19: one rule over
@@ -1410,23 +1078,8 @@ impl Translator {
         ctx: &GraphCtx,
     ) {
         // ans_i([], X, X, D) :- subjectOrObject(X, D).
-        {
-            let mut b = RuleBuilder::new();
-            let head = vec![
-                AtomArg::Const(nil_id(&self.symbols)),
-                AtomArg::Var(b.var("X")),
-                AtomArg::Var(b.var("X")),
-                self.gctx_arg(&mut b, ctx),
-            ];
-            b.head(self.ans_pred(idx), head);
-            let (x, d) = {
-                let x = b.v("X");
-                let d = self.gctx_arg(&mut b, ctx);
-                (x, d)
-            };
-            b.pos(self.pred(preds::SUBJECT_OR_OBJECT), vec![x, d]);
-            self.program.rules.push(b.build());
-        }
+        let body = [(self.pred(preds::SUBJECT_OR_OBJECT), vec![V("X")])];
+        self.path_rule(idx, [V("X"), V("X")], &body, None, &[], ctx);
         // Endpoint zero-paths (Table 5 rows 4–6): if exactly one endpoint
         // is a constant t, or both are the same constant, add (t, t).
         let endpoint: Option<&sparqlog_rdf::Term> = match (subject, object) {
@@ -1437,33 +1090,56 @@ impl Translator {
         };
         if let Some(t) = endpoint {
             let c = term_to_const(t, &self.symbols);
-            match ctx {
-                GraphCtx::Const(_) => {
-                    let mut b = RuleBuilder::new();
-                    let head = vec![
-                        AtomArg::Const(nil_id(&self.symbols)),
-                        AtomArg::Const(c.clone()),
-                        AtomArg::Const(c),
-                        self.gctx_arg(&mut b, ctx),
-                    ];
-                    b.head(self.ans_pred(idx), head);
-                    self.program.rules.push(b.build());
-                }
-                GraphCtx::Var(name) => {
-                    // Range over the named graphs to keep the rule safe.
-                    let mut b = RuleBuilder::new();
-                    let head = vec![
-                        AtomArg::Const(nil_id(&self.symbols)),
-                        AtomArg::Const(c.clone()),
-                        AtomArg::Const(c),
-                        self.gctx_arg(&mut b, ctx),
-                    ];
-                    b.head(self.ans_pred(idx), head);
-                    let g = b.var(name);
-                    b.pos(self.pred(preds::NAMED), vec![AtomArg::Var(g)]);
-                    self.program.rules.push(b.build());
-                }
+            // Under a graph variable, range over the named graphs to keep
+            // the rule safe.
+            let body = match ctx {
+                GraphCtx::Const(_) => vec![],
+                GraphCtx::Var(_) => vec![(self.pred(preds::NAMED), vec![])],
+            };
+            self.path_rule(idx, [C(c.clone()), C(c)], &body, None, &[], ctx);
+        }
+    }
+
+    /// Emits the path rule `ans_idx(Id, x, y, D) :- atoms, P ≠ neq…`,
+    /// each body atom completed by `D`. With `id = Some((dst, feeds))`
+    /// the rule assigns a tuple ID over `feeds` and the graph variable;
+    /// with `None` its head carries the nil ID `[]` of the set-semantics
+    /// closure rules. `neq` are the IRIs a negated property set excludes
+    /// from the predicate `P`.
+    fn path_rule(
+        &mut self,
+        idx: u64,
+        ends: [Arg; 2],
+        atoms: &[(Sym, Vec<Arg>)],
+        id: Option<(bool, &[&str])>,
+        neq: &[Arc<str>],
+        ctx: &GraphCtx,
+    ) {
+        let mut b = RuleBuilder::new();
+        let mut head = vec![match id {
+            Some(_) => b.v("Id"),
+            None => AtomArg::Const(nil_id(&self.symbols)),
+        }];
+        head.extend(ends.iter().map(|e| e.atom_arg(&mut b)));
+        head.push(ctx.arg(&mut b));
+        b.head(self.ans_pred(idx), head);
+        for (pred, args) in atoms {
+            let mut args: Vec<AtomArg> = args.iter().map(|a| a.atom_arg(&mut b)).collect();
+            args.push(ctx.arg(&mut b));
+            b.pos(*pred, args);
+        }
+        for p in neq {
+            let pv = DExpr::Var(b.var("P"));
+            let iri = DExpr::Const(Const::Iri(self.symbols.intern(p)));
+            b.cond(DExpr::Cmp(CmpOp::Neq, Box::new(pv), Box::new(iri)));
+        }
+        match id {
+            Some((dst, feeds)) => {
+                let mut feeds: Vec<String> = feeds.iter().map(|f| f.to_string()).collect();
+                ctx.feed(&mut feeds);
+                self.push_with_id(b, dst, &feeds, idx);
             }
+            None => self.program.rules.push(b.build()),
         }
     }
 
@@ -1471,19 +1147,32 @@ impl Translator {
 
     /// Translates a SPARQL filter expression into a Datalog expression
     /// (§5.1 "Filter constraints": conditions are copied into the rule
-    /// body). `scope` maps a SPARQL variable name to its Datalog variable
-    /// name, or `None` for out-of-scope variables (which per SPARQL are
-    /// unbound: they become the `null` constant, so comparisons error out
-    /// and `BOUND` is false).
+    /// body). `scope` names each in-scope SPARQL variable's column;
+    /// out-of-scope variables are unbound per SPARQL: they become the
+    /// `null` constant, so comparisons error out and `BOUND` is false.
     fn translate_expr(
         &self,
         e: &SExpr,
         b: &mut RuleBuilder,
-        scope: &dyn Fn(&str) -> Option<String>,
+        scope: Cols,
     ) -> Result<DExpr, TranslationError> {
         crate::expr_translation::sexpr_to_dexpr(e, &self.symbols, &mut |name| {
-            scope(name).map(|n| b.var(&n))
+            scope.col(name).map(|n| b.var(&n))
         })
+    }
+
+    /// Adds each of `conds` to the rule body as a condition.
+    fn conds(
+        &self,
+        b: &mut RuleBuilder,
+        conds: &[SExpr],
+        scope: Cols,
+    ) -> Result<(), TranslationError> {
+        for cond in conds {
+            let c = self.translate_expr(cond, b, scope)?;
+            b.cond(c);
+        }
+        Ok(())
     }
 }
 
