@@ -2,16 +2,27 @@
 //!
 //! Translates a parsed SPARQL query into a Warded Datalog± program by
 //! recursively walking the pattern tree. Subpattern `i`'s bindings live in
-//! predicate `ans<i>`; children get indices `2i` and `2i+1` (§5.1,
-//! "General strategy"). Under **bag semantics** every answer predicate
-//! carries a tuple-ID argument generated by a Skolem functor over the
-//! rule's positive body variables (§5.1 "Bag semantics", Appendix C);
-//! under **set semantics** (DISTINCT/ASK and the three recursive path
-//! operators) the ID is forced to the constant `[]`, collapsing
-//! duplicates.
+//! predicate `ans<i>` (§5.1, "General strategy"). Under **bag semantics**
+//! every answer predicate carries a tuple-ID argument generated by a
+//! Skolem functor over the rule's positive body variables (§5.1 "Bag
+//! semantics", Appendix C); under **set semantics** (DISTINCT/ASK and the
+//! three recursive path operators) the ID is forced to the constant `[]`,
+//! collapsing duplicates.
+//!
+//! Every rule is written from two templates. A pattern answer atom is
+//! `ans_i(Id, x̄, D)`: the tuple ID, one column per variable of the
+//! sorted `x̄` under a renaming (`v_x`, or `r1_x`/`r2_x`/`w2_x`/`z_x`
+//! where Defs A.5–A.10 rename shared variables apart), and the graph
+//! `D`. A path answer atom is `ans_i(Id, X, Y, D)`. The operators differ
+//! only in which atoms, compat items, null paddings and conditions
+//! their rules hold.
 //!
 //! Deviations from the appendix:
 //!
+//! * subpatterns are numbered from a counter, not by the heap index of
+//!   Figure 5 (children `2i` and `2i+1`): the root is `ans1` and a
+//!   parent takes its children's indices before it builds its rules, so
+//!   a pattern tree of any depth gets distinct predicates;
 //! * `subjectOrObject` carries the graph as a second argument so
 //!   zero-length paths are computed per graph;
 //! * the zero-length-path rule for constant endpoints is unconditional
@@ -131,6 +142,7 @@ pub fn translate_query(
         program: Program::new(),
         prefix: prefix.to_string(),
         rule_seq: 0,
+        next_idx: 2,
     };
     t.translate(query)
 }
@@ -140,6 +152,8 @@ struct Translator {
     program: Program,
     prefix: String,
     rule_seq: usize,
+    /// The next free subpattern index; the pattern root is `ans1`.
+    next_idx: u64,
 }
 
 /// The nil tuple ID `[]` forcing set semantics (§5.2).
@@ -335,14 +349,17 @@ impl Translator {
         self.symbols.intern(name)
     }
 
-    /// The index of the only child of subpattern `idx`.
-    fn child(&mut self, idx: u64) -> u64 {
-        2 * idx
+    /// A fresh subpattern index. A parent takes its children's indices
+    /// before it builds its own rules, so every index in a program is
+    /// distinct however deep the pattern tree is.
+    fn child(&mut self) -> u64 {
+        self.next_idx += 1;
+        self.next_idx - 1
     }
 
-    /// The indices of the two children of subpattern `idx`.
-    fn kids(&mut self, idx: u64) -> [u64; 2] {
-        [2 * idx, 2 * idx + 1]
+    /// Two fresh subpattern indices, for a binary operator's operands.
+    fn kids(&mut self) -> [u64; 2] {
+        [self.child(), self.child()]
     }
 
     /// Starts a rule with the head `ans_idx(Id, v_x̄, D)`.
@@ -685,13 +702,13 @@ impl Translator {
                 vec![]
             }
             GraphPattern::Join(p1, p2) => {
-                let [l, r] = self.kids(idx);
+                let [l, r] = self.kids();
                 self.join_rule(idx, [(l, &sig(p1)), (r, &sig(p2))], &[], dst, ctx)?;
                 vec![(p1, l), (p2, r)]
             }
             GraphPattern::Union(p1, p2) => {
                 // Def. A.6: each branch, null-padded to the union's columns.
-                let [l, r] = self.kids(idx);
+                let [l, r] = self.kids();
                 for (child, c) in [(p1, l), (p2, r)] {
                     let child_vars = sig(child);
                     let mut b = self.rule(idx, &vars, ctx);
@@ -705,18 +722,18 @@ impl Translator {
             GraphPattern::Optional(p1, p2) => {
                 // Defs A.7 / A.9: peel filters off the right side.
                 let (inner, conds) = peel_filters(p2);
-                let [l, r] = self.kids(idx);
+                let [l, r] = self.kids();
                 self.translate_optional(idx, [(l, &sig(p1)), (r, &sig(inner))], &conds, dst, ctx)?;
                 vec![(p1, l), (inner, r)]
             }
             GraphPattern::Minus(p1, p2) => {
-                let [l, r] = self.kids(idx);
+                let [l, r] = self.kids();
                 self.translate_minus(idx, [(l, &sig(p1)), (r, &sig(p2))], dst, ctx);
                 vec![(p1, l), (p2, r)]
             }
             GraphPattern::Filter(p1, cond) => {
                 // Def. A.8.
-                let c = self.child(idx);
+                let c = self.child();
                 let mut b = self.rule(idx, &vars, ctx);
                 let body = Cols::v(&vars).names();
                 let feeds = ans(&mut b, Slot::Pos, self.ans_pred(c), Some("Id1"), &body, ctx);
@@ -731,7 +748,7 @@ impl Translator {
                     GraphSpec::Iri(iri) => GraphCtx::Const(Const::Iri(self.symbols.intern(iri))),
                     GraphSpec::Var(v) => GraphCtx::Var(format!("v_{}", v.name())),
                 };
-                let c = self.child(idx);
+                let c = self.child();
                 let mut b = self.rule(idx, &vars, ctx);
                 let body = Cols::v(&sig(p1)).names();
                 let mut feeds = ans(
@@ -755,7 +772,7 @@ impl Translator {
             } => {
                 // Def. A.11: glue the endpoints onto the top-level path
                 // expression.
-                let c = self.child(idx);
+                let c = self.child();
                 let mut b = self.rule(idx, &vars, ctx);
                 let mut feeds = vec!["Id1".to_string()];
                 let s = self.term_pattern_arg(&mut b, subject, &mut feeds);
@@ -823,8 +840,8 @@ impl Translator {
         let all = union(v1, v2);
         let opt_pred = self.aux_pred("opt", idx);
 
-        // Rule 1: ans_opt(var(P1), D) :- ans_2i(Id1, var(P1), D),
-        //         compat(x, r2_x, z_x)…, ans_2i+1(Id2, v2(var(P2)), D), [C].
+        // Rule 1: ans_opt(var(P1), D) :- ans_l(Id1, var(P1), D),
+        //         compat(x, r2_x, z_x)…, ans_r(Id2, v2(var(P2)), D), [C].
         let mut b = RuleBuilder::new();
         let left = Cols::v(v1).names();
         ans(&mut b, Slot::Head, opt_pred, None, &left, ctx);
@@ -847,7 +864,7 @@ impl Translator {
         // Rule 2: the join rule (+C).
         self.join_rule(idx, sides, conds, dst, ctx)?;
 
-        // Rule 3: ans_i(Id, var(Pi), D) :- ans_2i(Id1, var(P1), D),
+        // Rule 3: ans_i(Id, var(Pi), D) :- ans_l(Id1, var(P1), D),
         //         not ans_opt(var(P1), D), y = null...
         self.antijoin_rule(idx, &all, (l, v1), opt_pred, dst, ctx);
         Ok(())
@@ -869,7 +886,7 @@ impl Translator {
         // x̄ = var(P1) ∪ v2(var(P2)) — columns of ans_join.
         let join_cols = [left.clone(), right.clone()].concat();
 
-        // ans_join(x̄, D) :- ans_2i(...), compat(x, r2_x, z_x), ans_2i+1(...).
+        // ans_join(x̄, D) :- ans_l(...), compat(x, r2_x, z_x), ans_r(...).
         let mut b = RuleBuilder::new();
         ans(&mut b, Slot::Head, join_pred, None, &join_cols, ctx);
         ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
@@ -900,7 +917,7 @@ impl Translator {
             self.program.rules.push(b.build());
         }
 
-        // ans_i(Id, var(P1), D) :- ans_2i(Id1, var(P1), D),
+        // ans_i(Id, var(P1), D) :- ans_l(Id1, var(P1), D),
         //                          not ans_equal(var(P1), D).
         self.antijoin_rule(idx, v1, (l, v1), equal_pred, dst, ctx);
     }
@@ -953,7 +970,7 @@ impl Translator {
             PropertyPath::Inverse(inner) => {
                 // Def. A.13 propagates S and O unchanged (zero-length
                 // pairs are symmetric, so no swap is needed).
-                let c = self.child(idx);
+                let c = self.child();
                 let body = [(self.ans_pred(c), vec![V("Id1"), V("Y"), V("X")])];
                 let id = Some((dst, &["Id1", "X", "Y"][..]));
                 self.path_rule(idx, [V("X"), V("Y")], &body, id, &[], ctx);
@@ -961,7 +978,7 @@ impl Translator {
             }
             PropertyPath::Alternative(l, r) => {
                 // Def. A.14.
-                let [cl, cr] = self.kids(idx);
+                let [cl, cr] = self.kids();
                 for c in [cl, cr] {
                     let body = [(self.ans_pred(c), vec![V("Id1"), V("X"), V("Y")])];
                     let id = Some((dst, &["Id1", "X", "Y"][..]));
@@ -974,7 +991,7 @@ impl Translator {
                 // children unchanged (they only influence zero-length
                 // paths, where the extra pairs are harmless — see the
                 // correctness discussion in Appendix B).
-                let [cl, cr] = self.kids(idx);
+                let [cl, cr] = self.kids();
                 let body = [
                     (self.ans_pred(cl), vec![V("Id1"), V("X"), V("Y")]),
                     (self.ans_pred(cr), vec![V("Id2"), V("Y"), V("Z")]),
@@ -985,14 +1002,14 @@ impl Translator {
             }
             PropertyPath::OneOrMore(inner) => {
                 // Def. A.16 — transitive closure with nil IDs.
-                let c = self.child(idx);
+                let c = self.child();
                 self.emit_one_or_more(idx, c, ctx);
                 vec![(inner, c)]
             }
             PropertyPath::ZeroOrOne(inner) => {
                 // Def. A.18: the zero-length rules and
-                // ans_i([], X, Y, D) :- ans_2i(Id1, X, Y, D).
-                let c = self.child(idx);
+                // ans_i([], X, Y, D) :- ans_c(Id1, X, Y, D).
+                let c = self.child();
                 self.emit_zero_rules(idx, subject, object, ctx);
                 let body = [(self.ans_pred(c), vec![V("Id1"), V("X"), V("Y")])];
                 self.path_rule(idx, [V("X"), V("Y")], &body, None, &[], ctx);
@@ -1000,7 +1017,7 @@ impl Translator {
             }
             PropertyPath::ZeroOrMore(inner) => {
                 // Def. A.19 = zero part + one-or-more part.
-                let c = self.child(idx);
+                let c = self.child();
                 self.emit_zero_rules(idx, subject, object, ctx);
                 self.emit_one_or_more(idx, c, ctx);
                 vec![(inner, c)]

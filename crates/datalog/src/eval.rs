@@ -82,9 +82,11 @@ use crate::value::{Const, OrdF64, TermDict, TermId};
 /// Evaluation options.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Skolem-nesting bound: head tuples containing deeper Skolem terms
-    /// are not derived. Substitutes for Vadalog's chase-termination
-    /// strategy on cyclic existential rules.
+    /// Skolem-nesting bound: a head tuple is not derived when the value
+    /// it invents for an existential variable nests deeper. Substitutes
+    /// for Vadalog's chase-termination strategy on cyclic existential
+    /// rules; Skolem terms a rule body binds, such as T_Q's tuple IDs,
+    /// are not bounded.
     pub max_skolem_depth: usize,
     /// Cost-based join planning ([`crate::plan`]): plan rule bodies with
     /// the snapshot's relation statistics, or without. On by default;
@@ -1418,19 +1420,17 @@ fn instantiate_head(
             EArg::Id(id) => *id,
             EArg::Var(v) => match env[*v as usize] {
                 Some(id) => id,
+                // Only invented values are bounded: a Skolem term bound in
+                // the body (a tuple ID, say) is as deep as its derivation.
                 None => match ex_values.get(v) {
-                    Some(&id) => id,
-                    None => {
+                    Some(&id) if ctx.dict.skolem_depth(id) <= ctx.max_skolem_depth => id,
+                    _ => {
                         out.ids.truncate(start);
                         return;
                     }
                 },
             },
         };
-        if id.is_skolem() && ctx.dict.skolem_depth(id) > ctx.max_skolem_depth {
-            out.ids.truncate(start);
-            return;
-        }
         out.ids.push(id);
     }
     let hash = row_hash(&out.ids[start..]);

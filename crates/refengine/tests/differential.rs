@@ -112,6 +112,18 @@ fn fixed_query_battery() {
     ] {
         compare(q);
     }
+    // Pattern trees deeper than 63 levels: a 70-branch UNION, a COUNT over
+    // a 70-pattern BGP, and a 70-step path sequence. Their tuple IDs nest
+    // 70 Skolem terms deep.
+    let union = vec!["{ ?s ex:p ?o }"; 70].join(" UNION ");
+    let bgp = "?s ex:p ?o . ".repeat(70);
+    for q in [
+        format!("PREFIX ex: <http://e/> SELECT * WHERE {{ {union} }}"),
+        format!("PREFIX ex: <http://e/> SELECT (COUNT(*) AS ?c) WHERE {{ {bgp}}}"),
+        "PREFIX ex: <http://e/> SELECT ?y WHERE { ex:a ex:p{70} ?y }".to_string(),
+    ] {
+        compare(&q);
+    }
 }
 
 /// A default graph and two named graphs that share subjects and
