@@ -60,6 +60,15 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of group graph patterns, property-path groups
+/// and expressions (parenthesised, built-in arguments, unary operators)
+/// the parser accepts. Each level is a recursive call in the parser and
+/// in every pass over the tree after it, so unbounded nesting would
+/// overflow the stack, which aborts the process; past this depth the
+/// input is a [`ParseError`] instead. Real queries nest a handful of
+/// levels.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a SPARQL query string into a [`Query`].
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     let mut p = Parser::new(input)?;
@@ -115,6 +124,8 @@ struct Parser {
     pos: usize,
     prefixes: HashMap<String, String>,
     anon: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -127,7 +138,22 @@ impl Parser {
             pos: 0,
             prefixes: HashMap::new(),
             anon: 0,
+            depth: 0,
         })
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &Token {
@@ -736,6 +762,10 @@ impl Parser {
     // -------------------------------------------------------- graph pattern
 
     fn parse_group_graph_pattern(&mut self) -> Result<GraphPattern, ParseError> {
+        self.nested(Self::parse_group_body)
+    }
+
+    fn parse_group_body(&mut self) -> Result<GraphPattern, ParseError> {
         self.expect_punct(Punct::LBrace)?;
         let mut current = GraphPattern::Empty;
         let mut filters: Vec<Expr> = Vec::new();
@@ -953,6 +983,10 @@ impl Parser {
     // -------------------------------------------------------------- paths
 
     fn parse_path(&mut self) -> Result<PropertyPath, ParseError> {
+        self.nested(Self::parse_path_alternative)
+    }
+
+    fn parse_path_alternative(&mut self) -> Result<PropertyPath, ParseError> {
         let mut p = self.parse_path_sequence()?;
         while self.eat_punct(Punct::Pipe) {
             let rhs = self.parse_path_sequence()?;
@@ -1115,6 +1149,10 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::parse_or_expr)
+    }
+
+    fn parse_or_expr(&mut self) -> Result<Expr, ParseError> {
         // ConditionalOrExpression
         let mut e = self.parse_and_expr()?;
         while self.eat_punct(Punct::OrOr) {
@@ -1194,11 +1232,11 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct(Punct::Bang) {
-            Ok(Expr::Not(Box::new(self.parse_unary()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::parse_unary)?)))
         } else if self.eat_punct(Punct::Minus) {
-            Ok(Expr::Neg(Box::new(self.parse_unary()?)))
+            Ok(Expr::Neg(Box::new(self.nested(Self::parse_unary)?)))
         } else if self.eat_punct(Punct::Plus) {
-            self.parse_unary()
+            self.nested(Self::parse_unary)
         } else {
             self.parse_primary()
         }
@@ -1663,6 +1701,44 @@ mod tests {
         assert_eq!(err.feature, None);
         assert!(parse_query("SELECT").is_err());
         assert!(parse_query("SELECT ?x WHERE { ?x nope:p ?y }").is_err());
+    }
+
+    /// Group graph patterns nested `n` deep (the `WHERE` group is level 1).
+    fn nested_groups(n: usize) -> String {
+        format!("{}?s ?p ?o{}", "{ ".repeat(n), " }".repeat(n))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let groups = |n| format!("SELECT * WHERE {}", nested_groups(n));
+        assert!(parse_query(&groups(MAX_NESTING)).is_ok());
+        let err = parse_query(&groups(MAX_NESTING + 1)).unwrap_err();
+        assert!(
+            err.message.contains("nesting deeper than 64 levels"),
+            "{err}"
+        );
+        assert!(!err.unsupported);
+
+        // 10 000 levels of each kind of nesting fail cleanly instead of
+        // overflowing the stack.
+        let n = 10_000;
+        let filter = |e: String| format!("SELECT * WHERE {{ ?s ?p ?o FILTER ({e}) }}");
+        for q in [
+            groups(n),
+            filter(format!("{}?o{}", "(".repeat(n), ")".repeat(n))),
+            filter(format!("{}?o", "!".repeat(n))),
+            filter(format!("{}?o", "-".repeat(n))),
+            filter(format!("{}?o{}", "STR(".repeat(n), ")".repeat(n))),
+            format!(
+                "SELECT * WHERE {{ ?s {}<http://p>{} ?o }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+        ] {
+            assert!(parse_query(&q).is_err());
+        }
+        let update = format!("DELETE {{ ?s ?p ?o }} WHERE {}", nested_groups(n));
+        assert!(parse_update(&update).is_err());
     }
 
     #[test]
