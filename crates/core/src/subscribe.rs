@@ -290,12 +290,12 @@ fn multiset_diff(old: &[SolutionRow], new: &[SolutionRow]) -> (Vec<SolutionRow>,
 
 /// Derives the closed predicate set of a `WHERE` pattern: `Some(preds)`
 /// when the pattern is built from plain triple patterns (joins, unions,
-/// optionals, minus) whose predicates are all constant IRIs — then the
-/// query's results can only change when a triple with one of those
-/// predicates does. Property paths, `GRAPH` blocks and filters fall
-/// back to `None` (filters may consult term-class predicates through
-/// `EXISTS`-style shapes; paths and graph blocks reach arbitrary
-/// predicates).
+/// optionals, minus, filters) whose predicates are all constant IRIs —
+/// then the query's results can only change when a triple with one of
+/// those predicates does. A filter reads only the values its pattern
+/// binds (the parser rejects `EXISTS`), so it has its pattern's set.
+/// Property paths and `GRAPH` blocks fall back to `None`: they reach
+/// arbitrary predicates.
 fn closed_predicates(pattern: &GraphPattern, out: &mut Vec<Term>) -> bool {
     match pattern {
         GraphPattern::Empty => true,
@@ -312,7 +312,8 @@ fn closed_predicates(pattern: &GraphPattern, out: &mut Vec<Term>) -> bool {
         | GraphPattern::Union(a, b)
         | GraphPattern::Optional(a, b)
         | GraphPattern::Minus(a, b) => closed_predicates(a, out) && closed_predicates(b, out),
-        GraphPattern::Path { .. } | GraphPattern::Filter(..) | GraphPattern::Graph(..) => false,
+        GraphPattern::Filter(p, _) => closed_predicates(p, out),
+        GraphPattern::Path { .. } | GraphPattern::Graph(..) => false,
     }
 }
 
