@@ -4,7 +4,7 @@
 //!
 //! `transitive_closure_300` keeps the PR 1 methodology (parse + load +
 //! evaluate from scratch each iteration) so records stay comparable
-//! across `BENCH_pr*.json`. The other cases pre-build their fact rows
+//! across `docs/history/BENCH_pr*.json`. The other cases pre-build their fact rows
 //! once and load them through `Database::load_rows` each iteration —
 //! the bulk fast path — so they measure the engine, not the textual
 //! Datalog parser (their fixtures are 10 000 / 500 fact lines).

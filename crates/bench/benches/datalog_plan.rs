@@ -1,7 +1,7 @@
 //! Microbenchmarks of the cost-based physical planner (PR 6): the two
 //! workloads the planner and the magic-sets rewrite were built for,
 //! each measured with the optimisation off and on so the committed
-//! `BENCH_pr6.json` records the before/after on identical fixtures.
+//! `docs/history/BENCH_pr6.json` records the before/after on identical fixtures.
 //!
 //! * `star_join_10k_*`: a star join whose selective atom sits *last* in
 //!   rule text — `q(Y, Z) :- big1(X, Y), big2(X, Z), tiny(X)` over two

@@ -14,7 +14,7 @@
 //!
 //! Timing of both paths is also recorded through the usual microbench
 //! harness. The peak numbers print to stdout and are recorded in
-//! `BENCH_pr8.json`.
+//! `docs/history/BENCH_pr8.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -414,11 +414,10 @@ impl Translator {
         self.tau(&pattern, dst, &ctx, 1, false)?;
 
         let root_pred = self.symbols.intern(&format!("{}ans", self.prefix));
-        let pattern_vars = sig(&pattern);
 
         let (columns, is_ask) = match &query.form {
             QueryForm::Ask => {
-                self.translate_ask(root_pred, &query.pattern, &ctx)?;
+                self.translate_ask(root_pred, &query.pattern, &ctx);
                 (Vec::new(), true)
             }
             // The graph-producing forms run their WHERE clause as a plain
@@ -440,15 +439,15 @@ impl Translator {
                         }
                     }
                 }
-                self.translate_select(root_pred, &proj, &query.pattern, &ctx, dst)?;
+                self.translate_select(root_pred, &proj, &query.pattern, &ctx, dst);
                 (proj, false)
             }
             QueryForm::Select { items, .. } => {
                 let cols = if query.has_aggregates() {
-                    self.translate_select_aggregate(root_pred, query, items, &pattern_vars, &ctx)?
+                    self.translate_select_aggregate(root_pred, query, items, &sig(&pattern), &ctx)?
                 } else {
                     let proj = query.projection();
-                    self.translate_select(root_pred, &proj, &query.pattern, &ctx, dst)?;
+                    self.translate_select(root_pred, &proj, &query.pattern, &ctx, dst);
                     proj
                 };
                 (cols, false)
@@ -514,7 +513,7 @@ impl Translator {
         pattern: &GraphPattern,
         ctx: &GraphCtx,
         dst: bool,
-    ) -> Result<(), TranslationError> {
+    ) {
         let pattern_vars = sig(pattern);
         let mut b = RuleBuilder::new();
         ans(
@@ -529,7 +528,6 @@ impl Translator {
         let feeds = ans(&mut b, Slot::Pos, self.ans_pred(1), Some("Id1"), &body, ctx);
         pad(&mut b, projection, &pattern_vars);
         self.push_with_id(b, dst, &feeds, 0);
-        Ok(())
     }
 
     /// GROUP BY + a single aggregate (paper Table 1: GROUP BY ✓ with
@@ -617,12 +615,7 @@ impl Translator {
     }
 
     /// Def. A.22 (Ask).
-    fn translate_ask(
-        &mut self,
-        root_pred: Sym,
-        pattern: &GraphPattern,
-        ctx: &GraphCtx,
-    ) -> Result<(), TranslationError> {
+    fn translate_ask(&mut self, root_pred: Sym, pattern: &GraphPattern, ctx: &GraphCtx) {
         let ask_pred = self.aux_pred("ask", 1);
         // ans_ask(true) :- ans1(Id1, vars, D).
         let mut b = RuleBuilder::new();
@@ -641,7 +634,6 @@ impl Translator {
         b.head(root_pred, vec![AtomArg::Const(Const::Bool(false))]);
         b.neg(ask_pred, vec![AtomArg::Const(Const::Bool(true))]);
         self.program.rules.push(b.build());
-        Ok(())
     }
 
     fn term_pattern_arg(

@@ -668,7 +668,7 @@ fn profile_param_ships_trailer_sidecar() {
 /// The acceptance test: a CONSTRUCT returning ≥100k triples streams as
 /// bounded chunks — read incrementally, every frame is at most the
 /// configured chunk size (server-side buffering is O(chunk), proven
-/// allocation-wise by `benches/http_stream.rs` / BENCH_pr8.json).
+/// allocation-wise by `benches/http_stream.rs` / `docs/history/BENCH_pr8.json`).
 #[test]
 fn large_construct_streams_in_bounded_chunks() {
     const N: usize = 100_000;
