@@ -365,12 +365,13 @@ impl Translator {
     /// Starts a rule with the head `ans_idx(Id, v_x̄, D)`.
     fn rule(&self, idx: u64, vars: &[Var], ctx: &GraphCtx) -> RuleBuilder {
         let mut b = RuleBuilder::new();
+        let head = Cols::v(vars).names();
         ans(
             &mut b,
             Slot::Head,
             self.ans_pred(idx),
             Some("Id"),
-            &Cols::v(vars).names(),
+            &head,
             ctx,
         );
         b
@@ -516,14 +517,8 @@ impl Translator {
     ) {
         let pattern_vars = sig(pattern);
         let mut b = RuleBuilder::new();
-        ans(
-            &mut b,
-            Slot::Head,
-            root_pred,
-            Some("Id"),
-            &Cols::v(projection).names(),
-            ctx,
-        );
+        let head = Cols::v(projection).names();
+        ans(&mut b, Slot::Head, root_pred, Some("Id"), &head, ctx);
         let body = Cols::v(&pattern_vars).names();
         let feeds = ans(&mut b, Slot::Pos, self.ans_pred(1), Some("Id1"), &body, ctx);
         pad(&mut b, projection, &pattern_vars);
@@ -553,14 +548,8 @@ impl Translator {
         let id = b.var("Id");
         // Body: the pattern's answer predicate.
         let scope = Cols::v(pattern_vars);
-        ans(
-            &mut b,
-            Slot::Pos,
-            self.ans_pred(1),
-            Some("Id1"),
-            &scope.names(),
-            ctx,
-        );
+        let body = scope.names();
+        ans(&mut b, Slot::Pos, self.ans_pred(1), Some("Id1"), &body, ctx);
         let mut columns = Vec::new();
         let mut head = vec![AtomArg::Var(id)];
         let mut agg_spec: Option<AggSpec> = None;
@@ -743,14 +732,8 @@ impl Translator {
                 let c = self.child();
                 let mut b = self.rule(idx, &vars, ctx);
                 let body = Cols::v(&sig(p1)).names();
-                let mut feeds = ans(
-                    &mut b,
-                    Slot::Pos,
-                    self.ans_pred(c),
-                    Some("Id1"),
-                    &body,
-                    &child_ctx,
-                );
+                let pred = self.ans_pred(c);
+                let mut feeds = ans(&mut b, Slot::Pos, pred, Some("Id1"), &body, &child_ctx);
                 let g = child_ctx.arg(&mut b);
                 b.pos(self.pred(preds::NAMED), vec![g]);
                 child_ctx.feed(&mut feeds);
@@ -799,19 +782,13 @@ impl Translator {
         let shared = shared(v1, v2);
         let all = union(v1, v2);
         let mut b = self.rule(idx, &all, ctx);
+        let (lp, rp) = (self.ans_pred(l), self.ans_pred(r));
         let left = Cols::v(v1).rename(&shared, "r1_").names();
-        let mut feeds = ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
+        let mut feeds = ans(&mut b, Slot::Pos, lp, Some("Id1"), &left, ctx);
         compat_shared(&mut b, &shared, "r1_", "v_");
         feeds.extend(shared.iter().map(|v| format!("v_{}", v.name())));
         let right = Cols::v(v2).rename(&shared, "r2_").names();
-        feeds.extend(ans(
-            &mut b,
-            Slot::Pos,
-            self.ans_pred(r),
-            Some("Id2"),
-            &right,
-            ctx,
-        ));
+        feeds.extend(ans(&mut b, Slot::Pos, rp, Some("Id2"), &right, ctx));
         self.conds(&mut b, conds, Cols::v(&all))?;
         self.push_with_id(b, dst, &feeds, idx);
         Ok(())
@@ -834,20 +811,14 @@ impl Translator {
 
         // Rule 1: ans_opt(var(P1), D) :- ans_l(Id1, var(P1), D),
         //         compat(x, r2_x, z_x)…, ans_r(Id2, v2(var(P2)), D), [C].
+        let (lp, rp) = (self.ans_pred(l), self.ans_pred(r));
         let mut b = RuleBuilder::new();
         let left = Cols::v(v1).names();
         ans(&mut b, Slot::Head, opt_pred, None, &left, ctx);
-        ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
+        ans(&mut b, Slot::Pos, lp, Some("Id1"), &left, ctx);
         compat_shared(&mut b, &shared, "v_", "z_");
         let right = Cols::v(v2).rename(&shared, "r2_").names();
-        ans(
-            &mut b,
-            Slot::Pos,
-            self.ans_pred(r),
-            Some("Id2"),
-            &right,
-            ctx,
-        );
+        ans(&mut b, Slot::Pos, rp, Some("Id2"), &right, ctx);
         // The filter condition over the *joined* mapping: shared
         // variables refer to the compat output z_x.
         self.conds(&mut b, conds, Cols::v(&all).rename(&shared, "z_"))?;
@@ -879,18 +850,12 @@ impl Translator {
         let join_cols = [left.clone(), right.clone()].concat();
 
         // ans_join(x̄, D) :- ans_l(...), compat(x, r2_x, z_x), ans_r(...).
+        let (lp, rp) = (self.ans_pred(l), self.ans_pred(r));
         let mut b = RuleBuilder::new();
         ans(&mut b, Slot::Head, join_pred, None, &join_cols, ctx);
-        ans(&mut b, Slot::Pos, self.ans_pred(l), Some("Id1"), &left, ctx);
+        ans(&mut b, Slot::Pos, lp, Some("Id1"), &left, ctx);
         compat_shared(&mut b, &shared, "v_", "z_");
-        ans(
-            &mut b,
-            Slot::Pos,
-            self.ans_pred(r),
-            Some("Id2"),
-            &right,
-            ctx,
-        );
+        ans(&mut b, Slot::Pos, rp, Some("Id2"), &right, ctx);
         self.program.rules.push(b.build());
 
         // ans_equal(var(P1), D) :- ans_join(x̄, D), x_j = r2_x_j,
