@@ -544,6 +544,45 @@ fn ontology_existential_axiom_generates_labelled_null() {
 }
 
 #[test]
+fn retraction_under_a_cyclic_existential_axiom_terminates() {
+    use sparqlog::{Axiom, Ontology};
+    // Person ⊑ ∃hasParent.Person invents a parent for every Person, and
+    // the parent is a Person again: the Skolem-depth bound must cut the
+    // chain in the retraction's overdelete and re-derive runs, as it
+    // does in the initial chase.
+    let onto = Ontology::new().with(Axiom::SomeValuesFrom {
+        class: "http://e/Person".into(),
+        property: "http://e/hasParent".into(),
+        filler: "http://e/Person".into(),
+    });
+    let store = |people: &[&str]| {
+        let e = engine("");
+        e.add_ontology(&onto).unwrap();
+        for p in people {
+            e.update(&format!(
+                "INSERT DATA {{ <http://e/{p}> a <http://e/Person> }}"
+            ))
+            .unwrap();
+        }
+        e
+    };
+    let count = |e: &Store, q: &str| e.execute(q).unwrap().len();
+    let parents = "SELECT ?x ?p WHERE { ?x <http://e/hasParent> ?p }";
+    let persons = "SELECT ?x WHERE { ?x a <http://e/Person> }";
+    let e = store(&["alice", "bob"]);
+    let bob = store(&["bob"]);
+    assert!(count(&bob, parents) > 1, "the chain is cut, not absent");
+    e.update("DELETE DATA { <http://e/alice> a <http://e/Person> }")
+        .unwrap();
+    assert_eq!(count(&e, parents), count(&bob, parents));
+    assert_eq!(count(&e, persons), count(&bob, persons));
+    e.update("DELETE DATA { <http://e/bob> a <http://e/Person> }")
+        .unwrap();
+    assert_eq!(count(&e, parents), 0);
+    assert_eq!(count(&e, persons), 0);
+}
+
+#[test]
 fn filters_on_unbound_variables_fail() {
     let e = engine(r#"@prefix ex: <http://e/> . ex:a ex:p 1 ."#);
     // ?z is never bound: comparison errors → empty result; BOUND(?z) false.

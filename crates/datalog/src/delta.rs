@@ -38,7 +38,9 @@
 //! (`plan::skolem_functors`). A rewritten copy therefore recomputes that
 //! exact null or, where the candidate already binds `Z`, checks it — a
 //! row created by a different rule over the same predicate is never
-//! touched by accident.
+//! touched by accident. The evaluator bounds such assignments by the
+//! Skolem depth as it bounds the nulls it invents, so the overdelete and
+//! re-derive runs stop on a cyclic existential where the chase stopped.
 //!
 //! Both halves take the same programs: positive, non-aggregate rules and
 //! no `@post` — exactly the shape of the T_D base program and the

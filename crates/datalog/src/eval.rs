@@ -82,11 +82,12 @@ use crate::value::{Const, OrdF64, TermDict, TermId};
 /// Evaluation options.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Skolem-nesting bound: a head tuple is not derived when the value
-    /// it invents for an existential variable nests deeper. Substitutes
+    /// Skolem-nesting bound: a head tuple is not derived when the null
+    /// it invents for an existential variable nests deeper, whether the
+    /// evaluator mints it or a maintenance copy assigns it. Substitutes
     /// for Vadalog's chase-termination strategy on cyclic existential
-    /// rules; Skolem terms a rule body binds, such as T_Q's tuple IDs,
-    /// are not bounded.
+    /// rules; other Skolem terms a rule body binds, such as T_Q's tuple
+    /// IDs, are not bounded.
     pub max_skolem_depth: usize,
     /// Cost-based join planning ([`crate::plan`]): plan rule bodies with
     /// the snapshot's relation statistics, or without. On by default;
@@ -1035,6 +1036,11 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
+    /// Whether an invented null nests within the Skolem-depth bound.
+    fn within_depth(&self, id: TermId) -> bool {
+        self.dict.skolem_depth(id) <= self.max_skolem_depth
+    }
+
     /// The periodic cooperative check, called at batch granularity (every
     /// ~4096 join ticks, each round, each merge): only when a budget is
     /// armed — cancellation, deadline, dictionary growth and the row cap.
@@ -1295,12 +1301,17 @@ where
             }
             Ok(())
         }
-        Step::Bind { item_idx, var } => {
+        Step::Bind {
+            item_idx,
+            var,
+            bounded,
+        } => {
             let expr = match &job.rule.body[*item_idx] {
                 BodyItem::Assign(_, e) => e,
                 _ => unreachable!("bind step on non-assignment item"),
             };
-            if let Some(v) = expr.eval_id(env, ctx.dict, ctx.symbols) {
+            let value = expr.eval_id(env, ctx.dict, ctx.symbols);
+            if let Some(v) = value.filter(|&v| !*bounded || ctx.within_depth(v)) {
                 let prev = env[*var as usize].take();
                 // An assignment to an already-bound variable acts as an
                 // equality constraint (used by `D = "default"` style items
@@ -1420,10 +1431,11 @@ fn instantiate_head(
             EArg::Id(id) => *id,
             EArg::Var(v) => match env[*v as usize] {
                 Some(id) => id,
-                // Only invented values are bounded: a Skolem term bound in
-                // the body (a tuple ID, say) is as deep as its derivation.
+                // The nulls invented here are bounded, as a maintenance
+                // copy's assigned nulls are at its `Bind` step; tuple IDs
+                // are not.
                 None => match ex_values.get(v) {
-                    Some(&id) if ctx.dict.skolem_depth(id) <= ctx.max_skolem_depth => id,
+                    Some(&id) if ctx.within_depth(id) => id,
                     _ => {
                         out.ids.truncate(start);
                         return;

@@ -29,6 +29,7 @@
 
 use crate::database::Mask;
 use crate::eval::EvalError;
+use crate::expr::Expr;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::rule::{arg_vars, Atom, AtomArg, BodyItem, Program, Rule, VarId};
 use crate::stats::DbStats;
@@ -61,8 +62,13 @@ pub(crate) enum Step {
     },
     /// Evaluate a filter condition.
     Filter { item_idx: usize },
-    /// Evaluate an assignment.
-    Bind { item_idx: usize, var: VarId },
+    /// Evaluate an assignment. With `bounded`, it mints an existential's
+    /// null ([`invents_null`]) and fails past the Skolem-depth bound.
+    Bind {
+        item_idx: usize,
+        var: VarId,
+        bounded: bool,
+    },
     /// A `compat(a, b, v)` item. With `widen`, one side is bound: a
     /// non-null bound side gives the other {that value, null} (and `v`
     /// that value), a null one leaves it free for the next scan, whose
@@ -328,9 +334,13 @@ pub(crate) fn plan_rule(
                 present: false,
             },
             BodyItem::Cond(_) => Step::Filter { item_idx },
-            BodyItem::Assign(v, _) => {
+            BodyItem::Assign(v, e) => {
                 bound[*v as usize] = true;
-                Step::Bind { item_idx, var: *v }
+                Step::Bind {
+                    item_idx,
+                    var: *v,
+                    bounded: invents_null(e, symbols),
+                }
             }
             BodyItem::Compat([a, b, v]) => {
                 let free = free_var(a, &bound).or(free_var(b, &bound));
@@ -472,6 +482,9 @@ fn bound_mask(atom: &Atom, bound: &[bool], widened: &[bool]) -> Mask {
     mask
 }
 
+/// The prefix of every existential's Skolem functor.
+const EX_FUNCTOR_PREFIX: &str = "_ex_r";
+
 /// The Skolem functor `_ex_r{rule_idx}_{var}` of each existential head
 /// variable — the one naming the evaluator and [`crate::delta`] share, so
 /// the null one mints over a frontier is the one the other recomputes.
@@ -484,9 +497,21 @@ pub(crate) fn skolem_functors(
         .into_iter()
         .map(|v| {
             let name = &rule.var_names[v as usize];
-            (v, symbols.intern(&format!("_ex_r{rule_idx}_{name}")))
+            (
+                v,
+                symbols.intern(&format!("{EX_FUNCTOR_PREFIX}{rule_idx}_{name}")),
+            )
         })
         .collect()
+}
+
+/// Whether an assignment mints an existential's null: a Skolem term over
+/// a functor [`skolem_functors`] names, as [`crate::delta`]'s rewritten
+/// copies assign them. The Skolem-depth bound applies to such values as
+/// it does to the nulls the evaluator invents; other Skolem terms (T_Q's
+/// tuple IDs) are as deep as their derivation and stay unbounded.
+fn invents_null(expr: &Expr, symbols: &SymbolTable) -> bool {
+    matches!(expr, Expr::Skolem(f, _) if symbols.resolve(*f).starts_with(EX_FUNCTOR_PREFIX))
 }
 
 #[cfg(test)]

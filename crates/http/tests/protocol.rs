@@ -260,8 +260,9 @@ fn malformed_query_is_400_with_parser_message() {
     assert!(r.text().contains("read-only"), "{}", r.text());
 }
 
-/// A query nested past the parser's limit is a 400 with the parser's
-/// message, not a stack overflow that aborts the server process.
+/// A query nested past the parser's limit, or with a range count that
+/// would expand past it, is a 400 with the parser's message, not a stack
+/// overflow that aborts the server process.
 #[test]
 fn deeply_nested_query_is_400_and_server_survives() {
     let server = fixture_server();
@@ -270,21 +271,26 @@ fn deeply_nested_query_is_400_and_server_survives() {
         "{".repeat(3000),
         "}".repeat(3000)
     );
-    let parser_message = sparqlog_sparql::parse_query(&deep).unwrap_err().to_string();
-    let form = format!("query={}", percent_encode(&deep));
-    let r = request(
-        server.addr,
-        "POST",
-        "/query",
-        &[("Content-Type", "application/x-www-form-urlencoded")],
-        Some(form.as_bytes()),
-    );
-    assert_eq!(r.status, 400, "{}", r.text());
-    assert!(
-        r.text().contains(&parser_message),
-        "body {:?} must contain parser message {parser_message:?}",
-        r.text()
-    );
+    let long_path = "SELECT * WHERE { ?s <http://e/p>{1000000} ?o }".to_string();
+    for query in [deep, long_path] {
+        let parser_message = sparqlog_sparql::parse_query(&query)
+            .unwrap_err()
+            .to_string();
+        let form = format!("query={}", percent_encode(&query));
+        let r = request(
+            server.addr,
+            "POST",
+            "/query",
+            &[("Content-Type", "application/x-www-form-urlencoded")],
+            Some(form.as_bytes()),
+        );
+        assert_eq!(r.status, 400, "{}", r.text());
+        assert!(
+            r.text().contains(&parser_message),
+            "body {:?} must contain parser message {parser_message:?}",
+            r.text()
+        );
+    }
 
     let r = get_query(server.addr, SELECT_NAMES, None);
     assert_eq!(r.status, 200, "{}", r.text());

@@ -58,6 +58,6 @@ pub use ast::{
     SelectItem, TermPattern, TriplePattern, Var,
 };
 pub use expr::{AggFunc, Expr};
-pub use parser::{parse_query, parse_update, update_keyword, ParseError, MAX_NESTING};
+pub use parser::{parse_query, parse_update, update_keyword, ParseError};
 pub use path::PropertyPath;
 pub use update::{ClearTarget, GroundQuad, QuadPattern, Update, UpdateOperation};

@@ -67,7 +67,14 @@ impl std::error::Error for ParseError {}
 /// overflow the stack, which aborts the process; past this depth the
 /// input is a [`ParseError`] instead. Real queries nest a handful of
 /// levels.
-pub const MAX_NESTING: usize = 64;
+const MAX_NESTING: usize = 64;
+
+/// The most nodes a property path may have once its range quantifiers
+/// are expanded (see [`expanded_len`]). The translation recurses through
+/// the expansion, so a count such as `p{1000000}` would overflow the
+/// stack as deep nesting does; past this size the path is a
+/// [`ParseError`]. `p{255}` and `p{0,15}` fit.
+const MAX_EXPANDED_PATH: u64 = 512;
 
 /// Parses a SPARQL query string into a [`Query`].
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
@@ -1030,28 +1037,37 @@ impl Parser {
         {
             // Range quantifier {n}, {n,}, {n,m} — the gMark extension.
             self.bump(); // '{'
-            let n = match self.bump() {
-                Token::Integer(n) if n >= 0 => n as u32,
-                other => return self.err(format!("expected path count, got {other}")),
-            };
+            let n = self.path_count()?;
             let path = if self.eat_punct(Punct::Comma) {
-                match self.peek().clone() {
-                    Token::Integer(m) => {
-                        self.bump();
-                        if (m as u32) < n {
-                            return self.err("path range upper bound below lower bound");
-                        }
-                        PropertyPath::Between(Box::new(primary), n, m as u32)
+                if matches!(self.peek(), Token::Integer(_)) {
+                    let m = self.path_count()?;
+                    if m < n {
+                        return self.err("path range upper bound below lower bound");
                     }
-                    _ => PropertyPath::AtLeast(Box::new(primary), n),
+                    PropertyPath::Between(Box::new(primary), n, m)
+                } else {
+                    PropertyPath::AtLeast(Box::new(primary), n)
                 }
             } else {
                 PropertyPath::Exactly(Box::new(primary), n)
             };
             self.expect_punct(Punct::RBrace)?;
+            if expanded_len(&path) > MAX_EXPANDED_PATH {
+                return self.err(format!(
+                    "property path expands to more than {MAX_EXPANDED_PATH} nodes"
+                ));
+            }
             Ok(path)
         } else {
             Ok(primary)
+        }
+    }
+
+    /// A range quantifier's count.
+    fn path_count(&mut self) -> Result<u32, ParseError> {
+        match self.bump() {
+            Token::Integer(n) => u32::try_from(n).or_else(|_| self.err("path count out of range")),
+            other => self.err(format!("expected path count, got {other}")),
         }
     }
 
@@ -1377,6 +1393,28 @@ fn quads_as_pattern(quads: &[QuadPattern]) -> GraphPattern {
         pattern = GraphPattern::join(pattern, wrapped);
     }
     pattern
+}
+
+/// An upper bound on the nodes of `path` once its range quantifiers are
+/// expanded as the translation expands them: `p{n}` to `n` copies of `p`
+/// in a sequence, `p{n,}` to `p{n-1}/p+`, `p{n,m}` to the alternative of
+/// `p{k}` for `k` from `n` to `m`. Saturates.
+fn expanded_len(path: &PropertyPath) -> u64 {
+    use PropertyPath as P;
+    // `p{k}`: k copies of `p` and fewer than k sequence nodes.
+    let repeat =
+        |p: &PropertyPath, k: u32| expanded_len(p).saturating_add(1).saturating_mul(k.into());
+    match path {
+        P::Link(_) | P::NegatedSet { .. } => 1,
+        P::Inverse(p) | P::OneOrMore(p) | P::ZeroOrOne(p) | P::ZeroOrMore(p) => {
+            expanded_len(p).saturating_add(1)
+        }
+        P::Alternative(a, b) | P::Sequence(a, b) => expanded_len(a)
+            .saturating_add(expanded_len(b))
+            .saturating_add(1),
+        P::Exactly(p, n) | P::AtLeast(p, n) => repeat(p, *n).saturating_add(1),
+        P::Between(p, n, m) => repeat(p, *m).saturating_mul(u64::from(m - n) + 1),
+    }
 }
 
 #[cfg(test)]
@@ -1739,6 +1777,25 @@ mod tests {
         }
         let update = format!("DELETE {{ ?s ?p ?o }} WHERE {}", nested_groups(n));
         assert!(parse_update(&update).is_err());
+
+        // Range quantifiers count by their expansion: large counts, and
+        // quantifiers over quantifiers, are refused.
+        let path = |p: &str| parse_query(&format!("SELECT * WHERE {{ ?s {p} ?o }}"));
+        for p in ["<p>{255}", "<p>{0,15}", "<p>{3,}", "(<p>{2}){3}"] {
+            assert!(path(p).is_ok(), "{p}");
+        }
+        for p in [
+            "<p>{1000000}",
+            "<p>{256}",
+            "<p>{0,16}",
+            "<p>{1000000,}",
+            "<p>{0,4294967295}",
+            "<p>{4294967296}",
+            "((<p>{16}){16}){16}",
+        ] {
+            let err = path(p).unwrap_err();
+            assert!(!err.unsupported, "{p}: {err}");
+        }
     }
 
     #[test]
