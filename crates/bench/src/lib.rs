@@ -1,5 +1,7 @@
-//! The benchmark harness: timing infrastructure ([`harness`]) and the
-//! regeneration of every table and figure of the paper ([`tables`]).
+//! Regenerates every table and figure of the paper ([`tables`]) on the
+//! timing infrastructure of [`harness`]. The repo's benchmark, which
+//! measures the engine end to end and per layer, is the gauntlet
+//! (`gauntlet/`, run by `BENCHMARK.json`).
 //!
 //! Binaries (run with `cargo run -p sparqlog-bench --release --bin <name>`):
 //!
@@ -19,5 +21,4 @@
 //! Environment: `SPARQLOG_TIMEOUT_MS` (default 5000) scales the paper's
 //! 900 s budget; `SPARQLOG_SCALE` (default 1.0) scales dataset sizes.
 pub mod harness;
-pub mod microbench;
 pub mod tables;

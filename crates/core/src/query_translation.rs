@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use sparqlog_datalog::{
     unify_equalities, AggSpec, AtomArg, CmpOp, Const, Expr as DExpr, PostOp, Program, RuleBuilder,
-    Sym, SymbolTable,
+    Sym, SymbolTable, MAX_ARITY,
 };
 use sparqlog_sparql::{
     AggFunc as SAgg, Expr as SExpr, GraphPattern, GraphSpec, OrderCondition, PropertyPath, Query,
@@ -489,6 +489,18 @@ impl Translator {
                     self.program.post.push((root_pred, PostOp::Limit(lim)));
                 }
             }
+        }
+
+        // Every relation the planner indexes fits a 64-bit column mask.
+        if self
+            .program
+            .rules
+            .iter()
+            .any(|r| r.head.args.len() > MAX_ARITY)
+        {
+            return Err(TranslationError::unsupported(&format!(
+                "relations wider than {MAX_ARITY} columns"
+            )));
         }
 
         // Filter equalities become join keys before anyone plans,

@@ -562,8 +562,7 @@ impl Snapshot {
     /// [`Self::run`], also returning the evaluation statistics — and the
     /// one place query-level metrics are recorded: completed queries,
     /// duration, fixpoint work (rounds / rows / probes) and governor
-    /// aborts by reason. Recording is skipped while the registry is
-    /// disarmed (the overhead benchmark's A/B switch).
+    /// aborts by reason.
     fn run_collect(
         &self,
         cached: &CachedQuery,
@@ -589,14 +588,12 @@ impl Snapshot {
         let m = &self.inner.cache.metrics;
         match evaluated {
             Ok((db, stats)) => {
-                if m.registry.armed() {
-                    m.queries.inc();
-                    m.query_duration_us
-                        .observe(stats.elapsed.as_micros() as u64);
-                    m.eval_rounds.add(stats.rounds as u64);
-                    m.eval_rows_derived.add(stats.derived as u64);
-                    m.eval_join_probes.add(stats.probes);
-                }
+                m.queries.inc();
+                m.query_duration_us
+                    .observe(stats.elapsed.as_micros() as u64);
+                m.eval_rounds.add(stats.rounds as u64);
+                m.eval_rows_derived.add(stats.derived as u64);
+                m.eval_join_probes.add(stats.probes);
                 Ok((
                     extract_results(&cached.translated, &cached.query, &db),
                     stats,
@@ -604,10 +601,8 @@ impl Snapshot {
             }
             Err(e) => {
                 let e: SparqLogError = e.into();
-                if m.registry.armed() {
-                    if let SparqLogError::Aborted { reason, .. } = &e {
-                        m.aborts.with(&[reason.label()]).inc();
-                    }
+                if let SparqLogError::Aborted { reason, .. } = &e {
+                    m.aborts.with(&[reason.label()]).inc();
                 }
                 Err(e)
             }

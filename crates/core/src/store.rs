@@ -568,22 +568,20 @@ impl Store {
         end_phase();
 
         let m = snapshot.core_metrics();
-        if m.registry.armed() {
-            m.commits.inc();
-            m.commit_duration_us
-                .observe(commit_start.elapsed().as_micros() as u64);
-            for (histogram, us) in m.commit_phase_us.iter().zip(phase_us) {
-                histogram.observe(us);
-            }
-            m.stats_rescans.add(stats_rescans as u64);
-            m.rows_added.add(outcome.stats.added as u64);
-            m.rows_removed.add(outcome.stats.removed as u64);
-            if outcome.stats.removed > 0 {
-                m.removals_maintained.inc();
-            }
-            m.maintain_rows_staged.add(outcome.staged as u64);
-            m.snapshot_refreshes.inc();
+        m.commits.inc();
+        m.commit_duration_us
+            .observe(commit_start.elapsed().as_micros() as u64);
+        for (histogram, us) in m.commit_phase_us.iter().zip(phase_us) {
+            histogram.observe(us);
         }
+        m.stats_rescans.add(stats_rescans as u64);
+        m.rows_added.add(outcome.stats.added as u64);
+        m.rows_removed.add(outcome.stats.removed as u64);
+        if outcome.stats.removed > 0 {
+            m.removals_maintained.inc();
+        }
+        m.maintain_rows_staged.add(outcome.staged as u64);
+        m.snapshot_refreshes.inc();
         Ok(outcome.stats)
     }
 
@@ -1927,20 +1925,6 @@ mod tests {
             .any(|(n, _, v)| n == "sparqlog_store_commits_total" && *v == 3.0));
         assert!(text.contains("sparqlog_query_aborts_total{reason=\"row_limit\"} 1"));
         assert!(text.contains("sparqlog_query_duration_us_bucket"));
-
-        // Disarmed, the recording sites go quiet (the A/B overhead
-        // switch) — and re-arming restores them. (Standing-query
-        // re-evaluations counted as queries above, so count relative.)
-        let before = reg.counter_value("sparqlog_queries_total").unwrap();
-        reg.disarm();
-        store.execute(q).unwrap();
-        assert_eq!(reg.counter_value("sparqlog_queries_total"), Some(before));
-        reg.arm();
-        store.execute(q).unwrap();
-        assert_eq!(
-            reg.counter_value("sparqlog_queries_total"),
-            Some(before + 1)
-        );
     }
 
     #[test]

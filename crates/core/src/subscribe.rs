@@ -219,7 +219,6 @@ impl Registry {
         commit_seq: u64,
     ) {
         let metrics = snapshot.core_metrics();
-        let armed = metrics.registry.armed();
         let mut entries = self.entries.lock().unwrap();
         entries.retain(|e| !e.mailbox.is_closed());
         for entry in entries.iter_mut() {
@@ -233,9 +232,7 @@ impl Registry {
                 // the delta chain silently: count it as a missed delta.
                 entry.mailbox.inner.lock().unwrap().missed += 1;
                 entry.mailbox.ready.notify_all();
-                if armed {
-                    metrics.sub_lagged.inc();
-                }
+                metrics.sub_lagged.inc();
                 continue;
             };
             let Some(solutions) = result.solutions() else {
@@ -257,10 +254,8 @@ impl Registry {
                 },
                 commit_seq,
             });
-            if armed {
-                metrics.sub_notifications.inc();
-                metrics.sub_lagged.add(dropped);
-            }
+            metrics.sub_notifications.inc();
+            metrics.sub_lagged.add(dropped);
         }
     }
 }

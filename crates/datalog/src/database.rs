@@ -23,9 +23,12 @@ use crate::symbols::{Sym, SymbolTable};
 use crate::value::{Const, TermDict, TermId};
 
 /// A position mask: bit `i` set means argument position `i` is part of the
-/// index key. Relations support up to 64 columns (far beyond any predicate
-/// the translation generates).
+/// index key.
 pub type Mask = u64;
+
+/// The widest relation the engine supports: a [`Mask`] has one bit per
+/// column. T_Q and the Datalog parser refuse wider atoms.
+pub const MAX_ARITY: usize = Mask::BITS as usize;
 
 /// Extracts the key columns selected by `mask` from a tuple.
 pub fn project(tuple: &[TermId], mask: Mask) -> Vec<TermId> {
@@ -868,8 +871,7 @@ impl Database {
     /// Bulk fact loading: encodes and inserts every row of `rows` into
     /// `pred`'s relation, pre-sizing storage from the iterator's size
     /// hint. Returns the number of *fresh* tuples. This is the fast path
-    /// the benches use so fixture loading measures the engine, not the
-    /// textual Datalog parser.
+    /// for loading a fixture without the textual Datalog parser.
     pub fn load_rows<I>(&mut self, pred: Sym, rows: I) -> usize
     where
         I: IntoIterator,

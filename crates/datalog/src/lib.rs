@@ -73,7 +73,7 @@ pub mod symbols;
 pub mod value;
 pub mod wardedness;
 
-pub use database::{row_hash, Database, Mask, Matches, Relation, RowBatch, Staging};
+pub use database::{row_hash, Database, Mask, Matches, Relation, RowBatch, Staging, MAX_ARITY};
 pub use delta::{extend, retract, stage_row, MaintainError, Retraction};
 pub use eval::{
     collect_output, evaluate, evaluate_frozen, evaluate_frozen_with_plan, order_cmp, EvalError,

@@ -169,7 +169,7 @@ pub fn magic_sets_rewrite_analyzed(
         if malformed || consumers == 0 {
             continue;
         }
-        let demand = demand & ((1u64 << arity) - 1);
+        let demand = demand & 1u64.checked_shl(arity as u32).map_or(u64::MAX, |b| b - 1);
         if demand == 0 {
             continue;
         }

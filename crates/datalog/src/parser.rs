@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 
+use crate::database::MAX_ARITY;
 use crate::expr::{ArithOp, CmpOp, Expr};
 #[cfg(test)]
 use crate::rule::BodyItem;
@@ -293,6 +294,12 @@ impl<'a> P<'a> {
                 }
             }
             self.expect(')')?;
+        }
+        if args.len() > MAX_ARITY {
+            return self.err(format!(
+                "atom {name} has {} arguments; relations have at most {MAX_ARITY} columns",
+                args.len()
+            ));
         }
         Ok(Atom::new(pred, args))
     }
@@ -718,5 +725,25 @@ mod tests {
         let t = SymbolTable::new();
         let prog = parse_program(r#"p(X) :- q(X), "a" = X."#, &t).unwrap();
         assert!(matches!(prog.rules[0].body[1], BodyItem::Cond(_)));
+    }
+
+    #[test]
+    fn atoms_wider_than_64_columns_are_refused() {
+        let t = SymbolTable::new();
+        let vars = |n: usize| {
+            (0..n)
+                .map(|i| format!("X{i}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        assert!(parse_program(&format!("p(X0) :- q({}).", vars(MAX_ARITY)), &t).is_ok());
+        for text in [
+            format!("p(X0) :- q({}).", vars(MAX_ARITY + 1)),
+            format!("q({}) :- p(X0).", vars(70)),
+            format!("q({}).", vec!["1"; MAX_ARITY + 1].join(", ")),
+        ] {
+            let err = parse_program(&text, &t).unwrap_err();
+            assert!(err.message.contains("at most 64 columns"), "{err}");
+        }
     }
 }

@@ -271,9 +271,6 @@ impl<'a> ReqScope<'a> {
     }
 
     fn record(&self, status: u16) {
-        if !self.metrics.registry.armed() {
-            return;
-        }
         self.metrics
             .requests
             .with(&[&self.method_label, &status.to_string()])
@@ -286,9 +283,7 @@ impl<'a> ReqScope<'a> {
     /// Bytes counters trail the body: they are added once the terminal
     /// chunk is on the wire and the total is known.
     fn record_bytes(&self, format_label: &str, bytes: u64) {
-        if self.metrics.registry.armed() {
-            self.metrics.bytes_streamed.with(&[format_label]).add(bytes);
-        }
+        self.metrics.bytes_streamed.with(&[format_label]).add(bytes);
     }
 }
 

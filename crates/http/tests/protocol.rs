@@ -260,9 +260,11 @@ fn malformed_query_is_400_with_parser_message() {
     assert!(r.text().contains("read-only"), "{}", r.text());
 }
 
-/// A query nested past the parser's limit, or with a range count that
-/// would expand past it, is a 400 with the parser's message, not a stack
-/// overflow that aborts the server process.
+/// A query nested past the parser's limit, a long flat chain (5 000 `||`
+/// operands or path steps), or a range count that would expand past the
+/// limit is a 400 with the parser's message, not a stack overflow that
+/// aborts the server process; a subpattern too wide for a 64-column
+/// relation is a 400 with the translation's message.
 #[test]
 fn deeply_nested_query_is_400_and_server_survives() {
     let server = fixture_server();
@@ -272,10 +274,19 @@ fn deeply_nested_query_is_400_and_server_survives() {
         "}".repeat(3000)
     );
     let long_path = "SELECT * WHERE { ?s <http://e/p>{1000000} ?o }".to_string();
-    for query in [deep, long_path] {
-        let parser_message = sparqlog_sparql::parse_query(&query)
-            .unwrap_err()
-            .to_string();
+    let ors = vec!["?o = 1"; 5_000].join(" || ");
+    let ors = format!("SELECT * WHERE {{ ?s ?p ?o FILTER ({ors}) }}");
+    let steps = vec!["<http://e/p>"; 5_000].join("/");
+    let steps = format!("SELECT * WHERE {{ ?s {steps} ?o }}");
+    let bgp: String = (0..70)
+        .map(|i| format!("?s <http://e/p> ?o{i} . "))
+        .collect();
+    let wide = format!("SELECT (COUNT(*) AS ?c) WHERE {{ {bgp}}}");
+    for query in [deep, long_path, ors, steps, wide] {
+        let message = match sparqlog_sparql::parse_query(&query) {
+            Err(e) => e.to_string(),
+            Ok(_) => "relations wider than 64 columns".to_string(),
+        };
         let form = format!("query={}", percent_encode(&query));
         let r = request(
             server.addr,
@@ -286,8 +297,8 @@ fn deeply_nested_query_is_400_and_server_survives() {
         );
         assert_eq!(r.status, 400, "{}", r.text());
         assert!(
-            r.text().contains(&parser_message),
-            "body {:?} must contain parser message {parser_message:?}",
+            r.text().contains(&message),
+            "body {:?} must contain {message:?}",
             r.text()
         );
     }
@@ -674,7 +685,7 @@ fn profile_param_ships_trailer_sidecar() {
 /// The acceptance test: a CONSTRUCT returning ≥100k triples streams as
 /// bounded chunks — read incrementally, every frame is at most the
 /// configured chunk size (server-side buffering is O(chunk), proven
-/// allocation-wise by `benches/http_stream.rs` / `docs/history/BENCH_pr8.json`).
+/// allocation-wise in `docs/history/BENCH_pr8.json`).
 #[test]
 fn large_construct_streams_in_bounded_chunks() {
     const N: usize = 100_000;

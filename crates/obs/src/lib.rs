@@ -24,11 +24,6 @@
 //! `OnceLock` or at construction) and keep the `Arc<Counter>` around, so
 //! steady-state cost is an atomic add with no name lookup.
 //!
-//! The registry also carries an **armed** flag. Instrumented components
-//! check [`MetricsRegistry::armed`] before recording, which gives the
-//! benchmark suite a same-process A/B switch (armed vs. disarmed) to
-//! measure instrumentation overhead without rebuilding.
-//!
 //! ```
 //! use sparqlog_obs::MetricsRegistry;
 //!
@@ -47,8 +42,8 @@
 
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// A monotonically increasing counter.
 ///
@@ -369,48 +364,12 @@ struct Family {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     families: RwLock<Vec<Family>>,
-    /// When `false`, instrumented components skip recording. Used by the
-    /// overhead benchmark as a same-process A/B switch.
-    armed: AtomicBool,
 }
 
 impl MetricsRegistry {
-    /// An empty, armed registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self {
-            families: RwLock::new(Vec::new()),
-            armed: AtomicBool::new(true),
-        }
-    }
-
-    /// The process-global registry, created on first use.
-    ///
-    /// Components that are not reachable from a [`Store`]-style owner can
-    /// register here; everything in-tree threads per-store registries
-    /// instead, so tests stay isolated.
-    ///
-    /// [`Store`]: https://docs.rs/sparqlog
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
-    /// Whether instrumentation should record (`true` unless
-    /// [`MetricsRegistry::disarm`]ed).
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording off; handles keep working but instrumented
-    /// components stop updating them. For overhead A/B tests.
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::Relaxed);
-    }
-
-    /// Turns recording back on.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::Relaxed);
+        Self::default()
     }
 
     fn register<T>(
@@ -788,16 +747,6 @@ mod tests {
         assert!(text.contains("r_total{fmt=\"csv\\\"x\"} 1"));
         let samples = MetricsRegistry::parse_exposition(&text).unwrap();
         assert!(samples.iter().any(|(n, _, v)| n == "a_total" && *v == 2.0));
-    }
-
-    #[test]
-    fn disarm_flag_flips() {
-        let reg = MetricsRegistry::new();
-        assert!(reg.armed());
-        reg.disarm();
-        assert!(!reg.armed());
-        reg.arm();
-        assert!(reg.armed());
     }
 
     #[test]

@@ -60,14 +60,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The deepest nesting of group graph patterns, property-path groups
-/// and expressions (parenthesised, built-in arguments, unary operators)
-/// the parser accepts. Each level is a recursive call in the parser and
-/// in every pass over the tree after it, so unbounded nesting would
+/// The deepest tree of graph patterns, property paths and expressions
+/// the parser accepts. A level is a nested group graph pattern, path
+/// group or expression (parenthesised, built-in argument, unary
+/// operator), or one more operand of a left-deep chain: `||`, `&&`,
+/// `+ -`, `* /`, the path operators `/` and `|`, `UNION`, and the joins,
+/// `OPTIONAL`s, `MINUS`es and `FILTER`s of a group. Joins count as the
+/// one chain T_Q flattens them into, nested groups included. The parser
+/// loops over a chain, but every pass after it (T_Q, the rewrites,
+/// display, drop) recurses once per level, so an unbounded tree would
 /// overflow the stack, which aborts the process; past this depth the
-/// input is a [`ParseError`] instead. Real queries nest a handful of
-/// levels.
-const MAX_NESTING: usize = 64;
+/// input is a [`ParseError`] instead. Real queries are a few dozen
+/// levels deep.
+const MAX_DEPTH: usize = 100;
 
 /// The most nodes a property path may have once its range quantifiers
 /// are expanded (see [`expanded_len`]). The translation recurses through
@@ -75,6 +80,10 @@ const MAX_NESTING: usize = 64;
 /// stack as deep nesting does; past this size the path is a
 /// [`ParseError`]. `p{255}` and `p{0,15}` fit.
 const MAX_EXPANDED_PATH: u64 = 512;
+
+/// The node a chain operator builds over the chain so far and the next
+/// operand.
+type Node<T> = fn(T, T) -> T;
 
 /// Parses a SPARQL query string into a [`Query`].
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
@@ -131,8 +140,11 @@ struct Parser {
     pos: usize,
     prefixes: HashMap<String, String>,
     anon: usize,
-    /// Current nesting depth (see [`MAX_NESTING`]).
+    /// Levels above the item being parsed (see [`MAX_DEPTH`]).
     depth: usize,
+    /// The deepest level reached within the current chain operand (see
+    /// [`Parser::operand`]).
+    peak: usize,
 }
 
 impl Parser {
@@ -146,21 +158,61 @@ impl Parser {
             prefixes: HashMap::new(),
             anon: 0,
             depth: 0,
+            peak: 0,
         })
     }
 
-    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    /// Records a tree reaching `height` levels below the current one,
+    /// failing past [`MAX_DEPTH`].
+    fn reach(&mut self, height: usize) -> Result<(), ParseError> {
+        if self.depth + height > MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.peak = self.peak.max(self.depth + height);
+        Ok(())
+    }
+
+    /// Runs `parse` one level deeper.
     fn nested<T>(
         &mut self,
         parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
-        if self.depth == MAX_NESTING {
-            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
-        }
+        self.reach(1)?;
         self.depth += 1;
         let out = parse(self);
         self.depth -= 1;
         out
+    }
+
+    /// Runs `parse` at the current level and returns its tree with the
+    /// tree's height: the levels it reached below this one.
+    fn operand<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<(T, usize), ParseError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let out = parse(self);
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer);
+        Ok((out?, height))
+    }
+
+    /// Parses the left-deep chain `operand (op operand)*`: `op` consumes
+    /// an operator and returns the node joining the chain so far to the
+    /// next operand, or consumes nothing and returns `None`.
+    fn chain<T>(
+        &mut self,
+        operand: fn(&mut Self) -> Result<T, ParseError>,
+        op: fn(&mut Self) -> Option<Node<T>>,
+    ) -> Result<T, ParseError> {
+        let (mut tree, mut height) = self.operand(operand)?;
+        while let Some(node) = op(self) {
+            let (rhs, h) = self.operand(operand)?;
+            tree = node(tree, rhs);
+            height = 1 + height.max(h);
+            self.reach(height)?;
+        }
+        Ok(tree)
     }
 
     fn peek(&self) -> &Token {
@@ -307,6 +359,8 @@ impl Parser {
             // CONSTRUCT WHERE { TriplesTemplate }: plain triples only.
             self.expect_keyword("WHERE")?;
             let template = self.parse_triple_template()?;
+            // The template becomes a chain of joins.
+            self.reach(template.len())?;
             let pattern = template.iter().cloned().fold(GraphPattern::Empty, |p, t| {
                 GraphPattern::join(p, GraphPattern::Triple(t))
             });
@@ -604,6 +658,8 @@ impl Parser {
                 // delete template and the WHERE pattern.
                 let delete = self.parse_quad_block()?;
                 self.no_bnodes_in_delete(&delete)?;
+                // The template becomes a chain of joins.
+                self.reach(delete.len())?;
                 let pattern = quads_as_pattern(&delete);
                 return Ok(UpdateOperation::DeleteInsert {
                     delete,
@@ -775,7 +831,9 @@ impl Parser {
     fn parse_group_body(&mut self) -> Result<GraphPattern, ParseError> {
         self.expect_punct(Punct::LBrace)?;
         let mut current = GraphPattern::Empty;
-        let mut filters: Vec<Expr> = Vec::new();
+        // The levels `current` reaches below this group.
+        let mut height = 0;
+        let mut filters: Vec<(Expr, usize)> = Vec::new();
         loop {
             if self.eat_punct(Punct::RBrace) {
                 break;
@@ -789,18 +847,19 @@ impl Parser {
                     if self.at_keyword("NOT") {
                         return Err(ParseError::unsupported("FILTER NOT EXISTS"));
                     }
-                    let c = self.parse_constraint()?;
-                    filters.push(c);
+                    filters.push(self.operand(Self::parse_constraint)?);
                 }
                 Token::Word(w) if w.eq_ignore_ascii_case("OPTIONAL") => {
                     self.bump();
-                    let right = self.parse_group_graph_pattern()?;
+                    let (right, h) = self.operand(Self::parse_group_graph_pattern)?;
                     current = GraphPattern::Optional(Box::new(current), Box::new(right));
+                    height = 1 + height.max(h);
                 }
                 Token::Word(w) if w.eq_ignore_ascii_case("MINUS") => {
                     self.bump();
-                    let right = self.parse_group_graph_pattern()?;
+                    let (right, h) = self.operand(Self::parse_group_graph_pattern)?;
                     current = GraphPattern::Minus(Box::new(current), Box::new(right));
+                    height = 1 + height.max(h);
                 }
                 Token::Word(w) if w.eq_ignore_ascii_case("GRAPH") => {
                     self.bump();
@@ -811,9 +870,10 @@ impl Parser {
                         }
                         _ => GraphSpec::Iri(self.parse_iri()?),
                     };
-                    let inner = self.parse_group_graph_pattern()?;
-                    current =
-                        GraphPattern::join(current, GraphPattern::Graph(spec, Box::new(inner)));
+                    // The group's level stands for the `Graph` node.
+                    let (inner, h) = self.operand(Self::parse_group_graph_pattern)?;
+                    let graph = GraphPattern::Graph(spec, Box::new(inner));
+                    (current, height) = join((current, height), (graph, h));
                 }
                 Token::Word(w) if w.eq_ignore_ascii_case("BIND") => {
                     return Err(ParseError::unsupported("BIND"));
@@ -830,24 +890,28 @@ impl Parser {
                     if matches!(self.peek2(), Token::Word(w) if w.eq_ignore_ascii_case("SELECT")) {
                         return Err(ParseError::unsupported("sub-SELECT"));
                     }
-                    let mut g = self.parse_group_graph_pattern()?;
-                    while self.eat_keyword("UNION") {
-                        let rhs = self.parse_group_graph_pattern()?;
-                        g = GraphPattern::Union(Box::new(g), Box::new(rhs));
-                    }
-                    current = GraphPattern::join(current, g);
+                    let union = self.operand(|p| {
+                        p.chain(Self::parse_group_graph_pattern, |p| {
+                            p.eat_keyword("UNION")
+                                .then_some(|a, b| GraphPattern::Union(Box::new(a), Box::new(b)))
+                        })
+                    })?;
+                    (current, height) = join((current, height), union);
                 }
                 Token::Punct(Punct::Dot) => {
                     self.bump();
                 }
                 _ => {
-                    let block = self.parse_triples_same_subject()?;
-                    current = GraphPattern::join(current, block);
+                    let block = self.operand(Self::parse_triples_same_subject)?;
+                    (current, height) = join((current, height), block);
                 }
             }
+            self.reach(height)?;
         }
-        for f in filters {
+        for (f, h) in filters {
             current = GraphPattern::Filter(Box::new(current), f);
+            height = 1 + height.max(h);
+            self.reach(height)?;
         }
         Ok(current)
     }
@@ -856,15 +920,19 @@ impl Parser {
     /// predicate-object list) into a join of triple/path patterns.
     fn parse_triples_same_subject(&mut self) -> Result<GraphPattern, ParseError> {
         let subject = self.parse_term_pattern()?;
-        let mut pattern = GraphPattern::Empty;
+        let mut pattern = (GraphPattern::Empty, 0);
         loop {
-            // Verb: variable, 'a', or a property path.
-            let verb: Verb = match self.peek().clone() {
+            // Verb: variable, 'a', or a property path. A plain IRI makes
+            // a triple, a leaf; any other path hangs below a `Path` node.
+            let (verb, h) = match self.peek().clone() {
                 Token::Var(v) => {
                     self.bump();
-                    Verb::Var(Var::new(v))
+                    (Verb::Var(Var::new(v)), 0)
                 }
-                _ => Verb::Path(self.parse_path()?),
+                _ => match self.operand(Self::parse_path_alternative)? {
+                    (link @ PropertyPath::Link(_), _) => (Verb::Path(link), 0),
+                    (path, h) => (Verb::Path(path), h + 1),
+                },
             };
             loop {
                 let object = self.parse_term_pattern()?;
@@ -887,7 +955,8 @@ impl Parser {
                         object,
                     },
                 };
-                pattern = GraphPattern::join(pattern, elem);
+                pattern = join(pattern, (elem, h));
+                self.reach(pattern.1)?;
                 if !self.eat_punct(Punct::Comma) {
                     break;
                 }
@@ -903,7 +972,7 @@ impl Parser {
                 break;
             }
         }
-        Ok(pattern)
+        Ok(pattern.0)
     }
 
     fn parse_term_pattern(&mut self) -> Result<TermPattern, ParseError> {
@@ -994,21 +1063,17 @@ impl Parser {
     }
 
     fn parse_path_alternative(&mut self) -> Result<PropertyPath, ParseError> {
-        let mut p = self.parse_path_sequence()?;
-        while self.eat_punct(Punct::Pipe) {
-            let rhs = self.parse_path_sequence()?;
-            p = PropertyPath::Alternative(Box::new(p), Box::new(rhs));
-        }
-        Ok(p)
+        self.chain(Self::parse_path_sequence, |p| {
+            p.eat_punct(Punct::Pipe)
+                .then_some(|a, b| PropertyPath::Alternative(Box::new(a), Box::new(b)))
+        })
     }
 
     fn parse_path_sequence(&mut self) -> Result<PropertyPath, ParseError> {
-        let mut p = self.parse_path_elt_or_inverse()?;
-        while self.eat_punct(Punct::Slash) {
-            let rhs = self.parse_path_elt_or_inverse()?;
-            p = PropertyPath::Sequence(Box::new(p), Box::new(rhs));
-        }
-        Ok(p)
+        self.chain(Self::parse_path_elt_or_inverse, |p| {
+            p.eat_punct(Punct::Slash)
+                .then_some(|a, b| PropertyPath::Sequence(Box::new(a), Box::new(b)))
+        })
     }
 
     fn parse_path_elt_or_inverse(&mut self) -> Result<PropertyPath, ParseError> {
@@ -1170,21 +1235,17 @@ impl Parser {
 
     fn parse_or_expr(&mut self) -> Result<Expr, ParseError> {
         // ConditionalOrExpression
-        let mut e = self.parse_and_expr()?;
-        while self.eat_punct(Punct::OrOr) {
-            let rhs = self.parse_and_expr()?;
-            e = Expr::Or(Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Self::parse_and_expr, |p| {
+            p.eat_punct(Punct::OrOr)
+                .then_some(|a, b| Expr::Or(Box::new(a), Box::new(b)))
+        })
     }
 
     fn parse_and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_relational()?;
-        while self.eat_punct(Punct::AndAnd) {
-            let rhs = self.parse_relational()?;
-            e = Expr::And(Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Self::parse_relational, |p| {
+            p.eat_punct(Punct::AndAnd)
+                .then_some(|a, b| Expr::And(Box::new(a), Box::new(b)))
+        })
     }
 
     fn parse_relational(&mut self) -> Result<Expr, ParseError> {
@@ -1215,35 +1276,27 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_multiplicative()?;
-        loop {
-            if self.eat_punct(Punct::Plus) {
-                let rhs = self.parse_multiplicative()?;
-                e = Expr::Arith(ArithOp::Add, Box::new(e), Box::new(rhs));
-            } else if self.eat_punct(Punct::Minus) {
-                let rhs = self.parse_multiplicative()?;
-                e = Expr::Arith(ArithOp::Sub, Box::new(e), Box::new(rhs));
+        self.chain(Self::parse_multiplicative, |p| {
+            if p.eat_punct(Punct::Plus) {
+                Some(|a, b| Expr::Arith(ArithOp::Add, Box::new(a), Box::new(b)))
+            } else if p.eat_punct(Punct::Minus) {
+                Some(|a, b| Expr::Arith(ArithOp::Sub, Box::new(a), Box::new(b)))
             } else {
-                break;
+                None
             }
-        }
-        Ok(e)
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.parse_unary()?;
-        loop {
-            if self.eat_punct(Punct::Star) {
-                let rhs = self.parse_unary()?;
-                e = Expr::Arith(ArithOp::Mul, Box::new(e), Box::new(rhs));
-            } else if self.eat_punct(Punct::Slash) {
-                let rhs = self.parse_unary()?;
-                e = Expr::Arith(ArithOp::Div, Box::new(e), Box::new(rhs));
+        self.chain(Self::parse_unary, |p| {
+            if p.eat_punct(Punct::Star) {
+                Some(|a, b| Expr::Arith(ArithOp::Mul, Box::new(a), Box::new(b)))
+            } else if p.eat_punct(Punct::Slash) {
+                Some(|a, b| Expr::Arith(ArithOp::Div, Box::new(a), Box::new(b)))
             } else {
-                break;
+                None
             }
-        }
-        Ok(e)
+        })
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
@@ -1305,68 +1358,42 @@ impl Parser {
             other => return self.err(format!("expected built-in name, got {other}")),
         };
         self.expect_punct(Punct::LParen)?;
-        let e = match name.as_str() {
-            "BOUND" => {
-                let v = match self.bump() {
-                    Token::Var(v) => Var::new(v),
-                    other => return self.err(format!("BOUND expects a variable, got {other}")),
-                };
-                Expr::Bound(v)
-            }
-            "REGEX" => {
-                let text = self.parse_expr()?;
-                self.expect_punct(Punct::Comma)?;
-                let pattern = self.parse_expr()?;
-                let flags = if self.eat_punct(Punct::Comma) {
-                    Some(Box::new(self.parse_expr()?))
-                } else {
-                    None
-                };
-                Expr::Regex(Box::new(text), Box::new(pattern), flags)
-            }
-            "ISIRI" | "ISURI" => Expr::IsIri(Box::new(self.parse_expr()?)),
-            "ISBLANK" => Expr::IsBlank(Box::new(self.parse_expr()?)),
-            "ISLITERAL" => Expr::IsLiteral(Box::new(self.parse_expr()?)),
-            "ISNUMERIC" => Expr::IsNumeric(Box::new(self.parse_expr()?)),
-            "STR" => Expr::Str(Box::new(self.parse_expr()?)),
-            "LANG" => Expr::Lang(Box::new(self.parse_expr()?)),
-            "DATATYPE" => Expr::Datatype(Box::new(self.parse_expr()?)),
-            "UCASE" => Expr::Ucase(Box::new(self.parse_expr()?)),
-            "LCASE" => Expr::Lcase(Box::new(self.parse_expr()?)),
-            "STRLEN" => Expr::Strlen(Box::new(self.parse_expr()?)),
-            "CONTAINS" => {
-                let a = self.parse_expr()?;
-                self.expect_punct(Punct::Comma)?;
-                let b = self.parse_expr()?;
-                Expr::Contains(Box::new(a), Box::new(b))
-            }
-            "STRSTARTS" => {
-                let a = self.parse_expr()?;
-                self.expect_punct(Punct::Comma)?;
-                let b = self.parse_expr()?;
-                Expr::StrStarts(Box::new(a), Box::new(b))
-            }
-            "STRENDS" => {
-                let a = self.parse_expr()?;
-                self.expect_punct(Punct::Comma)?;
-                let b = self.parse_expr()?;
-                Expr::StrEnds(Box::new(a), Box::new(b))
-            }
-            "SAMETERM" => {
-                let a = self.parse_expr()?;
-                self.expect_punct(Punct::Comma)?;
-                let b = self.parse_expr()?;
-                Expr::SameTerm(Box::new(a), Box::new(b))
-            }
-            "LANGMATCHES" => {
-                let a = self.parse_expr()?;
-                self.expect_punct(Punct::Comma)?;
-                let b = self.parse_expr()?;
-                Expr::LangMatches(Box::new(a), Box::new(b))
-            }
-            other => return self.err(format!("unknown built-in {other}")),
-        };
+        if name == "BOUND" {
+            let v = match self.bump() {
+                Token::Var(v) => Var::new(v),
+                other => return self.err(format!("BOUND expects a variable, got {other}")),
+            };
+            self.expect_punct(Punct::RParen)?;
+            return Ok(Expr::Bound(v));
+        }
+        // The arguments are parsed in one place, so a nested call costs
+        // one small frame per level.
+        let mut args = vec![self.parse_expr()?];
+        while self.eat_punct(Punct::Comma) {
+            args.push(self.parse_expr()?);
+        }
         self.expect_punct(Punct::RParen)?;
+        let mut args = args.into_iter().map(Box::new);
+        let mut arg = || args.next();
+        let e = match (name.as_str(), arg(), arg(), arg(), arg()) {
+            ("REGEX", Some(text), Some(pattern), flags, None) => Expr::Regex(text, pattern, flags),
+            ("ISIRI" | "ISURI", Some(a), None, ..) => Expr::IsIri(a),
+            ("ISBLANK", Some(a), None, ..) => Expr::IsBlank(a),
+            ("ISLITERAL", Some(a), None, ..) => Expr::IsLiteral(a),
+            ("ISNUMERIC", Some(a), None, ..) => Expr::IsNumeric(a),
+            ("STR", Some(a), None, ..) => Expr::Str(a),
+            ("LANG", Some(a), None, ..) => Expr::Lang(a),
+            ("DATATYPE", Some(a), None, ..) => Expr::Datatype(a),
+            ("UCASE", Some(a), None, ..) => Expr::Ucase(a),
+            ("LCASE", Some(a), None, ..) => Expr::Lcase(a),
+            ("STRLEN", Some(a), None, ..) => Expr::Strlen(a),
+            ("CONTAINS", Some(a), Some(b), None, _) => Expr::Contains(a, b),
+            ("STRSTARTS", Some(a), Some(b), None, _) => Expr::StrStarts(a, b),
+            ("STRENDS", Some(a), Some(b), None, _) => Expr::StrEnds(a, b),
+            ("SAMETERM", Some(a), Some(b), None, _) => Expr::SameTerm(a, b),
+            ("LANGMATCHES", Some(a), Some(b), None, _) => Expr::LangMatches(a, b),
+            (other, ..) => return self.err(format!("wrong number of arguments to {other}")),
+        };
         Ok(e)
     }
 }
@@ -1374,6 +1401,19 @@ impl Parser {
 enum Verb {
     Var(Var),
     Path(PropertyPath),
+}
+
+/// [`GraphPattern::join`] of two trees given with their heights, with its
+/// height. T_Q flattens nested joins into one left-deep chain, so the
+/// height bounds that chain: the sum of both sides' heights, not the
+/// larger one.
+fn join((a, ha): (GraphPattern, usize), (b, hb): (GraphPattern, usize)) -> (GraphPattern, usize) {
+    let height = match (&a, &b) {
+        (GraphPattern::Empty, _) => hb,
+        (_, GraphPattern::Empty) => ha,
+        _ => ha + hb + 1,
+    };
+    (GraphPattern::join(a, b), height)
 }
 
 /// Reads a quad-template list back as a graph pattern (the `DELETE
@@ -1749,10 +1789,11 @@ mod tests {
     #[test]
     fn nesting_is_bounded() {
         let groups = |n| format!("SELECT * WHERE {}", nested_groups(n));
-        assert!(parse_query(&groups(MAX_NESTING)).is_ok());
-        let err = parse_query(&groups(MAX_NESTING + 1)).unwrap_err();
+        assert!(parse_query(&groups(MAX_DEPTH)).is_ok());
+        let err = parse_query(&groups(MAX_DEPTH + 1)).unwrap_err();
         assert!(
-            err.message.contains("nesting deeper than 64 levels"),
+            err.message
+                .contains(&format!("nesting deeper than {MAX_DEPTH} levels")),
             "{err}"
         );
         assert!(!err.unsupported);
