@@ -102,6 +102,16 @@ struct CachedQuery {
     plan: RwLock<Option<Arc<PlanEntry>>>,
 }
 
+impl CachedQuery {
+    /// The program `entry` runs: its magic-sets rewrite when it kept
+    /// one, else the translation's own.
+    fn program<'a>(&'a self, entry: Option<&'a PlanEntry>) -> &'a Program {
+        entry
+            .and_then(|e| e.program.as_ref())
+            .unwrap_or(&self.translated.program)
+    }
+}
+
 /// Upper bound on memoised distinct query texts. A server fed queries
 /// with inline literals or generated IDs sees unboundedly many distinct
 /// texts; past this cap, new texts are translated per execution instead
@@ -556,18 +566,19 @@ impl Snapshot {
         options: &EvalOptions,
     ) -> Result<QueryResults, SparqLogError> {
         self.run_collect(cached, options)
-            .map(|(results, _)| results)
+            .map(|(results, ..)| results)
     }
 
-    /// [`Self::run`], also returning the evaluation statistics — and the
-    /// one place query-level metrics are recorded: completed queries,
-    /// duration, fixpoint work (rounds / rows / probes) and governor
-    /// aborts by reason.
+    /// [`Self::run`], also returning the evaluation's record and the plan
+    /// entry it ran (whose program, when set, is the one the record's
+    /// rule indexes name) — and the one place query-level metrics are
+    /// recorded: completed queries, duration, fixpoint work (rounds /
+    /// rows / probes) and governor aborts by reason.
     fn run_collect(
         &self,
         cached: &CachedQuery,
         options: &EvalOptions,
-    ) -> Result<(QueryResults, EvalStats), SparqLogError> {
+    ) -> Result<(QueryResults, EvalStats, Option<Arc<PlanEntry>>), SparqLogError> {
         // One clock for the whole query: a relative timeout becomes a
         // deadline here, shared by the demand measurement a plan may need
         // and the main fixpoint (each would otherwise start its own).
@@ -576,18 +587,14 @@ impl Snapshot {
             ..options.clone()
         };
         let evaluated = self.plan_entry(cached, options).and_then(|entry| {
-            let entry = entry.as_deref();
-            let program = entry.and_then(|e| e.program.as_ref());
-            evaluate_frozen_with_plan(
-                program.unwrap_or(&cached.translated.program),
-                &self.inner.base,
-                options,
-                entry.and_then(|e| e.plan.as_ref()),
-            )
+            let e = entry.as_deref();
+            let plan = e.and_then(|e| e.plan.as_ref());
+            evaluate_frozen_with_plan(cached.program(e), &self.inner.base, options, plan)
+                .map(|(db, stats)| (db, stats, entry))
         });
         let m = &self.inner.cache.metrics;
         match evaluated {
-            Ok((db, stats)) => {
+            Ok((db, stats, entry)) => {
                 m.queries.inc();
                 m.query_duration_us
                     .observe(stats.elapsed.as_micros() as u64);
@@ -597,6 +604,7 @@ impl Snapshot {
                 Ok((
                     extract_results(&cached.translated, &cached.query, &db),
                     stats,
+                    entry,
                 ))
             }
             Err(e) => {
@@ -609,28 +617,11 @@ impl Snapshot {
         }
     }
 
-    /// [`Self::run`] with [`EvalOptions::profile`] armed, unboxing the
-    /// profile the evaluator attaches.
-    fn run_profiled(
-        &self,
-        cached: &CachedQuery,
-        options: &EvalOptions,
-    ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
-        let options = EvalOptions {
-            profile: true,
-            ..options.clone()
-        };
-        let (results, stats) = self.run_collect(cached, &options)?;
-        let profile = stats.profile.expect("profiling was armed");
-        Ok((results, *profile))
-    }
-
-    /// [`Self::execute`] with per-query profiling armed: alongside the
-    /// results, returns the `EXPLAIN ANALYZE`-style [`QueryProfile`] —
-    /// per-rule timings, per-round delta sizes, index builds (see
-    /// [`sparqlog_datalog::QueryProfile`]). Profiling adds per-job
-    /// timing overhead, so it is opt-in per call rather than an option
-    /// on the snapshot.
+    /// [`Self::execute`], also returning the `EXPLAIN ANALYZE`-style
+    /// [`QueryProfile`] — per-rule timings, per-round delta sizes, index
+    /// builds (see [`sparqlog_datalog::QueryProfile`]). Every execution
+    /// records these figures; this form adds the rule texts that name
+    /// them.
     ///
     /// ```
     /// use sparqlog::Store;
@@ -650,7 +641,16 @@ impl Snapshot {
         query_str: &str,
     ) -> Result<(QueryResults, QueryProfile), SparqLogError> {
         let cached = self.translation(query_str)?;
-        self.run_profiled(&cached, &self.run_options())
+        let (results, stats, entry) = self.run_collect(&cached, &self.run_options())?;
+        let rules = &cached.program(entry.as_deref()).rules;
+        let profile = QueryProfile {
+            rules: stats.rules,
+            rule_texts: rules.iter().map(|r| r.display(self.symbols())).collect(),
+            strata: stats.strata,
+            index_builds: stats.index_builds,
+            elapsed: stats.elapsed,
+        };
+        Ok((results, profile))
     }
 
     /// The query's program choice and physical plan: a cache hit when an
@@ -706,7 +706,6 @@ impl Snapshot {
                     Some(sub) => {
                         let sub_options = EvalOptions {
                             threads: Some(1),
-                            profile: false,
                             ..options.clone()
                         };
                         let (db, _) = evaluate_frozen(&sub, &self.inner.base, &sub_options)?;
@@ -760,14 +759,11 @@ impl Snapshot {
     pub fn explain(&self, p: &PreparedQuery) -> Result<String, SparqLogError> {
         self.check_prepared(p)?;
         match self.plan_entry(&p.inner, &self.run_options())?.as_deref() {
-            Some(PlanEntry {
-                program,
-                plan: Some(plan),
-                ..
-            }) => Ok(plan.render(
-                program.as_ref().unwrap_or(&p.inner.translated.program),
-                self.inner.base.symbols(),
-            )),
+            Some(
+                entry @ PlanEntry {
+                    plan: Some(plan), ..
+                },
+            ) => Ok(plan.render(p.inner.program(Some(entry)), self.symbols())),
             _ => Ok("(no physical plan: planning disabled)".into()),
         }
     }

@@ -433,13 +433,6 @@ impl Store {
         w.commit()
     }
 
-    /// Stages and commits a graph into the default graph.
-    pub fn load_graph(&self, g: &Graph) -> Result<CommitStats, SparqLogError> {
-        let mut w = self.writer();
-        w.add_graph(g);
-        w.commit()
-    }
-
     /// Stages and commits a dataset (default and named graphs).
     pub fn load_dataset(&self, ds: &Dataset) -> Result<CommitStats, SparqLogError> {
         let mut w = self.writer();
@@ -1943,6 +1936,34 @@ mod tests {
 
         // The unprofiled paths still work and return identical results.
         assert_eq!(snapshot.execute(q).unwrap(), results);
+    }
+
+    #[test]
+    fn eval_metrics_advance_by_the_profiles_rounds_and_rows() {
+        // The counters and the profile read the one record of a run: a
+        // profiled execution advances the round and derived-row counters
+        // by exactly its profile's semi-naive rounds and derived rows.
+        let store = borders_store();
+        let reg = store.metrics();
+        let read = |name: &str| reg.counter_value(name).unwrap();
+        let counters = || {
+            (
+                read("sparqlog_eval_rounds_total"),
+                read("sparqlog_eval_rows_derived_total"),
+            )
+        };
+        let q = "PREFIX ex: <http://ex.org/> SELECT ?b WHERE { ex:spain ex:borders+ ?b }";
+        let before = counters();
+        let (_, profile) = store.snapshot().execute_profiled(q).unwrap();
+        let after = counters();
+        let rounds = (profile.strata.iter())
+            .flat_map(|s| &s.rounds)
+            .filter(|r| r.round > 0)
+            .count();
+        let derived: u64 = profile.rules.iter().map(|r| r.derived).sum();
+        assert!(rounds > 1 && derived > 0, "{}", profile.render());
+        assert_eq!(after.0 - before.0, rounds as u64);
+        assert_eq!(after.1 - before.1, derived);
     }
     #[test]
     fn repeated_update_where_shape_translates_and_plans_once() {

@@ -446,12 +446,12 @@ impl Relation {
     }
 
     /// Removes every tuple for which `keep` returns `false`, preserving
-    /// the insertion order of the retained tuples. Returns the number of
-    /// tuples removed.
+    /// the insertion order of the retained tuples — the rebuild fallback
+    /// of [`Relation::remove_rows`]. Returns the number of tuples removed.
     ///
     /// The dedup tables are rebuilt over the survivors, and so is every
     /// built index — exactly the masks the relation had, no more.
-    pub fn retain(&mut self, mut keep: impl FnMut(&[TermId]) -> bool) -> usize {
+    fn retain(&mut self, mut keep: impl FnMut(&[TermId]) -> bool) -> usize {
         if self.len == 0 {
             return 0;
         }
@@ -489,22 +489,18 @@ impl Relation {
     /// not the relation: each present tuple is swap-removed (the last
     /// tuple moves into the vacated slot) and the dedup tables plus
     /// every built index are patched in place — O(batch × (masks + 2))
-    /// hash operations, against the full O(len) rebuild of
-    /// [`Relation::retain`]. Tuples not present are ignored; the count
+    /// hash operations, against a full O(len) rebuild. Tuples not present are ignored; the count
     /// of tuples actually removed is returned.
     ///
-    /// Unlike `retain`, insertion order is **not** preserved (relations
-    /// are sets; only enumeration order changes). Batches of half the
-    /// relation or more fall back to `retain` internally — one rebuild
-    /// beats that many patches.
+    /// Insertion order is **not** preserved (relations are sets; only
+    /// enumeration order changes), except that batches of half the
+    /// relation or more fall back to an order-preserving rebuild — one
+    /// rebuild beats that many patches.
     pub fn remove_rows(&mut self, batch: &FxHashSet<Vec<TermId>>) -> usize {
         if batch.is_empty() || self.len == 0 {
             return 0;
         }
-        if self.arity == 0 {
-            return self.retain(|t| !batch.contains(t));
-        }
-        if batch.len() >= self.len / 2 {
+        if self.arity == 0 || batch.len() >= self.len / 2 {
             return self.retain(|t| !batch.contains(t));
         }
         let mut removed = 0usize;
@@ -779,8 +775,8 @@ pub struct Staging {
     /// here (one store per job) so the merge can sum the evaluation's
     /// probe count without touching the hot loop.
     pub ticks: u64,
-    /// Job wall time in nanoseconds, recorded only while the per-query
-    /// profiler is armed (0 otherwise).
+    /// Job wall time in nanoseconds, summed into the evaluation's
+    /// per-rule record by the merge.
     pub nanos: u64,
 }
 

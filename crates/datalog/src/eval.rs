@@ -59,8 +59,12 @@
 //! same labelled null — the "restricted chase" behaviour that makes
 //! ontological rules converge. Skolem terms intern once in the term
 //! dictionary and compare by id; their nesting depth is precomputed, so
-//! the configurable Skolem-depth bound (the substitute for Vadalog's
-//! warded-chase termination strategy) is an O(1) check.
+//! the Skolem-depth bound [`MAX_SKOLEM_DEPTH`] (the substitute for
+//! Vadalog's warded-chase termination strategy) is an O(1) check.
+//!
+//! Every run records its breakdown into [`EvalStats`] ([`crate::profile`]):
+//! per-rule, per-stratum and per-round figures, at two `Instant` reads and
+//! one record update per job.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,22 +77,24 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::govern::{AbortReason, Budget};
 use crate::plan::{plan_rule, ProgramPlan, RulePlan, Step};
 use crate::pool::Pool;
+use crate::profile::{RoundProfile, RuleProfile, StratumProfile};
 use crate::rule::{AggFunc, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
 use crate::stats::DbStats;
 use crate::stratify::{stratify, StratifyError};
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::{Const, OrdF64, TermDict, TermId};
 
+/// Skolem-nesting bound: a head tuple is not derived when the null it
+/// invents for an existential variable nests deeper, whether the
+/// evaluator mints it or a maintenance copy assigns it. Substitutes for
+/// Vadalog's chase-termination strategy on cyclic existential rules;
+/// other Skolem terms a rule body binds, such as T_Q's tuple IDs, are not
+/// bounded.
+pub const MAX_SKOLEM_DEPTH: usize = 64;
+
 /// Evaluation options.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Skolem-nesting bound: a head tuple is not derived when the null
-    /// it invents for an existential variable nests deeper, whether the
-    /// evaluator mints it or a maintenance copy assigns it. Substitutes
-    /// for Vadalog's chase-termination strategy on cyclic existential
-    /// rules; other Skolem terms a rule body binds, such as T_Q's tuple
-    /// IDs, are not bounded.
-    pub max_skolem_depth: usize,
     /// Cost-based join planning ([`crate::plan`]): plan rule bodies with
     /// the snapshot's relation statistics, or without. On by default;
     /// `false` is the statistics-blind baseline the differential tests
@@ -116,23 +122,15 @@ pub struct EvalOptions {
     /// unlimited default costs one branch per check. A governed
     /// evaluation that crosses a limit fails with [`EvalError::Aborted`].
     pub budget: Budget,
-    /// Per-query profiling ([`crate::profile`]): record per-rule
-    /// timings, per-round delta sizes and index builds into a
-    /// [`QueryProfile`](crate::profile::QueryProfile) returned on
-    /// [`EvalStats::profile`]. Off by default; the unprofiled path pays
-    /// nothing (every recording site is behind this flag).
-    pub profile: bool,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            max_skolem_depth: 64,
             plan: true,
             magic_sets: true,
             threads: None,
             budget: Budget::default(),
-            profile: false,
         }
     }
 }
@@ -153,7 +151,8 @@ impl EvalOptions {
     }
 }
 
-/// Statistics of one evaluation run.
+/// Statistics of one evaluation run — its whole record, kept on every
+/// run ([`crate::profile`]).
 #[derive(Debug, Clone, Default)]
 pub struct EvalStats {
     /// Total facts derived (after dedup).
@@ -165,8 +164,6 @@ pub struct EvalStats {
     pub staged: usize,
     /// Semi-naive rounds across all strata.
     pub rounds: usize,
-    /// Number of strata.
-    pub strata: usize,
     /// Wall-clock time.
     pub elapsed: Duration,
     /// Join ticks across all rule jobs — one per join step entered: each
@@ -175,11 +172,16 @@ pub struct EvalStats {
     /// join work, counted by summing the jobs' existing per-job tick
     /// counters (no hot-path cost).
     pub probes: u64,
-    /// Wall time per stratum, in evaluation order (two `Instant` reads
-    /// per stratum — always on).
-    pub stratum_elapsed: Vec<Duration>,
-    /// The per-query profile, when [`EvalOptions::profile`] was armed.
-    pub profile: Option<Box<crate::profile::QueryProfile>>,
+    /// Per-rule cost, indexed like `program.rules`. Rules that never
+    /// staged a row still appear (with zero counts) so the shape matches
+    /// the program.
+    pub rules: Vec<RuleProfile>,
+    /// Per-stratum breakdown in evaluation order, with per-round delta
+    /// sizes.
+    pub strata: Vec<StratumProfile>,
+    /// Hash-join indexes built up front for this evaluation (the build
+    /// sides the planner requested that did not already exist).
+    pub index_builds: usize,
 }
 
 /// Evaluation failure.
@@ -368,7 +370,7 @@ struct Job<'a> {
     plan: &'a RulePlan,
     enc: &'a EncRule,
     rule: &'a Rule,
-    /// Index of `rule` in the program — the profiler's attribution key.
+    /// Index of `rule` in the program — the record's attribution key.
     rule_idx: usize,
     /// `(body item, batch, row range)` — the delta restriction, if any.
     delta: Option<(usize, &'a RowBatch, usize, usize)>,
@@ -387,15 +389,18 @@ fn evaluate_inner(
     let dict = db.dict().clone();
     let seeded = seed.is_some();
 
+    let mut stats = EvalStats {
+        rules: vec![RuleProfile::default(); program.rules.len()],
+        ..EvalStats::default()
+    };
     // Load the program's bundled facts (the T_D encode boundary for
     // facts carried by the program itself).
-    let mut derived = 0usize;
     let mut scratch: Vec<TermId> = Vec::new();
     for (pred, tuple) in &program.facts {
         scratch.clear();
         scratch.extend(tuple.iter().map(|c| dict.encode(c)));
         if db.add_fact_ids(*pred, &scratch) {
-            derived += 1;
+            stats.derived += 1;
             if let Some(seed) = seed.as_mut() {
                 crate::delta::stage_row(seed, *pred, &scratch);
             }
@@ -404,10 +409,7 @@ fn evaluate_inner(
     // A seeded run with nothing new has nothing to derive.
     if let Some(seed) = &seed {
         if seed.values().all(RowBatch::is_empty) {
-            return Ok(EvalStats {
-                derived,
-                ..EvalStats::default()
-            });
+            return Ok(stats);
         }
     }
 
@@ -447,33 +449,19 @@ fn evaluate_inner(
         symbols: &symbols,
         dict: &dict,
         start,
-        max_skolem_depth: options.max_skolem_depth,
         budget: &options.budget,
         governed,
         dict_base: if governed { dict.interned_terms() } else { 0 },
-        derived: AtomicUsize::new(derived),
-        profile: options.profile,
+        derived: AtomicUsize::new(stats.derived),
     };
     ctx.check()?;
 
-    let mut stats = EvalStats {
-        derived,
-        strata: strat.strata.len(),
-        ..EvalStats::default()
-    };
-    // The profiler, armed only on request — rule display texts are built
-    // here once, so the unprofiled path never renders a rule.
-    let mut pb = options
-        .profile
-        .then(|| crate::profile::ProfileBuilder::new(program, &symbols));
     // Recycled per-job staging buffers (see `run_pass`).
     let mut spare: Vec<Staging> = Vec::new();
 
-    for (stratum_idx, stratum_rules) in strat.strata.iter().enumerate() {
+    for stratum_rules in &strat.strata {
         let stratum_start = Instant::now();
-        if let Some(pb) = pb.as_mut() {
-            pb.begin_stratum(stratum_idx);
-        }
+        let mut round_record: Vec<RoundProfile> = Vec::new();
         // Predicates defined in this stratum — the stratum's write set.
         let stratum_preds: FxHashSet<Sym> =
             strat.stratum_writes(stratum_rules).into_iter().collect();
@@ -518,9 +506,7 @@ fn evaluate_inner(
                 }
             }
         }
-        if let Some(pb) = pb.as_mut() {
-            pb.record_index_builds(built.len());
-        }
+        stats.index_builds += built.len();
 
         // --- naive first pass ---
         // All rules evaluate against the same snapshot (concurrently when
@@ -542,20 +528,16 @@ fn evaluate_inner(
                 })
                 .collect();
             let round_start = Instant::now();
-            let (staged0, derived0) = (stats.staged, stats.derived);
             let outs = run_pass(&jobs, db, &ctx, pool, &mut spare);
-            merge_pass(
-                db, &jobs, outs, &mut delta, &mut stats, &ctx, &mut spare, &mut pb,
-            )?;
-            if let Some(pb) = pb.as_mut() {
-                pb.record_round(crate::profile::RoundProfile {
-                    round: 0,
-                    delta_rows: 0,
-                    staged: stats.staged - staged0,
-                    derived: stats.derived - derived0,
-                    elapsed: round_start.elapsed(),
-                });
-            }
+            let (staged, derived) =
+                merge_pass(db, &jobs, outs, &mut delta, &mut stats, &ctx, &mut spare)?;
+            round_record.push(RoundProfile {
+                round: 0,
+                delta_rows: 0,
+                staged,
+                derived,
+                elapsed: round_start.elapsed(),
+            });
         }
 
         // Shed indexes this run built on the stratum's *written*
@@ -632,32 +614,21 @@ fn evaluate_inner(
                     }
                 }
             }
-            if jobs.is_empty() {
-                // A delta no rule consumes (e.g. a predicate only read by
-                // later strata) ends the fixpoint.
-                break;
-            }
+            // A delta no rule consumes (e.g. a predicate only read by
+            // later strata) makes a round without jobs, which ends the
+            // fixpoint.
             let round_start = Instant::now();
-            let (staged0, derived0) = (stats.staged, stats.derived);
-            let delta_rows: usize = if pb.is_some() {
-                delta.values().map(|b| b.len()).sum()
-            } else {
-                0
-            };
             let outs = run_pass(&jobs, db, &ctx, pool, &mut spare);
             let mut next: FxHashMap<Sym, RowBatch> = FxHashMap::default();
-            merge_pass(
-                db, &jobs, outs, &mut next, &mut stats, &ctx, &mut spare, &mut pb,
-            )?;
-            if let Some(pb) = pb.as_mut() {
-                pb.record_round(crate::profile::RoundProfile {
-                    round: rounds,
-                    delta_rows,
-                    staged: stats.staged - staged0,
-                    derived: stats.derived - derived0,
-                    elapsed: round_start.elapsed(),
-                });
-            }
+            let (staged, derived) =
+                merge_pass(db, &jobs, outs, &mut next, &mut stats, &ctx, &mut spare)?;
+            round_record.push(RoundProfile {
+                round: rounds,
+                delta_rows: delta.values().map(RowBatch::len).sum(),
+                staged,
+                derived,
+                elapsed: round_start.elapsed(),
+            });
             drop(jobs);
             delta = next;
         }
@@ -688,25 +659,16 @@ fn evaluate_inner(
                     ctx.note_derived()?;
                 }
             }
-            if let Some(pb) = pb.as_mut() {
-                pb.record_job(
-                    ri,
-                    staged,
-                    derived_here,
-                    agg_start.elapsed().as_nanos() as u64,
-                    probes,
-                );
-            }
+            stats.rules[ri].record(staged, derived_here, probes, agg_start.elapsed());
         }
 
-        stats.stratum_elapsed.push(stratum_start.elapsed());
-        if let Some(pb) = pb.as_mut() {
-            pb.end_stratum(*stats.stratum_elapsed.last().expect("just pushed"));
-        }
+        stats.strata.push(StratumProfile {
+            rounds: round_record,
+            elapsed: stratum_start.elapsed(),
+        });
     }
 
     stats.elapsed = start.elapsed();
-    stats.profile = pb.map(|b| Box::new(b.finish(stats.elapsed)));
     Ok(stats)
 }
 
@@ -745,9 +707,8 @@ fn run_pass(
         };
         let mut guard = slots[j].lock().unwrap();
         if let Ok(out) = guard.as_mut() {
-            // Job wall time is profiler-only: the two `Instant` reads per
-            // job stay off the unprofiled path.
-            let job_start = ctx.profile.then(Instant::now);
+            // The record's job wall time: two `Instant` reads per job.
+            let job_start = Instant::now();
             out.arity = job.enc.head.args.len();
             let row_cap = ctx.row_cap();
             let emit = &mut |env: &[Option<TermId>], ctx: &Ctx<'_>| {
@@ -771,48 +732,27 @@ fn run_pass(
                 // job, not per tick.
                 Ok(ticks) => {
                     out.ticks += ticks;
-                    if let Some(t0) = job_start {
-                        out.nanos = t0.elapsed().as_nanos() as u64;
-                    }
+                    out.nanos = job_start.elapsed().as_nanos() as u64;
                 }
                 Err(e) => *guard = Err(e),
             }
         }
     };
     // A job that panics (an engine bug, not a query error) is caught at
-    // the job boundary — by the pool on the parallel path, by
-    // `catch_unwind` inline — and becomes that job's `Internal` error:
-    // sibling jobs complete, the workers survive for the next pass, and
-    // the overlay database unwinds normally with the evaluation's `Err`.
-    let poison = |slot: &Mutex<Result<Staging, EvalError>>, message: String| {
-        let mut guard = match slot.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *guard = Err(EvalError::Internal(format!(
-            "evaluation worker panicked: {message}"
-        )));
+    // the job boundary, on the pool or inline, and becomes that job's
+    // `Internal` error: sibling jobs complete, the workers survive for
+    // the next pass, and the overlay database unwinds normally with the
+    // evaluation's `Err`.
+    let panics = match pool {
+        Some(p) if jobs.len() > 1 => p.run(jobs.len(), &run_job),
+        _ => crate::pool::run_inline_caught(jobs.len(), &run_job),
     };
-    match pool {
-        Some(p) if jobs.len() > 1 => {
-            for jp in p.run(jobs.len(), &run_job) {
-                poison(&slots[jp.job], jp.message);
-            }
-        }
-        _ => {
-            for (j, slot) in slots.iter().enumerate() {
-                if let Err(payload) =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(j)))
-                {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    poison(slot, message);
-                }
-            }
-        }
+    for jp in panics {
+        let mut guard = slots[jp.job].lock().unwrap_or_else(|p| p.into_inner());
+        *guard = Err(EvalError::Internal(format!(
+            "evaluation worker panicked: {}",
+            jp.message
+        )));
     }
     slots
         .into_iter()
@@ -823,8 +763,8 @@ fn run_pass(
 /// Merges a pass's staged outputs into the database in deterministic job
 /// order; fresh tuples are appended to `delta`'s batches. The
 /// relation's dedup map is the only per-tuple hash probe (the staging
-/// buffers carry each row's hash precomputed).
-#[allow(clippy::too_many_arguments)]
+/// buffers carry each row's hash precomputed). Returns the pass's staged
+/// and fresh row counts.
 fn merge_pass(
     db: &mut Database,
     jobs: &[Job<'_>],
@@ -833,13 +773,11 @@ fn merge_pass(
     stats: &mut EvalStats,
     ctx: &Ctx<'_>,
     spare: &mut Vec<Staging>,
-    pb: &mut Option<crate::profile::ProfileBuilder>,
-) -> Result<(), EvalError> {
-    let derived = &mut stats.derived;
-    let staged = &mut stats.staged;
+) -> Result<(usize, usize), EvalError> {
+    let (mut staged, mut derived) = (0, 0);
     for (job, out) in jobs.iter().zip(outs) {
         let mut out = out?;
-        *staged += out.count;
+        staged += out.count;
         stats.probes += out.ticks;
         // Merges are sequential and can dominate huge passes: keep the
         // governor's batch granularity across them (per job, not per row).
@@ -865,18 +803,19 @@ fn merge_pass(
                 .or_insert_with(|| RowBatch::new(out.arity));
             fresh = db.relation_mut(pred).merge_staged(&out, batch);
         }
-        *derived += fresh;
-        if let Some(pb) = pb.as_mut() {
-            pb.record_job(job.rule_idx, out.count, fresh, out.nanos, out.ticks);
-        }
+        derived += fresh;
+        let elapsed = Duration::from_nanos(out.nanos);
+        stats.rules[job.rule_idx].record(out.count, fresh, out.ticks, elapsed);
         out.clear();
         spare.push(out);
     }
+    stats.staged += staged;
+    stats.derived += derived;
     // Resync the governor's row counter to the exact post-dedup total:
     // while a row cap is armed the jobs of the pass inflated it with
     // per-emission staged candidates.
-    ctx.derived.store(*derived, Ordering::Relaxed);
-    Ok(())
+    ctx.derived.store(stats.derived, Ordering::Relaxed);
+    Ok((staged, derived))
 }
 
 /// Applies a predicate's `@post` directives and returns the final tuples,
@@ -1014,7 +953,6 @@ struct Ctx<'a> {
     symbols: &'a SymbolTable,
     dict: &'a TermDict,
     start: Instant,
-    max_skolem_depth: usize,
     /// The armed execution budget (see [`crate::govern`]).
     budget: &'a Budget,
     /// False when the budget is unlimited — every governed check then
@@ -1030,15 +968,12 @@ struct Ctx<'a> {
     /// synchronisation points and the cap check tolerates slack of one
     /// in-flight emission per worker.
     derived: AtomicUsize,
-    /// True when the per-query profiler is armed
-    /// ([`EvalOptions::profile`]) — jobs then record their wall time.
-    profile: bool,
 }
 
 impl Ctx<'_> {
     /// Whether an invented null nests within the Skolem-depth bound.
     fn within_depth(&self, id: TermId) -> bool {
-        self.dict.skolem_depth(id) <= self.max_skolem_depth
+        self.dict.skolem_depth(id) <= MAX_SKOLEM_DEPTH
     }
 
     /// The periodic cooperative check, called at batch granularity (every

@@ -156,7 +156,7 @@ impl CancelToken {
 pub struct Budget {
     timeout: Option<Duration>,
     /// Absolute deadline, fixed by [`Budget::armed`] when an evaluation
-    /// starts (or set directly by a caller that owns the clock).
+    /// starts.
     deadline: Option<Instant>,
     max_rows: Option<usize>,
     max_dict_growth: Option<usize>,
@@ -173,13 +173,6 @@ impl Budget {
     /// starts; crossing it aborts with [`AbortReason::Deadline`].
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
-        self
-    }
-
-    /// Sets an absolute deadline instead of a relative timeout (for
-    /// callers that account queueing time against the query).
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -210,8 +203,8 @@ impl Budget {
     /// True when no limit of any kind is set — the governed paths reduce
     /// to a single branch.
     pub fn is_unlimited(&self) -> bool {
+        // A deadline is only ever armed from a timeout.
         self.timeout.is_none()
-            && self.deadline.is_none()
             && self.max_rows.is_none()
             && self.max_dict_growth.is_none()
             && self.cancel.is_none()
@@ -222,7 +215,7 @@ impl Budget {
         self.timeout
     }
 
-    /// The absolute deadline, if armed or explicitly set.
+    /// The absolute deadline, once armed.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }

@@ -8,8 +8,8 @@
 //!   semi-naive fixpoint with index-nested-loop joins ([`eval`]).
 //! * **Existential rules**: head variables not bound in the body are
 //!   Skolemised deterministically over the rule frontier, producing
-//!   labelled nulls ([`value::Const::Skolem`]). A configurable
-//!   Skolem-depth bound substitutes for Vadalog's warded-chase
+//!   labelled nulls ([`value::Const::Skolem`]). A fixed Skolem-depth
+//!   bound ([`MAX_SKOLEM_DEPTH`]) substitutes for Vadalog's warded-chase
 //!   termination.
 //! * **Skolem tuple IDs** for bag semantics: assignments of the form
 //!   `Id = ["f2", X, ...]` ([`expr::Expr::Skolem`]), the paper's duplicate
@@ -77,14 +77,13 @@ pub use database::{row_hash, Database, Mask, Matches, Relation, RowBatch, Stagin
 pub use delta::{extend, retract, stage_row, MaintainError, Retraction};
 pub use eval::{
     collect_output, evaluate, evaluate_frozen, evaluate_frozen_with_plan, order_cmp, EvalError,
-    EvalOptions, EvalStats,
+    EvalOptions, EvalStats, MAX_SKOLEM_DEPTH,
 };
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use frozen::FrozenDb;
 pub use govern::{AbortReason, Budget, CancelToken};
 pub use magic::{
-    demand_prunes, demand_subprogram, magic_sets_rewrite, magic_sets_rewrite_analyzed,
-    MagicRewrite, DEMAND_SELECTIVITY,
+    demand_prunes, demand_subprogram, magic_sets_rewrite_analyzed, MagicRewrite, DEMAND_SELECTIVITY,
 };
 pub use plan::{plan_program, ProgramPlan};
 pub use pool::{run_scoped, run_scoped_caught, JobPanic};

@@ -1,6 +1,6 @@
 //! Magic-sets demand transformation for recursive predicates.
 //!
-//! [`magic_sets_rewrite`] makes bottom-up evaluation goal-directed: when
+//! [`magic_sets_rewrite_analyzed`] makes bottom-up evaluation goal-directed: when
 //! every consumer of a recursive predicate binds the same argument
 //! positions to constants (the classic case: a SPARQL property path with
 //! a bound endpoint, whose translated consumer reads `ans_i(Id, c, Y,
@@ -61,15 +61,6 @@ fn positions(mask: u64) -> Vec<usize> {
     (0..64).filter(|i| mask & (1 << i) != 0).collect()
 }
 
-/// Applies the magic-sets demand transformation to every eligible
-/// recursive predicate of `program`. Returns the rewritten program, or
-/// `None` when no predicate qualifies (callers keep the original; the
-/// rewrite never loses or adds answer tuples for the program's `@output`
-/// predicates either way).
-pub fn magic_sets_rewrite(program: &Program, symbols: &SymbolTable) -> Option<Program> {
-    magic_sets_rewrite_analyzed(program, symbols).map(|rw| rw.program)
-}
-
 /// A successful magic-sets rewrite plus the metadata the demand-based
 /// keep/demote decision needs ([`demand_subprogram`], [`demand_prunes`]).
 ///
@@ -96,7 +87,11 @@ pub struct MagicRewrite {
     demand_sources: Vec<(Sym, usize)>,
 }
 
-/// [`magic_sets_rewrite`] with the analysis metadata attached.
+/// Applies the magic-sets demand transformation to every eligible
+/// recursive predicate of `program`, with the analysis metadata
+/// attached. Returns `None` when no predicate qualifies (callers keep the
+/// original; the rewrite never loses or adds answer tuples for the
+/// program's `@output` predicates either way).
 pub fn magic_sets_rewrite_analyzed(
     program: &Program,
     symbols: &SymbolTable,
@@ -475,12 +470,16 @@ mod tests {
     fn bound_endpoint_tc_is_rewritten_and_equal() {
         let mut db = chain_db(100);
         let prog = parse_program(TC_SRC, db.symbols()).unwrap();
-        let magic = magic_sets_rewrite(&prog, db.symbols()).expect("tc qualifies");
+        let magic = magic_sets_rewrite_analyzed(&prog, db.symbols())
+            .map(|rw| rw.program)
+            .expect("tc qualifies");
 
         let mut db2 = chain_db(100);
         // Share one symbol table so preds resolve identically.
         let prog2 = parse_program(TC_SRC, db2.symbols()).unwrap();
-        let magic2 = magic_sets_rewrite(&prog2, db2.symbols()).unwrap();
+        let magic2 = magic_sets_rewrite_analyzed(&prog2, db2.symbols())
+            .map(|rw| rw.program)
+            .unwrap();
 
         evaluate(&prog, &mut db, &raw_options()).unwrap();
         evaluate(&magic2, &mut db2, &raw_options()).unwrap();
@@ -528,7 +527,7 @@ mod tests {
             &t,
         )
         .unwrap();
-        assert!(magic_sets_rewrite(&prog, &t).is_none());
+        assert!(magic_sets_rewrite_analyzed(&prog, &t).is_none());
     }
 
     #[test]
@@ -542,7 +541,7 @@ mod tests {
             &t,
         )
         .unwrap();
-        assert!(magic_sets_rewrite(&prog, &t).is_none());
+        assert!(magic_sets_rewrite_analyzed(&prog, &t).is_none());
     }
 
     #[test]
@@ -555,7 +554,7 @@ mod tests {
             &t,
         )
         .unwrap();
-        assert!(magic_sets_rewrite(&prog, &t).is_none());
+        assert!(magic_sets_rewrite_analyzed(&prog, &t).is_none());
     }
 
     #[test]
@@ -569,7 +568,7 @@ mod tests {
             &t,
         )
         .unwrap();
-        assert!(magic_sets_rewrite(&prog, &t).is_none());
+        assert!(magic_sets_rewrite_analyzed(&prog, &t).is_none());
     }
 
     #[test]
@@ -581,7 +580,9 @@ mod tests {
                    out(Z) :- tc(40, Z).\n\
                    @output(\"out\").\n";
         let prog = parse_program(src, db.symbols()).unwrap();
-        let magic = magic_sets_rewrite(&prog, db.symbols()).expect("both consumers bind X");
+        let magic = magic_sets_rewrite_analyzed(&prog, db.symbols())
+            .map(|rw| rw.program)
+            .expect("both consumers bind X");
         evaluate(&magic, &mut db, &raw_options()).unwrap();
         let out = db.symbols().get("out").unwrap();
         // From 10: 11..=50 (40 rows); from 40: 41..=50 (10 rows, subset).

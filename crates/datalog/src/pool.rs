@@ -52,15 +52,24 @@ pub struct JobPanic {
     pub message: String,
 }
 
-/// Renders a caught panic payload for [`JobPanic::message`].
-fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// Runs job `j`, catching a panic as its [`JobPanic`] record — the one
+/// job boundary of the pool, the inline paths and the evaluator.
+fn catch_job(f: &(dyn Fn(usize) + Sync), j: usize) -> Option<JobPanic> {
+    let payload = std::panic::catch_unwind(AssertUnwindSafe(|| f(j))).err()?;
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
+    };
+    Some(JobPanic { job: j, message })
+}
+
+/// Runs `f(0..njobs)` in order on the calling thread, each job caught as
+/// a pool job is.
+pub(crate) fn run_inline_caught(njobs: usize, f: &(dyn Fn(usize) + Sync)) -> Vec<JobPanic> {
+    (0..njobs).filter_map(|j| catch_job(f, j)).collect()
 }
 
 #[derive(Default)]
@@ -130,13 +139,8 @@ impl Pool {
     /// guard decrements `pending` on both exit paths.
     fn run_job(&self, f: &(dyn Fn(usize) + Sync), j: usize) {
         let _guard = PendingGuard(self);
-        if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| f(j))) {
-            let message = payload_message(payload);
-            self.state
-                .lock()
-                .unwrap()
-                .panics
-                .push(JobPanic { job: j, message });
+        if let Some(panic) = catch_job(f, j) {
+            self.state.lock().unwrap().panics.push(panic);
         }
     }
 
@@ -242,16 +246,7 @@ pub fn run_scoped_caught(
     f: &(dyn Fn(usize) + Sync),
 ) -> Vec<JobPanic> {
     if threads <= 1 || njobs <= 1 {
-        let mut panics = Vec::new();
-        for j in 0..njobs {
-            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| f(j))) {
-                panics.push(JobPanic {
-                    job: j,
-                    message: payload_message(payload),
-                });
-            }
-        }
-        return panics;
+        return run_inline_caught(njobs, f);
     }
     let pool = Pool::new(threads.min(njobs));
     std::thread::scope(|s| {

@@ -1,12 +1,14 @@
-//! `EXPLAIN ANALYZE`-style per-query profiling of the semi-naive
-//! fixpoint.
+//! The evaluation's record and its `EXPLAIN ANALYZE`-style rendering.
 //!
-//! Armed via [`EvalOptions::profile`](crate::EvalOptions::profile), the
-//! evaluator records per-rule timings, per-round delta sizes and
-//! stratum wall times into a [`QueryProfile`] returned on
-//! [`EvalStats::profile`](crate::EvalStats::profile). The unprofiled
-//! path pays nothing: every recording site is behind the flag, and the
-//! builder only allocates when profiling is armed.
+//! Every evaluation records the same breakdown into its
+//! [`EvalStats`](crate::EvalStats): per rule its jobs, staged and
+//! derived rows, join probes and wall time ([`RuleProfile`]), per stratum
+//! and round the delta sizes and wall times ([`StratumProfile`],
+//! [`RoundProfile`]), and the index builds. It costs per job, never per
+//! row: two `Instant` reads and one record update per job, one entry per
+//! round and stratum. A [`QueryProfile`] is that record plus the rule
+//! texts, built only where a caller asks for a profile
+//! (`Snapshot::execute_profiled`): the evaluator renders no rule.
 //!
 //! The profile renders two ways: [`QueryProfile::render`] is the
 //! human-readable breakdown (the shape of the source paper's per-query
@@ -16,14 +18,9 @@
 
 use std::time::Duration;
 
-use crate::rule::Program;
-use crate::symbols::SymbolTable;
-
 /// One rule's aggregate cost across every pass that evaluated it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleProfile {
-    /// The rule, rendered in Datalog text form.
-    pub rule: String,
     /// Evaluation jobs run for this rule (naive pass + delta variants +
     /// partitions).
     pub jobs: u64,
@@ -37,6 +34,18 @@ pub struct RuleProfile {
     /// Wall time summed across this rule's jobs. Jobs run concurrently,
     /// so rule times can sum to more than the query's wall time.
     pub elapsed: Duration,
+}
+
+impl RuleProfile {
+    /// Adds one finished job: `staged` candidates from `probes` join
+    /// probes in `elapsed`, of which `derived` survived the merge.
+    pub(crate) fn record(&mut self, staged: usize, derived: usize, probes: u64, elapsed: Duration) {
+        self.jobs += 1;
+        self.staged += staged as u64;
+        self.derived += derived as u64;
+        self.probes += probes;
+        self.elapsed += elapsed;
+    }
 }
 
 /// One semi-naive round of a stratum. Round 0 is the naive first pass
@@ -59,24 +68,23 @@ pub struct RoundProfile {
 /// One stratum of the evaluation.
 #[derive(Debug, Clone)]
 pub struct StratumProfile {
-    /// Stratum index in evaluation order.
-    pub stratum: usize,
-    /// The naive pass and every semi-naive round, in order.
+    /// The naive pass and every semi-naive round, in order. A seeded run
+    /// has no naive pass.
     pub rounds: Vec<RoundProfile>,
     /// Wall time of the stratum, including plan compilation, index
     /// builds and aggregate rules.
     pub elapsed: Duration,
 }
 
-/// The full profile of one evaluation, attached to
-/// [`EvalStats::profile`](crate::EvalStats::profile) when
-/// [`EvalOptions::profile`](crate::EvalOptions::profile) is set.
+/// The profile of one evaluation: its [`EvalStats`](crate::EvalStats)
+/// record plus the rule texts the renderings name.
 #[derive(Debug, Clone, Default)]
 pub struct QueryProfile {
-    /// Per-rule cost, indexed like `program.rules`. Rules that never
-    /// staged a row still appear (with zero counts) so the shape matches
-    /// the program.
+    /// Per-rule cost, indexed like `program.rules`
+    /// ([`EvalStats::rules`](crate::EvalStats::rules)).
     pub rules: Vec<RuleProfile>,
+    /// The rule texts in Datalog form, indexed like `rules`.
+    pub rule_texts: Vec<String>,
     /// Per-stratum breakdown with per-round delta sizes.
     pub strata: Vec<StratumProfile>,
     /// Hash-join indexes built up front for this evaluation (the build
@@ -97,10 +105,9 @@ impl QueryProfile {
             self.strata.len(),
             self.index_builds
         ));
-        for s in &self.strata {
+        for (i, s) in self.strata.iter().enumerate() {
             out.push_str(&format!(
-                "stratum {}: {:.3} ms, {} round(s)\n",
-                s.stratum,
+                "stratum {i}: {:.3} ms, {} round(s)\n",
                 s.elapsed.as_secs_f64() * 1e3,
                 s.rounds.len().saturating_sub(1)
             ));
@@ -119,17 +126,16 @@ impl QueryProfile {
                 ));
             }
         }
-        let mut by_time: Vec<&RuleProfile> = self.rules.iter().filter(|r| r.jobs > 0).collect();
-        by_time.sort_by_key(|r| std::cmp::Reverse(r.elapsed));
-        for r in by_time {
+        let mut by_time: Vec<_> = self.ran().collect();
+        by_time.sort_by_key(|(r, _)| std::cmp::Reverse(r.elapsed));
+        for (r, text) in by_time {
             out.push_str(&format!(
-                "rule [{:.3} ms, {} job(s), staged={} derived={} probes={}] {}\n",
+                "rule [{:.3} ms, {} job(s), staged={} derived={} probes={}] {text}\n",
                 r.elapsed.as_secs_f64() * 1e3,
                 r.jobs,
                 r.staged,
                 r.derived,
                 r.probes,
-                r.rule
             ));
         }
         out
@@ -148,8 +154,7 @@ impl QueryProfile {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"stratum\":{},\"elapsed_us\":{},\"rounds\":[",
-                s.stratum,
+                "{{\"stratum\":{i},\"elapsed_us\":{},\"rounds\":[",
                 s.elapsed.as_micros()
             ));
             for (j, r) in s.rounds.iter().enumerate() {
@@ -169,14 +174,14 @@ impl QueryProfile {
         }
         out.push_str("],\"rules\":[");
         let mut first = true;
-        for r in self.rules.iter().filter(|r| r.jobs > 0) {
+        for (r, text) in self.ran() {
             if !first {
                 out.push(',');
             }
             first = false;
             out.push_str(&format!(
                 "{{\"rule\":\"{}\",\"jobs\":{},\"staged\":{},\"derived\":{},\"elapsed_us\":{}}}",
-                escape_json(&r.rule),
+                escape_json(text),
                 r.jobs,
                 r.staged,
                 r.derived,
@@ -185,6 +190,14 @@ impl QueryProfile {
         }
         out.push_str("]}");
         out
+    }
+
+    /// The rules that ran a job, with their texts.
+    fn ran(&self) -> impl Iterator<Item = (&RuleProfile, &String)> {
+        self.rules
+            .iter()
+            .zip(&self.rule_texts)
+            .filter(|(r, _)| r.jobs > 0)
     }
 }
 
@@ -204,84 +217,6 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Accumulates profile records during evaluation. Created only when
-/// [`EvalOptions::profile`](crate::EvalOptions::profile) is armed.
-#[derive(Debug)]
-pub(crate) struct ProfileBuilder {
-    profile: QueryProfile,
-}
-
-impl ProfileBuilder {
-    pub(crate) fn new(program: &Program, symbols: &SymbolTable) -> Self {
-        ProfileBuilder {
-            profile: QueryProfile {
-                rules: program
-                    .rules
-                    .iter()
-                    .map(|r| RuleProfile {
-                        rule: r.display(symbols),
-                        jobs: 0,
-                        staged: 0,
-                        derived: 0,
-                        probes: 0,
-                        elapsed: Duration::ZERO,
-                    })
-                    .collect(),
-                ..QueryProfile::default()
-            },
-        }
-    }
-
-    /// One finished job of `rule_idx`: `staged` candidates from
-    /// `probes` join probes in `nanos` wall time, of which `derived`
-    /// survived the merge.
-    pub(crate) fn record_job(
-        &mut self,
-        rule_idx: usize,
-        staged: usize,
-        derived: usize,
-        nanos: u64,
-        probes: u64,
-    ) {
-        if let Some(r) = self.profile.rules.get_mut(rule_idx) {
-            r.jobs += 1;
-            r.staged += staged as u64;
-            r.derived += derived as u64;
-            r.probes += probes;
-            r.elapsed += Duration::from_nanos(nanos);
-        }
-    }
-
-    pub(crate) fn record_round(&mut self, round: RoundProfile) {
-        if let Some(s) = self.profile.strata.last_mut() {
-            s.rounds.push(round);
-        }
-    }
-
-    pub(crate) fn begin_stratum(&mut self, stratum: usize) {
-        self.profile.strata.push(StratumProfile {
-            stratum,
-            rounds: Vec::new(),
-            elapsed: Duration::ZERO,
-        });
-    }
-
-    pub(crate) fn end_stratum(&mut self, elapsed: Duration) {
-        if let Some(s) = self.profile.strata.last_mut() {
-            s.elapsed = elapsed;
-        }
-    }
-
-    pub(crate) fn record_index_builds(&mut self, built: usize) {
-        self.profile.index_builds += built;
-    }
-
-    pub(crate) fn finish(mut self, elapsed: Duration) -> QueryProfile {
-        self.profile.elapsed = elapsed;
-        self.profile
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,15 +225,14 @@ mod tests {
     fn json_escapes_rule_text() {
         let p = QueryProfile {
             rules: vec![RuleProfile {
-                rule: "p(X) :- q(X, \"a\\b\")".to_string(),
                 jobs: 1,
                 staged: 2,
                 derived: 1,
                 probes: 3,
                 elapsed: Duration::from_micros(5),
             }],
+            rule_texts: vec!["p(X) :- q(X, \"a\\b\")".to_string()],
             strata: vec![StratumProfile {
-                stratum: 0,
                 rounds: vec![RoundProfile {
                     round: 0,
                     delta_rows: 0,

@@ -39,21 +39,6 @@ pub enum TermPattern {
     Term(Term),
 }
 
-impl TermPattern {
-    /// The variable, if this position holds one.
-    pub fn as_var(&self) -> Option<&Var> {
-        match self {
-            TermPattern::Var(v) => Some(v),
-            TermPattern::Term(_) => None,
-        }
-    }
-
-    /// True if this position holds a variable.
-    pub fn is_var(&self) -> bool {
-        matches!(self, TermPattern::Var(_))
-    }
-}
-
 impl fmt::Display for TermPattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

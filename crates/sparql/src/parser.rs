@@ -1230,73 +1230,64 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.nested(Self::parse_or_expr)
+        self.nested(|p| Ok(p.parse_binary(0)?.0))
     }
 
-    fn parse_or_expr(&mut self) -> Result<Expr, ParseError> {
-        // ConditionalOrExpression
-        self.chain(Self::parse_and_expr, |p| {
-            p.eat_punct(Punct::OrOr)
-                .then_some(|a, b| Expr::Or(Box::new(a), Box::new(b)))
-        })
-    }
-
-    fn parse_and_expr(&mut self) -> Result<Expr, ParseError> {
-        self.chain(Self::parse_relational, |p| {
-            p.eat_punct(Punct::AndAnd)
-                .then_some(|a, b| Expr::And(Box::new(a), Box::new(b)))
-        })
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_additive()?;
-        let op = match self.peek() {
-            Token::Punct(Punct::Eq) => Some(CmpOp::Eq),
-            Token::Punct(Punct::Neq) => Some(CmpOp::Neq),
-            Token::Punct(Punct::Lt) => Some(CmpOp::Lt),
-            Token::Punct(Punct::Le) => Some(CmpOp::Le),
-            Token::Punct(Punct::Gt) => Some(CmpOp::Gt),
-            Token::Punct(Punct::Ge) => Some(CmpOp::Ge),
-            Token::Word(w) if w.eq_ignore_ascii_case("IN") => {
-                return Err(ParseError::unsupported("IN"))
-            }
-            Token::Word(w) if w.eq_ignore_ascii_case("NOT") => {
-                return Err(ParseError::unsupported("NOT IN"))
-            }
-            _ => None,
-        };
-        match op {
-            None => Ok(lhs),
-            Some(op) => {
-                self.bump();
-                let rhs = self.parse_additive()?;
-                Ok(Expr::Compare(op, Box::new(lhs), Box::new(rhs)))
+    /// Parses a binary expression whose operators bind at level `min` or
+    /// tighter ([`Parser::binary_op`]) by precedence climbing, with its
+    /// height: each `||`, `&&`, `+ -` and `* /` is one more operand of a
+    /// left-deep chain, as [`Parser::chain`] counts it; a comparison adds
+    /// no level and does not associate.
+    fn parse_binary(&mut self, min: usize) -> Result<(Expr, usize), ParseError> {
+        let (mut tree, mut height) = self.operand(Self::parse_unary)?;
+        // The tightest level the next operator may have: that of the last
+        // one, whose right operand took every tighter operator, and below
+        // a comparison, which does not associate.
+        let mut max = usize::MAX;
+        while let Some((level, node)) = self.binary_op().filter(|(l, _)| (min..=max).contains(l)) {
+            let node = node?;
+            self.bump();
+            let (rhs, h) = self.parse_binary(level + 1)?;
+            tree = node(tree, rhs);
+            if level == COMPARISON {
+                height = height.max(h);
+                max = level - 1;
+            } else {
+                height = 1 + height.max(h);
+                self.reach(height)?;
+                max = level;
             }
         }
+        Ok((tree, height))
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        self.chain(Self::parse_multiplicative, |p| {
-            if p.eat_punct(Punct::Plus) {
-                Some(|a, b| Expr::Arith(ArithOp::Add, Box::new(a), Box::new(b)))
-            } else if p.eat_punct(Punct::Minus) {
-                Some(|a, b| Expr::Arith(ArithOp::Sub, Box::new(a), Box::new(b)))
-            } else {
-                None
+    /// The binary operator at the cursor, unconsumed, with its level,
+    /// loosest first: `||`, `&&`, the comparisons ([`COMPARISON`]), `+ -`,
+    /// `* /`. `IN` and `NOT IN` sit at the comparisons' level and are
+    /// unsupported.
+    fn binary_op(&self) -> Option<(usize, Result<Node<Expr>, ParseError>)> {
+        let (level, node): (usize, Node<Expr>) = match self.peek() {
+            Token::Punct(Punct::OrOr) => (0, |a, b| Expr::Or(Box::new(a), Box::new(b))),
+            Token::Punct(Punct::AndAnd) => (1, |a, b| Expr::And(Box::new(a), Box::new(b))),
+            Token::Punct(Punct::Eq) => (COMPARISON, |a, b| cmp(CmpOp::Eq, a, b)),
+            Token::Punct(Punct::Neq) => (COMPARISON, |a, b| cmp(CmpOp::Neq, a, b)),
+            Token::Punct(Punct::Lt) => (COMPARISON, |a, b| cmp(CmpOp::Lt, a, b)),
+            Token::Punct(Punct::Le) => (COMPARISON, |a, b| cmp(CmpOp::Le, a, b)),
+            Token::Punct(Punct::Gt) => (COMPARISON, |a, b| cmp(CmpOp::Gt, a, b)),
+            Token::Punct(Punct::Ge) => (COMPARISON, |a, b| cmp(CmpOp::Ge, a, b)),
+            Token::Word(w) if w.eq_ignore_ascii_case("IN") => {
+                return Some((COMPARISON, Err(ParseError::unsupported("IN"))))
             }
-        })
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
-        self.chain(Self::parse_unary, |p| {
-            if p.eat_punct(Punct::Star) {
-                Some(|a, b| Expr::Arith(ArithOp::Mul, Box::new(a), Box::new(b)))
-            } else if p.eat_punct(Punct::Slash) {
-                Some(|a, b| Expr::Arith(ArithOp::Div, Box::new(a), Box::new(b)))
-            } else {
-                None
+            Token::Word(w) if w.eq_ignore_ascii_case("NOT") => {
+                return Some((COMPARISON, Err(ParseError::unsupported("NOT IN"))))
             }
-        })
+            Token::Punct(Punct::Plus) => (3, |a, b| arith(ArithOp::Add, a, b)),
+            Token::Punct(Punct::Minus) => (3, |a, b| arith(ArithOp::Sub, a, b)),
+            Token::Punct(Punct::Star) => (4, |a, b| arith(ArithOp::Mul, a, b)),
+            Token::Punct(Punct::Slash) => (4, |a, b| arith(ArithOp::Div, a, b)),
+            _ => return None,
+        };
+        Some((level, Ok(node)))
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
@@ -1396,6 +1387,17 @@ impl Parser {
         };
         Ok(e)
     }
+}
+
+/// The level of the comparison operators in [`Parser::binary_op`].
+const COMPARISON: usize = 2;
+
+fn cmp(op: CmpOp, a: Expr, b: Expr) -> Expr {
+    Expr::Compare(op, Box::new(a), Box::new(b))
+}
+
+fn arith(op: ArithOp, a: Expr, b: Expr) -> Expr {
+    Expr::Arith(op, Box::new(a), Box::new(b))
 }
 
 enum Verb {

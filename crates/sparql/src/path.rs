@@ -47,12 +47,6 @@ impl PropertyPath {
         PropertyPath::Link(iri.into())
     }
 
-    /// True if this path is a plain link (an ordinary triple pattern in
-    /// disguise).
-    pub fn is_link(&self) -> bool {
-        matches!(self, PropertyPath::Link(_))
-    }
-
     /// True if the path (recursively) contains one of the "recursive"
     /// operators `+`, `*`, `{n,}`. Used by the benchmark analysis and by
     /// the VirtuosoSim quirk model.

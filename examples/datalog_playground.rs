@@ -36,7 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = evaluate(&program, &mut db, &EvalOptions::default())?;
     println!(
         "fixpoint: {} facts derived in {} rounds across {} strata",
-        stats.derived, stats.rounds, stats.strata
+        stats.derived,
+        stats.rounds,
+        stats.strata.len()
     );
 
     for name in ["upstream", "uncertified_root"] {

@@ -83,11 +83,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The closure rule is the recursive one: its head predicate recurs
     // in its body. Its join probes are the work its jobs did.
-    let recursive = profile
-        .rules
-        .iter()
-        .find(|r| {
-            let (head, body) = r.rule.split_once(" :- ").unwrap_or_default();
+    let (recursive, _) = (profile.rules.iter())
+        .zip(&profile.rule_texts)
+        .find(|(_, text)| {
+            let (head, body) = text.split_once(" :- ").unwrap_or_default();
             let pred = head.split('(').next().unwrap_or_default();
             body.contains(&format!("{pred}("))
         })
