@@ -491,8 +491,8 @@ impl Store {
 
     /// Replaces the evaluation options for subsequent commits, queries
     /// and snapshots — thread count, the cost-based planner and
-    /// magic-sets toggles, the default budget and the Skolem-depth
-    /// limit. The current snapshot is re-wrapped around the new options;
+    /// magic-sets toggles, and the default budget. The current snapshot
+    /// is re-wrapped around the new options;
     /// the translation cache (and its cached plans) is store-lifetime
     /// and carries over.
     pub fn set_options(&self, options: EvalOptions) {
@@ -1965,6 +1965,33 @@ mod tests {
         assert_eq!(after.0 - before.0, rounds as u64);
         assert_eq!(after.1 - before.1, derived);
     }
+
+    #[test]
+    fn a_probe_builds_its_base_mask_once_and_counts_it() {
+        // The first probe of a mask on the snapshot's `triple` builds it
+        // there and counts the build; the repeat finds it and builds
+        // nothing.
+        let store = Store::new();
+        store
+            .load_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p ex:b .")
+            .unwrap();
+        let snapshot = store.snapshot();
+        let triple = store.symbols().get(preds::TRIPLE).unwrap();
+        let masks = || snapshot.database().relation(triple).unwrap().index_masks();
+        let before = masks();
+        let q = "PREFIX ex: <http://ex.org/> SELECT ?o WHERE { ex:a ex:p ?o }";
+        let (results, first) = snapshot.execute_profiled(q).unwrap();
+        assert_eq!(results.len(), 1);
+        assert!(first.index_builds >= 1, "{}", first.render());
+        let built: Vec<_> = masks()
+            .into_iter()
+            .filter(|m| !before.contains(m))
+            .collect();
+        // Subject, predicate and the default graph are bound.
+        assert_eq!(built, vec![0b1011], "the probe's mask is on the base");
+        let (_, second) = snapshot.execute_profiled(q).unwrap();
+        assert_eq!(second.index_builds, 0, "{}", second.render());
+    }
     #[test]
     fn repeated_update_where_shape_translates_and_plans_once() {
         let store = borders_store();
@@ -2167,8 +2194,8 @@ mod tests {
         // A query probing `triple` by type and class in any named graph
         // builds mask 0b0110 on the snapshot — the mask the naive pass of
         // the subclass rule below probes too. The install's full
-        // evaluation writes `triple` and sheds only masks it built
-        // itself, so the query's mask survives, complete.
+        // evaluation writes `triple` and keeps every mask it finds or
+        // builds, maintaining each, so the query's mask survives, complete.
         let store = Store::new();
         store
             .update(

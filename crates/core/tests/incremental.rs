@@ -501,7 +501,7 @@ fn refrozen_with_indexes_of(fresh: &Store, committed: &FrozenDb) -> Arc<FrozenDb
     for (pred, rel) in committed.relations() {
         let here = db.symbols().intern(&committed.symbols().resolve(pred));
         for mask in rel.index_masks() {
-            db.ensure_index(here, mask);
+            db.relation_mut(here).ensure_index(mask);
         }
     }
     db.freeze()

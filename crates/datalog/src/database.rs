@@ -145,10 +145,9 @@ impl Deref for Matches<'_> {
 /// mask and maintained incrementally on insert.
 ///
 /// These incrementally maintained per-mask indexes are the *build side*
-/// of the executor's hash joins: built once (by the planner's
-/// [`Relation::ensure_index`] or the first probe of the mask) and then
-/// kept current on every insert, rather than rebuilt per semi-naive
-/// round. Probes drive from the delta batch.
+/// of the executor's hash joins: built once, by the first probe of the
+/// mask, and then kept current on every insert, rather than rebuilt per
+/// semi-naive round. Probes drive from the delta batch.
 #[derive(Debug, Default)]
 pub struct Relation {
     /// Tuple width; fixed by the first insert.
@@ -355,24 +354,17 @@ impl Relation {
     }
 
     /// Builds the index for `mask` if missing. Returns whether it was
-    /// built — the profiler's index-build count.
+    /// built.
     pub fn ensure_index(&mut self, mask: Mask) -> bool {
-        let built = cells(&mut self.indexes)
-            .get(&mask)
-            .is_some_and(|cell| cell.get().is_some());
-        if mask == 0 || built {
-            return false;
-        }
-        let index = self.build_index(mask);
-        cells(&mut self.indexes).insert(mask, Arc::new(OnceLock::from(index)));
-        true
+        mask != 0 && self.index(mask).1
     }
 
-    /// The hash index for `mask`, built here on first use. Concurrent
-    /// callers share one build: the map lock is held only to find or add
-    /// the mask's cell, and the cell's `OnceLock` lets exactly one of
-    /// them build while the rest wait for it.
-    pub(crate) fn index(&self, mask: Mask) -> IndexRef<'_> {
+    /// The hash index for `mask`, built here on first use, and whether
+    /// this call built it (the evaluator's index-build count).
+    /// Concurrent callers share one build: the map lock is held only to
+    /// find or add the mask's cell, and the cell's `OnceLock` lets
+    /// exactly one of them build while the rest wait for it.
+    pub(crate) fn index(&self, mask: Mask) -> (IndexRef<'_>, bool) {
         let cell = read(&self.indexes).get(&mask).cloned();
         let cell = cell.unwrap_or_else(|| {
             let mut cells = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
@@ -380,11 +372,16 @@ impl Relation {
         });
         // Build outside the map lock: one winner per mask, the rest wait
         // on the latch.
-        cell.get_or_init(|| self.build_index(mask));
-        IndexRef {
+        let mut built = false;
+        cell.get_or_init(|| {
+            built = true;
+            self.build_index(mask)
+        });
+        let index = IndexRef {
             cell,
             _rel: PhantomData,
-        }
+        };
+        (index, built)
     }
 
     /// The bound-position masks with a built index, sorted ascending
@@ -409,14 +406,6 @@ impl Relation {
         Some(index.values().map(Vec::len).sum())
     }
 
-    /// Drops the index for `mask`. The evaluator sheds indexes that only
-    /// a stratum's one-shot naive pass probed, so the semi-naive merge
-    /// loop does not keep them current for nothing; a later
-    /// [`Relation::ensure_index`] or probe simply rebuilds.
-    pub fn drop_index(&mut self, mask: Mask) -> bool {
-        cells(&mut self.indexes).remove(&mask).is_some()
-    }
-
     fn build_index(&self, mask: Mask) -> Index {
         let mut index = Index::default();
         for (i, t) in self.iter().enumerate() {
@@ -430,7 +419,7 @@ impl Relation {
     /// bucket; buckets are keyed by the 64-bit key hash and their rows
     /// are verified against `key`, so it is exact.
     pub fn lookup(&self, mask: Mask, key: &[TermId]) -> Matches<'_> {
-        let index = self.index(mask);
+        let (index, _) = self.index(mask);
         let hash = row_hash(key);
         let bucket = index.get(&hash).map_or(&[][..], Vec::as_slice);
         if bucket.iter().all(|&i| self.row_matches(i, mask, key)) {
@@ -923,24 +912,6 @@ impl Database {
                 e.insert(rel)
             }
         }
-    }
-
-    /// Ensures the `(pred, mask)` hash index exists, without forcing a
-    /// copy-on-write: on a predicate served by the frozen base this is a
-    /// no-op, and the first probe builds a missing mask in the base,
-    /// shared by every overlay ([`Relation::lookup`]).
-    pub fn ensure_index(&mut self, pred: Sym, mask: Mask) -> bool {
-        if let Some(rel) = self.relations.get_mut(&pred) {
-            return rel.ensure_index(mask);
-        }
-        if self
-            .base
-            .as_ref()
-            .is_some_and(|b| b.relation(pred).is_some())
-        {
-            return false;
-        }
-        self.relations.entry(pred).or_default().ensure_index(mask)
     }
 
     /// Iterates over `(predicate, relation)` pairs — local relations

@@ -22,8 +22,8 @@
 //! row-major `TermId` rows, and each (rule, delta occurrence) pass is a
 //! *job*: one join loop over the plan's steps that drives from its batch
 //! partition and probes the relations' u64-keyed hash indexes (the
-//! hash-join build side, built once — by the planner or the first probe —
-//! and maintained incrementally on insert, never rebuilt per round). Jobs
+//! hash-join build side, built once by the mask's first probe and
+//! maintained incrementally on insert, never rebuilt per round). Jobs
 //! emit head rows into per-worker [`Staging`] buffers carrying
 //! precomputed row hashes; afterwards a sequential merge pushes them
 //! through the relation's dedup map in deterministic job order, which
@@ -179,8 +179,8 @@ pub struct EvalStats {
     /// Per-stratum breakdown in evaluation order, with per-round delta
     /// sizes.
     pub strata: Vec<StratumProfile>,
-    /// Hash-join indexes built up front for this evaluation (the build
-    /// sides the planner requested that did not already exist).
+    /// Hash-join indexes this run's probes built: each mask, on a base
+    /// or an overlay relation, is built by its first probe and then kept.
     pub index_builds: usize,
 }
 
@@ -453,6 +453,7 @@ fn evaluate_inner(
         governed,
         dict_base: if governed { dict.interned_terms() } else { 0 },
         derived: AtomicUsize::new(stats.derived),
+        index_builds: AtomicUsize::new(0),
     };
     ctx.check()?;
 
@@ -462,17 +463,15 @@ fn evaluate_inner(
     for stratum_rules in &strat.strata {
         let stratum_start = Instant::now();
         let mut round_record: Vec<RoundProfile> = Vec::new();
-        // Predicates defined in this stratum — the stratum's write set.
-        let stratum_preds: FxHashSet<Sym> =
-            strat.stratum_writes(stratum_rules).into_iter().collect();
         debug_assert!(
             strat.pass_is_independent(stratum_rules, program),
             "stratifier emitted a stratum whose rules are not snapshot-independent"
         );
-        // Predicates whose deltas drive the semi-naive rounds: the write
-        // set, plus the seed's.
+        // Predicates whose deltas drive the semi-naive rounds: the
+        // stratum's write set, plus the seed's.
         debug_assert!(!seeded || strat.strata.len() == 1);
-        let mut delta_preds = stratum_preds.clone();
+        let mut delta_preds: FxHashSet<Sym> =
+            strat.stratum_writes(stratum_rules).into_iter().collect();
         delta_preds.extend(seed.iter().flat_map(|rows| rows.keys()));
 
         // Aggregate rules run once, after the non-aggregate fixpoint.
@@ -489,24 +488,6 @@ fn evaluate_inner(
                 delta_plans.insert((ri, di), compile(ri, Some(di))?);
             }
         }
-
-        // Make sure every index the plans need exists — the hash-join
-        // build sides. Built once here; maintained incrementally by every
-        // merge, so rounds never rebuild them. A seeded run builds none
-        // here: its jobs' first probes build what the seed's rounds
-        // actually need.
-        let mut built: FxHashSet<(Sym, Mask)> = FxHashSet::default();
-        if !seeded {
-            let all_plans = stratum_rules.iter().map(|&ri| &plans[ri]);
-            for plan in all_plans.chain(delta_plans.values()) {
-                for (pred, mask) in plan.index_needs() {
-                    if db.ensure_index(pred, mask) {
-                        built.insert((pred, mask));
-                    }
-                }
-            }
-        }
-        stats.index_builds += built.len();
 
         // --- naive first pass ---
         // All rules evaluate against the same snapshot (concurrently when
@@ -540,39 +521,13 @@ fn evaluate_inner(
             });
         }
 
-        // Shed indexes this run built on the stratum's *written*
-        // relations that only the one-shot naive pass probed (the
-        // classic case: the naive plan of `tc(X,Z) :- edge(X,Y), tc(Y,Z)`
-        // probes tc by Y, but every delta round drives from the tc batch
-        // and probes only edge). Without this, every merge insert would
-        // keep them current for nothing. Relations not written here pay
-        // no maintenance, and a mask that existed before the run — one a
-        // query built on a stored relation, say — is someone else's, so
-        // those stay for later queries.
-        if !built.is_empty() {
-            let keep: FxHashSet<(Sym, Mask)> = delta_plans
-                .values()
-                .flat_map(|p| p.index_needs())
-                .chain(agg_rules.iter().flat_map(|&ri| plans[ri].index_needs()))
-                .collect();
-            for (pred, mask) in built {
-                if stratum_preds.contains(&pred) && !keep.contains(&(pred, mask)) {
-                    db.relation_mut(pred).drop_index(mask);
-                }
-            }
-        }
-
         // --- semi-naive rounds ---
         // A seeded run's first round drives from the seed.
         if let Some(seed) = seed.take() {
             delta = seed;
         }
         let mut rounds = 0usize;
-        while delta.values().any(|b| !b.is_empty()) {
-            rounds += 1;
-            stats.rounds += 1;
-            ctx.check()?;
-
+        loop {
             let mut jobs: Vec<Job<'_>> = Vec::new();
             for &ri in &plain_rules {
                 let rule = &program.rules[ri];
@@ -614,9 +569,15 @@ fn evaluate_inner(
                     }
                 }
             }
-            // A delta no rule consumes (e.g. a predicate only read by
-            // later strata) makes a round without jobs, which ends the
-            // fixpoint.
+            // A delta no rule of the stratum reads (e.g. a predicate only
+            // later strata read) gives no job: the fixpoint is reached,
+            // and no round is counted.
+            if jobs.is_empty() {
+                break;
+            }
+            rounds += 1;
+            stats.rounds += 1;
+            ctx.check()?;
             let round_start = Instant::now();
             let outs = run_pass(&jobs, db, &ctx, pool, &mut spare);
             let mut next: FxHashMap<Sym, RowBatch> = FxHashMap::default();
@@ -668,6 +629,7 @@ fn evaluate_inner(
         });
     }
 
+    stats.index_builds = ctx.index_builds.into_inner();
     stats.elapsed = start.elapsed();
     Ok(stats)
 }
@@ -968,6 +930,9 @@ struct Ctx<'a> {
     /// synchronisation points and the cap check tolerates slack of one
     /// in-flight emission per worker.
     derived: AtomicUsize,
+    /// Indexes the run's probes built ([`EvalStats::index_builds`]),
+    /// bumped only when a probe's build ran — never per row.
+    index_builds: AtomicUsize,
 }
 
 impl Ctx<'_> {
@@ -1029,6 +994,15 @@ impl Ctx<'_> {
         Ok(())
     }
 
+    /// The hash index for `mask` on `rel`, counting a build the call ran.
+    fn index<'d>(&self, rel: &'d Relation, mask: Mask) -> IndexRef<'d> {
+        let (index, built) = rel.index(mask);
+        if built {
+            self.index_builds.fetch_add(1, Ordering::Relaxed);
+        }
+        index
+    }
+
     fn abort(&self, reason: AbortReason) -> EvalError {
         EvalError::Aborted {
             reason,
@@ -1048,15 +1022,15 @@ struct ResolvedScan<'d> {
 
 /// Resolves every scan and check step of `plan` against the current
 /// snapshot. A keyed scan's index is built here, outside the probe loop,
-/// when no plan or probe built its mask before — a frozen base builds
-/// only the masks live plans name.
-fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database) -> Vec<ResolvedScan<'d>> {
+/// when no probe built its mask before — a relation holds only the
+/// masks its probes used, and an absent relation gets none.
+fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database, ctx: &Ctx<'_>) -> Vec<ResolvedScan<'d>> {
     plan.steps
         .iter()
         .map(|step| match step {
             Step::Scan { pred, mask, .. } => {
                 let rel = db.relation(*pred);
-                let index = rel.filter(|_| *mask != 0).map(|r| r.index(*mask));
+                let index = rel.filter(|_| *mask != 0).map(|r| ctx.index(r, *mask));
                 ResolvedScan { rel, index }
             }
             Step::Check { pred, .. } => ResolvedScan {
@@ -1079,7 +1053,7 @@ fn eval_rule<F>(job: &Job<'_>, db: &Database, ctx: &Ctx<'_>, emit: &mut F) -> Re
 where
     F: FnMut(&[Option<TermId>], &Ctx<'_>) -> Result<(), EvalError>,
 {
-    let resolved = resolve_scans(job.plan, db);
+    let resolved = resolve_scans(job.plan, db, ctx);
     let mut env: Vec<Option<TermId>> = vec![None; job.plan.nvars];
     let mut ticks = 0u64;
     join(job, &resolved, ctx, 0, &mut env, &mut ticks, emit)?;
@@ -1152,7 +1126,7 @@ where
                         0 => rs.index.as_ref(),
                         _ if mask & !free == 0 => None,
                         _ => {
-                            narrowed = rel.index(mask & !free);
+                            narrowed = ctx.index(rel, mask & !free);
                             Some(&narrowed)
                         }
                     };

@@ -211,7 +211,7 @@ impl Database {
     /// on first use through the thread-safe per-mask `OnceLock` path
     /// (the evaluator's scans, or [`Relation::lookup`]). A caller that
     /// wants a mask from the start builds it first
-    /// ([`Database::ensure_index`]).
+    /// ([`Relation::ensure_index`]).
     ///
     /// Any frozen base this database was overlaid on is flattened into
     /// the snapshot (local copy-on-write relations shadow their base
@@ -265,7 +265,7 @@ mod tests {
         let mut db = edges_db();
         let e = db.symbols().get("edge").unwrap();
         for &mask in masks {
-            assert!(db.ensure_index(e, mask));
+            assert!(db.relation_mut(e).ensure_index(mask));
         }
         (db, e)
     }

@@ -108,11 +108,6 @@ impl RulePlan {
             _ => None,
         })
     }
-
-    /// The hash indexes the plan probes: its scans with a nonzero mask.
-    pub(crate) fn index_needs(&self) -> impl Iterator<Item = (Sym, Mask)> + '_ {
-        self.scans().filter(|&(_, mask)| mask != 0)
-    }
 }
 
 /// A physical plan for a program: per-rule compiled bodies for the naive

@@ -87,8 +87,8 @@ pub struct QueryProfile {
     pub rule_texts: Vec<String>,
     /// Per-stratum breakdown with per-round delta sizes.
     pub strata: Vec<StratumProfile>,
-    /// Hash-join indexes built up front for this evaluation (the build
-    /// sides the planner requested that did not already exist).
+    /// Hash-join indexes this evaluation's probes built
+    /// ([`EvalStats::index_builds`](crate::EvalStats::index_builds)).
     pub index_builds: usize,
     /// Total evaluation wall time.
     pub elapsed: Duration,

@@ -617,6 +617,39 @@ fn profiler_reports_rules_rounds_and_probes() {
 }
 
 #[test]
+fn a_stratum_whose_delta_no_rule_reads_ends_without_a_round() {
+    // The naive pass derives `p`; no rule reads `p`, so there is no
+    // semi-naive round to run or count.
+    let mut db = Database::new();
+    let prog = parse_program("e(1). e(2). p(X) :- e(X). @output(\"p\").", db.symbols()).unwrap();
+    let stats = evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
+    assert_eq!(stats.rounds, 0);
+    let record: Vec<Vec<usize>> = (stats.strata.iter())
+        .map(|s| s.rounds.iter().map(|r| r.round).collect())
+        .collect();
+    assert_eq!(record, [[0]]);
+    assert_eq!(output_strings(&db, &prog, "p").len(), 2);
+}
+
+#[test]
+fn probes_of_an_absent_relation_build_nothing() {
+    // Every probe of `edge` finds no relation: none is created, and no
+    // index is built for it.
+    let mut db = Database::new();
+    let src = r#"
+        tc(X, Y) :- edge(X, Y).
+        tc(X, Z) :- edge(X, Y), tc(Y, Z).
+        @output("tc").
+    "#;
+    let prog = parse_program(src, db.symbols()).unwrap();
+    let stats = evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
+    assert_eq!(stats.index_builds, 0);
+    let edge = db.symbols().get("edge").unwrap();
+    assert!(db.relation(edge).is_none(), "no relation was created");
+    assert!(output_strings(&db, &prog, "tc").is_empty());
+}
+
+#[test]
 fn fully_bound_atoms_are_membership_tests() {
     // Once `q(X)` binds X, `r(X)` is fully bound and `go(1)` is all
     // constants: both are probes of the dedup table, so neither relation

@@ -4,8 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::dataset::Dataset;
-use crate::ntriples::ParseError;
-use crate::term::Term;
+use crate::ntriples::{ParseError, Scanner};
 use crate::triple::{Quad, Triple};
 
 /// Parses an N-Quads document into a [`Dataset`]. Lines with three terms
@@ -27,130 +26,22 @@ pub fn parse(input: &str) -> Result<Dataset, ParseError> {
 }
 
 fn parse_line(line: &str) -> Result<Quad, String> {
-    // Reuse the N-Triples term scanner by tokenising manually: strip the
-    // trailing '.', then read three or four terms.
-    let body = line
-        .strip_suffix('.')
-        .ok_or_else(|| "expected '.' at end of statement".to_string())?
-        .trim_end();
-    let mut terms = Vec::new();
-    let mut rest = body;
-    while !rest.trim_start().is_empty() {
-        if terms.len() == 4 {
-            return Err("too many terms in statement".into());
+    let mut chars = Scanner::new(line);
+    let subject = chars.term()?;
+    let predicate = chars.term()?;
+    let object = chars.term()?;
+    let triple = Triple::new(subject, predicate, object);
+    let quad = if chars.peek('.') {
+        Quad::in_default(triple)
+    } else {
+        let graph = chars.term()?;
+        if !graph.is_iri() {
+            return Err("graph name must be an IRI".into());
         }
-        let (term, remainder) = scan_term(rest.trim_start())?;
-        terms.push(term);
-        rest = remainder;
-    }
-    match terms.len() {
-        3 => {
-            let mut it = terms.into_iter();
-            Ok(Quad::in_default(Triple::new(
-                it.next().unwrap(),
-                it.next().unwrap(),
-                it.next().unwrap(),
-            )))
-        }
-        4 => {
-            let mut it = terms.into_iter();
-            let t = Triple::new(it.next().unwrap(), it.next().unwrap(), it.next().unwrap());
-            let g = it.next().unwrap();
-            if !g.is_iri() {
-                return Err("graph name must be an IRI".into());
-            }
-            Ok(Quad::in_graph(t, g))
-        }
-        n => Err(format!("expected 3 or 4 terms, found {n}")),
-    }
-}
-
-/// Scans one term off the front of `s`; returns the term and the rest.
-fn scan_term(s: &str) -> Result<(Term, &str), String> {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some('<') => {
-            let end = s.find('>').ok_or("unterminated IRI")?;
-            Ok((Term::iri(&s[1..end]), &s[end + 1..]))
-        }
-        Some('_') => {
-            let body = s.strip_prefix("_:").ok_or("expected '_:'")?;
-            let len = body
-                .char_indices()
-                .find(|(_, c)| c.is_whitespace())
-                .map(|(i, _)| i)
-                .unwrap_or(body.len());
-            if len == 0 {
-                return Err("empty blank node label".into());
-            }
-            Ok((Term::bnode(&body[..len]), &body[len..]))
-        }
-        Some('"') => {
-            // Find the closing quote, honouring escapes.
-            let mut end = None;
-            let mut escaped = false;
-            for (i, c) in s[1..].char_indices() {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    end = Some(i + 1);
-                    break;
-                }
-            }
-            let end = end.ok_or("unterminated string literal")?;
-            let lexical = unescape(&s[1..end])?;
-            let rest = &s[end + 1..];
-            if let Some(r) = rest.strip_prefix("^^<") {
-                let close = r.find('>').ok_or("unterminated datatype IRI")?;
-                Ok((Term::typed_literal(lexical, &r[..close]), &r[close + 1..]))
-            } else if let Some(r) = rest.strip_prefix('@') {
-                let len = r
-                    .char_indices()
-                    .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '-'))
-                    .map(|(i, _)| i)
-                    .unwrap_or(r.len());
-                if len == 0 {
-                    return Err("empty language tag".into());
-                }
-                Ok((Term::lang_literal(lexical, &r[..len]), &r[len..]))
-            } else {
-                Ok((Term::literal(lexical), rest))
-            }
-        }
-        Some(c) => Err(format!("unexpected character {c:?}")),
-        None => Err("unexpected end of statement".into()),
-    }
-}
-
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('u') => {
-                let code: String = (0..4).filter_map(|_| it.next()).collect();
-                if code.len() != 4 {
-                    return Err("truncated \\u escape".into());
-                }
-                let n =
-                    u32::from_str_radix(&code, 16).map_err(|_| "invalid \\u escape".to_string())?;
-                out.push(char::from_u32(n).ok_or("invalid code point")?);
-            }
-            other => return Err(format!("unknown escape {other:?}")),
-        }
-    }
-    Ok(out)
+        Quad::in_graph(triple, graph)
+    };
+    chars.end()?;
+    Ok(quad)
 }
 
 /// Serializes a dataset as N-Quads.
@@ -170,6 +61,7 @@ pub fn serialize(ds: &Dataset) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Term;
 
     #[test]
     fn parse_mixed_document() {

@@ -50,48 +50,46 @@ pub fn parse(input: &str) -> Result<Graph, ParseError> {
 fn parse_line(line: &str) -> Result<Triple, String> {
     let mut chars = Scanner::new(line);
     let subject = chars.term()?;
-    chars.skip_ws();
     let predicate = chars.term()?;
-    chars.skip_ws();
     let object = chars.term()?;
-    chars.skip_ws();
-    if !chars.eat('.') {
-        return Err("expected '.' at end of triple".into());
-    }
-    chars.skip_ws();
-    if !chars.at_end() {
-        return Err("trailing content after '.'".into());
-    }
+    chars.end()?;
     Ok(Triple::new(subject, predicate, object))
 }
 
-struct Scanner<'a> {
+/// The term scanner of the line-based formats (N-Triples, N-Quads).
+pub(crate) struct Scanner<'a> {
     rest: &'a str,
 }
 
 impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
+    pub(crate) fn new(s: &'a str) -> Self {
         Scanner { rest: s }
-    }
-
-    fn at_end(&self) -> bool {
-        self.rest.is_empty()
     }
 
     fn skip_ws(&mut self) {
         self.rest = self.rest.trim_start();
     }
 
-    fn eat(&mut self, c: char) -> bool {
-        if let Some(r) = self.rest.strip_prefix(c) {
-            self.rest = r;
-            true
-        } else {
-            false
-        }
+    /// Whether `c` comes next, after optional whitespace.
+    pub(crate) fn peek(&mut self, c: char) -> bool {
+        self.skip_ws();
+        self.rest.starts_with(c)
     }
 
-    fn term(&mut self) -> Result<Term, String> {
+    /// Reads the statement's closing '.', which only whitespace may follow.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
+        if !self.peek('.') {
+            return Err("expected '.' at end of statement".into());
+        }
+        self.rest = self.rest[1..].trim_start();
+        if !self.rest.is_empty() {
+            return Err("trailing content after '.'".into());
+        }
+        Ok(())
+    }
+
+    /// Reads one term, after optional whitespace.
+    pub(crate) fn term(&mut self) -> Result<Term, String> {
         self.skip_ws();
         let mut it = self.rest.chars();
         match it.next() {
@@ -109,16 +107,14 @@ impl<'a> Scanner<'a> {
                     return Err("expected '_:' to start a blank node".into());
                 }
                 let body = &self.rest[2..];
-                let len = body
-                    .char_indices()
-                    .find(|(_, c)| c.is_whitespace() || *c == '.')
-                    .map(|(i, _)| i)
-                    .unwrap_or(body.len());
-                if len == 0 {
+                let end = body.find(char::is_whitespace).unwrap_or(body.len());
+                // A label may hold '.' but not end with one: a trailing
+                // '.' closes the statement.
+                let label = body[..end].trim_end_matches('.');
+                if label.is_empty() {
                     return Err("empty blank node label".into());
                 }
-                let label = &body[..len];
-                self.rest = &body[len..];
+                self.rest = &body[label.len()..];
                 Ok(Term::bnode(label))
             }
             Some('"') => {
@@ -279,6 +275,15 @@ _:b1 <http://ex.org/name> "Steven" .
         assert!(err.message.contains("'.'"), "{}", err.message);
         let err = parse("<http://s> <http://p> \"x\" . junk\n").unwrap_err();
         assert!(err.message.contains("trailing"), "{}", err.message);
+    }
+
+    #[test]
+    fn blank_labels_may_hold_but_not_end_with_a_dot() {
+        let line = "_:a.b <http://p> _:c.";
+        let triple = Triple::new(Term::bnode("a.b"), Term::iri("http://p"), Term::bnode("c"));
+        assert!(parse(line).unwrap().contains(&triple));
+        let ds = crate::nquads::parse(line).unwrap();
+        assert!(ds.default_graph().contains(&triple));
     }
 
     #[test]
