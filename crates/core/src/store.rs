@@ -910,7 +910,18 @@ impl Commit<'_> {
         let stats = if self.new_rules.is_empty() {
             extend(program, db, seed, &options).map_err(maintenance_error)?
         } else {
-            evaluate(program, db, &options)?
+            // An install's one-shot evaluation probes `triple` by its
+            // rules' constants with the graph free (masks 0b0010 and
+            // 0b0110), which default-graph queries never do. It keeps the
+            // masks it found and drops the ones it built, so later
+            // commits do not maintain, nor thaws copy, indexes no query
+            // asked for.
+            let found = db.relation(vocab.triple).map(Relation::index_masks);
+            let stats = evaluate(program, db, &options)?;
+            if let Some(found) = found {
+                db.relation_mut(vocab.triple).retain_indexes(&found);
+            }
+            stats
         };
         outcome.staged += stats.staged;
 
@@ -2194,8 +2205,8 @@ mod tests {
         // A query probing `triple` by type and class in any named graph
         // builds mask 0b0110 on the snapshot — the mask the naive pass of
         // the subclass rule below probes too. The install's full
-        // evaluation writes `triple` and keeps every mask it finds or
-        // builds, maintaining each, so the query's mask survives, complete.
+        // evaluation writes `triple` and keeps every mask it finds,
+        // maintaining each, so the query's mask survives, complete.
         let store = Store::new();
         store
             .update(
@@ -2228,5 +2239,45 @@ mod tests {
             .unwrap();
         assert!(masks().contains(&0b0110), "the query's mask was shed");
         assert_eq!(in_graphs("Person"), 1);
+    }
+
+    #[test]
+    fn add_ontology_drops_the_masks_only_it_built() {
+        // The subclass and subproperty rules probe `triple` by constant
+        // predicate (and class) with the graph free: 0b0110 and 0b0010.
+        // No query built them, so the install leaves `triple` without
+        // them and the next commit does not maintain them either.
+        let store = Store::new();
+        store
+            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:alice a ex:Student ; ex:p ex:b }")
+            .unwrap();
+        let triple = store.symbols().get(preds::TRIPLE).unwrap();
+        let masks = || {
+            let snapshot = store.snapshot();
+            snapshot.database().relation(triple).unwrap().index_masks()
+        };
+        assert_eq!(masks(), Vec::<Mask>::new());
+        store
+            .add_ontology(
+                &crate::Ontology::new()
+                    .with(crate::Axiom::SubClassOf(
+                        "http://ex.org/Student".into(),
+                        "http://ex.org/Person".into(),
+                    ))
+                    .with(crate::Axiom::SubPropertyOf(
+                        "http://ex.org/p".into(),
+                        "http://ex.org/q".into(),
+                    )),
+            )
+            .unwrap();
+        assert_eq!(masks(), Vec::<Mask>::new(), "the install kept its masks");
+        store
+            .update("PREFIX ex: <http://ex.org/> INSERT DATA { ex:bob a ex:Student ; ex:p ex:c }")
+            .unwrap();
+        assert_eq!(masks(), Vec::<Mask>::new());
+        let people = store
+            .execute("PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Person }")
+            .unwrap();
+        assert_eq!(people.len(), 2);
     }
 }

@@ -384,6 +384,12 @@ impl Relation {
         (index, built)
     }
 
+    /// Drops every index whose mask is not in `keep`, so later inserts
+    /// stop maintaining it.
+    pub fn retain_indexes(&mut self, keep: &[Mask]) {
+        cells(&mut self.indexes).retain(|mask, _| keep.contains(mask));
+    }
+
     /// The bound-position masks with a built index, sorted ascending
     /// (diagnostics and the snapshot content signature).
     pub fn index_masks(&self) -> Vec<Mask> {

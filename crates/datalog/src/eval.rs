@@ -179,8 +179,9 @@ pub struct EvalStats {
     /// Per-stratum breakdown in evaluation order, with per-round delta
     /// sizes.
     pub strata: Vec<StratumProfile>,
-    /// Hash-join indexes this run's probes built: each mask, on a base
-    /// or an overlay relation, is built by its first probe and then kept.
+    /// Hash-join indexes this run built: each mask, on a base or an
+    /// overlay relation, is built when a job first resolves a scan of it
+    /// (or a `lookup` first probes it) and then kept.
     pub index_builds: usize,
 }
 
@@ -1022,8 +1023,9 @@ struct ResolvedScan<'d> {
 
 /// Resolves every scan and check step of `plan` against the current
 /// snapshot. A keyed scan's index is built here, outside the probe loop,
-/// when no probe built its mask before — a relation holds only the
-/// masks its probes used, and an absent relation gets none.
+/// when no earlier job built its mask — before any step runs, so a
+/// later step's mask is built even when an earlier step matches nothing.
+/// An absent relation gets none.
 fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database, ctx: &Ctx<'_>) -> Vec<ResolvedScan<'d>> {
     plan.steps
         .iter()
