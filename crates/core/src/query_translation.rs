@@ -29,6 +29,14 @@
 //!   (the appendix guards it with `not Term(X)`, which under nil tuple-IDs
 //!   is redundant — duplicates collapse anyway — and would wrongly exclude
 //!   terms appearing only in predicate position);
+//! * a triple pattern whose own path is `p+` or `p*` with a constant
+//!   endpoint `c` is factored (Naughton, Ramakrishnan, Sagiv and Ullman,
+//!   VLDB 1989) into a closure grown from `c`, `ans_i([], c, Y, D) :-
+//!   step(c, Y, D)` and `ans_i([], c, Z, D) :- ans_i(_, c, Y, D),
+//!   step(Y, Z, D)` (mirrored when only the object is bound), in place
+//!   of Def. A.16's binary closure over every start node; `step` reads
+//!   `triple` directly when the inner path is an IRI or its inverse (see
+//!   `bound_closure`). Closures nested in a larger path keep Def. A.16;
 //! * the gMark range paths `p{n}`, `p{n,}`, `p{n,m}` are desugared into
 //!   sequences/alternatives and evaluated with set semantics, like the
 //!   other unbounded operators;
@@ -769,6 +777,9 @@ impl Translator {
                 let id1 = b.v("Id1");
                 b.pos(self.ans_pred(c), vec![id1, s, o, d]);
                 self.push_with_id(b, dst, &feeds, idx);
+                if self.bound_closure(path, dst, subject, object, ctx, c, force_set)? {
+                    return Ok(());
+                }
                 return self.tau_pp(path, dst, subject, object, ctx, c, force_set);
             }
         };
@@ -1053,6 +1064,88 @@ impl Translator {
         self.path_rule(idx, [V("X"), V("Z")], &[step(), next], None, &[], ctx);
     }
 
+    /// Factoring (Naughton, Ramakrishnan, Sagiv and Ullman, VLDB 1989)
+    /// of a triple pattern's own `p+` or `p*` when an endpoint is a
+    /// constant `c`: instead of Def. A.16's binary closure, which derives
+    /// the pairs of every start node before the reader picks out `c`,
+    /// `ans_idx` holds only the pairs at `c`:
+    /// `ans_idx([], c, Y, D) :- step(c, Y, D)` and
+    /// `ans_idx([], c, Z, D) :- ans_idx(Id2, c, Y, D), step(Y, Z, D)`,
+    /// grown from the subject when it is bound and mirrored from the
+    /// object otherwise. For `p*` the endpoint rule `(c, c)` seeds the
+    /// recursion in place of the first rule and of the `subjectOrObject`
+    /// zero rule. `step(Y, Z, D)` is `triple(Y, p, Z, D)` for an IRI `p`
+    /// (ends swapped for `^p`) and the child answer `ans_c` of any other
+    /// inner path. Returns false, emitting nothing, for any other shape.
+    #[allow(clippy::too_many_arguments)]
+    fn bound_closure(
+        &mut self,
+        pp: &PropertyPath,
+        dst: bool,
+        subject: &TermPattern,
+        object: &TermPattern,
+        ctx: &GraphCtx,
+        idx: u64,
+        force_set: bool,
+    ) -> Result<bool, TranslationError> {
+        let (inner, star) = match pp {
+            PropertyPath::OneOrMore(inner) => (&**inner, false),
+            PropertyPath::ZeroOrMore(inner) => (&**inner, true),
+            _ => return Ok(false),
+        };
+        let (end, forward) = match (subject, object) {
+            (TermPattern::Term(s), _) => (s, true),
+            (TermPattern::Var(_), TermPattern::Term(o)) => (o, false),
+            _ => return Ok(false),
+        };
+        let c = term_to_const(end, &self.symbols);
+        let (link, inverse) = match inner {
+            PropertyPath::Inverse(p) => (&**p, true),
+            p => (p, false),
+        };
+        let iri = match link {
+            PropertyPath::Link(p) => Some(Const::Iri(self.symbols.intern(p.as_ref()))),
+            _ => None,
+        };
+        let child = iri.is_none().then(|| self.child());
+        let pred = match child {
+            Some(cc) => self.ans_pred(cc),
+            None => self.pred(preds::TRIPLE),
+        };
+        // The atom step(from, to, D).
+        let step = |from: Arg<'static>, to: Arg<'static>| match &iri {
+            Some(p) if inverse => (pred, vec![to, C(p.clone()), from]),
+            Some(p) => (pred, vec![from, C(p.clone()), to]),
+            None => (pred, vec![V("Id1"), from, to]),
+        };
+        // The closure's ends: `c` and the free end `var`.
+        let ends = |var: &'static str| {
+            if forward {
+                [C(c.clone()), V(var)]
+            } else {
+                [V(var), C(c.clone())]
+            }
+        };
+        if star {
+            self.endpoint_rule(idx, c.clone(), ctx);
+        } else {
+            let [from, to] = ends("Y");
+            self.path_rule(idx, ends("Y"), &[step(from, to)], None, &[], ctx);
+        }
+        let next = if forward {
+            step(V("Y"), V("Z"))
+        } else {
+            step(V("Z"), V("Y"))
+        };
+        let [from, to] = ends("Y");
+        let body = [(self.ans_pred(idx), vec![V("Id2"), from, to]), next];
+        self.path_rule(idx, ends("Z"), &body, None, &[], ctx);
+        if let Some(cc) = child {
+            self.tau_pp(inner, dst, subject, object, ctx, cc, force_set)?;
+        }
+        Ok(true)
+    }
+
     /// The zero-length-path rules of Defs A.18/A.19: one rule over
     /// `subjectOrObject`, plus endpoint rules when the pattern's subject
     /// and/or object are constants.
@@ -1076,14 +1169,19 @@ impl Translator {
         };
         if let Some(t) = endpoint {
             let c = term_to_const(t, &self.symbols);
-            // Under a graph variable, range over the named graphs to keep
-            // the rule safe.
-            let body = match ctx {
-                GraphCtx::Const(_) => vec![],
-                GraphCtx::Var(_) => vec![(self.pred(preds::NAMED), vec![])],
-            };
-            self.path_rule(idx, [C(c.clone()), C(c)], &body, None, &[], ctx);
+            self.endpoint_rule(idx, c, ctx);
         }
+    }
+
+    /// The zero-length pair `ans_idx([], c, c, D)` of a constant endpoint.
+    fn endpoint_rule(&mut self, idx: u64, c: Const, ctx: &GraphCtx) {
+        // Under a graph variable, range over the named graphs to keep
+        // the rule safe.
+        let body = match ctx {
+            GraphCtx::Const(_) => vec![],
+            GraphCtx::Var(_) => vec![(self.pred(preds::NAMED), vec![])],
+        };
+        self.path_rule(idx, [C(c.clone()), C(c)], &body, None, &[], ctx);
     }
 
     /// Emits the path rule `ans_idx(Id, x, y, D) :- atoms, P ≠ neq…`,

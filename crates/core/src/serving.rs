@@ -976,11 +976,15 @@ mod tests {
 
     #[test]
     fn selective_demand_keeps_the_magic_rewrite() {
-        // A path bound near the end of a 30-edge chain demands a handful
-        // of nodes: planning measures that and keeps the rewrite.
+        // A closure bound by a filter near the end of a 30-edge chain
+        // (a constant endpoint only once the equality is unified, so T_Q
+        // emits the binary closure) demands a handful of nodes: planning
+        // measures that and keeps the rewrite.
         let frozen = snapshot_of(&path_turtle(30, false), EvalOptions::default());
         let q = frozen
-            .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n25 ex:p+ ?z }")
+            .prepare(
+                "PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ?x ex:p+ ?z FILTER (?x = ex:n25) }",
+            )
             .unwrap();
         assert!(
             frozen.explain(&q).unwrap().contains("__magic"),
@@ -1000,7 +1004,9 @@ mod tests {
         // for the rewrite.
         let frozen = snapshot_of(&path_turtle(30, true), EvalOptions::default());
         let q = frozen
-            .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:p+ ?z }")
+            .prepare(
+                "PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ?x ex:p+ ?z FILTER (?x = ex:n0) }",
+            )
             .unwrap();
         assert!(
             !frozen.explain(&q).unwrap().contains("__magic"),
@@ -1025,7 +1031,9 @@ mod tests {
         // "keep the rewrite" verdict standing in for the measurement.
         let frozen = snapshot_of(&path_turtle(30, true), EvalOptions::default());
         let q = frozen
-            .prepare("PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:p+ ?z }")
+            .prepare(
+                "PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ?x ex:p+ ?z FILTER (?x = ex:n0) }",
+            )
             .unwrap();
         let cancel = CancelToken::new();
         cancel.cancel();

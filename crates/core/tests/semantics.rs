@@ -408,6 +408,30 @@ fn named_graphs_and_graph_pattern() {
 }
 
 #[test]
+fn blank_node_graph_label_is_queryable_through_graph_var() {
+    let e = Store::new();
+    let ds = sparqlog_rdf::nquads::parse(concat!(
+        "<http://s> <http://p> <http://o> _:g .\n",
+        "<http://s> <http://p> <http://o2> _:g .\n",
+        "<http://s> <http://p> <http://o3> <http://g1> .\n",
+    ))
+    .unwrap();
+    e.load_dataset(&ds).unwrap();
+    let r = e
+        .execute("SELECT ?g ?o WHERE { GRAPH ?g { <http://s> <http://p> ?o } }")
+        .unwrap();
+    let g = format!("<{}g>", sparqlog_rdf::nquads::GENID);
+    assert_eq!(
+        rows(&r),
+        vec![
+            vec!["<http://g1>".to_string(), "<http://o3>".to_string()],
+            vec![g.clone(), "<http://o2>".to_string()],
+            vec![g, "<http://o>".to_string()],
+        ]
+    );
+}
+
+#[test]
 fn order_limit_offset() {
     let e = engine(
         r#"@prefix ex: <http://e/> .

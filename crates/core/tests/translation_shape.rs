@@ -74,9 +74,49 @@ fn one_or_more_path_generates_closure_rules() {
 #[test]
 fn zero_or_more_adds_zero_rules() {
     let (p, _) = translate("SELECT * WHERE { <http://a> <http://p>* ?o }");
-    // A.19: subjectOrObject zero rule + endpoint rule (constant subject)
-    // + 2 closure rules + link + glue + SELECT = 7.
-    assert_eq!(p.rules.len(), 7);
+    // A bound `p*` is factored: the endpoint rule (a, a) seeds one
+    // recursive rule over `triple`, with no subjectOrObject zero rule and
+    // no link rule; + glue + SELECT = 4.
+    assert_eq!(p.rules.len(), 4);
+    let (p, _) = translate("SELECT * WHERE { ?s <http://p>* ?o }");
+    // A.19 unbound: subjectOrObject zero rule + 2 closure rules + link +
+    // glue + SELECT = 6.
+    assert_eq!(p.rules.len(), 6);
+}
+
+#[test]
+fn bound_one_or_more_grows_from_the_constant_over_triple() {
+    let (p, symbols) = translate("SELECT * WHERE { <http://a> <http://p>+ ?o }");
+    let a = AtomArg::Const(sparqlog_datalog::Const::Iri(symbols.intern("http://a")));
+    let closure: Vec<_> = p
+        .rules
+        .iter()
+        .filter(|r| {
+            let head = symbols.resolve(r.head.pred);
+            head.ends_with("ans2")
+        })
+        .collect();
+    // ans2([], a, Y, D) :- triple(a, p, Y, D) and
+    // ans2([], a, Z, D) :- ans2(_, a, Y, D), triple(Y, p, Z, D).
+    assert_eq!(closure.len(), 2);
+    for r in &closure {
+        assert_eq!(r.head.args[1], a, "no binary closure rule");
+    }
+    let recursive = closure
+        .iter()
+        .find(|r| {
+            r.body
+                .iter()
+                .any(|i| matches!(i, BodyItem::Pos(b) if b.pred == r.head.pred))
+        })
+        .expect("a recursive rule");
+    let triple = symbols.intern("triple");
+    assert!(recursive
+        .body
+        .iter()
+        .any(|i| matches!(i, BodyItem::Pos(b) if b.pred == triple)));
+    // 2 closure rules + glue + SELECT: no link rule.
+    assert_eq!(p.rules.len(), 4);
 }
 
 #[test]

@@ -104,9 +104,12 @@ pub struct EvalOptions {
     /// with the same planner against empty statistics.
     pub plan: bool,
     /// Magic-sets demand transformation ([`crate::magic`]): restrict
-    /// recursive predicates whose consumers bind constants (bound-endpoint
-    /// property paths) to the demanded tuples, when the measured demand
-    /// prunes ([`crate::magic::demand_prunes`]). On by default; never
+    /// recursive predicates whose consumers bind constants to the
+    /// demanded tuples, when the measured demand prunes
+    /// ([`crate::magic::demand_prunes`]). T_Q grows a triple pattern's
+    /// own bound `p+`/`p*` from its constant itself; what is left for
+    /// this pass are closures bound only after translation (a filter
+    /// equality on an endpoint, a `p{1,}` range). On by default; never
     /// applies to programs without `@output` declarations
     /// (materialisation). Like [`EvalOptions::plan`] it is read by the
     /// caller that chooses the program, not by the evaluator.

@@ -2,9 +2,7 @@
 //!
 //! [`magic_sets_rewrite_analyzed`] makes bottom-up evaluation goal-directed: when
 //! every consumer of a recursive predicate binds the same argument
-//! positions to constants (the classic case: a SPARQL property path with
-//! a bound endpoint, whose translated consumer reads `ans_i(Id, c, Y,
-//! D)`), the rewrite
+//! positions to constants, the rewrite
 //!
 //! 1. seeds a fresh *magic* predicate with the consumers' constants
 //!    (`magic(c)`),
@@ -16,6 +14,18 @@
 //!
 //! turning "compute the whole transitive closure, then filter" into
 //! "explore only from the bound endpoint".
+//!
+//! A triple pattern's own `c p+ ?y` or `c p* ?y` no longer reaches this
+//! pass as such a closure: T_Q already grows it from `c`, and a
+//! predicate whose defining heads hold constants at every demanded
+//! position is left alone, since a guard would prune nothing. What is
+//! left is a closure whose endpoint becomes a constant only after
+//! translation — `?x p+ ?y FILTER (?x = c)` once
+//! [`unify_equalities`](crate::rewrite::unify_equalities) has substituted
+//! `c`, or the range path `c p{1,} ?y`, desugared to a nested `p+`.
+//! Closures bound through a join, and closures nested in a larger path,
+//! have no constant consumer beyond the graph column, which their heads
+//! already fix, and are not restricted either.
 //!
 //! The transformation is deliberately conservative — it restricts a
 //! predicate only when that is provably invisible to every reader:
@@ -169,6 +179,17 @@ pub fn magic_sets_rewrite_analyzed(
             continue;
         }
         let b = positions(demand);
+        // Heads that already hold constants at every demanded position
+        // (T_Q's bound closures, or any closure read only at its graph
+        // constant) are restricted by construction: a guard would prune
+        // nothing.
+        let fixed = |r: &&Rule| {
+            b.iter()
+                .all(|&i| matches!(r.head.args[i], AtomArg::Const(_)))
+        };
+        if defining.iter().all(fixed) {
+            continue;
+        }
         let safe = defining.iter().all(|r| {
             let existential: FxHashSet<_> = r.existential_vars().into_iter().collect();
             // Guard args: head args at the demanded positions.
@@ -523,6 +544,22 @@ mod tests {
             "tc(X, Y) :- edge(X, Y).\n\
              tc(X, Z) :- edge(X, Y), tc(Y, Z).\n\
              out(X, Z) :- tc(X, Z).\n\
+             @output(\"out\").\n",
+            &t,
+        )
+        .unwrap();
+        assert!(magic_sets_rewrite_analyzed(&prog, &t).is_none());
+    }
+
+    #[test]
+    fn closures_grown_from_the_constant_are_not_restricted() {
+        // T_Q's bound closure: every head already holds the demanded
+        // constant, so a guard would prune nothing.
+        let t = SymbolTable::new();
+        let prog = parse_program(
+            "r(90, Y) :- edge(90, Y).\n\
+             r(90, Z) :- r(90, Y), edge(Y, Z).\n\
+             out(Z) :- r(90, Z).\n\
              @output(\"out\").\n",
             &t,
         )

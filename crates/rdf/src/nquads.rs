@@ -1,14 +1,26 @@
 //! N-Quads parser and serializer: the dataset-level exchange format
-//! (N-Triples plus an optional graph-name IRI per line).
+//! (N-Triples plus an optional graph label per line).
+//!
+//! The grammar's graph label is an IRI or a blank node, but a SPARQL 1.1
+//! dataset names its graphs by IRI (§13.1), and so does [`Dataset`]. A
+//! blank-node label `_:g` is therefore skolemised (RDF 1.1 Concepts
+//! §3.5) to the IRI [`GENID`]`g`: every line of a document that names
+//! `_:g` lands in the same graph, and `GRAPH ?g` binds that IRI.
 
 use std::fmt::Write as _;
 
 use crate::dataset::Dataset;
 use crate::ntriples::{ParseError, Scanner};
+use crate::term::Term;
 use crate::triple::{Quad, Triple};
 
+/// The prefix of the Skolem IRI a blank-node graph label becomes. The
+/// `.invalid` host (RFC 2606) is never a real graph's name.
+pub const GENID: &str = "https://sparqlog.invalid/.well-known/genid/";
+
 /// Parses an N-Quads document into a [`Dataset`]. Lines with three terms
-/// go to the default graph; a fourth IRI selects a named graph.
+/// go to the default graph; a fourth term, an IRI or a blank node,
+/// selects a named graph.
 pub fn parse(input: &str) -> Result<Dataset, ParseError> {
     let mut ds = Dataset::new();
     for (lineno, line) in input.lines().enumerate() {
@@ -34,10 +46,11 @@ fn parse_line(line: &str) -> Result<Quad, String> {
     let quad = if chars.peek('.') {
         Quad::in_default(triple)
     } else {
-        let graph = chars.term()?;
-        if !graph.is_iri() {
-            return Err("graph name must be an IRI".into());
-        }
+        let graph = match chars.term()? {
+            Term::BlankNode(label) => Term::iri(format!("{GENID}{label}")),
+            iri @ Term::Iri(_) => iri,
+            _ => return Err("graph label must be an IRI or a blank node".into()),
+        };
         Quad::in_graph(triple, graph)
     };
     chars.end()?;
@@ -61,7 +74,6 @@ pub fn serialize(ds: &Dataset) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Term;
 
     #[test]
     fn parse_mixed_document() {
@@ -81,6 +93,18 @@ _:b <http://p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> <http://g1> .
             Term::iri("http://p"),
             Term::integer(5),
         )));
+    }
+
+    #[test]
+    fn blank_node_graph_labels_are_skolemised() {
+        let ds = parse(concat!(
+            "<http://s> <http://p> <http://o> _:g .\n",
+            "<http://s> <http://p> <http://o2> _:g .\n",
+        ))
+        .unwrap();
+        let name = format!("{GENID}g");
+        assert_eq!(ds.named_graph(&name).unwrap().len(), 2);
+        assert_eq!(ds.len(), 2);
     }
 
     #[test]
