@@ -37,6 +37,10 @@
 //!   of Def. A.16's binary closure over every start node; `step` reads
 //!   `triple` directly when the inner path is an IRI or its inverse (see
 //!   `bound_closure`). Closures nested in a larger path keep Def. A.16;
+//! * the inner path of `p+`, `p*` and `p?` is translated with set
+//!   semantics even in a bag-semantics query: the closure's answers carry
+//!   `[]` IDs (Defs A.16–A.19), so per-edge tuple IDs below it would be
+//!   interned only to be dropped;
 //! * the gMark range paths `p{n}`, `p{n,}`, `p{n,m}` are desugared into
 //!   sequences/alternatives and evaluated with set semantics, like the
 //!   other unbounded operators;
@@ -777,7 +781,7 @@ impl Translator {
                 let id1 = b.v("Id1");
                 b.pos(self.ans_pred(c), vec![id1, s, o, d]);
                 self.push_with_id(b, dst, &feeds, idx);
-                if self.bound_closure(path, dst, subject, object, ctx, c, force_set)? {
+                if self.bound_closure(path, subject, object, ctx, c)? {
                     return Ok(());
                 }
                 return self.tau_pp(path, dst, subject, object, ctx, c, force_set);
@@ -1047,8 +1051,15 @@ impl Translator {
                 return self.tau_pp(&path, dst, subject, object, ctx, idx, true);
             }
         };
+        // A closure's answers carry `[]` IDs (Defs A.16–A.19), so the
+        // tuple IDs of its inner path would be interned only to be
+        // dropped: the inner path is translated with set semantics.
+        let closure = matches!(
+            pp,
+            PropertyPath::OneOrMore(_) | PropertyPath::ZeroOrOne(_) | PropertyPath::ZeroOrMore(_)
+        );
         for (child, c) in children {
-            self.tau_pp(child, dst, subject, object, ctx, c, force_set)?;
+            self.tau_pp(child, dst, subject, object, ctx, c, force_set || closure)?;
         }
         Ok(())
     }
@@ -1077,16 +1088,13 @@ impl Translator {
     /// zero rule. `step(Y, Z, D)` is `triple(Y, p, Z, D)` for an IRI `p`
     /// (ends swapped for `^p`) and the child answer `ans_c` of any other
     /// inner path. Returns false, emitting nothing, for any other shape.
-    #[allow(clippy::too_many_arguments)]
     fn bound_closure(
         &mut self,
         pp: &PropertyPath,
-        dst: bool,
         subject: &TermPattern,
         object: &TermPattern,
         ctx: &GraphCtx,
         idx: u64,
-        force_set: bool,
     ) -> Result<bool, TranslationError> {
         let (inner, star) = match pp {
             PropertyPath::OneOrMore(inner) => (&**inner, false),
@@ -1140,8 +1148,10 @@ impl Translator {
         let [from, to] = ends("Y");
         let body = [(self.ans_pred(idx), vec![V("Id2"), from, to]), next];
         self.path_rule(idx, ends("Z"), &body, None, &[], ctx);
+        // The closure's IDs are `[]`: its inner path runs with set
+        // semantics, as in `tau_pp`.
         if let Some(cc) = child {
-            self.tau_pp(inner, dst, subject, object, ctx, cc, force_set)?;
+            self.tau_pp(inner, true, subject, object, ctx, cc, true)?;
         }
         Ok(true)
     }

@@ -25,9 +25,10 @@
 //!   execution against the snapshot's statistics and reused until they
 //!   drift — the one place either decision is made;
 //! * the **batch fan-out** ([`Snapshot::execute_batch`]): a batch
-//!   of queries is spread across the evaluator's scoped worker pool
-//!   ([`sparqlog_datalog::run_scoped`]), one overlay per query, with
-//!   results returned in input order regardless of scheduling.
+//!   of queries is spread across scoped threads
+//!   ([`sparqlog_datalog::run_scoped_caught`]), one overlay per query,
+//!   each evaluated on the thread that claimed it, with results returned
+//!   in input order regardless of scheduling.
 //!
 //! Every execution runs under the store's default [`Budget`]; a handle
 //! from [`Snapshot::with_budget`] runs under its own instead. There is
@@ -412,16 +413,15 @@ impl Snapshot {
         self.run(&cached, &self.run_options())
     }
 
-    /// Executes a batch of queries across the scoped worker pool,
-    /// returning one result per query **in input order**.
+    /// Executes a batch of queries across scoped threads, returning one
+    /// result per query **in input order**.
     ///
     /// The fan-out width is the engine's effective thread count
     /// ([`EvalOptions::resolved_threads`], capped at the batch length);
-    /// each query evaluates single-threaded inside the batch —
-    /// inter-query parallelism replaces the intra-query parallelism a
-    /// lone [`Self::execute`] call would use, so results are identical to
-    /// the sequential ones whatever the width. Per-query failures come
-    /// back as `Err` entries without affecting the rest of the batch.
+    /// each query evaluates on the thread that claimed it, as a lone
+    /// [`Self::execute`] call does, so results are identical to the
+    /// sequential ones whatever the width. Per-query failures come back
+    /// as `Err` entries without affecting the rest of the batch.
     ///
     /// Two robustness layers (PR 7):
     ///
@@ -466,11 +466,7 @@ impl Snapshot {
             };
             (Some(group.clone()), budget.clone().with_cancel(group))
         };
-        // Under fan-out each query runs the deterministic single-threaded
-        // evaluator: the pool's workers are already saturated by whole
-        // queries, and nesting a second pool per query would oversubscribe.
         let per_query = EvalOptions {
-            threads: Some(1),
             budget: effective,
             ..options.into_owned()
         };
@@ -704,11 +700,7 @@ impl Snapshot {
             if let Some(rw) = magic_sets_rewrite_analyzed(program, symbols) {
                 let keep = match demand_subprogram(&rw) {
                     Some(sub) => {
-                        let sub_options = EvalOptions {
-                            threads: Some(1),
-                            ..options.clone()
-                        };
-                        let (db, _) = evaluate_frozen(&sub, &self.inner.base, &sub_options)?;
+                        let (db, _) = evaluate_frozen(&sub, &self.inner.base, options)?;
                         demand_prunes(&rw, &db)
                     }
                     // Not measurable in isolation: keep the rewrite.

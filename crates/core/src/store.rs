@@ -464,13 +464,12 @@ impl Store {
         self.state.read().unwrap().options.clone()
     }
 
-    /// Sets the worker-thread count for subsequent commits and
-    /// snapshots (the current snapshot is re-wrapped; the translation
-    /// cache is store-lifetime and carries over). `None` restores the
-    /// default resolution (the `SPARQLOG_THREADS` env var, then the
-    /// machine's available parallelism); `Some(1)` forces the
-    /// deterministic single-threaded path. Whatever the setting, results
-    /// are multiset-identical — only evaluation concurrency changes.
+    /// Sets the fan-out width of [`Snapshot::execute_batch`] for
+    /// subsequent snapshots (the current snapshot is re-wrapped; the
+    /// translation cache is store-lifetime and carries over). `None`
+    /// restores the default, the machine's available parallelism. Every
+    /// query and commit evaluates on its caller's thread whatever the
+    /// width, so results do not depend on it.
     pub fn set_threads(&self, threads: Option<usize>) {
         let mut options = self.options();
         options.threads = threads;
@@ -2048,10 +2047,7 @@ mod tests {
         // Rows staged by an add-10 commit and by a no-op commit behind
         // `size` asserted triples.
         let staged_behind = |size: usize| {
-            let store = Store::with_options(EvalOptions {
-                threads: Some(1),
-                ..Default::default()
-            });
+            let store = Store::new();
             store.add_ontology(&ontology).unwrap();
             let mut w = store.writer();
             for i in 0..size {

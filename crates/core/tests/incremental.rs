@@ -4,7 +4,7 @@
 //! the maintained store is multiset-equal (via
 //! `FrozenDb::content_signature`) to a from-scratch reload+freeze of
 //! the same asserted quads — with and without ontology materialisation
-//! (installed before or after the data), across evaluator widths 1/2/4,
+//! (installed before or after the data), over three random histories,
 //! and under pinned live snapshots (which force the copy commit path). Plus the subscription contract:
 //! every delivered [`ResultDelta`](sparqlog::ResultDelta) equals the
 //! multiset difference of full re-executions around the commit. And the
@@ -182,7 +182,7 @@ fn ontology() -> Ontology {
 /// database and the T_D auxiliary rules — followed by `ontology()`'s, in
 /// the order the store installs them, so Skolem identities agree — run
 /// to fixpoint.
-fn rebuild(model: &[Quad], threads: usize, with_ontology: bool) -> Arc<FrozenDb> {
+fn rebuild(model: &[Quad], with_ontology: bool) -> Arc<FrozenDb> {
     let mut fresh = Database::new();
     load_dataset(&dataset_of(model), &mut fresh);
     let mut program = base_program(fresh.symbols());
@@ -191,31 +191,24 @@ fn rebuild(model: &[Quad], threads: usize, with_ontology: bool) -> Arc<FrozenDb>
             .rules
             .extend(ontology().to_program(fresh.symbols()).rules);
     }
-    let options = EvalOptions {
-        threads: Some(threads),
-        ..Default::default()
-    };
-    evaluate(&program, &mut fresh, &options).expect("rebuild");
+    evaluate(&program, &mut fresh, &EvalOptions::default()).expect("rebuild");
     fresh.freeze()
 }
 
 #[test]
-fn random_interleavings_match_fresh_reload_across_widths() {
+fn random_interleavings_match_fresh_reload() {
     let pool = universe();
-    for threads in [1usize, 2, 4] {
-        let mut rng = Rng::new(0x5EED_0000 + threads as u64);
-        let store = Store::with_options(EvalOptions {
-            threads: Some(threads),
-            ..Default::default()
-        });
+    for seed in [1u64, 2, 4] {
+        let mut rng = Rng::new(0x5EED_0000 + seed);
+        let store = Store::new();
         let mut model: Vec<Quad> = Vec::new();
         let mut history = Vec::new();
         for step in 0..30 {
             history.push(random_commit(&mut rng, &store, &mut model, &pool));
             assert_signatures_equivalent(
                 &store.snapshot().database().content_signature(),
-                &rebuild(&model, threads, false).content_signature(),
-                &format!("threads={threads} step={step} ops={}", history[step]),
+                &rebuild(&model, false).content_signature(),
+                &format!("seed={seed} step={step} ops={}", history[step]),
             );
         }
     }
@@ -229,13 +222,10 @@ fn random_interleavings_with_ontology_match_fresh_rebuild() {
     // commits of data (the install materialises them, later commits
     // extend). Any leaked or lost entailment shows up as a signature diff.
     let pool = universe();
-    for threads in [1usize, 2, 4] {
+    for seed in [1u64, 2, 4] {
         for install_at in [0, 8] {
-            let mut rng = Rng::new(0xABCD_0000 + threads as u64 + install_at as u64);
-            let store = Store::with_options(EvalOptions {
-                threads: Some(threads),
-                ..Default::default()
-            });
+            let mut rng = Rng::new(0xABCD_0000 + seed + install_at as u64);
+            let store = Store::new();
             let mut model: Vec<Quad> = Vec::new();
             for step in 0..20 {
                 if step == install_at {
@@ -244,12 +234,47 @@ fn random_interleavings_with_ontology_match_fresh_rebuild() {
                 let ops = random_commit(&mut rng, &store, &mut model, &pool);
                 assert_signatures_equivalent(
                     &store.snapshot().database().content_signature(),
-                    &rebuild(&model, threads, step >= install_at).content_signature(),
-                    &format!("threads={threads} install_at={install_at} step={step} ops={ops}"),
+                    &rebuild(&model, step >= install_at).content_signature(),
+                    &format!("seed={seed} install_at={install_at} step={step} ops={ops}"),
                 );
             }
         }
     }
+}
+
+#[test]
+fn ontology_materialisation_is_deterministic_down_to_skolem_ids() {
+    // Two fresh stores at default options, the same commits and the same
+    // ontology with existential rules: every relation holds the same
+    // encoded rows in the same order — invented nulls' TermIds included.
+    let pool = universe();
+    let encoded = || {
+        let store = Store::new();
+        let mut rng = Rng::new(0xD5EE_D000);
+        let mut model: Vec<Quad> = Vec::new();
+        for step in 0..12 {
+            if step == 6 {
+                store.add_ontology(&ontology()).expect("ontology installs");
+            }
+            random_commit(&mut rng, &store, &mut model, &pool);
+        }
+        let snapshot = store.snapshot();
+        let db = snapshot.database();
+        let mut relations: Vec<(String, Vec<Vec<TermId>>)> = (db.relations())
+            .map(|(pred, rel)| {
+                let rows = rel.iter().map(<[TermId]>::to_vec).collect();
+                (db.symbols().resolve(pred).to_string(), rows)
+            })
+            .collect();
+        relations.sort();
+        relations
+    };
+    let a = encoded();
+    let nulls = (a.iter().flat_map(|(_, rows)| rows.iter().flatten()))
+        .filter(|id| id.is_skolem())
+        .count();
+    assert!(nulls > 0, "the ontology invents no nulls on this history");
+    assert_eq!(a, encoded());
 }
 
 #[test]
@@ -258,10 +283,7 @@ fn random_interleavings_under_pinned_snapshots() {
     // path; the maintained result must be identical, and each pin keeps
     // answering from its own version.
     let pool = universe();
-    let store = Store::with_options(EvalOptions {
-        threads: Some(2),
-        ..Default::default()
-    });
+    let store = Store::new();
     store.add_ontology(&ontology()).expect("ontology installs");
     let mut rng = Rng::new(0xF1F1_F1F1);
     let mut model: Vec<Quad> = Vec::new();
@@ -275,7 +297,7 @@ fn random_interleavings_under_pinned_snapshots() {
         let ops = random_commit(&mut rng, &store, &mut model, &pool);
         assert_signatures_equivalent(
             &store.snapshot().database().content_signature(),
-            &rebuild(&model, 2, true).content_signature(),
+            &rebuild(&model, true).content_signature(),
             &format!("pinned step={step} ops={ops}"),
         );
     }

@@ -739,7 +739,7 @@ fn lang_tags_and_langmatches() {
 
 #[test]
 fn facade_thread_plumbing_reaches_the_engine() {
-    // The same query through the store with 1 and 4 worker threads:
+    // The same query through the store at fan-out widths 1 and 4:
     // multiset-identical solutions, and the option survives on the store.
     let data = r#"@prefix ex: <http://e/> .
         ex:a ex:p ex:b . ex:b ex:p ex:c . ex:c ex:p ex:a ."#;
@@ -762,6 +762,6 @@ fn facade_thread_plumbing_reaches_the_engine() {
     e.set_threads(Some(3));
     assert_eq!(e.options().resolved_threads(), 3);
     e.set_threads(None);
-    // Default resolution consults the env/machine — just ensure it is sane.
+    // Default resolution consults the machine — just ensure it is sane.
     assert!(e.options().resolved_threads() >= 1);
 }

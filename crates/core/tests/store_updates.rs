@@ -2,11 +2,12 @@
 //! path against the one reference that cannot drift — the post-update
 //! dataset loaded from scratch.
 //!
-//! Two properties, each across evaluator widths 1/2/4/8:
+//! Two properties:
 //!
 //! * **update-vs-reload**: after a script of SPARQL Update operations,
-//!   every probe query answers multiset-equal to a fresh store loaded
-//!   with the store's final quads;
+//!   every probe query, run as one batch at fan-out widths 1/2/4/8,
+//!   answers multiset-equal to a fresh store loaded with the store's
+//!   final quads;
 //! * **refreeze-vs-fresh-freeze**: the incrementally committed snapshot
 //!   holds exactly the same facts (via `FrozenDb::content_signature`)
 //!   as a from-scratch T_D materialisation and `freeze()` of the same
@@ -89,11 +90,8 @@ const PROBES: &[&str] = &[
     "SELECT ?g WHERE { GRAPH ?g { ?s ?p ?o } }",
 ];
 
-fn store_at(threads: usize) -> Store {
-    let store = Store::with_options(EvalOptions {
-        threads: Some(threads),
-        ..Default::default()
-    });
+fn scripted_store() -> Store {
+    let store = Store::new();
     store.load_turtle(FIXTURE).expect("fixture loads");
     for step in SCRIPT {
         store.update(step).expect("update step applies");
@@ -129,34 +127,36 @@ fn dump(store: &Store) -> Dataset {
     ds
 }
 
-fn fresh_store(ds: &Dataset, threads: usize) -> Store {
+fn fresh_store(ds: &Dataset) -> Store {
     let store = Store::new();
-    store.set_threads(Some(threads));
     store.load_dataset(ds).expect("reload succeeds");
     store
 }
 
 /// `ds` loaded into an empty database, the T_D auxiliary rules run to
 /// fixpoint, frozen.
-fn fresh_freeze(ds: &Dataset, threads: usize) -> Arc<FrozenDb> {
+fn fresh_freeze(ds: &Dataset) -> Arc<FrozenDb> {
     let mut db = Database::new();
     load_dataset(ds, &mut db);
-    let options = EvalOptions {
-        threads: Some(threads),
-        ..Default::default()
-    };
-    evaluate(&base_program(db.symbols()), &mut db, &options).expect("materialises");
+    evaluate(
+        &base_program(db.symbols()),
+        &mut db,
+        &EvalOptions::default(),
+    )
+    .expect("materialises");
     db.freeze()
 }
 
 #[test]
 fn update_then_query_matches_fresh_reload_across_widths() {
+    // The probes run as one batch at every fan-out width.
+    let store = scripted_store();
+    let fresh = fresh_store(&dump(&store));
     for threads in [1, 2, 4, 8] {
-        let store = store_at(threads);
-        let ds = dump(&store);
-        let fresh = fresh_store(&ds, threads);
-        for probe in PROBES {
-            let a = store.execute(probe).expect("store probe");
+        store.set_threads(Some(threads));
+        let batch = store.snapshot().execute_batch(PROBES);
+        for (probe, a) in PROBES.iter().zip(batch) {
+            let a = a.expect("store probe");
             let b = fresh.execute(probe).expect("fresh probe");
             match (&a, &b) {
                 (QueryResults::Solutions(sa), QueryResults::Solutions(sb)) => {
@@ -172,14 +172,12 @@ fn update_then_query_matches_fresh_reload_across_widths() {
 }
 
 #[test]
-fn incremental_refreeze_matches_fresh_freeze_across_widths() {
-    for threads in [1, 2, 4, 8] {
-        let store = store_at(threads);
-        let ds = dump(&store);
-        let incremental = store.snapshot().database().content_signature();
-        let scratch = fresh_freeze(&ds, threads).content_signature();
-        assert_signatures_equivalent(&incremental, &scratch, &format!("threads={threads}"));
-    }
+fn incremental_refreeze_matches_fresh_freeze() {
+    let store = scripted_store();
+    let ds = dump(&store);
+    let incremental = store.snapshot().database().content_signature();
+    let scratch = fresh_freeze(&ds).content_signature();
+    assert_signatures_equivalent(&incremental, &scratch, "scripted updates");
 }
 
 #[test]
@@ -187,19 +185,14 @@ fn every_commit_along_the_script_stays_fresh_equivalent() {
     // Not just the end state: after *each* script step the snapshot must
     // match a from-scratch freeze (catches errors that later steps would
     // mask, e.g. a stale index repaired by the next full recompute).
-    let store = store_at(1);
-    drop(store); // exercised above; here we replay step by step
-    let store = Store::with_options(EvalOptions {
-        threads: Some(1),
-        ..Default::default()
-    });
+    let store = Store::new();
     store.load_turtle(FIXTURE).unwrap();
     for (i, step) in SCRIPT.iter().enumerate() {
         store.update(step).unwrap();
         let ds = dump(&store);
         assert_signatures_equivalent(
             &store.snapshot().database().content_signature(),
-            &fresh_freeze(&ds, 1).content_signature(),
+            &fresh_freeze(&ds).content_signature(),
             &format!("after script step {i}"),
         );
     }
@@ -209,12 +202,9 @@ fn every_commit_along_the_script_stays_fresh_equivalent() {
 fn commit_under_live_snapshots_is_equivalent_to_unique_commit() {
     // The thaw path forks: unique handles are moved, shared ones are
     // copied. Both must produce identical snapshots.
-    let unique = store_at(1);
+    let unique = scripted_store();
 
-    let shared = Store::with_options(EvalOptions {
-        threads: Some(1),
-        ..Default::default()
-    });
+    let shared = Store::new();
     shared.load_turtle(FIXTURE).unwrap();
     let mut pins = Vec::new();
     for step in SCRIPT {

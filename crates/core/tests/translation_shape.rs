@@ -120,6 +120,24 @@ fn bound_one_or_more_grows_from_the_constant_over_triple() {
 }
 
 #[test]
+fn closure_children_build_no_tuple_ids() {
+    // A closure's answers carry `[]` IDs, so in a bag-semantics query the
+    // rules below it — the alternative, sequence and link rules of its
+    // inner path — build none either: only the glue rule (A.11) and the
+    // SELECT rule mint a Skolem tuple ID.
+    for q in [
+        "SELECT * WHERE { <http://a> (<http://p>|^<http://q>)* ?y }",
+        "SELECT * WHERE { ?x (<http://p>|^<http://q>)* ?y }",
+        "SELECT * WHERE { ?x (<http://p>/<http://q>)+ ?y }",
+        "SELECT * WHERE { <http://a> (<http://p>/<http://q>)+ ?y }",
+        "SELECT * WHERE { ?x (<http://p>|<http://q>)? ?y }",
+    ] {
+        let (p, _) = translate(q);
+        assert_eq!(skolem_rules(&p), 2, "{q}");
+    }
+}
+
+#[test]
 fn bag_semantics_uses_skolem_ids() {
     let (p, _) = translate("SELECT ?s WHERE { ?s <http://p> ?o . ?o <http://q> ?z }");
     // Every non-path rule generates a fresh Skolem ID.

@@ -10,8 +10,8 @@
 //!
 //! This module also hosts the batch types of the batched executor:
 //! [`RowBatch`] (semi-naive deltas, row-major like the relations) and
-//! [`Staging`] (per-worker output buffers carrying precomputed row
-//! hashes, merged through [`Relation::merge_staged`]).
+//! [`Staging`] (per-job output buffers carrying precomputed row hashes,
+//! merged through [`Relation::merge_staged`]).
 
 use std::hash::Hasher;
 use std::marker::PhantomData;
@@ -696,8 +696,7 @@ fn bucket_repoint(index: &mut Index, key_hash: u64, old: u32, new: u32) {
 /// A batch of fixed-arity encoded rows, row-major in one flat buffer like
 /// a [`Relation`]'s storage. The batched executor materialises each
 /// semi-naive delta as one of these: a merge appends the fresh rows with
-/// one copy, and range partitioning across workers is index arithmetic.
-/// The length is kept apart so nullary rows count too.
+/// one copy. The length is kept apart so nullary rows count too.
 #[derive(Debug, Default, Clone)]
 pub struct RowBatch {
     arity: usize,
@@ -752,7 +751,7 @@ impl RowBatch {
     }
 }
 
-/// A per-worker staging buffer: head rows emitted by one rule-evaluation
+/// A per-job staging buffer: head rows emitted by one rule-evaluation
 /// job, as a flat id buffer plus the row hashes computed at emission time
 /// (reused by the sequential merge via [`Relation::merge_staged`], so no
 /// row is ever hashed twice). `count` also covers nullary heads.

@@ -51,7 +51,7 @@
 //! missing `match` arm.
 
 use crate::database::{Database, RowBatch};
-use crate::eval::{execute, EvalError, EvalOptions, EvalStats, MIN_PARTITION_ROWS};
+use crate::eval::{execute, EvalError, EvalOptions, EvalStats};
 use crate::expr::Expr;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::plan::skolem_functors;
@@ -70,7 +70,7 @@ pub enum MaintainError {
     /// directives). The database is untouched.
     Unsupported(String),
     /// A seeded evaluation of [`extend`] or [`retract`] failed: its
-    /// budget aborted it, or a worker panicked.
+    /// budget aborted it, or a job panicked.
     Eval(EvalError),
 }
 
@@ -130,21 +130,13 @@ fn check_maintainable(program: &Program) -> Result<(), MaintainError> {
     Ok(())
 }
 
-/// Runs `program` on `db` seeded with `seed`. A seed smaller than one
-/// batch partition saves less than spawning a worker costs, so such runs
-/// stay on the calling thread.
+/// Runs `program` on `db` seeded with `seed`.
 fn run_seeded(
     program: &Program,
     db: &mut Database,
     seed: FxHashMap<Sym, RowBatch>,
     options: &EvalOptions,
 ) -> Result<EvalStats, MaintainError> {
-    let small = seed.values().map(RowBatch::len).sum::<usize>() < MIN_PARTITION_ROWS;
-    let inline = EvalOptions {
-        threads: Some(1),
-        ..options.clone()
-    };
-    let options = if small { &inline } else { options };
     execute(program, db, options, None, Some(seed)).map_err(MaintainError::Eval)
 }
 
@@ -336,13 +328,6 @@ mod tests {
     use crate::parser::parse_program;
     use crate::value::Const;
 
-    fn options() -> EvalOptions {
-        EvalOptions {
-            threads: Some(1),
-            ..Default::default()
-        }
-    }
-
     /// `edges` loaded and materialised under `src`. `share` lends its
     /// symbol table and dictionary, so encoded rows — Skolem ids included
     /// — compare across the two databases.
@@ -367,7 +352,7 @@ mod tests {
             .collect();
         db.load_rows(e, &rows);
         let prog = parse_program(src, db.symbols()).unwrap();
-        evaluate(&prog, &mut db, &options()).unwrap();
+        evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
         (db, prog)
     }
 
@@ -406,23 +391,20 @@ mod tests {
     /// Materialises `src` over `edges`, deletes `gone`, and checks the
     /// maintained database equals a from-scratch rebuild.
     fn check_against_rebuild(src: &str, edges: &[(i64, i64)], gone: &[(i64, i64)]) {
-        check_against_rebuild_with(src, edges, gone, &options());
-    }
-
-    /// [`check_against_rebuild`], retracting under `retract_options`.
-    fn check_against_rebuild_with(
-        src: &str,
-        edges: &[(i64, i64)],
-        gone: &[(i64, i64)],
-        retract_options: &EvalOptions,
-    ) {
         let (mut db, prog) = materialise(src, edges, None);
         let e = db.symbols().intern("edge");
         let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         for &pair in gone {
             stage_row(&mut deleted, e, &edge(&db, pair));
         }
-        retract(&prog, &mut db, &deleted, &|_, _| false, retract_options).unwrap();
+        retract(
+            &prog,
+            &mut db,
+            &deleted,
+            &|_, _| false,
+            &EvalOptions::default(),
+        )
+        .unwrap();
         let survivors: Vec<(i64, i64)> = edges
             .iter()
             .filter(|p| !gone.contains(p))
@@ -449,7 +431,7 @@ mod tests {
                 stage_row(&mut inserted, e, &row);
             }
         }
-        let stats = extend(&prog, &mut db, inserted, &options()).unwrap();
+        let stats = extend(&prog, &mut db, inserted, &EvalOptions::default()).unwrap();
         let all: Vec<(i64, i64)> = edges.iter().chain(added).copied().collect();
         let (fresh, _) = materialise(src, &all, Some(&db));
         assert_same_relations(&db, &fresh, "extend");
@@ -499,8 +481,15 @@ mod tests {
             db.relation_mut(e).insert(&row);
             stage_row(&mut rows, e, &row);
         }
-        extend(&prog, &mut db, rows.clone(), &options()).unwrap();
-        retract(&prog, &mut db, &rows, &|_, _| false, &options()).unwrap();
+        extend(&prog, &mut db, rows.clone(), &EvalOptions::default()).unwrap();
+        retract(
+            &prog,
+            &mut db,
+            &rows,
+            &|_, _| false,
+            &EvalOptions::default(),
+        )
+        .unwrap();
         assert_same_relations(&db, &before, "extend + retract");
     }
 
@@ -543,7 +532,7 @@ mod tests {
             ],
         );
         let prog = parse_program("hop(X, Z) :- edge(X, Y), edge(Y, Z).\n", db.symbols()).unwrap();
-        evaluate(&prog, &mut db, &options()).unwrap();
+        evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
         let hop = db.symbols().get("hop").unwrap();
         assert_eq!(db.relation(hop).unwrap().len(), 1);
 
@@ -555,8 +544,14 @@ mod tests {
         ];
         let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(&mut deleted, e, &row);
-        let outcome =
-            retract(&prog, &mut db, &deleted, &|pred, _| pred == hop, &options()).unwrap();
+        let outcome = retract(
+            &prog,
+            &mut db,
+            &deleted,
+            &|pred, _| pred == hop,
+            &EvalOptions::default(),
+        )
+        .unwrap();
         assert_eq!(db.relation(e).unwrap().len(), 1);
         assert_eq!(db.relation(hop).unwrap().len(), 1);
         assert_eq!(outcome.removed_rows(), 1);
@@ -573,14 +568,21 @@ mod tests {
         db.load_rows(a, &[vec![Const::Int(7)]]);
         db.load_rows(b, &[vec![Const::Int(7)]]);
         let prog = parse_program(src, db.symbols()).unwrap();
-        evaluate(&prog, &mut db, &options()).unwrap();
+        evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
         let gen = db.symbols().get("gen").unwrap();
         assert_eq!(db.relation(gen).unwrap().len(), 2, "one Skolem per rule");
 
         let row = [db.dict().encode(&Const::Int(7))];
         let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(&mut deleted, a, &row);
-        let outcome = retract(&prog, &mut db, &deleted, &|_, _| false, &options()).unwrap();
+        let outcome = retract(
+            &prog,
+            &mut db,
+            &deleted,
+            &|_, _| false,
+            &EvalOptions::default(),
+        )
+        .unwrap();
         assert_eq!(
             db.relation(gen).unwrap().len(),
             1,
@@ -597,7 +599,7 @@ mod tests {
         db.load_rows(e, &[vec![Const::Int(1), Const::Int(2)]]);
         let prog =
             parse_program("lonely(X) :- edge(X, Y), not edge(Y, X).\n", db.symbols()).unwrap();
-        evaluate(&prog, &mut db, &options()).unwrap();
+        evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
         let before = db.fact_count();
         let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(
@@ -608,11 +610,18 @@ mod tests {
                 db.dict().encode(&Const::Int(2)),
             ],
         );
-        let err = retract(&prog, &mut db, &deleted, &|_, _| false, &options()).unwrap_err();
+        let err = retract(
+            &prog,
+            &mut db,
+            &deleted,
+            &|_, _| false,
+            &EvalOptions::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, MaintainError::Unsupported(_)));
         assert_eq!(db.fact_count(), before, "refusal leaves the db untouched");
         // The insertion half shares the precondition.
-        let err = extend(&prog, &mut db, deleted, &options()).unwrap_err();
+        let err = extend(&prog, &mut db, deleted, &EvalOptions::default()).unwrap_err();
         assert!(matches!(err, MaintainError::Unsupported(_)));
         assert_eq!(db.fact_count(), before);
     }
@@ -623,7 +632,7 @@ mod tests {
         let e = db.symbols().intern("edge");
         db.load_rows(e, &[vec![Const::Int(1), Const::Int(2)]]);
         let prog = parse_program("tc(X, Y) :- edge(X, Y).\n", db.symbols()).unwrap();
-        evaluate(&prog, &mut db, &options()).unwrap();
+        evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
         let mut deleted: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         stage_row(
             &mut deleted,
@@ -633,28 +642,30 @@ mod tests {
                 db.dict().encode(&Const::Int(9)),
             ],
         );
-        let outcome = retract(&prog, &mut db, &deleted, &|_, _| false, &options()).unwrap();
+        let outcome = retract(
+            &prog,
+            &mut db,
+            &deleted,
+            &|_, _| false,
+            &EvalOptions::default(),
+        )
+        .unwrap();
         assert_eq!(outcome.removed_rows(), 0);
         assert_eq!(outcome.staged, 0);
         assert_eq!(db.fact_count(), 2); // edge(1,2) + tc(1,2), nothing lost
     }
 
     #[test]
-    fn pooled_removal_matches_rebuild() {
-        // 600 deleted edges fill more than one batch partition, so both
-        // seeded runs go to the pool.
+    fn large_removal_matches_rebuild() {
+        // 600 deleted edges seed both DRed runs with hundreds of rows.
         let edges: Vec<(i64, i64)> = (0..1600)
             .filter(|i| i % 4 != 3)
             .map(|i| (i, i + 1))
             .collect();
         let gone: Vec<(i64, i64)> = edges.iter().copied().step_by(2).take(600).collect();
         assert_eq!(gone.len(), 600);
-        let pooled = EvalOptions {
-            threads: Some(4),
-            ..Default::default()
-        };
         let src = format!("{TC}hop(X, Z) :- edge(X, Y), edge(Y, Z).\n");
-        check_against_rebuild_with(&src, &edges, &gone, &pooled);
+        check_against_rebuild(&src, &edges, &gone);
     }
 
     /// Deterministic xorshift64*: the differential below must not depend
@@ -709,7 +720,14 @@ mod tests {
                     for &pair in &gone {
                         stage_row(&mut rows, e, &edge(&db, pair));
                     }
-                    retract(&prog, &mut db, &rows, &|_, _| false, &options()).unwrap();
+                    retract(
+                        &prog,
+                        &mut db,
+                        &rows,
+                        &|_, _| false,
+                        &EvalOptions::default(),
+                    )
+                    .unwrap();
                     edges.retain(|pair| !gone.contains(pair));
                 } else {
                     for _ in 0..1 + rng.below(4) {
@@ -720,7 +738,7 @@ mod tests {
                             edges.push(pair);
                         }
                     }
-                    extend(&prog, &mut db, rows, &options()).unwrap();
+                    extend(&prog, &mut db, rows, &EvalOptions::default()).unwrap();
                 }
                 let (fresh, _) = materialise(&src, &edges, Some(&db));
                 assert_same_relations(&db, &fresh, &format!("graph {graph}, step {step}"));

@@ -1,5 +1,5 @@
 //! The evaluation engine: stratified, semi-naive, bottom-up fixpoint with
-//! batched hash joins and optional multi-threaded rule/delta evaluation.
+//! batched hash joins, run on the calling thread.
 //!
 //! This is the workspace's stand-in for the Vadalog system's reasoner. Per
 //! stratum the engine runs
@@ -20,30 +20,22 @@
 //!
 //! **Batched execution.** Each round's delta is a [`RowBatch`] of flat,
 //! row-major `TermId` rows, and each (rule, delta occurrence) pass is a
-//! *job*: one join loop over the plan's steps that drives from its batch
-//! partition and probes the relations' u64-keyed hash indexes (the
-//! hash-join build side, built once by the mask's first probe and
-//! maintained incrementally on insert, never rebuilt per round). Jobs
-//! emit head rows into per-worker [`Staging`] buffers carrying
-//! precomputed row hashes; afterwards a sequential merge pushes them
-//! through the relation's dedup map in deterministic job order, which
-//! doubles as the semi-naive delta filter.
+//! *job*: one join loop over the plan's steps that drives from its delta
+//! batch and probes the relations' u64-keyed hash indexes (the hash-join
+//! build side, built once by the mask's first probe and maintained
+//! incrementally on insert, never rebuilt per round). Jobs emit head rows
+//! into [`Staging`] buffers carrying precomputed row hashes; once every
+//! job of the pass ran, the merge pushes them through the relation's
+//! dedup map in job order, which doubles as the semi-naive delta filter.
 //!
-//! **Parallelism.** All rules of a pass — and range partitions of large
-//! deltas — evaluate concurrently on a pool of scoped threads
-//! (`std::thread::scope`, zero dependencies) against the *frozen*
-//! snapshot of the database; the stratification's read/write sets prove
-//! the jobs independent ([`crate::stratify::Stratification::pass_is_independent`]).
-//! The thread count comes from [`EvalOptions::threads`], the
-//! `SPARQLOG_THREADS` env var, or `available_parallelism`, in that
-//! order; `1` selects the deterministic in-line path (no pool, no
-//! locks). Because merges are sequential and ordered, a fixed
-//! configuration always derives the same facts in the same insertion
-//! order, and different thread counts produce the same fact *sets*
-//! (insertion order may differ). Raw Skolem `TermId`s are the one
-//! non-deterministic detail under parallelism — concurrent workers
-//! intern them in scheduling order — so encoded state is not
-//! byte-identical across runs; decoded results are.
+//! **One thread per query.** Every job of a pass runs on the calling
+//! thread against the database as the pass found it: no job sees another
+//! job's rows before the merge, which the stratification's read/write
+//! sets make sound ([`crate::stratify::Stratification::pass_is_independent`]).
+//! Concurrency lives one level up, across queries
+//! ([`crate::pool::run_scoped_caught`]). A run is deterministic: the same
+//! program over the same data and dictionary derives the same rows in the
+//! same order and interns the same Skolem `TermId`s.
 //!
 //! The entire fixpoint runs on dictionary-encoded tuples: atom constants
 //! are encoded once per execution (the only per-run compile step — the
@@ -67,8 +59,8 @@
 //! one record update per job.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::database::{row_hash, Database, IndexRef, Mask, Relation, RowBatch, Staging};
@@ -76,7 +68,7 @@ use crate::frozen::FrozenDb;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::govern::{AbortReason, Budget};
 use crate::plan::{plan_rule, ProgramPlan, RulePlan, Step};
-use crate::pool::Pool;
+use crate::pool::catch_job;
 use crate::profile::{RoundProfile, RuleProfile, StratumProfile};
 use crate::rule::{AggFunc, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
 use crate::stats::DbStats;
@@ -114,10 +106,11 @@ pub struct EvalOptions {
     /// (materialisation). Like [`EvalOptions::plan`] it is read by the
     /// caller that chooses the program, not by the evaluator.
     pub magic_sets: bool,
-    /// Worker threads for rule/delta evaluation. `None` (the default)
-    /// defers to the `SPARQLOG_THREADS` env var, then to
-    /// `std::thread::available_parallelism()`. `Some(1)` forces the
-    /// deterministic single-threaded path.
+    /// Fan-out width of the serving layer's query batches
+    /// (`Snapshot::execute_batch`): how many queries of a batch evaluate
+    /// at once. `None` (the default) means
+    /// `std::thread::available_parallelism()`. Every evaluation runs its
+    /// fixpoint on its caller's thread whatever the width.
     pub threads: Option<usize>,
     /// The execution governor ([`crate::govern`]): deadline, derived-row
     /// cap, dictionary-growth cap and external cancellation, checked
@@ -139,16 +132,10 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
-    /// The effective worker count: explicit option, else the
-    /// `SPARQLOG_THREADS` env var, else the machine's available
-    /// parallelism (min 1).
+    /// The effective fan-out width: the explicit option, else the
+    /// machine's available parallelism (min 1).
     pub fn resolved_threads(&self) -> usize {
         self.threads
-            .or_else(|| {
-                std::env::var("SPARQLOG_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1)
     }
@@ -210,9 +197,8 @@ pub enum EvalError {
         /// while a row cap is armed).
         rows_derived: usize,
     },
-    /// An evaluation worker panicked; the panic was caught at the job
-    /// boundary (the pool and its sibling jobs survive) and carries the
-    /// rendered panic message. Indicates a bug in the engine, not in the
+    /// An evaluation job panicked; the panic was caught at the job
+    /// boundary and carries the rendered panic message. Indicates a bug in the engine, not in the
     /// query.
     Internal(String),
 }
@@ -251,11 +237,6 @@ impl From<StratifyError> for EvalError {
 /// program (the magic-sets rewrite) and a statistics-driven plan is the
 /// caller's job, done once per query by the serving layer and handed to
 /// [`evaluate_frozen_with_plan`].
-///
-/// With an effective thread count above one ([`EvalOptions::threads`] /
-/// `SPARQLOG_THREADS` / available parallelism) the semi-naive passes run
-/// on a scoped worker pool; otherwise everything stays on the calling
-/// thread. Both paths produce the same set of facts.
 pub fn evaluate(
     program: &Program,
     db: &mut Database,
@@ -303,8 +284,8 @@ pub fn evaluate_frozen_with_plan(
 /// The one fixpoint driver behind every `evaluate*` entry and
 /// [`crate::delta::extend`]: arms the budget's clock (a no-op when the
 /// caller already armed it, so several evaluations of one request share
-/// one clock) and runs the strata inline or on a pool. A `seed` (the
-/// rows inserted since `db` was at fixpoint) makes it a seeded run.
+/// one clock) and runs the strata. A `seed` (the rows inserted since `db`
+/// was at fixpoint) makes it a seeded run.
 pub(crate) fn execute(
     program: &Program,
     db: &mut Database,
@@ -322,69 +303,25 @@ pub(crate) fn execute(
     } else {
         options
     };
-    let threads = options.resolved_threads();
-    if threads <= 1 {
-        return evaluate_inner(program, db, options, None, plan, seed);
-    }
-    let pool = Pool::new(threads);
-    std::thread::scope(|s| {
-        let handle = PoolHandle {
-            pool: &pool,
-            scope: s,
-            spawned: std::cell::Cell::new(false),
-        };
-        // Shutdown-on-drop: a panic inside `evaluate_inner` (e.g. in a
-        // job claimed by this thread) must still unpark the workers, or
-        // the scope's implicit join deadlocks instead of propagating.
-        let _guard = crate::pool::ShutdownGuard(&pool);
-        evaluate_inner(program, db, options, Some(&handle), plan, seed)
-    })
+    evaluate_inner(program, db, options, plan, seed)
 }
 
-/// Lazily spawns the worker threads on the first genuinely parallel pass,
-/// so evaluations whose passes are all single-job (point queries, tiny
-/// programs) never pay thread spawn/teardown even at a high configured
-/// thread count.
-struct PoolHandle<'scope, 'env> {
-    pool: &'env Pool,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    spawned: std::cell::Cell<bool>,
-}
-
-impl PoolHandle<'_, '_> {
-    fn threads(&self) -> usize {
-        self.pool.threads
-    }
-
-    fn run(&self, njobs: usize, f: &(dyn Fn(usize) + Sync)) -> Vec<crate::pool::JobPanic> {
-        if !self.spawned.get() {
-            self.spawned.set(true);
-            let p = self.pool;
-            for _ in 1..p.threads {
-                self.scope.spawn(move || p.worker());
-            }
-        }
-        self.pool.run(njobs, f)
-    }
-}
-
-/// One evaluation job of a pass: a rule plan applied to (a partition of)
-/// a delta batch, or a full naive pass of the rule.
+/// One evaluation job of a pass: a rule plan applied to a delta batch, or
+/// a full naive pass of the rule.
 struct Job<'a> {
     plan: &'a RulePlan,
     enc: &'a EncRule,
     rule: &'a Rule,
     /// Index of `rule` in the program — the record's attribution key.
     rule_idx: usize,
-    /// `(body item, batch, row range)` — the delta restriction, if any.
-    delta: Option<(usize, &'a RowBatch, usize, usize)>,
+    /// `(body item, batch)` — the delta restriction, if any.
+    delta: Option<(usize, &'a RowBatch)>,
 }
 
 fn evaluate_inner(
     program: &Program,
     db: &mut Database,
     options: &EvalOptions,
-    pool: Option<&PoolHandle<'_, '_>>,
     plan: Option<&ProgramPlan>,
     mut seed: Option<FxHashMap<Sym, RowBatch>>,
 ) -> Result<EvalStats, EvalError> {
@@ -456,8 +393,8 @@ fn evaluate_inner(
         budget: &options.budget,
         governed,
         dict_base: if governed { dict.interned_terms() } else { 0 },
-        derived: AtomicUsize::new(stats.derived),
-        index_builds: AtomicUsize::new(0),
+        derived: Cell::new(stats.derived),
+        index_builds: Cell::new(0),
     };
     ctx.check()?;
 
@@ -494,12 +431,11 @@ fn evaluate_inner(
         }
 
         // --- naive first pass ---
-        // All rules evaluate against the same snapshot (concurrently when
-        // a pool is available); the sequential merge afterwards both
-        // dedups and records the fresh tuples as the first delta. A rule
-        // whose derivations another rule of this pass would consume still
-        // converges: those tuples are in the delta, so round 1's
-        // delta-restricted variants see them.
+        // All rules evaluate against the same snapshot; the merge
+        // afterwards both dedups and records the fresh tuples as the first
+        // delta. A rule whose derivations another rule of this pass would
+        // consume still converges: those tuples are in the delta, so round
+        // 1's delta-restricted variants see them.
         let mut delta: FxHashMap<Sym, RowBatch> = FxHashMap::default();
         if !seeded {
             let jobs: Vec<Job<'_>> = plain_rules
@@ -513,9 +449,9 @@ fn evaluate_inner(
                 })
                 .collect();
             let round_start = Instant::now();
-            let outs = run_pass(&jobs, db, &ctx, pool, &mut spare);
+            let outs = run_pass(&jobs, db, &ctx, &mut spare);
             let (staged, derived) =
-                merge_pass(db, &jobs, outs, &mut delta, &mut stats, &ctx, &mut spare)?;
+                merge_pass(db, &jobs, outs?, &mut delta, &mut stats, &ctx, &mut spare)?;
             round_record.push(RoundProfile {
                 round: 0,
                 delta_rows: 0,
@@ -535,9 +471,7 @@ fn evaluate_inner(
             let mut jobs: Vec<Job<'_>> = Vec::new();
             for &ri in &plain_rules {
                 let rule = &program.rules[ri];
-                // One variant per body occurrence of a delta predicate,
-                // range-partitioned across the pool's workers when the
-                // batch is large enough to split.
+                // One variant per body occurrence of a delta predicate.
                 for (item_idx, item) in rule.body.iter().enumerate() {
                     let atom_pred = match item {
                         BodyItem::Pos(a) if delta_preds.contains(&a.pred) => a.pred,
@@ -549,28 +483,13 @@ fn evaluate_inner(
                     if batch.is_empty() {
                         continue;
                     }
-                    let plan = &delta_plans[&(ri, item_idx)];
-                    // Partition only batches with enough rows to amortise
-                    // a job's fixed cost (staging buffer, plan
-                    // resolution, pool dispatch); long-tail rounds with
-                    // shrinking deltas stay one job each.
-                    let parts = match pool {
-                        Some(p) => p.threads().min((batch.len() / MIN_PARTITION_ROWS).max(1)),
-                        None => 1,
-                    };
-                    let len = batch.len();
-                    for c in 0..parts {
-                        let (lo, hi) = (c * len / parts, (c + 1) * len / parts);
-                        if lo < hi {
-                            jobs.push(Job {
-                                plan,
-                                enc: &enc[ri],
-                                rule,
-                                rule_idx: ri,
-                                delta: Some((item_idx, batch, lo, hi)),
-                            });
-                        }
-                    }
+                    jobs.push(Job {
+                        plan: &delta_plans[&(ri, item_idx)],
+                        enc: &enc[ri],
+                        rule,
+                        rule_idx: ri,
+                        delta: Some((item_idx, batch)),
+                    });
                 }
             }
             // A delta no rule of the stratum reads (e.g. a predicate only
@@ -583,10 +502,10 @@ fn evaluate_inner(
             stats.rounds += 1;
             ctx.check()?;
             let round_start = Instant::now();
-            let outs = run_pass(&jobs, db, &ctx, pool, &mut spare);
+            let outs = run_pass(&jobs, db, &ctx, &mut spare);
             let mut next: FxHashMap<Sym, RowBatch> = FxHashMap::default();
             let (staged, derived) =
-                merge_pass(db, &jobs, outs, &mut next, &mut stats, &ctx, &mut spare)?;
+                merge_pass(db, &jobs, outs?, &mut next, &mut stats, &ctx, &mut spare)?;
             round_record.push(RoundProfile {
                 round: rounds,
                 delta_rows: delta.values().map(RowBatch::len).sum(),
@@ -633,96 +552,58 @@ fn evaluate_inner(
         });
     }
 
-    stats.index_builds = ctx.index_builds.into_inner();
+    stats.index_builds = ctx.index_builds.get();
     stats.elapsed = start.elapsed();
     Ok(stats)
 }
 
-/// Runs one pass's jobs — on the pool when available (each worker filling
-/// its own staging buffer against the frozen database snapshot), inline
-/// otherwise — and returns the per-job outcomes in job order.
+/// Runs one pass's jobs in order against the database as the pass found
+/// it, each filling its own staging buffer, and returns the buffers in job
+/// order — or the first job's error, which ends the pass.
 fn run_pass(
     jobs: &[Job<'_>],
     db: &Database,
     ctx: &Ctx<'_>,
-    pool: Option<&PoolHandle<'_, '_>>,
     spare: &mut Vec<Staging>,
-) -> Vec<Result<Staging, EvalError>> {
-    // Pre-filtering against the snapshot only pays when several workers
-    // would otherwise funnel duplicate candidates into the sequential
-    // merge; the single-threaded path lets the merge's own dedup probe do
-    // that work (same probe count).
-    let prefilter = pool.is_some();
-    // Staging buffers are recycled across passes (via `spare`), so a
-    // long fixpoint reuses a handful of allocations instead of growing a
-    // fresh buffer every round.
-    let slots: Vec<Mutex<Result<Staging, EvalError>>> = jobs
-        .iter()
-        .map(|_| {
-            let mut s = spare.pop().unwrap_or_default();
-            s.clear();
-            Mutex::new(Ok(s))
-        })
-        .collect();
-    let run_job = |j: usize| {
-        let job = &jobs[j];
-        let dedup_against = if prefilter {
-            db.relation(job.rule.head.pred)
-        } else {
-            None
-        };
-        let mut guard = slots[j].lock().unwrap();
-        if let Ok(out) = guard.as_mut() {
+) -> Result<Vec<Staging>, EvalError> {
+    let row_cap = ctx.row_cap();
+    jobs.iter()
+        .map(|job| {
+            // Staging buffers are recycled across passes (via `spare`), so
+            // a long fixpoint reuses a handful of allocations instead of
+            // growing a fresh buffer every round.
+            let mut out = spare.pop().unwrap_or_default();
+            out.clear();
+            out.arity = job.enc.head.args.len();
             // The record's job wall time: two `Instant` reads per job.
             let job_start = Instant::now();
-            out.arity = job.enc.head.args.len();
-            let row_cap = ctx.row_cap();
             let emit = &mut |env: &[Option<TermId>], ctx: &Ctx<'_>| {
                 let before = out.count;
-                instantiate_head(job, env, ctx, dedup_against, out);
+                instantiate_head(job, env, ctx, &mut out);
                 // Row accounting only while a cap is armed: the ungoverned
-                // emission path never touches the shared counter.
+                // emission path never touches the counter.
                 match row_cap {
-                    Some(cap)
-                        if out.count > before
-                            && ctx.derived.fetch_add(1, Ordering::Relaxed) + 1 > cap =>
-                    {
+                    Some(cap) if out.count > before && ctx.count_derived() > cap => {
                         Err(ctx.abort(AbortReason::RowLimit))
                     }
                     _ => Ok(()),
                 }
             };
-            match eval_rule(job, db, ctx, emit) {
-                // The job's join ticks become its probe figure, summed
-                // into [`EvalStats::probes`] by the merge — one store per
-                // job, not per tick.
-                Ok(ticks) => {
-                    out.ticks += ticks;
-                    out.nanos = job_start.elapsed().as_nanos() as u64;
-                }
-                Err(e) => *guard = Err(e),
-            }
-        }
-    };
-    // A job that panics (an engine bug, not a query error) is caught at
-    // the job boundary, on the pool or inline, and becomes that job's
-    // `Internal` error: sibling jobs complete, the workers survive for
-    // the next pass, and the overlay database unwinds normally with the
-    // evaluation's `Err`.
-    let panics = match pool {
-        Some(p) if jobs.len() > 1 => p.run(jobs.len(), &run_job),
-        _ => crate::pool::run_inline_caught(jobs.len(), &run_job),
-    };
-    for jp in panics {
-        let mut guard = slots[jp.job].lock().unwrap_or_else(|p| p.into_inner());
-        *guard = Err(EvalError::Internal(format!(
-            "evaluation worker panicked: {}",
-            jp.message
-        )));
-    }
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
+            // A job that panics (an engine bug, not a query error) is
+            // caught at the job boundary and becomes the evaluation's
+            // `Internal` error; the overlay database unwinds normally
+            // with the `Err`.
+            let ticks = catch_job(|| eval_rule(job, db, ctx, emit)).unwrap_or_else(|message| {
+                Err(EvalError::Internal(format!(
+                    "evaluation job panicked: {message}"
+                )))
+            })?;
+            // The job's join ticks become its probe figure, summed into
+            // [`EvalStats::probes`] by the merge.
+            out.ticks = ticks;
+            out.nanos = job_start.elapsed().as_nanos() as u64;
+            Ok(out)
+        })
         .collect()
 }
 
@@ -734,19 +615,18 @@ fn run_pass(
 fn merge_pass(
     db: &mut Database,
     jobs: &[Job<'_>],
-    outs: Vec<Result<Staging, EvalError>>,
+    outs: Vec<Staging>,
     delta: &mut FxHashMap<Sym, RowBatch>,
     stats: &mut EvalStats,
     ctx: &Ctx<'_>,
     spare: &mut Vec<Staging>,
 ) -> Result<(usize, usize), EvalError> {
     let (mut staged, mut derived) = (0, 0);
-    for (job, out) in jobs.iter().zip(outs) {
-        let mut out = out?;
+    for (job, mut out) in jobs.iter().zip(outs) {
         staged += out.count;
         stats.probes += out.ticks;
-        // Merges are sequential and can dominate huge passes: keep the
-        // governor's batch granularity across them (per job, not per row).
+        // Merges can dominate huge passes: keep the governor's batch
+        // granularity across them (per job, not per row).
         ctx.check()?;
         let pred = job.rule.head.pred;
         let mut fresh = 0usize;
@@ -780,7 +660,7 @@ fn merge_pass(
     // Resync the governor's row counter to the exact post-dedup total:
     // while a row cap is armed the jobs of the pass inflated it with
     // per-emission staged candidates.
-    ctx.derived.store(stats.derived, Ordering::Relaxed);
+    ctx.derived.set(stats.derived);
     Ok((staged, derived))
 }
 
@@ -910,11 +790,6 @@ impl EncRule {
 /// most 64 columns (the [`Mask`] width), so no heap fallback is needed.
 const MAX_COLS: usize = 64;
 
-/// Minimum delta rows per partition job: batches smaller than this are
-/// not worth a second worker's fixed cost (staging buffer, plan
-/// resolution, pool dispatch).
-pub(crate) const MIN_PARTITION_ROWS: usize = 512;
-
 struct Ctx<'a> {
     symbols: &'a SymbolTable,
     dict: &'a TermDict,
@@ -929,14 +804,11 @@ struct Ctx<'a> {
     dict_base: usize,
     /// Governed row counter: exact merged rows between passes; inflated
     /// with per-emission staged candidates during a pass while a row cap
-    /// is armed (workers `fetch_add` concurrently, the sequential merge
-    /// resyncs). Relaxed ordering suffices — pass boundaries are real
-    /// synchronisation points and the cap check tolerates slack of one
-    /// in-flight emission per worker.
-    derived: AtomicUsize,
+    /// is armed (the merge resyncs it).
+    derived: Cell<usize>,
     /// Indexes the run's probes built ([`EvalStats::index_builds`]),
     /// bumped only when a probe's build ran — never per row.
-    index_builds: AtomicUsize,
+    index_builds: Cell<usize>,
 }
 
 impl Ctx<'_> {
@@ -968,7 +840,7 @@ impl Ctx<'_> {
             }
         }
         if let Some(cap) = self.budget.max_rows() {
-            if self.derived.load(Ordering::Relaxed) > cap {
+            if self.derived.get() > cap {
                 return Err(self.abort(AbortReason::RowLimit));
             }
         }
@@ -977,7 +849,7 @@ impl Ctx<'_> {
 
     /// The derived-row cap, when armed. Jobs read this once per pass and
     /// count emissions only while it is `Some`, so ungoverned evaluations
-    /// never touch the shared counter on the hot path.
+    /// never touch the counter on the hot path.
     fn row_cap(&self) -> Option<usize> {
         if self.governed {
             self.budget.max_rows()
@@ -986,23 +858,26 @@ impl Ctx<'_> {
         }
     }
 
-    /// Counts one accepted derivation against the row cap (the sequential
-    /// paths: aggregates, program facts). The parallel emission paths
-    /// inline the same logic against [`Ctx::row_cap`].
+    /// Counts one row against the row cap and returns the new count.
+    fn count_derived(&self) -> usize {
+        self.derived.set(self.derived.get() + 1);
+        self.derived.get()
+    }
+
+    /// Counts one accepted derivation against the row cap (aggregates).
+    /// A job's emissions run the same logic against [`Ctx::row_cap`].
     fn note_derived(&self) -> Result<(), EvalError> {
-        if let Some(cap) = self.row_cap() {
-            if self.derived.fetch_add(1, Ordering::Relaxed) + 1 > cap {
-                return Err(self.abort(AbortReason::RowLimit));
-            }
+        match self.row_cap() {
+            Some(cap) if self.count_derived() > cap => Err(self.abort(AbortReason::RowLimit)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// The hash index for `mask` on `rel`, counting a build the call ran.
     fn index<'d>(&self, rel: &'d Relation, mask: Mask) -> IndexRef<'d> {
         let (index, built) = rel.index(mask);
         if built {
-            self.index_builds.fetch_add(1, Ordering::Relaxed);
+            self.index_builds.set(self.index_builds.get() + 1);
         }
         index
     }
@@ -1011,7 +886,7 @@ impl Ctx<'_> {
         EvalError::Aborted {
             reason,
             elapsed: self.start.elapsed(),
-            rows_derived: self.derived.load(Ordering::Relaxed),
+            rows_derived: self.derived.get(),
         }
     }
 }
@@ -1052,8 +927,7 @@ fn resolve_scans<'d>(plan: &RulePlan, db: &'d Database, ctx: &Ctx<'_>) -> Vec<Re
 
 /// Evaluates a rule body, calling `emit` with every complete environment
 /// — a job stages head rows, an aggregate collects the environments.
-/// `delta` optionally restricts one body occurrence to a row range of a
-/// delta batch. Returns the join ticks spent.
+/// `delta` optionally restricts one body occurrence to a delta batch. Returns the join ticks spent.
 fn eval_rule<F>(job: &Job<'_>, db: &Database, ctx: &Ctx<'_>, emit: &mut F) -> Result<u64, EvalError>
 where
     F: FnMut(&[Option<TermId>], &Ctx<'_>) -> Result<(), EvalError>,
@@ -1099,13 +973,13 @@ where
                 .as_ref()
                 .expect("scan step on non-positive item");
             // One row source: `range` of a flat row-major buffer — the
-            // delta partition or the whole relation — or, through `picks`,
-            // the relation rows an index bucket names.
+            // delta batch or the whole relation — or, through `picks`, the
+            // relation rows an index bucket names.
             let narrowed;
             let (flat, arity, picks, range): (&[TermId], usize, Option<&[u32]>, _) = match job.delta
             {
-                Some((di, batch, lo, hi)) if di == *item_idx => {
-                    (batch.ids(), batch.arity(), None, lo..hi)
+                Some((di, batch)) if di == *item_idx => {
+                    (batch.ids(), batch.arity(), None, 0..batch.len())
                 }
                 _ => {
                     let rs = &resolved[step_idx];
@@ -1316,16 +1190,8 @@ fn unbind_atom(atom: &EncAtom, bound_here: u64, env: &mut [Option<TermId>]) {
 /// emission back when the Skolem-depth bound is exceeded (chase
 /// termination — an O(1) check: depths are precomputed at interning
 /// time). The row's dedup hash is computed here, once, and carried to the
-/// merge; with `dedup_against` (the parallel pre-filter) rows already in
-/// the head's snapshot are dropped before they reach the sequential
 /// merge.
-fn instantiate_head(
-    job: &Job<'_>,
-    env: &[Option<TermId>],
-    ctx: &Ctx<'_>,
-    dedup_against: Option<&Relation>,
-    out: &mut Staging,
-) {
+fn instantiate_head(job: &Job<'_>, env: &[Option<TermId>], ctx: &Ctx<'_>, out: &mut Staging) {
     // Existential Skolemisation: functor over the frontier values,
     // interned by identity (no structural Skolem terms are built).
     let mut ex_values: FxHashMap<VarId, TermId> = FxHashMap::default();
@@ -1359,14 +1225,7 @@ fn instantiate_head(
         };
         out.ids.push(id);
     }
-    let hash = row_hash(&out.ids[start..]);
-    if let Some(rel) = dedup_against {
-        if rel.contains_hashed(&out.ids[start..], hash) {
-            out.ids.truncate(start);
-            return;
-        }
-    }
-    out.hashes.push(hash);
+    out.hashes.push(row_hash(&out.ids[start..]));
     out.count += 1;
 }
 

@@ -22,10 +22,8 @@
 //! snapshot's symbol table and term dictionary whose reads fall through
 //! to the frozen base. Each concurrent query owns its overlay exclusively
 //! (`&mut`), derives its answer predicates there, and drops it afterwards
-//! — the base is never written. This is the same frozen-snapshot argument
-//! that makes the PR 2 worker pool sound, reused one level up: *within* a
-//! pass workers share an immutable database; *across* queries threads
-//! share an immutable [`FrozenDb`].
+//! — the base is never written, so any number of query threads share one
+//! immutable [`FrozenDb`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -449,15 +447,8 @@ mod tests {
                              @output(\"hop{k}\").\n"
                         );
                         let prog = parse_program(&src, frozen.symbols()).unwrap();
-                        let (db, _) = evaluate_frozen(
-                            &prog,
-                            &frozen,
-                            &EvalOptions {
-                                threads: Some(1),
-                                ..Default::default()
-                            },
-                        )
-                        .unwrap();
+                        let (db, _) =
+                            evaluate_frozen(&prog, &frozen, &EvalOptions::default()).unwrap();
                         let p = frozen.symbols().get(&format!("hop{k}")).unwrap();
                         db.relation(p).map_or(0, Relation::len)
                     })

@@ -9,14 +9,14 @@
 //! check it *cooperatively* at batch granularity (every few thousand join
 //! ticks, every merge, every round), so a runaway query returns a
 //! structured [`EvalError::Aborted`](crate::EvalError::Aborted) within one
-//! batch of the limit instead of wedging a worker thread.
+//! batch of the limit instead of wedging its thread.
 //!
 //! Checks are designed to cost nothing when no limit is set: a single
 //! `bool` test guards the whole governed path, and the row counter is
 //! only maintained while a row cap is armed. The handle is `Send + Sync`
-//! (plain atomics), so one token can cancel an evaluation running on any
-//! number of pool workers — and a batch driver can chain per-job tokens
-//! off one group token to cancel siblings on first failure.
+//! (plain atomics), so one token can cancel an evaluation from another
+//! thread — and a batch driver can chain per-job tokens off one group
+//! token to cancel siblings on first failure.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -475,13 +475,6 @@ mod tests {
         db
     }
 
-    fn raw_options() -> EvalOptions {
-        EvalOptions {
-            threads: Some(1),
-            ..Default::default()
-        }
-    }
-
     const TC_SRC: &str = "tc(X, Y) :- edge(X, Y).\n\
                           tc(X, Z) :- edge(X, Y), tc(Y, Z).\n\
                           out(Z) :- tc(90, Z).\n\
@@ -502,8 +495,8 @@ mod tests {
             .map(|rw| rw.program)
             .unwrap();
 
-        evaluate(&prog, &mut db, &raw_options()).unwrap();
-        evaluate(&magic2, &mut db2, &raw_options()).unwrap();
+        evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
+        evaluate(&magic2, &mut db2, &EvalOptions::default()).unwrap();
         let _ = magic;
 
         let out1 = db.symbols().get("out").unwrap();
@@ -620,7 +613,7 @@ mod tests {
         let magic = magic_sets_rewrite_analyzed(&prog, db.symbols())
             .map(|rw| rw.program)
             .expect("both consumers bind X");
-        evaluate(&magic, &mut db, &raw_options()).unwrap();
+        evaluate(&magic, &mut db, &EvalOptions::default()).unwrap();
         let out = db.symbols().get("out").unwrap();
         // From 10: 11..=50 (40 rows); from 40: 41..=50 (10 rows, subset).
         assert_eq!(db.relation(out).unwrap().len(), 40);

@@ -31,8 +31,7 @@ pub struct RuleProfile {
     /// Join probes across this rule's jobs, counted like
     /// [`EvalStats::probes`](crate::EvalStats::probes).
     pub probes: u64,
-    /// Wall time summed across this rule's jobs. Jobs run concurrently,
-    /// so rule times can sum to more than the query's wall time.
+    /// Wall time summed across this rule's jobs.
     pub elapsed: Duration,
 }
 

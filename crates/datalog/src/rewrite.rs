@@ -687,10 +687,7 @@ mod tests {
             db.load_rows(e, &rows_e);
             db.load_rows(f, &rows_f);
         };
-        let options = EvalOptions {
-            threads: Some(1),
-            ..Default::default()
-        };
+        let options = EvalOptions::default();
         let mut answers = Vec::new();
         for rewrite in [false, true] {
             let mut db = Database::new();

@@ -153,11 +153,11 @@ impl Rule {
 
     /// The rule's *read set*: every predicate its body consults (positive
     /// and negated atoms). Together with [`Rule::write_pred`] this is the
-    /// dependency metadata the parallel executor uses: rules evaluated in
-    /// the same pass only read the shared snapshot, and their writes are
-    /// applied by the sequential merge — so two rules of a pass are
-    /// independent exactly because no read set can observe another rule's
-    /// in-flight writes.
+    /// dependency metadata the evaluator's snapshot passes rely on: rules
+    /// evaluated in the same pass only read the database as the pass found
+    /// it, and their writes are applied by the merge — so two rules of a
+    /// pass are independent exactly because no read set can observe
+    /// another rule's in-flight writes.
     pub fn read_preds(&self) -> Vec<Sym> {
         let mut out = Vec::new();
         for item in &self.body {

@@ -28,8 +28,8 @@ impl std::fmt::Display for StratifyError {
 impl std::error::Error for StratifyError {}
 
 /// The result: rule indices grouped by stratum, in evaluation order,
-/// plus the per-rule read/write sets the parallel executor uses to
-/// justify running a stratum round's rules concurrently.
+/// plus the per-rule read/write sets the evaluator uses to justify
+/// running a stratum round's rules against one snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stratification {
     /// `strata[s]` = the indices (into `program.rules`) evaluated in
@@ -58,12 +58,11 @@ impl Stratification {
         out
     }
 
-    /// Proof obligation of the parallel executor: rules evaluated in one
-    /// snapshot pass are pairwise independent — no rule's *negated* or
-    /// aggregated reads overlap the pass's write set (guaranteed by
-    /// stratification), so concurrent evaluation against the frozen
-    /// snapshot plus a sequential merge is equivalent to any serial
-    /// order. Returns `false` if the invariant is violated (which would
+    /// Proof obligation of the snapshot pass: rules evaluated in one pass
+    /// are pairwise independent — no rule's *negated* or aggregated reads
+    /// overlap the pass's write set (guaranteed by stratification), so
+    /// evaluating every rule against the snapshot the pass found, then
+    /// merging, is equivalent to any serial order. Returns `false` if the invariant is violated (which would
     /// be a stratifier bug).
     pub fn pass_is_independent(&self, stratum: &[usize], program: &crate::rule::Program) -> bool {
         let writes = self.stratum_writes(stratum);
@@ -255,8 +254,8 @@ mod tests {
         );
         assert_eq!(s.rule_reads[1], vec![t.intern("edge"), t.intern("tc")]);
         assert_eq!(s.stratum_writes(&s.strata[0]), vec![t.intern("tc")]);
-        // Every stratum the stratifier produces must satisfy the parallel
-        // executor's independence invariant: negated reads never overlap
+        // Every stratum the stratifier produces must satisfy the snapshot
+        // pass's independence invariant: negated reads never overlap
         // the stratum's writes.
         for st in &s.strata {
             assert!(s.pass_is_independent(st, &prog));

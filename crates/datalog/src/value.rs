@@ -347,7 +347,7 @@ struct DictShard {
 /// Shared (`Arc`) between the database, the evaluator and the translation
 /// boundary, like the [`SymbolTable`]. Most terms encode inline and never
 /// touch a lock; only the spill and Skolem tables are guarded — and those
-/// are **sharded** 16 ways by content hash, so concurrent rule workers
+/// are **sharded** 16 ways by content hash, so concurrent queries
 /// interning Skolem tuple IDs contend only when they hash to the same
 /// shard. No lock is ever held while another shard is consulted (arg
 /// depths and nested decodes release before crossing shards), so the

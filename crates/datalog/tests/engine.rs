@@ -1,11 +1,12 @@
 //! End-to-end tests of the Datalog± engine through the textual syntax.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sparqlog_datalog::parser::parse_program;
 use sparqlog_datalog::{
-    check_wardedness, collect_output, evaluate, AbortReason, Budget, Database, EvalError,
-    EvalOptions, MAX_SKOLEM_DEPTH,
+    check_wardedness, collect_output, evaluate, evaluate_frozen, run_scoped, AbortReason, Budget,
+    Database, EvalError, EvalOptions, FrozenDb, Program, TermId, MAX_SKOLEM_DEPTH,
 };
 
 fn run(src: &str) -> (Database, sparqlog_datalog::Program) {
@@ -420,26 +421,11 @@ fn constants_in_head() {
     );
 }
 
-// ------------------------------------------------- parallel evaluation
+// ------------------------------------------------- concurrent evaluation
 
-/// Evaluates `src` with an explicit worker count and returns the sorted,
-/// decoded output of `pred`.
-fn run_with_threads(src: &str, threads: usize, pred: &str) -> Vec<Vec<String>> {
-    let mut db = Database::new();
-    let prog = parse_program(src, db.symbols()).unwrap();
-    let opts = EvalOptions {
-        threads: Some(threads),
-        ..Default::default()
-    };
-    evaluate(&prog, &mut db, &opts).unwrap();
-    let mut out = output_strings(&db, &prog, pred);
-    out.sort();
-    out
-}
-
-/// A program exercising every feature the parallel passes must preserve:
-/// recursion, multi-rule strata, stratified negation, assignments with
-/// Skolem tuple IDs, filters and aggregation.
+/// Programs exercising every feature concurrent evaluations must
+/// preserve: recursion, multi-rule strata, stratified negation,
+/// assignments with Skolem tuple IDs, filters and aggregation.
 const PARALLEL_BATTERY: &[(&str, &str)] = &[
     (
         r#"
@@ -491,74 +477,89 @@ const PARALLEL_BATTERY: &[(&str, &str)] = &[
     ),
 ];
 
+/// Evaluates `prog` over `base` into an overlay and returns the sorted,
+/// decoded output of `pred`.
+fn run_frozen(prog: &Program, base: &Arc<FrozenDb>, pred: &str) -> Vec<Vec<String>> {
+    let (db, _) = evaluate_frozen(prog, base, &EvalOptions::default()).unwrap();
+    let mut out = output_strings(&db, prog, pred);
+    out.sort();
+    out
+}
+
 #[test]
 fn parallel_evaluation_matches_sequential() {
-    for &(src, pred) in PARALLEL_BATTERY {
-        let reference = run_with_threads(src, 1, pred);
-        for threads in [2, 4, 8] {
-            let got = run_with_threads(src, threads, pred);
-            assert_eq!(
-                got, reference,
-                "threads={threads} diverged from sequential on output {pred}"
-            );
-        }
+    // Every battery program evaluated by several threads at once against
+    // one snapshot — sharing its symbol table and dictionary, as
+    // concurrent queries do — answers what it answers alone.
+    let base = Database::new().freeze();
+    let progs: Vec<Program> = (PARALLEL_BATTERY.iter())
+        .map(|(src, _)| parse_program(src, base.symbols()).unwrap())
+        .collect();
+    let pred = |j: usize| PARALLEL_BATTERY[j % progs.len()].1;
+    let reference: Vec<_> = (0..progs.len())
+        .map(|j| run_frozen(&progs[j], &base, pred(j)))
+        .collect();
+    let runs = 4 * progs.len();
+    let got: Vec<Mutex<Vec<Vec<String>>>> = (0..runs).map(|_| Mutex::default()).collect();
+    run_scoped(4, runs, &|j| {
+        *got[j].lock().unwrap() = run_frozen(&progs[j % progs.len()], &base, pred(j));
+    });
+    for (j, out) in got.into_iter().enumerate() {
+        assert_eq!(
+            out.into_inner().unwrap(),
+            reference[j % progs.len()],
+            "concurrent run {j} diverged on output {}",
+            pred(j)
+        );
     }
 }
 
 #[test]
 fn parallel_evaluation_is_deterministic_per_config() {
-    let (src, pred) = PARALLEL_BATTERY[0];
-    let a = run_with_threads(src, 4, pred);
-    let b = run_with_threads(src, 4, pred);
-    assert_eq!(a, b, "same thread count must reproduce identical results");
+    // Two fresh databases evaluating the same program hold the same
+    // encoded rows in the same order — Skolem tuple IDs included.
+    let (src, _) = PARALLEL_BATTERY[2];
+    let (a, _) = run(src);
+    let (b, _) = run(src);
+    let rows = |db: &Database, pred: &str| -> Vec<Vec<TermId>> {
+        let rel = db.relation(db.symbols().get(pred).unwrap()).unwrap();
+        rel.iter().map(<[TermId]>::to_vec).collect()
+    };
+    for pred in ["p", "r"] {
+        assert_eq!(rows(&a, pred), rows(&b, pred), "relation {pred}");
+    }
 }
 
 #[test]
 fn parallel_timeout_still_fires() {
-    let mut db = Database::new();
+    // Two explosive joins evaluated at once over one snapshot: each
+    // evaluation's own deadline stops it.
+    let base = Database::new().freeze();
     let mut src = String::new();
     for i in 0..2000 {
         src.push_str(&format!("n({i}).\n"));
     }
     src.push_str("pair(X, Y) :- n(X), n(Y).\nbig(X,Y,Z) :- pair(X,Y), n(Z).\n@output(\"big\").\n");
-    let prog = parse_program(&src, db.symbols()).unwrap();
+    let prog = parse_program(&src, base.symbols()).unwrap();
     let opts = EvalOptions {
-        threads: Some(4),
         budget: Budget::new().with_timeout(Duration::from_millis(50)),
         ..Default::default()
     };
-    let err = evaluate(&prog, &mut db, &opts).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            EvalError::Aborted {
-                reason: AbortReason::Deadline,
-                ..
-            }
-        ),
-        "expected a deadline abort, got {err:?}"
-    );
-}
-
-#[test]
-fn parallel_partitioned_delta_matches_sequential() {
-    // Wide-but-shallow closure whose first round's delta (3600 rows)
-    // exceeds the executor's minimum partition size, so range-partitioned
-    // jobs and the ordered merge are genuinely exercised — smaller
-    // fixtures run a single job per delta occurrence.
-    let mut src = String::new();
-    for i in 0..900 {
-        src.push_str(&format!("edge(0, {}).\n", 1000 + i));
-        for j in 1..4 {
-            src.push_str(&format!("edge({}, {j}).\n", 1000 + i));
-        }
-    }
-    src.push_str("tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n@output(\"tc\").\n");
-    let reference = run_with_threads(&src, 1, "tc");
-    assert_eq!(reference.len(), 3603, "3600 edges + 3 length-2 paths");
-    for threads in [2, 4] {
-        assert_eq!(run_with_threads(&src, threads, "tc"), reference);
-    }
+    run_scoped(2, 2, &|_| {
+        let Err(err) = evaluate_frozen(&prog, &base, &opts) else {
+            panic!("the explosive join finished under a 50 ms deadline");
+        };
+        assert!(
+            matches!(
+                err,
+                EvalError::Aborted {
+                    reason: AbortReason::Deadline,
+                    ..
+                }
+            ),
+            "expected a deadline abort, got {err:?}"
+        );
+    });
 }
 
 #[test]
@@ -692,10 +693,7 @@ fn atoms_binding_only_unread_variables_stop_at_the_first_match() {
     src.push_str("n(X, C) :- q(X), r(X, Y), C = count().\n@output(\"p\").\n@output(\"n\").\n");
     let mut db = Database::new();
     let prog = parse_program(&src, db.symbols()).unwrap();
-    let options = EvalOptions {
-        threads: Some(1),
-        ..Default::default()
-    };
+    let options = EvalOptions::default();
     let stats = evaluate(&prog, &mut db, &options).unwrap();
     assert_eq!(output_strings(&db, &prog, "p"), [["1"]]);
     assert_eq!(output_strings(&db, &prog, "n"), [["1", "100"]]);

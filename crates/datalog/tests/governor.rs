@@ -30,73 +30,50 @@ fn eval_tc(n: usize, options: &EvalOptions) -> Result<usize, EvalError> {
 }
 
 /// Acceptance criterion: TC over a 300-node cycle under a 1 ms deadline
-/// aborts within 50 ms — at one thread and at the default thread count —
-/// and the very next (unbudgeted) evaluation in the same process is
-/// complete and correct, proving the pool workers rejoined cleanly.
+/// aborts within 50 ms, and the very next (unbudgeted) evaluation in the
+/// same process is complete and correct.
 #[test]
 fn deadline_aborts_tc_300_cycle_within_50ms() {
-    for threads in [Some(1), None] {
-        let options = EvalOptions {
-            threads,
-            budget: Budget::new().with_timeout(Duration::from_millis(1)),
-            ..Default::default()
-        };
-        let start = Instant::now();
-        let err = eval_tc(300, &options).unwrap_err();
-        let waited = start.elapsed();
-        match err {
-            EvalError::Aborted {
-                reason: AbortReason::Deadline,
-                elapsed,
-                ..
-            } => {
-                assert!(
-                    waited < Duration::from_millis(50),
-                    "abort took {waited:?} at threads {threads:?}"
-                );
-                assert!(elapsed <= waited, "reported elapsed exceeds wall clock");
-            }
-            other => panic!("expected deadline abort, got {other:?}"),
+    let options = EvalOptions {
+        budget: Budget::new().with_timeout(Duration::from_millis(1)),
+        ..Default::default()
+    };
+    let start = Instant::now();
+    let err = eval_tc(300, &options).unwrap_err();
+    let waited = start.elapsed();
+    match err {
+        EvalError::Aborted {
+            reason: AbortReason::Deadline,
+            elapsed,
+            ..
+        } => {
+            assert!(waited < Duration::from_millis(50), "abort took {waited:?}");
+            assert!(elapsed <= waited, "reported elapsed exceeds wall clock");
         }
-        // Workers rejoined; the same process evaluates to completion.
-        let clean = EvalOptions {
-            threads,
-            ..Default::default()
-        };
-        assert_eq!(eval_tc(300, &clean).unwrap(), 300 * 300);
+        other => panic!("expected deadline abort, got {other:?}"),
     }
+    assert_eq!(eval_tc(300, &EvalOptions::default()).unwrap(), 300 * 300);
 }
 
-/// Property: a row-cap abort lands within one emission batch of the cap.
-/// `rows_derived` counts merged rows plus staged candidates, and every
-/// worker aborts on its first emission past the cap, so the overshoot is
-/// bounded by the number of workers.
+/// Property: a row-cap abort lands on the first emission past the cap.
+/// `rows_derived` counts merged rows plus staged candidates, and the job
+/// aborts on its first emission past the cap.
 #[test]
 fn row_cap_abort_is_within_one_batch_of_cap() {
-    for threads in [1usize, 2, 4] {
-        for cap in [500usize, 2_000, 8_000] {
-            let options = EvalOptions {
-                threads: Some(threads),
-                budget: Budget::new().with_max_rows(cap),
-                ..Default::default()
-            };
-            match eval_tc(300, &options).unwrap_err() {
-                EvalError::Aborted {
-                    reason: AbortReason::RowLimit,
-                    rows_derived,
-                    ..
-                } => {
-                    assert!(
-                        rows_derived > cap,
-                        "abort before the cap: {rows_derived} <= {cap} (threads {threads})"
-                    );
-                    assert!(
-                        rows_derived <= cap + threads,
-                        "overshoot past one batch: {rows_derived} > {cap} + {threads}"
-                    );
-                }
-                other => panic!("expected row-limit abort, got {other:?}"),
+    for cap in [500usize, 2_000, 8_000] {
+        let options = EvalOptions {
+            budget: Budget::new().with_max_rows(cap),
+            ..Default::default()
+        };
+        match eval_tc(300, &options).unwrap_err() {
+            EvalError::Aborted {
+                reason: AbortReason::RowLimit,
+                rows_derived,
+                ..
+            } => {
+                assert_eq!(rows_derived, cap + 1, "abort past the cap {cap}");
             }
+            other => panic!("expected row-limit abort, got {other:?}"),
         }
     }
 }
@@ -147,7 +124,6 @@ fn cancel_from_another_thread_interrupts_evaluation() {
         })
     };
     let options = EvalOptions {
-        threads: Some(2),
         budget: Budget::new().with_cancel(cancel),
         ..Default::default()
     };

@@ -3,9 +3,10 @@
 //!
 //! One [`SparqlServer`] wraps an `Arc<Store>`. [`SparqlServer::bind`]
 //! yields a [`BoundServer`] whose [`serve`](BoundServer::serve) runs
-//! `workers` accept loops over the PR 2 worker pool
+//! `workers` accept loops on scoped threads
 //! ([`sparqlog_datalog::run_scoped`]) — worker-per-connection with
-//! keep-alive. Per request:
+//! keep-alive; each request evaluates on its worker's thread. Per
+//! request:
 //!
 //! * one [`Snapshot`](sparqlog::Snapshot) is pinned, so the whole
 //!   response is a consistent store version even while writers commit;

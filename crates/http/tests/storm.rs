@@ -3,8 +3,8 @@
 //! tight budgets) from several keep-alive client threads while a writer
 //! thread commits — asserting that no connection hangs, every response
 //! is snapshot-consistent, and requests sharing the server with aborted
-//! ones are unaffected. The CI matrix reruns this whole file under
-//! `SPARQLOG_THREADS=1` and the default width.
+//! ones are unaffected. Each request evaluates on its server worker's
+//! thread, so the concurrency under test is across requests.
 
 mod common;
 
@@ -184,8 +184,6 @@ fn storm_mixed_load_with_concurrent_writer() {
 /// PR 10 satellite: under a concurrent storm, the registry is an exact
 /// ledger — request, abort and commit counters sum to precisely the
 /// work the clients performed, nothing dropped, nothing double-counted.
-/// The CI matrix reruns this under `SPARQLOG_THREADS=1` and the default
-/// pool width.
 #[test]
 fn metrics_ledger_matches_work_exactly() {
     const LEDGER_CLIENTS: usize = 4;

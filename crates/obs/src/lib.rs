@@ -48,7 +48,7 @@ use std::sync::{Arc, RwLock};
 /// A monotonically increasing counter.
 ///
 /// All operations are relaxed atomics; counters are safe to share across
-/// the worker pool and the HTTP worker threads.
+/// query threads and the HTTP worker threads.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,

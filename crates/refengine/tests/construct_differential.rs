@@ -1,6 +1,7 @@
 //! Differential testing of the graph-producing query forms: SparqLog's
 //! Datalog-backed CONSTRUCT/DESCRIBE against FusekiSim's independent
-//! direct implementation, at evaluator thread counts 1 and 4 — plus
+//! direct implementation, run as one query batch at fan-out widths 1 and
+//! 4 — plus
 //! CONSTRUCT-vs-SELECT consistency (the graph a CONSTRUCT builds must
 //! be exactly the template instantiated over the corresponding SELECT's
 //! solutions).
@@ -24,22 +25,25 @@ fn dataset() -> Dataset {
     Dataset::from_default_graph(sparqlog_rdf::turtle::parse(DATA).unwrap())
 }
 
-fn compare_graph(query: &str, threads: usize) {
+/// Runs every [`GRAPH_QUERIES`] entry in one `execute_batch` at fan-out
+/// width `threads` and compares each graph with FusekiSim's.
+fn compare_graphs(threads: usize) {
     let sl = Store::new();
     sl.set_threads(Some(threads));
     sl.load_dataset(&dataset()).unwrap();
     let fu = FusekiSim::new(dataset());
 
-    let a = sl
-        .execute(query)
-        .unwrap_or_else(|e| panic!("SparqLog {query}: {e}"));
-    let b = fu
-        .execute(query)
-        .unwrap_or_else(|e| panic!("FusekiSim {query}: {e}"));
-    let (QueryResults::Graph(ga), QueryResults::Graph(gb)) = (&a, &b) else {
-        panic!("{query}: expected graph results");
-    };
-    assert_eq!(canonical(ga), canonical(gb), "{query} (threads {threads})");
+    let batch = sl.snapshot().execute_batch(GRAPH_QUERIES);
+    for (query, a) in GRAPH_QUERIES.iter().zip(batch) {
+        let a = a.unwrap_or_else(|e| panic!("SparqLog {query}: {e}"));
+        let b = fu
+            .execute(query)
+            .unwrap_or_else(|e| panic!("FusekiSim {query}: {e}"));
+        let (QueryResults::Graph(ga), QueryResults::Graph(gb)) = (&a, &b) else {
+            panic!("{query}: expected graph results");
+        };
+        assert_eq!(canonical(ga), canonical(gb), "{query} (threads {threads})");
+    }
 }
 
 const GRAPH_QUERIES: &[&str] = &[
@@ -68,16 +72,12 @@ const GRAPH_QUERIES: &[&str] = &[
 
 #[test]
 fn construct_describe_differential_threads_1() {
-    for q in GRAPH_QUERIES {
-        compare_graph(q, 1);
-    }
+    compare_graphs(1);
 }
 
 #[test]
 fn construct_describe_differential_threads_4() {
-    for q in GRAPH_QUERIES {
-        compare_graph(q, 4);
-    }
+    compare_graphs(4);
 }
 
 /// CONSTRUCT-vs-SELECT: instantiating the template by hand over the
@@ -97,47 +97,40 @@ fn construct_agrees_with_template_over_select() {
             ["?s", "http://e/named", "?n"],
         ),
     ];
-    for threads in [1usize, 4] {
-        for (construct, select, template) in cases {
-            let sl = Store::new();
-            sl.set_threads(Some(threads));
-            sl.load_dataset(&dataset()).unwrap();
-            let constructed = match sl.execute(construct).unwrap() {
-                QueryResults::Graph(g) => g,
-                other => panic!("{construct}: expected graph, got {other:?}"),
-            };
+    for (construct, select, template) in cases {
+        let sl = Store::new();
+        sl.load_dataset(&dataset()).unwrap();
+        let constructed = match sl.execute(construct).unwrap() {
+            QueryResults::Graph(g) => g,
+            other => panic!("{construct}: expected graph, got {other:?}"),
+        };
 
-            // Reference solutions → hand instantiation.
-            let fu = FusekiSim::new(dataset());
-            let sols = match fu.execute(select).unwrap() {
-                QueryResults::Solutions(s) => s,
-                other => panic!("{select}: expected solutions, got {other:?}"),
-            };
-            let mut expected = Graph::new();
-            for sol in sols.iter() {
-                let resolve = |slot: &str| -> Option<Term> {
-                    match slot.strip_prefix('?') {
-                        Some(var) => sol.get(var).cloned(),
-                        None => Some(Term::iri(slot.to_string())),
-                    }
-                };
-                let (Some(s), Some(p), Some(o)) = (
-                    resolve(template[0]),
-                    resolve(template[1]),
-                    resolve(template[2]),
-                ) else {
-                    continue;
-                };
-                if s.is_literal() || !p.is_iri() {
-                    continue;
+        // Reference solutions → hand instantiation.
+        let fu = FusekiSim::new(dataset());
+        let sols = match fu.execute(select).unwrap() {
+            QueryResults::Solutions(s) => s,
+            other => panic!("{select}: expected solutions, got {other:?}"),
+        };
+        let mut expected = Graph::new();
+        for sol in sols.iter() {
+            let resolve = |slot: &str| -> Option<Term> {
+                match slot.strip_prefix('?') {
+                    Some(var) => sol.get(var).cloned(),
+                    None => Some(Term::iri(slot.to_string())),
                 }
-                expected.insert(Triple::new(s, p, o));
+            };
+            let (Some(s), Some(p), Some(o)) = (
+                resolve(template[0]),
+                resolve(template[1]),
+                resolve(template[2]),
+            ) else {
+                continue;
+            };
+            if s.is_literal() || !p.is_iri() {
+                continue;
             }
-            assert_eq!(
-                canonical(&constructed),
-                canonical(&expected),
-                "{construct} (threads {threads})"
-            );
+            expected.insert(Triple::new(s, p, o));
         }
+        assert_eq!(canonical(&constructed), canonical(&expected), "{construct}");
     }
 }

@@ -383,50 +383,39 @@ fn datalog_and_direct_routes_agree() {
 }
 
 /// Parallel evaluation must be observably identical to sequential
-/// evaluation: for every random graph/query pair, a store pinned to
-/// `SPARQLOG_THREADS`-style worker counts of 2, 4 and 8 must produce
-/// multiset-identical solutions to a single-threaded store
-/// (thread counts are pinned via `EvalOptions::threads`, not the env
-/// var, so this test is immune to the ambient configuration).
+/// evaluation: on every random graph, all query templates run as one
+/// `execute_batch` at fan-out widths 2, 4 and 8 give multiset-identical
+/// results, in input order, to running them one by one.
 #[test]
 fn parallel_evaluation_matches_sequential_on_random_battery() {
-    use sparqlog_datalog::EvalOptions;
-
-    let engine_with_threads = |ds: &Dataset, threads: usize| {
-        let opts = EvalOptions {
-            threads: Some(threads),
-            ..Default::default()
-        };
-        let sl = Store::with_options(opts);
-        sl.load_dataset(ds).unwrap();
-        sl
-    };
-
     let mut rng = Rng(0x9a11e1);
+    let queries: Vec<String> = (0..16).map(query_template).collect();
+    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
     for case in 0..24u64 {
-        let g = random_graph(&mut rng);
-        let qi = rng.range(0, 16) as usize;
-        let query = query_template(qi);
-        let ds = Dataset::from_default_graph(g);
-        let sequential = engine_with_threads(&ds, 1);
-        let reference = sequential.execute(&query).unwrap();
+        let ds = Dataset::from_default_graph(random_graph(&mut rng));
+        let store = Store::new();
+        store.load_dataset(&ds).unwrap();
+        let reference: Vec<QueryResults> =
+            texts.iter().map(|q| store.execute(q).unwrap()).collect();
         for threads in [2usize, 4, 8] {
-            let parallel = engine_with_threads(&ds, threads);
-            let got = parallel.execute(&query).unwrap();
-            match (&reference, &got) {
-                (QueryResults::Boolean(x), QueryResults::Boolean(y)) => {
-                    assert_eq!(x, y, "case {case} threads {threads}: {query}")
+            store.set_threads(Some(threads));
+            let batch = store.snapshot().execute_batch(&texts);
+            for ((query, expected), got) in texts.iter().zip(&reference).zip(batch) {
+                match (expected, &got.unwrap()) {
+                    (QueryResults::Boolean(x), QueryResults::Boolean(y)) => {
+                        assert_eq!(x, y, "case {case} threads {threads}: {query}")
+                    }
+                    (QueryResults::Solutions(x), QueryResults::Solutions(y)) => {
+                        assert!(
+                            x.multiset_eq(y),
+                            "case {case} threads {threads}: query {}\nseq: {:?}\npar: {:?}",
+                            query,
+                            x.canonical(true),
+                            y.canonical(true)
+                        );
+                    }
+                    _ => panic!("case {case} threads {threads}: result kinds differ"),
                 }
-                (QueryResults::Solutions(x), QueryResults::Solutions(y)) => {
-                    assert!(
-                        x.multiset_eq(y),
-                        "case {case} threads {threads}: query {}\nseq: {:?}\npar: {:?}",
-                        query,
-                        x.canonical(true),
-                        y.canonical(true)
-                    );
-                }
-                _ => panic!("case {case} threads {threads}: result kinds differ"),
             }
         }
     }

@@ -126,11 +126,10 @@ fn dataset(data: &str) -> Dataset {
     Dataset::from_default_graph(sparqlog_rdf::turtle::parse(data).unwrap())
 }
 
-fn engine(data: &str, plan: bool, magic_sets: bool, threads: usize) -> Store {
+fn engine(data: &str, plan: bool, magic_sets: bool) -> Store {
     let store = Store::with_options(EvalOptions {
         plan,
         magic_sets,
-        threads: Some(threads),
         ..Default::default()
     });
     store.load_dataset(&dataset(data)).unwrap();
@@ -151,41 +150,39 @@ fn assert_same(a: &QueryResults, b: &QueryResults, ctx: &str) {
     }
 }
 
-/// Runs every query under all four optimiser configurations at 1 and 4
-/// threads, checking each against the unoptimised run and that against
-/// FusekiSim — and that the optimised configurations really computed
-/// plans (the unoptimised one none).
+/// Runs every query under all four optimiser configurations, checking
+/// each against the unoptimised run and that against FusekiSim — and
+/// that the optimised configurations really computed plans (the
+/// unoptimised one none).
 fn check_configurations(data: &str, queries: &[&str]) {
     let fuseki = FusekiSim::new(dataset(data));
-    for threads in [1, 4] {
-        let baseline = engine(data, false, false, threads);
-        let configs = [
-            ("plan", engine(data, true, false, threads)),
-            ("magic", engine(data, false, true, threads)),
-            ("plan+magic", engine(data, true, true, threads)),
-        ];
-        for q in queries {
-            let expected = baseline.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-            let reference = fuseki.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-            assert_same(
-                &reference,
-                &expected,
-                &format!("baseline vs FusekiSim: {q} (threads {threads})"),
-            );
-            for (name, store) in &configs {
-                let got = store
-                    .execute(q)
-                    .unwrap_or_else(|e| panic!("{name} {q}: {e}"));
-                assert_same(&expected, &got, &format!("{name}: {q} (threads {threads})"));
-            }
-        }
-        assert_eq!(baseline.snapshot().plans_computed(), 0, "baseline planned");
+    let baseline = engine(data, false, false);
+    let configs = [
+        ("plan", engine(data, true, false)),
+        ("magic", engine(data, false, true)),
+        ("plan+magic", engine(data, true, true)),
+    ];
+    for q in queries {
+        let expected = baseline.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        let reference = fuseki.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        assert_same(
+            &reference,
+            &expected,
+            &format!("baseline vs FusekiSim: {q}"),
+        );
         for (name, store) in &configs {
-            assert!(
-                store.snapshot().plans_computed() > 0,
-                "{name} (threads {threads}) computed no plan"
-            );
+            let got = store
+                .execute(q)
+                .unwrap_or_else(|e| panic!("{name} {q}: {e}"));
+            assert_same(&expected, &got, &format!("{name}: {q}"));
         }
+    }
+    assert_eq!(baseline.snapshot().plans_computed(), 0, "baseline planned");
+    for (name, store) in &configs {
+        assert!(
+            store.snapshot().plans_computed() > 0,
+            "{name} computed no plan"
+        );
     }
 }
 
@@ -203,14 +200,10 @@ fn filter_equalities_agree_in_every_optimiser_configuration() {
 fn store_level_toggle_is_differential_too() {
     // Plans are cached on the translation: flipping the options on a
     // live store must not change any answer.
-    let planned = Store::with_options(EvalOptions {
-        threads: Some(1),
-        ..Default::default()
-    });
+    let planned = Store::new();
     let unplanned = Store::with_options(EvalOptions {
         plan: false,
         magic_sets: false,
-        threads: Some(1),
         ..Default::default()
     });
     for store in [&planned, &unplanned] {
@@ -229,7 +222,6 @@ fn store_level_toggle_is_differential_too() {
     planned.set_options(EvalOptions {
         plan: false,
         magic_sets: false,
-        threads: Some(1),
         ..Default::default()
     });
     for q in QUERIES {
@@ -247,22 +239,19 @@ fn filter_equalities_agree_on_the_store_serving_path() {
     // where the unfolded rules meet the cost-based planner on a small
     // fixture: planned and unplanned stores against FusekiSim.
     let fuseki = FusekiSim::new(dataset(EQ_DATA));
-    for threads in [1, 4] {
-        for (plan, magic_sets) in [(true, true), (true, false), (false, false)] {
-            let store = Store::with_options(EvalOptions {
-                plan,
-                magic_sets,
-                threads: Some(threads),
-                ..Default::default()
-            });
-            store.load_dataset(&dataset(EQ_DATA)).unwrap();
-            for q in EQ_QUERIES {
-                assert_same(
-                    &fuseki.execute(q).unwrap(),
-                    &store.execute(q).unwrap(),
-                    &format!("store plan={plan} magic={magic_sets} threads={threads}: {q}"),
-                );
-            }
+    for (plan, magic_sets) in [(true, true), (true, false), (false, false)] {
+        let store = Store::with_options(EvalOptions {
+            plan,
+            magic_sets,
+            ..Default::default()
+        });
+        store.load_dataset(&dataset(EQ_DATA)).unwrap();
+        for q in EQ_QUERIES {
+            assert_same(
+                &fuseki.execute(q).unwrap(),
+                &store.execute(q).unwrap(),
+                &format!("store plan={plan} magic={magic_sets}: {q}"),
+            );
         }
     }
 }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let log: Vec<&str> = (0..40).map(|i| shapes[i % shapes.len()]).collect();
 
-    // Serve the whole log as one batch across the worker pool; results
+    // Serve the whole log as one batch across scoped threads; results
     // come back in input order.
     let t0 = Instant::now();
     let results = frozen.execute_batch(&log);
