@@ -47,17 +47,24 @@
 //! * the finished program passes through
 //!   [`unify_equalities`](sparqlog_datalog::rewrite): a filter `x = y`,
 //!   `x = c` or `sameTerm(x, y)` becomes a join key in a rule that
-//!   inlines the join beneath it, instead of a filter over its product.
+//!   inlines the join beneath it, instead of a filter over its product;
+//! * ORDER BY, OFFSET and LIMIT are not Figure 2's `@post` directives but
+//!   T_S's job: T_Q compiles each ORDER BY condition over the goal
+//!   predicate's columns into [`TranslatedQuery::order`] and adds every
+//!   in-scope variable a condition reads as a hidden column. SPARQL
+//!   orders solutions before it projects them, so a post-processing step
+//!   over the projected relation cannot see such a key; one path in T_S
+//!   applies all the modifiers to every result.
 
 use std::sync::Arc;
 
 use sparqlog_datalog::{
-    unify_equalities, AggSpec, AtomArg, CmpOp, Const, Expr as DExpr, PostOp, Program, RuleBuilder,
-    Sym, SymbolTable, MAX_ARITY,
+    unify_equalities, AggSpec, AtomArg, CmpOp, Const, Expr as DExpr, Program, RuleBuilder, Sym,
+    SymbolTable, MAX_ARITY,
 };
 use sparqlog_sparql::{
-    AggFunc as SAgg, Expr as SExpr, GraphPattern, GraphSpec, OrderCondition, PropertyPath, Query,
-    QueryForm, SelectItem, TermPattern, Var,
+    AggFunc as SAgg, Expr as SExpr, GraphPattern, GraphSpec, PropertyPath, Query, QueryForm,
+    SelectItem, TermPattern, Var,
 };
 
 use crate::data_translation::{preds, term_to_const};
@@ -101,14 +108,23 @@ pub struct TranslatedQuery {
     pub program: Program,
     /// The goal predicate (`ans` in Figure 2).
     pub root_pred: Sym,
-    /// Projection variables, in output order. Tuple layout of the goal
-    /// predicate: `[Id, columns..., D]` for SELECT; `[HasResult]` for ASK.
+    /// The goal predicate's columns: the projection in output order,
+    /// then every other in-scope variable an ORDER BY condition reads.
+    /// Tuple layout of the goal predicate: `[Id, columns..., D]` for the
+    /// other forms; `[HasResult]` for ASK.
     pub columns: Vec<Var>,
+    /// How many leading `columns` the result shows; the rest are hidden
+    /// sort keys.
+    pub visible: usize,
+    /// The ORDER BY conditions over `columns` (an expression variable is
+    /// a column position), `true` = descending.
+    pub order: Vec<(DExpr, bool)>,
+    /// Solutions skipped after ordering (OFFSET).
+    pub offset: usize,
+    /// Solutions kept after the offset (LIMIT).
+    pub limit: Option<usize>,
     /// True for ASK queries.
     pub is_ask: bool,
-    /// True if ORDER BY / LIMIT / OFFSET were compiled into `@post`
-    /// directives; otherwise T_S must apply them.
-    pub modifiers_in_post: bool,
 }
 
 /// The graph context `D` threaded through the translation (§5.1: "the
@@ -428,21 +444,33 @@ impl Translator {
 
         let root_pred = self.symbols.intern(&format!("{}ans", self.prefix));
 
-        let (columns, is_ask) = match &query.form {
+        let columns = match &query.form {
             QueryForm::Ask => {
                 self.translate_ask(root_pred, &query.pattern, &ctx);
-                (Vec::new(), true)
+                Vec::new()
             }
-            // The graph-producing forms run their WHERE clause as a plain
-            // (bag-semantics) projection of the variables the template /
-            // describe targets mention; T_S builds the graph from the
-            // resulting solution sequence. ORDER BY may reference WHERE
-            // variables the graph construction itself does not need —
-            // carry those as extra columns so the deferred sort (and any
-            // LIMIT/OFFSET after it) sees its keys instead of silently
-            // dropping the condition. The graph builders look their
-            // variables up by name, so extra columns are inert there.
-            QueryForm::Construct { .. } | QueryForm::Describe { .. } => {
+            QueryForm::Select { items, .. } if query.has_aggregates() => {
+                let cols =
+                    self.translate_select_aggregate(root_pred, query, items, &sig(&pattern), &ctx)?;
+                // Group rows carry only their output; a key outside it
+                // has no value to sort by.
+                let outside = (query.order_by.iter())
+                    .flat_map(|c| expr_vars(&c.expr))
+                    .any(|v| !cols.contains(&v));
+                if outside {
+                    return Err(TranslationError::unsupported(
+                        "ORDER BY a variable outside an aggregate query's output",
+                    ));
+                }
+                cols
+            }
+            // Every other form projects its variables plus, as hidden
+            // columns, the in-scope variables its ORDER BY reads: SPARQL
+            // orders solutions before it projects them (§15), and T_S
+            // strips the hidden columns after the sort. CONSTRUCT and
+            // DESCRIBE project the variables their graph is built from
+            // and run as bag-semantics projections.
+            _ => {
                 let mut proj = query.projection();
                 let in_scope = query.pattern.vars();
                 for cond in &query.order_by {
@@ -453,54 +481,25 @@ impl Translator {
                     }
                 }
                 self.translate_select(root_pred, &proj, &query.pattern, &ctx, dst);
-                (proj, false)
-            }
-            QueryForm::Select { items, .. } => {
-                let cols = if query.has_aggregates() {
-                    self.translate_select_aggregate(root_pred, query, items, &sig(&pattern), &ctx)?
-                } else {
-                    let proj = query.projection();
-                    self.translate_select(root_pred, &proj, &query.pattern, &ctx, dst);
-                    proj
-                };
-                (cols, false)
+                proj
             }
         };
 
         self.program.outputs.push(root_pred);
 
-        // Solution modifiers: compile simple ones to @post (Figure 2's
-        // `@post("ans", "orderby(2)")`), defer complex ones to T_S.
-        let mut modifiers_in_post = false;
-        if !is_ask {
-            let simple = query
-                .order_by
+        // Solution modifiers are T_S's: each ORDER BY condition compiles
+        // once, over the goal predicate's column positions.
+        let mut column = |name: &str| {
+            columns
                 .iter()
-                .all(|c| matches!(&c.expr, SExpr::Var(v) if columns.contains(v)));
-            if simple {
-                modifiers_in_post = true;
-                if !query.order_by.is_empty() {
-                    let cols: Vec<(usize, bool)> = query
-                        .order_by
-                        .iter()
-                        .map(|c: &OrderCondition| {
-                            let v = match &c.expr {
-                                SExpr::Var(v) => v,
-                                _ => unreachable!(),
-                            };
-                            let pos = 1 + columns.iter().position(|w| w == v).unwrap();
-                            (pos, c.descending)
-                        })
-                        .collect();
-                    self.program.post.push((root_pred, PostOp::OrderBy(cols)));
-                }
-                if let Some(off) = query.offset {
-                    self.program.post.push((root_pred, PostOp::Offset(off)));
-                }
-                if let Some(lim) = query.limit {
-                    self.program.post.push((root_pred, PostOp::Limit(lim)));
-                }
-            }
+                .position(|v| v.name() == name)
+                .map(|i| i as u32)
+        };
+        let mut order = Vec::new();
+        for cond in &query.order_by {
+            let key =
+                crate::expr_translation::sexpr_to_dexpr(&cond.expr, &self.symbols, &mut column)?;
+            order.push((key, cond.descending));
         }
 
         // Every relation the planner indexes fits a 64-bit column mask.
@@ -523,9 +522,12 @@ impl Translator {
         Ok(TranslatedQuery {
             program,
             root_pred,
+            visible: query.projection().len(),
             columns,
-            is_ask,
-            modifiers_in_post,
+            order,
+            offset: query.offset.unwrap_or(0),
+            limit: query.limit,
+            is_ask: query.is_ask(),
         })
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Reads the goal predicate's tuples out of the evaluated database,
 //! projects out the tuple ID and the graph component, converts Datalog
-//! constants back to RDF terms (`null` ⇒ unbound), and applies any
-//! solution modifiers the translator did not compile into `@post`
-//! directives (complex `ORDER BY` arguments).
+//! constants back to RDF terms (`null` ⇒ unbound), and applies every
+//! solution modifier: ORDER BY, the projection of hidden sort keys,
+//! DISTINCT over what remains, OFFSET and LIMIT.
 //!
 //! On top of the solution sequence this module realises the two
 //! graph-producing query forms: `CONSTRUCT` instantiates its triple
@@ -13,14 +13,14 @@
 //! description of each named/bound resource directly over the `triple/4`
 //! relation. Both return [`QueryResults::Graph`].
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use sparqlog_datalog::{collect_output, order_cmp, Const, Database};
+use sparqlog_datalog::{order_cmp, Const, Database, Expr};
 use sparqlog_rdf::{Graph, Term, Triple};
-use sparqlog_sparql::{DescribeTarget, Query, QueryForm, TermPattern, TriplePattern, Var};
+use sparqlog_sparql::{DescribeTarget, Query, QueryForm, TermPattern, TriplePattern};
 
 use crate::data_translation::{const_to_term, default_graph_const, preds, term_to_const};
-use crate::expr_translation::sexpr_to_dexpr;
 use crate::query_translation::TranslatedQuery;
 
 /// A sequence of solution mappings: the variable header plus one row per
@@ -291,69 +291,77 @@ impl std::fmt::Display for QueryResults {
 /// the query form (T_S for the solution sequence; template
 /// instantiation / concise-bounded-description on top for the
 /// graph-producing forms).
+///
+/// T_S applies every solution modifier, in SPARQL 1.1's order (§15): it
+/// sorts the goal predicate's rows stably by the ORDER BY keys, strips
+/// the hidden key columns, removes the duplicates that stripping exposed
+/// under DISTINCT (keeping the first), then applies OFFSET and LIMIT.
 pub fn extract_results(tq: &TranslatedQuery, query: &Query, db: &Database) -> QueryResults {
     let symbols = db.symbols();
-    let tuples = collect_output(&tq.program, db, tq.root_pred);
+    let dict = db.dict();
+    let rel = db.relation(tq.root_pred);
+    let mut tuples = rel.into_iter().flat_map(|r| r.iter());
 
     if tq.is_ask {
-        let yes = tuples.iter().any(|t| t.first() == Some(&Const::Bool(true)));
+        let yes = tuples.any(|t| dict.decode(t[0]) == Const::Bool(true));
         return QueryResults::Boolean(yes);
     }
 
-    // Layout: [Id, columns..., D] — strip Id and D.
+    // Layout: [Id, columns..., D] — decode the column cells only.
     let ncols = tq.columns.len();
     let mut rows: Vec<Vec<Const>> = tuples
-        .into_iter()
-        .map(|t| t[1..1 + ncols].to_vec())
+        .map(|t| t[1..=ncols].iter().map(|&id| dict.decode(id)).collect())
         .collect();
 
-    if !tq.modifiers_in_post {
-        // Complex ORDER BY: evaluate each condition over the row.
-        if !query.order_by.is_empty() {
-            let compiled: Vec<(sparqlog_datalog::Expr, bool)> = query
-                .order_by
-                .iter()
-                .filter_map(|c| {
-                    let e = sexpr_to_dexpr(&c.expr, symbols, &mut |name| {
-                        tq.columns
-                            .iter()
-                            .position(|v| v.name() == name)
-                            .map(|i| i as u32)
-                    })
-                    .ok()?;
-                    Some((e, c.descending))
-                })
-                .collect();
-            rows.sort_by(|a, b| {
-                let env_a: Vec<Option<Const>> = a.iter().map(|c| Some(c.clone())).collect();
-                let env_b: Vec<Option<Const>> = b.iter().map(|c| Some(c.clone())).collect();
-                for (expr, desc) in &compiled {
-                    let va = expr.eval(&env_a, symbols).unwrap_or(Const::Null);
-                    let vb = expr.eval(&env_b, symbols).unwrap_or(Const::Null);
-                    let ord = order_cmp(&va, &vb, symbols);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
+    // A variable key compares its column in place; an expression key is
+    // evaluated once per row, into a cell past the row's columns.
+    let mut width = ncols;
+    let keys: Vec<(usize, bool)> = (tq.order.iter())
+        .map(|(key, desc)| {
+            if let Expr::Var(col) = key {
+                return (*col as usize, *desc);
+            }
+            for row in &mut rows {
+                let value = key.eval_with(&|v| row.get(v as usize).cloned(), symbols);
+                row.push(value.unwrap_or(Const::Null));
+            }
+            width += 1;
+            (width - 1, *desc)
+        })
+        .collect();
+    if !keys.is_empty() {
+        rows.sort_by(|a, b| {
+            (keys.iter())
+                .map(|&(col, desc)| {
+                    let ord = order_cmp(&a[col], &b[col], symbols);
+                    if desc {
+                        ord.reverse()
+                    } else {
+                        ord
                     }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(off) = query.offset {
-            rows = rows.split_off(off.min(rows.len()));
-        }
-        if let Some(lim) = query.limit {
-            rows.truncate(lim);
-        }
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+    }
+    for row in &mut rows {
+        row.truncate(tq.visible);
+    }
+    if query.is_distinct() && ncols > tq.visible {
+        let mut seen = HashSet::new();
+        rows.retain(|row| seen.insert(row.clone()));
     }
 
-    let out_rows: Vec<Vec<Option<Term>>> = rows
-        .into_iter()
+    let out_rows: Vec<Vec<Option<Term>>> = (rows.into_iter())
+        .skip(tq.offset)
+        .take(tq.limit.unwrap_or(usize::MAX))
         .map(|row| row.iter().map(|c| const_to_term(c, symbols)).collect())
         .collect();
 
     let seq = SolutionSeq {
-        vars: tq.columns.iter().map(|v| v.name().to_string()).collect(),
+        vars: (tq.columns[..tq.visible].iter())
+            .map(|v| v.name().to_string())
+            .collect(),
         rows: out_rows,
     };
 
@@ -362,16 +370,7 @@ pub fn extract_results(tq: &TranslatedQuery, query: &Query, db: &Database) -> Qu
             QueryResults::Graph(Box::new(construct_graph(template, &seq)))
         }
         QueryForm::Describe { targets } => {
-            // `Query::projection` is the describe-variable list (target
-            // variables, or every in-scope variable for `DESCRIBE *`) —
-            // pass it explicitly: `seq` may carry extra hidden columns
-            // for ORDER BY keys, which must not be described.
-            QueryResults::Graph(Box::new(describe_graph(
-                targets,
-                &query.projection(),
-                &seq,
-                db,
-            )))
+            QueryResults::Graph(Box::new(describe_graph(targets, &seq, db)))
         }
         _ => QueryResults::Solutions(seq),
     }
@@ -440,12 +439,7 @@ pub fn construct_graph(template: &[TriplePattern], solutions: &SolutionSeq) -> G
 /// target variables across the solutions), all default-graph triples
 /// with that resource as subject, closed transitively over blank-node
 /// objects.
-fn describe_graph(
-    targets: &[DescribeTarget],
-    describe_vars: &[Var],
-    solutions: &SolutionSeq,
-    db: &Database,
-) -> Graph {
+fn describe_graph(targets: &[DescribeTarget], solutions: &SolutionSeq, db: &Database) -> Graph {
     let symbols = db.symbols();
     let mut queue: Vec<Term> = Vec::new();
     let mut seen: HashSet<Term> = HashSet::new();
@@ -457,15 +451,9 @@ fn describe_graph(
             }
         }
     }
-    // Only the describe variables' bindings are resources to describe —
-    // the sequence may carry further (hidden ORDER BY) columns.
-    for sol in solutions.iter() {
-        for var in describe_vars {
-            if let Some(v) = sol.get(var.name()) {
-                if !v.is_literal() && seen.insert(v.clone()) {
-                    queue.push(v.clone());
-                }
-            }
+    for v in solutions.rows.iter().flatten().flatten() {
+        if !v.is_literal() && seen.insert(v.clone()) {
+            queue.push(v.clone());
         }
     }
 

@@ -182,8 +182,10 @@ fn external_token_cancels_whole_batch() {
 
 /// One poisoned query in a batch (injected panic) comes back as an
 /// internal error in its own slot; every sibling's result is intact and
-/// correct, and the store keeps serving afterwards.
+/// correct, and the store keeps serving afterwards. The panic comes from
+/// `serving.rs`'s `panic_marker_hook`, which only debug builds compile.
 #[test]
+#[cfg(debug_assertions)]
 fn poisoned_query_in_batch_leaves_siblings_intact() {
     let store = ring_store(30);
     let ok = "PREFIX ex: <http://ex.org/> SELECT ?z WHERE { ex:n0 ex:next ?z }";
@@ -269,14 +271,24 @@ fn prepared_query_with_budget() {
 /// the main fixpoint share one clock instead of each starting its own.
 #[test]
 fn deadline_governs_magic_sets_path() {
+    // A 1 000-node chain from ex:n0 beside a 3 000-node chain it never
+    // reaches: demand from ex:n0 is a minority of the graph, so planning
+    // keeps the rewrite, and the restricted closure takes ~0.1 s even in
+    // a release build.
     let mut src = String::from("@prefix ex: <http://ex.org/> .\n");
-    for i in 0..300 {
-        src.push_str(&format!("ex:n{i} ex:next ex:n{} .\n", (i + 1) % 300));
+    for (name, n) in [("n", 1_000), ("m", 3_000)] {
+        for i in 0..n {
+            src.push_str(&format!("ex:{name}{i} ex:next ex:{name}{} .\n", i + 1));
+        }
     }
     let store = Store::new();
     store.load_turtle(&src).unwrap();
+    // The filter binds the closure only after translation, so T_Q emits
+    // the binary closure and the magic pass restricts it.
     let q = store
-        .prepare("PREFIX ex: <http://ex.org/> SELECT ?y WHERE { ex:n0 ex:next+ ?y }")
+        .prepare(
+            "PREFIX ex: <http://ex.org/> SELECT ?y WHERE { ?x ex:next+ ?y FILTER (?x = ex:n0) }",
+        )
         .unwrap();
     let snapshot = store.snapshot();
     let start = Instant::now();
@@ -291,6 +303,10 @@ fn deadline_governs_magic_sets_path() {
         } => assert!(start.elapsed() < Duration::from_millis(50)),
         other => panic!("expected deadline abort, got {other:?}"),
     }
+    assert!(
+        snapshot.explain(&q).unwrap().contains("__magic"),
+        "the query runs the magic-sets rewrite"
+    );
 }
 
 /// `SparqLogError`'s std::error integration: `Display` names the tripped

@@ -3,7 +3,7 @@
 //! directives), and every workload query translates to a warded program.
 
 use sparqlog::translate_query;
-use sparqlog_datalog::{AtomArg, BodyItem, Expr, PostOp, SymbolTable};
+use sparqlog_datalog::{AtomArg, BodyItem, Expr, SymbolTable};
 use sparqlog_sparql::parse_query;
 
 fn translate(q: &str) -> (sparqlog_datalog::Program, std::sync::Arc<SymbolTable>) {
@@ -166,27 +166,35 @@ fn ask_uses_set_semantics_and_negation() {
 }
 
 #[test]
-fn simple_order_by_becomes_post_directive() {
+fn order_by_keys_are_columns_or_unsupported() {
     let symbols = SymbolTable::new();
-    let query =
-        parse_query("SELECT ?o WHERE { ?s <http://p> ?o } ORDER BY ?o LIMIT 3 OFFSET 1").unwrap();
-    let tq = translate_query(&query, &symbols, "t_").unwrap();
-    assert!(tq.modifiers_in_post);
-    let ops: Vec<&PostOp> = tq.program.post.iter().map(|(_, op)| op).collect();
-    assert_eq!(ops.len(), 3);
-    assert!(matches!(ops[0], PostOp::OrderBy(cols) if cols == &vec![(1, false)]));
-    assert!(matches!(ops[1], PostOp::Offset(1)));
-    assert!(matches!(ops[2], PostOp::Limit(3)));
-}
+    let tq = |q: &str| translate_query(&parse_query(q).unwrap(), &symbols, "t_");
 
-#[test]
-fn complex_order_by_defers_to_solution_layer() {
-    let symbols = SymbolTable::new();
-    let query =
-        parse_query("SELECT ?o WHERE { ?s <http://p> ?o } ORDER BY (!BOUND(?o)) LIMIT 3").unwrap();
-    let tq = translate_query(&query, &symbols, "t_").unwrap();
-    assert!(!tq.modifiers_in_post);
-    assert!(tq.program.post.is_empty());
+    // An unprojected key rides as a hidden column of the goal predicate;
+    // the modifiers stay with T_S, not in the program.
+    let q = "SELECT ?s WHERE { ?s <http://p> ?o } ORDER BY DESC(?o) LIMIT 3 OFFSET 1";
+    let t = tq(q).unwrap();
+    let names: Vec<&str> = t.columns.iter().map(|v| v.name()).collect();
+    assert_eq!((names, t.visible), (vec!["s", "o"], 1));
+    assert_eq!(t.order, vec![(Expr::Var(1), true)]);
+    assert_eq!((t.offset, t.limit), (1, Some(3)));
+    let root = t.program.rules.iter().find(|r| r.head.pred == t.root_pred);
+    assert_eq!(root.unwrap().head.args.len(), 4, "[Id, s, o, D]");
+
+    // An expression key compiles once, over column positions.
+    let q = "SELECT ?n WHERE { ?s <http://n> ?n OPTIONAL { ?s <http://h> ?h } } \
+             ORDER BY (!BOUND(?h)) ?n";
+    let t = tq(q).unwrap();
+    assert_eq!(t.columns.len(), 2);
+    assert!(!matches!(t.order[0].0, Expr::Var(_)));
+    assert_eq!(t.order[1], (Expr::Var(0), false));
+
+    // A group row has no value for a key outside the aggregate's output.
+    let q = "SELECT ?s (COUNT(?o) AS ?c) WHERE { ?s <http://p> ?o } GROUP BY ?s ORDER BY ?o";
+    let err = tq(q).unwrap_err();
+    assert!(err.unsupported, "{err}");
+    let q = "SELECT ?s (COUNT(?o) AS ?c) WHERE { ?s <http://p> ?o } GROUP BY ?s ORDER BY DESC(?c)";
+    assert_eq!(tq(q).unwrap().order, vec![(Expr::Var(1), true)]);
 }
 
 #[test]

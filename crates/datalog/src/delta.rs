@@ -42,10 +42,10 @@
 //! Skolem depth as it bounds the nulls it invents, so the overdelete and
 //! re-derive runs stop on a cyclic existential where the chase stopped.
 //!
-//! Both halves take the same programs: positive, non-aggregate rules and
-//! no `@post` — exactly the shape of the T_D base program and the
-//! ontology compilation. Anything else (negation, conditions,
-//! assignments, aggregates, `@post`) is refused with
+//! Both halves take the same programs: positive, non-aggregate rules —
+//! exactly the shape of the T_D base program and the ontology
+//! compilation. Anything else (negation, conditions, assignments,
+//! aggregates) is refused with
 //! [`MaintainError::Unsupported`] before the database is touched;
 //! maintenance under non-monotone rules is a different algorithm, not a
 //! missing `match` arm.
@@ -66,8 +66,8 @@ pub type Row = Vec<TermId>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintainError {
     /// The program contains a construct the maintainer does not handle
-    /// (negation, filters, assignments, aggregates or `@post`
-    /// directives). The database is untouched.
+    /// (negation, filters, assignments or aggregates). The database is
+    /// untouched.
     Unsupported(String),
     /// A seeded evaluation of [`extend`] or [`retract`] failed: its
     /// budget aborted it, or a job panicked.
@@ -106,13 +106,10 @@ impl Retraction {
 }
 
 /// The precondition both halves of maintenance share: a positive program
-/// — no negated atom, condition, assignment, compatibility item,
-/// aggregate or `@post` directive.
+/// — no negated atom, condition, assignment, compatibility item or
+/// aggregate.
 fn check_maintainable(program: &Program) -> Result<(), MaintainError> {
     let unsupported = |what: &str| Err(MaintainError::Unsupported(what.into()));
-    if !program.post.is_empty() {
-        return unsupported("@post directives reshape relations after the fixpoint");
-    }
     for rule in &program.rules {
         if rule.aggregate.is_some() {
             return unsupported("aggregate rule");

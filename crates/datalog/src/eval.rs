@@ -44,7 +44,7 @@
 //! `u64` rows. The inner join loop performs **no heap allocation** —
 //! index keys live in stack buffers and tuples are borrowed slices of the
 //! relations' flat storage. Constants are decoded only at the filter/arithmetic boundary
-//! ([`crate::expr`]) and in [`collect_output`].
+//! ([`crate::expr`]) and by the caller reading the fixpoint's relations.
 //!
 //! Existential head variables are Skolemised deterministically over the
 //! rule's frontier, so re-deriving the same frontier binding yields the
@@ -70,7 +70,7 @@ use crate::govern::{AbortReason, Budget};
 use crate::plan::{plan_rule, ProgramPlan, RulePlan, Step};
 use crate::pool::catch_job;
 use crate::profile::{RoundProfile, RuleProfile, StratumProfile};
-use crate::rule::{AggFunc, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
+use crate::rule::{AggFunc, AtomArg, BodyItem, Program, Rule, VarId};
 use crate::stats::DbStats;
 use crate::stratify::{stratify, StratifyError};
 use crate::symbols::{Sym, SymbolTable};
@@ -664,45 +664,7 @@ fn merge_pass(
     Ok((staged, derived))
 }
 
-/// Applies a predicate's `@post` directives and returns the final tuples,
-/// decoded back to boundary constants (the T_S decode boundary: encoded
-/// ids never escape the engine).
-pub fn collect_output(program: &Program, db: &Database, pred: Sym) -> Vec<Vec<Const>> {
-    let symbols = db.symbols();
-    let mut tuples: Vec<Vec<Const>> = db
-        .relation(pred)
-        .map(|r| r.iter().map(|t| db.decode_tuple(t)).collect())
-        .unwrap_or_default();
-    for (p, op) in &program.post {
-        if *p != pred {
-            continue;
-        }
-        match op {
-            PostOp::OrderBy(cols) => {
-                tuples.sort_by(|a, b| {
-                    for &(col, desc) in cols {
-                        let (x, y) = (&a[col], &b[col]);
-                        let ord = order_cmp(x, y, symbols);
-                        let ord = if desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-            }
-            PostOp::Offset(n) => {
-                tuples = tuples.split_off((*n).min(tuples.len()));
-            }
-            PostOp::Limit(n) => {
-                tuples.truncate(*n);
-            }
-        }
-    }
-    tuples
-}
-
-/// Total order used by `orderby`: nulls first, then blank nodes, IRIs,
+/// Total order used by `ORDER BY`: nulls first, then blank nodes, IRIs,
 /// then literals (numerics by value). Mirrors the SPARQL `ORDER BY` term
 /// ordering closely; the paper itself delegates to "the sorting strategy
 /// employed by the Vadalog system" (§4.3), which is what this is.

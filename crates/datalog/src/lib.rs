@@ -19,8 +19,7 @@
 //!   backtracking matcher ([`regex`]).
 //! * **Aggregation**: `COUNT`/`SUM`/`MIN`/`MAX`/`AVG` rules, evaluated as
 //!   a separate stratum (Vadalog-style).
-//! * **`@output` / `@post` directives**: `orderby`, `limit`, `offset`
-//!   post-processing ([`eval::collect_output`]).
+//! * **`@output` directives** naming the predicates a caller reads.
 //! * A **filter-equality rewrite** ([`rewrite`]): `x = y` conditions
 //!   become join keys, with single-use intermediate predicates unfolded
 //!   into the rule so the planner sees the whole join.
@@ -76,8 +75,8 @@ pub mod wardedness;
 pub use database::{row_hash, Database, Mask, Matches, Relation, RowBatch, Staging, MAX_ARITY};
 pub use delta::{extend, retract, stage_row, MaintainError, Retraction};
 pub use eval::{
-    collect_output, evaluate, evaluate_frozen, evaluate_frozen_with_plan, order_cmp, EvalError,
-    EvalOptions, EvalStats, MAX_SKOLEM_DEPTH,
+    evaluate, evaluate_frozen, evaluate_frozen_with_plan, order_cmp, EvalError, EvalOptions,
+    EvalStats, MAX_SKOLEM_DEPTH,
 };
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use frozen::FrozenDb;
@@ -89,9 +88,7 @@ pub use plan::{plan_program, ProgramPlan};
 pub use pool::{run_scoped, run_scoped_caught, JobPanic};
 pub use profile::{QueryProfile, RoundProfile, RuleProfile, StratumProfile};
 pub use rewrite::unify_equalities;
-pub use rule::{
-    AggFunc, AggSpec, Atom, AtomArg, BodyItem, PostOp, Program, Rule, RuleBuilder, VarId,
-};
+pub use rule::{AggFunc, AggSpec, Atom, AtomArg, BodyItem, Program, Rule, RuleBuilder, VarId};
 pub use stats::{DbStats, RelStats, StatsFingerprint};
 pub use stratify::{stratify, Stratification, StratifyError};
 pub use symbols::{Sym, SymbolTable};

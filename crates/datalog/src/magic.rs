@@ -390,9 +390,8 @@ pub fn magic_sets_rewrite_analyzed(
 /// Returns `None` when the closure is not self-contained: it reads a
 /// guarded predicate (the measurement would underestimate demand),
 /// contains an existential rule (its labelled nulls make re-derivation
-/// more than a dedup) or carries a `@post` directive on a support
-/// predicate (a truncation, say). Callers then skip the measurement and
-/// keep the rewrite.
+/// more than a dedup). Callers then skip the measurement and keep the
+/// rewrite.
 pub fn demand_subprogram(rw: &MagicRewrite) -> Option<Program> {
     let guarded: FxHashSet<Sym> = rw.guarded.iter().copied().collect();
     let mut needed: FxHashSet<Sym> = rw.magic_preds.iter().copied().collect();
@@ -419,15 +418,11 @@ pub fn demand_subprogram(rw: &MagicRewrite) -> Option<Program> {
             }
         }
     }
-    if rw.program.post.iter().any(|(p, _)| needed.contains(p)) {
-        return None;
-    }
     let mut sub = rw.program.clone();
     let mut keep_iter = keep.into_iter();
     sub.rules.retain(|_| keep_iter.next().unwrap());
     sub.facts.retain(|(p, _)| needed.contains(p));
     sub.outputs = rw.magic_preds.clone();
-    sub.post.clear();
     Some(sub)
 }
 

@@ -12,8 +12,6 @@
 //! j(V) :- l(X), compat(X, Y, V), r(Y).     % compatibility (Def. A.2)
 //! cnt(C) :- q(X), C = count().             % aggregation
 //! @output("tc").                           % output directive
-//! @post("tc", "orderby(1)").               % post-processing
-//! @post("tc", "limit(10)").
 //! ```
 //!
 //! Variables start with an uppercase letter or `_`; constants are quoted
@@ -25,7 +23,7 @@ use crate::database::MAX_ARITY;
 use crate::expr::{ArithOp, CmpOp, Expr};
 #[cfg(test)]
 use crate::rule::BodyItem;
-use crate::rule::{AggFunc, AggSpec, Atom, AtomArg, PostOp, Program, RuleBuilder};
+use crate::rule::{AggFunc, AggSpec, Atom, AtomArg, Program, RuleBuilder};
 use crate::symbols::SymbolTable;
 use crate::value::{Const, OrdF64};
 
@@ -231,17 +229,6 @@ impl<'a> P<'a> {
             "output" => {
                 let pred = self.string()?;
                 program.outputs.push(self.symbols.intern(&pred));
-                self.expect(')')?;
-            }
-            "post" => {
-                let pred = self.string()?;
-                self.expect(',')?;
-                let spec = self.string()?;
-                let op = parse_post_op(&spec).ok_or_else(|| ParseError {
-                    offset: self.pos,
-                    message: format!("bad @post spec {spec:?}"),
-                })?;
-                program.post.push((self.symbols.intern(&pred), op));
                 self.expect(')')?;
             }
             other => return self.err(format!("unknown directive @{other}")),
@@ -525,30 +512,6 @@ impl<'a> P<'a> {
     }
 }
 
-fn parse_post_op(spec: &str) -> Option<PostOp> {
-    let spec = spec.trim();
-    if let Some(rest) = spec.strip_prefix("orderby(") {
-        let inner = rest.strip_suffix(')')?;
-        let mut cols = Vec::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            let (num, desc) = match part.strip_suffix(" desc") {
-                Some(n) => (n.trim(), true),
-                None => (part, false),
-            };
-            cols.push((num.parse::<usize>().ok()?, desc));
-        }
-        return Some(PostOp::OrderBy(cols));
-    }
-    if let Some(rest) = spec.strip_prefix("limit(") {
-        return Some(PostOp::Limit(rest.strip_suffix(')')?.trim().parse().ok()?));
-    }
-    if let Some(rest) = spec.strip_prefix("offset(") {
-        return Some(PostOp::Offset(rest.strip_suffix(')')?.trim().parse().ok()?));
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,23 +638,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_post_directives() {
+    fn unknown_directive_is_an_error() {
         let t = SymbolTable::new();
-        let prog = parse_program(
-            r#"
-            p("a").
-            @output("p").
-            @post("p", "orderby(0, 1 desc)").
-            @post("p", "limit(5)").
-            @post("p", "offset(2)").
-            "#,
-            &t,
-        )
-        .unwrap();
-        assert_eq!(prog.post.len(), 3);
-        assert_eq!(prog.post[0].1, PostOp::OrderBy(vec![(0, false), (1, true)]));
-        assert_eq!(prog.post[1].1, PostOp::Limit(5));
-        assert_eq!(prog.post[2].1, PostOp::Offset(2));
+        let err = parse_program(r#"p("a"). @bogus("p")."#, &t).unwrap_err();
+        assert!(err.message.contains("unknown directive @bogus"), "{err:?}");
     }
 
     #[test]

@@ -687,7 +687,7 @@ mod tests {
 
     #[test]
     fn a_plan_made_for_another_program_is_ignored() {
-        use crate::eval::{collect_output, evaluate_frozen, evaluate_frozen_with_plan};
+        use crate::eval::{evaluate_frozen, evaluate_frozen_with_plan};
         let mut db = Database::new();
         let rows: Vec<Vec<Const>> = (0..30)
             .map(|i| vec![Const::Int(i % 10), Const::Int(i)])
@@ -710,7 +710,12 @@ mod tests {
         let options = crate::eval::EvalOptions::default();
         let q = symbols.get("q").unwrap();
         let facts = |db: &Database| {
-            let mut rows = collect_output(&b, db, q);
+            let mut rows: Vec<Vec<Const>> = db
+                .relation(q)
+                .unwrap()
+                .iter()
+                .map(|t| db.decode_tuple(t))
+                .collect();
             rows.sort();
             rows
         };

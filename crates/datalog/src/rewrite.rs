@@ -14,7 +14,7 @@
 //!    transitively, when it has exactly one defining rule — non-recursive,
 //!    no aggregate, no existential head variable — and is read exactly once
 //!    in the program, by a positive atom of a non-aggregate rule, and is not
-//!    an output, a `@post` target or a fact predicate. Inlining such a
+//!    an output or a fact predicate. Inlining such a
 //!    predicate into its only reader is set-equivalent (the relation is
 //!    the set of head instances of the one rule); every excluded reader —
 //!    negation, aggregation, the output — would observe the intermediate
@@ -37,7 +37,7 @@
 
 use crate::expr::{CmpOp, Expr};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::rule::{arg_vars, Atom, AtomArg, BodyItem, PostOp, Program, Rule, VarId};
+use crate::rule::{arg_vars, Atom, AtomArg, BodyItem, Program, Rule, VarId};
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::Const;
 
@@ -53,9 +53,8 @@ pub fn unify_equalities(program: Program, symbols: &SymbolTable) -> Program {
         rules,
         facts,
         outputs,
-        post,
     } = program;
-    let inlinable = inlinable_predicates(&rules, &facts, &outputs, &post);
+    let inlinable = inlinable_predicates(&rules, &facts, &outputs);
     let mut rules: Vec<Option<Rule>> = rules.into_iter().map(Some).collect();
     for ri in 0..rules.len() {
         if rules[ri].as_ref().is_some_and(has_equality) {
@@ -75,7 +74,6 @@ pub fn unify_equalities(program: Program, symbols: &SymbolTable) -> Program {
         rules: out,
         facts,
         outputs,
-        post,
     }
 }
 
@@ -214,7 +212,6 @@ fn inlinable_predicates(
     rules: &[Rule],
     facts: &[(Sym, Vec<Const>)],
     outputs: &[Sym],
-    post: &[(Sym, PostOp)],
 ) -> FxHashMap<Sym, usize> {
     let mut defs: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
     let mut reads: FxHashMap<Sym, usize> = FxHashMap::default();
@@ -228,7 +225,6 @@ fn inlinable_predicates(
     }
     // Observed as a relation beyond the program's rules.
     let observed: FxHashSet<Sym> = (outputs.iter().copied())
-        .chain(post.iter().map(|(p, _)| *p))
         .chain(facts.iter().map(|(p, _)| *p))
         .collect();
 
@@ -832,12 +828,13 @@ mod tests {
     }
 
     #[test]
-    fn an_output_or_post_predicate_refuses_unfolding() {
-        let body = "a(X, Y) :- e(X, Y).\n\
-                    out(X) :- a(X, Y), b(Z), Y = Z.\n\
-                    @output(\"out\").\n";
-        assert_not_unfolded(&format!("{body}@output(\"a\").\n"), "output");
-        assert_not_unfolded(&format!("{body}@post(\"a\", \"limit(1)\").\n"), "@post");
+    fn an_output_predicate_refuses_unfolding() {
+        assert_not_unfolded(
+            "a(X, Y) :- e(X, Y).\n\
+             out(X) :- a(X, Y), b(Z), Y = Z.\n\
+             @output(\"out\").\n@output(\"a\").\n",
+            "output",
+        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Rules, atoms and programs.
 
-use std::fmt;
-
 use crate::expr::Expr;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::symbols::{Sym, SymbolTable};
@@ -231,18 +229,6 @@ impl Rule {
     }
 }
 
-/// Post-fixpoint operations on an output predicate — the `@post`
-/// instructions of Vadalog (`@post("ans", "orderby(2)")` in Figure 2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PostOp {
-    /// Sort by the given column positions (`true` = descending).
-    OrderBy(Vec<(usize, bool)>),
-    /// Keep at most `n` tuples (after ordering).
-    Limit(usize),
-    /// Skip the first `n` tuples (after ordering).
-    Offset(usize),
-}
-
 /// A complete Datalog± program: rules, base facts, output directives.
 #[derive(Debug, Default, Clone)]
 pub struct Program {
@@ -252,8 +238,6 @@ pub struct Program {
     pub facts: Vec<(Sym, Vec<Const>)>,
     /// `@output` predicates.
     pub outputs: Vec<Sym>,
-    /// `@post` directives, applied in order per predicate.
-    pub post: Vec<(Sym, PostOp)>,
 }
 
 impl Program {
@@ -290,9 +274,6 @@ impl Program {
         }
         for o in &self.outputs {
             out.push_str(&format!("@output(\"{}\").\n", symbols.resolve(*o)));
-        }
-        for (p, op) in &self.post {
-            out.push_str(&format!("@post(\"{}\", {:?}).\n", symbols.resolve(*p), op));
         }
         out
     }
@@ -391,16 +372,6 @@ impl RuleBuilder {
             body: self.body,
             aggregate: self.aggregate,
             var_names: self.var_names,
-        }
-    }
-}
-
-impl fmt::Display for PostOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PostOp::OrderBy(cols) => write!(f, "orderby({cols:?})"),
-            PostOp::Limit(n) => write!(f, "limit({n})"),
-            PostOp::Offset(n) => write!(f, "offset({n})"),
         }
     }
 }

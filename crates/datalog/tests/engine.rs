@@ -5,20 +5,26 @@ use std::time::Duration;
 
 use sparqlog_datalog::parser::parse_program;
 use sparqlog_datalog::{
-    check_wardedness, collect_output, evaluate, evaluate_frozen, run_scoped, AbortReason, Budget,
-    Database, EvalError, EvalOptions, FrozenDb, Program, TermId, MAX_SKOLEM_DEPTH,
+    check_wardedness, evaluate, evaluate_frozen, run_scoped, AbortReason, Budget, Const, Database,
+    EvalError, EvalOptions, FrozenDb, Program, Sym, TermId, MAX_SKOLEM_DEPTH,
 };
 
-fn run(src: &str) -> (Database, sparqlog_datalog::Program) {
+fn run(src: &str) -> Database {
     let mut db = Database::new();
     let prog = parse_program(src, db.symbols()).unwrap();
     evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-    (db, prog)
+    db
 }
 
-fn output_strings(db: &Database, prog: &sparqlog_datalog::Program, pred: &str) -> Vec<Vec<String>> {
-    let sym = db.symbols().get(pred).unwrap();
-    collect_output(prog, db, sym)
+/// The decoded tuples of `pred`, in relation order.
+fn tuples(db: &Database, pred: Sym) -> Vec<Vec<Const>> {
+    (db.relation(pred).into_iter())
+        .flat_map(|r| r.iter().map(|t| db.decode_tuple(t)))
+        .collect()
+}
+
+fn output_strings(db: &Database, pred: &str) -> Vec<Vec<String>> {
+    tuples(db, db.symbols().get(pred).unwrap())
         .into_iter()
         .map(|t| t.iter().map(|c| c.display(db.symbols())).collect())
         .collect()
@@ -26,13 +32,13 @@ fn output_strings(db: &Database, prog: &sparqlog_datalog::Program, pred: &str) -
 
 #[test]
 fn transitive_closure() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         edge("a", "b"). edge("b", "c"). edge("c", "d").
         tc(X, Y) :- edge(X, Y).
         tc(X, Z) :- edge(X, Y), tc(Y, Z).
         @output("tc").
     "#);
-    let mut out = output_strings(&db, &prog, "tc");
+    let mut out = output_strings(&db, "tc");
     out.sort();
     assert_eq!(out.len(), 6);
     assert!(out.contains(&vec!["\"a\"".to_string(), "\"d\"".to_string()]));
@@ -40,32 +46,32 @@ fn transitive_closure() {
 
 #[test]
 fn transitive_closure_with_cycle_terminates() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         edge("a", "b"). edge("b", "c"). edge("c", "a").
         tc(X, Y) :- edge(X, Y).
         tc(X, Z) :- edge(X, Y), tc(Y, Z).
         @output("tc").
     "#);
     // 3 nodes, complete reachability: 9 pairs.
-    assert_eq!(output_strings(&db, &prog, "tc").len(), 9);
+    assert_eq!(output_strings(&db, "tc").len(), 9);
 }
 
 #[test]
 fn stratified_negation() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         node("a"). node("b"). node("c").
         covered("a"). covered("b").
         uncovered(X) :- node(X), not covered(X).
         @output("uncovered").
     "#);
-    let out = output_strings(&db, &prog, "uncovered");
+    let out = output_strings(&db, "uncovered");
     assert_eq!(out, vec![vec!["\"c\"".to_string()]]);
 }
 
 #[test]
 fn negation_over_recursive_layer() {
     // unreachable = nodes with no path from "a".
-    let (db, prog) = run(r#"
+    let db = run(r#"
         edge("a", "b"). edge("b", "c"). edge("d", "e").
         node("a"). node("b"). node("c"). node("d"). node("e").
         reach("a").
@@ -73,7 +79,7 @@ fn negation_over_recursive_layer() {
         unreachable(X) :- node(X), not reach(X).
         @output("unreachable").
     "#);
-    let mut out = output_strings(&db, &prog, "unreachable");
+    let mut out = output_strings(&db, "unreachable");
     out.sort();
     assert_eq!(
         out,
@@ -85,12 +91,12 @@ fn negation_over_recursive_layer() {
 fn skolem_ids_preserve_duplicates() {
     // Two different derivations of p("x") get distinct IDs — the paper's
     // duplicate-preservation model.
-    let (db, prog) = run(r#"
+    let db = run(r#"
         q("a"). q("b").
         p(I, "x") :- q(Y), I = skolem("f1", Y).
         @output("p").
     "#);
-    let out = output_strings(&db, &prog, "p");
+    let out = output_strings(&db, "p");
     assert_eq!(out.len(), 2, "two derivations, two tuple IDs");
 }
 
@@ -98,24 +104,24 @@ fn skolem_ids_preserve_duplicates() {
 fn constant_id_collapses_duplicates() {
     // Forcing Id = the same skolem constant merges duplicates — how the
     // translation realises set semantics for recursive property paths.
-    let (db, prog) = run(r#"
+    let db = run(r#"
         q("a"). q("b").
         p(I, "x") :- q(Y), I = skolem("nil").
         @output("p").
     "#);
-    let out = output_strings(&db, &prog, "p");
+    let out = output_strings(&db, "p");
     assert_eq!(out.len(), 1);
 }
 
 #[test]
 fn existential_head_variables_are_skolemised() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         person("alice").
         hasParent(X, Z) :- person(X).
         @output("hasParent").
     "#);
     let sym = db.symbols().get("hasParent").unwrap();
-    let tuples = collect_output(&prog, &db, sym);
+    let tuples = tuples(&db, sym);
     assert_eq!(tuples.len(), 1);
     assert!(tuples[0][1].is_skolem(), "object is a labelled null");
 }
@@ -124,14 +130,14 @@ fn existential_head_variables_are_skolemised() {
 fn existential_chase_is_restricted() {
     // Re-deriving the same frontier yields the same labelled null, so the
     // fixpoint converges even with two rules deriving person facts.
-    let (db, prog) = run(r#"
+    let db = run(r#"
         person("alice").
         person("alice") .
         hasParent(X, Z) :- person(X).
         @output("hasParent").
     "#);
     let sym = db.symbols().get("hasParent").unwrap();
-    assert_eq!(collect_output(&prog, &db, sym).len(), 1);
+    assert_eq!(tuples(&db, sym).len(), 1);
 }
 
 #[test]
@@ -149,72 +155,41 @@ fn cyclic_existentials_terminate_via_depth_bound() {
     .unwrap();
     evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
     let sym = db.symbols().get("person").unwrap();
-    let n = collect_output(&prog, &db, sym).len();
+    let n = tuples(&db, sym).len();
     // alice + MAX_SKOLEM_DEPTH generations of labelled nulls.
     assert_eq!(n, 1 + MAX_SKOLEM_DEPTH);
 }
 
 #[test]
 fn comparisons_and_arithmetic() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         n(1). n(5). n(10).
         big(X) :- n(X), X > 4.
         sum(Z) :- n(X), n(Y), X < Y, Z = X + Y.
         @output("big").
         @output("sum").
     "#);
-    assert_eq!(output_strings(&db, &prog, "big").len(), 2);
+    assert_eq!(output_strings(&db, "big").len(), 2);
     // sums: 1+5, 1+10, 5+10 → 6, 11, 15
-    let mut sums = output_strings(&db, &prog, "sum");
+    let mut sums = output_strings(&db, "sum");
     sums.sort();
     assert_eq!(sums.len(), 3);
 }
 
 #[test]
 fn count_aggregate() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         author("p1", "alice"). author("p1", "bob"). author("p2", "carol").
         nauthors(P, C) :- author(P, A), C = count().
         @output("nauthors").
     "#);
-    let mut out = output_strings(&db, &prog, "nauthors");
+    let mut out = output_strings(&db, "nauthors");
     out.sort();
     assert_eq!(
         out,
         vec![
             vec!["\"p1\"".to_string(), "2".to_string()],
             vec!["\"p2\"".to_string(), "1".to_string()],
-        ]
-    );
-}
-
-#[test]
-fn post_orderby_limit_offset() {
-    let (db, prog) = run(r#"
-        v(3). v(1). v(2). v(5). v(4).
-        @output("v").
-        @post("v", "orderby(0)").
-        @post("v", "offset(1)").
-        @post("v", "limit(2)").
-    "#);
-    let out = output_strings(&db, &prog, "v");
-    assert_eq!(out, vec![vec!["2".to_string()], vec!["3".to_string()]]);
-}
-
-#[test]
-fn post_orderby_desc() {
-    let (db, prog) = run(r#"
-        v(3). v(1). v(2).
-        @output("v").
-        @post("v", "orderby(0 desc)").
-    "#);
-    let out = output_strings(&db, &prog, "v");
-    assert_eq!(
-        out,
-        vec![
-            vec!["3".to_string()],
-            vec!["2".to_string()],
-            vec!["1".to_string()]
         ]
     );
 }
@@ -282,15 +257,15 @@ fn join_order_uses_indexes() {
         src.push_str(&format!("e({}, {}).\n", i, i + 1));
     }
     src.push_str("tri(X, W) :- e(X, Y), e(Y, Z), e(Z, W).\n@output(\"tri\").\n");
-    let (db, prog) = run(&src);
-    assert_eq!(output_strings(&db, &prog, "tri").len(), 298);
+    let db = run(&src);
+    assert_eq!(output_strings(&db, "tri").len(), 298);
 }
 
 #[test]
 fn paper_figure2_shape_runs() {
     // A hand-rolled version of Figure 2's OPTIONAL translation over the
     // film-directors graph of §3.1 (simplified arities).
-    let (db, prog) = run(r#"
+    let db = run(r#"
         triple("glucas", "name", "George", "g").
         triple("glucas", "lastname", "Lucas", "g").
         triple("b1", "name", "Steven", "g").
@@ -311,11 +286,12 @@ fn paper_figure2_shape_runs() {
                                I = skolem("f1b", N, X, I2).
         ans(I, L, N, D) :- ans1(I1, L, N, X, D), I = skolem("f", L, N, X, I1).
         @output("ans").
-        @post("ans", "orderby(2)").
     "#);
-    let out = output_strings(&db, &prog, "ans");
+    let mut out = output_strings(&db, "ans");
     assert_eq!(out.len(), 2);
-    // Ordered by name: George before Steven.
+    // Figure 2 orders by name, which T_S does; here the test sorts:
+    // George before Steven.
+    out.sort_by(|x, y| x[2].cmp(&y[2]));
     assert_eq!(out[0][2], "\"George\"");
     assert_eq!(out[0][1], "\"Lucas\"");
     assert_eq!(out[1][2], "\"Steven\"");
@@ -328,7 +304,7 @@ fn compat_joins_through_nulls() {
     // with every value, and the output is the non-null side. `l` and `r`
     // are derived, so the semi-naive round runs both delta variants —
     // one widening `B` from `A`, the other `A` from `B`.
-    let (db, prog) = run(r#"
+    let db = run(r#"
         lbase(1). lbase(null).
         rbase(1). rbase(2). rbase(null).
         l(X) :- lbase(X).
@@ -336,7 +312,7 @@ fn compat_joins_through_nulls() {
         j(A, B, V) :- l(A), compat(A, B, V), r(B).
         @output("j").
     "#);
-    let mut out = output_strings(&db, &prog, "j");
+    let mut out = output_strings(&db, "j");
     out.sort();
     let row = |r: [&str; 3]| r.map(String::from).to_vec();
     assert_eq!(
@@ -385,21 +361,21 @@ fn idempotent_reevaluation() {
     )
     .unwrap();
     evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-    let first = collect_output(&prog, &db, db.symbols().get("tc").unwrap()).len();
+    let first = tuples(&db, db.symbols().get("tc").unwrap()).len();
     let stats = evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-    let second = collect_output(&prog, &db, db.symbols().get("tc").unwrap()).len();
+    let second = tuples(&db, db.symbols().get("tc").unwrap()).len();
     assert_eq!(first, second);
     assert_eq!(stats.derived, 0, "second run derives nothing new");
 }
 
 #[test]
 fn self_join_with_repeated_variable() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         e("a", "a"). e("a", "b"). e("b", "b").
         loop(X) :- e(X, X).
         @output("loop").
     "#);
-    let mut out = output_strings(&db, &prog, "loop");
+    let mut out = output_strings(&db, "loop");
     out.sort();
     assert_eq!(
         out,
@@ -409,12 +385,12 @@ fn self_join_with_repeated_variable() {
 
 #[test]
 fn constants_in_head() {
-    let (db, prog) = run(r#"
+    let db = run(r#"
         q("x").
         p("const", X) :- q(X).
         @output("p").
     "#);
-    let out = output_strings(&db, &prog, "p");
+    let out = output_strings(&db, "p");
     assert_eq!(
         out,
         vec![vec!["\"const\"".to_string(), "\"x\"".to_string()]]
@@ -481,7 +457,7 @@ const PARALLEL_BATTERY: &[(&str, &str)] = &[
 /// decoded output of `pred`.
 fn run_frozen(prog: &Program, base: &Arc<FrozenDb>, pred: &str) -> Vec<Vec<String>> {
     let (db, _) = evaluate_frozen(prog, base, &EvalOptions::default()).unwrap();
-    let mut out = output_strings(&db, prog, pred);
+    let mut out = output_strings(&db, pred);
     out.sort();
     out
 }
@@ -519,8 +495,8 @@ fn parallel_evaluation_is_deterministic_per_config() {
     // Two fresh databases evaluating the same program hold the same
     // encoded rows in the same order — Skolem tuple IDs included.
     let (src, _) = PARALLEL_BATTERY[2];
-    let (a, _) = run(src);
-    let (b, _) = run(src);
+    let a = run(src);
+    let b = run(src);
     let rows = |db: &Database, pred: &str| -> Vec<Vec<TermId>> {
         let rel = db.relation(db.symbols().get(pred).unwrap()).unwrap();
         rel.iter().map(<[TermId]>::to_vec).collect()
@@ -629,7 +605,7 @@ fn a_stratum_whose_delta_no_rule_reads_ends_without_a_round() {
         .map(|s| s.rounds.iter().map(|r| r.round).collect())
         .collect();
     assert_eq!(record, [[0]]);
-    assert_eq!(output_strings(&db, &prog, "p").len(), 2);
+    assert_eq!(output_strings(&db, "p").len(), 2);
 }
 
 #[test]
@@ -647,7 +623,7 @@ fn probes_of_an_absent_relation_build_nothing() {
     assert_eq!(stats.index_builds, 0);
     let edge = db.symbols().get("edge").unwrap();
     assert!(db.relation(edge).is_none(), "no relation was created");
-    assert!(output_strings(&db, &prog, "tc").is_empty());
+    assert!(output_strings(&db, "tc").is_empty());
 }
 
 #[test]
@@ -656,7 +632,7 @@ fn fully_bound_atoms_are_membership_tests() {
     // constants: both are probes of the dedup table, so neither relation
     // gains an index. `done(1) :- reach(5)` is an all-constant atom at a
     // delta occurrence, which still drives from its batch.
-    let (db, prog) = run(r#"
+    let db = run(r#"
         q(1). q(2). q(3). r(2). r(3). go(1).
         e(1, 2). e(2, 5). e(5, 6).
         p(X) :- q(X), r(X), go(1).
@@ -666,10 +642,10 @@ fn fully_bound_atoms_are_membership_tests() {
         @output("p").
         @output("done").
     "#);
-    let mut out = output_strings(&db, &prog, "p");
+    let mut out = output_strings(&db, "p");
     out.sort();
     assert_eq!(out, [["2"], ["3"]]);
-    assert_eq!(output_strings(&db, &prog, "done"), [["1"]]);
+    assert_eq!(output_strings(&db, "done"), [["1"]]);
     for pred in ["r", "go"] {
         let rel = db.relation(db.symbols().get(pred).unwrap()).unwrap();
         assert_eq!(
@@ -695,8 +671,8 @@ fn atoms_binding_only_unread_variables_stop_at_the_first_match() {
     let prog = parse_program(&src, db.symbols()).unwrap();
     let options = EvalOptions::default();
     let stats = evaluate(&prog, &mut db, &options).unwrap();
-    assert_eq!(output_strings(&db, &prog, "p"), [["1"]]);
-    assert_eq!(output_strings(&db, &prog, "n"), [["1", "100"]]);
+    assert_eq!(output_strings(&db, "p"), [["1"]]);
+    assert_eq!(output_strings(&db, "n"), [["1", "100"]]);
     assert_eq!(stats.staged, 2, "one row of p, one of n");
 
     // A full-scan source: `r(Z, W)` shares nothing with `q(X)`, so the
@@ -709,7 +685,7 @@ fn atoms_binding_only_unread_variables_stop_at_the_first_match() {
     let mut db = Database::new();
     let prog = parse_program(&src, db.symbols()).unwrap();
     let stats = evaluate(&prog, &mut db, &options).unwrap();
-    assert_eq!(output_strings(&db, &prog, "e").len(), 2);
+    assert_eq!(output_strings(&db, "e").len(), 2);
     assert_eq!(stats.staged, 2, "one row per q row, not 2 x 100");
 
     // A delta-driven source: `flag` shares the stratum of the recursive
@@ -729,7 +705,7 @@ fn atoms_binding_only_unread_variables_stop_at_the_first_match() {
     let mut db = Database::new();
     let prog = parse_program(&src, db.symbols()).unwrap();
     let stats = evaluate(&prog, &mut db, &options).unwrap();
-    assert_eq!(output_strings(&db, &prog, "flag"), [["1"]]);
+    assert_eq!(output_strings(&db, "flag"), [["1"]]);
     let tc = db.symbols().get("tc").unwrap();
     assert_eq!(db.relation(tc).unwrap().len(), 210);
     // `flag` is the program's third rule.

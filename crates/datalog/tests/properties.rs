@@ -3,9 +3,16 @@
 //! case generation — the workspace builds offline, without proptest).
 
 use sparqlog_datalog::{
-    collect_output, evaluate, parser::parse_program, Const, Database, EvalOptions, OrdF64,
-    SymbolTable, TermDict,
+    evaluate, parser::parse_program, Const, Database, EvalOptions, OrdF64, SymbolTable, TermDict,
 };
+
+/// The decoded tuples of relation `pred`.
+fn tuples(db: &Database, pred: &str) -> Vec<Vec<Const>> {
+    let rel = db.relation(db.symbols().get(pred).unwrap());
+    (rel.into_iter())
+        .flat_map(|r| r.iter().map(|t| db.decode_tuple(t)))
+        .collect()
+}
 
 /// Deterministic SplitMix64 case generator.
 struct Rng(u64);
@@ -75,21 +82,20 @@ fn transitive_closure_matches_oracle() {
         let mut db = Database::new();
         let prog = parse_program(&src, db.symbols()).unwrap();
         evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-        let got: std::collections::BTreeSet<(u8, u8)> =
-            collect_output(&prog, &db, db.symbols().get("tc").unwrap())
-                .into_iter()
-                .map(|t| {
-                    let x = match t[0] {
-                        Const::Int(i) => i as u8,
-                        _ => panic!(),
-                    };
-                    let y = match t[1] {
-                        Const::Int(i) => i as u8,
-                        _ => panic!(),
-                    };
-                    (x, y)
-                })
-                .collect();
+        let got: std::collections::BTreeSet<(u8, u8)> = tuples(&db, "tc")
+            .into_iter()
+            .map(|t| {
+                let x = match t[0] {
+                    Const::Int(i) => i as u8,
+                    _ => panic!(),
+                };
+                let y = match t[1] {
+                    Const::Int(i) => i as u8,
+                    _ => panic!(),
+                };
+                (x, y)
+            })
+            .collect();
         assert_eq!(got, tc_oracle(&edges), "case {case}: {edges:?}");
     }
 }
@@ -112,14 +118,13 @@ fn negation_matches_set_difference() {
         let mut db = Database::new();
         let prog = parse_program(&src, db.symbols()).unwrap();
         evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-        let got: std::collections::BTreeSet<u8> =
-            collect_output(&prog, &db, db.symbols().get("diff").unwrap())
-                .into_iter()
-                .map(|t| match t[0] {
-                    Const::Int(i) => i as u8,
-                    _ => panic!(),
-                })
-                .collect();
+        let got: std::collections::BTreeSet<u8> = tuples(&db, "diff")
+            .into_iter()
+            .map(|t| match t[0] {
+                Const::Int(i) => i as u8,
+                _ => panic!(),
+            })
+            .collect();
         let want: std::collections::BTreeSet<u8> = a.difference(&b).copied().collect();
         assert_eq!(got, want, "case {case}: a={a:?} b={b:?}");
     }
@@ -145,7 +150,7 @@ fn binary_join_matches_oracle() {
         let mut db = Database::new();
         let prog = parse_program(&src, db.symbols()).unwrap();
         evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-        let got = collect_output(&prog, &db, db.symbols().get("j").unwrap()).len();
+        let got = tuples(&db, "j").len();
         let want = r
             .iter()
             .flat_map(|&(x, y)| {
@@ -175,9 +180,9 @@ fn fixpoint_is_idempotent() {
         let mut db = Database::new();
         let prog = parse_program(&src, db.symbols()).unwrap();
         evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-        let first = collect_output(&prog, &db, db.symbols().get("p").unwrap()).len();
+        let first = tuples(&db, "p").len();
         let stats = evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-        let second = collect_output(&prog, &db, db.symbols().get("p").unwrap()).len();
+        let second = tuples(&db, "p").len();
         assert_eq!(first, second, "case {case}");
         assert_eq!(stats.derived, 0, "case {case}");
     }
@@ -259,7 +264,7 @@ fn skolem_ids_count_derivations() {
         let mut db = Database::new();
         let prog = parse_program(&src, db.symbols()).unwrap();
         evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
-        let got = collect_output(&prog, &db, db.symbols().get("p").unwrap()).len();
+        let got = tuples(&db, "p").len();
         assert_eq!(got, pairs.len(), "case {case}");
     }
 }

@@ -345,12 +345,15 @@ fn budget_exceeded_is_408_within_50ms_of_deadline() {
     );
 }
 
+/// Needs `panic_marker_hook` in `sparqlog`'s serving.rs, which only debug
+/// builds compile.
 #[test]
+#[cfg(debug_assertions)]
 fn evaluation_defect_is_500_not_408() {
     let server = fixture_server();
-    // Debug-build fault injection (same hook as the PR 7 containment
-    // tests): a query carrying the marker panics inside evaluation. The
-    // server must answer 500 and survive.
+    // Fault injection (the hook the batch containment tests use): a
+    // query carrying the marker panics inside evaluation. The server must
+    // answer 500 and survive.
     std::env::set_var("SPARQLOG_PANIC_MARKER", "XHTTP500X");
     let poisoned = "# XHTTP500X\nASK { ?s ?p ?o }";
     let r = get_query(server.addr, poisoned, None);

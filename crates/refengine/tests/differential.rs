@@ -268,19 +268,65 @@ fn bound_closure_battery() {
     }
 }
 
+/// Keys for [`ordered_results_agree_in_order`]: every key value is
+/// distinct where it decides an order, so the sequences are total.
+const ORDERED: &str = r#"
+@prefix ex: <http://e/> .
+ex:a ex:v 3 ; ex:g 1 ; ex:n "x" ; ex:h ex:ha ; a ex:T1 .
+ex:b ex:v 1 ; ex:g 2 ; ex:n "y" ; a ex:T2 .
+ex:c ex:v 2 ; ex:g 1 ; ex:n "z" ; ex:h ex:hc ; a ex:T1 .
+ex:d ex:n "w" .
+"#;
+
 #[test]
 fn ordered_results_agree_in_order() {
-    // With a total order (distinct names), the *sequences* must match.
-    let sl = Store::new();
-    sl.load_dataset(&dataset()).unwrap();
-    let fu = FusekiSim::new(dataset());
-    let q = "PREFIX ex: <http://e/> SELECT ?n WHERE { ?s ex:name ?n } ORDER BY ?n";
-    let a = sl.execute(q).unwrap();
-    let b = fu.execute(q).unwrap();
-    let (QueryResults::Solutions(x), QueryResults::Solutions(y)) = (&a, &b) else {
-        panic!("expected solutions");
-    };
-    assert_eq!(x.rows, y.rows, "ordered sequences must be identical");
+    // With a total order, the *sequences* must match.
+    let ordered = Dataset::from_default_graph(sparqlog_rdf::turtle::parse(ORDERED).unwrap());
+    for (ds, body) in [
+        (dataset(), "SELECT ?n WHERE { ?s ex:name ?n } ORDER BY ?n"),
+        // Keys the SELECT does not project, ascending and descending.
+        (
+            ordered.clone(),
+            "SELECT ?s WHERE { ?s ex:v ?o } ORDER BY ?o",
+        ),
+        (
+            ordered.clone(),
+            "SELECT ?s WHERE { ?s ex:v ?o } ORDER BY DESC(?o)",
+        ),
+        (
+            ordered.clone(),
+            "SELECT ?s WHERE { ?s ex:v ?o } ORDER BY ?o LIMIT 1",
+        ),
+        (
+            ordered.clone(),
+            "SELECT ?s WHERE { ?s ex:v ?o } ORDER BY DESC(?o) LIMIT 2 OFFSET 1",
+        ),
+        // DISTINCT after the hidden key orders the rows: T2 (1) before T1 (2, 3).
+        (
+            ordered.clone(),
+            "SELECT DISTINCT ?t WHERE { ?s ex:v ?o ; a ?t } ORDER BY ?o",
+        ),
+        // An expression over an unprojected OPTIONAL variable (FEASIBLE's shape).
+        (
+            ordered.clone(),
+            "SELECT ?n WHERE { ?s ex:n ?n OPTIONAL { ?s ex:h ?h } } ORDER BY (!BOUND(?h)) ?n",
+        ),
+        // Two hidden keys.
+        (
+            ordered.clone(),
+            "SELECT ?s WHERE { ?s ex:g ?g ; ex:v ?o } ORDER BY ?g DESC(?o)",
+        ),
+    ] {
+        let q = format!("PREFIX ex: <http://e/> {body}");
+        let sl = Store::new();
+        sl.load_dataset(&ds).unwrap();
+        let a = sl.execute(&q).unwrap();
+        let b = FusekiSim::new(ds).execute(&q).unwrap();
+        let (QueryResults::Solutions(x), QueryResults::Solutions(y)) = (&a, &b) else {
+            panic!("expected solutions");
+        };
+        assert_eq!(x, y, "{body}: ordered sequences must be identical");
+    }
 }
 
 // ------------------------------------------------- randomised differential

@@ -6,7 +6,7 @@
 //! cargo run --example datalog_playground
 //! ```
 
-use sparqlog_datalog::{collect_output, evaluate, parser::parse_program, Database, EvalOptions};
+use sparqlog_datalog::{evaluate, parser::parse_program, Database, EvalOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = Database::new();
@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         @output("upstream").
         @output("uncertified_root").
-        @post("upstream", "orderby(0)").
         "#,
         db.symbols(),
     )?;
@@ -44,9 +43,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in ["upstream", "uncertified_root"] {
         let pred = db.symbols().get(name).unwrap();
         println!("\n{name}:");
-        for t in collect_output(&program, &db, pred) {
-            let row: Vec<String> = t.iter().map(|c| c.display(db.symbols())).collect();
-            println!("  ({})", row.join(", "));
+        // A relation iterates in insertion order; sort for a stable listing.
+        let mut rows: Vec<String> = (db.relation(pred).into_iter())
+            .flat_map(|r| r.iter())
+            .map(|t| {
+                let cells: Vec<String> = (db.decode_tuple(t).iter())
+                    .map(|c| c.display(db.symbols()))
+                    .collect();
+                cells.join(", ")
+            })
+            .collect();
+        rows.sort();
+        for row in rows {
+            println!("  ({row})");
         }
     }
     Ok(())
