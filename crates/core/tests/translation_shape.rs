@@ -166,28 +166,38 @@ fn ask_uses_set_semantics_and_negation() {
 }
 
 #[test]
-fn order_by_keys_are_columns_or_unsupported() {
+fn simple_order_by_becomes_post_directive() {
+    // The modifiers are post-evaluation directives for T_S, not rules: an
+    // unprojected key rides as a hidden column of the goal predicate.
     let symbols = SymbolTable::new();
-    let tq = |q: &str| translate_query(&parse_query(q).unwrap(), &symbols, "t_");
-
-    // An unprojected key rides as a hidden column of the goal predicate;
-    // the modifiers stay with T_S, not in the program.
     let q = "SELECT ?s WHERE { ?s <http://p> ?o } ORDER BY DESC(?o) LIMIT 3 OFFSET 1";
-    let t = tq(q).unwrap();
+    let t = translate_query(&parse_query(q).unwrap(), &symbols, "t_").unwrap();
     let names: Vec<&str> = t.columns.iter().map(|v| v.name()).collect();
     assert_eq!((names, t.visible), (vec!["s", "o"], 1));
     assert_eq!(t.order, vec![(Expr::Var(1), true)]);
     assert_eq!((t.offset, t.limit), (1, Some(3)));
     let root = t.program.rules.iter().find(|r| r.head.pred == t.root_pred);
     assert_eq!(root.unwrap().head.args.len(), 4, "[Id, s, o, D]");
+}
 
-    // An expression key compiles once, over column positions.
+#[test]
+fn complex_order_by_defers_to_solution_layer() {
+    // An expression key compiles once, over column positions, and T_S
+    // evaluates it per row.
+    let symbols = SymbolTable::new();
     let q = "SELECT ?n WHERE { ?s <http://n> ?n OPTIONAL { ?s <http://h> ?h } } \
-             ORDER BY (!BOUND(?h)) ?n";
-    let t = tq(q).unwrap();
+             ORDER BY (!BOUND(?h)) ?n LIMIT 3";
+    let t = translate_query(&parse_query(q).unwrap(), &symbols, "t_").unwrap();
     assert_eq!(t.columns.len(), 2);
     assert!(!matches!(t.order[0].0, Expr::Var(_)));
     assert_eq!(t.order[1], (Expr::Var(0), false));
+    assert_eq!((t.offset, t.limit), (0, Some(3)));
+}
+
+#[test]
+fn order_by_keys_are_columns_or_unsupported() {
+    let symbols = SymbolTable::new();
+    let tq = |q: &str| translate_query(&parse_query(q).unwrap(), &symbols, "t_");
 
     // A group row has no value for a key outside the aggregate's output.
     let q = "SELECT ?s (COUNT(?o) AS ?c) WHERE { ?s <http://p> ?o } GROUP BY ?s ORDER BY ?o";
