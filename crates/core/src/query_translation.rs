@@ -44,10 +44,18 @@
 //! * the gMark range paths `p{n}`, `p{n,}`, `p{n,m}` are desugared into
 //!   sequences/alternatives and evaluated with set semantics, like the
 //!   other unbounded operators;
+//! * a variable shared by the two sides of an AND (or of OPTIONAL's join)
+//!   that is *certain* on both — bound in every solution of each side
+//!   (Schmidt, Meier and Lausen, ICDT 2010; see `certain`) — is one
+//!   column of both answer atoms, not renamed apart and joined through
+//!   Def. A.2's `comp`: its values are never null, and `comp` over two
+//!   non-null terms is equality;
 //! * the finished program passes through
-//!   [`unify_equalities`](sparqlog_datalog::rewrite): a filter `x = y`,
-//!   `x = c` or `sameTerm(x, y)` becomes a join key in a rule that
-//!   inlines the join beneath it, instead of a filter over its product;
+//!   [`unfold_and_unify`](sparqlog_datalog::rewrite): every rule read
+//!   once, by a positive atom, is unfolded into its reader, so a basic
+//!   graph pattern is one rule the planner orders, and a filter `x = y`,
+//!   `x = c` or `sameTerm(x, y)` becomes a join key instead of a filter
+//!   over a product;
 //! * ORDER BY, OFFSET and LIMIT are not Figure 2's `@post` directives but
 //!   T_S's job: T_Q compiles each ORDER BY condition over the goal
 //!   predicate's columns into [`TranslatedQuery::order`] and adds every
@@ -59,7 +67,7 @@
 use std::sync::Arc;
 
 use sparqlog_datalog::{
-    unify_equalities, AggSpec, AtomArg, CmpOp, Const, Expr as DExpr, Program, RuleBuilder, Sym,
+    unfold_and_unify, AggSpec, AtomArg, CmpOp, Const, Expr as DExpr, Program, RuleBuilder, Sym,
     SymbolTable, MAX_ARITY,
 };
 use sparqlog_sparql::{
@@ -208,6 +216,45 @@ fn union(v1: &[Var], v2: &[Var]) -> Vec<Var> {
 /// The variables of `v1` that `v2` shares.
 fn shared<'a>(v1: &'a [Var], v2: &[Var]) -> Vec<&'a Var> {
     v1.iter().filter(|v| v2.contains(v)).collect()
+}
+
+/// The variables `P` binds in every solution — its *certain* variables
+/// (Schmidt, Meier and Lausen, ICDT 2010): all of a triple's or a path's,
+/// the union of a join's sides, the intersection of a union's branches,
+/// the left side's of OPTIONAL, MINUS and FILTER, and a `GRAPH ?g`'s
+/// inner ones plus `?g`. Sorted.
+fn certain(p: &GraphPattern) -> Vec<Var> {
+    match p {
+        GraphPattern::Empty => Vec::new(),
+        GraphPattern::Triple(_) | GraphPattern::Path { .. } => sig(p),
+        GraphPattern::Join(a, b) => union(&certain(a), &certain(b)),
+        GraphPattern::Union(a, b) => certain_on_both(a, b),
+        GraphPattern::Optional(a, _) | GraphPattern::Minus(a, _) | GraphPattern::Filter(a, _) => {
+            certain(a)
+        }
+        GraphPattern::Graph(spec, a) => match spec {
+            GraphSpec::Var(g) => union(&certain(a), std::slice::from_ref(g)),
+            GraphSpec::Iri(_) => certain(a),
+        },
+    }
+}
+
+/// The variables both `p1` and `p2` are certain to bind: a union's
+/// certain variables, and the ones a join shares as one column.
+fn certain_on_both(p1: &GraphPattern, p2: &GraphPattern) -> Vec<Var> {
+    let right = certain(p2);
+    certain(p1)
+        .into_iter()
+        .filter(|v| right.contains(v))
+        .collect()
+}
+
+/// The variables of `v1` that `v2` shares and `certain` does not hold:
+/// the ones a join renames apart and joins through `comp`.
+fn loose<'a>(v1: &'a [Var], v2: &[Var], certain: &[Var]) -> Vec<&'a Var> {
+    (shared(v1, v2).into_iter())
+        .filter(|v| !certain.contains(v))
+        .collect()
 }
 
 /// A column list with a renaming: variable `x` of `vars` is the column
@@ -514,10 +561,10 @@ impl Translator {
             )));
         }
 
-        // Filter equalities become join keys before anyone plans,
-        // evaluates or explains the program (ARCHITECTURE.md, "Rewrites
-        // between T_Q and the planner").
-        let program = unify_equalities(self.program, &self.symbols);
+        // Single-reader rules unfold and filter equalities become join
+        // keys before anyone plans, evaluates or explains the program
+        // (ARCHITECTURE.md, "Rewrites between T_Q and the planner").
+        let program = unfold_and_unify(self.program, &self.symbols);
 
         Ok(TranslatedQuery {
             program,
@@ -710,7 +757,8 @@ impl Translator {
             }
             GraphPattern::Join(p1, p2) => {
                 let [l, r] = self.kids();
-                self.join_rule(idx, [(l, &sig(p1)), (r, &sig(p2))], &[], dst, ctx)?;
+                let sides = [(l, &sig(p1)[..]), (r, &sig(p2)[..])];
+                self.join_rule(idx, sides, &certain_on_both(p1, p2), &[], dst, ctx)?;
                 vec![(p1, l), (p2, r)]
             }
             GraphPattern::Union(p1, p2) => {
@@ -730,7 +778,9 @@ impl Translator {
                 // Defs A.7 / A.9: peel filters off the right side.
                 let (inner, conds) = peel_filters(p2);
                 let [l, r] = self.kids();
-                self.translate_optional(idx, [(l, &sig(p1)), (r, &sig(inner))], &conds, dst, ctx)?;
+                let sides = [(l, &sig(p1)[..]), (r, &sig(inner)[..])];
+                let certain = certain_on_both(p1, inner);
+                self.translate_optional(idx, sides, &certain, &conds, dst, ctx)?;
                 vec![(p1, l), (inner, r)]
             }
             GraphPattern::Minus(p1, p2) => {
@@ -798,17 +848,20 @@ impl Translator {
     /// Def. A.5 (Join), and Def. A.9's join rule under the conditions
     /// `conds`: `ans_i(Id, x̄, D) :- ans_l(Id1, v1, D), compat(r1_x, r2_x,
     /// v_x)…, ans_r(Id2, v2, D), C`, each shared `x` renamed apart on both
-    /// sides. The compat items sit before the second answer atom: the
-    /// join-ordering optimisation §5.1 attributes to the underlying engine.
+    /// sides unless it is one of `certain`, which both atoms share as the
+    /// column `v_x`. The compat items sit before the second answer atom:
+    /// the join-ordering optimisation §5.1 attributes to the underlying
+    /// engine.
     fn join_rule(
         &mut self,
         idx: u64,
         [(l, v1), (r, v2)]: [(u64, &[Var]); 2],
+        certain: &[Var],
         conds: &[SExpr],
         dst: bool,
         ctx: &GraphCtx,
     ) -> Result<(), TranslationError> {
-        let shared = shared(v1, v2);
+        let shared = loose(v1, v2, certain);
         let all = union(v1, v2);
         let mut b = self.rule(idx, &all, ctx);
         let (lp, rp) = (self.ans_pred(l), self.ans_pred(r));
@@ -817,24 +870,30 @@ impl Translator {
         compat_shared(&mut b, &shared, "r1_", "v_");
         feeds.extend(shared.iter().map(|v| format!("v_{}", v.name())));
         let right = Cols::v(v2).rename(&shared, "r2_").names();
-        feeds.extend(ans(&mut b, Slot::Pos, rp, Some("Id2"), &right, ctx));
+        for feed in ans(&mut b, Slot::Pos, rp, Some("Id2"), &right, ctx) {
+            if !feeds.contains(&feed) {
+                feeds.push(feed);
+            }
+        }
         self.conds(&mut b, conds, Cols::v(&all))?;
         self.push_with_id(b, dst, &feeds, idx);
         Ok(())
     }
 
     /// Defs A.7 / A.9 (Optional, Optional-Filter). `conds` is the filter
-    /// pulled off the right-hand side (empty for plain OPTIONAL).
+    /// pulled off the right-hand side (empty for plain OPTIONAL); the
+    /// `certain` shared variables are one column, as in `join_rule`.
     fn translate_optional(
         &mut self,
         idx: u64,
         sides: [(u64, &[Var]); 2],
+        certain: &[Var],
         conds: &[SExpr],
         dst: bool,
         ctx: &GraphCtx,
     ) -> Result<(), TranslationError> {
         let [(l, v1), (r, v2)] = sides;
-        let shared = shared(v1, v2);
+        let shared = loose(v1, v2, certain);
         let all = union(v1, v2);
         let opt_pred = self.aux_pred("opt", idx);
 
@@ -854,7 +913,7 @@ impl Translator {
         self.program.rules.push(b.build());
 
         // Rule 2: the join rule (+C).
-        self.join_rule(idx, sides, conds, dst, ctx)?;
+        self.join_rule(idx, sides, certain, conds, dst, ctx)?;
 
         // Rule 3: ans_i(Id, var(Pi), D) :- ans_l(Id1, var(P1), D),
         //         not ans_opt(var(P1), D), y = null...

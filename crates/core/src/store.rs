@@ -2200,9 +2200,13 @@ mod tests {
     fn add_ontology_keeps_masks_queries_built() {
         // A query probing `triple` by type and class in any named graph
         // builds mask 0b0110 on the snapshot — the mask the naive pass of
-        // the subclass rule below probes too. The install's full
-        // evaluation writes `triple` and keeps every mask it finds,
-        // maintaining each, so the query's mask survives, complete.
+        // the subclass rule below probes too. An OPTIONAL's sides are each
+        // read twice, so each stays a rule of its own that probes `triple`
+        // with the graph free; a lone pattern would be unfolded beside
+        // `named(?g)` and probe with the graph bound (0b1110). The
+        // install's full evaluation writes `triple` and keeps every mask
+        // it finds, maintaining each, so the query's mask survives,
+        // complete.
         let store = Store::new();
         store
             .update(
@@ -2212,7 +2216,8 @@ mod tests {
             .unwrap();
         let in_graphs = |class: &str| {
             let q = format!(
-                "PREFIX ex: <http://ex.org/> SELECT ?x ?g WHERE {{ GRAPH ?g {{ ?x a ex:{class} }} }}"
+                "PREFIX ex: <http://ex.org/> SELECT ?x ?g WHERE {{ GRAPH ?g {{ \
+                 ?x a ex:{class} OPTIONAL {{ ?x a ex:Person }} }} }}"
             );
             store.execute(&q).unwrap().len()
         };

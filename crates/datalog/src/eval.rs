@@ -921,8 +921,27 @@ where
     if *ticks & 0xFFF == 0 {
         ctx.check()?;
     }
-    let Some(step) = job.plan.steps.get(step_idx) else {
-        return emit(env, ctx);
+    // A compat check whose widen step saw a non-null side passes: that
+    // step bound the other side and `v` to a row of `comp` already.
+    let mut step_idx = step_idx;
+    let step = loop {
+        let Some(step) = job.plan.steps.get(step_idx) else {
+            return emit(env, ctx);
+        };
+        match step {
+            Step::Compat {
+                item_idx,
+                seen: Some(side),
+                ..
+            } if job.enc.body[*item_idx]
+                .as_ref()
+                .and_then(|atom| arg_value(&atom.args[*side], env))
+                .is_some_and(|id| !id.is_null()) =>
+            {
+                step_idx += 1
+            }
+            step => break step,
+        }
     };
     match step {
         Step::Scan {
@@ -1025,7 +1044,9 @@ where
             }
             Ok(())
         }
-        Step::Compat { item_idx, widen } => {
+        Step::Compat {
+            item_idx, widen, ..
+        } => {
             let atom = job.enc.body[*item_idx]
                 .as_ref()
                 .expect("compat step on non-compat item");

@@ -20,9 +20,10 @@
 //! * **Aggregation**: `COUNT`/`SUM`/`MIN`/`MAX`/`AVG` rules, evaluated as
 //!   a separate stratum (Vadalog-style).
 //! * **`@output` directives** naming the predicates a caller reads.
-//! * A **filter-equality rewrite** ([`rewrite`]): `x = y` conditions
-//!   become join keys, with single-use intermediate predicates unfolded
-//!   into the rule so the planner sees the whole join.
+//! * An **unfolding rewrite** ([`rewrite`]): every single-reader
+//!   intermediate predicate is unfolded into its reader, so the planner
+//!   sees a whole join as one rule, and `x = y` conditions become join
+//!   keys.
 //! * A **wardedness analyser** ([`wardedness`]) used by tests to verify
 //!   that the SPARQL translation produces warded programs, as the paper
 //!   claims.
@@ -87,7 +88,7 @@ pub use magic::{
 pub use plan::{plan_program, ProgramPlan};
 pub use pool::{run_scoped, run_scoped_caught, JobPanic};
 pub use profile::{QueryProfile, RoundProfile, RuleProfile, StratumProfile};
-pub use rewrite::unify_equalities;
+pub use rewrite::unfold_and_unify;
 pub use rule::{AggFunc, AggSpec, Atom, AtomArg, BodyItem, Program, Rule, RuleBuilder, VarId};
 pub use stats::{DbStats, RelStats, StatsFingerprint};
 pub use stratify::{stratify, Stratification, StratifyError};

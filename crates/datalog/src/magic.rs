@@ -21,7 +21,7 @@
 //! position is left alone, since a guard would prune nothing. What is
 //! left is a closure whose endpoint becomes a constant only after
 //! translation — `?x p+ ?y FILTER (?x = c)` once
-//! [`unify_equalities`](crate::rewrite::unify_equalities) has substituted
+//! [`unfold_and_unify`](crate::rewrite::unfold_and_unify) has substituted
 //! `c`, or the range path `c p{1,} ?y`, desugared to a nested `p+`.
 //! Closures bound through a join, and closures nested in a larger path,
 //! have no constant consumer beyond the graph column, which their heads

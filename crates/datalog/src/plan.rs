@@ -73,8 +73,15 @@ pub(crate) enum Step {
     /// non-null bound side gives the other {that value, null} (and `v`
     /// that value), a null one leaves it free for the next scan, whose
     /// probe drops it from its key. Without, both sides are bound: a
-    /// check that binds `v`.
-    Compat { item_idx: usize, widen: bool },
+    /// check that binds `v`. `seen` is the side (0 for `a`, 1 for `b`)
+    /// the item's widen step found bound: where that side is not null,
+    /// the widen step already bound a row of `comp`, and the check
+    /// passes the environment on untouched.
+    Compat {
+        item_idx: usize,
+        widen: bool,
+        seen: Option<usize>,
+    },
 }
 
 impl Step {
@@ -279,6 +286,8 @@ pub(crate) fn plan_rule(
     // null, leaves free: probes key on them, but only a scan binds them
     // for certain.
     let mut widened = vec![false; nvars];
+    // Per compatibility item: the side its widen step found bound.
+    let mut seen: Vec<Option<usize>> = vec![None; rule.body.len()];
     // Per variable: the step that binds it first (positive atoms only).
     let mut first = vec![usize::MAX; nvars];
     let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
@@ -340,12 +349,19 @@ pub(crate) fn plan_rule(
             BodyItem::Compat([a, b, v]) => {
                 let free = free_var(a, &bound).or(free_var(b, &bound));
                 match (free, v) {
-                    (Some(w), _) => widened[w as usize] = true,
+                    (Some(w), _) => {
+                        widened[w as usize] = true;
+                        seen[item_idx] = Some(usize::from(free_var(a, &bound).is_some()));
+                    }
                     (None, AtomArg::Var(v)) => bound[*v as usize] = true,
                     (None, AtomArg::Const(_)) => {}
                 }
                 let widen = free.is_some();
-                Step::Compat { item_idx, widen }
+                Step::Compat {
+                    item_idx,
+                    widen,
+                    seen: (!widen).then_some(seen[item_idx]).flatten(),
+                }
             }
         });
     }
@@ -445,7 +461,7 @@ fn pick(
 /// Appends the variables a body item reads to `out`: an atom's or a
 /// compatibility item's, or an expression's (an assignment's target is
 /// bound by it, not read).
-fn reads(item: &BodyItem, out: &mut Vec<VarId>) {
+pub(crate) fn reads(item: &BodyItem, out: &mut Vec<VarId>) {
     match item {
         BodyItem::Pos(a) | BodyItem::Neg(a) => out.extend(arg_vars(&a.args)),
         BodyItem::Compat(args) => out.extend(arg_vars(args)),
@@ -505,7 +521,7 @@ pub(crate) fn skolem_functors(
 /// copies assign them. The Skolem-depth bound applies to such values as
 /// it does to the nulls the evaluator invents; other Skolem terms (T_Q's
 /// tuple IDs) are as deep as their derivation and stay unbounded.
-fn invents_null(expr: &Expr, symbols: &SymbolTable) -> bool {
+pub(crate) fn invents_null(expr: &Expr, symbols: &SymbolTable) -> bool {
     matches!(expr, Expr::Skolem(f, _) if symbols.resolve(*f).starts_with(EX_FUNCTOR_PREFIX))
 }
 

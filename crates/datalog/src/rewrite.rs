@@ -1,26 +1,32 @@
 //! Datalog → Datalog rewrites run between the SPARQL translation and the
-//! planner.
+//! planner: [`unfold_and_unify`].
 //!
-//! [`unify_equalities`] turns filter equalities into join keys. The
-//! translation copies `FILTER (?x = ?y)` into the body of the rule for its
-//! pattern, where it runs only after the whole join underneath has been
-//! built — SP²Bench Q5a joins its two components through nothing else,
-//! so that join is a cross product. The pass works on every rule with a
-//! condition `x = y`, `x = c` or `sameTerm(x, y)` (top-level `&&` split
-//! first) over variables bound by positive atoms or compatibility
-//! items, in two steps:
+//! T_Q gives every algebra operator its own predicate, so a basic graph
+//! pattern of `n` triple patterns becomes `n` leaf rules and `n − 1`
+//! binary join rules, each materialising an intermediate relation, and
+//! the planner only ever orders two atoms at a time. A filter runs only
+//! after the whole join beneath it has been built — SP²Bench Q5a joins
+//! its two components through nothing but `FILTER (?x = ?y)`, so that join
+//! is a cross product. The pass works in three steps:
 //!
-//! 1. **Unfold.** Every IDB predicate the rule reads is inlined,
-//!    transitively, when it has exactly one defining rule — non-recursive,
-//!    no aggregate, no existential head variable — and is read exactly once
-//!    in the program, by a positive atom of a non-aggregate rule, and is not
-//!    an output or a fact predicate. Inlining such a
-//!    predicate into its only reader is set-equivalent (the relation is
-//!    the set of head instances of the one rule); every excluded reader —
-//!    negation, aggregation, the output — would observe the intermediate
-//!    relation itself. The join under the filter becomes one rule the
-//!    planner can reorder.
-//! 2. **Unify.** The condition is replaced by unification: `y := x`, or
+//! 1. **Unfold.** Every rule without an aggregate or an existential head
+//!    variable inlines, transitively, each IDB predicate it reads by a
+//!    positive atom when that predicate has exactly one defining rule —
+//!    non-recursive, no aggregate, no existential head variable — is read
+//!    exactly once in the program, and is not an output or a fact
+//!    predicate. Inlining such a predicate into its only reader is
+//!    set-equivalent (the relation is the set of head instances of the one
+//!    rule); every excluded reader — negation, aggregation, the output, a
+//!    second reader — would observe the intermediate relation itself. A
+//!    basic graph pattern becomes one rule the planner orders, with its
+//!    filters inline.
+//! 2. **Drop.** An assignment of a constant, or of a Skolem term over
+//!    variables and constants, that nothing in the unfolded rule reads any
+//!    more — the tuple ID of an inlined rule under set semantics — is
+//!    dropped: it can neither fail nor filter a row.
+//! 3. **Unify.** A condition `x = y`, `x = c` or `sameTerm(x, y)` (top-level
+//!    `&&` split first) over variables bound by positive atoms or
+//!    compatibility items is replaced by unification: `y := x`, or
 //!    `x := c`, throughout body and head. Engine `=` is
 //!    [`value_eq`](crate::expr::value_eq) — term identity or numeric value
 //!    equality — and unification tests identity (equal `TermId`s), so it is
@@ -32,21 +38,23 @@
 //!    The rule's other equalities stay plain filters there, so `k`
 //!    equalities cost at most `k + 1` rules.
 //!
-//! A program without such a condition is returned as it came, after one
-//! scan and without a clone.
+//! A program with nothing to unfold or unify is returned as it came,
+//! without a clone.
 
 use crate::expr::{CmpOp, Expr};
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::plan::{invents_null, reads};
 use crate::rule::{arg_vars, Atom, AtomArg, BodyItem, Program, Rule, VarId};
 use crate::symbols::{Sym, SymbolTable};
 use crate::value::Const;
 
-/// Rewrites the filter equalities of `program` into unification (see the
-/// module documentation). Set-equivalent on every predicate that
-/// survives; unfolded predicates disappear with their only reader's
-/// need for them.
-pub fn unify_equalities(program: Program, symbols: &SymbolTable) -> Program {
-    if !program.rules.iter().any(has_equality) {
+/// Unfolds every single-reader rule into its reader and rewrites filter
+/// equalities into unification (see the module documentation).
+/// Set-equivalent on every predicate that survives; unfolded predicates
+/// disappear with their only reader's need for them.
+pub fn unfold_and_unify(program: Program, symbols: &SymbolTable) -> Program {
+    let inlinable = inlinable_predicates(&program.rules, &program.facts, &program.outputs);
+    if inlinable.is_empty() && !program.rules.iter().any(has_equality) {
         return program;
     }
     let Program {
@@ -54,12 +62,11 @@ pub fn unify_equalities(program: Program, symbols: &SymbolTable) -> Program {
         facts,
         outputs,
     } = program;
-    let inlinable = inlinable_predicates(&rules, &facts, &outputs);
     let mut rules: Vec<Option<Rule>> = rules.into_iter().map(Some).collect();
     for ri in 0..rules.len() {
-        if rules[ri].as_ref().is_some_and(has_equality) {
+        if rules[ri].as_ref().is_some_and(consumes) {
             let consumer = rules[ri].take().expect("checked above");
-            rules[ri] = Some(unfold_all(consumer, &mut rules, &inlinable));
+            rules[ri] = Some(unfold_all(consumer, &mut rules, &inlinable, symbols));
         }
     }
     let mut out = Vec::with_capacity(rules.len());
@@ -75,6 +82,13 @@ pub fn unify_equalities(program: Program, symbols: &SymbolTable) -> Program {
         facts,
         outputs,
     }
+}
+
+/// Whether `rule` may take in the rules of the predicates it reads: an
+/// aggregate counts its body's matches, and an existential head variable
+/// is Skolemised over the body, so neither may change.
+fn consumes(rule: &Rule) -> bool {
+    rule.aggregate.is_none() && rule.existential_vars().is_empty()
 }
 
 // ------------------------------------------------------------ conditions
@@ -227,45 +241,103 @@ fn inlinable_predicates(
     let observed: FxHashSet<Sym> = (outputs.iter().copied())
         .chain(facts.iter().map(|(p, _)| *p))
         .collect();
-
-    let recursive = |p: Sym| {
-        let mut stack = vec![p];
-        let mut seen: FxHashSet<Sym> = FxHashSet::default();
-        while let Some(q) = stack.pop() {
-            for &ri in defs.get(&q).into_iter().flatten() {
-                for b in rules[ri].read_preds() {
-                    if b == p {
-                        return true;
-                    }
-                    if seen.insert(b) {
-                        stack.push(b);
-                    }
-                }
-            }
-        }
-        false
-    };
-    defs.iter()
+    let mut inlinable: FxHashMap<Sym, usize> = (defs.iter())
         .filter_map(|(&p, d)| {
             let def = &rules[d[0]];
             (d.len() == 1
                 && reads.get(&p) == Some(&1)
                 && !observed.contains(&p)
                 && def.aggregate.is_none()
-                && def.existential_vars().is_empty()
-                && !recursive(p))
+                && def.existential_vars().is_empty())
             .then_some((p, d[0]))
         })
-        .collect()
+        .collect();
+    if !inlinable.is_empty() {
+        let recursive = recursive_predicates(rules, &defs);
+        inlinable.retain(|p, _| !recursive.contains(p));
+    }
+    inlinable
+}
+
+/// The predicates on a cycle of the program's dependency graph (an edge
+/// from each predicate a rule reads to the rule's head): the members of
+/// every strongly connected component with more than one predicate, and
+/// the predicates a rule of their own reads. One pass of Tarjan's
+/// algorithm over the whole program, with an explicit stack.
+fn recursive_predicates(rules: &[Rule], defs: &FxHashMap<Sym, Vec<usize>>) -> FxHashSet<Sym> {
+    let preds: Vec<Sym> = defs.keys().copied().collect();
+    let id: FxHashMap<Sym, usize> = preds.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+    // Walked against the edges, from a head to the IDB predicates its
+    // rules read: the components are the same.
+    let succ: Vec<Vec<usize>> = (preds.iter())
+        .map(|p| {
+            (defs[p].iter())
+                .flat_map(|&ri| rules[ri].read_preds())
+                .filter_map(|q| id.get(&q).copied())
+                .collect()
+        })
+        .collect();
+    let mut recursive = FxHashSet::default();
+    let n = preds.len();
+    let (mut index, mut low) = (vec![usize::MAX; n], vec![0; n]);
+    let (mut on_stack, mut stack) = (vec![false; n], Vec::new());
+    let mut next = 0;
+    for root in 0..n {
+        if index[root] != usize::MAX {
+            continue;
+        }
+        // Frames of the depth-first walk: a node and its next successor.
+        let mut frames = vec![(root, 0)];
+        (index[root], low[root]) = (next, next);
+        next += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        while let Some(&mut (v, ref mut k)) = frames.last_mut() {
+            if let Some(&w) = succ[v].get(*k) {
+                *k += 1;
+                if w == v {
+                    recursive.insert(preds[v]);
+                } else if index[w] == usize::MAX {
+                    (index[w], low[w]) = (next, next);
+                    next += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let at = stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("v is on the stack");
+                let component = stack.split_off(at);
+                for &w in &component {
+                    on_stack[w] = false;
+                }
+                if component.len() > 1 {
+                    recursive.extend(component.iter().map(|&w| preds[w]));
+                }
+            }
+        }
+    }
+    recursive
 }
 
 /// Inlines, transitively, every inlinable predicate `consumer` reads,
 /// taking each defining rule out of `rules` (its only reader no longer
-/// needs it).
+/// needs it), then drops the assignments nothing reads any more.
 fn unfold_all(
     mut consumer: Rule,
     rules: &mut [Option<Rule>],
     inlinable: &FxHashMap<Sym, usize>,
+    symbols: &SymbolTable,
 ) -> Rule {
     let mut refused: Vec<Sym> = Vec::new();
     let mut round = 0;
@@ -281,7 +353,7 @@ fn unfold_all(
                 _ => None,
             });
         let Some((j, di, pred)) = next else {
-            return consumer;
+            break;
         };
         // Non-recursive and read only here: neither this consumer nor
         // taken by an earlier one.
@@ -296,6 +368,55 @@ fn unfold_all(
                 rules[di] = Some(def);
                 refused.push(pred);
             }
+        }
+    }
+    if round > refused.len() {
+        drop_unread(&mut consumer, symbols);
+    }
+    consumer
+}
+
+/// Removes, until none is left, every assignment of a constant or of a
+/// Skolem term over variables and constants whose target nothing else in
+/// `rule` mentions. Such an assignment binds a fresh variable to a value
+/// that always exists, so it neither fails nor filters a row; an
+/// existential's null is kept, since minting one can fail past the
+/// Skolem-depth bound.
+fn drop_unread(rule: &mut Rule, symbols: &SymbolTable) {
+    let droppable = |e: &Expr| match e {
+        Expr::Const(_) => true,
+        Expr::Skolem(_, args) => {
+            !invents_null(e, symbols)
+                && args
+                    .iter()
+                    .all(|a| matches!(a, Expr::Var(_) | Expr::Const(_)))
+        }
+        _ => false,
+    };
+    loop {
+        // Mentions per variable: the head's and every body item's, an
+        // assignment's target included (a consumer has no aggregate).
+        let mut mentions = vec![0u32; rule.var_names.len()];
+        for v in rule.head.vars() {
+            mentions[v as usize] += 1;
+        }
+        let mut vars = Vec::new();
+        for item in &rule.body {
+            if let BodyItem::Assign(v, _) = item {
+                mentions[*v as usize] += 1;
+            }
+            reads(item, &mut vars);
+            for &v in &vars {
+                mentions[v as usize] += 1;
+            }
+            vars.clear();
+        }
+        let before = rule.body.len();
+        rule.body.retain(|item| {
+            !matches!(item, BodyItem::Assign(v, e) if mentions[*v as usize] == 1 && droppable(e))
+        });
+        if rule.body.len() == before {
+            return;
         }
     }
 }
@@ -651,7 +772,7 @@ mod tests {
     #[test]
     fn filter_equality_becomes_a_join_key_plus_numeric_side_rule() {
         let t = SymbolTable::new();
-        let out = unify_equalities(parse(Q5A_SHAPE, &t, false), &t);
+        let out = unfold_and_unify(parse(Q5A_SHAPE, &t, false), &t);
         assert_eq!(
             rendered(&out, &t),
             vec![
@@ -690,7 +811,7 @@ mod tests {
             load(&mut db);
             let mut prog = parse(Q5A_SHAPE, db.symbols(), false);
             if rewrite {
-                prog = unify_equalities(prog, db.symbols());
+                prog = unfold_and_unify(prog, db.symbols());
             }
             evaluate(&prog, &mut db, &options).unwrap();
             let out = db.symbols().get("out").unwrap();
@@ -712,7 +833,7 @@ mod tests {
     #[test]
     fn same_term_and_non_numeric_constants_unify_alone() {
         let t = SymbolTable::new();
-        let same = unify_equalities(parse(Q5A_SHAPE, &t, true), &t);
+        let same = unfold_and_unify(parse(Q5A_SHAPE, &t, true), &t);
         assert_eq!(rendered(&same, &t), vec!["out(X, W) :- e(X, Y), f(Y, W)."]);
         let iri = parse(
             "p(S) :- t(S, P, O), P = <http://pages>.\n@output(\"p\").\n",
@@ -720,12 +841,12 @@ mod tests {
             false,
         );
         assert_eq!(
-            rendered(&unify_equalities(iri, &t), &t),
+            rendered(&unfold_and_unify(iri, &t), &t),
             vec!["p(S) :- t(S, <http://pages>, O)."]
         );
         let numeric = parse("p(S) :- t(S, O), O = 1.\n@output(\"p\").\n", &t, false);
         assert_eq!(
-            rendered(&unify_equalities(numeric, &t), &t),
+            rendered(&unfold_and_unify(numeric, &t), &t),
             vec![
                 "p(S) :- t(S, 1).",
                 "p(S) :- t(S, O), isNumeric(O), (!(sameTerm(O, 1)) && O = 1)."
@@ -742,7 +863,7 @@ mod tests {
             false,
         );
         assert_eq!(
-            rendered(&unify_equalities(prog, &t), &t),
+            rendered(&unfold_and_unify(prog, &t), &t),
             vec![
                 "out(X) :- e(X, Y), f(Y, X).",
                 "out(X) :- e(X, Y), isNumeric(X), f(Y, W), isNumeric(W), \
@@ -774,13 +895,32 @@ mod tests {
         rule.body
             .push(BodyItem::Cond(Expr::And(Box::new(eq), Box::new(gt))));
         assert_eq!(
-            rendered(&unify_equalities(prog, &t), &t),
+            rendered(&unfold_and_unify(prog, &t), &t),
             vec!["p(S) :- t(S, \"x\"), u(S, Q), Q > 2."]
         );
     }
 
     #[test]
     fn a_program_without_equalities_comes_back_untouched() {
+        // `a` is read twice, so nothing unfolds either.
+        let t = SymbolTable::new();
+        let prog = parse(
+            "a(X, Y) :- e(X, Y).\n\
+             out(X) :- a(X, Y), Y != 3, not g(X).\n\
+             two(Y) :- a(X, Y).\n\
+             @output(\"out\").\n@output(\"two\").\n",
+            &t,
+            false,
+        );
+        let before = rendered(&prog, &t);
+        let rules = prog.rules.as_ptr();
+        let out = unfold_and_unify(prog, &t);
+        assert_eq!(out.rules.as_ptr(), rules, "not cloned, not rebuilt");
+        assert_eq!(rendered(&out, &t), before);
+    }
+
+    #[test]
+    fn a_single_reader_rule_unfolds_without_an_equality() {
         let t = SymbolTable::new();
         let prog = parse(
             "a(X, Y) :- e(X, Y).\n\
@@ -789,11 +929,61 @@ mod tests {
             &t,
             false,
         );
-        let before = rendered(&prog, &t);
-        let rules = prog.rules.as_ptr();
-        let out = unify_equalities(prog, &t);
-        assert_eq!(out.rules.as_ptr(), rules, "not cloned, not rebuilt");
-        assert_eq!(rendered(&out, &t), before);
+        assert_eq!(
+            rendered(&unfold_and_unify(prog, &t), &t),
+            vec!["out(X) :- e(X, Y), Y != 3, not g(X)."]
+        );
+    }
+
+    #[test]
+    fn unread_constant_and_skolem_assignments_are_dropped() {
+        // T_Q's shape: each rule assigns its tuple ID. Under set semantics
+        // (a constant ID) the inlined rules' IDs are read by nothing; a Skolem
+        // ID over variables is dropped the same way once its reader's own
+        // ID no longer reads it, and an ID a head reads is kept.
+        let t = SymbolTable::new();
+        let prog = parse_program(
+            "a(I, X, Y) :- e(X, Y), I = \"nil\".\n\
+             b(I, Y, Z) :- f(Y, Z), I = skolem(\"fb\", Y, Z).\n\
+             j(I, X, Z) :- a(I1, X, Y), b(I2, Y, Z), I = \"nil\".\n\
+             out(I, X) :- j(I1, X, Z), I = skolem(\"fo\", X).\n\
+             @output(\"out\").\n",
+            &t,
+        )
+        .unwrap();
+        assert_eq!(
+            rendered(&unfold_and_unify(prog, &t), &t),
+            vec!["out(I, X) :- e(X, Y'1), f(Y'1, Z), I = [fo|X]."]
+        );
+    }
+
+    #[test]
+    fn recursion_is_found_once_per_program() {
+        // `c` and `d` form a cycle two predicates long, `r` reads itself;
+        // `a` and `b` only feed them.
+        let t = SymbolTable::new();
+        let prog = parse_program(
+            "a(X) :- e(X).\n\
+             b(X) :- a(X).\n\
+             c(X) :- b(X).\n\
+             c(X) :- d(X).\n\
+             d(X) :- c(X).\n\
+             r(X) :- r(X), e(X).\n\
+             r(X) :- d(X).\n\
+             @output(\"r\").\n",
+            &t,
+        )
+        .unwrap();
+        let mut defs: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
+        for (i, r) in prog.rules.iter().enumerate() {
+            defs.entry(r.head.pred).or_default().push(i);
+        }
+        let mut found: Vec<String> = recursive_predicates(&prog.rules, &defs)
+            .into_iter()
+            .map(|p| t.resolve(p).to_string())
+            .collect();
+        found.sort();
+        assert_eq!(found, vec!["c", "d", "r"]);
     }
 
     /// Each program gives the consumer `out` an equality over predicate
@@ -802,7 +992,7 @@ mod tests {
     /// still unified wherever its variables allow).
     fn assert_not_unfolded(src: &str, why: &str) {
         let t = SymbolTable::new();
-        let out = unify_equalities(parse(src, &t, false), &t);
+        let out = unfold_and_unify(parse(src, &t, false), &t);
         assert!(survives(&out, &t, "a"), "{why}: {:?}", rendered(&out, &t));
     }
 

@@ -711,3 +711,45 @@ fn atoms_binding_only_unread_variables_stop_at_the_first_match() {
     // `flag` is the program's third rule.
     assert_eq!(stats.rules[2].staged, 20, "one row per round");
 }
+
+#[test]
+fn compat_check_after_a_non_null_widen_costs_no_probe() {
+    // OPTIONAL's join shape (Def. A.7): the plan is `scan l`, `compat
+    // widen`, `scan r`, `compat check`. Join probes count one tick per
+    // step entered: 1 for the first scan, 3 for the widen steps (one per
+    // `l` row), 5 for the `r` scans (x1 and x2 widen to {A, null}, x3's
+    // null A leaves B free), 8 for the check steps (x1: a·z1, a·z2,
+    // null·z3; x2: null·z3; x3: all four `r` rows) and 8 for the
+    // emissions they pass on — 25. Where the widen step saw a non-null A
+    // (x1's three environments and x2's one) it already bound a row of
+    // `comp`, so those four checks pass their environment on within the
+    // same tick: 25 - 4 = 21.
+    let mut db = Database::new();
+    let prog = parse_program(
+        r#"
+        l("x1", "a"). l("x2", "b"). l("x3", null).
+        r("a", "z1"). r("a", "z2"). r(null, "z3"). r("c", "z4").
+        o(X, Y) :- l(X, A), compat(A, B, Y), r(B, Z).
+        @output("o").
+    "#,
+        db.symbols(),
+    )
+    .unwrap();
+    let stats = evaluate(&prog, &mut db, &EvalOptions::default()).unwrap();
+    assert_eq!(stats.rules[0].probes, 21);
+    let mut rows: Vec<String> = output_strings(&db, "o")
+        .into_iter()
+        .map(|t| t.join(" "))
+        .collect();
+    rows.sort();
+    assert_eq!(
+        rows,
+        vec![
+            "\"x1\" \"a\"",
+            "\"x2\" \"b\"",
+            "\"x3\" \"a\"",
+            "\"x3\" \"c\"",
+            "\"x3\" null"
+        ]
+    );
+}

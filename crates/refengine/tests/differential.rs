@@ -188,6 +188,86 @@ fn graph_variable_battery() {
     }
 }
 
+/// Self-loops, subjects with several objects per predicate, and a second
+/// predicate between the same nodes: a BGP unfolded into one rule must
+/// keep every duplicate a projection exposes.
+const BAG: &str = r#"
+@prefix ex: <http://e/> .
+ex:a ex:p ex:a , ex:b , ex:c ; ex:q ex:d , ex:e , ex:f .
+ex:b ex:p ex:c ; ex:q ex:d , ex:e .
+ex:c ex:p ex:c ; ex:q ex:a .
+ex:a ex:name "Anna" ; ex:age 30 ; a ex:T .
+ex:b ex:name "Ben" ; ex:age 25 .
+ex:c ex:name "Cem" .
+ex:d ex:age 30 ; a ex:T .
+"#;
+
+/// A basic graph pattern is one rule after translation: its leaves and
+/// joins are unfolded into their only reader, and a variable certain on
+/// both sides of a join is one column instead of a `compat` item. Each
+/// query compares bag-exact with the reference engine. The refusal
+/// inputs join on a variable only an OPTIONAL or one UNION branch binds:
+/// that variable may be unbound, so the join must keep `compat`, and
+/// each gives a wrong answer if `certain` counts that side as certain.
+#[test]
+fn unfolded_bgp_battery() {
+    let bag = Dataset::from_default_graph(sparqlog_rdf::turtle::parse(BAG).unwrap());
+    for q in [
+        // Projections that keep duplicates.
+        "SELECT ?s WHERE { ?s ex:p ?o . ?s ex:q ?z }",
+        "SELECT ?o WHERE { ?s ex:p ?o . ?o ex:p ?z }",
+        "SELECT ?s WHERE { ?s ex:p ?o . ?s ex:p ?o2 . ?s ex:q ?z }",
+        "SELECT DISTINCT ?s WHERE { ?s ex:p ?o . ?s ex:q ?z }",
+        "SELECT (COUNT(*) AS ?c) WHERE { ?s ex:p ?o . ?s ex:q ?z }",
+        // One variable twice in a pattern.
+        "SELECT ?x WHERE { ?x ex:p ?x }",
+        "SELECT ?x ?y WHERE { ?x ex:p ?x . ?x ex:p ?y }",
+        "SELECT ?x WHERE { ?x ex:p ?y . ?y ex:p ?y }",
+        // A variable predicate.
+        "SELECT ?s ?p WHERE { ?s ?p ex:c . ?s ex:q ?z }",
+        "SELECT ?p WHERE { ex:a ?p ?o . ?o ?p ex:c }",
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?o ?p ?s }",
+        // Constants in every position.
+        "SELECT * WHERE { ex:a ex:p ?o . ?o ex:p ex:c }",
+        "SELECT ?o WHERE { ex:a ex:p ?o . ex:b ex:p ex:c }",
+        "SELECT * WHERE { ex:a ex:p ex:b . ex:b ex:p ex:c }",
+        "SELECT * WHERE { ex:a ex:p ex:b . ex:b ex:p ex:zzz }",
+        "ASK { ex:a ex:p ex:b . ex:b ex:p ex:c }",
+        "ASK { ?s ex:p ex:b . ?s ex:q ex:zzz }",
+        "SELECT ?s WHERE { ?s ex:age 30 . ?s a ex:T }",
+        // Paths whose endpoints join triples.
+        "SELECT * WHERE { ?x ex:p+ ?y . ?y ex:q ?z }",
+        "SELECT ?x ?z WHERE { ?x ex:p/ex:q ?y . ?y ex:age ?z }",
+        "SELECT ?y ?n WHERE { ex:a ex:p* ?y . ?y ex:name ?n }",
+        "SELECT ?x WHERE { ?x ex:name ?n . ?x ^ex:q ?y . ?y ex:p+ ?x }",
+        // FILTER over joined variables.
+        "SELECT ?s ?n WHERE { ?s ex:p ?o . ?o ex:name ?n FILTER (?s != ?o) }",
+        "SELECT * WHERE { ?s ex:age ?a . ?t ex:age ?b FILTER (?a < ?b) }",
+        "SELECT ?s ?t WHERE { ?s ex:age ?a . ?t ex:age ?b FILTER (?a = ?b && ?s != ?t) }",
+        "SELECT ?s WHERE { ?s ex:p ?o . ?o ex:q ?z FILTER (?z != ex:a) }",
+        // Refusal inputs: a join on a variable bound only inside an
+        // earlier OPTIONAL, and on one only one UNION branch binds.
+        "SELECT * WHERE { { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } ?x ex:age ?a }",
+        "SELECT ?s ?a WHERE { { ?s ex:name ?n OPTIONAL { ?s ex:age ?a } } ?t ex:age ?a }",
+        "SELECT * WHERE { { { ?s ex:age ?a } UNION { ?t a ?k } } ?s ex:name ?n }",
+        "SELECT ?s ?t WHERE { { { ?s ex:q ?a } UNION { ?t a ex:T } } ?s ex:p ?o }",
+    ] {
+        compare_on(&bag, &format!("PREFIX ex: <http://e/> {q}"));
+    }
+    // Joins on a graph variable.
+    let quads = sparqlog_rdf::nquads::parse(QUADS).unwrap();
+    for q in [
+        "SELECT * WHERE { GRAPH ?g { ?s ex:p ?o . ?o ex:p ?z } }",
+        "SELECT ?g ?s WHERE { GRAPH ?g { ?s ex:p ?o . ?o ex:name ?n } }",
+        "SELECT * WHERE { GRAPH ?g { ?s ex:p ?o } GRAPH ?g { ?o ex:p ?z } }",
+        "SELECT * WHERE { ?s ex:p ?o GRAPH ?g { ?o ex:p ?z } }",
+        "SELECT ?g ?h WHERE { GRAPH ?g { ?s ex:p ?o } GRAPH ?h { ?s ex:name ?n } }",
+        "SELECT ?g ?y WHERE { GRAPH ?g { ex:a ex:p+ ?y . ?y ex:name ?n } }",
+    ] {
+        compare_on(&quads, &format!("PREFIX ex: <http://e/> {q}"));
+    }
+}
+
 /// `p`/`q` edges over `ex:a`…`ex:f` as N-Quads: each edge in the default
 /// graph and in `<http://g/1>`, and reversed in `<http://g/2>`.
 fn closure_dataset(edges: &[(&str, &str, &str)]) -> Dataset {

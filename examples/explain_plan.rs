@@ -1,7 +1,8 @@
 //! Explain: inspect the physical plan the cost-based planner chooses for
-//! a query, and the statistics it chose it from — including a query whose
-//! only join is a filter equality, which the translation rewrites into a
-//! join key before planning.
+//! a query, and the statistics it chose it from — including a basic graph
+//! pattern, which the translation hands the planner as one rule, and a
+//! query whose only join is a filter equality, which the translation
+//! rewrites into a join key before planning.
 //!
 //! ```sh
 //! cargo run --example explain_plan
@@ -59,7 +60,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.plans_computed() - before
     );
 
+    explain_bgp_as_one_rule()?;
     explain_filter_equality()
+}
+
+/// A three-pattern BGP with a filter: the translation unfolds each
+/// pattern's rule and the joins between them into the one rule that
+/// reads them, and the patterns share `?p` and `?c` as columns (both are
+/// bound in every solution), so the planner orders all three atoms
+/// itself and the filter runs as soon as `?a` is bound.
+fn explain_bgp_as_one_rule() -> Result<(), Box<dyn std::error::Error>> {
+    let store = Store::new();
+    let mut turtle = String::from("@prefix ex: <http://ex.org/> .\n");
+    for i in 0..100 {
+        turtle.push_str(&format!(
+            "ex:p{i} ex:livesIn ex:c{} ; ex:age {} .\n",
+            i % 10,
+            20 + i % 50
+        ));
+    }
+    turtle.push_str("ex:c3 ex:name \"Graz\" .\n");
+    store.load_turtle(&turtle)?;
+
+    let query = "PREFIX ex: <http://ex.org/>
+                 SELECT ?p ?a WHERE {
+                   ?p ex:livesIn ?c . ?p ex:age ?a . ?c ex:name \"Graz\"
+                   FILTER (?a > 40) }";
+    let prepared = store.prepare(query)?;
+    let snapshot = store.snapshot();
+    let plan = snapshot.explain(&prepared)?;
+    println!("\nplan for:\n  {query}\n");
+    println!("{plan}");
+    let rules = plan.lines().filter(|l| l.starts_with("rule ")).count();
+    assert_eq!(rules, 1, "the BGP is not one rule");
+    println!(
+        "{} solution(s)",
+        snapshot.execute_prepared(&prepared)?.len()
+    );
+    Ok(())
 }
 
 /// SP²Bench Q5a's shape: two patterns connected only by `FILTER (?n =
